@@ -10,6 +10,7 @@ Subpackages:
 - resinv: resolution invariant sequences and blow-up weights
 - blowup: weighted blow-up chart atlases, Hilbert bases, the blow-up pipeline
 - quotient_nc: normalization of group-invariant normal-crossings ideals
+- smith: exact matrices: integer Smith form and lattices; rank, det, solve over a field
 - cli: command-line front end
 """
 
@@ -76,6 +77,7 @@ from .polyring import (
     apply_group,
     divide_exact,
     is_invariant,
+    linear_part,
     semi_invariant_split,
     semi_invariant_weight,
     strict_transform,

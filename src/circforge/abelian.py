@@ -14,8 +14,6 @@ import itertools
 from dataclasses import dataclass
 from math import lcm, prod
 
-import numpy as np
-
 from .cyclotomic import Cyclo, root_of_unity
 from .smith import cokernel_invariant_factors, kernel_basis
 
@@ -241,13 +239,9 @@ def invariant_factors(h: Subgroup) -> list[int]:
     t, r = len(gens), g.rank
     # Relations: integer vectors a with sum_i a_i gens_i = 0 in G, i.e. the
     # projection to the first t coordinates of ker [gens | diag(moduli)].
-    a = np.array(
-        [[gens[j].residues[i] for j in range(t)] + [g.moduli[i] if j == i else 0 for j in range(r)] for i in range(r)],
-        dtype=object,
-    )
+    a = [[gens[j].residues[i] for j in range(t)] + [g.moduli[i] if j == i else 0 for j in range(r)] for i in range(r)]
     rows = kernel_basis(a)
-    rel_cols = np.array([[row[i] for row in rows] for i in range(t)], dtype=object)
-    return cokernel_invariant_factors(rel_cols)
+    return cokernel_invariant_factors([[row[i] for row in rows] for i in range(t)])
 
 
 def quotient_invariant_factors(group: AbelianGroup, h: Subgroup) -> list[int]:
@@ -257,8 +251,7 @@ def quotient_invariant_factors(group: AbelianGroup, h: Subgroup) -> list[int]:
         return []
     cols = [[group.moduli[i] if j == i else 0 for i in range(r)] for j in range(r)]
     cols += [list(e.residues) for e in h.sorted_elements()]
-    mat = np.array(cols, dtype=object).T
-    return cokernel_invariant_factors(mat)
+    return cokernel_invariant_factors(list(zip(*cols)))
 
 
 def all_subgroups(group: AbelianGroup) -> list[Subgroup]:

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-import numpy as np
-
-from .abelian import AbelianGroup, PairingContext, pairing
-from .cyclotomic import Cyclo, root_of_unity
-from .gcirc import NormalFormSpec, ProductNormalFormSpec, spec_values, validate_normal_form
+from .abelian import AbelianGroup
+from .cyclotomic import Cyclo
+from .gcirc import NormalFormSpec, ProductNormalFormSpec, eigen_factors, spec_values, validate_normal_form
 from .polyring import (
     DiagonalAction,
     FracPoly,
@@ -28,7 +26,7 @@ from .polyring import (
     strict_transform,
 )
 from .resinv import weights as resinv_weights
-from .smith import in_lattice, kernel_basis
+from .smith import in_lattice, kernel_basis, rank
 
 
 def _fresh(base: str, taken) -> str:
@@ -101,15 +99,10 @@ def charts(ambient: VarSpace, params, weight_vector) -> ChartAtlas:
     return ChartAtlas(params, wts, ambient, tuple(out))
 
 
-def blowup_substitute(f: FracPoly, chart: ChartMap) -> FracPoly:
-    """Exact substitution of a chart map into f (no division)."""
-    return chart.apply(f)
-
-
 def pullback(f: FracPoly, atlas: ChartAtlas, i: int):
     """Total pullback in chart i plus its strict transform and multiplicity."""
     cmap, _action = atlas.charts[i]
-    total = blowup_substitute(f, cmap)
+    total = cmap.apply(f)
     st, mult = strict_transform(total, cmap.chart_var)
     return total, st, mult
 
@@ -319,8 +312,7 @@ def relations(basis: HilbertBasis, degree_bound: int | None = None) -> RelationS
     exponent matrix); every basis relation is an exact monomial identity."""
     nvars = len(basis.variables)
     ngens = len(basis.generators)
-    a = np.array([[basis.generators[g][v] for g in range(ngens)] for v in range(nvars)], dtype=object)
-    rows = kernel_basis(a)
+    rows = kernel_basis([[basis.generators[g][v] for g in range(ngens)] for v in range(nvars)])
     rels = []
     for row in rows:
         left = tuple(int(x) if x > 0 else 0 for x in row)
@@ -486,12 +478,8 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
     for fac in spec.factors:
         sub_names = names[pos : pos + fac.k]
         vals = spec_values(fac, space, x_names=sub_names)
-        ctx = PairingContext.natural(fac.quotient_group)
-        for j in fac.quotient_group.elements():
-            factor = FracPoly.zero(space)
-            for l, v in zip(fac.labels, vals):
-                factor = factor + v.scale(root_of_unity(ctx.k, pairing(ctx, j, l)))
-            factors.append(factor)
+        by_label = dict(zip(fac.labels, eigen_factors(fac.quotient_group, vals, ordering=fac.labels)))
+        factors += [by_label[j] for j in fac.quotient_group.elements()]
         pos += fac.k
     total_poly = factors[0]
     for f in factors[1:]:
@@ -587,20 +575,4 @@ def _independent_linear_parts(factors, var_names) -> bool:
                 return False
             coeffs[hit[0]] = coeffs[hit[0]] + c
         rows.append([coeffs[n] for n in var_names])
-    # Gaussian elimination over the cyclotomic field
-    m = [list(r) for r in rows]
-    rank = 0
-    ncols = len(var_names)
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if not m[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col].inverse()
-        m[rank] = [x * inv for x in m[rank]]
-        for r2 in range(len(m)):
-            if r2 != rank and not m[r2][col].is_zero():
-                fct = m[r2][col]
-                m[r2] = [x - fct * y for x, y in zip(m[r2], m[rank])]
-        rank += 1
-    return rank == len(factors)
+    return rank(rows) == len(factors)

@@ -398,12 +398,7 @@ def cmd_blowup_pullback(args):
         raise DomainError("pullback expects a single normal form")
     if spec.r != 1:
         raise DomainError("chart pullback via this command supports one divisor; use pipeline")
-    names = list(poly.space.names)
-    params = ["w"] + [n for n in names if n != "w"]
-    k = spec.k
-    wt = [k] + [k - j + 1 for j in range(k)]
-    atlas = charts(poly.space, params, wt)
-    total, st, mult = pullback(poly, atlas, args.chart)
+    total, st, mult = pullback(poly, _divisor_atlas(poly, spec.k), args.chart)
     payload = {
         "pullback": jsonio.poly_to_json(total),
         "strict_transform": jsonio.poly_to_json(st),
@@ -413,13 +408,15 @@ def cmd_blowup_pullback(args):
     return 0
 
 
+def _divisor_atlas(poly, k: int):
+    """Weighted blow-up of (w, x_0, ..., x_{k-1}) with weights (k, k+1, k, ..., 2)."""
+    params = ["w"] + [n for n in poly.space.names if n != "w"]
+    return charts(poly.space, params, [k] + [k - j + 1 for j in range(k)])
+
+
 def _cpk_chart_action(k: int):
-    spec = cpk_spec(k)
-    poly = normal_form_poly(spec)
-    names = list(poly.space.names)
-    params = ["w"] + [n for n in names if n != "w"]
-    wt = [k] + [k - j + 1 for j in range(k)]
-    atlas = charts(poly.space, params, wt)
+    poly = normal_form_poly(cpk_spec(k))
+    atlas = _divisor_atlas(poly, k)
     cmap, action = atlas.charts[0]
     _total, st, _mult = pullback(poly, atlas, 0)
     return atlas, cmap, action, st
@@ -557,8 +554,8 @@ def cmd_split_example_basic(args):
 
 def _parse_action(text: str) -> DiagonalAction:
     obj = _read_payload(text)
-    group = AbelianGroup(tuple(int(p) for p in obj["moduli"]))
-    return DiagonalAction(group, {k: tuple(int(x) for x in v) for k, v in obj["weights"].items()})
+    group = jsonio.group_from_json(obj)
+    return DiagonalAction(group, {k: tuple(int(x) for x in v) for k, v in jsonio.required(obj, "weights").items()})
 
 
 def cmd_ncquot_semiinv(args):

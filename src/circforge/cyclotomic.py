@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .smith import solve
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
@@ -328,10 +330,6 @@ def root_of_unity(k: int, e: int = 1) -> Cyclo:
     return Cyclo(k, coeffs)
 
 
-def embed(a: Cyclo, k: int) -> Cyclo:
-    return a.embed(k)
-
-
 def minimal_order(a: Cyclo) -> int:
     """Smallest m dividing a.order with a in the image of Q(e_m).
 
@@ -374,44 +372,11 @@ def descend(a: Cyclo, m: int) -> Cyclo:
     k, step = a.order, a.order // m
     phi_deg = len(cyclotomic_polynomial(m)) - 1
     # Solve sum_i c_i e_k^(step*i) = a for rationals c_0..c_{phi_deg-1}.
-    cols = []
-    for i in range(phi_deg):
-        cols.append(root_of_unity(k, step * i).coeffs)
-    sol = _solve_rational([list(col) for col in cols], list(a.coeffs))
+    cols = [root_of_unity(k, step * i).coeffs for i in range(phi_deg)]
+    sol = solve(list(zip(*cols)), a.coeffs)
     if sol is None:
         raise ValueError(f"{a!r} does not lie in Q(e_{m})")
     return Cyclo(m, sol + [Fraction(0)] * (m - len(sol)))
-
-
-def _solve_rational(cols, rhs):
-    # Least-effort exact solve of sum_j x_j * cols[j] = rhs by Gaussian
-    # elimination on the (len(rhs) x len(cols)) column matrix.
-    m, n = len(rhs), len(cols)
-    mat = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
-    piv_cols = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(m):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[row])]
-        piv_cols.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if mat[r][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for r, col in enumerate(piv_cols):
-        sol[col] = mat[r][n]
-    return sol
 
 
 def cyclo_nth_root(c: Cyclo, n: int):
@@ -512,10 +477,14 @@ def _legendre(a: int, p: int) -> int:
 
 
 def _int_nth_root(v: int, n: int):
-    if v == 0:
-        return 0
-    r = round(v ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** n == v:
-            return cand
-    return None
+    """The integer n-th root of v >= 0, or None when v is not an n-th power."""
+    if v < 2:
+        return v
+    # Newton's iteration from above converges to the floor of the root.
+    r = 1 << -(-v.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + v // r ** (n - 1)) // n
+        if s >= r:
+            break
+        r = s
+    return r if r ** n == v else None

@@ -26,12 +26,21 @@ def frac_from_str(s) -> Fraction:
     return Fraction(str(s))
 
 
+def required(obj, key: str):
+    """obj[key] of a JSON object, with a ValueError naming a missing key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object with key {key!r}")
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    return obj[key]
+
+
 def group_to_json(g: AbelianGroup) -> dict:
     return {"moduli": list(g.moduli)}
 
 
 def group_from_json(obj) -> AbelianGroup:
-    return AbelianGroup(tuple(int(x) for x in obj["moduli"]))
+    return AbelianGroup(tuple(int(x) for x in required(obj, "moduli")))
 
 
 def element_to_json(e: GroupElement) -> list:
@@ -105,15 +114,15 @@ def spec_to_json(spec) -> dict:
 
 
 def spec_from_json(obj):
-    if "factors" in obj:
+    if isinstance(obj, dict) and "factors" in obj:
         return ProductNormalFormSpec(tuple(spec_from_json(f) for f in obj["factors"]))
-    quotient = group_from_json(obj["quotient"])
+    quotient = group_from_json(required(obj, "quotient"))
     return NormalFormSpec(
-        moduli=tuple(int(p) for p in obj["moduli"]),
-        k=int(obj["k"]),
-        gamma=tuple(tuple(frac_from_str(e) for e in row) for row in obj["gamma"]),
+        moduli=tuple(int(p) for p in required(obj, "moduli")),
+        k=int(required(obj, "k")),
+        gamma=tuple(tuple(frac_from_str(e) for e in row) for row in required(obj, "gamma")),
         quotient_group=quotient,
-        labels=tuple(element_from_json(quotient, l) for l in obj["labels"]),
+        labels=tuple(element_from_json(quotient, l) for l in required(obj, "labels")),
     )
 
 

@@ -504,6 +504,17 @@ def strict_transform(f: FracPoly, name: str) -> tuple[FracPoly, Fraction]:
     return FracPoly._raw(f.space, terms), mult
 
 
+def linear_part(f: FracPoly) -> dict:
+    """Coefficients of the degree-one terms of f, keyed by variable name."""
+    return {
+        f.space.names[pos]: c
+        for key, c in f.terms.items()
+        if sum(Fraction(e) for e in key) == 1
+        for pos, e in enumerate(key)
+        if e == 1
+    }
+
+
 def truncate(f: FracPoly, d, exclude: frozenset | set = frozenset()) -> FracPoly:
     """Drop terms of total degree > d (face-value degrees; exclude is ignored in the count)."""
     if Fraction(d) < 0:

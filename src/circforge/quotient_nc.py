@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .abelian import GroupElement, Subgroup, subgroup_from_generators
 from .cyclotomic import Cyclo, root_of_unity
@@ -23,10 +22,12 @@ from .polyring import (
     FracPoly,
     VarSpace,
     apply_group,
+    linear_part,
     semi_invariant_split,
     semi_invariant_weight,
     truncate,
 )
+from .smith import det, rank
 
 
 class SplitsInvariantly(Exception):
@@ -106,16 +107,6 @@ def nc_ideal_reduction(f: FracPoly, factors, degree: int | None = None) -> FracP
     return image
 
 
-def _linear_part(f: FracPoly):
-    return {
-        f.space.names[pos]: c
-        for key, c in f.terms.items()
-        if sum(Fraction(e) for e in key) == 1
-        for pos, e in enumerate(key)
-        if e == 1
-    }
-
-
 def _triangularize(factors, space: VarSpace):
     """Row-reduce the factor system so each row has a distinct pivot variable
     with unit coefficient in its linear part."""
@@ -126,10 +117,10 @@ def _triangularize(factors, space: VarSpace):
     for g in rows:
         work = g
         for piv, done in zip(pivots, reduced):
-            c = _linear_part(work).get(piv)
+            c = linear_part(work).get(piv)
             if c is not None and not c.is_zero():
                 work = work - done.scale(c)
-        lin = _linear_part(work)
+        lin = linear_part(work)
         piv = next((n for n in names if n in lin and not lin[n].is_zero() and n not in pivots), None)
         if piv is None:
             raise DegenerateInput("factor linear parts are not independent")
@@ -141,7 +132,7 @@ def _triangularize(factors, space: VarSpace):
         for b in range(len(reduced)):
             if a == b:
                 continue
-            c = _linear_part(reduced[a]).get(pivots[b])
+            c = linear_part(reduced[a]).get(pivots[b])
             if c is not None and not c.is_zero():
                 reduced[a] = reduced[a] - reduced[b].scale(c)
     return reduced, pivots
@@ -172,14 +163,14 @@ def adapted_coordinates(action: DiagonalAction, divisor_gens, s_gens) -> Adapted
     group = action.group
 
     def semi_part_with_linear(g: FracPoly) -> FracPoly:
-        lin = _linear_part(g)
+        lin = linear_part(g)
         if not lin:
             raise DegenerateInput("generator has zero linear part")
         parts = [g]
         for i in range(group.rank):
             parts = [p for q in parts for p in semi_invariant_split(q, action, i) if not p.is_zero()]
         for p in parts:
-            plin = _linear_part(p)
+            plin = linear_part(p)
             if plin and all(
                 (n in plin and plin[n] == c) for n, c in lin.items()
             ):
@@ -200,7 +191,7 @@ def adapted_coordinates(action: DiagonalAction, divisor_gens, s_gens) -> Adapted
     used_directions = []
 
     def try_add(name, poly, role) -> bool:
-        vec = _linear_part(poly)
+        vec = linear_part(poly)
         if _dependent(vec, used_directions, space):
             return False
         used_directions.append(vec)
@@ -217,16 +208,16 @@ def adapted_coordinates(action: DiagonalAction, divisor_gens, s_gens) -> Adapted
     for j, h in contained:
         part = semi_part_with_linear(h)
         if try_add(f"s{s_count}", part, f"stratum+divisor:{j}"):
-            s_dirs.append(_linear_part(part))
+            s_dirs.append(linear_part(part))
             s_count += 1
     # semi-invariant stratum pieces fill out the span of the stratum ideal
-    rank_s = _rank([_linear_part(g) for g in s_gens], space)
+    rank_s = _rank([linear_part(g) for g in s_gens], space)
     pieces = semi_invariant_generators(s_gens, action)
     for p in sorted(pieces, key=lambda q: (q.total_degree(), str(q))):
         if _rank(s_dirs, space) >= rank_s:
             break
-        if _linear_part(p) and not _dependent(_linear_part(p), s_dirs, space) and try_add(f"s{s_count}", p, "stratum"):
-            s_dirs.append(_linear_part(p))
+        if linear_part(p) and not _dependent(linear_part(p), s_dirs, space) and try_add(f"s{s_count}", p, "stratum"):
+            s_dirs.append(linear_part(p))
             s_count += 1
     if _rank(s_dirs, space) < rank_s:
         raise DegenerateInput("semi-invariant pieces do not span the stratum ideal")
@@ -248,36 +239,13 @@ def adapted_coordinates(action: DiagonalAction, divisor_gens, s_gens) -> Adapted
 
 
 def _rank(vectors, space: VarSpace) -> int:
-    names = list(space.names)
-    rows = [[v.get(n, Cyclo.zero()) for n in names] for v in vectors]
-    return _gauss_rank(rows)
+    return rank([[v.get(n, Cyclo.zero()) for n in space.names] for v in vectors])
 
 
 def _dependent(vec, basis, space: VarSpace) -> bool:
     if not vec:
         return True
     return _rank(basis + [vec], space) == _rank(list(basis), space)
-
-
-def _gauss_rank(rows) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r2 in range(len(rows)):
-            if r2 != rank and not rows[r2][col].is_zero():
-                c = rows[r2][col]
-                rows[r2] = [x - c * y for x, y in zip(rows[r2], rows[rank])]
-        rank += 1
-    return rank
 
 
 # -- the nested normal form --------------------------------------------------------
@@ -352,7 +320,7 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     factors = list(data.factors)
     k = len(factors)
 
-    lins = [_linear_part(f) for f in factors]
+    lins = [linear_part(f) for f in factors]
     space = factors[0].space
     for f in factors[1:]:
         space = space.union(f.space)
@@ -455,11 +423,11 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     if sorted(hit) != list(range(k)):
         raise AssertionError("recombined factors do not match the input system bijectively")
 
-    det = _det_cyclo(matrix)
-    if det.is_zero():
+    determinant = det(matrix)
+    if determinant.is_zero():
         raise AssertionError("coefficient matrix is singular")
 
-    if _rank([_linear_part(h) for h in parts.values()], space) != k:
+    if _rank([linear_part(h) for h in parts.values()], space) != k:
         raise DegenerateInput("nested coordinates have dependent gradients")
 
     return NestedNormalForm(
@@ -470,28 +438,9 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
         matrix=matrix,
         row_index=rows,
         col_index=cols,
-        determinant=det,
+        determinant=determinant,
         factors=recombined,
         scalar=scalar,
         stabilizer=stab,
     )
 
-
-def _det_cyclo(matrix) -> Cyclo:
-    m = [row[:] for row in matrix]
-    n = len(m)
-    det = Cyclo.one()
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if piv is None:
-            return Cyclo.zero()
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col].inverse()
-        for r in range(col + 1, n):
-            if not m[r][col].is_zero():
-                c = m[r][col] * inv
-                m[r] = [x - c * y for x, y in zip(m[r], m[col])]
-    return det

@@ -1,137 +1,202 @@
-"""Integer matrix normal forms: Smith form, kernel lattices, integer solves.
+"""Exact matrix algebra on lists of rows.
 
-Matrices are numpy arrays with dtype=object so that all arithmetic stays in
-exact Python integers.
+Over the integers: Smith normal form, kernel lattices, integer solves,
+cokernel invariant factors and lattice membership.  Over an exact field
+(entries ``Fraction``, ``Cyclo``, or either mixed with ``int``): one forward
+elimination, ``echelon``, and the ``rank``, ``det`` and ``solve`` built on
+it.  Every entry stays an exact Python number; no float is ever formed.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from fractions import Fraction
+
+_ONE = Fraction(1)
 
 
-def _as_int_matrix(a) -> np.ndarray:
-    m = np.array(a, dtype=object)
-    if m.ndim != 2:
+def _matrix(a) -> list[list]:
+    rows = [list(row) for row in a]
+    if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("expected a 2-d matrix")
-    return m
+    return rows
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _rank_of_diagonal(d) -> int:
+    return sum(1 for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0)
 
 
 def smith_normal_form(a):
-    """Return (d, u, v) with d = u @ a @ v diagonal, u and v unimodular.
+    """Return (d, u, v) with d = u a v diagonal, u and v unimodular.
 
     The diagonal entries satisfy d[0] | d[1] | ... and are nonnegative.
     """
-    d = _as_int_matrix(a).copy()
-    m, n = d.shape
-    u = np.eye(m, dtype=object)
-    v = np.eye(n, dtype=object)
+    d = _matrix(a)
+    m = len(d)
+    n = len(d[0]) if m else 0
+    u = _identity(m)
+    v = _identity(n)
 
-    def pivot_smallest(t):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i, j] != 0 and (best is None or abs(d[i, j]) < abs(d[best[0], best[1]])):
-                    best = (i, j)
-        return best
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
 
-    t = 0
-    while t < min(m, n):
-        pos = pivot_smallest(t)
-        if pos is None:
+    def swap_cols(i, j):
+        for row in d + v:
+            row[i], row[j] = row[j], row[i]
+
+    for t in range(min(m, n)):
+        # smallest nonzero magnitude, first in row-major order
+        nonzero = [(abs(d[i][j]), i, j) for i in range(t, m) for j in range(t, n) if d[i][j] != 0]
+        if not nonzero:
             break
-        i, j = pos
-        d[[t, i], :] = d[[i, t], :]
-        u[[t, i], :] = u[[i, t], :]
-        d[:, [t, j]] = d[:, [j, t]]
-        v[:, [t, j]] = v[:, [j, t]]
+        _, i, j = min(nonzero)
+        swap_rows(t, i)
+        swap_cols(t, j)
         dirty = True
         while dirty:
             dirty = False
             for i in range(t + 1, m):
-                if d[i, t] != 0:
-                    q = d[i, t] // d[t, t]
-                    d[i, :] -= q * d[t, :]
-                    u[i, :] -= q * u[t, :]
-                    if d[i, t] != 0:
-                        d[[t, i], :] = d[[i, t], :]
-                        u[[t, i], :] = u[[i, t], :]
+                if d[i][t] != 0:
+                    q = d[i][t] // d[t][t]
+                    d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                    if d[i][t] != 0:
+                        swap_rows(t, i)
                         dirty = True
             for j in range(t + 1, n):
-                if d[t, j] != 0:
-                    q = d[t, j] // d[t, t]
-                    d[:, j] -= q * d[:, t]
-                    v[:, j] -= q * v[:, t]
-                    if d[t, j] != 0:
-                        d[:, [t, j]] = d[:, [j, t]]
-                        v[:, [t, j]] = v[:, [j, t]]
+                if d[t][j] != 0:
+                    q = d[t][j] // d[t][t]
+                    for row in d + v:
+                        row[j] -= q * row[t]
+                    if d[t][j] != 0:
+                        swap_cols(t, j)
                         dirty = True
             if not dirty:
                 # Enforce divisibility of the remaining block by the pivot.
-                for i in range(t + 1, m):
-                    for j in range(t + 1, n):
-                        if d[i, j] % d[t, t] != 0:
-                            d[t, :] += d[i, :]
-                            u[t, :] += u[i, :]
-                            dirty = True
-                            break
-                    if dirty:
-                        break
-        t += 1
+                i = next((i for i in range(t + 1, m) if any(d[i][j] % d[t][t] for j in range(t + 1, n))), None)
+                if i is not None:
+                    d[t] = [x + y for x, y in zip(d[t], d[i])]
+                    u[t] = [x + y for x, y in zip(u[t], u[i])]
+                    dirty = True
     for i in range(min(m, n)):
-        if d[i, i] < 0:
-            d[i, :] = -d[i, :]
-            u[i, :] = -u[i, :]
+        if d[i][i] < 0:
+            d[i] = [-x for x in d[i]]
+            u[i] = [-x for x in u[i]]
     return d, u, v
 
 
-def kernel_basis(a):
-    """Basis (as rows) of the integer lattice {x : a @ x = 0}."""
-    a = _as_int_matrix(a)
+def kernel_basis(a) -> list[list[int]]:
+    """Basis (as rows) of the integer lattice {x : a x = 0}."""
     d, _u, v = smith_normal_form(a)
-    n = a.shape[1]
-    rank = sum(1 for i in range(min(d.shape)) if d[i, i] != 0)
-    cols = [v[:, j] for j in range(rank, n)]
-    if not cols:
-        return np.zeros((0, n), dtype=object)
-    return np.array([list(c) for c in cols], dtype=object)
+    n = len(v)
+    return [[v[i][j] for i in range(n)] for j in range(_rank_of_diagonal(d), n)]
 
 
 def solve_integer(a, b):
-    """One integer solution x of a @ x = b, or None if none exists."""
-    a = _as_int_matrix(a)
-    bb = np.array(list(b), dtype=object)
+    """One integer solution x of a x = b, or None if none exists."""
     d, u, v = smith_normal_form(a)
-    c = u @ bb
-    n = a.shape[1]
-    y = np.zeros(n, dtype=object)
-    for i in range(a.shape[0]):
-        di = d[i, i] if i < min(d.shape) else 0
+    b = list(b)
+    if len(b) != len(d):
+        raise ValueError("right-hand side does not match the matrix rows")
+    c = [sum(x * y for x, y in zip(row, b)) for row in u]
+    y = [0] * len(v)
+    for i, ci in enumerate(c):
+        di = d[i][i] if i < len(v) else 0
         if di == 0:
-            if i < len(c) and c[i] != 0:
+            if ci != 0:
                 return None
         else:
-            if c[i] % di != 0:
+            if ci % di != 0:
                 return None
-            y[i] = c[i] // di
-    return v @ y
+            y[i] = ci // di
+    return [sum(x * yj for x, yj in zip(row, y)) for row in v]
 
 
 def cokernel_invariant_factors(a) -> list[int]:
     """Invariant factors (> 1) of Z^m / column-lattice(a), ascending."""
-    a = _as_int_matrix(a)
-    m = a.shape[0]
     d, _u, _v = smith_normal_form(a)
-    diag = [int(d[i, i]) for i in range(min(d.shape))]
-    rank = sum(1 for x in diag if x != 0)
-    if rank < m:
+    if _rank_of_diagonal(d) < len(d):
         raise ValueError("cokernel is infinite")
-    return [x for x in diag if x > 1]
+    return [d[i][i] for i in range(len(d)) if d[i][i] > 1]
 
 
 def in_lattice(basis_rows, vec) -> bool:
     """Whether vec lies in the integer row span of basis_rows."""
-    basis = _as_int_matrix(basis_rows) if len(basis_rows) else None
-    v = np.array(list(vec), dtype=object)
-    if basis is None or basis.shape[0] == 0:
-        return all(x == 0 for x in v)
-    return solve_integer(basis.T, v) is not None
+    if not basis_rows:
+        return all(x == 0 for x in vec)
+    return solve_integer(list(zip(*basis_rows)), vec) is not None
+
+
+# -- elimination over an exact field -------------------------------------------------
+
+
+def echelon(rows):
+    """Forward Gaussian elimination over an exact field.
+
+    Returns (e, pivots, sign): e is a row echelon form of rows, pivots[r] is
+    the column of the leading entry of row r of e (one per nonzero row), and
+    sign is -1 when an odd number of row swaps was made, else 1.  Each pivot
+    is the first nonzero entry of its column at or below the current row.
+    """
+    e = _matrix(rows)
+    pivots = []
+    sign = 1
+    for col in range(len(e[0]) if e else 0):
+        r = len(pivots)
+        if r == len(e):
+            break
+        piv = next((i for i in range(r, len(e)) if e[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            e[r], e[piv] = e[piv], e[r]
+            sign = -sign
+        inv = _ONE / e[r][col]
+        for i in range(r + 1, len(e)):
+            if e[i][col]:
+                c = e[i][col] * inv
+                e[i] = [x - c * y for x, y in zip(e[i], e[r])]
+        pivots.append(col)
+    return e, pivots, sign
+
+
+def rank(rows) -> int:
+    """Rank of a matrix over an exact field."""
+    return len(echelon(rows)[1])
+
+
+def det(rows):
+    """Determinant of a square matrix over an exact field (1 when empty)."""
+    e, _pivots, sign = echelon(rows)
+    if any(len(row) != len(e) for row in e):
+        raise ValueError("determinant of a non-square matrix")
+    if not e:
+        return _ONE
+    # a square echelon form is upper triangular
+    out = e[0][0]
+    for i in range(1, len(e)):
+        out = out * e[i][i]
+    return -out if sign < 0 else out
+
+
+def solve(a, b):
+    """One solution x of a x = b over an exact field, or None if none exists.
+
+    Free variables are set to 0, so the solution is the unique one whenever
+    a has full column rank.
+    """
+    e, pivots, _sign = echelon([list(row) + [bi] for row, bi in zip(a, b, strict=True)])
+    n = len(e[0]) - 1 if e else 0
+    if pivots and pivots[-1] == n:
+        return None
+    x = [0] * n
+    for r in reversed(range(len(pivots))):
+        s = e[r][n]
+        for col in pivots[r + 1 :]:
+            s = s - e[r][col] * x[col]
+        x[pivots[r]] = s * (_ONE / e[r][pivots[r]])
+    return x

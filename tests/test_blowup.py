@@ -26,7 +26,6 @@ from circforge import (
     transition,
     z2z4_spec,
 )
-from circforge.blowup import _independent_linear_parts
 from circforge.gcirc import spec_space
 
 
@@ -234,15 +233,11 @@ def test_relations_cp3_family():
     assert rels.ambient_identity_holds(rel)
     assert rels.contains(rel)
     # lattice rank = generators - rank of exponent matrix
-    import numpy as np
-
-    a = np.array(
-        [[g[v] for g in hb.generators] for v in range(len(hb.variables))], dtype=object
-    )
+    a = [[g[v] for g in hb.generators] for v in range(len(hb.variables))]
     from circforge.smith import smith_normal_form
 
     d, _u, _v = smith_normal_form(a)
-    rank = sum(1 for i in range(min(d.shape)) if d[i, i] != 0)
+    rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
     assert rels.lattice_rank == len(hb.generators) - rank
 
 
@@ -356,10 +351,8 @@ def test_final_factors_are_independent_linear_forms():
     assert prod == st
 
 
-def test_blowup_substitute_is_ring_homomorphism():
+def test_chart_apply_is_ring_homomorphism():
     import random
-
-    from circforge.blowup import blowup_substitute
 
     random.seed(17)
     _poly, atlas = _cpk_atlas(2)
@@ -372,4 +365,4 @@ def test_blowup_substitute_is_ring_homomorphism():
         for _t in range(3):
             f = f + FracPoly.monomial(sp, {random.choice(names): random.randint(0, 2)}, random.randint(-2, 2))
             g = g + FracPoly.monomial(sp, {random.choice(names): random.randint(0, 2)}, random.randint(-2, 2))
-        assert blowup_substitute(f * g, cmap) == blowup_substitute(f, cmap) * blowup_substitute(g, cmap)
+        assert cmap.apply(f * g) == cmap.apply(f) * cmap.apply(g)

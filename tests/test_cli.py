@@ -56,12 +56,30 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
-def test_domain_error_exit_code(capsys):
-    code = run(["gcirc", "det", "--group", "Z2xZ2", "--cpk"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gcirc", "det", "--group", "Z2xZ2", "--cpk"],
+        ["ncquot", "normalize", "--action", '{"moduli":[2]}', "--factors", "[]"],
+        ["gcirc", "validate", "--spec", "{}"],
+    ],
+    ids=["det-cpk-noncyclic", "normalize-missing-weights", "validate-missing-quotient"],
+)
+def test_domain_error_exit_code(capsys, argv):
+    code = run(argv)
     assert code == 1
-    code = run(["--format", "json", "gcirc", "det", "--group", "Z2xZ2", "--cpk"])
+    code = run(["--format", "json"] + argv)
     out = capsys.readouterr().out
     assert code == 1 and "error" in json.loads(out)
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, circforge.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 def test_split_example_basic(capsys):

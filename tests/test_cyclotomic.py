@@ -92,6 +92,10 @@ def test_nth_roots():
     assert cyclo_nth_root(Cyclo.rational(8), 3) == 2
     assert cyclo_nth_root(root_of_unity(3), 2) ** 2 == root_of_unity(3)
     assert cyclo_nth_root(Cyclo.rational(3), 3) is None
+    # roots beyond float range and precision, decided in integers
+    assert cyclo_nth_root(Cyclo.rational(10**400), 2) == 10**200
+    assert cyclo_nth_root(Cyclo.rational((10**17 + 3) ** 3), 3) == 10**17 + 3
+    assert cyclo_nth_root(Cyclo.rational((10**17 + 3) ** 3 + 1), 3) is None
 
 
 def test_inverse_on_roots_of_unity():

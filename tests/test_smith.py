@@ -1,19 +1,47 @@
-import numpy as np
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circforge.smith import cokernel_invariant_factors, in_lattice, kernel_basis, smith_normal_form
+from circforge import Cyclo, root_of_unity
+from circforge.smith import (
+    cokernel_invariant_factors,
+    det,
+    in_lattice,
+    kernel_basis,
+    rank,
+    smith_normal_form,
+    solve,
+)
+
+
+def _matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), 0) for col in zip(*b)] for row in a]
+
+
+def _leibniz(mat):
+    """Determinant as the signed sum over permutations (independent oracle)."""
+    n = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term = term * mat[i][perm[i]]
+        total = total + term
+    return total
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_smith_factorization(m, n, data):
     entries = data.draw(st.lists(st.integers(-6, 6), min_size=m * n, max_size=m * n))
-    a = np.array(entries, dtype=object).reshape(m, n)
+    a = [entries[i * n : (i + 1) * n] for i in range(m)]
     d, u, v = smith_normal_form(a)
-    assert (u @ a @ v == d).all()
-    diag = [d[i, i] for i in range(min(m, n))]
+    assert _matmul(_matmul(u, a), v) == d
+    diag = [d[i][i] for i in range(min(m, n))]
     assert all(x >= 0 for x in diag)
     for x, y in zip(diag, diag[1:]):
         if y != 0:
@@ -22,53 +50,90 @@ def test_smith_factorization(m, n, data):
     for i in range(m):
         for j in range(n):
             if i != j:
-                assert d[i, j] == 0
-    assert abs(_det(u)) == 1 and abs(_det(v)) == 1
-
-
-def _det(mat):
-    mat = [list(r) for r in mat]
-    n = len(mat)
-    from fractions import Fraction
-
-    m = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
+                assert d[i][j] == 0
+    assert abs(_leibniz(u)) == 1 and abs(_leibniz(v)) == 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 4), st.data())
 def test_kernel_basis(m, n, data):
     entries = data.draw(st.lists(st.integers(-5, 5), min_size=m * n, max_size=m * n))
-    a = np.array(entries, dtype=object).reshape(m, n)
-    rows = kernel_basis(a)
-    for row in rows:
-        assert all(x == 0 for x in a @ row)
+    a = [entries[i * n : (i + 1) * n] for i in range(m)]
+    for row in kernel_basis(a):
+        assert _matmul(a, [[x] for x in row]) == [[0]] * m
 
 
 def test_cokernel_invariant_factors():
-    a = np.array([[2, 0], [0, 4]], dtype=object)
-    assert cokernel_invariant_factors(a) == [2, 4]
-    b = np.array([[2, 1], [0, 2]], dtype=object)
-    assert cokernel_invariant_factors(b) == [4]
+    assert cokernel_invariant_factors([[2, 0], [0, 4]]) == [2, 4]
+    assert cokernel_invariant_factors([[2, 1], [0, 2]]) == [4]
     with pytest.raises(ValueError):
-        cokernel_invariant_factors(np.array([[1, 0], [0, 0]], dtype=object))
+        cokernel_invariant_factors([[1, 0], [0, 0]])
 
 
 def test_in_lattice():
-    basis = np.array([[2, 0], [0, 3]], dtype=object)
+    basis = [[2, 0], [0, 3]]
     assert in_lattice(basis, [4, 3])
     assert not in_lattice(basis, [1, 0])
     assert in_lattice([], [0, 0])
     assert not in_lattice([], [1, 0])
+
+
+# -- elimination over Q(e_k) ---------------------------------------------------
+
+_entries = st.builds(
+    lambda q, k, e: Cyclo.rational(q) * root_of_unity(k, e),
+    st.integers(-3, 3),
+    st.sampled_from([1, 2, 3, 4, 6, 8]),
+    st.integers(0, 7),
+)
+
+
+def _cyclo_matrix(data, m, n):
+    return [[data.draw(_entries) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_det_matches_leibniz(n, data):
+    a = _cyclo_matrix(data, n, n)
+    assert det(a) == _leibniz(a)
+
+
+def test_elimination_on_rationals():
+    # integer input is eliminated in Fractions, never in floats
+    assert det([[1, 2], [3, 4]]) == -2
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[Fraction(1, 2), 1], [1, 2]]) == 0
+    with pytest.raises(ValueError):
+        det([[1, 2]])
+    x = solve([[1, 2], [3, 4]], [5, 6])
+    assert x == [-4, Fraction(9, 2)] and all(type(v) is Fraction for v in x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 4), st.data())
+def test_rank_is_largest_nonzero_minor(m, n, r, data):
+    # a product through an m x r by r x n factorization has rank <= r
+    a = _matmul(_cyclo_matrix(data, m, r), _cyclo_matrix(data, r, n)) if r else [[0] * n for _ in range(m)]
+    largest = 0
+    for s in range(1, min(m, n) + 1):
+        for rows in itertools.combinations(range(m), s):
+            for cols in itertools.combinations(range(n), s):
+                if _leibniz([[a[i][j] for j in cols] for i in rows]) != 0:
+                    largest = s
+    assert rank(a) == largest
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_solve_substitutes_back(m, n, data):
+    a = _cyclo_matrix(data, m, n)
+    x0 = [data.draw(_entries) for _ in range(n)]
+    b = [row[0] for row in _matmul(a, [[x] for x in x0])]
+    x = solve(a, b)
+    assert [row[0] for row in _matmul(a, [[xi] for xi in x])] == b
+    # a new row that sums two rows, with its right-hand side off by one
+    if m >= 2:
+        assert solve(a + [[p + q for p, q in zip(a[0], a[1])]], b + [b[0] + b[1] + 1]) is None
+    assert solve([[0] * n], [1]) is None
+
