@@ -1,9 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(e_k), e_k = exp(2*pi*i/k).
 
-Elements are stored as rational coefficient vectors of length k, reduced
-modulo the k-th cyclotomic polynomial, so equality is plain coefficient
-equality.  Arithmetic between elements of different orders promotes both
-to the lcm order via e_m = e_k^(k/m).
+An element of Q(e_k) is stored as deg Phi_k integer numerators n_i over
+one positive common denominator D, meaning sum_i (n_i / D) * e_k^i, with
+the n_i and D coprime.  The pair is canonical, so equality is plain
+comparison.  Phi_k is monic, so reduction modulo Phi_k stays in the
+integers; every operation ends with one gcd normalisation.  `coeffs`
+presents the same element as k Fractions, zero from index deg Phi_k on.
+Arithmetic between elements of different orders promotes both to the lcm
+order via e_m = e_k^(k/m).
 """
 
 from __future__ import annotations
@@ -56,52 +60,126 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
 _ZERO = Fraction(0)
 
 
-def _reduce(coeffs: list[Fraction], k: int) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list modulo Phi_k and pad/trim to length k."""
+@lru_cache(maxsize=None)
+def _reducer(k: int) -> tuple[int, tuple]:
+    """deg Phi_k and the nonzero (j, c) of Phi_k below its leading term."""
     phi = cyclotomic_polynomial(k)
     deg = len(phi) - 1
-    work = list(coeffs)
-    if len(work) < k:
-        work += [_ZERO] * (k - len(work))
-    if not any(work[deg:]):
-        return tuple(work[:k])
+    return deg, tuple((j, c) for j, c in enumerate(phi[:deg]) if c)
+
+
+def _reduce(work: list[int], k: int) -> list[int]:
+    """Reduce an integer coefficient list modulo Phi_k, in place; returns
+    the deg Phi_k low coefficients."""
+    deg, terms = _reducer(k)
+    if len(work) < deg:
+        work += [0] * (deg - len(work))
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
-        if c == 0:
-            continue
-        work[i] = _ZERO
-        for j in range(deg):
-            if phi[j]:
-                work[i - deg + j] -= c * phi[j]
-    return tuple(work[:k])
+        if c:
+            base = i - deg
+            for j, p in terms:
+                work[base + j] -= c * p
+    del work[deg:]
+    return work
+
+
+def _new(order: int, num: tuple, den: int) -> "Cyclo":
+    # canonical data, bypassing the reduction
+    out = object.__new__(Cyclo)
+    out.order = order
+    out._num = num
+    out._den = den
+    return out
+
+
+def _make(order: int, num: list, den: int) -> "Cyclo":
+    """The element num / den of order `order`, num already reduced, den > 0."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [n // g for n in num]
+            den //= g
+    return _new(order, tuple(num), den)
+
+
+def _scale(a: "Cyclo", n: int, d: int) -> "Cyclo":
+    """a * (n / d) for integers n and d > 0."""
+    if n == 0:
+        return _new(a.order, (0,) * len(a._num), 1)
+    return _make(a.order, [x * n for x in a._num], a._den * d)
+
+
+def _embed(a: "Cyclo", k: int) -> "Cyclo":
+    if k == a.order:
+        return a
+    step = k // a.order
+    work = [0] * k
+    for i, n in enumerate(a._num):
+        work[i * step] = n
+    return _make(k, _reduce(work, k), a._den)
+
+
+def _common(a: "Cyclo", b: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
+    if a.order == b.order:
+        return a, b
+    k = lcm(a.order, b.order)
+    return _embed(a, k), _embed(b, k)
+
+
+def _mul_ints(x, y, k: int) -> list[int]:
+    """The product of two reduced integer vectors of order k, reduced."""
+    prod = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y, i):
+                prod[j] += a * b
+    return _reduce(prod, k)
+
+
+def _conjugate(num, j: int, k: int) -> list[int]:
+    """The image of a reduced integer vector under e_k -> e_k^j, reduced."""
+    work = [0] * k
+    for i, n in enumerate(num):
+        work[i * j % k] += n
+    return _reduce(work, k)
 
 
 class Cyclo:
-    """An element of Q(e_k), canonical modulo the k-th cyclotomic polynomial."""
+    """An element of Q(e_k): integer numerators over one denominator.
 
-    __slots__ = ("order", "coeffs")
+    `order` is k.  The element is sum_i (n_i / D) * e_k^i over the
+    deg Phi_k numerators n_i, reduced modulo Phi_k, with D > 0 and
+    gcd(D, n_0, ..., n_{deg-1}) = 1.  `coeffs` is the read-only view as
+    `order` Fractions.
+    """
+
+    __slots__ = ("order", "_num", "_den")
 
     def __init__(self, order: int, coeffs):
         if order < 1:
             raise ValueError("order must be >= 1")
+        fracs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        den = lcm(*(q.denominator for q in fracs))
+        canon = _make(order, _reduce([q.numerator * (den // q.denominator) for q in fracs], order), den)
         self.order = order
-        self.coeffs = _reduce(
-            [c if type(c) is Fraction else Fraction(c) for c in coeffs], order
-        )
+        self._num = canon._num
+        self._den = canon._den
 
-    @staticmethod
-    def _raw(order: int, coeffs: tuple) -> "Cyclo":
-        # canonical data, bypassing the reduction
-        out = object.__new__(Cyclo)
-        out.order = order
-        out.coeffs = coeffs
-        return out
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The k rational coefficients of e_k^0 .. e_k^(k-1)."""
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._num) + (_ZERO,) * (self.order - len(self._num))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rational(q, order: int = 1) -> "Cyclo":
-        return Cyclo(order, [Fraction(q)] + [0] * (order - 1))
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        q = Fraction(q)
+        return _new(order, (q.numerator,) + (0,) * (_reducer(order)[0] - 1), q.denominator)
 
     @staticmethod
     def zero(order: int = 1) -> "Cyclo":
@@ -114,60 +192,58 @@ class Cyclo:
     # -- basic queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self._num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     # -- promotion ----------------------------------------------------------
 
     def embed(self, k: int) -> "Cyclo":
         """Image in Q(e_k) under e_m -> e_k^(k/m); requires m | k."""
-        m = self.order
-        if k % m != 0:
-            raise ValueError(f"order {m} does not divide {k}")
-        if k == m:
-            return self
-        step = k // m
-        out = [Fraction(0)] * k
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                out[i * step] += c
-        return Cyclo(k, out)
-
-    @staticmethod
-    def _common(a: "Cyclo", b: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
-        k = lcm(a.order, b.order)
-        return a.embed(k), b.embed(k)
+        if k % self.order != 0:
+            raise ValueError(f"order {self.order} does not divide {k}")
+        return _embed(self, k)
 
     @staticmethod
     def _coerce(x) -> "Cyclo":
         if isinstance(x, Cyclo):
             return x
-        if isinstance(x, (int, Fraction)):
-            return Cyclo.rational(x)
+        if isinstance(x, int):
+            return _new(1, (x,), 1)
+        if isinstance(x, Fraction):
+            return _new(1, (x.numerator,), x.denominator)
         raise TypeError(f"cannot coerce {type(x).__name__} to Cyclo")
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        try:
-            other = Cyclo._coerce(other)
-        except TypeError:
-            return NotImplemented
-        a, b = Cyclo._common(self, other)
-        # sums of canonical vectors stay canonical
-        return Cyclo._raw(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if type(other) is not Cyclo:
+            try:
+                other = Cyclo._coerce(other)
+            except TypeError:
+                return NotImplemented
+        a, b = (self, other) if self.order == other.order else _common(self, other)
+        ad, bd = a._den, b._den
+        if ad == bd:
+            num = [x + y for x, y in zip(a._num, b._num)]
+        else:
+            g = gcd(ad, bd)
+            ma, mb = bd // g, ad // g
+            num = [x * ma + y * mb for x, y in zip(a._num, b._num)]
+            ad *= ma
+        # sums of canonical vectors stay reduced
+        return _make(a.order, num, ad)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo._raw(self.order, tuple(-c for c in self.coeffs))
+        return _new(self.order, tuple(-n for n in self._num), self._den)
 
     def __sub__(self, other):
         return self + (-Cyclo._coerce(other))
@@ -176,51 +252,52 @@ class Cyclo:
         return Cyclo._coerce(other) + (-self)
 
     def __mul__(self, other):
-        try:
-            other = Cyclo._coerce(other)
-        except TypeError:
-            return NotImplemented
-        # rational factors just scale the canonical vector
-        if other.is_rational():
-            q = other.coeffs[0]
-            if q == 1:
+        if type(other) is not Cyclo:
+            try:
+                other = Cyclo._coerce(other)
+            except TypeError:
+                return NotImplemented
+        # rational factors just scale the canonical vector, keeping the
+        # other operand's order; this is checked before any promotion
+        on = other._num
+        if not any(on[1:]):
+            if on[0] == 1 and other._den == 1:
                 return self
-            return Cyclo._raw(self.order, tuple(c * q for c in self.coeffs))
-        if self.is_rational():
-            q = self.coeffs[0]
-            if q == 1:
+            return _scale(self, on[0], other._den)
+        sn = self._num
+        if not any(sn[1:]):
+            if sn[0] == 1 and self._den == 1:
                 return other
-            return Cyclo._raw(other.order, tuple(c * q for c in other.coeffs))
-        a, b = Cyclo._common(self, other)
-        k = a.order
-        prod = [_ZERO] * (2 * k)
-        for i, ci in enumerate(a.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(b.coeffs):
-                if cj != 0:
-                    prod[i + j] += ci * cj
-        return Cyclo(k, prod)
+            return _scale(other, sn[0], self._den)
+        a, b = (self, other) if self.order == other.order else _common(self, other)
+        return _make(a.order, _mul_ints(a._num, b._num, a.order), a._den * b._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
-        if self.is_zero():
+        """Multiplicative inverse: the product of the other Galois conjugates
+        over the norm, all in integers."""
+        num, den, k = self._num, self._den, self.order
+        support = [i for i, n in enumerate(num) if n]
+        if not support:
             raise ZeroDivisionError("inverse of zero")
-        k = self.order
-        phi = [Fraction(c) for c in cyclotomic_polynomial(k)]
-        deg = len(phi) - 1
-        r0, r1 = phi, list(self.coeffs[:deg])
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _polydivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        # r0 is a nonzero constant gcd since Phi_k is irreducible over Q.
-        c = next(c for c in r0 if c != 0)
-        inv = [x / c for x in s0]
-        return Cyclo(k, inv)
+        if len(support) == 1:
+            # (q * e_k^j)^-1 = q^-1 * e_k^-j
+            j = support[0]
+            n = num[j]
+            return _scale(_root(k, -j % k), den if n > 0 else -den, abs(n))
+        # (num / den)^-1 = den * y / N with y the product of the conjugates
+        # num(e_k^j), 1 < j < k coprime to k, and N = num * y the norm of num.
+        # Single-term elements are all there is for k <= 2, so y is set here.
+        y = None
+        for j in range(2, k):
+            if gcd(j, k) == 1:
+                conj = _conjugate(num, j, k)
+                y = conj if y is None else _mul_ints(y, conj, k)
+        norm = _mul_ints(num, y, k)[0]
+        if norm < 0:
+            den, norm = -den, -norm
+        return _make(k, [den * c for c in y], norm)
 
     def __truediv__(self, other):
         other = Cyclo._coerce(other)
@@ -245,16 +322,16 @@ class Cyclo:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Cyclo.rational(other)
+            other = Cyclo._coerce(other)
         if not isinstance(other, Cyclo):
             return NotImplemented
-        a, b = Cyclo._common(self, other)
-        return a.coeffs == b.coeffs
+        a, b = _common(self, other)
+        return a._num == b._num and a._den == b._den
 
     __hash__ = None  # mixed-order equality makes hashing error-prone
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self._num)
 
     # -- display ------------------------------------------------------------
 
@@ -288,46 +365,18 @@ def _fmt_q(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _polydivmod(num, den):
-    num = list(num)
-    dn = max(i for i, c in enumerate(den) if c != 0)
-    out = [Fraction(0)] * max(len(num) - dn, 1)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q = c / den[dn]
-        out[i - dn] = q
-        for j in range(dn + 1):
-            num[i - dn + j] -= q * den[j]
-    return out, num[:dn] if dn > 0 else [Fraction(0)]
-
-
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
 def root_of_unity(k: int, e: int = 1) -> Cyclo:
     """Canonical representation of e_k^(e mod k)."""
     if k < 1:
         raise ValueError("order must be >= 1")
-    e %= k
-    coeffs = [Fraction(0)] * k
-    coeffs[e] = Fraction(1)
-    return Cyclo(k, coeffs)
+    return _root(k, e % k)
+
+
+@lru_cache(maxsize=None)
+def _root(k: int, e: int) -> Cyclo:
+    work = [0] * k
+    work[e] = 1
+    return _make(k, _reduce(work, k), 1)
 
 
 def minimal_order(a: Cyclo) -> int:
@@ -357,12 +406,7 @@ def _lies_in_suborder(a: Cyclo, m: int) -> bool:
 
 
 def _galois(a: Cyclo, j: int) -> Cyclo:
-    k = a.order
-    work = [Fraction(0)] * (2 * k)
-    for i, c in enumerate(a.coeffs):
-        if c != 0:
-            work[(i * j) % k] += c
-    return Cyclo(k, work)
+    return _make(a.order, _conjugate(a._num, j, a.order), a._den)
 
 
 def descend(a: Cyclo, m: int) -> Cyclo:

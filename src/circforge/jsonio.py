@@ -64,7 +64,7 @@ def cyclo_to_json(c: Cyclo) -> dict:
 
 
 def cyclo_from_json(obj) -> Cyclo:
-    return Cyclo(int(obj["order"]), [frac_from_str(x) for x in obj["coeffs"]])
+    return Cyclo(int(required(obj, "order")), [frac_from_str(x) for x in required(obj, "coeffs")])
 
 
 def space_to_json(sp: VarSpace) -> dict:
@@ -75,7 +75,10 @@ def space_to_json(sp: VarSpace) -> dict:
 
 
 def space_from_json(obj) -> VarSpace:
-    return VarSpace([(d["name"], int(d["bound"])) for d in obj["divisorial"]], list(obj["free"]))
+    return VarSpace(
+        [(required(d, "name"), int(required(d, "bound"))) for d in required(obj, "divisorial")],
+        list(required(obj, "free")),
+    )
 
 
 def poly_to_json(f: FracPoly) -> dict:
@@ -93,11 +96,11 @@ def poly_to_json(f: FracPoly) -> dict:
 
 
 def poly_from_json(obj) -> FracPoly:
-    sp = space_from_json(obj["space"])
+    sp = space_from_json(required(obj, "space"))
     terms = {}
-    for t in obj["terms"]:
-        key = tuple(frac_from_str(e) for e in t["w"]) + tuple(int(e) for e in t["free"])
-        terms[key] = cyclo_from_json(t["coeff"])
+    for t in required(obj, "terms"):
+        key = tuple(frac_from_str(e) for e in required(t, "w")) + tuple(int(e) for e in required(t, "free"))
+        terms[key] = cyclo_from_json(required(t, "coeff"))
     return FracPoly(sp, terms)
 
 

@@ -534,7 +534,7 @@ def divide_exact(f: FracPoly, g: FracPoly):
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     f, g = FracPoly._aligned(f, g)
-    lead_key, lead_coeff = max(g.sorted_terms(), key=lambda kv: (g._term_degree(kv[0]), kv[0]))
+    lead_key, lead_coeff = max(g.terms.items(), key=lambda kv: (g._term_degree(kv[0]), kv[0]))
     quot = FracPoly.zero(f.space)
     rem = f
     lead_inv = lead_coeff.inverse()
@@ -544,7 +544,7 @@ def divide_exact(f: FracPoly, g: FracPoly):
         guard += 1
         if guard > 10000:
             return None
-        rkey, rcoeff = max(rem.sorted_terms(), key=lambda kv: (rem._term_degree(kv[0]), kv[0]))
+        rkey, rcoeff = max(rem.terms.items(), key=lambda kv: (rem._term_degree(kv[0]), kv[0]))
         diff = [rkey[i] - lead_key[i] for i in range(len(rkey))]
         if any(e < 0 for e in diff):
             return None

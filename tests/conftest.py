@@ -6,14 +6,13 @@ from circforge import AbelianGroup, Cyclo
 
 
 def cyclo_numeric(c: Cyclo, dps: int = 30) -> mpmath.mpc:
-    """Independent numerical evaluation of a cyclotomic number."""
+    """Independent numerical evaluation of a cyclotomic number (Horner's rule
+    in exp(2*pi*i/order), so one exponential at any precision)."""
     with mpmath.workdps(dps):
+        root = mpmath.expjpi(mpmath.mpf(2) / c.order)
         z = mpmath.mpc(0)
-        for i, q in enumerate(c.coeffs):
-            if q:
-                z += mpmath.mpf(q.numerator) / q.denominator * mpmath.e ** (
-                    2j * mpmath.pi * i / c.order
-                )
+        for q in reversed(c.coeffs):
+            z = z * root + mpmath.mpf(q.numerator) / q.denominator
         return z
 
 

@@ -1,11 +1,23 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import circforge
 from circforge import jsonio
 from circforge.cli import run
+
+# A child interpreter imports the same circforge as this process, also when
+# pytest found it through its `pythonpath` setting rather than PYTHONPATH.
+_CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(circforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def _capture(capsys, argv):
@@ -62,8 +74,16 @@ def test_usage_error_exit_code():
         ["gcirc", "det", "--group", "Z2xZ2", "--cpk"],
         ["ncquot", "normalize", "--action", '{"moduli":[2]}', "--factors", "[]"],
         ["gcirc", "validate", "--spec", "{}"],
+        ["ncquot", "normalize", "--action", '{"moduli":[2],"weights":{"x":[1]}}', "--factors", "[1]"],
+        ["ncquot", "normalize", "--action", '{"moduli":[2],"weights":{"x":[1]}}', "--factors", '[{"space":{}}]'],
     ],
-    ids=["det-cpk-noncyclic", "normalize-missing-weights", "validate-missing-quotient"],
+    ids=[
+        "det-cpk-noncyclic",
+        "normalize-missing-weights",
+        "validate-missing-quotient",
+        "normalize-non-object-factor",
+        "normalize-empty-space",
+    ],
 )
 def test_domain_error_exit_code(capsys, argv):
     code = run(argv)
@@ -78,6 +98,7 @@ def test_cli_import_does_not_load_numpy():
         [sys.executable, "-c", "import sys, circforge.cli; print('numpy' in sys.modules)"],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
@@ -122,6 +143,7 @@ def test_console_script_installed():
         [sys.executable, "-m", "circforge.cli", "resinv", "inv", "--k", "3"],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3,4/3,1,3/2"

@@ -1,11 +1,12 @@
 from fractions import Fraction
 from math import gcd, lcm
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circforge import Cyclo, cyclo_nth_root, cyclotomic_polynomial, minimal_order, rational_sqrt, root_of_unity
+from circforge import Cyclo, cyclo_nth_root, cyclotomic_polynomial, jsonio, minimal_order, rational_sqrt, root_of_unity
 from circforge.cyclotomic import descend
 
 from conftest import cyclo_numeric, numerically_zero
@@ -104,3 +105,131 @@ def test_inverse_on_roots_of_unity():
             z = root_of_unity(k, e)
             assert z * z.inverse() == 1
             assert z.inverse() == root_of_unity(k, -e)
+
+
+# -- the integer kernel against the mpmath oracle -----------------------------
+
+_BIG = 10**40
+_MAX_LCM = 72  # keeps the lcm order of mixed operands, and so the test, small
+
+_numerators = st.one_of(st.integers(-_BIG, _BIG), st.integers(-3, 3), st.just(0))
+_denominators = st.one_of(st.just(1), st.integers(1, 10**12))
+
+
+@st.composite
+def _cyclos(draw, orders=st.integers(1, 24)):
+    """A Cyclo built from a coefficient list of any length, so that the
+    constructor's reduction modulo Phi_k is exercised too."""
+    k = draw(orders)
+    n = draw(st.integers(0, k + 3))
+    nums = draw(st.lists(_numerators, min_size=n, max_size=n))
+    dens = draw(st.lists(_denominators, min_size=n, max_size=n))
+    return Cyclo(k, [Fraction(a, b) for a, b in zip(nums, dens)])
+
+
+@st.composite
+def _mixed_triples(draw):
+    a = draw(_cyclos())
+    b = draw(_cyclos(st.sampled_from([m for m in range(1, 25) if lcm(a.order, m) <= _MAX_LCM])))
+    k = lcm(a.order, b.order)
+    c = draw(_cyclos(st.sampled_from([m for m in range(1, 25) if lcm(k, m) <= _MAX_LCM])))
+    return a, b, c
+
+
+def _digits(*cs, extra=()) -> int:
+    """An upper bound on the decimal digits of the numerator and denominator
+    together of any coefficient of the cs, or of any rational in extra."""
+    qs = [q for c in cs for q in c.coeffs] + list(extra)
+    return max(q.numerator.bit_length() + q.denominator.bit_length() for q in qs) * 31 // 100 + 2
+
+
+def _oracle_agrees(pairs, *cs) -> bool:
+    """Every (exact, expected) pair agrees numerically, where `expected` maps
+    the operands' mpmath values to a number.  With D digits in the largest
+    coefficient anywhere, both sides are within 10^-(D+50) of the truth at
+    4D + 60 digits, and a wrong exact result is off by about 10^-D or more."""
+    digits = _digits(*cs, *(e for e, _ in pairs))
+    dps = 4 * digits + 60
+    with mpmath.workdps(dps):
+        values = [cyclo_numeric(c, dps) for c in cs]
+        tol = mpmath.mpf(10) ** (-(digits + 30))
+        return all(abs(cyclo_numeric(e, dps) - f(*values)) <= tol for e, f in pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_triples())
+def test_field_axioms_against_mpmath(abc):
+    a, b, c = abc
+    ab, bc = a * b, b * c
+    assert ab * c == a * bc
+    assert a * (b + c) == ab + a * c
+    assert (a + b) + c == a + (b + c)
+    assert _oracle_agrees(
+        [
+            (ab, lambda x, y, z: x * y),
+            (a + b, lambda x, y, z: x + y),
+            (ab * c, lambda x, y, z: x * y * z),
+            (a * (b + c), lambda x, y, z: x * (y + z)),
+            (a - c, lambda x, y, z: x - z),
+        ],
+        a, b, c,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_cyclos())
+def test_inverse_against_mpmath(a):
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    inv = a.inverse()
+    assert inv.order == a.order
+    assert a * inv == 1 and inv * a == 1
+    # |value| <= 10^D for D digits, so the product's error is below 10^-50
+    dps = _digits(a) + _digits(inv) + 60
+    with mpmath.workdps(dps):
+        assert abs(cyclo_numeric(a, dps) * cyclo_numeric(inv, dps) - 1) <= mpmath.mpf(10) ** (-30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cyclos())
+def test_coeffs_view(a):
+    deg = len(cyclotomic_polynomial(a.order)) - 1
+    coeffs = a.coeffs
+    assert type(coeffs) is tuple and len(coeffs) == a.order
+    assert all(type(q) is Fraction for q in coeffs)
+    assert all(q == 0 for q in coeffs[deg:])
+    assert Cyclo(a.order, coeffs) == a and Cyclo(a.order, list(coeffs[:deg])) == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 24), st.lists(st.tuples(_numerators, _denominators), max_size=30))
+def test_constructor_reduces_any_length(k, pairs):
+    coeffs = [Fraction(a, b) for a, b in pairs]
+    a = Cyclo(k, coeffs)
+    digits = _digits(a, extra=coeffs)
+    dps = 2 * digits + 60
+    with mpmath.workdps(dps):
+        expected = mpmath.fsum(
+            mpmath.mpf(q.numerator) / q.denominator * mpmath.expjpi(mpmath.mpf(2 * i) / k)
+            for i, q in enumerate(coeffs)
+        )
+        assert abs(cyclo_numeric(a, dps) - expected) <= mpmath.mpf(10) ** (-(digits + 30))
+
+
+def test_result_order_follows_rational_fast_paths():
+    # The order of a result is part of its JSON, so it is pinned here: a
+    # rational factor keeps the other operand's order, a factor equal to 1
+    # returns the other operand, and a sum always promotes to the lcm.
+    e4 = root_of_unity(4)
+    assert (Cyclo.one(6) * e4).order == 4
+    assert (Cyclo.one(6) * e4) is e4
+    assert (e4 * Cyclo.rational(3, 8)).order == 4
+    assert (Cyclo.rational(3, 8) * e4).order == 4
+    assert (Cyclo.rational(2, 6) + e4).order == 12
+    assert (e4 + Cyclo.rational(2, 6)).order == 12
+    assert (root_of_unity(6) * root_of_unity(4)).order == 12
+    for c in [Cyclo.one(6) * e4, Cyclo.rational(2, 6) + e4, Cyclo(12, [Fraction(1, 3), 0, -7, 2, Fraction(5, 9)])]:
+        back = jsonio.cyclo_from_json(jsonio.cyclo_to_json(c))
+        assert back.order == c.order and back.coeffs == c.coeffs
