@@ -78,6 +78,8 @@ from .polyring import (
     divide_exact,
     is_invariant,
     linear_part,
+    match_factors,
+    match_scalar,
     semi_invariant_split,
     semi_invariant_weight,
     strict_transform,

@@ -555,7 +555,12 @@ def cmd_split_example_basic(args):
 def _parse_action(text: str) -> DiagonalAction:
     obj = _read_payload(text)
     group = jsonio.group_from_json(obj)
-    return DiagonalAction(group, {k: tuple(int(x) for x in v) for k, v in jsonio.required(obj, "weights").items()})
+    weights = jsonio.required(obj, "weights")
+    if not isinstance(weights, dict) or not all(
+        isinstance(v, list) and all(isinstance(x, int) for x in v) for v in weights.values()
+    ):
+        raise ValueError("key 'weights' must map each variable name to a list of integers")
+    return DiagonalAction(group, {k: tuple(v) for k, v in weights.items()})
 
 
 def cmd_ncquot_semiinv(args):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .abelian import (
     AbelianGroup,
@@ -32,7 +33,7 @@ from .abelian import (
     subgroup_from_generators,
 )
 from .cyclotomic import Cyclo, root_of_unity
-from .polyring import DiagonalAction, FracPoly, VarSpace, apply_group
+from .polyring import DiagonalAction, FracPoly, VarSpace, apply_group, match_factors
 
 
 class NonPolynomial(Exception):
@@ -162,7 +163,10 @@ def eigen_factors(group: AbelianGroup, values: list[FracPoly], ordering=None) ->
 
 def gcirc_det(group: AbelianGroup, values: list[FracPoly], ordering=None) -> FracPoly:
     """Determinant of the circulant matrix with symbols replaced by values."""
-    factors = eigen_factors(group, values, ordering)
+    return _expand(eigen_factors(group, values, ordering))
+
+
+def _expand(factors: list[FracPoly]) -> FracPoly:
     result = FracPoly.constant(factors[0].space, 1)
     for factor in factors:
         result = result * factor
@@ -570,7 +574,8 @@ class PermutationReport:
 
 def permute_to_standard(h, k: int | None = None) -> PermutationReport:
     """Substitution x_j = y_{h_j} and a symbolic check that it yields the
-    standard exponent ladder (1/k, ..., (k-1)/k)."""
+    standard exponent ladder (1/k, ..., (k-1)/k), certified by matching
+    the linear factors of both determinants (`match_factors`)."""
     h = tuple(int(x) for x in h)
     if h and h[0] == 0:
         h = h[1:]
@@ -584,13 +589,14 @@ def permute_to_standard(h, k: int | None = None) -> PermutationReport:
         FracPoly.monomial(space, {f"x{j}": 1, "w": w_pows[j]}) for j in range(1, k)
     ]
     zk = AbelianGroup((k,))
-    lhs = gcirc_det(zk, lhs_vals)
-    lhs_sub = lhs.substitute({f"x{j}": FracPoly.variable(space, f"y{h[j-1]}") for j in range(1, k)}, target_space=space)
+    renaming = {f"x{j}": FracPoly.variable(space, f"y{h[j-1]}") for j in range(1, k)}
+    lhs = [f.substitute(renaming, target_space=space) for f in eigen_factors(zk, lhs_vals)]
     rhs_vals = [FracPoly.variable(space, "z")] + [
         FracPoly.monomial(space, {f"y{j}": 1, "w": Fraction(j, k)}) for j in range(1, k)
     ]
-    rhs = gcirc_det(zk, rhs_vals)
-    return PermutationReport(h=h, substitution={f"x{j}": f"y{h[j-1]}" for j in range(1, k)}, verified=lhs_sub == rhs)
+    rhs = eigen_factors(zk, rhs_vals)
+    substitution = {f"x{j}": f"y{h[j-1]}" for j in range(1, k)}
+    return PermutationReport(h=h, substitution=substitution, verified=match_factors(lhs, rhs) == 1)
 
 
 # -- product merge ----------------------------------------------------------------
@@ -607,13 +613,14 @@ class MergeReport:
 
 def product_merge(k: int, r: int) -> MergeReport:
     """Linear identification of r copies of the order-k ladder with the
-    order-rk ladder, with both determinants expanded and compared."""
+    order-rk ladder, certified by matching the linear factors of both
+    sides (`match_factors`) instead of expanding them."""
     if k < 2 or r < 1:
         raise ValueError("need k >= 2 and r >= 1")
     space = VarSpace([("w", k)], [f"x{m}" for m in range(r * k)])
     xs = [FracPoly.variable(space, f"x{m}") for m in range(r * k)]
     transform = {}
-    lhs = FracPoly.constant(space, 1)
+    lhs = []
     zk = AbelianGroup((k,))
     for i in range(r):
         vals = []
@@ -629,7 +636,7 @@ def product_merge(k: int, r: int) -> MergeReport:
                 vals.append(comb)
             else:
                 vals.append(comb * FracPoly.monomial(space, {"w": Fraction(j, k)}))
-        lhs = lhs * gcirc_det(zk, vals)
+        lhs += eigen_factors(zk, vals)
     zrk = AbelianGroup((r * k,))
     rhs_vals = []
     for m in range(r * k):
@@ -638,8 +645,8 @@ def product_merge(k: int, r: int) -> MergeReport:
             rhs_vals.append(xs[m] * FracPoly.monomial(space, {"w": e}))
         else:
             rhs_vals.append(xs[m])
-    rhs = gcirc_det(zrk, rhs_vals)
-    return MergeReport(k=k, r=r, transform=transform, verified=lhs == rhs)
+    rhs = eigen_factors(zrk, rhs_vals)
+    return MergeReport(k=k, r=r, transform=transform, verified=match_factors(lhs, rhs) == 1)
 
 
 # -- roots <-> coordinate forms ----------------------------------------------------
@@ -722,13 +729,24 @@ class Codim1Report:
     factor_ladder: NormalFormSpec
     y_names: list
     transform: dict  # y name -> list of (coeff, x name)
-    specialized: FracPoly
     verified: bool
+    spec: NormalFormSpec
+
+    @cached_property
+    def specialized(self) -> FracPoly:
+        """The normal form with w_h = 1 for h != index, expanded on first access."""
+        poly = normal_form_poly(self.spec)
+        subs = {w: 1 for h, w in enumerate(self.spec.w_names()) if h != self.index}
+        return poly.substitute(subs) if subs else poly
 
 
 def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
     """Standard circulant factors of the normal form along the stratum where
-    only w_i vanishes (units w_h, h != i, absorbed by setting w_h = 1)."""
+    only w_i vanishes (units w_h, h != i, absorbed by setting w_h = 1),
+    certified by matching their linear factors with those of the specialized
+    normal form (`match_factors`) instead of expanding both."""
+    if not 0 <= i < spec.r:
+        raise ValueError(f"stratum index {i} is outside 0..{spec.r - 1}")
     report = validate_normal_form(spec)
     if not report.valid:
         raise ValueError("specification fails validation")
@@ -748,15 +766,17 @@ def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
         res[i] = 0
         betas.append(g.element(tuple(res)))
 
-    poly = normal_form_poly(spec)
+    subs = {w: 1 for h, w in enumerate(spec.w_names()) if h != i}
+    rhs = eigen_factors(spec.quotient_group, spec_values(spec, spec_space(spec)), ordering=spec.labels)
+    if subs:
+        rhs = [f.substitute(subs) for f in rhs]
+
     w_names = spec.w_names()
     x_names = spec.x_names()
-    subs = {w_names[h]: 1 for h in range(spec.r) if h != i}
-    specialized = poly.substitute(subs) if subs else poly
-
     factor_space = VarSpace([(w_names[i], p)], list(x_names))
     y_defs = {}
     factor_polys = []
+    lhs = []
     for b_idx, beta in enumerate(betas):
         args = []
         for mu in range(p):
@@ -779,19 +799,17 @@ def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
                 args.append(comb)
             else:
                 args.append(comb * FracPoly.monomial(factor_space, {w_names[i]: Fraction(mu, p)}))
-        factor_polys.append(gcirc_det(AbelianGroup((p,)), args))
-    total = factor_polys[0]
-    for f in factor_polys[1:]:
-        total = total * f
-    verified = total == specialized.in_space(total.space.union(specialized.space))
+        factors = eigen_factors(AbelianGroup((p,)), args)
+        lhs += factors
+        factor_polys.append(_expand(factors))
     return Codim1Report(
         index=i,
         factor_polys=factor_polys,
         factor_ladder=cpk_spec(p),
         y_names=sorted(y_defs),
         transform=y_defs,
-        specialized=specialized,
-        verified=verified,
+        verified=match_factors(lhs, rhs) == 1,
+        spec=spec,
     )
 
 

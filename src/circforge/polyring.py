@@ -530,31 +530,76 @@ def divide_exact(f: FracPoly, g: FracPoly):
     Plain long division against the single divisor g using the
     deterministic term order; sufficient for the homogeneous and monomial
     divisions needed here.
+
+    The loop ends without a step cap.  The term order (total degree, then
+    exponents) is invariant under translation, so each step cancels the
+    remainder's leading term and leaves a strictly smaller leading key.
+    Every leading key stays componentwise >= g's leading key (or the
+    division stops with None) and its degree never exceeds that of f, so
+    the keys lie in a bounded set of the exponent lattice, which is finite.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     f, g = FracPoly._aligned(f, g)
     lead_key, lead_coeff = max(g.terms.items(), key=lambda kv: (g._term_degree(kv[0]), kv[0]))
-    quot = FracPoly.zero(f.space)
+    quot = {}
     rem = f
     lead_inv = lead_coeff.inverse()
-    nd = f.space.ndiv
-    guard = 0
     while not rem.is_zero():
-        guard += 1
-        if guard > 10000:
-            return None
         rkey, rcoeff = max(rem.terms.items(), key=lambda kv: (rem._term_degree(kv[0]), kv[0]))
-        diff = [rkey[i] - lead_key[i] for i in range(len(rkey))]
+        diff = tuple(a - b for a, b in zip(rkey, lead_key))
         if any(e < 0 for e in diff):
             return None
-        try:
-            mono = FracPoly(f.space, {tuple(diff): rcoeff * lead_inv})
-        except ValueError:
+        quot[diff] = rcoeff * lead_inv
+        rem = rem - FracPoly._raw(f.space, {diff: quot[diff]}) * g
+    return FracPoly._raw(f.space, quot)
+
+
+def match_scalar(a: FracPoly, b: FracPoly):
+    """Scalar c with a = c * b, or None."""
+    if a.is_zero() or b.is_zero():
+        return None
+    if len(a.terms) != len(b.terms) or a.space != b.space:
+        aa, bb = FracPoly._aligned(a, b)
+        if len(aa.terms) != len(bb.terms):
             return None
-        quot = quot + mono
-        rem = rem - mono * g
-    return quot
+        a, b = aa, bb
+    if set(a.terms) != set(b.terms):
+        return None
+    key = next(iter(b.terms))
+    c = a.terms[key] * b.terms[key].inverse()
+    for k2, bc in b.terms.items():
+        if a.terms[k2] != bc * c:
+            return None
+    return c
+
+
+def match_factors(lhs, rhs):
+    """Scalar c with prod(lhs) = c * prod(rhs), or None: each lhs factor is
+    paired with a distinct rhs factor it equals up to a scalar (first free
+    match; proportionality is an equivalence), and c is the product of the
+    scalars.
+
+    A match proves prod(lhs) = c * prod(rhs).  None disproves it for every
+    scalar c only when every factor is irreducible, since unique
+    factorisation then pairs the factors up to units (nonzero scalars).  A
+    factor linear in the x's with unit content is irreducible, such as a
+    character sum of a circulant determinant (coefficient 1 on x_0).
+    """
+    if len(lhs) != len(rhs):
+        return None
+    free = list(rhs)
+    c = Cyclo.one()
+    for a in lhs:
+        for idx, b in enumerate(free):
+            s = match_scalar(a, b)
+            if s is not None:
+                break
+        else:
+            return None
+        del free[idx]
+        c = c * s
+    return c
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,21 @@
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 
+import circforge
 from circforge import AbelianGroup, Cyclo
+
+# Environment for child interpreters: they import the same circforge as this
+# process, also when pytest found it through its `pythonpath` setting rather
+# than PYTHONPATH.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(circforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def cyclo_numeric(c: Cyclo, dps: int = 30) -> mpmath.mpc:

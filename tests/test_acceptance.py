@@ -66,8 +66,7 @@ from circforge import (
 )
 from circforge.cli import run as cli_run
 from circforge.gcirc import eigen_factors, lex_ordering, spec_space, spec_values
-from circforge.polyring import linear_part
-from circforge.quotient_nc import _match_scalar
+from circforge.polyring import linear_part, match_scalar
 from circforge.smith import rank
 
 from conftest import groups_of_order_up_to
@@ -428,7 +427,7 @@ def _random_orbit_instance(rng):
     orbit = []
     for el in g.elements():
         moved = apply_group(f1, act, el)
-        if not any(_match_scalar(moved, o) is not None for o in orbit):
+        if not any(match_scalar(moved, o) is not None for o in orbit):
             orbit.append(moved)
     return act, orbit
 

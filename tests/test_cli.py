@@ -1,23 +1,13 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import circforge
 from circforge import jsonio
 from circforge.cli import run
 
-# A child interpreter imports the same circforge as this process, also when
-# pytest found it through its `pythonpath` setting rather than PYTHONPATH.
-_CHILD_ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(Path(circforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
-    ),
-}
+from conftest import CHILD_ENV
 
 
 def _capture(capsys, argv):
@@ -76,6 +66,10 @@ def test_usage_error_exit_code():
         ["gcirc", "validate", "--spec", "{}"],
         ["ncquot", "normalize", "--action", '{"moduli":[2],"weights":{"x":[1]}}', "--factors", "[1]"],
         ["ncquot", "normalize", "--action", '{"moduli":[2],"weights":{"x":[1]}}', "--factors", '[{"space":{}}]'],
+        ["ncquot", "normalize", "--action", '{"moduli":[2],"weights":[]}', "--factors", "[]"],
+        ["ncquot", "normalize", "--action", '{"moduli":[2],"weights":{"x":5}}', "--factors", "[]"],
+        ["ncquot", "normalize", "--action", '{"moduli":[2],"weights":{"x":[[1]]}}', "--factors", "[]"],
+        ["gcirc", "codim1", "--spec", "cpk:5", "--index", "1"],
     ],
     ids=[
         "det-cpk-noncyclic",
@@ -83,6 +77,10 @@ def test_usage_error_exit_code():
         "validate-missing-quotient",
         "normalize-non-object-factor",
         "normalize-empty-space",
+        "normalize-weights-not-object",
+        "normalize-weight-not-list",
+        "normalize-weight-entry-not-int",
+        "codim1-index-out-of-range",
     ],
 )
 def test_domain_error_exit_code(capsys, argv):
@@ -98,7 +96,7 @@ def test_cli_import_does_not_load_numpy():
         [sys.executable, "-c", "import sys, circforge.cli; print('numpy' in sys.modules)"],
         capture_output=True,
         text=True,
-        env=_CHILD_ENV,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
@@ -143,7 +141,7 @@ def test_console_script_installed():
         [sys.executable, "-m", "circforge.cli", "resinv", "inv", "--k", "3"],
         capture_output=True,
         text=True,
-        env=_CHILD_ENV,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3,4/3,1,3/2"

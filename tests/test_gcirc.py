@@ -214,10 +214,54 @@ def test_permute_to_standard():
 
 
 def test_product_merge():
-    assert product_merge(2, 1).verified
-    assert product_merge(2, 2).verified
-    assert product_merge(2, 3).verified
-    assert product_merge(3, 2).verified
+    for k, r in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)):
+        assert product_merge(k, r).verified
+
+
+def _expanded_merge(rep):
+    """Both sides of the product-merge identity, expanded from the report's
+    transform (the oracle for the factor-matching certificate)."""
+    k, r = rep.k, rep.r
+    space = VarSpace([("w", k)], [f"x{m}" for m in range(r * k)])
+    xs = [FracPoly.variable(space, f"x{m}") for m in range(r * k)]
+    ladder = [FracPoly.monomial(space, {"w": Fraction(j, k)}) for j in range(k)]
+    lhs = FracPoly.constant(space, 1)
+    for i in range(r):
+        vals = []
+        for j in range(k):
+            comb = FracPoly.zero(space)
+            for m, c in enumerate(rep.transform[(i, j)]):
+                comb = comb + xs[m * k + j].scale(c)
+            vals.append(comb * ladder[j])
+        lhs = lhs * gcirc_det(AbelianGroup((k,)), vals)
+    rhs = gcirc_det(AbelianGroup((r * k,)), [xs[m] * ladder[m % k] for m in range(r * k)])
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("k,r", [(2, 1), (2, 2), (2, 3), (3, 2)])
+def test_product_merge_matches_expansion(k, r):
+    rep = product_merge(k, r)
+    lhs, rhs = _expanded_merge(rep)
+    assert rep.verified and lhs == rhs
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_permute_to_standard_matches_expansion(k):
+    """The certificate agrees with the expanded determinants for every h,
+    the non-ladder permutations (verified False) included."""
+    seen = set()
+    for h in itertools.permutations(range(1, k)):
+        rep = permute_to_standard(h, k)
+        space = VarSpace([("w", k)], ["z"] + [f"x{j}" for j in range(1, k)] + [f"y{j}" for j in range(1, k)])
+        zk = AbelianGroup((k,))
+        z = FracPoly.variable(space, "z")
+        lhs = gcirc_det(
+            zk, [z] + [FracPoly.monomial(space, {f"y{h[j-1]}": 1, "w": Fraction(h[j - 1], k)}) for j in range(1, k)]
+        )
+        rhs = gcirc_det(zk, [z] + [FracPoly.monomial(space, {f"y{j}": 1, "w": Fraction(j, k)}) for j in range(1, k)])
+        assert rep.verified == (lhs == rhs)
+        seen.add(rep.verified)
+    assert seen == ({True, False} if k == 4 else {True})
 
 
 def test_roots_to_coords_recovers_ladder():
@@ -282,6 +326,27 @@ def test_codim1_cpk_trivial():
     rep = codim1_factor(cpk_spec(3), 0)
     assert rep.verified and len(rep.factor_polys) == 1
     assert rep.factor_polys[0] == normal_form_poly(cpk_spec(3)).in_space(rep.factor_polys[0].space)
+
+
+@pytest.mark.parametrize(
+    "spec,i",
+    [(z2z4_spec(), 0), (z2z4_spec(), 1), (klein_spec(), 0), (klein_spec(), 1), (cpk_spec(3), 0), (cpk_spec(5), 0)],
+    ids=["z2z4-0", "z2z4-1", "klein-0", "klein-1", "cpk3-0", "cpk5-0"],
+)
+def test_codim1_product_is_specialized(spec, i):
+    """The expanded product of the factors equals the specialized normal
+    form (the oracle for the factor-matching certificate)."""
+    rep = codim1_factor(spec, i)
+    total = FracPoly.constant(rep.factor_polys[0].space, 1)
+    for f in rep.factor_polys:
+        total = total * f
+    assert rep.verified and total == rep.specialized
+
+
+def test_codim1_index_out_of_range():
+    for i in (-1, 1):
+        with pytest.raises(ValueError, match="outside"):
+            codim1_factor(cpk_spec(3), i)
 
 
 def test_clean_exponents():

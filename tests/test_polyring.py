@@ -12,6 +12,8 @@ from circforge import (
     VarSpace,
     apply_group,
     divide_exact,
+    match_factors,
+    match_scalar,
     root_of_unity,
     semi_invariant_split,
     semi_invariant_weight,
@@ -213,6 +215,55 @@ def test_divide_exact(sp):
     assert divide_exact(f, x0 + x1) == x0 - x1
     assert divide_exact(f, x0 + x1 + 1) is None
     assert divide_exact(FracPoly.zero(sp), x0) == FracPoly.zero(sp)
+
+
+def test_divide_exact_long_quotient():
+    x = FracPoly.variable(VarSpace([], ["x"]), "x")
+    q = divide_exact(x**10001 - 1, x - 1)
+    assert q is not None and len(q.terms) == 10001
+    assert all(c == 1 for c in q.terms.values())
+    assert q * (x - 1) == x**10001 - 1
+
+
+def _product(factors):
+    out = FracPoly.constant(factors[0].space, 1)
+    for f in factors:
+        out = out * f
+    return out
+
+
+def test_match_scalar(sp):
+    z, x0, x1 = _vars(sp, "z", "x0", "x1")
+    e3 = root_of_unity(3)
+    f = z + x0 * FracPoly.monomial(sp, {"w": Fraction(1, 2)})
+    assert match_scalar(f.scale(e3), f) == e3
+    assert match_scalar(f, f.scale(e3)) == e3.inverse()
+    assert match_scalar(f, f + x1) is None
+    assert match_scalar(f, z - x0) is None
+    assert match_scalar(FracPoly.zero(sp), f) is None
+
+
+def test_match_factors(sp):
+    z, x0, x1 = _vars(sp, "z", "x0", "x1")
+    e3 = root_of_unity(3)
+    lhs = [z + x0 * FracPoly.monomial(sp, {"w": Fraction(1, 2)}), z - x1, z + x0 + x1, z.scale(2) - x0]
+    rhs = [lhs[2], lhs[0].scale(e3), lhs[3].scale(e3 * e3), lhs[1]]
+    assert match_factors(lhs, rhs) == 1
+    assert _product(lhs) == _product(rhs)
+    # one factor perturbed by a single term: no partner
+    assert match_factors(lhs, [rhs[0], rhs[1] + x1, rhs[2], rhs[3]]) is None
+    assert match_factors(lhs, [rhs[0], rhs[1] + z.scale(e3), rhs[2], rhs[3]]) is None
+    # lengths differ
+    assert match_factors(lhs, rhs[:-1]) is None
+    assert match_factors(lhs[:-1], rhs) is None
+    # one factor scaled by a cube root of unity: matched, with scalar e3 != 1
+    scaled = [lhs[0].scale(e3)] + lhs[1:]
+    c = match_factors(scaled, rhs)
+    assert c == e3 and c != 1
+    assert _product(scaled) == _product(rhs).scale(c)
+    # repeated factors pair one to one
+    assert match_factors([z, z, x0], [x0, z.scale(2), z]) == Fraction(1, 2)
+    assert match_factors([z, z, x0], [x0, x0, z]) is None
 
 
 def test_space_merging():

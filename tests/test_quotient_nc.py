@@ -19,8 +19,7 @@ from circforge import (
     semi_invariant_generators,
     semi_invariant_weight,
 )
-from circforge.polyring import linear_part
-from circforge.quotient_nc import _match_scalar
+from circforge.polyring import linear_part, match_scalar
 from circforge.smith import rank
 
 
@@ -171,7 +170,7 @@ def _random_orbit_instance(rng, moduli, nvars):
     orbit = []
     for el in g.elements():
         moved = apply_group(f1, act, el)
-        if not any(_match_scalar(moved, o) is not None for o in orbit):
+        if not any(match_scalar(moved, o) is not None for o in orbit):
             orbit.append(moved)
     return act, orbit
 
