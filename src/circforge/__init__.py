@@ -78,8 +78,10 @@ from .polyring import (
     divide_exact,
     is_invariant,
     linear_part,
+    linear_rank,
     match_factors,
     match_scalar,
+    semi_invariant_parts,
     semi_invariant_split,
     semi_invariant_weight,
     strict_transform,

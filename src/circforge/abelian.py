@@ -199,12 +199,6 @@ class CosetSystem:
     def size(self) -> int:
         return len(self.representatives)
 
-    def representative_of(self, g: GroupElement) -> GroupElement:
-        for r in self.representatives:
-            if g - r in self.subgroup:
-                return r
-        raise ValueError("element not covered by the coset system")
-
 
 def quotient(group: AbelianGroup, h: Subgroup) -> CosetSystem:
     """Coset representatives, each the lexicographically least of its coset.

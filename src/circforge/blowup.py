@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import prod
 
 from .abelian import AbelianGroup
-from .cyclotomic import Cyclo
 from .gcirc import NormalFormSpec, ProductNormalFormSpec, eigen_factors, spec_values, validate_normal_form
 from .polyring import (
     DiagonalAction,
@@ -23,10 +22,12 @@ from .polyring import (
     VarSpace,
     apply_group,
     is_invariant,
+    linear_part,
+    linear_rank,
     strict_transform,
 )
 from .resinv import weights as resinv_weights
-from .smith import in_lattice, kernel_basis, rank
+from .smith import in_lattice, kernel_basis
 
 
 def _fresh(base: str, taken) -> str:
@@ -481,9 +482,7 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
         by_label = dict(zip(fac.labels, eigen_factors(fac.quotient_group, vals, ordering=fac.labels)))
         factors += [by_label[j] for j in fac.quotient_group.elements()]
         pos += fac.k
-    total_poly = factors[0]
-    for f in factors[1:]:
-        total_poly = total_poly * f
+    total_poly = prod(factors)
 
     steps = []
     current_names = list(names)
@@ -525,20 +524,10 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
                 max_chart_cyclic_order=max(wt_map.values()),
             )
         )
-        # variables were renamed by the chart
-        rename = {}
-        for name in current_names:
-            sub = cmap.substitutions[name]
-            (key,), = [list(sub.terms.keys())]
-            newn = [sub.space.names[t] for t, e in enumerate(key) if e != 0 and sub.space.names[t] != cmap.chart_var]
-            rename[name] = newn[0]
-        current_names = [rename[n] for n in current_names]
+        current_names = [cmap.y_names[n] for n in current_names]  # renamed by the chart
         space = cmap.new_space
 
-    prod_again = factors[0]
-    for f in factors[1:]:
-        prod_again = prod_again * f
-    product_verified = prod_again == total_poly
+    product_verified = prod(factors) == total_poly
 
     nc = _independent_linear_parts(factors, current_names)
     order_bound = sum(moduli) + 1
@@ -564,15 +553,7 @@ def _root_name(name: str) -> str:
 
 def _independent_linear_parts(factors, var_names) -> bool:
     """Each factor a linear form in the listed variables, jointly of full rank."""
-    rows = []
-    for f in factors:
-        coeffs = {n: Cyclo.zero() for n in var_names}
-        for key, c in f.terms.items():
-            if sum(Fraction(e) for e in key) != 1:
-                return False
-            hit = [f.space.names[pos] for pos, e in enumerate(key) if e != 0]
-            if len(hit) != 1 or hit[0] not in coeffs:
-                return False
-            coeffs[hit[0]] = coeffs[hit[0]] + c
-        rows.append([coeffs[n] for n in var_names])
-    return rank(rows) == len(factors)
+    lins = [linear_part(f) for f in factors]
+    if any(len(lin) != len(f.terms) or not set(lin) <= set(var_names) for lin, f in zip(lins, factors)):
+        return False
+    return linear_rank(lins, var_names) == len(factors)

@@ -104,7 +104,10 @@ def _parse_spec(text: str):
         except ValueError:
             pass
     obj = _read_payload(text)
-    return jsonio.spec_from_json(obj)
+    try:
+        return jsonio.spec_from_json(obj)
+    except TypeError as exc:  # a JSON value of the wrong shape, e.g. a number for a list
+        raise ValueError(f"malformed spec: {exc}") from None
 
 
 def _parse_ints(text: str):
@@ -325,11 +328,17 @@ def cmd_resinv_recursion(args):
         ideal = cpk_ideal(args.cpk)
     elif args.parts:
         ideal = product_ideal(_parse_ints(args.parts))
-    else:
+    elif args.ideal:
         from .resinv import MonomialMarkedIdeal
 
         obj = _read_payload(args.ideal)
-        ideal = MonomialMarkedIdeal([(p["monomial"], Fraction(str(p["order"]))) for p in obj])
+        if not isinstance(obj, list):
+            raise ValueError("--ideal must be a JSON list of {monomial, order} objects")
+        ideal = MonomialMarkedIdeal(
+            [(jsonio.required(p, "monomial"), Fraction(str(jsonio.required(p, "order")))) for p in obj]
+        )
+    else:
+        raise DomainError("need --cpk, --parts, or --ideal")
     seq = inv_recursion(ideal)
     _emit(args, jsonio.sequence_to_json(seq), [",".join(jsonio.frac_to_str(e) for e in seq.entries)])
     return 0

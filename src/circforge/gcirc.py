@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 from .abelian import (
     AbelianGroup,
@@ -148,9 +149,7 @@ def eigen_factors(group: AbelianGroup, values: list[FracPoly], ordering=None) ->
     if len(values) != group.order:
         raise ValueError("need one value per group element")
     ctx = PairingContext.natural(group)
-    space = values[0].space
-    for v in values[1:]:
-        space = space.union(v.space)
+    space = VarSpace.union(*(v.space for v in values))
     vals = [v.in_space(space) for v in values]
     factors = []
     for j in ordering:
@@ -163,22 +162,13 @@ def eigen_factors(group: AbelianGroup, values: list[FracPoly], ordering=None) ->
 
 def gcirc_det(group: AbelianGroup, values: list[FracPoly], ordering=None) -> FracPoly:
     """Determinant of the circulant matrix with symbols replaced by values."""
-    return _expand(eigen_factors(group, values, ordering))
-
-
-def _expand(factors: list[FracPoly]) -> FracPoly:
-    result = FracPoly.constant(factors[0].space, 1)
-    for factor in factors:
-        result = result * factor
-    return result
+    return prod(eigen_factors(group, values, ordering))
 
 
 def leibniz_det(mat: CirculantMatrix, values: list[FracPoly]) -> FracPoly:
     """Sign-weighted permutation expansion of the explicit matrix (oracle)."""
     t = len(mat.ordering)
-    space = values[0].space
-    for v in values[1:]:
-        space = space.union(v.space)
+    space = VarSpace.union(*(v.space for v in values))
     vals = [v.in_space(space) for v in values]
     total = FracPoly.zero(space)
     for perm in itertools.permutations(range(t)):
@@ -382,10 +372,7 @@ def _product_poly(spec: ProductNormalFormSpec) -> FracPoly:
     for f in spec.factors:
         polys.append(normal_form_poly(f, x_names=names[pos : pos + f.k]))
         pos += f.k
-    out = polys[0]
-    for p in polys[1:]:
-        out = out * p
-    return out
+    return prod(polys)
 
 
 # -- validation -----------------------------------------------------------------
@@ -663,15 +650,7 @@ class CoordsReport:
     def to_roots(self) -> dict:
         """Inverse transform: GroupElement j -> z + b_j reconstructed from coords."""
         g = self.stabilizer.parent
-        ctx = PairingContext.natural(g)
-        out = {}
-        for j in g.elements():
-            total = None
-            for l, x in self.coords.items():
-                term = x.scale(root_of_unity(ctx.k, pairing(ctx, j, l)))
-                total = term if total is None else total + term
-            out[j] = total
-        return out
+        return dict(zip(self.coords, eigen_factors(g, list(self.coords.values()), ordering=self.coords)))
 
 
 def roots_to_coords(roots, group: AbelianGroup, v_names, z: str = "z") -> CoordsReport:
@@ -684,10 +663,7 @@ def roots_to_coords(roots, group: AbelianGroup, v_names, z: str = "z") -> Coords
     roots = list(roots)
     if len(roots) != group.order:
         raise ValueError("need |G| roots")
-    space = roots[0].space
-    for b in roots[1:]:
-        space = space.union(b.space)
-    space = space.union(VarSpace((), (z,)))
+    space = VarSpace.union(*(b.space for b in roots), VarSpace((), (z,)))
     weights = {}
     for name in space.names:
         weights[name] = tuple(0 for _ in range(group.rank))
@@ -702,15 +678,11 @@ def roots_to_coords(roots, group: AbelianGroup, v_names, z: str = "z") -> Coords
         if hit is None:
             raise ValueError("roots are not closed under the rotation action")
         remaining.pop(hit)
-    ctx = PairingContext.natural(group)
+    # the eigen factor at label -l of the factors z + b_j is |G| times coordinate l
     zvar = FracPoly.variable(space, z)
-    coords = {}
-    n = group.order
-    for l in group.elements():
-        total = FracPoly.zero(space)
-        for j, t in translates.items():
-            total = total + (zvar + t).scale(root_of_unity(ctx.k, -pairing(ctx, l, j)))
-        coords[l] = total.scale(Fraction(1, n))
+    sums = dict(zip(translates, eigen_factors(group, [zvar + t for t in translates.values()], ordering=translates)))
+    coords = {l: sums[-l].scale(Fraction(1, group.order)) for l in group.elements()}
+    ctx = PairingContext.natural(group)
     stab = Subgroup(group, [h for h in group.elements() if translates[h] == base])
     comp = perp(ctx, stab)
     for l, x in coords.items():
@@ -801,7 +773,7 @@ def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
                 args.append(comb * FracPoly.monomial(factor_space, {w_names[i]: Fraction(mu, p)}))
         factors = eigen_factors(AbelianGroup((p,)), args)
         lhs += factors
-        factor_polys.append(_expand(factors))
+        factor_polys.append(prod(factors))
     return Codim1Report(
         index=i,
         factor_polys=factor_polys,

@@ -17,6 +17,7 @@ from math import lcm
 
 from .abelian import AbelianGroup, GroupElement
 from .cyclotomic import Cyclo, root_of_unity
+from .smith import rank
 
 
 class VarSpace:
@@ -77,26 +78,22 @@ class VarSpace:
         div = ", ".join(f"{n}(1/{b})" for n, b in zip(self.div_names, self.div_bounds))
         return f"VarSpace([{div}]; [{', '.join(self.free_names)}])"
 
-    def union(self, other: "VarSpace") -> "VarSpace":
-        """Merge two spaces; shared divisorial names take the lcm bound."""
-        div = list(zip(self.div_names, self.div_bounds))
-        seen = dict(div)
-        for n, b in zip(other.div_names, other.div_bounds):
-            if n in seen:
-                seen[n] = lcm(seen[n], b)
-            elif n in self.free_names:
-                raise ValueError(f"variable {n} is divisorial in one space and free in the other")
-            else:
-                div.append((n, b))
-                seen[n] = b
-        div = [(n, seen[n]) for n, _ in div]
-        free = list(self.free_names)
-        for n in other.free_names:
-            if n in seen:
-                raise ValueError(f"variable {n} is divisorial in one space and free in the other")
-            if n not in free:
-                free.append(n)
-        return VarSpace(div, free)
+    def union(self, *others: "VarSpace") -> "VarSpace":
+        """Merge spaces left to right: each name keeps its first position,
+        shared divisorial names take the lcm bound, and a name divisorial in
+        one space and free in another is an error."""
+        div: dict = {}
+        free: dict = {}
+        for space in (self,) + others:
+            for n, b in zip(space.div_names, space.div_bounds):
+                if n in free:
+                    raise ValueError(f"variable {n} is divisorial in one space and free in another")
+                div[n] = lcm(div.get(n, 1), b)
+            for n in space.free_names:
+                if n in div:
+                    raise ValueError(f"variable {n} is divisorial in one space and free in another")
+                free[n] = None
+        return VarSpace(div.items(), free)
 
 
 def _check_exponent(space: VarSpace, pos: int, e):
@@ -225,6 +222,8 @@ class FracPoly:
 
         Requires integer exponents on name (it may be divisorial).
         """
+        if name not in self.space:
+            raise ValueError(f"variable {name} not in the space")
         i = self.space._index[name]
         out: dict = {}
         for key, coeff in self.terms.items():
@@ -351,19 +350,7 @@ class FracPoly:
     def __bool__(self):
         return not self.is_zero()
 
-    # -- calculus and substitution -------------------------------------------
-
-    def derivative(self, name: str) -> "FracPoly":
-        i = self.space._index[name]
-        terms = {}
-        for key, coeff in self.terms.items():
-            e = key[i]
-            if e == 0:
-                continue
-            new = list(key)
-            new[i] = e - 1
-            terms[tuple(new)] = coeff * Fraction(e)
-        return FracPoly(self.space, terms)
+    # -- substitution ---------------------------------------------------------
 
     def substitute(self, mapping: dict, target_space: VarSpace | None = None) -> "FracPoly":
         """Simultaneous substitution name -> polynomial (or scalar).
@@ -376,17 +363,15 @@ class FracPoly:
         """
         space = target_space
         if space is None:
-            space = VarSpace((), ())
             keep_div = [
                 (n, b)
                 for n, b in zip(self.space.div_names, self.space.div_bounds)
                 if n not in mapping
             ]
             keep_free = [n for n in self.space.free_names if n not in mapping]
-            space = VarSpace(keep_div, keep_free)
-            for val in mapping.values():
-                if isinstance(val, FracPoly):
-                    space = space.union(val.space)
+            space = VarSpace(keep_div, keep_free).union(
+                *(val.space for val in mapping.values() if isinstance(val, FracPoly))
+            )
         images = {}
         for name, val in mapping.items():
             if name not in self.space:
@@ -405,13 +390,6 @@ class FracPoly:
                     term = term * FracPoly.monomial(space, {name: e})
             out = out + term
         return out
-
-    def rename(self, mapping: dict) -> "FracPoly":
-        """Rename variables (keeping kinds and bounds)."""
-        div = [(mapping.get(n, n), b) for n, b in zip(self.space.div_names, self.space.div_bounds)]
-        free = [mapping.get(n, n) for n in self.space.free_names]
-        space = VarSpace(div, free)
-        return FracPoly(space, dict(self.terms))
 
     def __repr__(self):
         return f"FracPoly({self})"
@@ -505,14 +483,22 @@ def strict_transform(f: FracPoly, name: str) -> tuple[FracPoly, Fraction]:
 
 
 def linear_part(f: FracPoly) -> dict:
-    """Coefficients of the degree-one terms of f, keyed by variable name."""
-    return {
-        f.space.names[pos]: c
-        for key, c in f.terms.items()
-        if sum(Fraction(e) for e in key) == 1
-        for pos, e in enumerate(key)
-        if e == 1
-    }
+    """Coefficients of the terms of f that are one variable to the power
+    one, keyed by variable name (a Laurent term such as x*y/z, of degree
+    one by face value, is not linear)."""
+    out = {}
+    for key, c in f.terms.items():
+        hit = [pos for pos, e in enumerate(key) if e != 0]
+        if len(hit) == 1 and key[hit[0]] == 1:
+            out[f.space.names[hit[0]]] = c
+    return out
+
+
+def linear_rank(linear_parts, names) -> int:
+    """Rank of linear parts ({name: coefficient}, as from linear_part) as
+    coefficient vectors over the listed variable names."""
+    zero = Cyclo.zero()
+    return rank([[lin.get(n, zero) for n in names] for lin in linear_parts])
 
 
 def truncate(f: FracPoly, d, exclude: frozenset | set = frozenset()) -> FracPoly:
@@ -616,14 +602,6 @@ class DiagonalAction:
                 raise ValueError(f"weight vector for {name} has wrong length")
         object.__setattr__(self, "weights", {n: tuple(int(x) for x in w) for n, w in self.weights.items()})
 
-    def covers(self, f: FracPoly) -> bool:
-        used = set()
-        for key in f.terms:
-            for i, e in enumerate(key):
-                if e != 0:
-                    used.add(f.space.names[i])
-        return used <= set(self.weights)
-
     def term_weight(self, space: VarSpace, key, i: int) -> Fraction:
         """Phase exponent of a term under generator i (a fraction of full turns
         over p_i)."""
@@ -672,6 +650,16 @@ def semi_invariant_split(f: FracPoly, action: DiagonalAction, i: int) -> list[Fr
             raise ValueError(f"term with fractional weight {w} cannot be bucketed mod {p}")
         buckets[w.numerator % p][key] = coeff
     return [FracPoly._raw(f.space, b) for b in buckets]
+
+
+def semi_invariant_parts(f: FracPoly, action: DiagonalAction) -> list[FracPoly]:
+    """The nonzero semi-invariant pieces of f: its terms bucketed by weight
+    under every generator in turn, so the pieces sum to f and each has one
+    weight vector."""
+    parts = [f] if f else []
+    for i in range(action.group.rank):
+        parts = [p for q in parts for p in semi_invariant_split(q, action, i) if p]
+    return parts
 
 
 def semi_invariant_weight(f: FracPoly, action: DiagonalAction):

@@ -23,12 +23,14 @@ from .polyring import (
     VarSpace,
     apply_group,
     linear_part,
+    linear_rank,
     match_scalar,
+    semi_invariant_parts,
     semi_invariant_split,
     semi_invariant_weight,
     truncate,
 )
-from .smith import det, rank
+from .smith import det
 
 
 class SplitsInvariantly(Exception):
@@ -52,19 +54,11 @@ def semi_invariant_generators(gens, action: DiagonalAction, membership_factors=N
     is reduced against it and a nonzero reduction reports a non-invariant
     input ideal.
     """
-    out = [g for g in gens if not g.is_zero()]
-    for i in range(action.group.rank):
-        nxt = []
-        for g in out:
-            for part in semi_invariant_split(g, action, i):
-                if not part.is_zero():
-                    nxt.append(part)
-        out = nxt
-    deduped = []
-    for g in out:
-        if not any(_match_scalar(g, h) is not None for h in deduped):
-            deduped.append(g)
-    out = deduped
+    out = []
+    for gen in gens:
+        for part in semi_invariant_parts(gen, action):
+            if not any(_match_scalar(part, h) is not None for h in out):
+                out.append(part)
     if membership_factors is not None:
         for part in out:
             if not nc_ideal_reduction(part, membership_factors, degree=degree).is_zero():
@@ -83,9 +77,7 @@ def nc_ideal_reduction(f: FracPoly, factors, degree: int | None = None) -> FracP
     if degree is None:
         d = f.total_degree()
         degree = int(2 * (d if d is not None else 1)) + 4
-    space = f.space
-    for g in factors:
-        space = space.union(g.space)
+    space = f.space.union(*(g.space for g in factors))
     f = f.in_space(space)
     factors = [g.in_space(space) for g in factors]
     rows, pivots = _triangularize(factors, space)
@@ -161,16 +153,12 @@ def adapted_coordinates(action: DiagonalAction, divisor_gens, s_gens) -> Adapted
     s_gens = list(s_gens)
     if not s_gens:
         raise ValueError("need stratum generators")
-    group = action.group
 
     def semi_part_with_linear(g: FracPoly) -> FracPoly:
         lin = linear_part(g)
         if not lin:
             raise DegenerateInput("generator has zero linear part")
-        parts = [g]
-        for i in range(group.rank):
-            parts = [p for q in parts for p in semi_invariant_split(q, action, i) if not p.is_zero()]
-        for p in parts:
+        for p in semi_invariant_parts(g, action):
             plin = linear_part(p)
             if plin and all(
                 (n in plin and plin[n] == c) for n, c in lin.items()
@@ -178,9 +166,7 @@ def adapted_coordinates(action: DiagonalAction, divisor_gens, s_gens) -> Adapted
                 return p
         raise ValueError("generator's linear part is not weight-homogeneous; principal ideal cannot be invariant")
 
-    space = s_gens[0].space
-    for g in s_gens + divisor_gens:
-        space = space.union(g.space)
+    space = VarSpace.union(*(g.space for g in s_gens + divisor_gens))
 
     transverse = []
     contained = []
@@ -189,11 +175,11 @@ def adapted_coordinates(action: DiagonalAction, divisor_gens, s_gens) -> Adapted
         (contained if image.is_zero() else transverse).append((j, h))
 
     coords = []
-    used_directions = []
+    used_directions = []  # linearly independent, one per coordinate
 
     def try_add(name, poly, role) -> bool:
         vec = linear_part(poly)
-        if _dependent(vec, used_directions, space):
+        if linear_rank(used_directions + [vec], space.names) == len(used_directions):
             return False
         used_directions.append(vec)
         coords.append((name, poly.in_space(space), role))
@@ -204,30 +190,23 @@ def adapted_coordinates(action: DiagonalAction, divisor_gens, s_gens) -> Adapted
             raise DegenerateInput("divisor linear parts are dependent")
     # two-step reduction: divisor components containing the stratum lead
     # the stratum coordinate system
-    s_dirs = []
     s_count = 0
     for j, h in contained:
-        part = semi_part_with_linear(h)
-        if try_add(f"s{s_count}", part, f"stratum+divisor:{j}"):
-            s_dirs.append(linear_part(part))
+        if try_add(f"s{s_count}", semi_part_with_linear(h), f"stratum+divisor:{j}"):
             s_count += 1
     # semi-invariant stratum pieces fill out the span of the stratum ideal
-    rank_s = _rank([linear_part(g) for g in s_gens], space)
+    rank_s = linear_rank([linear_part(g) for g in s_gens], space.names)
     pieces = semi_invariant_generators(s_gens, action)
     for p in sorted(pieces, key=lambda q: (q.total_degree(), str(q))):
-        if _rank(s_dirs, space) >= rank_s:
+        if s_count >= rank_s:
             break
-        if linear_part(p) and not _dependent(linear_part(p), s_dirs, space) and try_add(f"s{s_count}", p, "stratum"):
-            s_dirs.append(linear_part(p))
+        if try_add(f"s{s_count}", p, "stratum"):
             s_count += 1
-    if _rank(s_dirs, space) < rank_s:
+    if s_count < rank_s:
         raise DegenerateInput("semi-invariant pieces do not span the stratum ideal")
     c_count = 0
     for name in space.names:
-        unit = {name: Cyclo.one()}
-        if not _dependent(unit, used_directions, space):
-            used_directions.append(unit)
-            coords.append((f"c{c_count}", FracPoly.variable(space, name), "complement"))
+        if try_add(f"c{c_count}", FracPoly.variable(space, name), "complement"):
             c_count += 1
     weights = {}
     ok = len(coords) == len(space.names)
@@ -237,16 +216,6 @@ def adapted_coordinates(action: DiagonalAction, divisor_gens, s_gens) -> Adapted
             ok = False
         weights[name] = w
     return AdaptedCoordinates(coordinates=coords, weights=weights, verified=ok)
-
-
-def _rank(vectors, space: VarSpace) -> int:
-    return rank([[v.get(n, Cyclo.zero()) for n in space.names] for v in vectors])
-
-
-def _dependent(vec, basis, space: VarSpace) -> bool:
-    if not vec:
-        return True
-    return _rank(basis + [vec], space) == _rank(list(basis), space)
 
 
 # -- the nested normal form --------------------------------------------------------
@@ -307,11 +276,8 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     factors = list(data.factors)
     k = len(factors)
 
-    lins = [linear_part(f) for f in factors]
-    space = factors[0].space
-    for f in factors[1:]:
-        space = space.union(f.space)
-    if _rank(lins, space) != k:
+    space = VarSpace.union(*(f.space for f in factors))
+    if linear_rank([linear_part(f) for f in factors], space.names) != k:
         raise DegenerateInput("factor linear parts are not independent")
 
     perms = {}
@@ -414,7 +380,7 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     if determinant.is_zero():
         raise AssertionError("coefficient matrix is singular")
 
-    if _rank([linear_part(h) for h in parts.values()], space) != k:
+    if linear_rank([linear_part(h) for h in parts.values()], space.names) != k:
         raise DegenerateInput("nested coordinates have dependent gradients")
 
     return NestedNormalForm(

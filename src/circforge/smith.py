@@ -25,7 +25,7 @@ def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _rank_of_diagonal(d) -> int:
+def _diagonal_rank(d) -> int:
     return sum(1 for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0)
 
 
@@ -93,7 +93,7 @@ def kernel_basis(a) -> list[list[int]]:
     """Basis (as rows) of the integer lattice {x : a x = 0}."""
     d, _u, v = smith_normal_form(a)
     n = len(v)
-    return [[v[i][j] for i in range(n)] for j in range(_rank_of_diagonal(d), n)]
+    return [[v[i][j] for i in range(n)] for j in range(_diagonal_rank(d), n)]
 
 
 def solve_integer(a, b):
@@ -119,7 +119,7 @@ def solve_integer(a, b):
 def cokernel_invariant_factors(a) -> list[int]:
     """Invariant factors (> 1) of Z^m / column-lattice(a), ascending."""
     d, _u, _v = smith_normal_form(a)
-    if _rank_of_diagonal(d) < len(d):
+    if _diagonal_rank(d) < len(d):
         raise ValueError("cokernel is infinite")
     return [d[i][i] for i in range(len(d)) if d[i][i] > 1]
 

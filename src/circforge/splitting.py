@@ -20,7 +20,6 @@ available.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -30,11 +29,6 @@ from .polyring import FracPoly, VarSpace, divide_exact, substitute_power, trunca
 
 DEFAULT_DEGREE_BOUND = 12
 DEFAULT_BRANCH_CAP = 64
-
-
-def _default_bound() -> int:
-    env = os.environ.get("CIRCFORGE_DEGREE_BOUND")
-    return int(env) if env else DEFAULT_DEGREE_BOUND
 
 
 class NoSplit(Exception):
@@ -94,7 +88,7 @@ def split_newton(
 
     Raises NoSplit (with the obstruction degree) or Ambiguous.
     """
-    d = _default_bound() if degree_bound is None else degree_bound
+    d = DEFAULT_DEGREE_BOUND if degree_bound is None else degree_bound
     cap = DEFAULT_BRANCH_CAP if branch_cap is None else branch_cap
     g = clear_denominators(f, powers)
     coeffs = g.coefficients_in(z)
@@ -115,7 +109,7 @@ def split_newton(
 
 def verify_split(f: FracPoly, powers, roots, degree_bound: int | None = None, z: str = "z") -> bool:
     """Whether f (after clearing denominators) equals prod(z + b_i) mod the bound."""
-    d = _default_bound() if degree_bound is None else degree_bound
+    d = DEFAULT_DEGREE_BOUND if degree_bound is None else degree_bound
     g = clear_denominators(f, powers)
     coeffs = g.coefficients_in(z)
     if len(roots) != max(coeffs):
@@ -281,9 +275,7 @@ def _monomial_root_candidates(terms: dict, delta: int, space: VarSpace):
     (rkey, _rc), = ratio.terms.items()
     out = []
     aux = "$T"
-    space0 = ratio.space
-    for f in terms.values():
-        space0 = space0.union(f.space)
+    space0 = ratio.space.union(*(f.space for f in terms.values()))
     tspace = space0.union(VarSpace((), (aux,)))
     for key in _divisors_of_degree(rkey, delta, ratio.space):
         mono = FracPoly(ratio.space, {key: Cyclo.one()})
@@ -392,24 +384,25 @@ def _strip_repeated_factors(terms: dict, space: VarSpace):
     """
     deriv = {m - 1: f.scale(m) for m, f in terms.items() if m >= 1}
     g = _poly_gcd_y(terms, deriv, space)
-    if g is None or max(g) == 0:
+    if max(g) == 0:
         return None
     quot = _poly_div_y(terms, g)
     return quot
 
 
-def _poly_gcd_y(a: dict, b: dict, space: VarSpace, rounds: int = 24):
+def _poly_gcd_y(a: dict, b: dict, space: VarSpace):
+    """Gcd in Y by pseudo-remainders, with monomial content stripped.
+
+    The loop ends without a round cap: the pseudo-remainder of a by b has
+    Y-degree below that of b, and stripping monomial content keeps every
+    Y-degree, so the Y-degree of the divisor drops every round until it
+    reaches 0 or the divisor vanishes.
+    """
     a, b = dict(a), dict(b)
     while b:
         if max(b) == 0:
             return {0: FracPoly.constant(space, 1)}
-        r = _pseudo_rem_y(a, b)
-        if r is None:
-            return None
-        a, b = b, _strip_monomial_content(r)
-        rounds -= 1
-        if rounds <= 0:
-            return None
+        a, b = b, _strip_monomial_content(_pseudo_rem_y(a, b))
     return _make_monic_y(_strip_monomial_content(a))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +33,20 @@ def cyclo_numeric(c: Cyclo, dps: int = 30) -> mpmath.mpc:
 def numerically_zero(c: Cyclo, dps: int = 30) -> bool:
     with mpmath.workdps(dps):
         return abs(cyclo_numeric(c, dps)) < mpmath.mpf(10) ** (-(dps - 5))
+
+
+def invariant_exponent_vectors(action, variables, bound: int):
+    """Brute force: exponent vectors over variables, of total degree 1..bound,
+    whose monomial has weighted degree 0 modulo every modulus of the action."""
+    return [
+        vec
+        for vec in itertools.product(range(bound + 1), repeat=len(variables))
+        if 1 <= sum(vec) <= bound
+        and all(
+            sum(action.weights[v][i] * e for v, e in zip(variables, vec)) % p == 0
+            for i, p in enumerate(action.group.moduli)
+        )
+    ]
 
 
 def groups_of_order_up_to(n: int):

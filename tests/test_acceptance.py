@@ -69,7 +69,7 @@ from circforge.gcirc import eigen_factors, lex_ordering, spec_space, spec_values
 from circforge.polyring import linear_part, match_scalar
 from circforge.smith import rank
 
-from conftest import groups_of_order_up_to
+from conftest import groups_of_order_up_to, invariant_exponent_vectors
 
 
 def _report(n: int, description: str):
@@ -265,19 +265,14 @@ def _cpk_chart(k):
 
 
 def test_criterion_11_hilbert_bases(capsys):
-    from circforge.blowup import _compositions, _decompose, _invariant
-
     for k in (2, 3):
         cmap, action, _st = _cpk_chart(k)
         hb = hilbert_basis(action)
         # brute force to the group-order bound: completeness and minimality
-        allinv = []
-        for total in range(1, action.group.order + 1):
-            for vec in _compositions(total, len(hb.variables)):
-                if _invariant(action, hb.variables, vec):
-                    allinv.append(vec)
+        allinv = invariant_exponent_vectors(action, hb.variables, action.group.order)
         for vec in allinv:
-            assert _decompose(tuple(vec), list(range(len(hb.generators))), hb, {}) is not None
+            m = FracPoly.monomial(hb.space, dict(zip(hb.variables, vec)))
+            assert expand_quotient_image(quotient_image(m, hb), hb) == m
         for gen in hb.generators:
             assert not any(a != gen and all(x <= y for x, y in zip(a, gen)) for a in allinv)
         rels = relations(hb)

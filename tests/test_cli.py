@@ -58,6 +58,10 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+# z^2 over the free variables z, x
+_Z2 = '{"space":{"divisorial":[],"free":["z","x"]},"terms":[{"w":[],"free":[2,0],"coeff":{"order":1,"coeffs":["1"]}}]}'
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -70,6 +74,12 @@ def test_usage_error_exit_code():
         ["ncquot", "normalize", "--action", '{"moduli":[2],"weights":{"x":5}}', "--factors", "[]"],
         ["ncquot", "normalize", "--action", '{"moduli":[2],"weights":{"x":[[1]]}}', "--factors", "[]"],
         ["gcirc", "codim1", "--spec", "cpk:5", "--index", "1"],
+        ["gcirc", "validate", "--spec", '{"moduli":5,"k":2,"gamma":[],"quotient":{"moduli":[2]},"labels":[]}'],
+        ["split", "newton", "--poly", _Z2, "--z", "q"],
+        ["split", "verify", "--poly", _Z2, "--roots", "[]", "--z", "q"],
+        ["resinv", "recursion", "--ideal", "[1]"],
+        ["resinv", "recursion", "--ideal", "[{}]"],
+        ["resinv", "recursion"],
     ],
     ids=[
         "det-cpk-noncyclic",
@@ -81,6 +91,12 @@ def test_usage_error_exit_code():
         "normalize-weight-not-list",
         "normalize-weight-entry-not-int",
         "codim1-index-out-of-range",
+        "validate-moduli-not-list",
+        "newton-z-not-in-space",
+        "verify-z-not-in-space",
+        "recursion-pair-not-object",
+        "recursion-pair-missing-monomial",
+        "recursion-no-ideal",
     ],
 )
 def test_domain_error_exit_code(capsys, argv):

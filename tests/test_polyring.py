@@ -12,9 +12,12 @@ from circforge import (
     VarSpace,
     apply_group,
     divide_exact,
+    linear_part,
+    linear_rank,
     match_factors,
     match_scalar,
     root_of_unity,
+    semi_invariant_parts,
     semi_invariant_split,
     semi_invariant_weight,
     strict_transform,
@@ -277,6 +280,23 @@ def test_space_merging():
         VarSpace([("x", 2)], []).union(VarSpace([], ["x"]))
 
 
+def test_union_of_many_spaces():
+    a = VarSpace([("w", 2)], ["x"])
+    b = VarSpace([("v", 3), ("w", 3)], ["y", "x"])
+    c = VarSpace([("w", 4)], ["z"])
+    u = a.union(b, c)
+    # names keep their first position; a shared divisorial name takes the lcm
+    assert u.div_names == ("w", "v") and u.div_bounds == (12, 3)
+    assert u.free_names == ("x", "y", "z")
+    assert u == a.union(b).union(c)
+    assert a.union() == a
+    # a name divisorial in one space and free in the third
+    with pytest.raises(ValueError):
+        a.union(b, VarSpace([], ["v"]))
+    with pytest.raises(ValueError):
+        a.union(b, VarSpace([("y", 2)], []))
+
+
 def test_coefficients_in(sp):
     z, x0 = _vars(sp, "z", "x0")
     f = z * z + z * x0.scale(2) + 1
@@ -293,3 +313,43 @@ def test_json_roundtrip(sp):
     wh = FracPoly.monomial(sp, {"w": Fraction(1, 2)}, root_of_unity(4))
     f = x0 ** 2 + wh.scale(Fraction(2, 3)) - 5
     assert jsonio.poly_from_json(jsonio.poly_to_json(f)) == f
+
+
+def test_semi_invariant_parts():
+    sp = VarSpace([], ["a", "b", "c"])
+    act = DiagonalAction(AbelianGroup((2, 3)), {"a": (1, 0), "b": (0, 1), "c": (1, 2)})
+    a, b, c = _vars(sp, "a", "b", "c")
+    f = (a + b.scale(2) + c + 1) ** 3
+    parts = semi_invariant_parts(f, act)
+    assert sum(parts, FracPoly.zero(sp)) == f
+    weights = [semi_invariant_weight(p, act) for p in parts]
+    # each piece is nonzero with one weight, and no two pieces share it
+    assert all(parts) and None not in weights and len(set(weights)) == len(parts) > 1
+    assert semi_invariant_parts(FracPoly.zero(sp), act) == []
+    assert semi_invariant_parts(f, DiagonalAction(AbelianGroup(()), {n: () for n in sp.names})) == [f]
+
+
+def test_linear_rank():
+    one, two, e3 = Cyclo.one(), Cyclo.rational(2), root_of_unity(3)
+    names = ["x", "y", "z"]
+    assert linear_rank([], names) == 0
+    assert linear_rank([{}, {"x": one}], names) == 1
+    assert linear_rank([{"x": one, "y": e3}, {"x": two, "y": e3 * two}], names) == 1
+    assert linear_rank([{"x": one}, {"y": one}, {"x": one, "y": e3}], names) == 2
+    assert linear_rank([{"x": one}, {"y": one}, {"z": e3}], names) == 3
+    # only the listed names count
+    assert linear_rank([{"x": one}, {"z": one}], ["x", "y"]) == 1
+    sp = VarSpace([("w", 2)], names)
+    w, x, y, z = _vars(sp, "w", "x", "y", "z")
+    lins = [linear_part(f) for f in (x + y * y + w * z, y + x * x, (x + y).scale(e3) + z * z)]
+    assert linear_rank(lins, sp.names) == 2
+    assert linear_rank(lins[:2], sp.names) == 2
+
+
+def test_linear_part():
+    sp = VarSpace([("w", 2), ("v", 2)], ["x", "y", "z"])
+    w, x, y, z = _vars(sp, "w", "x", "y", "z")
+    f = x.scale(3) + w - y * y + FracPoly.monomial(sp, {"w": Fraction(1, 2), "v": Fraction(1, 2)}) + 7
+    assert linear_part(f) == {"x": Cyclo.rational(3), "w": Cyclo.one()}
+    # a Laurent term of face-value degree one is not linear
+    assert linear_part(FracPoly.monomial(sp, {"x": 1, "y": 1, "z": -1}) + z) == {"z": Cyclo.one()}

@@ -100,13 +100,6 @@ def test_split_monic_validation():
         split_newton(z * z + 1, "z", powers=1)
 
 
-def test_degree_bound_env_override(monkeypatch, example_poly):
-    monkeypatch.setenv("CIRCFORGE_DEGREE_BOUND", "6")
-    roots = split_newton(example_poly, "z", powers=2)
-    assert verify_split(example_poly, 2, roots, 6)
-    monkeypatch.delenv("CIRCFORGE_DEGREE_BOUND")
-
-
 def test_branch_cap_ambiguous():
     from circforge import Ambiguous
 
