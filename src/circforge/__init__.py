@@ -113,6 +113,6 @@ from .resinv import (
     product_ideal,
     weights,
 )
-from .splitting import Ambiguous, NoSplit, split_newton, verify_split
+from .splitting import Ambiguous, NoSplit, Unsupported, split_newton, verify_split
 
 __version__ = "0.1.0"

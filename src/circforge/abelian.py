@@ -154,9 +154,8 @@ class PairingContext:
     k: int
 
     def __post_init__(self):
-        for p in self.group.moduli:
-            if self.k % p != 0:
-                raise ValueError(f"k={self.k} is not a common multiple of the moduli")
+        if self.k < 1 or any(self.k % p for p in self.group.moduli):
+            raise ValueError(f"k={self.k} is not a positive common multiple of the moduli")
 
     @staticmethod
     def natural(group: AbelianGroup) -> "PairingContext":

@@ -62,6 +62,11 @@ class ChartAtlas:
     ambient: VarSpace
     charts: tuple[tuple[ChartMap, DiagonalAction], ...]
 
+    def chart(self, i: int) -> tuple[ChartMap, DiagonalAction]:
+        if not 0 <= i < len(self.charts):
+            raise ValueError(f"chart index {i} outside 0..{len(self.charts) - 1}")
+        return self.charts[i]
+
 
 def charts(ambient: VarSpace, params, weight_vector) -> ChartAtlas:
     """Atlas of the weighted blow-up of the listed parameters; other
@@ -102,7 +107,7 @@ def charts(ambient: VarSpace, params, weight_vector) -> ChartAtlas:
 
 def pullback(f: FracPoly, atlas: ChartAtlas, i: int):
     """Total pullback in chart i plus its strict transform and multiplicity."""
-    cmap, _action = atlas.charts[i]
+    cmap, _action = atlas.chart(i)
     total = cmap.apply(f)
     st, mult = strict_transform(total, cmap.chart_var)
     return total, st, mult
@@ -135,10 +140,9 @@ def transition(atlas: ChartAtlas, i: int, j: int) -> TransitionChart:
     """
     if i == j:
         raise ValueError("need two distinct charts")
+    (cmi, _ai), (cmj, _aj) = atlas.chart(i), atlas.chart(j)
     params, wts = atlas.params, atlas.weights
     wi, wj = wts[i], wts[j]
-    cmi, _ai = atlas.charts[i]
-    cmj, _aj = atlas.charts[j]
     s, t = cmi.chart_var, cmj.chart_var
     yi, yj = cmi.y_names, cmj.y_names
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .abelian import (
@@ -47,7 +47,7 @@ from .gcirc import (
     validate_normal_form,
     z2z4_spec,
 )
-from .polyring import DiagonalAction, FracPoly, VarSpace, strict_transform, substitute_power, truncate
+from .polyring import FracPoly, VarSpace, strict_transform, substitute_power, truncate
 from .quotient_nc import (
     InvariantNCInput,
     SplitsInvariantly,
@@ -56,23 +56,31 @@ from .quotient_nc import (
     semi_invariant_generators,
 )
 from .resinv import atwinv_cpk, atwinv_product, cpk_ideal, inv_cpk, inv_recursion, product_ideal, weights
-from .splitting import Ambiguous, NoSplit, split_newton, verify_split
+from .splitting import Ambiguous, NoSplit, Unsupported, split_newton, verify_split
 
 
 class DomainError(Exception):
     pass
 
 
-def _read_payload(value: str):
-    if value == "-":
-        return json.load(sys.stdin)
-    if value.startswith("@"):
-        with open(value[1:]) as fh:
-            return json.load(fh)
-    return json.loads(value)
+def _load(text: str, where: str, parse):
+    """parse(payload, where) of a JSON payload given inline, as @file or as - (stdin)."""
+    if text == "-":
+        obj = json.load(sys.stdin)
+    elif text.startswith("@"):
+        try:
+            with open(text[1:]) as fh:
+                obj = json.load(fh)
+        except OSError as exc:
+            raise DomainError(f"{where}: cannot read {text[1:]!r}: {exc.strerror}") from None
+    else:
+        obj = json.loads(text)
+    return parse(obj, where)
 
 
-def _parse_group(text: str) -> AbelianGroup:
+def _parse_group(text: str | None) -> AbelianGroup:
+    if text is None:
+        raise DomainError("need --group")
     text = text.strip()
     if text.lower().startswith("z"):
         parts = [p for p in text.lower().replace("z", "").split("x") if p]
@@ -92,22 +100,12 @@ def _parse_elements(group: AbelianGroup, text: str):
 
 def _parse_spec(text: str):
     name = text.strip().lower()
-    if name == "klein":
-        return klein_spec()
-    if name == "z2z4":
-        return z2z4_spec()
-    if name.startswith("cpk:"):
-        return cpk_spec(int(name.split(":")[1]))
-    if name.startswith("cp"):
-        try:
-            return cpk_spec(int(name[2:]))
-        except ValueError:
-            pass
-    obj = _read_payload(text)
-    try:
-        return jsonio.spec_from_json(obj)
-    except TypeError as exc:  # a JSON value of the wrong shape, e.g. a number for a list
-        raise ValueError(f"malformed spec: {exc}") from None
+    cpk = re.fullmatch(r"cp(?:k:)?(\d+)", name)
+    if cpk:
+        return cpk_spec(int(cpk[1]))
+    if name in ("klein", "z2z4"):
+        return klein_spec() if name == "klein" else z2z4_spec()
+    return _load(text, "--spec", jsonio.spec_from_json)
 
 
 def _parse_ints(text: str):
@@ -136,7 +134,7 @@ def _fail(args, message: str) -> int:
 def cmd_abelian_perp(args):
     g = _parse_group(args.group)
     h = subgroup_from_generators(g, _parse_elements(g, args.sub)) if args.sub else full_subgroup(g)
-    ctx = PairingContext(g, args.k) if args.k else PairingContext.natural(g)
+    ctx = PairingContext(g, args.k) if args.k is not None else PairingContext.natural(g)
     comp = perp(ctx, h)
     payload = {
         "group": jsonio.group_to_json(g),
@@ -152,14 +150,10 @@ def cmd_abelian_perp(args):
 def cmd_abelian_xi(args):
     g = _parse_group(args.group)
     h = subgroup_from_generators(g, _parse_elements(g, args.sub)) if args.sub else full_subgroup(g)
-    ctx = PairingContext(g, args.k) if args.k else PairingContext.natural(g)
+    ctx = PairingContext(g, args.k) if args.k is not None else PairingContext.natural(g)
     (ell,) = _parse_elements(g, args.ell)
     val = xi(ctx, h, ell)
-    _emit(
-        args,
-        {"xi": jsonio.cyclo_to_json(val)},
-        [f"xi_{ell} = {val}"],
-    )
+    _emit(args, {"xi": jsonio.cyclo_to_json(val)}, [f"xi_{ell} = {val}"])
     return 0
 
 
@@ -188,10 +182,7 @@ def cmd_gcirc_matrix(args):
     g = _parse_group(args.group)
     mat = circulant_matrix(g)
     rows = mat.rows_as_symbols()
-    payload = {
-        "ordering": [jsonio.element_to_json(e) for e in mat.ordering],
-        "rows": rows,
-    }
+    payload = {"ordering": [jsonio.element_to_json(e) for e in mat.ordering], "rows": rows}
     _emit(args, payload, ["[" + "  ".join(r) + "]" for r in rows])
     return 0
 
@@ -206,8 +197,7 @@ def cmd_gcirc_det(args):
         poly = normal_form_poly(_parse_spec(args.spec))
     elif args.values:
         g = _parse_group(args.group)
-        vals = [jsonio.poly_from_json(v) for v in _read_payload(args.values)]
-        poly = gcirc_det(g, vals)
+        poly = gcirc_det(g, _load(args.values, "--values", jsonio.poly_list_from_json))
     else:
         raise DomainError("need --cpk, --spec, or --values")
     _emit(args, {"polynomial": jsonio.poly_to_json(poly)}, [str(poly)])
@@ -277,8 +267,7 @@ def cmd_gcirc_merge(args):
 
 
 def cmd_gcirc_clean(args):
-    gamma = [[Fraction(str(e)) for e in row] for row in _read_payload(args.gamma)]
-    ladder = clean_exponents(gamma, _parse_ints(args.moduli))
+    ladder = clean_exponents(_load(args.gamma, "--gamma", jsonio.gamma_from_json), _parse_ints(args.moduli))
     payload = {
         "order": list(ladder.order),
         "delta": [[jsonio.frac_to_str(e) for e in row] for row in ladder.delta],
@@ -294,14 +283,20 @@ def cmd_gcirc_clean(args):
 # -- resinv ----------------------------------------------------------------------
 
 
+def _parts(args):
+    if args.parts is None:
+        raise DomainError("need --k or --parts")
+    return _parse_ints(args.parts)
+
+
 def cmd_resinv_inv(args):
-    seq = inv_cpk(args.k) if args.k else inv_recursion(product_ideal(_parse_ints(args.parts)))
+    seq = inv_cpk(args.k) if args.k is not None else inv_recursion(product_ideal(_parts(args)))
     _emit(args, jsonio.sequence_to_json(seq), [",".join(jsonio.frac_to_str(e) for e in seq.entries)])
     return 0
 
 
 def cmd_resinv_atw(args):
-    seq = atwinv_cpk(args.k) if args.k else atwinv_product(_parse_ints(args.parts))
+    seq = atwinv_cpk(args.k) if args.k is not None else atwinv_product(_parts(args))
     _emit(args, jsonio.sequence_to_json(seq), [",".join(jsonio.frac_to_str(e) for e in seq.entries)])
     return 0
 
@@ -324,19 +319,12 @@ def cmd_resinv_weights(args):
 
 
 def cmd_resinv_recursion(args):
-    if args.cpk:
+    if args.cpk is not None:
         ideal = cpk_ideal(args.cpk)
     elif args.parts:
         ideal = product_ideal(_parse_ints(args.parts))
     elif args.ideal:
-        from .resinv import MonomialMarkedIdeal
-
-        obj = _read_payload(args.ideal)
-        if not isinstance(obj, list):
-            raise ValueError("--ideal must be a JSON list of {monomial, order} objects")
-        ideal = MonomialMarkedIdeal(
-            [(jsonio.required(p, "monomial"), Fraction(str(jsonio.required(p, "order")))) for p in obj]
-        )
+        ideal = _load(args.ideal, "--ideal", jsonio.ideal_from_json)
     else:
         raise DomainError("need --cpk, --parts, or --ideal")
     seq = inv_recursion(ideal)
@@ -402,9 +390,9 @@ def cmd_blowup_transition(args):
 
 def cmd_blowup_pullback(args):
     spec = _parse_spec(args.spec)
-    poly = normal_form_poly(spec)
     if isinstance(spec, ProductNormalFormSpec):
         raise DomainError("pullback expects a single normal form")
+    poly = normal_form_poly(spec)
     if spec.r != 1:
         raise DomainError("chart pullback via this command supports one divisor; use pipeline")
     total, st, mult = pullback(poly, _divisor_atlas(poly, spec.k), args.chart)
@@ -511,7 +499,7 @@ def cmd_blowup_pipeline(args):
 
 
 def cmd_split_newton(args):
-    f = jsonio.poly_from_json(_read_payload(args.poly))
+    f = _load(args.poly, "--poly", jsonio.poly_from_json)
     roots = split_newton(f, args.z, powers=args.powers, degree_bound=args.degree, branch_cap=args.cap)
     payload = {"roots": [jsonio.poly_to_json(r) for r in roots]}
     _emit(args, payload, [f"root {i}: {r}" for i, r in enumerate(roots)])
@@ -519,8 +507,8 @@ def cmd_split_newton(args):
 
 
 def cmd_split_verify(args):
-    f = jsonio.poly_from_json(_read_payload(args.poly))
-    roots = [jsonio.poly_from_json(r) for r in _read_payload(args.roots)]
+    f = _load(args.poly, "--poly", jsonio.poly_from_json)
+    roots = _load(args.roots, "--roots", jsonio.poly_list_from_json)
     ok = verify_split(f, args.powers, roots, args.degree, z=args.z)
     _emit(args, {"verified": ok}, [f"verified: {ok}"])
     return 0 if ok else 1
@@ -561,31 +549,18 @@ def cmd_split_example_basic(args):
 # -- ncquot ----------------------------------------------------------------------
 
 
-def _parse_action(text: str) -> DiagonalAction:
-    obj = _read_payload(text)
-    group = jsonio.group_from_json(obj)
-    weights = jsonio.required(obj, "weights")
-    if not isinstance(weights, dict) or not all(
-        isinstance(v, list) and all(isinstance(x, int) for x in v) for v in weights.values()
-    ):
-        raise ValueError("key 'weights' must map each variable name to a list of integers")
-    return DiagonalAction(group, {k: tuple(v) for k, v in weights.items()})
-
-
 def cmd_ncquot_semiinv(args):
-    action = _parse_action(args.action)
-    gens = [jsonio.poly_from_json(g) for g in _read_payload(args.gens)]
-    out = semi_invariant_generators(gens, action)
+    action = _load(args.action, "--action", jsonio.action_from_json)
+    out = semi_invariant_generators(_load(args.gens, "--gens", jsonio.poly_list_from_json), action)
     payload = {"generators": [jsonio.poly_to_json(g) for g in out]}
     _emit(args, payload, [str(g) for g in out])
     return 0
 
 
 def cmd_ncquot_adapt(args):
-    action = _parse_action(args.action)
-    divisors = [jsonio.poly_from_json(g) for g in _read_payload(args.divisors)] if args.divisors else []
-    stratum = [jsonio.poly_from_json(g) for g in _read_payload(args.stratum)]
-    ac = adapted_coordinates(action, divisors, stratum)
+    action = _load(args.action, "--action", jsonio.action_from_json)
+    divisors = _load(args.divisors, "--divisors", jsonio.poly_list_from_json) if args.divisors else []
+    ac = adapted_coordinates(action, divisors, _load(args.stratum, "--stratum", jsonio.poly_list_from_json))
     payload = {
         "coordinates": [{"name": n, "poly": jsonio.poly_to_json(p), "role": role} for n, p, role in ac.coordinates],
         "verified": ac.verified,
@@ -595,8 +570,8 @@ def cmd_ncquot_adapt(args):
 
 
 def cmd_ncquot_normalize(args):
-    action = _parse_action(args.action)
-    factors = [jsonio.poly_from_json(g) for g in _read_payload(args.factors)]
+    action = _load(args.action, "--action", jsonio.action_from_json)
+    factors = _load(args.factors, "--factors", jsonio.poly_list_from_json)
     nf = invariant_nc_normal_form(InvariantNCInput(action, factors))
     payload = {
         "chain": list(nf.chain),
@@ -622,144 +597,80 @@ def cmd_ncquot_normalize(args):
 # -- parser ----------------------------------------------------------------------
 
 
+def _arg(flag: str, **kwargs):
+    return flag, kwargs
+
+
+_GROUP = _arg("--group", required=True)
+_SUB = _arg("--sub", default="")
+_K = _arg("--k", type=int)
+_SPEC = _arg("--spec", required=True)
+_CPK = _arg("--cpk", type=int, required=True)
+_PARTS = _arg("--parts")
+_ATLAS = (_arg("--params", required=True), _arg("--weights", required=True), _arg("--divisorial", default=""))
+_SPLIT = (_arg("--z", default="z"), _arg("--powers", type=int, default=1), _arg("--degree", type=int))
+_ACTION = _arg("--action", required=True)
+
+# {group: {subcommand: (handler, *arguments)}}, in --help order.
+COMMANDS = {
+    "abelian": {
+        "perp": (cmd_abelian_perp, _GROUP, _SUB, _K),
+        "xi": (cmd_abelian_xi, _GROUP, _SUB, _arg("--ell", required=True), _K),
+        "quotient": (cmd_abelian_quotient, _GROUP, _SUB),
+        "factors": (cmd_abelian_factors, _GROUP, _SUB, _arg("--quotient", action="store_true")),
+    },
+    "gcirc": {
+        "matrix": (cmd_gcirc_matrix, _GROUP),
+        "det": (
+            cmd_gcirc_det, _arg("--group"), _arg("--cpk", action="store_true"), _arg("--spec"), _arg("--values")
+        ),
+        "normal-form": (cmd_gcirc_normal_form, _SPEC),
+        "validate": (cmd_gcirc_validate, _SPEC),
+        "codim1": (cmd_gcirc_codim1, _SPEC, _arg("--index", type=int, default=0)),
+        "merge": (cmd_gcirc_merge, _arg("--k", type=int, required=True), _arg("--r", type=int, required=True)),
+        "clean": (cmd_gcirc_clean, _arg("--gamma", required=True), _arg("--moduli", required=True)),
+    },
+    "resinv": {
+        "inv": (cmd_resinv_inv, _K, _PARTS),
+        "atw": (cmd_resinv_atw, _K, _PARTS),
+        "weights": (cmd_resinv_weights, _arg("--parts", required=True)),
+        "recursion": (cmd_resinv_recursion, _arg("--cpk", type=int), _PARTS, _arg("--ideal")),
+    },
+    "blowup": {
+        "charts": (cmd_blowup_charts, *_ATLAS),
+        "transition": (
+            cmd_blowup_transition, *_ATLAS, _arg("--i", type=int, required=True), _arg("--j", type=int, required=True)
+        ),
+        "pullback": (cmd_blowup_pullback, _SPEC, _arg("--chart", type=int, default=0)),
+        "hilbert": (cmd_blowup_hilbert, _CPK),
+        "relations": (cmd_blowup_relations, _CPK),
+        "quotient": (cmd_blowup_quotient, _CPK),
+        "pipeline": (cmd_blowup_pipeline, _SPEC),
+    },
+    "split": {
+        "newton": (cmd_split_newton, _arg("--poly", required=True), *_SPLIT, _arg("--cap", type=int)),
+        "verify": (cmd_split_verify, _arg("--poly", required=True), _arg("--roots", required=True), *_SPLIT),
+        "example-basic": (cmd_split_example_basic, _arg("--degree", type=int)),
+    },
+    "ncquot": {
+        "semiinv": (cmd_ncquot_semiinv, _ACTION, _arg("--gens", required=True)),
+        "adapt": (cmd_ncquot_adapt, _ACTION, _arg("--divisors"), _arg("--stratum", required=True)),
+        "normalize": (cmd_ncquot_normalize, _ACTION, _arg("--factors", required=True)),
+    },
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="circforge", description=__doc__)
     ap.add_argument("--format", choices=["text", "json"], default="text")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    g_ab = sub.add_parser("abelian").add_subparsers(dest="sub", required=True)
-    p = g_ab.add_parser("perp")
-    p.add_argument("--group", required=True)
-    p.add_argument("--sub", default="")
-    p.add_argument("--k", type=int)
-    p.set_defaults(func=cmd_abelian_perp)
-    p = g_ab.add_parser("xi")
-    p.add_argument("--group", required=True)
-    p.add_argument("--sub", default="")
-    p.add_argument("--ell", required=True)
-    p.add_argument("--k", type=int)
-    p.set_defaults(func=cmd_abelian_xi)
-    p = g_ab.add_parser("quotient")
-    p.add_argument("--group", required=True)
-    p.add_argument("--sub", default="")
-    p.set_defaults(func=cmd_abelian_quotient)
-    p = g_ab.add_parser("factors")
-    p.add_argument("--group", required=True)
-    p.add_argument("--sub", default="")
-    p.add_argument("--quotient", action="store_true")
-    p.set_defaults(func=cmd_abelian_factors)
-
-    g_gc = sub.add_parser("gcirc").add_subparsers(dest="sub", required=True)
-    p = g_gc.add_parser("matrix")
-    p.add_argument("--group", required=True)
-    p.set_defaults(func=cmd_gcirc_matrix)
-    p = g_gc.add_parser("det")
-    p.add_argument("--group")
-    p.add_argument("--cpk", action="store_true")
-    p.add_argument("--spec")
-    p.add_argument("--values")
-    p.set_defaults(func=cmd_gcirc_det)
-    p = g_gc.add_parser("normal-form")
-    p.add_argument("--spec", required=True)
-    p.set_defaults(func=cmd_gcirc_normal_form)
-    p = g_gc.add_parser("validate")
-    p.add_argument("--spec", required=True)
-    p.set_defaults(func=cmd_gcirc_validate)
-    p = g_gc.add_parser("codim1")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--index", type=int, default=0)
-    p.set_defaults(func=cmd_gcirc_codim1)
-    p = g_gc.add_parser("merge")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=cmd_gcirc_merge)
-    p = g_gc.add_parser("clean")
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--moduli", required=True)
-    p.set_defaults(func=cmd_gcirc_clean)
-
-    g_ri = sub.add_parser("resinv").add_subparsers(dest="sub", required=True)
-    p = g_ri.add_parser("inv")
-    p.add_argument("--k", type=int)
-    p.add_argument("--parts")
-    p.set_defaults(func=cmd_resinv_inv)
-    p = g_ri.add_parser("atw")
-    p.add_argument("--k", type=int)
-    p.add_argument("--parts")
-    p.set_defaults(func=cmd_resinv_atw)
-    p = g_ri.add_parser("weights")
-    p.add_argument("--parts", required=True)
-    p.set_defaults(func=cmd_resinv_weights)
-    p = g_ri.add_parser("recursion")
-    p.add_argument("--cpk", type=int)
-    p.add_argument("--parts")
-    p.add_argument("--ideal")
-    p.set_defaults(func=cmd_resinv_recursion)
-
-    g_bl = sub.add_parser("blowup").add_subparsers(dest="sub", required=True)
-    p = g_bl.add_parser("charts")
-    p.add_argument("--params", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--divisorial", default="")
-    p.set_defaults(func=cmd_blowup_charts)
-    p = g_bl.add_parser("transition")
-    p.add_argument("--params", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--divisorial", default="")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.set_defaults(func=cmd_blowup_transition)
-    p = g_bl.add_parser("pullback")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--chart", type=int, default=0)
-    p.set_defaults(func=cmd_blowup_pullback)
-    p = g_bl.add_parser("hilbert")
-    p.add_argument("--cpk", type=int, required=True)
-    p.set_defaults(func=cmd_blowup_hilbert)
-    p = g_bl.add_parser("relations")
-    p.add_argument("--cpk", type=int, required=True)
-    p.set_defaults(func=cmd_blowup_relations)
-    p = g_bl.add_parser("quotient")
-    p.add_argument("--cpk", type=int, required=True)
-    p.set_defaults(func=cmd_blowup_quotient)
-    p = g_bl.add_parser("pipeline")
-    p.add_argument("--spec", required=True)
-    p.set_defaults(func=cmd_blowup_pipeline)
-
-    g_sp = sub.add_parser("split").add_subparsers(dest="sub", required=True)
-    p = g_sp.add_parser("newton")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--z", default="z")
-    p.add_argument("--powers", type=int, default=1)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--cap", type=int)
-    p.set_defaults(func=cmd_split_newton)
-    p = g_sp.add_parser("verify")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--roots", required=True)
-    p.add_argument("--z", default="z")
-    p.add_argument("--powers", type=int, default=1)
-    p.add_argument("--degree", type=int)
-    p.set_defaults(func=cmd_split_verify)
-    p = g_sp.add_parser("example-basic")
-    p.add_argument("--degree", type=int)
-    p.set_defaults(func=cmd_split_example_basic)
-
-    g_nc = sub.add_parser("ncquot").add_subparsers(dest="sub", required=True)
-    p = g_nc.add_parser("semiinv")
-    p.add_argument("--action", required=True)
-    p.add_argument("--gens", required=True)
-    p.set_defaults(func=cmd_ncquot_semiinv)
-    p = g_nc.add_parser("adapt")
-    p.add_argument("--action", required=True)
-    p.add_argument("--divisors")
-    p.add_argument("--stratum", required=True)
-    p.set_defaults(func=cmd_ncquot_adapt)
-    p = g_nc.add_parser("normalize")
-    p.add_argument("--action", required=True)
-    p.add_argument("--factors", required=True)
-    p.set_defaults(func=cmd_ncquot_normalize)
-
+    groups = ap.add_subparsers(dest="command", required=True)
+    for group, commands in COMMANDS.items():
+        subs = groups.add_parser(group).add_subparsers(dest="sub", required=True)
+        for name, (handler, *arguments) in commands.items():
+            p = subs.add_parser(name)
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=handler)
     return ap
 
 
@@ -768,7 +679,9 @@ def run(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, NonPolynomial, NoSplit, Ambiguous, SplitsInvariantly, ValueError, ZeroDivisionError) as exc:
+    except (
+        DomainError, NonPolynomial, NoSplit, Ambiguous, Unsupported, SplitsInvariantly, ValueError, ZeroDivisionError
+    ) as exc:
         return _fail(args, str(exc))
 
 

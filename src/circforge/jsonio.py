@@ -1,20 +1,66 @@
 """JSON encoding of the public value types.
 
-Rationals travel as decimal-free strings "p/q" (or "p"), cyclotomic numbers
-as full-length coefficient vectors, polynomials with their variable space
-and deterministically ordered terms.  Every encoder here round-trips
-through the matching parser.
+The shape tables below (GROUP ... SEQUENCE) are the one description of the
+payload format.  A shape is `int` (a JSON integer: no bool, float or
+string), `str`, `RATIONAL` (an integer or a string "p" or "p/q"), `[s]` (an
+array of s), `{str: s}` (an object mapping names to s) or `{key: s, ...}`
+(an object with at least these keys).  Every parser runs `check` first, so
+a malformed payload is a ValueError naming the first bad path, such as
+"--action.moduli[0]: expected int".  Cyclotomic numbers travel as
+full-length coefficient vectors, polynomials with their variable space and
+deterministically ordered terms; every encoder round-trips through its parser.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .abelian import AbelianGroup, GroupElement, Subgroup
 from .cyclotomic import Cyclo
 from .gcirc import NormalFormSpec, ProductNormalFormSpec
-from .polyring import FracPoly, VarSpace
-from .resinv import ATWSequence, InvSequence
+from .polyring import DiagonalAction, FracPoly, VarSpace
+from .resinv import ATWSequence, InvSequence, MonomialMarkedIdeal
+
+RATIONAL = Fraction
+GROUP = {"moduli": [int]}
+CYCLO = {"order": int, "coeffs": [RATIONAL]}
+SPACE = {"divisorial": [{"name": str, "bound": int}], "free": [str]}
+POLY = {"space": SPACE, "terms": [{"w": [RATIONAL], "free": [int], "coeff": CYCLO}]}
+GAMMA = [[RATIONAL]]
+SPEC = {"moduli": [int], "k": int, "gamma": GAMMA, "quotient": GROUP, "labels": [[int]]}
+PRODUCT_SPEC = {"factors": [SPEC]}
+ACTION = {**GROUP, "weights": {str: [int]}}
+IDEAL = [{"monomial": {str: RATIONAL}, "order": RATIONAL}]
+SEQUENCE = {"entries": [RATIONAL], "contacts": [str]}
+
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def check(obj, shape, where: str) -> None:
+    """Raise a ValueError naming the first path of obj that does not fit shape."""
+    if isinstance(shape, list):
+        expected, ok = "a list", isinstance(obj, list)
+    elif isinstance(shape, dict):
+        expected, ok = "an object", isinstance(obj, dict)
+    elif shape is RATIONAL:
+        expected = 'an integer or a "p/q" string'
+        ok = type(obj) is int or (type(obj) is str and _RATIONAL_TEXT.fullmatch(obj) is not None)
+    else:
+        expected, ok = shape.__name__, type(obj) is shape
+    if not ok:
+        raise ValueError(f"{where}: expected {expected}")
+    if isinstance(shape, list):
+        for i, item in enumerate(obj):
+            check(item, shape[0], f"{where}[{i}]")
+    elif isinstance(shape, dict) and str in shape:
+        for key, value in obj.items():
+            check(value, shape[str], f"{where}.{key}")
+    elif isinstance(shape, dict):
+        for key, sub in shape.items():
+            if key not in obj:
+                raise ValueError(f"{where}: missing key {key!r}")
+            check(obj[key], sub, f"{where}.{key}")
 
 
 def frac_to_str(q) -> str:
@@ -22,49 +68,40 @@ def frac_to_str(q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def frac_from_str(s) -> Fraction:
-    return Fraction(str(s))
-
-
-def required(obj, key: str):
-    """obj[key] of a JSON object, with a ValueError naming a missing key."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object with key {key!r}")
-    if key not in obj:
-        raise ValueError(f"missing key {key!r}")
-    return obj[key]
-
-
 def group_to_json(g: AbelianGroup) -> dict:
     return {"moduli": list(g.moduli)}
 
 
-def group_from_json(obj) -> AbelianGroup:
-    return AbelianGroup(tuple(int(x) for x in required(obj, "moduli")))
+def group_from_json(obj, where: str = "group") -> AbelianGroup:
+    check(obj, GROUP, where)
+    return AbelianGroup(tuple(obj["moduli"]))
 
 
 def element_to_json(e: GroupElement) -> list:
     return list(e.residues)
 
 
-def element_from_json(g: AbelianGroup, obj) -> GroupElement:
-    return g.element(tuple(int(x) for x in obj))
+def element_from_json(g: AbelianGroup, obj, where: str = "element") -> GroupElement:
+    check(obj, [int], where)
+    return g.element(obj)
 
 
 def subgroup_to_json(h: Subgroup) -> list:
     return [element_to_json(e) for e in h.sorted_elements()]
 
 
-def subgroup_from_json(g: AbelianGroup, obj) -> Subgroup:
-    return Subgroup(g, [element_from_json(g, e) for e in obj])
+def subgroup_from_json(g: AbelianGroup, obj, where: str = "subgroup") -> Subgroup:
+    check(obj, [[int]], where)
+    return Subgroup(g, [g.element(e) for e in obj])
 
 
 def cyclo_to_json(c: Cyclo) -> dict:
     return {"order": c.order, "coeffs": [frac_to_str(x) for x in c.coeffs]}
 
 
-def cyclo_from_json(obj) -> Cyclo:
-    return Cyclo(int(required(obj, "order")), [frac_from_str(x) for x in required(obj, "coeffs")])
+def cyclo_from_json(obj, where: str = "cyclo") -> Cyclo:
+    check(obj, CYCLO, where)
+    return Cyclo(obj["order"], obj["coeffs"])
 
 
 def space_to_json(sp: VarSpace) -> dict:
@@ -74,34 +111,39 @@ def space_to_json(sp: VarSpace) -> dict:
     }
 
 
-def space_from_json(obj) -> VarSpace:
-    return VarSpace(
-        [(required(d, "name"), int(required(d, "bound"))) for d in required(obj, "divisorial")],
-        list(required(obj, "free")),
-    )
+def space_from_json(obj, where: str = "space") -> VarSpace:
+    check(obj, SPACE, where)
+    return VarSpace([(d["name"], d["bound"]) for d in obj["divisorial"]], obj["free"])
 
 
 def poly_to_json(f: FracPoly) -> dict:
     nd = f.space.ndiv
-    terms = []
-    for key, coeff in f.sorted_terms():
-        terms.append(
-            {
-                "w": [frac_to_str(e) for e in key[:nd]],
-                "free": [int(e) for e in key[nd:]],
-                "coeff": cyclo_to_json(coeff),
-            }
-        )
+    terms = [
+        {"w": [frac_to_str(e) for e in key[:nd]], "free": [int(e) for e in key[nd:]], "coeff": cyclo_to_json(coeff)}
+        for key, coeff in f.sorted_terms()
+    ]
     return {"space": space_to_json(f.space), "terms": terms}
 
 
-def poly_from_json(obj) -> FracPoly:
-    sp = space_from_json(required(obj, "space"))
+def poly_from_json(obj, where: str = "poly") -> FracPoly:
+    check(obj, POLY, where)
+    sp = space_from_json(obj["space"])
     terms = {}
-    for t in required(obj, "terms"):
-        key = tuple(frac_from_str(e) for e in required(t, "w")) + tuple(int(e) for e in required(t, "free"))
-        terms[key] = cyclo_from_json(required(t, "coeff"))
+    for i, t in enumerate(obj["terms"]):
+        if (len(t["w"]), len(t["free"])) != (sp.ndiv, len(sp.free_names)):
+            raise ValueError(f"{where}.terms[{i}]: expected {sp.ndiv} 'w' and {len(sp.free_names)} 'free' exponents")
+        terms[tuple(Fraction(e) for e in t["w"]) + tuple(t["free"])] = cyclo_from_json(t["coeff"])
     return FracPoly(sp, terms)
+
+
+def poly_list_from_json(obj, where: str = "polys") -> list[FracPoly]:
+    check(obj, [POLY], where)
+    return [poly_from_json(p, f"{where}[{i}]") for i, p in enumerate(obj)]
+
+
+def gamma_from_json(obj, where: str = "gamma") -> list[list[Fraction]]:
+    check(obj, GAMMA, where)
+    return [[Fraction(e) for e in row] for row in obj]
 
 
 def spec_to_json(spec) -> dict:
@@ -116,26 +158,44 @@ def spec_to_json(spec) -> dict:
     }
 
 
-def spec_from_json(obj):
-    if isinstance(obj, dict) and "factors" in obj:
-        return ProductNormalFormSpec(tuple(spec_from_json(f) for f in obj["factors"]))
-    quotient = group_from_json(required(obj, "quotient"))
+def spec_from_json(obj, where: str = "spec"):
+    """A NormalFormSpec, or a ProductNormalFormSpec from {"factors": [...]}."""
+    product = isinstance(obj, dict) and "factors" in obj
+    check(obj, PRODUCT_SPEC if product else SPEC, where)
+    factors = tuple(_normal_form_spec(f) for f in (obj["factors"] if product else [obj]))
+    return ProductNormalFormSpec(factors) if product else factors[0]
+
+
+def _normal_form_spec(obj) -> NormalFormSpec:
+    quotient = group_from_json(obj["quotient"])
     return NormalFormSpec(
-        moduli=tuple(int(p) for p in required(obj, "moduli")),
-        k=int(required(obj, "k")),
-        gamma=tuple(tuple(frac_from_str(e) for e in row) for row in required(obj, "gamma")),
+        moduli=tuple(obj["moduli"]),
+        k=obj["k"],
+        gamma=obj["gamma"],
         quotient_group=quotient,
-        labels=tuple(element_from_json(quotient, l) for l in required(obj, "labels")),
+        labels=tuple(quotient.element(l) for l in obj["labels"]),
     )
+
+
+def action_from_json(obj, where: str = "action") -> DiagonalAction:
+    check(obj, ACTION, where)
+    return DiagonalAction(group_from_json(obj), {n: tuple(w) for n, w in obj["weights"].items()})
+
+
+def ideal_from_json(obj, where: str = "ideal") -> MonomialMarkedIdeal:
+    check(obj, IDEAL, where)
+    return MonomialMarkedIdeal([({v: Fraction(e) for v, e in p["monomial"].items()}, p["order"]) for p in obj])
 
 
 def sequence_to_json(seq) -> dict:
     return {"entries": [frac_to_str(e) for e in seq.entries], "contacts": list(seq.contacts)}
 
 
-def inv_from_json(obj) -> InvSequence:
-    return InvSequence(tuple(frac_from_str(e) for e in obj["entries"]), tuple(obj["contacts"]))
+def inv_from_json(obj, where: str = "inv") -> InvSequence:
+    check(obj, SEQUENCE, where)
+    return InvSequence(tuple(obj["entries"]), tuple(obj["contacts"]))
 
 
-def atw_from_json(obj) -> ATWSequence:
-    return ATWSequence(tuple(frac_from_str(e) for e in obj["entries"]), tuple(obj["contacts"]))
+def atw_from_json(obj, where: str = "atw") -> ATWSequence:
+    check(obj, SEQUENCE, where)
+    return ATWSequence(tuple(obj["entries"]), tuple(obj["contacts"]))

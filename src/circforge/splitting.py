@@ -12,10 +12,10 @@ variables) dictates the admissible degrees for the next homogeneous part,
 and each admissible initial form yields one branch.  Edge equations are
 solved by exact division (linear), homogeneous radicals (binomial and
 quadratic), exponent-gcd substitution, square-free reduction, and monomial
-root candidates with exactly solved scalars.  Anything beyond that is
-reported as an obstruction rather than guessed at: the procedure is a
-semi-decision by design, since no a-priori bound on the blow-ups needed is
-available.
+root candidates with exactly solved scalars.  An edge equation beyond that
+is reported (Unsupported, when no branch closes) rather than guessed at:
+the procedure is a semi-decision by design, since no a-priori bound on the
+blow-ups needed is available.
 """
 
 from __future__ import annotations
@@ -48,6 +48,15 @@ class Ambiguous(Exception):
         super().__init__(f"branch cap {cap} exceeded")
 
 
+class Unsupported(Exception):
+    """No branch closed, but an edge equation was beyond the solver, so the
+    search cannot say that no splitting exists."""
+
+    def __init__(self, reason: str):
+        self.reason = reason
+        super().__init__(f"splitting undecided: {reason}")
+
+
 @dataclass
 class _SearchState:
     z: str
@@ -56,6 +65,7 @@ class _SearchState:
     branches: int = 0
     best_degree: Fraction = Fraction(0)
     best_reason: str = "no admissible initial part"
+    unsupported: str | None = None  # the first edge equation the solver could not decide
 
     def note_obstruction(self, degree, reason: str):
         if degree >= self.best_degree:
@@ -86,7 +96,9 @@ def split_newton(
 ) -> list[FracPoly]:
     """Roots b_1..b_k with f(w -> v^p, ..., z) = prod(z + b_i) mod degree bound.
 
-    Raises NoSplit (with the obstruction degree) or Ambiguous.
+    Raises NoSplit (with the obstruction degree) when every edge equation of
+    the search was decided, Unsupported when one was beyond the solver, or
+    Ambiguous.
     """
     d = DEFAULT_DEGREE_BOUND if degree_bound is None else degree_bound
     cap = DEFAULT_BRANCH_CAP if branch_cap is None else branch_cap
@@ -100,6 +112,8 @@ def split_newton(
             raise ValueError("non-leading coefficients must vanish at the origin")
     state = _SearchState(z=z, bound=d, cap=cap)
     roots = _find_roots(g, k, state)
+    if roots is None and state.unsupported:
+        raise Unsupported(state.unsupported)
     if roots is None:
         raise NoSplit(state.best_degree, state.best_reason)
     if not verify_split(f, powers, roots, d, z=z):
@@ -253,7 +267,7 @@ def _solve_edge(ins, delta: int, space: VarSpace, state: _SearchState):
     mono = _monomial_root_candidates(terms, delta, space)
     if mono:
         return mono
-    state.note_obstruction(delta, f"edge equation of extent {n} with interior terms is unsupported")
+    state.unsupported = state.unsupported or f"edge equation of extent {n} with interior terms at degree {delta}"
     return []
 
 

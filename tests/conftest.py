@@ -100,3 +100,20 @@ def binomial_series(alpha: Fraction, n: int):
         c = c * (alpha - (i - 1)) / i
         coeffs.append(c)
     return coeffs
+
+
+def json_nodes(obj, path=()):
+    """(path, value) of every node of a JSON value, the root first."""
+    yield path, obj
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from json_nodes(value, path + (key,))
+
+
+def json_replace(obj, path, value):
+    """A copy of obj with the node at path replaced by value."""
+    if not path:
+        return value
+    out = dict(obj) if isinstance(obj, dict) else list(obj)
+    out[path[0]] = json_replace(obj[path[0]], path[1:], value)
+    return out

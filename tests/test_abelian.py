@@ -37,6 +37,9 @@ def test_pairing_preconditions():
     g = AbelianGroup((2, 4))
     with pytest.raises(ValueError):
         PairingContext(g, 2)  # 4 does not divide 2
+    for k in (0, -8):  # k = 0 would divide by zero in pairing
+        with pytest.raises(ValueError):
+            PairingContext(g, k)
     other = AbelianGroup((3,))
     ctx = PairingContext.natural(g)
     with pytest.raises(ValueError):

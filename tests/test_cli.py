@@ -3,11 +3,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from circforge import jsonio
-from circforge.cli import run
+from circforge.cli import COMMANDS, run
 
-from conftest import CHILD_ENV
+from conftest import CHILD_ENV, json_nodes, json_replace
 
 
 def _capture(capsys, argv):
@@ -80,6 +82,19 @@ _Z2 = '{"space":{"divisorial":[],"free":["z","x"]},"terms":[{"w":[],"free":[2,0]
         ["resinv", "recursion", "--ideal", "[1]"],
         ["resinv", "recursion", "--ideal", "[{}]"],
         ["resinv", "recursion"],
+        ["ncquot", "normalize", "--action", '{"moduli":5,"weights":{}}', "--factors", "[]"],
+        ["resinv", "recursion", "--ideal", '[{"monomial":5,"order":1}]'],
+        ["gcirc", "validate", "--spec", "@/nonexistent"],
+        ["split", "newton", "--poly", _Z2.replace('"free":[2,0]', '"free":[null,0]')],
+        ["gcirc", "clean", "--gamma", "5", "--moduli", "2"],
+        ["gcirc", "det", "--group", "Z2", "--values", "5"],
+        ["ncquot", "adapt", "--action", '{"moduli":[2],"weights":{}}', "--stratum", "5"],
+        ["resinv", "inv", "--k", "0"],
+        ["resinv", "atw"],
+        ["blowup", "pullback", "--spec", "cp2", "--chart", "3"],
+        ["blowup", "transition", "--params", "x,y", "--weights", "1,1", "--i", "0", "--j", "5"],
+        ["gcirc", "det", "--cpk"],
+        ["abelian", "perp", "--group", "2,4", "--k", "0"],
     ],
     ids=[
         "det-cpk-noncyclic",
@@ -97,6 +112,19 @@ _Z2 = '{"space":{"divisorial":[],"free":["z","x"]},"terms":[{"w":[],"free":[2,0]
         "recursion-pair-not-object",
         "recursion-pair-missing-monomial",
         "recursion-no-ideal",
+        "normalize-moduli-not-list",
+        "recursion-monomial-not-object",
+        "validate-unreadable-file",
+        "newton-free-exponent-null",
+        "clean-gamma-not-list",
+        "det-values-not-list",
+        "adapt-stratum-not-list",
+        "inv-k-zero",
+        "atw-no-source",
+        "pullback-chart-out-of-range",
+        "transition-chart-out-of-range",
+        "det-cpk-no-group",
+        "perp-k-zero",
     ],
 )
 def test_domain_error_exit_code(capsys, argv):
@@ -104,7 +132,7 @@ def test_domain_error_exit_code(capsys, argv):
     assert code == 1
     code = run(["--format", "json"] + argv)
     out = capsys.readouterr().out
-    assert code == 1 and "error" in json.loads(out)
+    assert code == 1 and isinstance(json.loads(out)["error"], str)
 
 
 def test_cli_import_does_not_load_numpy():
@@ -217,3 +245,134 @@ def test_split_nosplit_domain_error(capsys):
     code = run(["--format", "json", "split", "newton", "--poly", payload, "--powers", "2"])
     out = capsys.readouterr().out
     assert code == 1 and "error" in json.loads(out)
+
+
+def test_split_unsupported_domain_error(capsys):
+    from circforge import FracPoly, VarSpace
+
+    sp = VarSpace([], ["x", "z"])
+    x, z = (FracPoly.variable(sp, n) for n in ("x", "z"))
+    payload = json.dumps(jsonio.poly_to_json((z - x) * (z - 2 * x) * (z - 3 * x)))
+    code = run(["--format", "json", "split", "newton", "--poly", payload])
+    out = capsys.readouterr().out
+    assert code == 1 and json.loads(out)["error"].startswith("splitting undecided")
+
+
+# -- the CLI contract under malformed input ------------------------------------------
+
+
+def _poly_json(names, build):
+    from circforge import FracPoly, VarSpace
+
+    sp = VarSpace([], names)
+    return jsonio.poly_to_json(build(*(FracPoly.variable(sp, n) for n in names)))
+
+
+_SPEC_CP2 = json.dumps({"moduli": [2], "k": 2, "gamma": [["1/2"]], "quotient": {"moduli": [2]}, "labels": [[0], [1]]})
+_ACTION_XY = json.dumps({"moduli": [2], "weights": {"x": [0], "y": [1]}})
+_X_PLUS_Y = _poly_json(["x", "y"], lambda x, y: x + y)
+_X_MINUS_Y = _poly_json(["x", "y"], lambda x, y: x - y)
+_SPLIT_POLY = json.dumps(_poly_json(["v", "x", "z"], lambda v, x, z: z * z - v * v * x * x))
+_SPLIT_ROOTS = json.dumps([_poly_json(["v", "x", "z"], lambda v, x, z: v * x), _poly_json(["v", "x", "z"], lambda v, x, z: -v * x)])
+
+# One valid argument list per subcommand; the fuzz test mutates these.
+VALID = {
+    ("abelian", "perp"): ["--group", "2,4", "--sub", "(1,2)", "--k", "4"],
+    ("abelian", "xi"): ["--group", "2,4", "--sub", "(1,2)", "--ell", "(1,1)"],
+    ("abelian", "quotient"): ["--group", "2,4", "--sub", "(1,2)"],
+    ("abelian", "factors"): ["--group", "2,2,4", "--sub", "(1,0,2);(0,1,0)", "--quotient"],
+    ("gcirc", "matrix"): ["--group", "Z2xZ2"],
+    ("gcirc", "det"): ["--group", "Z2", "--values", json.dumps([_X_PLUS_Y, _X_MINUS_Y])],
+    ("gcirc", "normal-form"): ["--spec", _SPEC_CP2],
+    ("gcirc", "validate"): ["--spec", _SPEC_CP2],
+    ("gcirc", "codim1"): ["--spec", _SPEC_CP2, "--index", "0"],
+    ("gcirc", "merge"): ["--k", "2", "--r", "2"],
+    ("gcirc", "clean"): ["--gamma", '[["1/3"], ["2/3"]]', "--moduli", "3"],
+    ("resinv", "inv"): ["--k", "3"],
+    ("resinv", "atw"): ["--parts", "2,2"],
+    ("resinv", "weights"): ["--parts", "2,3"],
+    ("resinv", "recursion"): ["--ideal", '[{"monomial": {"x0": 2}, "order": 2}, {"monomial": {"w": 1, "x1": 2}, "order": "2"}]'],
+    ("blowup", "charts"): ["--params", "w,x,y", "--weights", "3,2,1", "--divisorial", "w:2"],
+    ("blowup", "transition"): ["--params", "x,y,z", "--weights", "1,1,1", "--i", "0", "--j", "1"],
+    ("blowup", "pullback"): ["--spec", _SPEC_CP2, "--chart", "0"],
+    ("blowup", "hilbert"): ["--cpk", "2"],
+    ("blowup", "relations"): ["--cpk", "2"],
+    ("blowup", "quotient"): ["--cpk", "2"],
+    ("blowup", "pipeline"): ["--spec", _SPEC_CP2],
+    ("split", "newton"): ["--poly", _SPLIT_POLY, "--degree", "4"],
+    ("split", "verify"): ["--poly", _SPLIT_POLY, "--roots", _SPLIT_ROOTS, "--degree", "4"],
+    ("split", "example-basic"): ["--degree", "4"],
+    ("ncquot", "semiinv"): ["--action", _ACTION_XY, "--gens", json.dumps([_X_PLUS_Y])],
+    ("ncquot", "adapt"): ["--action", _ACTION_XY, "--divisors", "[]", "--stratum", json.dumps([_X_PLUS_Y])],
+    ("ncquot", "normalize"): ["--action", _ACTION_XY, "--factors", json.dumps([_X_PLUS_Y, _X_MINUS_Y])],
+}
+SUBCOMMANDS = [(group, name) for group, commands in COMMANDS.items() for name in commands]
+
+
+# Replacements of another JSON kind.  An int or a string is never replaced by an
+# int or a string, because a rational may be either.
+_OTHER_VALUES = [None, True, 1.5, "s", 0, [], {}]
+
+
+@st.composite
+def _mutated_argv(draw, command):
+    """A valid argument list with one mutation; also whether the result must fail."""
+    argv = list(VALID[command])
+    values = [i for i in range(1, len(argv)) if not argv[i].startswith("--")]
+    i = draw(st.sampled_from(values))
+    try:
+        payload = json.loads(argv[i])
+    except ValueError:
+        payload = None
+    # A JSON payload is mutated inside most of the time.
+    kind = draw(st.sampled_from(["missing-file", "text", "omit"] + (["json"] * 3 if isinstance(payload, (dict, list)) else [])))
+    if kind == "omit":  # leave the option out: its default, or a usage error
+        del argv[i - 1 : i + 1]
+        return argv, False
+    if kind == "missing-file":
+        argv[i] = "@/nonexistent/circforge-payload.json"
+        return argv, True
+    if kind == "text":
+        argv[i] = draw(st.sampled_from(["", "x", "-1", "0", "1", "3", "(9,9)", "[]", "{}", "2,x", "w:0"]))
+        return argv, False
+    path, node = draw(st.sampled_from(list(json_nodes(payload))))
+    ops = ["type", "nest"] + (["drop"] if isinstance(node, dict) and node else []) + (["int"] if type(node) is int else [])
+    op = draw(st.sampled_from(ops))
+    if op == "int":  # another small value of the right type: valid or a domain error
+        new = draw(st.integers(-2, 4))
+    elif op == "type":
+        skip = {int, str} if type(node) in (int, str) else {type(node)}
+        new = draw(st.sampled_from([v for v in _OTHER_VALUES if type(v) not in skip]))
+    elif op == "nest":
+        new = [node]
+    else:
+        key = draw(st.sampled_from(sorted(node)))
+        new = {k: v for k, v in node.items() if k != key}
+    argv[i] = json.dumps(json_replace(payload, path, new))
+    # A dropped name of a weight or monomial map can leave a valid payload.
+    return argv, op in ("type", "nest") or (op == "drop" and path[-1:] not in (("weights",), ("monomial",)))
+
+
+def test_every_subcommand_has_a_valid_example(capsys):
+    assert sorted(VALID) == sorted(SUBCOMMANDS)
+    for command in SUBCOMMANDS:
+        code = run(["--format", "json", *command, *VALID[command]])
+        assert code == 0, command
+        json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS, ids=" ".join)
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_input_keeps_the_exit_contract(capsys, command, data):
+    argv, must_fail = data.draw(_mutated_argv(command))
+    capsys.readouterr()
+    try:
+        code = run(["--format", "json", *command, *argv])
+    except SystemExit as exc:  # argparse: a usage error
+        assert exc.code == 2
+        return
+    obj = json.loads(capsys.readouterr().out)
+    assert code in (0, 1) and isinstance(obj, dict), (argv, code)
+    if must_fail:  # a result may also exit 1 (e.g. verified: false); a malformed payload may not
+        assert code == 1 and isinstance(obj.get("error"), str), (argv, obj)

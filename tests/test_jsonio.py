@@ -1,0 +1,110 @@
+from fractions import Fraction
+
+import pytest
+
+from conftest import json_nodes, json_replace
+
+from circforge import (
+    AbelianGroup,
+    FracPoly,
+    ProductNormalFormSpec,
+    VarSpace,
+    atwinv_product,
+    cpk_spec,
+    inv_cpk,
+    jsonio,
+    klein_spec,
+    root_of_unity,
+    subgroup_from_generators,
+    z2z4_spec,
+)
+
+_G = AbelianGroup((2, 4))
+_SPACE = VarSpace([("w", 2), ("u", 3)], ["x", "z"])
+
+
+def _poly():
+    w, u, x, z = (FracPoly.variable(_SPACE, n) for n in ("w", "u", "x", "z"))
+    half_w = FracPoly.monomial(_SPACE, {"w": Fraction(1, 2)})
+    return z * z - half_w * x.scale(root_of_unity(6)) + u * w * Fraction(-2, 7)
+
+
+# (value, encoder, parser), where the parser takes only the JSON object.
+CASES = {
+    "group": (_G, jsonio.group_to_json, jsonio.group_from_json),
+    "element": (_G.element((1, 3)), jsonio.element_to_json, lambda obj: jsonio.element_from_json(_G, obj)),
+    "subgroup": (
+        subgroup_from_generators(_G, [_G.element((1, 2))]),
+        jsonio.subgroup_to_json,
+        lambda obj: jsonio.subgroup_from_json(_G, obj),
+    ),
+    "cyclo": (root_of_unity(5, 2) * Fraction(-3, 4) + Fraction(1, 3), jsonio.cyclo_to_json, jsonio.cyclo_from_json),
+    "space": (_SPACE, jsonio.space_to_json, jsonio.space_from_json),
+    "poly": (_poly(), jsonio.poly_to_json, jsonio.poly_from_json),
+    "spec": (z2z4_spec(), jsonio.spec_to_json, jsonio.spec_from_json),
+    "product-spec": (ProductNormalFormSpec((cpk_spec(2), cpk_spec(2))), jsonio.spec_to_json, jsonio.spec_from_json),
+    "inv": (inv_cpk(4), jsonio.sequence_to_json, jsonio.inv_from_json),
+    "atw": (atwinv_product([3, 2]), jsonio.sequence_to_json, jsonio.atw_from_json),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_round_trip(name):
+    value, encode, parse = CASES[name]
+    back = parse(encode(value))
+    assert back == value
+    assert encode(back) == encode(value)
+
+
+def test_round_trip_named_specs():
+    for spec in (klein_spec(), cpk_spec(5)):
+        assert jsonio.spec_from_json(jsonio.spec_to_json(spec)) == spec
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_dropping_any_key_is_a_value_error(name):
+    value, encode, parse = CASES[name]
+    obj = encode(value)
+    dropped = 0
+    for path, node in json_nodes(obj):
+        for key in node if isinstance(node, dict) else ():
+            with pytest.raises(ValueError, match="missing key"):
+                parse(json_replace(obj, path, {k: v for k, v in node.items() if k != key}))
+            dropped += 1
+    assert dropped or isinstance(obj, list)
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [[2.9, "3"], [True, 3], [2.0], ["2"], [None], [[2]]],
+)
+def test_integers_are_json_integers(moduli):
+    with pytest.raises(ValueError, match=r"group\.moduli\[0\]: expected int"):
+        jsonio.group_from_json({"moduli": moduli})
+
+
+@pytest.mark.parametrize("entry", ["1.5", "1e3", " 3", "3/0", "3/-4", "+3", "", "\u0663", 1.5, True, None])
+def test_rationals_are_integers_or_p_over_q(entry):
+    with pytest.raises(ValueError, match=r"inv\.entries\[0\]: expected an integer or a \"p/q\" string"):
+        jsonio.inv_from_json({"entries": [entry], "contacts": ["x0"]})
+
+
+def test_rationals_accept_integers_and_p_over_q():
+    seq = jsonio.atw_from_json({"entries": [3, "4/6", "07/02"], "contacts": ["a", "b", "c"]})
+    assert seq.entries == (Fraction(3), Fraction(2, 3), Fraction(7, 2))
+    assert jsonio.gamma_from_json([["-1/2", 0]]) == [[Fraction(-1, 2), Fraction(0)]]
+
+
+def test_error_names_the_first_bad_path():
+    obj = jsonio.poly_to_json(_poly())
+    obj["terms"][1]["coeff"]["coeffs"][0] = []
+    with pytest.raises(ValueError, match=r"^--poly\.terms\[1\]\.coeff\.coeffs\[0\]: expected an integer"):
+        jsonio.poly_from_json(obj, "--poly")
+    obj = jsonio.poly_to_json(_poly())
+    obj["terms"][0]["free"] = [0]
+    with pytest.raises(ValueError, match=r"^poly\.terms\[0\]: expected 2 'w' and 2 'free' exponents"):
+        jsonio.poly_from_json(obj)
+    with pytest.raises(ValueError, match=r"^--action\.weights\.x\[0\]: expected int"):
+        jsonio.action_from_json({"moduli": [2], "weights": {"x": ["1"]}}, "--action")
+    with pytest.raises(ValueError, match=r"^ideal\[0\]: missing key 'order'"):
+        jsonio.ideal_from_json([{"monomial": {"x": 2}}])

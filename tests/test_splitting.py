@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from circforge import (
     DiagonalAction,
     FracPoly,
     NoSplit,
+    Unsupported,
     VarSpace,
     apply_group,
     cpk_spec,
@@ -63,6 +65,27 @@ def test_split_odd_order_obstruction():
     with pytest.raises(NoSplit) as err:
         split_newton(f, "z", powers=2, degree_bound=8)
     assert err.value.degree is not None
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        lambda x, y: [x, 2 * x, 3 * x],
+        lambda x, y: [x, y, x + y],
+        lambda x, y: [x + y, x - y, 2 * x + y],
+        lambda x, y: [x, x + y, y + x * x],
+    ],
+    ids=["x,2x,3x", "x,y,x+y", "x+y,x-y,2x+y", "x,x+y,y+x^2"],
+)
+@pytest.mark.parametrize("divisorial", [False, True], ids=["free", "divisorial"])
+def test_unsolved_edge_is_unsupported_not_nosplit(roots, divisorial):
+    # Each product splits, but its first edge equation is a cubic with interior
+    # terms, which the edge solver cannot decide: not a proof of "no split".
+    sp = VarSpace([("x", 1)], ["y", "z"]) if divisorial else VarSpace([], ["x", "y", "z"])
+    x, y, z = (FracPoly.variable(sp, n) for n in ("x", "y", "z"))
+    f = math.prod(z - r for r in roots(x, y))
+    with pytest.raises(Unsupported, match="edge equation of extent 3"):
+        split_newton(f, "z")
 
 
 def test_split_cp3_exact():
