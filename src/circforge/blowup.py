@@ -345,7 +345,7 @@ def quotient_image(f: FracPoly, basis: HilbertBasis) -> FracPoly:
     gens_desc = sorted(range(len(basis.generators)), key=lambda i: (-sum(basis.generators[i]), basis.generators[i]))
     for key, coeff in f.terms.items():
         vec = [0] * len(basis.variables)
-        for pos, e in enumerate(key):
+        for pos, e in enumerate(f.space.face_key(key)):
             name = f.space.names[pos]
             if e:
                 vec[var_index[name]] = int(e)

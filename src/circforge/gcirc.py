@@ -329,11 +329,12 @@ def normal_form_poly(spec, x_names=None) -> FracPoly:
 
 
 def _require_integer_w(poly: FracPoly, w_names) -> None:
+    space = poly.space
     for key in poly.terms:
         for name in w_names:
-            e = Fraction(key[poly.space._index[name]])
-            if e.denominator != 1:
-                raise NonPolynomial(f"residual fractional exponent {e} on {name}")
+            i = space._index[name]
+            if key[i] % space.bounds[i]:
+                raise NonPolynomial(f"residual fractional exponent {space.face_key(key)[i]} on {name}")
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,27 @@ denominator bound p, exponents in (1/p) * Z>=0) and free variables (integer
 exponents, negative allowed for the Laurent fragments used by chart
 transitions).  Coefficients are exact cyclotomic numbers.
 
-Total degree counts fractional exponents at face value, matching the
-weighted-order bookkeeping used throughout.
+Term keys are tuples of Python ints: position i holds e_i * b_i, the
+exponent e_i scaled by the variable's bound b_i (1 for a free variable), so
+sums and comparisons of exponents are integer operations.  Exponents are
+checked and scaled in at the boundary (`FracPoly(...)`, `monomial`,
+`constant`); `in_space` rescales keys when a union raises a bound.  Face
+values (a `Fraction` on a divisorial position, an `int` on a free one) come
+back out of `VarSpace.face_key`, `sorted_terms`, `str`, and the accessors
+that return exponents or degrees.
+
+Total degree counts exponents at face value, matching the weighted-order
+bookkeeping used throughout.  Internally a term's degree is the integer
+sum of k_i * (L / b_i), L the lcm of the bounds: face degree times L.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+from operator import add, mod, mul
 
 from .abelian import AbelianGroup, GroupElement
 from .cyclotomic import Cyclo, root_of_unity
@@ -21,9 +33,14 @@ from .smith import rank
 
 
 class VarSpace:
-    """Named divisorial variables (with denominator bounds) plus free variables."""
+    """Named divisorial variables (with denominator bounds) plus free variables.
 
-    __slots__ = ("div_names", "div_bounds", "free_names", "_index")
+    `bounds` holds the bound of every position (1 for a free variable),
+    `lcm` their lcm L, `scales` the integer L / b per position (the
+    weights of a scaled key's degree) and `zero_key` the key of 1.
+    """
+
+    __slots__ = ("div_names", "div_bounds", "free_names", "_index", "bounds", "lcm", "scales", "zero_key", "_hash")
 
     def __init__(self, divisorial=(), free=()):
         names = []
@@ -45,6 +62,11 @@ class VarSpace:
         if len(set(all_names)) != len(all_names):
             raise ValueError("variable names must be distinct")
         self._index = {n: i for i, n in enumerate(all_names)}
+        self.bounds = self.div_bounds + (1,) * len(self.free_names)
+        self.lcm = lcm(*self.bounds)
+        self.scales = tuple(self.lcm // b for b in self.bounds)
+        self.zero_key = (0,) * len(all_names)
+        self._hash = hash((self.div_names, self.div_bounds, self.free_names))
 
     @property
     def names(self):
@@ -60,11 +82,17 @@ class VarSpace:
     def is_divisorial(self, name: str) -> bool:
         return name in self.div_names
 
+    def face_key(self, key) -> tuple:
+        """Face-value exponents of a scaled term key: a Fraction on each
+        divisorial position, an int on each free one."""
+        nd = len(self.div_bounds)
+        return tuple(Fraction(k, b) for k, b in zip(key, self.div_bounds)) + tuple(key[nd:])
+
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, VarSpace)
             and self.div_names == other.div_names
             and self.div_bounds == other.div_bounds
@@ -72,7 +100,7 @@ class VarSpace:
         )
 
     def __hash__(self):
-        return hash((self.div_names, self.div_bounds, self.free_names))
+        return self._hash
 
     def __repr__(self):
         div = ", ".join(f"{n}(1/{b})" for n, b in zip(self.div_names, self.div_bounds))
@@ -95,37 +123,61 @@ class VarSpace:
                 free[n] = None
         return VarSpace(div.items(), free)
 
+    def _degree_weights(self, exclude) -> tuple:
+        """Per-position degree weights with the excluded variables at 0."""
+        if not exclude:
+            return self.scales
+        return tuple(0 if n in exclude else s for n, s in zip(self.names, self.scales))
 
-def _check_exponent(space: VarSpace, pos: int, e):
+
+def _check_exponent(space: VarSpace, pos: int, e) -> int:
+    """The scaled key entry e * b of the face-value exponent e at pos.
+
+    A float is refused even when integral: no float decides an exponent."""
+    if isinstance(e, float):
+        raise ValueError(f"float exponent {e!r} on {space.names[pos]}: give an int or a Fraction")
     if pos < space.ndiv:
-        e = Fraction(e)
+        b = space.div_bounds[pos]
+        if type(e) is not int:
+            e = Fraction(e)
         if e < 0:
             raise ValueError(f"negative exponent on divisorial variable {space.names[pos]}")
-        if space.div_bounds[pos] % e.denominator != 0:
-            raise ValueError(
-                f"exponent {e} on {space.names[pos]} has denominator outside 1/{space.div_bounds[pos]}"
-            )
-        return e
-    if isinstance(e, Fraction):
+        if type(e) is int:
+            return e * b
+        if b % e.denominator != 0:
+            raise ValueError(f"exponent {e} on {space.names[pos]} has denominator outside 1/{b}")
+        return e.numerator * (b // e.denominator)
+    if type(e) is not int:
+        e = Fraction(e)
         if e.denominator != 1:
             raise ValueError(f"fractional exponent {e} on free variable {space.names[pos]}")
         e = e.numerator
-    return int(e)
+    return e
+
+
+def _face(space: VarSpace, pos: int, k: int):
+    """Face value of the scaled key entry k at pos."""
+    return Fraction(k, space.bounds[pos]) if pos < space.ndiv else k
 
 
 class FracPoly:
-    """Polynomial with canonical term map {exponent vector: nonzero Cyclo}."""
+    """Polynomial with canonical term map {scaled exponent key: nonzero Cyclo}."""
 
     __slots__ = ("space", "terms")
 
     def __init__(self, space: VarSpace, terms: dict | None = None):
+        """terms maps face-value exponent tuples (in the order of space.names)
+        to coefficients; the keys are checked and scaled."""
         self.space = space
         clean = {}
         if terms:
+            n = len(space.names)
             for key, coeff in terms.items():
                 coeff = coeff if isinstance(coeff, Cyclo) else Cyclo.rational(coeff)
                 if coeff.is_zero():
                     continue
+                if len(key) != n:
+                    raise ValueError(f"exponent tuple of length {len(key)} in a space of {n} variables")
                 key = tuple(_check_exponent(space, i, e) for i, e in enumerate(key))
                 if key in clean:
                     coeff = clean[key] + coeff
@@ -139,20 +191,25 @@ class FracPoly:
 
     @staticmethod
     def _raw(space: VarSpace, terms: dict) -> "FracPoly":
-        # terms already canonical: validated keys, no zero coefficients
+        # terms already canonical: scaled keys, no zero coefficients
         out = object.__new__(FracPoly)
         out.space = space
         out.terms = terms
         return out
 
     @staticmethod
+    def _term(space: VarSpace, key: tuple, coeff) -> "FracPoly":
+        # one term at a scaled key, coefficient coerced, zero dropped
+        coeff = coeff if isinstance(coeff, Cyclo) else Cyclo.rational(coeff)
+        return FracPoly._raw(space, {} if coeff.is_zero() else {key: coeff})
+
+    @staticmethod
     def zero(space: VarSpace) -> "FracPoly":
-        return FracPoly(space, {})
+        return FracPoly._raw(space, {})
 
     @staticmethod
     def constant(space: VarSpace, c) -> "FracPoly":
-        n = len(space.names)
-        return FracPoly(space, {(Fraction(0),) * space.ndiv + (0,) * (n - space.ndiv): c})
+        return FracPoly._term(space, space.zero_key, c)
 
     @staticmethod
     def variable(space: VarSpace, name: str) -> "FracPoly":
@@ -163,11 +220,11 @@ class FracPoly:
         for n in exps:
             if n not in space:
                 raise ValueError(f"variable {n} not in the space")
-        key = []
-        for i, n in enumerate(space.names):
-            e = exps.get(n, 0)
-            key.append(Fraction(e) if i < space.ndiv else e)
-        return FracPoly(space, {tuple(key): coeff})
+        key = list(space.zero_key)
+        for n, e in exps.items():
+            i = space._index[n]
+            key[i] = _check_exponent(space, i, e)
+        return FracPoly._term(space, tuple(key), coeff)
 
     # -- structure ----------------------------------------------------------
 
@@ -175,47 +232,49 @@ class FracPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(self._term_degree(k) == 0 and all(e == 0 for e in k) for k in self.terms)
+        return all(not any(k) for k in self.terms)
 
     def constant_coefficient(self) -> Cyclo:
-        n = len(self.space.names)
-        key = (Fraction(0),) * self.space.ndiv + (0,) * (n - self.space.ndiv)
-        return self.terms.get(key, Cyclo.zero())
+        return self.terms.get(self.space.zero_key, Cyclo.zero())
 
-    def _term_degree(self, key) -> Fraction:
-        return sum(key, Fraction(0))
+    def _term_degree(self, key) -> int:
+        # face degree times space.lcm
+        return sum(map(mul, key, self.space.scales))
 
     def total_degree(self):
         """Maximal face-value term degree (None for the zero polynomial)."""
         if not self.terms:
             return None
-        return max(self._term_degree(k) for k in self.terms)
+        return Fraction(max(map(self._term_degree, self.terms)), self.space.lcm)
 
     def order(self, exclude: frozenset | set = frozenset()):
         """Minimal term degree, optionally ignoring some variables."""
         if not self.terms:
             return None
-        idx = [i for i, n in enumerate(self.space.names) if n not in exclude]
-        return min(sum((k[i] for i in idx), Fraction(0)) for k in self.terms)
+        w = self.space._degree_weights(exclude)
+        return Fraction(min(sum(map(mul, k, w)) for k in self.terms), self.space.lcm)
 
     def degree_in(self, name: str):
         if not self.terms:
             return None
         i = self.space._index[name]
-        return max(k[i] for k in self.terms)
+        return _face(self.space, i, max(k[i] for k in self.terms))
 
     def sorted_terms(self):
-        """Deterministic term order: ascending total degree, then exponents."""
-        return sorted(self.terms.items(), key=lambda kv: (self._term_degree(kv[0]), kv[0]))
+        """Deterministic term order: ascending total degree, then exponents.
+        The keys are face values (see VarSpace.face_key)."""
+        items = sorted(self.terms.items(), key=lambda kv: (self._term_degree(kv[0]), kv[0]))
+        face = self.space.face_key
+        return [(face(k), c) for k, c in items]
 
     def homogeneous_parts(self, exclude: frozenset | set = frozenset()) -> dict:
         """Split into {degree: part}, degree over variables not excluded."""
-        idx = [i for i, n in enumerate(self.space.names) if n not in exclude]
+        w = self.space._degree_weights(exclude)
         parts: dict = {}
         for key, coeff in self.terms.items():
-            d = sum((key[i] for i in idx), Fraction(0))
-            parts.setdefault(d, {})[key] = coeff
-        return {d: FracPoly(self.space, t) for d, t in sorted(parts.items())}
+            parts.setdefault(sum(map(mul, key, w)), {})[key] = coeff
+        L = self.space.lcm
+        return {Fraction(d, L): FracPoly._raw(self.space, t) for d, t in sorted(parts.items())}
 
     def coefficients_in(self, name: str) -> dict:
         """{exponent of name: coefficient polynomial without name}.
@@ -225,37 +284,49 @@ class FracPoly:
         if name not in self.space:
             raise ValueError(f"variable {name} not in the space")
         i = self.space._index[name]
+        b = self.space.bounds[i]
         out: dict = {}
         for key, coeff in self.terms.items():
-            e = key[i]
-            if Fraction(e).denominator != 1:
+            e, r = divmod(key[i], b)
+            if r:
                 raise ValueError(f"non-integer exponent on {name}")
-            newkey = list(key)
-            newkey[i] = Fraction(0) if i < self.space.ndiv else 0
-            k2 = tuple(newkey)
-            bucket = out.setdefault(int(e), {})
-            cur = bucket.get(k2)
-            bucket[k2] = coeff if cur is None else cur + coeff
-        return {e: FracPoly(self.space, t) for e, t in out.items()}
+            out.setdefault(e, {})[key[:i] + (0,) + key[i + 1:]] = coeff
+        return {e: FracPoly._raw(self.space, t) for e, t in out.items()}
 
     # -- space handling -----------------------------------------------------
 
     def in_space(self, space: VarSpace) -> "FracPoly":
-        """Re-express in a larger (or reordered) space containing all variables."""
+        """Re-express in a larger (or reordered) space containing all variables.
+
+        A key entry moves to its variable's position in space and is rescaled
+        to that position's bound; an exponent the target bound cannot hold
+        is a ValueError.
+        """
         if space == self.space:
             return self
-        pos = []
-        for n in self.space.names:
+        src = self.space
+        pos, mults, checks = [], [], []
+        for i, n in enumerate(src.names):
             if n not in space:
                 raise ValueError(f"target space is missing variable {n}")
-            pos.append(space._index[n])
-        n_all = len(space.names)
+            p = space._index[n]
+            nb, ob = space.bounds[p], src.bounds[i]
+            pos.append(p)
+            if nb % ob:  # a divisorial variable made free, or a bound not a multiple
+                mults.append(nb)
+                checks.append((p, ob, n))
+            else:
+                mults.append(nb // ob)
         terms = {}
-        zero_key = [Fraction(0)] * space.ndiv + [0] * (n_all - space.ndiv)
         for key, coeff in self.terms.items():
-            new = list(zero_key)
-            for p, e in zip(pos, key):
-                new[p] = Fraction(e) if p < space.ndiv else int(e)
+            new = list(space.zero_key)
+            for p, m, e in zip(pos, mults, key):
+                new[p] = e * m
+            for p, ob, n in checks:
+                q, r = divmod(new[p], ob)
+                if r:
+                    raise ValueError(f"exponent {Fraction(new[p], ob * space.bounds[p])} on {n} is not legal in the target space")
+                new[p] = q
             terms[tuple(new)] = coeff
         return FracPoly._raw(space, terms)
 
@@ -305,7 +376,7 @@ class FracPoly:
         terms: dict = {}
         for k1, c1 in a.terms.items():
             for k2, c2 in b.terms.items():
-                key = tuple(x + y for x, y in zip(k1, k2))
+                key = tuple(map(add, k1, k2))
                 c = c1 * c2
                 cur = terms.get(key)
                 s = c if cur is None else cur + c
@@ -378,12 +449,14 @@ class FracPoly:
                 raise ValueError(f"substituted variable {name} not in the space")
             images[name] = val if isinstance(val, FracPoly) else FracPoly.constant(space, val)
         out = FracPoly.zero(space)
+        names = self.space.names
         for key, coeff in self.terms.items():
             term = FracPoly.constant(space, coeff)
-            for i, e in enumerate(key):
-                if e == 0:
+            for i, k in enumerate(key):
+                if k == 0:
                     continue
-                name = self.space.names[i]
+                name = names[i]
+                e = _face(self.space, i, k)
                 if name in images:
                     term = term * _poly_power(images[name].in_space(space), e)
                 else:
@@ -430,6 +503,10 @@ class FracPoly:
 
 
 def _poly_power(p: FracPoly, e) -> FracPoly:
+    """p ** e for a face-value exponent e: any power of a polynomial when e
+    is a nonnegative integer, else a legal power of a one-term monomial."""
+    if type(e) is int and e >= 0:
+        return p ** e
     e = Fraction(e)
     if e.denominator == 1 and e >= 0:
         return p ** int(e)
@@ -438,11 +515,9 @@ def _poly_power(p: FracPoly, e) -> FracPoly:
     (key, coeff), = p.terms.items()
     if e.denominator != 1 and coeff != Cyclo.one():
         raise ValueError(f"fractional power {e} of a monomial with coefficient {coeff}")
-    new = []
-    for i, ke in enumerate(key):
-        new.append(_check_exponent(p.space, i, Fraction(ke) * e))
+    new = tuple(_check_exponent(p.space, i, _face(p.space, i, k) * e) for i, k in enumerate(key))
     c = coeff ** int(e) if e.denominator == 1 else Cyclo.one()
-    return FracPoly(p.space, {tuple(new): c})
+    return FracPoly._raw(p.space, {new: c})
 
 
 # -- named operations --------------------------------------------------------
@@ -455,8 +530,9 @@ def substitute_power(f: FracPoly, name: str, p: int, new_name: str | None = None
     if not f.space.is_divisorial(name):
         raise ValueError(f"{name} is not a divisorial variable")
     i = f.space._index[name]
+    b = f.space.bounds[i]
     for key in f.terms:
-        if (Fraction(key[i]) * p).denominator != 1:
+        if key[i] * p % b:
             raise ValueError(f"power {p} does not clear the denominators of {name}")
     if new_name is None:
         new_name = "v" + name[1:] if name.startswith("w") else f"v_{name}"
@@ -471,15 +547,11 @@ def strict_transform(f: FracPoly, name: str) -> tuple[FracPoly, Fraction]:
     if f.is_zero():
         raise ValueError("strict transform of the zero polynomial")
     i = f.space._index[name]
-    mult = min(Fraction(key[i]) for key in f.terms)
-    if mult == 0:
+    m = min(key[i] for key in f.terms)
+    if m == 0:
         return f, Fraction(0)
-    terms = {}
-    for key, coeff in f.terms.items():
-        new = list(key)
-        new[i] = key[i] - mult if i < f.space.ndiv else int(key[i] - mult)
-        terms[tuple(new)] = coeff
-    return FracPoly._raw(f.space, terms), mult
+    terms = {key[:i] + (key[i] - m,) + key[i + 1:]: coeff for key, coeff in f.terms.items()}
+    return FracPoly._raw(f.space, terms), Fraction(m, f.space.bounds[i])
 
 
 def linear_part(f: FracPoly) -> dict:
@@ -487,9 +559,10 @@ def linear_part(f: FracPoly) -> dict:
     one, keyed by variable name (a Laurent term such as x*y/z, of degree
     one by face value, is not linear)."""
     out = {}
+    bounds = f.space.bounds
     for key, c in f.terms.items():
         hit = [pos for pos, e in enumerate(key) if e != 0]
-        if len(hit) == 1 and key[hit[0]] == 1:
+        if len(hit) == 1 and key[hit[0]] == bounds[hit[0]]:
             out[f.space.names[hit[0]]] = c
     return out
 
@@ -503,10 +576,12 @@ def linear_rank(linear_parts, names) -> int:
 
 def truncate(f: FracPoly, d, exclude: frozenset | set = frozenset()) -> FracPoly:
     """Drop terms of total degree > d (face-value degrees; exclude is ignored in the count)."""
-    if Fraction(d) < 0:
+    d = Fraction(d)
+    if d < 0:
         raise ValueError("degree bound must be >= 0")
-    idx = [i for i, n in enumerate(f.space.names) if n not in exclude]
-    terms = {k: c for k, c in f.terms.items() if sum((k[i] for i in idx), Fraction(0)) <= d}
+    limit = d.numerator * f.space.lcm // d.denominator  # scaled degrees are integers
+    w = f.space._degree_weights(exclude)
+    terms = {k: c for k, c in f.terms.items() if sum(map(mul, k, w)) <= limit}
     return FracPoly._raw(f.space, terms)
 
 
@@ -595,6 +670,7 @@ class DiagonalAction:
 
     group: AbelianGroup
     weights: dict
+    _by_space: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, w in self.weights.items():
@@ -602,27 +678,54 @@ class DiagonalAction:
                 raise ValueError(f"weight vector for {name} has wrong length")
         object.__setattr__(self, "weights", {n: tuple(int(x) for x in w) for n, w in self.weights.items()})
 
-    def term_weight(self, space: VarSpace, key, i: int) -> Fraction:
-        """Phase exponent of a term under generator i (a fraction of full turns
-        over p_i)."""
-        total = Fraction(0)
-        for pos, e in enumerate(key):
-            if e == 0:
-                continue
-            name = space.names[pos]
-            if name not in self.weights:
-                raise ValueError(f"variable {name} not covered by the action")
-            total += Fraction(e) * self.weights[name][i]
-        return total
+    def _space_data(self, space: VarSpace) -> tuple:
+        """For space: per generator i, the weight of each position times
+        L / b (L = space.lcm), so that a scaled key's dot product with it is
+        the term weight times L; the positions of variables the action does
+        not cover; and the moduli p_i * L."""
+        data = self._by_space.get(space)
+        if data is None:
+            names, scales = space.names, space.scales
+            cols = tuple(
+                tuple(self.weights[n][i] * s if n in self.weights else 0 for n, s in zip(names, scales))
+                for i in range(self.group.rank)
+            )
+            uncovered = tuple(pos for pos, n in enumerate(names) if n not in self.weights)
+            data = self._by_space[space] = (cols, uncovered, tuple(p * space.lcm for p in self.group.moduli))
+        return data
+
+    def _numerators(self, space: VarSpace, key) -> list:
+        """Per generator, the term weight of key times space.lcm."""
+        cols, uncovered, _mods = self._space_data(space)
+        for pos in uncovered:
+            if key[pos]:
+                raise ValueError(f"variable {space.names[pos]} not covered by the action")
+        return [sum(map(mul, key, col)) for col in cols]
+
+    def term_weight(self, space: VarSpace, key, i: int):
+        """Phase exponent of a term (a scaled key of space) under generator
+        i, in full turns over p_i: an int when integral, else a Fraction."""
+        t = self._numerators(space, key)[i]
+        L = space.lcm
+        return t // L if t % L == 0 else Fraction(t, L)
 
     def phase(self, space: VarSpace, key, g: GroupElement) -> Cyclo:
-        out = Cyclo.one()
-        for i, (gi, p) in enumerate(zip(g.residues, self.group.moduli)):
-            if gi == 0:
-                continue
-            w = self.term_weight(space, key, i) * gi
-            out = out * root_of_unity(p * w.denominator, w.numerator)
-        return out
+        """Character value at g of a term (a scaled key of space)."""
+        mods = self._space_data(space)[2]
+        return _phase(self.group.moduli, g.residues, tuple(map(mod, self._numerators(space, key), mods)), space.lcm)
+
+
+@lru_cache(maxsize=4096)
+def _phase(moduli: tuple, residues: tuple, numerators: tuple, den: int) -> Cyclo:
+    """The product over generators of e_{p_i}^(g_i * t_i / den).  Reducing
+    t_i mod p_i * den leaves the value and the order of every factor."""
+    out = Cyclo.one()
+    for gi, p, t in zip(residues, moduli, numerators):
+        if gi == 0:
+            continue
+        w = Fraction(t * gi, den)
+        out = out * root_of_unity(p * w.denominator, w.numerator)
+    return out
 
 
 def apply_group(f: FracPoly, action: DiagonalAction, g: GroupElement) -> FracPoly:
@@ -643,12 +746,13 @@ def semi_invariant_split(f: FracPoly, action: DiagonalAction, i: int) -> list[Fr
     """Decompose f = sum of p_i parts, part m scaled by e_{p_i}^m under
     generator i.  Terms with fractional phase are rejected."""
     p = action.group.moduli[i]
+    L = f.space.lcm
     buckets: list[dict] = [dict() for _ in range(p)]
     for key, coeff in f.terms.items():
-        w = action.term_weight(f.space, key, i)
-        if w.denominator != 1:
-            raise ValueError(f"term with fractional weight {w} cannot be bucketed mod {p}")
-        buckets[w.numerator % p][key] = coeff
+        t = action._numerators(f.space, key)[i]
+        if t % L:
+            raise ValueError(f"term with fractional weight {Fraction(t, L)} cannot be bucketed mod {p}")
+        buckets[t // L % p][key] = coeff
     return [FracPoly._raw(f.space, b) for b in buckets]
 
 
@@ -666,14 +770,16 @@ def semi_invariant_weight(f: FracPoly, action: DiagonalAction):
     """Weight vector (per generator) if f is semi-invariant, else None."""
     if f.is_zero():
         return (0,) * action.group.rank
+    L = f.space.lcm
+    nums = [action._numerators(f.space, key) for key in f.terms]
     out = []
     for i, p in enumerate(action.group.moduli):
         ws = set()
-        for key in f.terms:
-            w = action.term_weight(f.space, key, i)
-            if w.denominator != 1:
+        for t in nums:
+            w, r = divmod(t[i], L)
+            if r:
                 return None
-            ws.add(w.numerator % p)
+            ws.add(w % p)
         if len(ws) > 1:
             return None
         out.append(ws.pop())

@@ -291,7 +291,7 @@ def _monomial_root_candidates(terms: dict, delta: int, space: VarSpace):
     aux = "$T"
     space0 = ratio.space.union(*(f.space for f in terms.values()))
     tspace = space0.union(VarSpace((), (aux,)))
-    for key in _divisors_of_degree(rkey, delta, ratio.space):
+    for key in _divisors_of_degree(ratio.space.face_key(rkey), delta, ratio.space):
         mono = FracPoly(ratio.space, {key: Cyclo.one()})
         cand = FracPoly.monomial(tspace, {aux: 1}) * mono.in_space(tspace)
         val = FracPoly.zero(tspace)
@@ -482,7 +482,7 @@ def _strip_monomial_content(p: dict):
                 mins = [min(a, b) for a, b in zip(mins, key)]
     if mins is None or all(e == 0 for e in mins):
         return p
-    mono = FracPoly(space, {tuple(mins): 1})
+    mono = FracPoly._raw(space, {tuple(mins): Cyclo.one()})
     out = {}
     for m, f in p.items():
         q = divide_exact(f, mono)
@@ -526,7 +526,7 @@ def _form_nth_root(f: FracPoly, n: int):
     if f.is_zero():
         return f
     lead_key = max(f.terms)
-    lead = FracPoly(f.space, {lead_key: f.terms[lead_key]})
+    lead = FracPoly._raw(f.space, {lead_key: f.terms[lead_key]})
     g0 = _monomial_nth_root(lead, n)
     if g0 is None:
         return None
@@ -537,7 +537,7 @@ def _form_nth_root(f: FracPoly, n: int):
         if r.is_zero():
             return g
         rkey = max(r.terms)
-        corr = divide_exact(FracPoly(r.space, {rkey: r.terms[rkey]}), denom)
+        corr = divide_exact(FracPoly._raw(r.space, {rkey: r.terms[rkey]}), denom)
         if corr is None or corr.total_degree() != g0.total_degree():
             return None
         g = g + corr
@@ -546,18 +546,13 @@ def _form_nth_root(f: FracPoly, n: int):
 
 def _monomial_nth_root(mono: FracPoly, n: int):
     (key, coeff), = mono.terms.items()
-    new = []
-    for i, e in enumerate(key):
-        q = Fraction(e, n)
-        if i >= mono.space.ndiv and q.denominator != 1:
-            return None
-        if i < mono.space.ndiv and mono.space.div_bounds[i] % q.denominator != 0:
-            return None
-        new.append(q if i < mono.space.ndiv else int(q))
+    # e/n is a legal exponent exactly when the scaled entry e*b is divisible by n
+    if any(k % n for k in key):
+        return None
     c = cyclo_nth_root(coeff, n)
     if c is None:
         return None
-    return FracPoly(mono.space, {tuple(new): c})
+    return FracPoly._raw(mono.space, {tuple(k // n for k in key): c})
 
 
 def _deflate(g: FracPoly, b: FracPoly, state: _SearchState) -> FracPoly:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -189,6 +190,25 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3,4/3,1,3/2"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # `circforge ... | head -1` with the reader gone before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "circforge.cli", "--format", "json", "resinv", "recursion", "--cpk", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=CHILD_ENV,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
 def test_stdin_payload(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -353,3 +354,147 @@ def test_linear_part():
     assert linear_part(f) == {"x": Cyclo.rational(3), "w": Cyclo.one()}
     # a Laurent term of face-value degree one is not linear
     assert linear_part(FracPoly.monomial(sp, {"x": 1, "y": 1, "z": -1}) + z) == {"z": Cyclo.one()}
+
+
+def test_float_exponents_are_refused():
+    sp = VarSpace([("w", 2)], ["x"])
+    # a float used to be truncated: x^1.5 printed as x, {(0, 2.7): 1} as x^2
+    with pytest.raises(ValueError):
+        FracPoly.monomial(sp, {"x": 1.5})
+    with pytest.raises(ValueError):
+        FracPoly(sp, {(0, 2.7): 1})
+    # refused even when integral or exactly representable
+    for exps in ({"x": 2.0}, {"w": 0.5}, {"w": 1.0}):
+        with pytest.raises(ValueError):
+            FracPoly.monomial(sp, exps)
+    # any non-integral exponent on a free variable
+    for e in (Fraction(3, 2), "1/2"):
+        with pytest.raises(ValueError):
+            FracPoly.monomial(sp, {"x": e})
+    assert FracPoly.monomial(sp, {"x": Fraction(4, 2)}) == FracPoly.variable(sp, "x") ** 2
+
+
+def _golden_polys():
+    a = VarSpace([("w", 2)], ["x", "y"])
+    b = VarSpace([("w", 3)], ["x", "z"])
+    e3 = root_of_unity(3)
+    # w has bound 2 in one factor and 3 in the other: the product has bound 6
+    f = (FracPoly.monomial(a, {"w": Fraction(1, 2), "x": 1}) + FracPoly.variable(a, "y").scale(Fraction(-2, 3))) * (
+        FracPoly.monomial(b, {"w": Fraction(1, 3), "z": -1}, e3) - FracPoly.monomial(b, {"x": 2, "z": -2}) + 5
+    )
+    h = FracPoly.monomial(a, {"w": Fraction(1, 2), "x": 1}) * 2 + FracPoly.monomial(b, {"w": Fraction(4, 3), "z": -1})
+    return f, h
+
+
+def test_golden_output_bytes():
+    from circforge import jsonio
+
+    f, h = _golden_polys()
+    st, mult = strict_transform(h, "w")
+    space = '"space": {"divisorial": [{"bound": 6, "name": "w"}], "free": ["x", "y", "z"]}'
+    assert str(f) == (
+        "(-2/3*E3)*w^(1/3)*y*z^-1 + (E3)*w^(5/6)*x*z^-1 - 10/3*y + 2/3*x^2*y*z^-2 + 5*w^(1/2)*x - w^(1/2)*x^3*z^-2"
+    )
+    assert json.dumps(jsonio.poly_to_json(f), sort_keys=True) == (
+        "{" + space + ', "terms": ['
+        '{"coeff": {"coeffs": ["0", "-2/3", "0"], "order": 3}, "free": [0, 1, -1], "w": ["1/3"]}, '
+        '{"coeff": {"coeffs": ["0", "1", "0"], "order": 3}, "free": [1, 0, -1], "w": ["5/6"]}, '
+        '{"coeff": {"coeffs": ["-10/3"], "order": 1}, "free": [0, 1, 0], "w": ["0"]}, '
+        '{"coeff": {"coeffs": ["2/3"], "order": 1}, "free": [2, 1, -2], "w": ["0"]}, '
+        '{"coeff": {"coeffs": ["5"], "order": 1}, "free": [1, 0, 0], "w": ["1/2"]}, '
+        '{"coeff": {"coeffs": ["-1"], "order": 1}, "free": [3, 0, -2], "w": ["1/2"]}]}'
+    )
+    # face values: a Fraction on the divisorial position, ints on the free ones
+    assert repr([(k, str(c)) for k, c in f.sorted_terms()]) == (
+        "[((Fraction(1, 3), 0, 1, -1), '-2/3*E3'), ((Fraction(5, 6), 1, 0, -1), 'E3'), "
+        "((Fraction(0, 1), 0, 1, 0), '-10/3'), ((Fraction(0, 1), 2, 1, -2), '2/3'), "
+        "((Fraction(1, 2), 1, 0, 0), '5'), ((Fraction(1, 2), 3, 0, -2), '-1')]"
+    )
+    assert repr(mult) == "Fraction(1, 2)"
+    assert str(st) == "w^(5/6)*z^-1 + 2*x"
+    assert json.dumps(jsonio.poly_to_json(st), sort_keys=True) == (
+        "{" + space + ', "terms": ['
+        '{"coeff": {"coeffs": ["1"], "order": 1}, "free": [0, 0, -1], "w": ["5/6"]}, '
+        '{"coeff": {"coeffs": ["2"], "order": 1}, "free": [1, 0, 0], "w": ["0"]}]}'
+    )
+    assert repr([(k, str(c)) for k, c in st.sorted_terms()]) == (
+        "[((Fraction(5, 6), 0, 0, -1), '1'), ((Fraction(0, 1), 1, 0, 0), '2')]"
+    )
+    assert repr((h.total_degree(), h.order(), f.degree_in("w"), f.degree_in("z"))) == (
+        "(Fraction(3, 2), Fraction(1, 3), Fraction(5, 6), 0)"
+    )
+    assert repr(list(f.homogeneous_parts())) == "[Fraction(1, 3), Fraction(5, 6), Fraction(1, 1), Fraction(3, 2)]"
+    assert sorted(f.coefficients_in("x")) == [0, 1, 2, 3]
+
+
+# -- ring axioms over mixed spaces ---------------------------------------------------
+
+
+@st.composite
+def _polys(draw):
+    """A polynomial over its own small space: divisorial w and v with bounds
+    1-6 (so a union with another draw can raise an lcm bound and rescale
+    keys), free x with exponents 0-2 and free y with exponents -2..2."""
+    div = [(n, draw(st.integers(1, 6))) for n in ("w", "v") if draw(st.booleans())]
+    free = [n for n in ("x", "y") if draw(st.booleans())]
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        key = [Fraction(draw(st.integers(0, 2 * b)), b) for _n, b in div]
+        key += [draw(st.integers(0, 2) if n == "x" else st.integers(-2, 2)) for n in free]
+        q = draw(st.fractions(-3, 3, max_denominator=3))
+        terms[tuple(key)] = Cyclo.rational(q) * root_of_unity(draw(st.sampled_from([1, 3, 4])), draw(st.integers(0, 3)))
+    return FracPoly(VarSpace(div, free), terms)
+
+
+def _faces(f):
+    """{frozenset of (name, nonzero face-value exponent): coefficient}: a
+    term map that does not depend on the space or on the key layout."""
+    return {frozenset((n, e) for n, e in zip(f.space.names, key) if e): c for key, c in f.sorted_terms()}
+
+
+def _face_sum(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, Cyclo.zero()) + c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def _face_product(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            exps = dict(ka)
+            for n, e in kb:
+                exps[n] = exps.get(n, 0) + e
+            key = frozenset((n, e) for n, e in exps.items() if e)
+            out[key] = out.get(key, Cyclo.zero()) + ca * cb
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(), _polys(), _polys())
+def test_ring_axioms_across_spaces(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + FracPoly.zero(b.space) == a and a * FracPoly.constant(c.space, 1) == a
+    assert (a - a).is_zero() and a - a == 0
+    # against a face-value oracle, which never sees a scaled key
+    assert _faces(a + b) == _face_sum(_faces(a), _faces(b))
+    assert _faces(a * b) == _face_product(_faces(a), _faces(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys(), _polys(), _polys())
+def test_substitute_is_a_ring_homomorphism(a, b, g):
+    # x -> g, and w -> u^60, which clears every bound 1-6
+    images = {"x": g, "w": FracPoly.monomial(VarSpace([], ["u"]), {"u": 60})}
+
+    def sub(f):
+        return f.substitute({n: p for n, p in images.items() if n in f.space})
+
+    assert sub(a * b) == sub(a) * sub(b)
+    assert sub(a + b) == sub(a) + sub(b)
+    assert sub(a - b) == sub(a) - sub(b)
+    assert sub(FracPoly.constant(a.space, 1)) == 1
