@@ -50,6 +50,7 @@ from .gcirc import (
 )
 from .polyring import FracPoly, VarSpace, strict_transform, substitute_power, truncate
 from .quotient_nc import (
+    DegenerateInput,
     InvariantNCInput,
     SplitsInvariantly,
     adapted_coordinates,
@@ -681,7 +682,8 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        DomainError, NonPolynomial, NoSplit, Ambiguous, Unsupported, SplitsInvariantly, ValueError, ZeroDivisionError
+        DomainError, NonPolynomial, NoSplit, Ambiguous, Unsupported, SplitsInvariantly, DegenerateInput,
+        ValueError, ZeroDivisionError,
     ) as exc:
         return _fail(args, str(exc))
 

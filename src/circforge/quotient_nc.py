@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .abelian import GroupElement, Subgroup, subgroup_from_generators
+from .abelian import GroupElement, Subgroup
 from .cyclotomic import Cyclo, root_of_unity
 from .polyring import (
     DiagonalAction,
@@ -252,25 +252,38 @@ def _match_scalar(a: FracPoly, b: FracPoly):
 
 
 def _factor_permutation(factors, action: DiagonalAction, g: GroupElement):
-    """Permutation sigma and scalars with g . f_j = c_j f_{sigma(j)}, or None."""
+    """The index map sigma with g . f_j proportional to f_{sigma(j)}, or None
+    when g does not permute the factor ideals."""
     out = []
     for f in factors:
         moved = apply_group(f, action, g)
-        hit = None
-        for idx, other in enumerate(factors):
-            c = _match_scalar(moved, other)
-            if c is not None:
-                hit = (idx, c)
-                break
-        if hit is None:
+        idx = next((i for i, other in enumerate(factors) if _match_scalar(moved, other) is not None), None)
+        if idx is None:
             return None
-        out.append(hit)
-    if sorted(idx for idx, _c in out) != list(range(len(factors))):
+        out.append(idx)
+    if sorted(out) != list(range(len(factors))):
         return None
     return out
 
 
 def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
+    """Nested circulant normal form of an invariant normal-crossings system.
+
+    Certified:
+    - each group generator permutes the factor ideals, by matching every
+      translate g_i . f_j against the factors up to a scalar (match_scalar);
+      the index maps of all other elements are compositions of these along
+      the element's residues, so G permutes the factor ideals;
+    - each recombined factor equals its group translate of f_1 exactly, and
+      that translate is a scalar multiple of the factor the index maps send
+      f_1 to; these rows meet every input factor once, which proves
+      prod(factors) = scalar * prod(inputs);
+    - the coefficient matrix is invertible and the nested pieces have
+      independent linear parts.
+
+    Raises SplitsInvariantly when G does not act transitively on the factor
+    ideals, and ValueError when a generator does not permute them.
+    """
     action = data.action
     group = action.group
     factors = list(data.factors)
@@ -280,33 +293,46 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     if linear_rank([linear_part(f) for f in factors], space.names) != k:
         raise DegenerateInput("factor linear parts are not independent")
 
+    # powers[i][r]: the index map of r times generator i
+    identity = list(range(k))
+    powers = []
+    for i, p in enumerate(group.moduli):
+        table = [identity]
+        if p > 1:
+            sigma = _factor_permutation(factors, action, group.generator(i))
+            if sigma is None:
+                raise ValueError("the group does not permute the factor ideals; product is not invariant")
+            for _ in range(p - 1):
+                table.append([sigma[j] for j in table[-1]])
+        powers.append(table)
     perms = {}
     for el in group.elements():
-        res = _factor_permutation(factors, action, el)
-        if res is None:
-            raise ValueError("the group does not permute the factor ideals; product is not invariant")
-        perms[el] = res
+        perm = identity
+        for table, r in zip(powers, el.residues):
+            if r:
+                perm = [table[r][j] for j in perm]
+        perms[el] = perm
 
-    orbit0 = sorted({idx for el in group.elements() for idx, _c in [perms[el][0]]})
+    orbit0 = {perm[0] for perm in perms.values()}
     if len(orbit0) != k:
         partition = []
         seen = set()
         for j in range(k):
             if j in seen:
                 continue
-            orb = sorted({perms[el][j][0] for el in group.elements()})
+            orb = sorted({perm[j] for perm in perms.values()})
             seen.update(orb)
             partition.append(tuple(orb))
         raise SplitsInvariantly(tuple(partition))
 
-    stab = Subgroup(group, [el for el in group.elements() if perms[el][0][0] == 0])
+    stab = Subgroup(group, [el for el, perm in perms.items() if perm[0] == 0])
 
     f1 = factors[0]
     chain = []
     chain_gens = []
     parts = {(): f1}
     gamma: dict = {}
-    h_cur = stab
+    h_cur = set(stab.elements)  # the subgroup generated by stab and the generators so far
     for i in range(group.rank):
         p = group.moduli[i]
         gen = group.generator(i)
@@ -331,7 +357,7 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
             parts = new_parts
             chain.append(q)
             chain_gens.append(i)
-        h_cur = subgroup_from_generators(group, list(h_cur.elements) + [gen])
+        h_cur = {h + gen.scale(j) for h in h_cur for j in range(q)}
 
     if len(parts) != k:
         raise DegenerateInput(f"nested pieces number {len(parts)}, expected {k}")
@@ -357,10 +383,9 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
             comb = comb + parts[lvec].in_space(space).scale(entry)
         recombined.append(comb)
 
-    # each recombined factor must be the corresponding group translate of f1;
-    # through the factor permutations this matches the recombined system
-    # bijectively with the input system, which certifies the product identity
-    # prod(recombined) = scalar * prod(inputs) exactly
+    # each recombined factor must be the corresponding group translate of f1,
+    # a scalar multiple of the factor the index maps send f1 to; meeting
+    # every input factor once certifies prod(recombined) = scalar * prod(inputs)
     f1_aligned = f1.in_space(space)
     hit = []
     scalar = Cyclo.one()
@@ -368,9 +393,13 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
         el = group.identity
         for t in range(s):
             el = el + group.generator(chain_gens[t]).scale(mvec[t])
-        if comb != apply_group(f1_aligned, action, el):
+        translate = apply_group(f1_aligned, action, el)
+        if comb != translate:
             raise AssertionError("recombined factor differs from the group translate")
-        idx, c = perms[el][0]
+        idx = perms[el][0]
+        c = _match_scalar(translate, factors[idx])
+        if c is None:
+            raise AssertionError("group translate is not a multiple of its matched factor")
         hit.append(idx)
         scalar = scalar * c
     if sorted(hit) != list(range(k)):

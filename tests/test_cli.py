@@ -2,15 +2,19 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from circforge import jsonio
+from circforge import AbelianGroup, DiagonalAction, FracPoly, VarSpace, apply_group, jsonio, root_of_unity
 from circforge.cli import COMMANDS, run
 
 from conftest import CHILD_ENV, json_nodes, json_replace
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _capture(capsys, argv):
@@ -63,6 +67,13 @@ def test_usage_error_exit_code():
 
 # z^2 over the free variables z, x
 _Z2 = '{"space":{"divisorial":[],"free":["z","x"]},"terms":[{"w":[],"free":[2,0],"coeff":{"order":1,"coeffs":["1"]}}]}'
+# the sign action on a, b, and the polynomials 0, a, b and a + b over a, b
+_AB_SIGN = '{"moduli":[2],"weights":{"a":[0],"b":[1]}}'
+_AB_TERM = '{"w":[],"free":[%s],"coeff":{"order":1,"coeffs":["1"]}}'
+_AB_ZERO, _AB_A, _AB_B, _AB_SUM = (
+    '{"space":{"divisorial":[],"free":["a","b"]},"terms":[%s]}' % terms
+    for terms in ("", _AB_TERM % "1,0", _AB_TERM % "0,1", _AB_TERM % "1,0" + "," + _AB_TERM % "0,1")
+)
 
 
 @pytest.mark.parametrize(
@@ -96,6 +107,9 @@ _Z2 = '{"space":{"divisorial":[],"free":["z","x"]},"terms":[{"w":[],"free":[2,0]
         ["blowup", "transition", "--params", "x,y", "--weights", "1,1", "--i", "0", "--j", "5"],
         ["gcirc", "det", "--cpk"],
         ["abelian", "perp", "--group", "2,4", "--k", "0"],
+        ["ncquot", "normalize", "--action", _AB_SIGN, "--factors", f"[{_AB_ZERO}]"],
+        ["ncquot", "normalize", "--action", _AB_SIGN, "--factors", f"[{_AB_SUM},{_AB_SUM}]"],
+        ["ncquot", "adapt", "--action", _AB_SIGN, "--divisors", f"[{_AB_B},{_AB_B}]", "--stratum", f"[{_AB_A}]"],
     ],
     ids=[
         "det-cpk-noncyclic",
@@ -126,6 +140,9 @@ _Z2 = '{"space":{"divisorial":[],"free":["z","x"]},"terms":[{"w":[],"free":[2,0]
         "transition-chart-out-of-range",
         "det-cpk-no-group",
         "perp-k-zero",
+        "normalize-zero-factor",
+        "normalize-dependent-factors",
+        "adapt-dependent-divisors",
     ],
 )
 def test_domain_error_exit_code(capsys, argv):
@@ -171,14 +188,53 @@ def test_hilbert_and_relations_commands(capsys):
 
 def test_ncquot_normalize_command(capsys):
     action = json.dumps({"moduli": [2], "weights": {"y0": [0], "y1": [1]}})
-    from circforge import FracPoly, VarSpace
-
     sp = VarSpace([], ["y0", "y1"])
     y0, y1 = FracPoly.variable(sp, "y0"), FracPoly.variable(sp, "y1")
     factors = json.dumps([jsonio.poly_to_json(y0 + y1), jsonio.poly_to_json(y0 - y1)])
     code, out = _capture(capsys, ["ncquot", "normalize", "--action", action, "--factors", factors])
     assert code == 0
     assert "chain of cyclic quotients: [2]" in out
+
+
+def _klein_orbit():
+    """The orbit of a + b + c + d under Z2 x Z2 acting by signs (demo 08)."""
+    weights = {"a": [0, 0], "b": [1, 0], "c": [0, 1], "d": [1, 1]}
+    sp = VarSpace([], list(weights))
+    action = DiagonalAction(AbelianGroup((2, 2)), weights)
+    f1 = sum((FracPoly.variable(sp, n) for n in "bcd"), FracPoly.variable(sp, "a"))
+    return {"moduli": [2, 2], "weights": weights}, [apply_group(f1, action, el) for el in action.group.elements()]
+
+
+def _z2z4_rescaled_orbit():
+    """An orbit of four factors under Z2 x Z4 with stabilizer {(0,0), (0,2)},
+    each factor rescaled (by rationals and roots of unity) and shuffled, so
+    the product scalar is a root of unity times a rational."""
+    weights = {"x": [0, 0], "y": [1, 0], "u": [0, 2], "v": [1, 2]}
+    sp = VarSpace([], list(weights))
+    action = DiagonalAction(AbelianGroup((2, 4)), weights)
+    x, y, u, v = (FracPoly.variable(sp, n) for n in weights)
+    f1 = x + y.scale(2) - u + v + x * u
+    reps = []
+    for el in action.group.elements():
+        moved = apply_group(f1, action, el)
+        if not any(moved == r or moved == r.scale(-1) for r in reps):
+            reps.append(moved)
+    scales = [Fraction(-3, 2), root_of_unity(4, 1), Fraction(5), root_of_unity(8, 3) * 2]
+    orbit = [r.scale(s) for r, s in zip(reps, scales)]
+    return {"moduli": [2, 4], "weights": weights}, [orbit[2], orbit[0], orbit[3], orbit[1]]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name, instance", [("klein", _klein_orbit), ("z2z4_rescaled", _z2z4_rescaled_orbit)])
+def test_ncquot_normalize_golden_bytes(capsys, fmt, name, instance):
+    # recorded before the factor permutation was composed from the generators;
+    # the JSON pins the Cyclo order of every entry, the scalar's among them
+    action, factors = instance()
+    argv = ["--format", fmt, "ncquot", "normalize", "--action", json.dumps(action)]
+    code, out = _capture(capsys, argv + ["--factors", json.dumps([jsonio.poly_to_json(f) for f in factors])])
+    assert code == 0
+    suffix = "txt" if fmt == "text" else "json"
+    assert out.encode() == (GOLDEN / f"ncquot_normalize_{name}.{suffix}").read_bytes()
 
 
 def test_console_script_installed():

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from circforge import (
     AbelianGroup,
@@ -16,6 +19,7 @@ from circforge import (
     apply_group,
     invariant_nc_normal_form,
     nc_ideal_reduction,
+    root_of_unity,
     semi_invariant_generators,
     semi_invariant_weight,
 )
@@ -155,24 +159,37 @@ def test_normal_form_klein_orbit():
     assert len(nf.matrix) == 4 and len(nf.matrix[0]) == 4
 
 
-def _random_orbit_instance(rng, moduli, nvars):
-    g = AbelianGroup(moduli)
-    names = [f"x{i}" for i in range(nvars)]
-    sp = VarSpace([], names)
-    weights = {n: tuple(rng.randrange(p) for p in moduli) for n in names}
-    act = DiagonalAction(g, weights)
-    f1 = FracPoly.zero(sp)
+def _random_form(rng, sp):
+    """A random linear form over sp plus two random quadratic terms."""
+    names = sp.names
+    f = FracPoly.zero(sp)
     for n in names:
-        f1 = f1 + FracPoly.variable(sp, n).scale(rng.randint(-2, 2))
+        f = f + FracPoly.variable(sp, n).scale(rng.randint(-2, 2))
     for _ in range(2):
         i, j = rng.choice(names), rng.choice(names)
-        f1 = f1 + FracPoly.monomial(sp, {i: 1}) * FracPoly.monomial(sp, {j: 1}, rng.randint(-1, 1))
+        f = f + FracPoly.monomial(sp, {i: 1}) * FracPoly.monomial(sp, {j: 1}, rng.randint(-1, 1))
+    return f
+
+
+def _orbit(f, act):
+    """The translates of f, one per ideal, in group enumeration order."""
     orbit = []
-    for el in g.elements():
-        moved = apply_group(f1, act, el)
+    for el in act.group.elements():
+        moved = apply_group(f, act, el)
         if not any(match_scalar(moved, o) is not None for o in orbit):
             orbit.append(moved)
-    return act, orbit
+    return orbit
+
+
+def _random_orbit_instance(rng, moduli, nvars):
+    names = [f"x{i}" for i in range(nvars)]
+    act = DiagonalAction(AbelianGroup(moduli), {n: tuple(rng.randrange(p) for p in moduli) for n in names})
+    return act, _orbit(_random_form(rng, VarSpace([], names)), act)
+
+
+def _independent(factors):
+    sp = VarSpace.union(*(f.space for f in factors))
+    return rank([[linear_part(f).get(n, 0) for n in sp.names] for f in factors]) == len(factors)
 
 
 def test_normal_form_random_roundtrip():
@@ -186,8 +203,7 @@ def test_normal_form_random_roundtrip():
         act, orbit = _random_orbit_instance(rng, moduli, rng.randint(4, 8))
         if len(orbit) > 8:
             continue
-        sp = orbit[0].space
-        if rank([[linear_part(f).get(n, 0) for n in sp.names] for f in orbit]) != len(orbit):
+        if not _independent(orbit):
             continue
         try:
             nf = invariant_nc_normal_form(InvariantNCInput(act, orbit))
@@ -225,3 +241,102 @@ def test_nested_parts_have_predicted_weights():
             q = nf.chain[t]
             gamma = nf.gamma[(i,) + lvec[:t]]
             assert w[i] == (gamma + lvec[t] * (p // q)) % p
+
+
+def test_normal_form_refuses_a_non_permuted_system(mu2):
+    sp, act = mu2
+    y0, y1 = FracPoly.variable(sp, "y0"), FracPoly.variable(sp, "y1")
+    # the sign generator sends y0 + y1 to y0 - y1, which is no multiple of a factor
+    with pytest.raises(ValueError, match="does not permute the factor ideals"):
+        invariant_nc_normal_form(InvariantNCInput(act, [y0 + y1, y0 + y1.scale(2)]))
+
+
+# -- brute-force oracle over every group element -----------------------------------
+
+_ORACLE_POOL = [(2,), (3,), (4,), (2, 2), (2, 4), (6,), (3, 3), (2, 2, 2)]
+
+
+def _draw_orbit(rng, min_factors=1, max_factors=6):
+    """A random action and orbit with independent linear parts, or None."""
+    for _ in range(40):
+        act, orbit = _random_orbit_instance(rng, rng.choice(_ORACLE_POOL), rng.randint(4, 7))
+        if min_factors <= len(orbit) <= max_factors and _independent(orbit):
+            return act, orbit
+    return None
+
+
+def _random_scalar(rng):
+    if rng.random() < 0.5:
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+    order = rng.choice([2, 3, 4, 6])
+    return root_of_unity(order, rng.randrange(order))
+
+
+def _rescaled_and_shuffled(rng, factors):
+    out = [f.scale(_random_scalar(rng)) for f in factors]
+    rng.shuffle(out)
+    return out
+
+
+def _brute_orbits(act, factors):
+    """The G-orbits of the factor ideals, as sorted index tuples in order of
+    their least index, or None when some element moves a factor ideal off
+    the system."""
+    images = []
+    for f in factors:
+        image = set()
+        for el in act.group.elements():
+            moved = apply_group(f, act, el)
+            idx = next((i for i, h in enumerate(factors) if match_scalar(moved, h) is not None), None)
+            if idx is None:
+                return None
+            image.add(idx)
+        images.append(tuple(sorted(image)))
+    return tuple(orb for j, orb in enumerate(images) if orb[0] == j)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_normal_form_against_brute_force(rng):
+    drawn = _draw_orbit(rng)
+    assume(drawn is not None)
+    act, orbit = drawn
+    factors = _rescaled_and_shuffled(rng, orbit)
+    nf = invariant_nc_normal_form(InvariantNCInput(act, factors))
+    f0 = factors[0]
+    assert nf.stabilizer.elements == {
+        el for el in act.group.elements() if match_scalar(apply_group(f0, act, el), f0) is not None
+    }
+    assert math.prod(nf.factors) == math.prod(factors).scale(nf.scalar)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_split_partition_is_the_brute_force_orbits(rng):
+    drawn = _draw_orbit(rng, max_factors=4)
+    assume(drawn is not None)
+    act, orbit = drawn
+    sp = VarSpace([], list(act.weights))
+    second = next((o for o in (_orbit(_random_form(rng, sp), act) for _ in range(20)) if _independent(orbit + o)), None)
+    assume(second is not None)
+    factors = _rescaled_and_shuffled(rng, orbit + second)
+    with pytest.raises(SplitsInvariantly) as err:
+        invariant_nc_normal_form(InvariantNCInput(act, factors))
+    assert err.value.partition == _brute_orbits(act, factors)
+    assert len(err.value.partition) == 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_a_non_translate_is_refused(rng):
+    drawn = _draw_orbit(rng, min_factors=2)
+    assume(drawn is not None)
+    act, orbit = drawn
+    factors = _rescaled_and_shuffled(rng, orbit)
+    j = rng.randrange(len(factors))
+    # some generator maps another factor onto f_j's ideal, which f_j no longer holds
+    factors[j] = _random_form(rng, factors[j].space)
+    assume(all(match_scalar(factors[j], f) is None for f in orbit) and _independent(factors))
+    assert _brute_orbits(act, factors) is None
+    with pytest.raises(ValueError, match="does not permute the factor ideals"):
+        invariant_nc_normal_form(InvariantNCInput(act, factors))
