@@ -13,56 +13,11 @@ import os
 import re
 import sys
 
-from . import jsonio
-from .abelian import (
-    AbelianGroup,
-    PairingContext,
-    full_subgroup,
-    invariant_factors,
-    perp,
-    quotient,
-    quotient_invariant_factors,
-    subgroup_from_generators,
-    xi,
-)
-from .blowup import (
-    charts,
-    gcirc_blowup_sequence,
-    hilbert_basis,
-    pullback,
-    quotient_image,
-    relations,
-    transition,
-)
-from .gcirc import (
-    NonPolynomial,
-    ProductNormalFormSpec,
-    circulant_matrix,
-    clean_exponents,
-    codim1_factor,
-    cpk_spec,
-    gcirc_det,
-    klein_spec,
-    normal_form_poly,
-    product_merge,
-    validate_normal_form,
-    z2z4_spec,
-)
-from .polyring import FracPoly, VarSpace, strict_transform, substitute_power, truncate
-from .quotient_nc import (
-    DegenerateInput,
-    InvariantNCInput,
-    SplitsInvariantly,
-    adapted_coordinates,
-    invariant_nc_normal_form,
-    semi_invariant_generators,
-)
-from .resinv import atwinv_cpk, atwinv_product, cpk_ideal, inv_cpk, inv_recursion, product_ideal, weights
-from .splitting import Ambiguous, NoSplit, Unsupported, split_newton, verify_split
+from .errors import DomainError
 
-
-class DomainError(Exception):
-    pass
+# A handler imports the layers it calls once it has parsed its input, so a
+# process loads only what its subcommand uses, and malformed input fails
+# before any layer loads.
 
 
 def _load(text: str, where: str, parse):
@@ -81,6 +36,8 @@ def _load(text: str, where: str, parse):
 
 
 def _parse_group(text: str | None) -> AbelianGroup:
+    from .abelian import AbelianGroup
+
     if text is None:
         raise DomainError("need --group")
     text = text.strip()
@@ -101,13 +58,17 @@ def _parse_elements(group: AbelianGroup, text: str):
 
 
 def _parse_spec(text: str):
+    from . import jsonio
+
     name = text.strip().lower()
     cpk = re.fullmatch(r"cp(?:k:)?(\d+)", name)
+    if not cpk and name not in ("klein", "z2z4"):
+        return _load(text, "--spec", jsonio.spec_from_json)
+    from .gcirc import cpk_spec, klein_spec, z2z4_spec
+
     if cpk:
         return cpk_spec(int(cpk[1]))
-    if name in ("klein", "z2z4"):
-        return klein_spec() if name == "klein" else z2z4_spec()
-    return _load(text, "--spec", jsonio.spec_from_json)
+    return klein_spec() if name == "klein" else z2z4_spec()
 
 
 def _parse_ints(text: str):
@@ -134,6 +95,9 @@ def _fail(args, message: str) -> int:
 
 
 def cmd_abelian_perp(args):
+    from . import jsonio
+    from .abelian import PairingContext, full_subgroup, perp, subgroup_from_generators
+
     g = _parse_group(args.group)
     h = subgroup_from_generators(g, _parse_elements(g, args.sub)) if args.sub else full_subgroup(g)
     ctx = PairingContext(g, args.k) if args.k is not None else PairingContext.natural(g)
@@ -150,6 +114,9 @@ def cmd_abelian_perp(args):
 
 
 def cmd_abelian_xi(args):
+    from . import jsonio
+    from .abelian import PairingContext, full_subgroup, subgroup_from_generators, xi
+
     g = _parse_group(args.group)
     h = subgroup_from_generators(g, _parse_elements(g, args.sub)) if args.sub else full_subgroup(g)
     ctx = PairingContext(g, args.k) if args.k is not None else PairingContext.natural(g)
@@ -160,6 +127,9 @@ def cmd_abelian_xi(args):
 
 
 def cmd_abelian_quotient(args):
+    from . import jsonio
+    from .abelian import full_subgroup, quotient, subgroup_from_generators
+
     g = _parse_group(args.group)
     h = subgroup_from_generators(g, _parse_elements(g, args.sub)) if args.sub else full_subgroup(g)
     cs = quotient(g, h)
@@ -169,6 +139,8 @@ def cmd_abelian_quotient(args):
 
 
 def cmd_abelian_factors(args):
+    from .abelian import full_subgroup, invariant_factors, quotient_invariant_factors, subgroup_from_generators
+
     g = _parse_group(args.group)
     h = subgroup_from_generators(g, _parse_elements(g, args.sub)) if args.sub else full_subgroup(g)
     facs = quotient_invariant_factors(g, h) if args.quotient else invariant_factors(h)
@@ -181,6 +153,9 @@ def cmd_abelian_factors(args):
 
 
 def cmd_gcirc_matrix(args):
+    from . import jsonio
+    from .gcirc import circulant_matrix
+
     g = _parse_group(args.group)
     mat = circulant_matrix(g)
     rows = mat.rows_as_symbols()
@@ -190,6 +165,12 @@ def cmd_gcirc_matrix(args):
 
 
 def cmd_gcirc_det(args):
+    from . import jsonio
+
+    if not (args.cpk or args.spec or args.values):
+        raise DomainError("need --cpk, --spec, or --values")
+    from .gcirc import cpk_spec, gcirc_det, normal_form_poly
+
     if args.cpk:
         g = _parse_group(args.group)
         if len(g.moduli) != 1:
@@ -197,23 +178,30 @@ def cmd_gcirc_det(args):
         poly = normal_form_poly(cpk_spec(g.moduli[0]))
     elif args.spec:
         poly = normal_form_poly(_parse_spec(args.spec))
-    elif args.values:
+    else:
         g = _parse_group(args.group)
         poly = gcirc_det(g, _load(args.values, "--values", jsonio.poly_list_from_json))
-    else:
-        raise DomainError("need --cpk, --spec, or --values")
     _emit(args, {"polynomial": jsonio.poly_to_json(poly)}, [str(poly)])
     return 0
 
 
 def cmd_gcirc_normal_form(args):
-    poly = normal_form_poly(_parse_spec(args.spec))
+    from . import jsonio
+
+    spec = _parse_spec(args.spec)
+    from .gcirc import normal_form_poly
+
+    poly = normal_form_poly(spec)
     _emit(args, {"polynomial": jsonio.poly_to_json(poly)}, [str(poly)])
     return 0
 
 
 def cmd_gcirc_validate(args):
+    from . import jsonio
+
     spec = _parse_spec(args.spec)
+    from .gcirc import validate_normal_form
+
     rep = validate_normal_form(spec)
     payload = {
         "valid": rep.valid,
@@ -236,7 +224,11 @@ def cmd_gcirc_validate(args):
 
 
 def cmd_gcirc_codim1(args):
+    from . import jsonio
+
     spec = _parse_spec(args.spec)
+    from .gcirc import codim1_factor
+
     rep = codim1_factor(spec, args.index)
     payload = {
         "verified": rep.verified,
@@ -255,6 +247,9 @@ def cmd_gcirc_codim1(args):
 
 
 def cmd_gcirc_merge(args):
+    from . import jsonio
+    from .gcirc import product_merge
+
     rep = product_merge(args.k, args.r)
     payload = {
         "k": rep.k,
@@ -269,7 +264,12 @@ def cmd_gcirc_merge(args):
 
 
 def cmd_gcirc_clean(args):
-    ladder = clean_exponents(_load(args.gamma, "--gamma", jsonio.gamma_from_json), _parse_ints(args.moduli))
+    from . import jsonio
+
+    gamma, moduli = _load(args.gamma, "--gamma", jsonio.gamma_from_json), _parse_ints(args.moduli)
+    from .gcirc import clean_exponents
+
+    ladder = clean_exponents(gamma, moduli)
     payload = {
         "order": list(ladder.order),
         "delta": [[jsonio.frac_to_str(e) for e in row] for row in ladder.delta],
@@ -292,18 +292,27 @@ def _parts(args):
 
 
 def cmd_resinv_inv(args):
+    from . import jsonio
+    from .resinv import inv_cpk, inv_recursion, product_ideal
+
     seq = inv_cpk(args.k) if args.k is not None else inv_recursion(product_ideal(_parts(args)))
     _emit(args, jsonio.sequence_to_json(seq), [",".join(jsonio.frac_to_str(e) for e in seq.entries)])
     return 0
 
 
 def cmd_resinv_atw(args):
+    from . import jsonio
+    from .resinv import atwinv_cpk, atwinv_product
+
     seq = atwinv_cpk(args.k) if args.k is not None else atwinv_product(_parts(args))
     _emit(args, jsonio.sequence_to_json(seq), [",".join(jsonio.frac_to_str(e) for e in seq.entries)])
     return 0
 
 
 def cmd_resinv_weights(args):
+    from . import jsonio
+    from .resinv import weights
+
     wv = weights(_parse_ints(args.parts))
     payload = {
         "parameters": list(wv.parameters),
@@ -321,6 +330,9 @@ def cmd_resinv_weights(args):
 
 
 def cmd_resinv_recursion(args):
+    from . import jsonio
+    from .resinv import cpk_ideal, inv_recursion, product_ideal
+
     if args.cpk is not None:
         ideal = cpk_ideal(args.cpk)
     elif args.parts:
@@ -338,6 +350,9 @@ def cmd_resinv_recursion(args):
 
 
 def _atlas_from_args(args):
+    from .blowup import charts
+    from .polyring import VarSpace
+
     divisorial = []
     if args.divisorial:
         for chunk in args.divisorial.split(","):
@@ -370,6 +385,8 @@ def cmd_blowup_charts(args):
 
 
 def cmd_blowup_transition(args):
+    from .blowup import transition
+
     atlas = _atlas_from_args(args)
     tr = transition(atlas, args.i, args.j)
     payload = {
@@ -391,7 +408,12 @@ def cmd_blowup_transition(args):
 
 
 def cmd_blowup_pullback(args):
+    from . import jsonio
+
     spec = _parse_spec(args.spec)
+    from .blowup import pullback
+    from .gcirc import ProductNormalFormSpec, normal_form_poly
+
     if isinstance(spec, ProductNormalFormSpec):
         raise DomainError("pullback expects a single normal form")
     poly = normal_form_poly(spec)
@@ -409,11 +431,16 @@ def cmd_blowup_pullback(args):
 
 def _divisor_atlas(poly, k: int):
     """Weighted blow-up of (w, x_0, ..., x_{k-1}) with weights (k, k+1, k, ..., 2)."""
+    from .blowup import charts
+
     params = ["w"] + [n for n in poly.space.names if n != "w"]
     return charts(poly.space, params, [k] + [k - j + 1 for j in range(k)])
 
 
 def _cpk_chart_action(k: int):
+    from .blowup import pullback
+    from .gcirc import cpk_spec, normal_form_poly
+
     poly = normal_form_poly(cpk_spec(k))
     atlas = _divisor_atlas(poly, k)
     cmap, action = atlas.charts[0]
@@ -422,6 +449,8 @@ def _cpk_chart_action(k: int):
 
 
 def cmd_blowup_hilbert(args):
+    from .blowup import hilbert_basis
+
     _atlas, cmap, action, _st = _cpk_chart_action(args.cpk)
     hb = hilbert_basis(action)
     payload = {
@@ -436,6 +465,8 @@ def cmd_blowup_hilbert(args):
 
 
 def cmd_blowup_relations(args):
+    from .blowup import hilbert_basis, relations
+
     _atlas, cmap, action, _st = _cpk_chart_action(args.cpk)
     hb = hilbert_basis(action)
     rels = relations(hb)
@@ -451,6 +482,9 @@ def cmd_blowup_relations(args):
 
 
 def cmd_blowup_quotient(args):
+    from . import jsonio
+    from .blowup import hilbert_basis, quotient_image
+
     _atlas, cmap, action, st = _cpk_chart_action(args.cpk)
     hb = hilbert_basis(action)
     img = quotient_image(st, hb)
@@ -465,7 +499,11 @@ def cmd_blowup_quotient(args):
 
 
 def cmd_blowup_pipeline(args):
+    from . import jsonio
+
     spec = _parse_spec(args.spec)
+    from .blowup import gcirc_blowup_sequence
+
     rep = gcirc_blowup_sequence(spec)
     payload = {
         "steps": [
@@ -501,7 +539,11 @@ def cmd_blowup_pipeline(args):
 
 
 def cmd_split_newton(args):
+    from . import jsonio
+
     f = _load(args.poly, "--poly", jsonio.poly_from_json)
+    from .splitting import split_newton
+
     roots = split_newton(f, args.z, powers=args.powers, degree_bound=args.degree, branch_cap=args.cap)
     payload = {"roots": [jsonio.poly_to_json(r) for r in roots]}
     _emit(args, payload, [f"root {i}: {r}" for i, r in enumerate(roots)])
@@ -509,14 +551,22 @@ def cmd_split_newton(args):
 
 
 def cmd_split_verify(args):
+    from . import jsonio
+
     f = _load(args.poly, "--poly", jsonio.poly_from_json)
     roots = _load(args.roots, "--roots", jsonio.poly_list_from_json)
+    from .splitting import verify_split
+
     ok = verify_split(f, args.powers, roots, args.degree, z=args.z)
     _emit(args, {"verified": ok}, [f"verified: {ok}"])
     return 0 if ok else 1
 
 
 def cmd_split_example_basic(args):
+    from . import jsonio
+    from .polyring import FracPoly, VarSpace, strict_transform, substitute_power, truncate
+    from .splitting import split_newton, verify_split
+
     degree = args.degree or 12
     sp = VarSpace([("w", 2)], ["x", "z"])
     w = FracPoly.variable(sp, "w")
@@ -552,17 +602,27 @@ def cmd_split_example_basic(args):
 
 
 def cmd_ncquot_semiinv(args):
+    from . import jsonio
+
     action = _load(args.action, "--action", jsonio.action_from_json)
-    out = semi_invariant_generators(_load(args.gens, "--gens", jsonio.poly_list_from_json), action)
+    gens = _load(args.gens, "--gens", jsonio.poly_list_from_json)
+    from .quotient_nc import semi_invariant_generators
+
+    out = semi_invariant_generators(gens, action)
     payload = {"generators": [jsonio.poly_to_json(g) for g in out]}
     _emit(args, payload, [str(g) for g in out])
     return 0
 
 
 def cmd_ncquot_adapt(args):
+    from . import jsonio
+
     action = _load(args.action, "--action", jsonio.action_from_json)
     divisors = _load(args.divisors, "--divisors", jsonio.poly_list_from_json) if args.divisors else []
-    ac = adapted_coordinates(action, divisors, _load(args.stratum, "--stratum", jsonio.poly_list_from_json))
+    stratum = _load(args.stratum, "--stratum", jsonio.poly_list_from_json)
+    from .quotient_nc import adapted_coordinates
+
+    ac = adapted_coordinates(action, divisors, stratum)
     payload = {
         "coordinates": [{"name": n, "poly": jsonio.poly_to_json(p), "role": role} for n, p, role in ac.coordinates],
         "verified": ac.verified,
@@ -572,8 +632,12 @@ def cmd_ncquot_adapt(args):
 
 
 def cmd_ncquot_normalize(args):
+    from . import jsonio
+
     action = _load(args.action, "--action", jsonio.action_from_json)
     factors = _load(args.factors, "--factors", jsonio.poly_list_from_json)
+    from .quotient_nc import InvariantNCInput, invariant_nc_normal_form
+
     nf = invariant_nc_normal_form(InvariantNCInput(action, factors))
     payload = {
         "chain": list(nf.chain),
@@ -681,10 +745,7 @@ def run(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        DomainError, NonPolynomial, NoSplit, Ambiguous, Unsupported, SplitsInvariantly, DegenerateInput,
-        ValueError, ZeroDivisionError,
-    ) as exc:
+    except (DomainError, ValueError, ZeroDivisionError) as exc:
         return _fail(args, str(exc))
 
 

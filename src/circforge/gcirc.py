@@ -34,10 +34,11 @@ from .abelian import (
     subgroup_from_generators,
 )
 from .cyclotomic import Cyclo, root_of_unity
+from .errors import DomainError
 from .polyring import DiagonalAction, FracPoly, VarSpace, apply_group, match_factors
 
 
-class NonPolynomial(Exception):
+class NonPolynomial(DomainError):
     """The normal-form determinant failed to cancel to integer w-exponents."""
 
 
@@ -800,11 +801,14 @@ def clean_exponents(gamma_raw, moduli) -> CleanedLadder:
     """Sort rows by successive termwise minima and split the increments into
     integer parts and fractional parts delta_{ji} in (1/p_i){0..p_i-1}.
 
-    Fails (ValueError) when no termwise-minimal row exists at some stage.
+    Fails (ValueError) when a row's length differs from the number of
+    moduli, or when no termwise-minimal row exists at some stage.
     """
     moduli = tuple(int(p) for p in moduli)
     rows = [tuple(Fraction(x) for x in row) for row in gamma_raw]
-    for row in rows:
+    for i, row in enumerate(rows):
+        if len(row) != len(moduli):
+            raise ValueError(f"gamma row {i} has {len(row)} exponents for {len(moduli)} moduli")
         for e, p in zip(row, moduli):
             if e < 0 or p % e.denominator != 0:
                 raise ValueError(f"exponent {e} incompatible with modulus {p}")

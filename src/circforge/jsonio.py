@@ -9,18 +9,14 @@ a malformed payload is a ValueError naming the first bad path, such as
 "--action.moduli[0]: expected int".  Cyclotomic numbers travel as
 full-length coefficient vectors, polynomials with their variable space and
 deterministically ordered terms; every encoder round-trips through its parser.
+Each parser imports the module of the type it builds only after `check`
+has passed, so this module loads no other circforge module by itself.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-
-from .abelian import AbelianGroup, GroupElement, Subgroup
-from .cyclotomic import Cyclo
-from .gcirc import NormalFormSpec, ProductNormalFormSpec
-from .polyring import DiagonalAction, FracPoly, VarSpace
-from .resinv import ATWSequence, InvSequence, MonomialMarkedIdeal
 
 RATIONAL = Fraction
 GROUP = {"moduli": [int]}
@@ -74,6 +70,8 @@ def group_to_json(g: AbelianGroup) -> dict:
 
 def group_from_json(obj, where: str = "group") -> AbelianGroup:
     check(obj, GROUP, where)
+    from .abelian import AbelianGroup
+
     return AbelianGroup(tuple(obj["moduli"]))
 
 
@@ -92,6 +90,8 @@ def subgroup_to_json(h: Subgroup) -> list:
 
 def subgroup_from_json(g: AbelianGroup, obj, where: str = "subgroup") -> Subgroup:
     check(obj, [[int]], where)
+    from .abelian import Subgroup
+
     return Subgroup(g, [g.element(e) for e in obj])
 
 
@@ -101,6 +101,8 @@ def cyclo_to_json(c: Cyclo) -> dict:
 
 def cyclo_from_json(obj, where: str = "cyclo") -> Cyclo:
     check(obj, CYCLO, where)
+    from .cyclotomic import Cyclo
+
     return Cyclo(obj["order"], obj["coeffs"])
 
 
@@ -113,6 +115,8 @@ def space_to_json(sp: VarSpace) -> dict:
 
 def space_from_json(obj, where: str = "space") -> VarSpace:
     check(obj, SPACE, where)
+    from .polyring import VarSpace
+
     return VarSpace([(d["name"], d["bound"]) for d in obj["divisorial"]], obj["free"])
 
 
@@ -127,6 +131,8 @@ def poly_to_json(f: FracPoly) -> dict:
 
 def poly_from_json(obj, where: str = "poly") -> FracPoly:
     check(obj, POLY, where)
+    from .polyring import FracPoly
+
     sp = space_from_json(obj["space"])
     terms = {}
     for i, t in enumerate(obj["terms"]):
@@ -147,7 +153,7 @@ def gamma_from_json(obj, where: str = "gamma") -> list[list[Fraction]]:
 
 
 def spec_to_json(spec) -> dict:
-    if isinstance(spec, ProductNormalFormSpec):
+    if hasattr(spec, "factors"):  # a ProductNormalFormSpec
         return {"factors": [spec_to_json(f) for f in spec.factors]}
     return {
         "moduli": list(spec.moduli),
@@ -162,11 +168,15 @@ def spec_from_json(obj, where: str = "spec"):
     """A NormalFormSpec, or a ProductNormalFormSpec from {"factors": [...]}."""
     product = isinstance(obj, dict) and "factors" in obj
     check(obj, PRODUCT_SPEC if product else SPEC, where)
+    from .gcirc import ProductNormalFormSpec
+
     factors = tuple(_normal_form_spec(f) for f in (obj["factors"] if product else [obj]))
     return ProductNormalFormSpec(factors) if product else factors[0]
 
 
 def _normal_form_spec(obj) -> NormalFormSpec:
+    from .gcirc import NormalFormSpec
+
     quotient = group_from_json(obj["quotient"])
     return NormalFormSpec(
         moduli=tuple(obj["moduli"]),
@@ -179,11 +189,15 @@ def _normal_form_spec(obj) -> NormalFormSpec:
 
 def action_from_json(obj, where: str = "action") -> DiagonalAction:
     check(obj, ACTION, where)
+    from .polyring import DiagonalAction
+
     return DiagonalAction(group_from_json(obj), {n: tuple(w) for n, w in obj["weights"].items()})
 
 
 def ideal_from_json(obj, where: str = "ideal") -> MonomialMarkedIdeal:
     check(obj, IDEAL, where)
+    from .resinv import MonomialMarkedIdeal
+
     return MonomialMarkedIdeal([({v: Fraction(e) for v, e in p["monomial"].items()}, p["order"]) for p in obj])
 
 
@@ -193,9 +207,13 @@ def sequence_to_json(seq) -> dict:
 
 def inv_from_json(obj, where: str = "inv") -> InvSequence:
     check(obj, SEQUENCE, where)
+    from .resinv import InvSequence
+
     return InvSequence(tuple(obj["entries"]), tuple(obj["contacts"]))
 
 
 def atw_from_json(obj, where: str = "atw") -> ATWSequence:
     check(obj, SEQUENCE, where)
+    from .resinv import ATWSequence
+
     return ATWSequence(tuple(obj["entries"]), tuple(obj["contacts"]))

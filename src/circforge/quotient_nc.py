@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .abelian import GroupElement, Subgroup
 from .cyclotomic import Cyclo, root_of_unity
+from .errors import DomainError
 from .polyring import (
     DiagonalAction,
     FracPoly,
@@ -33,7 +34,7 @@ from .polyring import (
 from .smith import det
 
 
-class SplitsInvariantly(Exception):
+class SplitsInvariantly(DomainError):
     """The ideal factors into invariant pieces; callers recurse on the parts."""
 
     def __init__(self, partition):
@@ -41,7 +42,7 @@ class SplitsInvariantly(Exception):
         super().__init__(f"ideal splits into invariant factor groups {partition}")
 
 
-class DegenerateInput(Exception):
+class DegenerateInput(DomainError):
     pass
 
 

@@ -25,13 +25,14 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclotomic import Cyclo, cyclo_nth_root, root_of_unity
+from .errors import DomainError
 from .polyring import FracPoly, VarSpace, divide_exact, substitute_power, truncate
 
 DEFAULT_DEGREE_BOUND = 12
 DEFAULT_BRANCH_CAP = 64
 
 
-class NoSplit(Exception):
+class NoSplit(DomainError):
     """No branch of the search closes by the degree bound."""
 
     def __init__(self, degree, reason: str):
@@ -40,7 +41,7 @@ class NoSplit(Exception):
         super().__init__(f"no splitting found (obstruction at degree {degree}): {reason}")
 
 
-class Ambiguous(Exception):
+class Ambiguous(DomainError):
     """The branch budget was exhausted before the search finished."""
 
     def __init__(self, cap: int):
@@ -48,7 +49,7 @@ class Ambiguous(Exception):
         super().__init__(f"branch cap {cap} exceeded")
 
 
-class Unsupported(Exception):
+class Unsupported(DomainError):
     """No branch closed, but an edge equation was beyond the solver, so the
     search cannot say that no splitting exists."""
 
@@ -104,7 +105,7 @@ def split_newton(
     cap = DEFAULT_BRANCH_CAP if branch_cap is None else branch_cap
     g = clear_denominators(f, powers)
     coeffs = g.coefficients_in(z)
-    k = max(coeffs)
+    k = max(coeffs, default=0)
     if k < 1 or not coeffs[k].is_constant() or coeffs[k].constant_coefficient() != 1:
         raise ValueError("polynomial must be monic in z")
     for m, c in coeffs.items():
@@ -126,7 +127,7 @@ def verify_split(f: FracPoly, powers, roots, degree_bound: int | None = None, z:
     d = DEFAULT_DEGREE_BOUND if degree_bound is None else degree_bound
     g = clear_denominators(f, powers)
     coeffs = g.coefficients_in(z)
-    if len(roots) != max(coeffs):
+    if len(roots) != max(coeffs, default=0):
         return False
     prod = FracPoly.constant(g.space, 1)
     zvar = FracPoly.variable(g.space, z)

@@ -110,6 +110,8 @@ _AB_ZERO, _AB_A, _AB_B, _AB_SUM = (
         ["ncquot", "normalize", "--action", _AB_SIGN, "--factors", f"[{_AB_ZERO}]"],
         ["ncquot", "normalize", "--action", _AB_SIGN, "--factors", f"[{_AB_SUM},{_AB_SUM}]"],
         ["ncquot", "adapt", "--action", _AB_SIGN, "--divisors", f"[{_AB_B},{_AB_B}]", "--stratum", f"[{_AB_A}]"],
+        ["gcirc", "clean", "--gamma", "[[1],[2]]", "--moduli", "2,2"],
+        ["gcirc", "clean", "--gamma", "[[1,5,7]]", "--moduli", "2"],
     ],
     ids=[
         "det-cpk-noncyclic",
@@ -143,6 +145,8 @@ _AB_ZERO, _AB_A, _AB_B, _AB_SUM = (
         "normalize-zero-factor",
         "normalize-dependent-factors",
         "adapt-dependent-divisors",
+        "clean-row-short",
+        "clean-row-long",
     ],
 )
 def test_domain_error_exit_code(capsys, argv):
@@ -161,6 +165,27 @@ def test_cli_import_does_not_load_numpy():
         env=CHILD_ENV,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    """The circforge modules a child interpreter has loaded after running code."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nprint()\nprint(*sys.modules)"], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {m for m in proc.stdout.splitlines()[-1].split() if m.startswith("circforge.")}
+
+
+def test_cli_loads_only_the_layers_a_subcommand_uses():
+    assert _modules_loaded_by("import sys, circforge") == set()
+    unused = {f"circforge.{m}" for m in ("polyring", "gcirc", "blowup", "splitting", "quotient_nc")}
+    for argv, used, absent in [
+        (["abelian", "perp", "--group", "2,4", "--sub", "(1,2)"], "abelian", unused),
+        (["resinv", "atw", "--parts", "2,2"], "resinv", unused),
+        (["gcirc", "validate", "--spec", "{}"], "jsonio", {"circforge.blowup"}),
+    ]:
+        loaded = _modules_loaded_by(f"import sys, circforge.cli\ncircforge.cli.run({argv!r})")
+        assert f"circforge.{used}" in loaded and not loaded & absent, (argv, loaded)
 
 
 def test_split_example_basic(capsys):
@@ -321,6 +346,14 @@ def test_split_nosplit_domain_error(capsys):
     code = run(["--format", "json", "split", "newton", "--poly", payload, "--powers", "2"])
     out = capsys.readouterr().out
     assert code == 1 and "error" in json.loads(out)
+
+
+def test_split_zero_polynomial(capsys):
+    zero = '{"space":{"divisorial":[],"free":["z","x"]},"terms":[]}'
+    code = run(["--format", "json", "split", "newton", "--poly", zero])
+    assert code == 1 and json.loads(capsys.readouterr().out) == {"error": "polynomial must be monic in z"}
+    code = run(["--format", "json", "split", "verify", "--poly", zero, "--roots", "[]"])
+    assert code == 1 and json.loads(capsys.readouterr().out) == {"verified": False}
 
 
 def test_split_unsupported_domain_error(capsys):

@@ -1,0 +1,67 @@
+"""The package namespace: every public name resolves, lazily, to its module."""
+
+import sys
+
+import pytest
+
+import circforge
+
+# The names `circforge` exported when it imported them all eagerly.
+EAGER_EXPORTS = """
+    ATWSequence AbelianGroup Ambiguous ChartAtlas ChartMap CirculantMatrix CosetSystem Cyclo DegenerateInput
+    DiagonalAction FracPoly GroupElement HilbertBasis InvSequence InvariantNCInput MonomialMarkedIdeal
+    NestedNormalForm NoSplit NonPolynomial NormalFormSpec PairingContext ProductNormalFormSpec Relation
+    RelationSet SplitsInvariantly Subgroup TransitionChart Unsupported VarSpace WeightVector adapted_coordinates
+    all_subgroups apply_group atw_to_inv atwinv_cpk atwinv_product charts circulant_matrix clean_exponents
+    codim1_factor cpk_ideal cpk_spec cyclic_factor_orbit_transitive cyclo_nth_root cyclotomic_polynomial
+    divide_exact eigen_system expand_quotient_image gcirc_blowup_sequence gcirc_det hilbert_basis inv_cpk
+    inv_recursion inv_to_atw invariant_factors invariant_nc_normal_form irreducible_exponents is_invariant
+    klein_spec leibniz_det linear_part linear_rank match_factors match_scalar minimal_order nc_ideal_reduction
+    normal_form_poly pairing permute_to_standard perp product_ideal product_merge pullback quotient
+    quotient_image quotient_invariant_factors rational_sqrt relations root_of_unity roots_to_coords
+    semi_invariant_generators semi_invariant_parts semi_invariant_split semi_invariant_weight split_newton
+    strict_transform subgroup_from_generators substitute_power toric_relation_transform transition truncate
+    validate_normal_form verify_eigen_system verify_split weights xi z2z4_spec
+""".split()
+
+
+def test_exports_are_the_eager_ones_and_domain_error():
+    assert len(circforge.__all__) == len(set(circforge.__all__))
+    assert set(circforge.__all__) == set(EAGER_EXPORTS) | {"DomainError"}
+
+
+def test_each_name_is_its_home_module_attribute():
+    for name in circforge.__all__:
+        value = getattr(circforge, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("circforge."), name
+        assert getattr(home, name) is value, name
+
+
+def test_dir_and_star_import_see_every_name():
+    assert set(circforge.__all__) <= set(dir(circforge))
+    namespace = {}
+    exec("from circforge import *", namespace)
+    for name in circforge.__all__:
+        assert namespace[name] is getattr(circforge, name), name
+
+
+def test_modules_and_unknown_names():
+    from circforge import abelian, jsonio
+
+    assert circforge.abelian is abelian and circforge.jsonio is jsonio
+    assert not hasattr(circforge, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        circforge.no_such_name
+
+
+def test_every_domain_exception_is_a_domain_error():
+    from circforge import cli
+
+    exceptions = {getattr(circforge, n) for n in circforge.__all__}
+    exceptions = {e for e in exceptions if isinstance(e, type) and issubclass(e, Exception)}
+    names = {e.__name__ for e in exceptions}
+    assert names == {
+        "DomainError", "NonPolynomial", "NoSplit", "Ambiguous", "Unsupported", "SplitsInvariantly", "DegenerateInput",
+    }
+    assert all(issubclass(e, circforge.DomainError) for e in exceptions | {cli.DomainError})
