@@ -429,6 +429,10 @@ def cyclo_nth_root(c: Cyclo, n: int):
     Succeeds when c = q * e_m^j with q rational and either |q|^(1/n)
     rational (sign through e_2 = -1), or n = 2, where every rational square
     root is cyclotomic via quadratic Gauss sums.
+
+    None means that c has no n-th root of the shapes decided here, not that
+    c has no cyclotomic n-th root: (e_3 - e_4)^2 is a square in Q(e_12) and
+    (1 + e_4)^4 = -4, yet both give None (for n = 2 and n = 4).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -279,8 +279,11 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
       that translate is a scalar multiple of the factor the index maps send
       f_1 to; these rows meet every input factor once, which proves
       prod(factors) = scalar * prod(inputs);
-    - the coefficient matrix is invertible and the nested pieces have
-      independent linear parts.
+    - the coefficient matrix is invertible;
+    - hence the nested pieces have independent linear parts: the
+      recombined factors are the matrix times the pieces, and they are
+      nonzero multiples of the k inputs, whose linear parts were checked
+      independent on entry.
 
     Raises SplitsInvariantly when G does not act transitively on the factor
     ideals, and ValueError when a generator does not permute them.
@@ -409,9 +412,6 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     determinant = det(matrix)
     if determinant.is_zero():
         raise AssertionError("coefficient matrix is singular")
-
-    if linear_rank([linear_part(h) for h in parts.values()], space.names) != k:
-        raise DegenerateInput("nested coordinates have dependent gradients")
 
     return NestedNormalForm(
         chain=tuple(chain),

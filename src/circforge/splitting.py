@@ -9,13 +9,25 @@ exponents.
 The search lifts one root at a time, degree by degree: the Newton polygon
 of the residual (with respect to z and the total degree of the remaining
 variables) dictates the admissible degrees for the next homogeneous part,
-and each admissible initial form yields one branch.  Edge equations are
-solved by exact division (linear), homogeneous radicals (binomial and
-quadratic), exponent-gcd substitution, square-free reduction, and monomial
-root candidates with exactly solved scalars.  An edge equation beyond that
-is reported (Unsupported, when no branch closes) rather than guessed at:
-the procedure is a semi-decision by design, since no a-priori bound on the
-blow-ups needed is available.
+and each admissible initial form yields one branch.
+
+An edge equation is a polynomial in Y whose coefficients are homogeneous
+forms; a scalar is a form of degree 0, so one solver serves both.
+`_radical_roots` solves linear, binomial and quadratic equations, for
+initial forms and for the scalars of monomial root candidates alike.
+Longer edges go through exponent-gcd substitution, square-free reduction
+(one gcd, `_poly_gcd_y`, and one exact division, `polyring.divide_exact`)
+and monomial root candidates, whose scalar conditions are intersected with
+the same gcd.
+
+NoSplit is raised only when every edge equation met was decided.  The
+search raises Unsupported instead when no branch closes and an edge was
+beyond the solver: an edge of extent >= 3 with interior terms that no
+monomial candidate solves, or a radical whose coefficient root
+`cyclo_nth_root` did not find (it decides only some shapes).  An exponent
+not divisible by n under an n-th root, or a division that is not exact,
+stays a decided obstruction.  The procedure is a semi-decision by design,
+since no a-priori bound on the blow-ups needed is available.
 """
 
 from __future__ import annotations
@@ -30,6 +42,10 @@ from .polyring import FracPoly, VarSpace, divide_exact, substitute_power, trunca
 
 DEFAULT_DEGREE_BOUND = 12
 DEFAULT_BRANCH_CAP = 64
+
+_Y = "$Y"  # the unknown of an edge equation
+_T = "$T"  # the scalar of a monomial root candidate
+_SCALARS = VarSpace()  # the space of constant forms
 
 
 class NoSplit(DomainError):
@@ -151,11 +167,13 @@ def _find_roots(g: FracPoly, k: int, state: _SearchState):
 
 
 def _psi_coefficients(g: FracPoly, b: FracPoly, state: _SearchState) -> dict:
-    """Coefficients of Y in g(z = -b - Y), truncated past the degree bound."""
-    aux = "$Y"
-    space = g.space.union(VarSpace((), (aux,)))
-    shifted = g.substitute({state.z: -(b.in_space(space)) - FracPoly.variable(space, aux)}, target_space=space)
-    return {m: truncate(c, state.bound) for m, c in shifted.coefficients_in(aux).items() if not c.is_zero()}
+    """Coefficients of Y in g(z = -b - Y), truncated past the degree bound.
+
+    They live in g's space joined with Y, so every edge form can be
+    multiplied by Y without a change of space."""
+    space = g.space.union(VarSpace((), (_Y,)))
+    shifted = g.substitute({state.z: -(b.in_space(space)) - FracPoly.variable(space, _Y)}, target_space=space)
+    return {m: truncate(c, state.bound) for m, c in shifted.coefficients_in(_Y).items() if not c.is_zero()}
 
 
 def _root_candidates(g: FracPoly, b: FracPoly, delta_min, state: _SearchState):
@@ -179,14 +197,14 @@ def _root_candidates(g: FracPoly, b: FracPoly, delta_min, state: _SearchState):
             state.note_obstruction(c0.order(), "residual order exceeds all admissible part degrees")
             continue
         delta = int(slope)
-        ins = []
+        # the edge equation; its two ends (m = 0 and m = mb - ma) are nonzero
+        terms = {}
         for m in range(ma, mb + 1):
-            want = oa - delta * (m - ma)
             cm = psi.get(m)
-            part = cm.homogeneous_parts().get(Fraction(want), None) if cm is not None else None
-            if part is not None and not part.is_zero():
-                ins.append((m - ma, part))
-        for h in _solve_edge(ins, delta, g.space, state):
+            part = cm.homogeneous_parts().get(Fraction(oa - delta * (m - ma))) if cm is not None else None
+            if part is not None:
+                terms[m - ma] = part
+        for h in _solve_edge(terms, delta, state):
             state.charge_branch()
             yield from _root_candidates(g, b + h, delta + 1, state)
     state.note_obstruction(c0.order(), "no branch closes at this degree")
@@ -207,78 +225,95 @@ def _lower_hull_edges(points):
     return list(zip(hull, hull[1:]))
 
 
-def _solve_edge(ins, delta: int, space: VarSpace, state: _SearchState):
+# -- edge equations -------------------------------------------------------------
+#
+# An edge equation is a dict {m: coefficient of Y^m}.  Its coefficients are
+# homogeneous forms, or constant forms in _SCALARS when the unknown is a
+# scalar, so one root solver, one gcd and one exact division serve both.
+# Every caller passes a nonzero coefficient at m = 0.
+
+
+def _solve_edge(terms: dict, delta: int, state: _SearchState):
     """Nonzero homogeneous degree-delta roots of sum_m form_m * Y^m.
 
-    Linear and binomial edges are solved directly, quadratics through the
-    discriminant; longer edges are attacked by recursing on the gcd of the
-    exponents (Y -> Y^d) and by stripping repeated factors via the
-    derivative gcd before giving up.
+    Linear, binomial and quadratic edges are solved by radicals; longer
+    edges are attacked by recursing on the gcd of the exponents (Y -> Y^d),
+    by stripping repeated factors, and by monomial root candidates.  An
+    edge that none of these solves marks the search unsupported.
     """
-    if not ins:
-        return []
-    terms = {m: f for m, f in ins}
     n = max(terms)
-    if n == 0 or 0 not in terms:
-        return []
-    if n == 1:
-        h = divide_exact(-terms[0], terms[1])
-        return [h] if h is not None else []
-    if set(terms) == {0, n}:
-        f = divide_exact(-terms[0], terms[n])
-        if f is None:
-            return []
-        g = _form_nth_root(f, n)
-        if g is None:
-            state.note_obstruction(delta, f"initial form is not an exact {n}-th power")
-            return []
-        return [g.scale(root_of_unity(n, t)) for t in range(n)]
-    d = 0
-    for m in terms:
-        d = gcd(d, m)
+    roots = _radical_roots(terms, delta, state)
+    if roots is not None:
+        return roots
+    d = gcd(*terms)
     if d > 1:
-        inner = {m // d: f for m, f in terms.items()}
         out = []
-        for w in _solve_edge(sorted(inner.items()), delta * d, space, state):
-            g = _form_nth_root(w, d)
+        for w in _solve_edge({m // d: f for m, f in terms.items()}, delta * d, state):
+            g = _form_nth_root(w, d, state)
             if g is None:
                 state.note_obstruction(delta, f"edge sub-root is not an exact {d}-th power")
                 continue
             out.extend(g.scale(root_of_unity(d, t)) for t in range(d))
         return out
-    if n == 2:
-        a0, a1, a2 = terms[0], terms[1], terms[2]
-        disc = a1 * a1 - a0 * a2 * 4
-        if disc.is_zero():
-            h = divide_exact(-a1, a2 * 2)
-            return [h] if h is not None else []
-        sq = _form_nth_root(disc, 2)
-        if sq is None:
-            state.note_obstruction(delta, "quadratic edge discriminant is not a square")
+    reduced = _strip_repeated_factors(terms)
+    if reduced is not None and max(reduced) < n:
+        return _solve_edge(reduced, delta, state)
+    mono = _monomial_root_candidates(terms, delta, state)
+    if not mono:
+        state.unsupported = state.unsupported or f"edge equation of extent {n} with interior terms at degree {delta}"
+    return mono
+
+
+def _radical_roots(terms: dict, delta: int, state: _SearchState):
+    """Nonzero roots of sum_m terms[m] * Y^m when its degree is at most 2
+    or it is a binomial (a constant has none); None for any other shape.
+
+    A root that fails to exist is decided when a division is not exact or
+    an exponent is not divisible; when only the root of a cyclotomic
+    coefficient was not found, _form_nth_root marks the search unsupported.
+    """
+    n = max(terms)
+    if n == 0:
+        return []
+    if n == 1:
+        h = divide_exact(-terms[0], terms[1])
+        return [h] if h is not None else []
+    if len(terms) == 2:
+        f = divide_exact(-terms[0], terms[n])
+        if f is None:
             return []
-        out = []
-        for s in (sq, -sq):
-            h = divide_exact(-a1 + s, a2 * 2)
-            if h is not None and not h.is_zero():
-                out.append(h)
-        return out
-    reduced = _strip_repeated_factors(terms, space)
-    if reduced is not None and reduced and max(reduced) < n:
-        return _solve_edge(sorted(reduced.items()), delta, space, state)
-    mono = _monomial_root_candidates(terms, delta, space)
-    if mono:
-        return mono
-    state.unsupported = state.unsupported or f"edge equation of extent {n} with interior terms at degree {delta}"
-    return []
+        g = _form_nth_root(f, n, state)
+        if g is None:
+            state.note_obstruction(delta, f"initial form is not an exact {n}-th power")
+            return []
+        return [g.scale(root_of_unity(n, t)) for t in range(n)]
+    if n != 2:
+        return None
+    a0, a1, a2 = terms[0], terms[1], terms[2]
+    disc = a1 * a1 - a0 * a2 * 4
+    if disc.is_zero():
+        h = divide_exact(-a1, a2 * 2)
+        return [h] if h is not None else []
+    sq = _form_nth_root(disc, 2, state)
+    if sq is None:
+        state.note_obstruction(delta, "quadratic edge discriminant is not a square")
+        return []
+    out = []
+    for s in (sq, -sq):
+        h = divide_exact(-a1 + s, a2 * 2)
+        if h is not None and not h.is_zero():
+            out.append(h)
+    return out
 
 
-def _monomial_root_candidates(terms: dict, delta: int, space: VarSpace):
+def _monomial_root_candidates(terms: dict, delta: int, state: _SearchState):
     """Roots of the form scalar * monomial, found by sweeping the monomial
     divisors of constant/lead and solving for the scalar exactly.
 
     Covers edges whose roots all have monomial initial forms (the product
-    circulant shapes); the scalar conditions are intersected through a
-    univariate gcd over the cyclotomic field.
+    circulant shapes).  Each residual monomial gives one condition on the
+    scalar, an edge equation over constant forms; the conditions are
+    intersected with _poly_gcd_y and solved with _radical_roots.
     """
     n = max(terms)
     const, lead = terms[0], terms[n]
@@ -288,43 +323,37 @@ def _monomial_root_candidates(terms: dict, delta: int, space: VarSpace):
     if ratio is None or len(ratio.terms) != 1:
         return []
     (rkey, _rc), = ratio.terms.items()
+    space = ratio.space
+    tspace = space.union(VarSpace((), (_T,)))
     out = []
-    aux = "$T"
-    space0 = ratio.space.union(*(f.space for f in terms.values()))
-    tspace = space0.union(VarSpace((), (aux,)))
-    for key in _divisors_of_degree(ratio.space.face_key(rkey), delta, ratio.space):
-        mono = FracPoly(ratio.space, {key: Cyclo.one()})
-        cand = FracPoly.monomial(tspace, {aux: 1}) * mono.in_space(tspace)
+    for key in _divisors_of_degree(space.face_key(rkey), delta):
+        mono = FracPoly(space, {key: Cyclo.one()})
+        cand = FracPoly.monomial(tspace, {_T: 1}) * mono.in_space(tspace)
         val = FracPoly.zero(tspace)
         for m, f in terms.items():
             val = val + f.in_space(tspace) * cand ** m
-        buckets = val.coefficients_in(aux)
         # per residual monomial, a univariate condition on the scalar
         conditions: dict = {}
-        for tdeg, coeffpoly in buckets.items():
+        for tdeg, coeffpoly in val.coefficients_in(_T).items():
             for key2, c in coeffpoly.terms.items():
-                conditions.setdefault(key2, {})[tdeg] = c
+                conditions.setdefault(key2, {})[tdeg] = FracPoly.constant(_SCALARS, c)
         uni = None
         for cond in conditions.values():
-            vec = [cond.get(i, Cyclo.zero()) for i in range(max(cond) + 1)]
-            uni = vec if uni is None else _cyclo_poly_gcd(uni, vec)
-            if uni is not None and len(uni) == 1:
+            uni = cond if uni is None else _poly_gcd_y(uni, cond)
+            if max(uni) == 0:
                 break
-        for c in _cyclo_poly_roots(uni):
-            h = mono.scale(c)
-            check = FracPoly.zero(space0)
+        for c in _radical_roots(uni, delta, state) or ():
+            h = mono.scale(c.constant_coefficient())
+            check = FracPoly.zero(space)
             for m, f in terms.items():
-                check = check + f.in_space(space0) * h.in_space(space0) ** m
+                check = check + f * h ** m
             if check.is_zero() and not any(h == o for o in out):
                 out.append(h)
     return out
 
 
-def _divisors_of_degree(key, delta: int, space: VarSpace):
-    ranges = []
-    for e in key:
-        e = int(e)
-        ranges.append(range(0, e + 1))
+def _divisors_of_degree(key, delta: int):
+    ranges = [range(0, int(e) + 1) for e in key]
     def rec(i, left, acc):
         if i == len(ranges):
             if left == 0:
@@ -336,87 +365,44 @@ def _divisors_of_degree(key, delta: int, space: VarSpace):
     yield from rec(0, delta, [])
 
 
-def _cyclo_poly_gcd(a: list, b: list):
-    """Monic gcd of univariate polynomials with cyclotomic coefficients."""
-    def trim(p):
-        while p and p[-1].is_zero():
-            p = p[:-1]
-        return p
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        inv = b[-1].inverse()
-        r = list(a)
-        while len(r) >= len(b) and trim(r):
-            r = trim(r)
-            if len(r) < len(b):
-                break
-            q = r[-1] * inv
-            shift = len(r) - len(b)
-            for i, c in enumerate(b):
-                r[shift + i] = r[shift + i] - q * c
-            r = trim(r)
-        a, b = b, trim(r)
-    if not a:
-        return a
-    inv = a[-1].inverse()
-    return [c * inv for c in a]
-
-
-def _cyclo_poly_roots(p):
-    """Nonzero roots of a univariate cyclotomic polynomial: linear,
-    quadratic, and binomial cases."""
-    if not p or len(p) == 1:
-        return []
-    while p and p[0].is_zero():
-        p = p[1:]  # drop zero roots
-    if len(p) <= 1:
-        return []
-    if len(p) == 2:
-        return [-(p[0] * p[1].inverse())]
-    if len(p) == 3:
-        a0, a1, a2 = p
-        disc = a1 * a1 - a0 * a2 * 4
-        sq = cyclo_nth_root(disc, 2)
-        if sq is None:
-            return []
-        inv = (a2 * 2).inverse()
-        roots = [(-a1 + sq) * inv, (-a1 - sq) * inv]
-        return [r for r in roots if not r.is_zero()]
-    if all(c.is_zero() for c in p[1:-1]):
-        d = len(p) - 1
-        base = cyclo_nth_root(-(p[0] * p[-1].inverse()), d)
-        if base is None:
-            return []
-        return [base * root_of_unity(d, t) for t in range(d)]
-    return []
-
-
-def _strip_repeated_factors(terms: dict, space: VarSpace):
+def _strip_repeated_factors(terms: dict):
     """Square-free part (in Y) of an edge polynomial, or None.
 
-    Pseudo-Euclid against the Y-derivative with monomial content stripping;
-    the root set is unchanged, only multiplicities drop.
+    Divides the edge by its gcd with the Y-derivative; the root set is
+    unchanged, only multiplicities drop.  The quotient's forms stay in the
+    edge's own space.
     """
     deriv = {m - 1: f.scale(m) for m, f in terms.items() if m >= 1}
-    g = _poly_gcd_y(terms, deriv, space)
+    g = _poly_gcd_y(terms, deriv)
     if max(g) == 0:
         return None
-    quot = _poly_div_y(terms, g)
-    return quot
+    quot = divide_exact(_y_poly(terms), _y_poly(g))
+    return None if quot is None else quot.coefficients_in(_Y)
 
 
-def _poly_gcd_y(a: dict, b: dict, space: VarSpace):
+def _y_poly(terms: dict) -> FracPoly:
+    """sum_m terms[m] * Y^m, in the space of the forms (which holds Y)."""
+    space = next(iter(terms.values())).space
+    y = FracPoly.variable(space, _Y)
+    out = FracPoly.zero(space)
+    for m, f in terms.items():
+        out = out + f * y ** m
+    return out
+
+
+def _poly_gcd_y(a: dict, b: dict):
     """Gcd in Y by pseudo-remainders, with monomial content stripped.
 
-    The loop ends without a round cap: the pseudo-remainder of a by b has
-    Y-degree below that of b, and stripping monomial content keeps every
-    Y-degree, so the Y-degree of the divisor drops every round until it
-    reaches 0 or the divisor vanishes.
+    Over constant forms this is Euclid over the cyclotomic field, and the
+    monic result is the unique monic gcd.  The loop ends without a round
+    cap: the pseudo-remainder of a by b has Y-degree below that of b, and
+    stripping monomial content keeps every Y-degree, so the Y-degree of the
+    divisor drops every round until it reaches 0 or the divisor vanishes.
     """
     a, b = dict(a), dict(b)
     while b:
         if max(b) == 0:
-            return {0: FracPoly.constant(space, 1)}
+            return {0: FracPoly.constant(b[0].space, 1)}
         a, b = b, _strip_monomial_content(_pseudo_rem_y(a, b))
     return _make_monic_y(_strip_monomial_content(a))
 
@@ -473,7 +459,6 @@ def _strip_monomial_content(p: dict):
         return p
     forms = list(p.values())
     space = forms[0].space
-    nvars = len(space.names)
     mins = None
     for f in forms:
         for key in f.terms:
@@ -493,44 +478,25 @@ def _strip_monomial_content(p: dict):
     return out
 
 
-def _poly_div_y(a: dict, b: dict):
-    """Exact quotient of polynomials in Y with form coefficients, or None."""
-    da, db = max(a), max(b)
-    if da < db:
-        return None
-    work = dict(a)
-    quot: dict = {}
-    for dw in range(da, db - 1, -1):
-        coeff = work.get(dw)
-        if coeff is None:
-            continue
-        q = divide_exact(coeff, b[db])
-        if q is None:
-            return None
-        quot[dw - db] = q
-        for m, f in b.items():
-            shift = dw - db + m
-            cur = work.get(shift, None)
-            term = q * f
-            val = -term if cur is None else cur - term
-            if val is None or val.is_zero():
-                work.pop(shift, None)
-            else:
-                work[shift] = val
-    if any(not f.is_zero() for f in work.values()):
-        return None
-    return quot
+def _form_nth_root(f: FracPoly, n: int, state: _SearchState):
+    """Exact n-th root of a homogeneous polynomial, or None.
 
-
-def _form_nth_root(f: FracPoly, n: int):
-    """Exact n-th root of a homogeneous polynomial, or None."""
+    None decides that f is no n-th power, except when the leading
+    coefficient has no n-th root that cyclo_nth_root finds: then the
+    search is marked unsupported as well.
+    """
     if f.is_zero():
         return f
     lead_key = max(f.terms)
-    lead = FracPoly._raw(f.space, {lead_key: f.terms[lead_key]})
-    g0 = _monomial_nth_root(lead, n)
-    if g0 is None:
+    coeff = f.terms[lead_key]
+    # e/n is a legal exponent exactly when the scaled entry e*b is divisible by n
+    if any(k % n for k in lead_key):
         return None
+    c = cyclo_nth_root(coeff, n)
+    if c is None:
+        state.unsupported = state.unsupported or f"no {n}-th root of the coefficient {coeff} was found"
+        return None
+    g0 = FracPoly._raw(f.space, {tuple(k // n for k in lead_key): c})
     g = g0
     denom = g0 ** (n - 1) * n
     for _ in range(len(f.terms) * n + 8):
@@ -543,17 +509,6 @@ def _form_nth_root(f: FracPoly, n: int):
             return None
         g = g + corr
     return None
-
-
-def _monomial_nth_root(mono: FracPoly, n: int):
-    (key, coeff), = mono.terms.items()
-    # e/n is a legal exponent exactly when the scaled entry e*b is divisible by n
-    if any(k % n for k in key):
-        return None
-    c = cyclo_nth_root(coeff, n)
-    if c is None:
-        return None
-    return FracPoly._raw(mono.space, {tuple(k // n for k in key): c})
 
 
 def _deflate(g: FracPoly, b: FracPoly, state: _SearchState) -> FracPoly:

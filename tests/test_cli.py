@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -67,6 +68,14 @@ def test_usage_error_exit_code():
 
 # z^2 over the free variables z, x
 _Z2 = '{"space":{"divisorial":[],"free":["z","x"]},"terms":[{"w":[],"free":[2,0],"coeff":{"order":1,"coeffs":["1"]}}]}'
+# (z + e3 x)(z + e4 x): it splits, but the discriminant's square root is
+# beyond cyclo_nth_root, so the search is undecided
+_ZX = VarSpace([], ["z", "x"])
+_E3E4 = json.dumps(
+    jsonio.poly_to_json(
+        math.prod(FracPoly.variable(_ZX, "z") + FracPoly.variable(_ZX, "x").scale(root_of_unity(k)) for k in (3, 4))
+    )
+)
 # the sign action on a, b, and the polynomials 0, a, b and a + b over a, b
 _AB_SIGN = '{"moduli":[2],"weights":{"a":[0],"b":[1]}}'
 _AB_TERM = '{"w":[],"free":[%s],"coeff":{"order":1,"coeffs":["1"]}}'
@@ -112,6 +121,7 @@ _AB_ZERO, _AB_A, _AB_B, _AB_SUM = (
         ["ncquot", "adapt", "--action", _AB_SIGN, "--divisors", f"[{_AB_B},{_AB_B}]", "--stratum", f"[{_AB_A}]"],
         ["gcirc", "clean", "--gamma", "[[1],[2]]", "--moduli", "2,2"],
         ["gcirc", "clean", "--gamma", "[[1,5,7]]", "--moduli", "2"],
+        ["split", "newton", "--poly", _E3E4],
     ],
     ids=[
         "det-cpk-noncyclic",
@@ -147,6 +157,7 @@ _AB_ZERO, _AB_A, _AB_B, _AB_SUM = (
         "adapt-dependent-divisors",
         "clean-row-short",
         "clean-row-long",
+        "newton-undecided",
     ],
 )
 def test_domain_error_exit_code(capsys, argv):
@@ -155,6 +166,12 @@ def test_domain_error_exit_code(capsys, argv):
     code = run(["--format", "json"] + argv)
     out = capsys.readouterr().out
     assert code == 1 and isinstance(json.loads(out)["error"], str)
+
+
+def test_split_newton_undecided_json(capsys):
+    code, out = _capture(capsys, ["--format", "json", "split", "newton", "--poly", _E3E4])
+    assert code == 1
+    assert json.loads(out) == {"error": "splitting undecided: no 2-th root of the coefficient -1 + 2*E12 - E12^2 was found"}
 
 
 def test_cli_import_does_not_load_numpy():

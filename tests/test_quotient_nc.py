@@ -23,7 +23,7 @@ from circforge import (
     semi_invariant_generators,
     semi_invariant_weight,
 )
-from circforge.polyring import linear_part, match_scalar
+from circforge.polyring import linear_part, linear_rank, match_scalar
 from circforge.smith import rank
 
 
@@ -308,6 +308,8 @@ def test_normal_form_against_brute_force(rng):
         el for el in act.group.elements() if match_scalar(apply_group(f0, act, el), f0) is not None
     }
     assert math.prod(nf.factors) == math.prod(factors).scale(nf.scalar)
+    space = VarSpace.union(*(f.space for f in factors))
+    assert linear_rank([linear_part(h) for h in nf.parts.values()], space.names) == len(factors)
 
 
 @settings(max_examples=25, deadline=None)

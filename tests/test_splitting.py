@@ -1,10 +1,16 @@
+import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circforge import (
     AbelianGroup,
+    Ambiguous,
     Cyclo,
     DiagonalAction,
     FracPoly,
@@ -13,6 +19,7 @@ from circforge import (
     VarSpace,
     apply_group,
     cpk_spec,
+    jsonio,
     normal_form_poly,
     root_of_unity,
     split_newton,
@@ -22,6 +29,8 @@ from circforge import (
 )
 
 from conftest import binomial_series
+
+GOLDEN_OUTCOMES = Path(__file__).parent / "golden" / "split_outcomes.json"
 
 
 @pytest.fixture
@@ -67,25 +76,73 @@ def test_split_odd_order_obstruction():
     assert err.value.degree is not None
 
 
+_I = root_of_unity(4)
+
+
 @pytest.mark.parametrize(
-    "roots",
+    ("roots", "match"),
     [
-        lambda x, y: [x, 2 * x, 3 * x],
-        lambda x, y: [x, y, x + y],
-        lambda x, y: [x + y, x - y, 2 * x + y],
-        lambda x, y: [x, x + y, y + x * x],
+        pytest.param(lambda x, y: [x, 2 * x, 3 * x], "edge equation of extent 3", id="x,2x,3x"),
+        pytest.param(lambda x, y: [x, y, x + y], "edge equation of extent 3", id="x,y,x+y"),
+        pytest.param(lambda x, y: [x + y, x - y, 2 * x + y], "edge equation of extent 3", id="x+y,x-y,2x+y"),
+        pytest.param(lambda x, y: [x, x + y, y + x * x], "edge equation of extent 3", id="x,x+y,y+x^2"),
+        # (z + e3 x)(z + e4 x): the discriminant (e3 - e4)^2 x^2 is a square in Q(e12)
+        pytest.param(
+            lambda x, y: [x.scale(-root_of_unity(3)), x.scale(-_I)],
+            "no 2-th root of the coefficient",
+            id="-e3x,-e4x",
+        ),
+        # z^4 + 4x^4: -4 = (1 + i)^4
+        pytest.param(
+            lambda x, y: [x.scale(s * (1 + t * _I)) for s in (1, -1) for t in (1, -1)],
+            "no 4-th root of the coefficient -4",
+            id="z^4+4x^4",
+        ),
     ],
-    ids=["x,2x,3x", "x,y,x+y", "x+y,x-y,2x+y", "x,x+y,y+x^2"],
 )
 @pytest.mark.parametrize("divisorial", [False, True], ids=["free", "divisorial"])
-def test_unsolved_edge_is_unsupported_not_nosplit(roots, divisorial):
-    # Each product splits, but its first edge equation is a cubic with interior
-    # terms, which the edge solver cannot decide: not a proof of "no split".
+def test_unsolved_edge_is_unsupported_not_nosplit(roots, match, divisorial):
+    # Each product splits, but an edge equation is beyond the edge solver: a
+    # cubic with interior terms, or a cyclotomic root that cyclo_nth_root
+    # does not find.  Neither is a proof of "no split".
     sp = VarSpace([("x", 1)], ["y", "z"]) if divisorial else VarSpace([], ["x", "y", "z"])
     x, y, z = (FracPoly.variable(sp, n) for n in ("x", "y", "z"))
     f = math.prod(z - r for r in roots(x, y))
-    with pytest.raises(Unsupported, match="edge equation of extent 3"):
+    with pytest.raises(Unsupported, match=match):
         split_newton(f, "z")
+
+
+_MONOMIAL_ROOTS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool).map(Cyclo.rational),
+            st.sampled_from([root_of_unity(3), root_of_unity(4)]),
+        ),
+        st.tuples(*(st.integers(0, 2) for _ in "vxy")).filter(any),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_MONOMIAL_ROOTS)
+def test_monomial_root_products_never_nosplit(drawn):
+    # prod(z + c_i * m_i) splits, so the search may give up (Unsupported,
+    # Ambiguous) but never claim that it does not
+    sp = VarSpace([], ["v", "x", "y", "z"])
+    roots = [FracPoly.monomial(sp, dict(zip("vxy", exps)), c) for c, exps in drawn]
+    f = math.prod(FracPoly.variable(sp, "z") + b for b in roots)
+    bound = int(sum(b.total_degree() for b in roots)) + 1
+    try:
+        found = split_newton(f, "z", degree_bound=bound)
+    except (Unsupported, Ambiguous):
+        return
+    for b in roots:
+        hit = next((i for i, r in enumerate(found) if r == b), None)
+        assert hit is not None, f"missing root {b}"
+        found.pop(hit)
+    assert not found
 
 
 def test_split_cp3_exact():
@@ -227,3 +284,84 @@ def test_split_random_monomial_root_roundtrip():
             assert hit is not None, f"missing root {b}"
             remaining.pop(hit)
         assert not remaining
+
+
+def _golden_cases():
+    """(name, f, powers, degree bound) for the recorded split outcomes: every
+    arm of the edge solver, its obstructions, and seeded random products."""
+    sp = VarSpace([], ["v", "x", "y", "z"])
+    v, x, y, z = (FracPoly.variable(sp, n) for n in ("v", "x", "y", "z"))
+    e3, e4 = root_of_unity(3), root_of_unity(4)
+    cases = [
+        # repeated roots: the square-free path
+        ("repeated-square", (z + v * x) ** 2, 1, 10),
+        ("repeated-square-times-simple", (z + v * x) ** 2 * (z - v * v), 1, 10),
+        ("repeated-cube", (z - v * x) ** 3, 1, 10),
+        ("repeated-pair-of-squares", (z - v * x) ** 2 * (z + v * y) ** 2, 1, 10),
+        ("repeated-e3", (z + (v * x).scale(e3)) ** 2 * (z - v * y), 1, 10),
+        # roots sharing an initial degree: exponent gcd and monomial candidates
+        ("shared-two-binomials", (z * z - v * v * x * x) * (z * z - v * v * y * y), 1, 10),
+        ("shared-binomial-and-square", (z * z - v * v * x * x) * (z + v * y) ** 2, 1, 12),
+        ("shared-three-monomials", (z - v * x) * (z - v * y) * (z - x * y), 1, 10),
+        ("shared-cube-binomial", z ** 3 - v ** 3 * x ** 3, 1, 10),
+        ("shared-e4-pair", (z - (v * x).scale(e4)) * (z + v * y) * (z - x * y.scale(2)), 1, 10),
+        ("shared-sixth-binomial", z ** 6 - v ** 6 * x ** 6, 1, 8),
+        ("shared-scalar-cube-roots", (z ** 3 - v ** 3 * x ** 3) * (z - 2 * v * y), 1, 10),
+        ("shared-non-square-subroots", (z * z - v * x) * (z * z - v * y), 1, 10),
+        ("binomial-non-square-form", z * z - v * v * x * x - v * v * y * y, 1, 10),
+        ("shared-quartic-gcd", (z * z - v * v * x * x) * (z * z + 4 * v * v * y * y), 1, 10),
+    ]
+    cases += [(f"cp{k}", normal_form_poly(cpk_spec(k)), k, bound) for k, bound in ((2, 10), (3, 10), (4, 8))]
+    probes = [
+        ("x,2x,3x", lambda x, y: [x, 2 * x, 3 * x]),
+        ("x,y,x+y", lambda x, y: [x, y, x + y]),
+        ("x+y,x-y,2x+y", lambda x, y: [x + y, x - y, 2 * x + y]),
+        ("x,x+y,y+x^2", lambda x, y: [x, x + y, y + x * x]),
+    ]
+    for label, space in (("free", VarSpace([], ["x", "y", "z"])), ("divisorial", VarSpace([("x", 1)], ["y", "z"]))):
+        px, py, pz = (FracPoly.variable(space, n) for n in ("x", "y", "z"))
+        cases += [(f"extent3-{name}-{label}", math.prod(pz - r for r in roots(px, py)), 1, 12) for name, roots in probes]
+    sx = VarSpace([], ["x", "z"])
+    qx, qz = FracPoly.variable(sx, "x"), FracPoly.variable(sx, "z")
+    cases.append(("e3-e4-quadratic", (qz + qx.scale(e3)) * (qz + qx.scale(e4)), 1, 12))
+    cases.append(("z4-plus-4x4", qz ** 4 + 4 * qx ** 4, 1, 12))
+    sw = VarSpace([("w", 2)], ["x", "z"])
+    w, wx, wz = (FracPoly.variable(sw, n) for n in ("w", "x", "z"))
+    cases.append(("odd-order-obstruction", wz * wz + w * wx, 2, 8))
+    cases.append(("example-basic-series", wz * wz + w ** 3 * (1 + wx) * wx * wx, 2, 12))
+    rng = random.Random(8080)
+    scalars = [Cyclo.rational(1), Cyclo.rational(-1), Cyclo.rational(2), Cyclo.rational(Fraction(-1, 2)), e3, -e3, e4, e3 * e3]
+    for i in range(80):
+        exps = [{"v": rng.randint(0, 2), "x": rng.randint(0, 2), "y": rng.randint(1, 2)} for _ in range(rng.randint(2, 4))]
+        roots = [FracPoly.monomial(sp, e, rng.choice(scalars)) for e in exps]
+        bound = int(sum(b.total_degree() for b in roots)) + 1
+        cases.append((f"random-{i:02d}", math.prod(z + b for b in roots), 1, bound))
+    return cases
+
+
+def _split_outcomes() -> dict:
+    """{case: {"roots": [poly_to_json, ...]}} or {case: {"error", "message"}}."""
+    out = {}
+    for name, f, powers, bound in _golden_cases():
+        try:
+            roots = split_newton(f, "z", powers=powers, degree_bound=bound)
+        except (NoSplit, Unsupported, Ambiguous) as err:
+            out[name] = {"error": type(err).__name__, "message": str(err)}
+        else:
+            out[name] = {"roots": [jsonio.poly_to_json(r) for r in roots]}
+    return out
+
+
+def test_split_outcomes_golden():
+    # every ordered root list (as JSON) and every exception message; a change
+    # that moves a row says which, and why, in CHANGES.md
+    want = json.loads(GOLDEN_OUTCOMES.read_text())
+    got = _split_outcomes()
+    assert list(got) == list(want)
+    assert [name for name in got if got[name] != want[name]] == []
+
+
+if __name__ == "__main__":
+    # python tests/test_splitting.py > tests/golden/split_outcomes.json
+    rows = [json.dumps(name) + ": " + json.dumps(row, sort_keys=True) for name, row in _split_outcomes().items()]
+    print("{\n" + ",\n".join(rows) + "\n}")
