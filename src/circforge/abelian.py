@@ -36,7 +36,10 @@ class AbelianGroup:
         return prod(self.moduli)
 
     def element(self, residues) -> "GroupElement":
-        return GroupElement(self, tuple(int(r) % p for r, p in zip(residues, self.moduli, strict=True)))
+        residues = tuple(residues)
+        if len(residues) != self.rank:
+            raise ValueError(f"{len(residues)} residues for an element of {self}, a group of rank {self.rank}")
+        return GroupElement(self, tuple(int(r) % p for r, p in zip(residues, self.moduli)))
 
     @property
     def identity(self) -> "GroupElement":
@@ -144,6 +147,44 @@ def trivial_subgroup(group: AbelianGroup) -> Subgroup:
 
 def full_subgroup(group: AbelianGroup) -> Subgroup:
     return Subgroup(group, group.elements())
+
+
+def element_index_maps(group: AbelianGroup, generator_maps, n: int) -> dict:
+    """The index map of every element of group acting on n items.
+
+    generator_maps[i] is the map of generator i, a sequence sending item j
+    to item generator_maps[i][j].  The element with residues (r_1, ..., r_s)
+    maps j to sigma_s^(r_s)(... sigma_1^(r_1)(j)).  A group of rank 0 acts
+    trivially on its n items.
+    """
+    identity = tuple(range(n))
+    powers = []
+    for sigma, p in zip(generator_maps, group.moduli, strict=True):
+        table = [identity]
+        for _ in range(p - 1):
+            table.append(tuple(sigma[j] for j in table[-1]))
+        powers.append(table)
+    maps = {}
+    for el in group.elements():
+        perm = identity
+        for table, r in zip(powers, el.residues):
+            if r:
+                perm = tuple(table[r][j] for j in perm)
+        maps[el] = perm
+    return maps
+
+
+def index_orbits(maps: dict, n: int) -> tuple[tuple[int, ...], ...]:
+    """The orbits of the items 0..n-1 under the index maps (as from
+    element_index_maps), each a sorted tuple, ordered by least item."""
+    orbits = []
+    seen: set = set()
+    for j in range(n):
+        if j not in seen:
+            orbit = tuple(sorted({perm[j] for perm in maps.values()}))
+            seen.update(orbit)
+            orbits.append(orbit)
+    return tuple(orbits)
 
 
 @dataclass(frozen=True)

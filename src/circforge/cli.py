@@ -94,13 +94,27 @@ def _fail(args, message: str) -> int:
 # -- abelian ---------------------------------------------------------------------
 
 
-def cmd_abelian_perp(args):
-    from . import jsonio
-    from .abelian import PairingContext, full_subgroup, perp, subgroup_from_generators
+def _group_and_subgroup(args):
+    """The group of --group and the subgroup its --sub elements generate
+    (the whole group without --sub)."""
+    from .abelian import full_subgroup, subgroup_from_generators
 
     g = _parse_group(args.group)
-    h = subgroup_from_generators(g, _parse_elements(g, args.sub)) if args.sub else full_subgroup(g)
-    ctx = PairingContext(g, args.k) if args.k is not None else PairingContext.natural(g)
+    return g, subgroup_from_generators(g, _parse_elements(g, args.sub)) if args.sub else full_subgroup(g)
+
+
+def _pairing(args, g):
+    from .abelian import PairingContext
+
+    return PairingContext(g, args.k) if args.k is not None else PairingContext.natural(g)
+
+
+def cmd_abelian_perp(args):
+    from . import jsonio
+    from .abelian import perp
+
+    g, h = _group_and_subgroup(args)
+    ctx = _pairing(args, g)
     comp = perp(ctx, h)
     payload = {
         "group": jsonio.group_to_json(g),
@@ -115,11 +129,10 @@ def cmd_abelian_perp(args):
 
 def cmd_abelian_xi(args):
     from . import jsonio
-    from .abelian import PairingContext, full_subgroup, subgroup_from_generators, xi
+    from .abelian import xi
 
-    g = _parse_group(args.group)
-    h = subgroup_from_generators(g, _parse_elements(g, args.sub)) if args.sub else full_subgroup(g)
-    ctx = PairingContext(g, args.k) if args.k is not None else PairingContext.natural(g)
+    g, h = _group_and_subgroup(args)
+    ctx = _pairing(args, g)
     (ell,) = _parse_elements(g, args.ell)
     val = xi(ctx, h, ell)
     _emit(args, {"xi": jsonio.cyclo_to_json(val)}, [f"xi_{ell} = {val}"])
@@ -128,10 +141,9 @@ def cmd_abelian_xi(args):
 
 def cmd_abelian_quotient(args):
     from . import jsonio
-    from .abelian import full_subgroup, quotient, subgroup_from_generators
+    from .abelian import quotient
 
-    g = _parse_group(args.group)
-    h = subgroup_from_generators(g, _parse_elements(g, args.sub)) if args.sub else full_subgroup(g)
+    g, h = _group_and_subgroup(args)
     cs = quotient(g, h)
     payload = {"representatives": [jsonio.element_to_json(r) for r in cs.representatives]}
     _emit(args, payload, ["representatives: " + ", ".join(str(r) for r in cs.representatives)])
@@ -139,10 +151,9 @@ def cmd_abelian_quotient(args):
 
 
 def cmd_abelian_factors(args):
-    from .abelian import full_subgroup, invariant_factors, quotient_invariant_factors, subgroup_from_generators
+    from .abelian import invariant_factors, quotient_invariant_factors
 
-    g = _parse_group(args.group)
-    h = subgroup_from_generators(g, _parse_elements(g, args.sub)) if args.sub else full_subgroup(g)
+    g, h = _group_and_subgroup(args)
     facs = quotient_invariant_factors(g, h) if args.quotient else invariant_factors(h)
     what = "G/H" if args.quotient else "H"
     _emit(args, {"invariant_factors": facs}, [f"invariant factors of {what}: {facs or '[]'}"])

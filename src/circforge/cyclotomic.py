@@ -353,16 +353,20 @@ class Cyclo:
                     parts.append(f"-{unit}")
                 else:
                     parts.append(f"{_fmt_q(c)}*{unit}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _join_signed(parts) if parts else "0"
 
 
 def _fmt_q(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _join_signed(terms) -> str:
+    """Nonempty formatted terms joined by " + ", or by " - " before a term
+    that starts with a minus sign."""
+    out = terms[0]
+    for t in terms[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
 
 
 def root_of_unity(k: int, e: int = 1) -> Cyclo:

@@ -25,7 +25,9 @@ from .abelian import (
     GroupElement,
     PairingContext,
     Subgroup,
+    element_index_maps,
     full_subgroup,
+    index_orbits,
     invariant_factors,
     pairing,
     perp,
@@ -460,7 +462,9 @@ def validate_normal_form(spec: NormalFormSpec, allow_omitted_divisors: bool = Fa
     transitive = False
     stab = None
     if perms is not None:
-        transitive, stab = _orbit_and_stabilizer(spec, perms)
+        maps = element_index_maps(g, perms, spec.quotient_group.order)
+        transitive = len(index_orbits(maps, spec.quotient_group.order)[0]) == spec.k
+        stab = Subgroup(g, [el for el, perm in maps.items() if perm[0] == 0])
     quotient_iso = False
     if stab is not None:
         quotient_iso = quotient_invariant_factors(g, stab) == invariant_factors(full_subgroup(spec.quotient_group))
@@ -502,22 +506,6 @@ def _eigen_action_permutations(spec: NormalFormSpec):
     return perms
 
 
-def _orbit_and_stabilizer(spec: NormalFormSpec, perms):
-    g = spec.group
-    k = spec.k
-
-    def act(element: GroupElement, idx: int) -> int:
-        for i, n in enumerate(element.residues):
-            for _ in range(n):
-                idx = perms[i][idx]
-        return idx
-
-    orbit = {act(el, 0) for el in g.elements()}
-    stab_elems = [el for el in g.elements() if act(el, 0) == 0]
-    stab = Subgroup(g, stab_elems)
-    return len(orbit) == k, stab
-
-
 # -- irreducibility and permutation lemmas ---------------------------------------
 
 
@@ -543,15 +531,7 @@ def cyclic_factor_orbit_transitive(k: int, h) -> bool | None:
         if target not in index:
             return None
         perm.append(index[target])
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        cur = frontier.pop()
-        nxt = perm[cur]
-        if nxt not in orbit:
-            orbit.add(nxt)
-            frontier.append(nxt)
-    return len(orbit) == k
+    return len(index_orbits(element_index_maps(AbelianGroup((k,)), [perm], k), k)[0]) == k
 
 
 @dataclass

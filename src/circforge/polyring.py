@@ -28,7 +28,7 @@ from math import lcm
 from operator import add, mod, mul
 
 from .abelian import AbelianGroup, GroupElement
-from .cyclotomic import Cyclo, root_of_unity
+from .cyclotomic import Cyclo, _fmt_q, _join_signed, root_of_unity
 from .smith import rank
 
 
@@ -485,21 +485,17 @@ class FracPoly:
             if coeff.is_rational():
                 q = coeff.as_rational()
                 if not mono_s:
-                    c_s = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+                    c_s = _fmt_q(q)
                 elif q == 1:
                     c_s = mono_s
                 elif q == -1:
                     c_s = f"-{mono_s}"
                 else:
-                    qs = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-                    c_s = f"{qs}*{mono_s}"
+                    c_s = f"{_fmt_q(q)}*{mono_s}"
             else:
                 c_s = f"({coeff})*{mono_s}" if mono_s else f"({coeff})"
             chunks.append(c_s)
-        out = chunks[0]
-        for c in chunks[1:]:
-            out += f" - {c[1:]}" if c.startswith("-") else f" + {c}"
-        return out
+        return _join_signed(chunks)
 
 
 def _poly_power(p: FracPoly, e) -> FracPoly:

@@ -7,7 +7,9 @@ group generator at a time, the cyclic quotient order q acting effectively
 on the factor ideals, splits the first factor into semi-invariant pieces
 indexed by nested weights, and certifies an invertible coefficient matrix
 (nested blocks of diagonal times Vandermonde type) recombining the pieces
-into the full factor system.
+into the full factor system.  The action on the factors is composed from
+one factor permutation per generator (`abelian.element_index_maps`), and
+ideal membership row-reduces the linear parts with `smith.echelon`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .abelian import GroupElement, Subgroup
+from .abelian import GroupElement, Subgroup, element_index_maps, index_orbits
 from .cyclotomic import Cyclo, root_of_unity
 from .errors import DomainError
 from .polyring import (
@@ -31,7 +33,7 @@ from .polyring import (
     semi_invariant_weight,
     truncate,
 )
-from .smith import det
+from .smith import det, echelon
 
 
 class SplitsInvariantly(DomainError):
@@ -68,16 +70,18 @@ def semi_invariant_generators(gens, action: DiagonalAction, membership_factors=N
 
 
 def nc_ideal_reduction(f: FracPoly, factors, degree: int | None = None) -> FracPoly:
-    """Image of f in the local quotient by (factors), truncated.
+    """Image of f in the local quotient by (factors).
 
-    The factors must have independent linear parts; the pivot variables are
-    eliminated by iterating the solved equations.  A zero image certifies
-    membership up to the truncation degree (default: 2 deg f + 4).
+    The factors must have independent linear parts; row reduction solves
+    them for distinct pivot variables.  When no pivot occurs in any solved
+    substitution (every linear system is of this kind), one substitution
+    eliminates the pivots and the image is exact: it is zero exactly when f
+    lies in the ideal generated by the factors in the polynomial ring.
+    Otherwise the solved equations are iterated and truncated at degree
+    (default: 2 deg f + 4), and a zero image certifies membership only up to
+    that degree.
     """
     factors = list(factors)
-    if degree is None:
-        d = f.total_degree()
-        degree = int(2 * (d if d is not None else 1)) + 4
     space = f.space.union(*(g.space for g in factors))
     f = f.in_space(space)
     factors = [g.in_space(space) for g in factors]
@@ -86,6 +90,12 @@ def nc_ideal_reduction(f: FracPoly, factors, degree: int | None = None) -> FracP
     for piv, g in zip(pivots, rows):
         pv = FracPoly.variable(space, piv)
         subs[piv] = pv - g  # g has linear part pv + (non-pivot linear) + higher
+    pivot_pos = [space.names.index(p) for p in pivots]
+    if not any(key[i] for v in subs.values() for key in v.terms for i in pivot_pos):
+        return f.substitute(subs, target_space=space)
+    if degree is None:
+        d = f.total_degree()
+        degree = int(2 * (d if d is not None else 1)) + 4
     # iterate the substitution until the pivots are eliminated mod the degree
     sol = {p: truncate(v, degree) for p, v in subs.items()}
     for _ in range(degree + 2):
@@ -97,39 +107,43 @@ def nc_ideal_reduction(f: FracPoly, factors, degree: int | None = None) -> FracP
                 changed = True
         if not changed:
             break
-    image = truncate(f.substitute(sol, target_space=space), degree)
-    return image
+    return truncate(f.substitute(sol, target_space=space), degree)
 
 
 def _triangularize(factors, space: VarSpace):
     """Row-reduce the factor system so each row has a distinct pivot variable
-    with unit coefficient in its linear part."""
-    rows = list(factors)
-    names = list(space.names)
-    pivots = []
-    reduced = []
-    for g in rows:
-        work = g
-        for piv, done in zip(pivots, reduced):
-            c = linear_part(work).get(piv)
-            if c is not None and not c.is_zero():
-                work = work - done.scale(c)
-        lin = linear_part(work)
-        piv = next((n for n in names if n in lin and not lin[n].is_zero() and n not in pivots), None)
-        if piv is None:
-            raise DegenerateInput("factor linear parts are not independent")
-        work = work.scale(lin[piv].inverse())
-        pivots.append(piv)
-        reduced.append(work)
-    # back-substitute so no pivot appears in another row's linear part
-    for a in range(len(reduced)):
-        for b in range(len(reduced)):
-            if a == b:
-                continue
-            c = linear_part(reduced[a]).get(pivots[b])
-            if c is not None and not c.is_zero():
-                reduced[a] = reduced[a] - reduced[b].scale(c)
-    return reduced, pivots
+    with unit coefficient in its linear part, and no other row has that
+    variable in its linear part.
+
+    echelon runs on the rows [linear-part coefficients | identity row]; the
+    identity block records the matrix M with reduced rows M * factors.  Its
+    column-by-column search picks the lexicographically first basis of
+    variables, and back-substitution to unit pivots makes M unique.
+    """
+    names = space.names
+    n, k = len(names), len(factors)
+    zero = Cyclo.zero()
+    e, cols, _sign = echelon(
+        [[lin.get(name, zero) for name in names] + [int(i == j) for i in range(k)]
+         for j, lin in enumerate(map(linear_part, factors))]
+    )
+    if cols and cols[-1] >= n:
+        raise DegenerateInput("factor linear parts are not independent")
+    for r in reversed(range(k)):
+        inv = e[r][cols[r]].inverse()
+        e[r] = [x * inv for x in e[r]]
+        for a in range(r):
+            c = e[a][cols[r]]
+            if c:
+                e[a] = [x - c * y for x, y in zip(e[a], e[r])]
+    rows = []
+    for row in e:
+        comb = FracPoly.zero(space)
+        for c, g in zip(row[n:], factors):
+            if c:
+                comb = comb + g.scale(c)
+        rows.append(comb)
+    return rows, [names[c] for c in cols]
 
 
 # -- adapted coordinates ---------------------------------------------------------
@@ -297,38 +311,16 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     if linear_rank([linear_part(f) for f in factors], space.names) != k:
         raise DegenerateInput("factor linear parts are not independent")
 
-    # powers[i][r]: the index map of r times generator i
-    identity = list(range(k))
-    powers = []
+    sigmas = []
     for i, p in enumerate(group.moduli):
-        table = [identity]
-        if p > 1:
-            sigma = _factor_permutation(factors, action, group.generator(i))
-            if sigma is None:
-                raise ValueError("the group does not permute the factor ideals; product is not invariant")
-            for _ in range(p - 1):
-                table.append([sigma[j] for j in table[-1]])
-        powers.append(table)
-    perms = {}
-    for el in group.elements():
-        perm = identity
-        for table, r in zip(powers, el.residues):
-            if r:
-                perm = [table[r][j] for j in perm]
-        perms[el] = perm
-
-    orbit0 = {perm[0] for perm in perms.values()}
-    if len(orbit0) != k:
-        partition = []
-        seen = set()
-        for j in range(k):
-            if j in seen:
-                continue
-            orb = sorted({perm[j] for perm in perms.values()})
-            seen.update(orb)
-            partition.append(tuple(orb))
-        raise SplitsInvariantly(tuple(partition))
-
+        sigma = _factor_permutation(factors, action, group.generator(i)) if p > 1 else range(k)
+        if sigma is None:
+            raise ValueError("the group does not permute the factor ideals; product is not invariant")
+        sigmas.append(sigma)
+    perms = element_index_maps(group, sigmas, k)
+    orbits = index_orbits(perms, k)
+    if len(orbits) > 1:
+        raise SplitsInvariantly(orbits)
     stab = Subgroup(group, [el for el, perm in perms.items() if perm[0] == 0])
 
     f1 = factors[0]

@@ -18,7 +18,9 @@ initial forms and for the scalars of monomial root candidates alike.
 Longer edges go through exponent-gcd substitution, square-free reduction
 (one gcd, `_poly_gcd_y`, and one exact division, `polyring.divide_exact`)
 and monomial root candidates, whose scalar conditions are intersected with
-the same gcd.
+the same gcd.  The gcd works on plain FracPolys in Y with FracPoly
+arithmetic: pseudo-remainders, monomial content removed with
+`polyring.strict_transform`, and a monic result from one exact division.
 
 NoSplit is raised only when every edge equation met was decided.  The
 search raises Unsupported instead when no branch closes and an edge was
@@ -38,14 +40,14 @@ from math import gcd
 
 from .cyclotomic import Cyclo, cyclo_nth_root, root_of_unity
 from .errors import DomainError
-from .polyring import FracPoly, VarSpace, divide_exact, substitute_power, truncate
+from .polyring import FracPoly, VarSpace, divide_exact, strict_transform, substitute_power, truncate
 
 DEFAULT_DEGREE_BOUND = 12
 DEFAULT_BRANCH_CAP = 64
 
 _Y = "$Y"  # the unknown of an edge equation
 _T = "$T"  # the scalar of a monomial root candidate
-_SCALARS = VarSpace()  # the space of constant forms
+_SCALARS = VarSpace((), (_Y,))  # constant forms, and polynomials in Y over them
 
 
 class NoSplit(DomainError):
@@ -227,10 +229,13 @@ def _lower_hull_edges(points):
 
 # -- edge equations -------------------------------------------------------------
 #
-# An edge equation is a dict {m: coefficient of Y^m}.  Its coefficients are
-# homogeneous forms, or constant forms in _SCALARS when the unknown is a
-# scalar, so one root solver, one gcd and one exact division serve both.
-# Every caller passes a nonzero coefficient at m = 0.
+# An edge equation is a dict {m: coefficient of Y^m}, which _solve_edge and
+# _radical_roots read by index.  Its coefficients are homogeneous forms, or
+# constant forms in _SCALARS when the unknown is a scalar.  The gcd and the
+# exact division take the edge as one FracPoly in Y (_y_poly builds it,
+# coefficients_in(_Y) takes it apart), so one root solver, one gcd and one
+# exact division serve both.  Every caller passes a nonzero coefficient at
+# m = 0.
 
 
 def _solve_edge(terms: dict, delta: int, state: _SearchState):
@@ -336,13 +341,14 @@ def _monomial_root_candidates(terms: dict, delta: int, state: _SearchState):
         conditions: dict = {}
         for tdeg, coeffpoly in val.coefficients_in(_T).items():
             for key2, c in coeffpoly.terms.items():
-                conditions.setdefault(key2, {})[tdeg] = FracPoly.constant(_SCALARS, c)
+                conditions.setdefault(key2, {})[(tdeg,)] = c
         uni = None
-        for cond in conditions.values():
+        for cond_terms in conditions.values():
+            cond = FracPoly._raw(_SCALARS, cond_terms)
             uni = cond if uni is None else _poly_gcd_y(uni, cond)
-            if max(uni) == 0:
+            if uni.degree_in(_Y) == 0:
                 break
-        for c in _radical_roots(uni, delta, state) or ():
+        for c in _radical_roots(uni.coefficients_in(_Y), delta, state) or ():
             h = mono.scale(c.constant_coefficient())
             check = FracPoly.zero(space)
             for m, f in terms.items():
@@ -372,11 +378,11 @@ def _strip_repeated_factors(terms: dict):
     unchanged, only multiplicities drop.  The quotient's forms stay in the
     edge's own space.
     """
-    deriv = {m - 1: f.scale(m) for m, f in terms.items() if m >= 1}
-    g = _poly_gcd_y(terms, deriv)
-    if max(g) == 0:
+    p = _y_poly(terms)
+    g = _poly_gcd_y(p, _y_poly({m - 1: f.scale(m) for m, f in terms.items() if m >= 1}))
+    if g.degree_in(_Y) == 0:
         return None
-    quot = divide_exact(_y_poly(terms), _y_poly(g))
+    quot = divide_exact(p, g)
     return None if quot is None else quot.coefficients_in(_Y)
 
 
@@ -390,7 +396,11 @@ def _y_poly(terms: dict) -> FracPoly:
     return out
 
 
-def _poly_gcd_y(a: dict, b: dict):
+def _lead_y(p: FracPoly) -> FracPoly:
+    return p.coefficients_in(_Y)[p.degree_in(_Y)]
+
+
+def _poly_gcd_y(a: FracPoly, b: FracPoly) -> FracPoly:
     """Gcd in Y by pseudo-remainders, with monomial content stripped.
 
     Over constant forms this is Euclid over the cyclotomic field, and the
@@ -399,83 +409,34 @@ def _poly_gcd_y(a: dict, b: dict):
     stripping monomial content keeps every Y-degree, so the Y-degree of the
     divisor drops every round until it reaches 0 or the divisor vanishes.
     """
-    a, b = dict(a), dict(b)
-    while b:
-        if max(b) == 0:
-            return {0: FracPoly.constant(b[0].space, 1)}
+    while not b.is_zero():
+        if b.degree_in(_Y) == 0:
+            return FracPoly.constant(b.space, 1)
         a, b = b, _strip_monomial_content(_pseudo_rem_y(a, b))
-    return _make_monic_y(_strip_monomial_content(a))
+    a = _strip_monomial_content(a)
+    monic = divide_exact(a, _lead_y(a))
+    return a if monic is None else monic
 
 
-def _make_monic_y(p: dict):
-    """Divide out the leading coefficient when every division is exact."""
-    if not p:
+def _pseudo_rem_y(a: FracPoly, b: FracPoly) -> FracPoly:
+    """The pseudo-remainder of a by b in Y: a <- a * lc(b) - lc(a) * Y^(da-db) * b
+    until the Y-degree of a drops below that of b."""
+    db = b.degree_in(_Y)
+    lead = _lead_y(b)
+    y = FracPoly.variable(a.space, _Y)
+    while not a.is_zero() and a.degree_in(_Y) >= db:
+        a = a * lead - _lead_y(a) * y ** (a.degree_in(_Y) - db) * b
+    return a
+
+
+def _strip_monomial_content(p: FracPoly) -> FracPoly:
+    """p divided by the largest monomial in the variables other than Y."""
+    if p.is_zero():
         return p
-    lead = p[max(p)]
-    out = {}
-    for m, f in p.items():
-        q = divide_exact(f, lead)
-        if q is None:
-            return p
-        out[m] = q
-    return out
-
-
-def _pseudo_rem_y(a: dict, b: dict):
-    da, db = max(a), max(b)
-    if da < db:
-        return dict(a)
-    lead = b[db]
-    work = dict(a)
-    for _ in range(da - db + 1):
-        if not work:
-            return {}
-        dw = max(work)
-        if dw < db:
-            break
-        lw = work[dw]
-        nxt: dict = {}
-        for m, f in work.items():
-            if m == dw:
-                continue
-            nxt[m] = f * lead
-        for m, f in b.items():
-            if m == db:
-                continue
-            shift = dw - db + m
-            cur = nxt.get(shift)
-            term = lw * f
-            val = -term if cur is None else cur - term
-            if not val.is_zero():
-                nxt[shift] = val
-            elif shift in nxt:
-                del nxt[shift]
-        work = nxt
-    return work
-
-
-def _strip_monomial_content(p: dict):
-    if not p:
-        return p
-    forms = list(p.values())
-    space = forms[0].space
-    mins = None
-    for f in forms:
-        for key in f.terms:
-            if mins is None:
-                mins = list(key)
-            else:
-                mins = [min(a, b) for a, b in zip(mins, key)]
-    if mins is None or all(e == 0 for e in mins):
-        return p
-    mono = FracPoly._raw(space, {tuple(mins): Cyclo.one()})
-    out = {}
-    for m, f in p.items():
-        q = divide_exact(f, mono)
-        if q is None:
-            return p
-        out[m] = q
-    return out
+    for name in p.space.names:
+        if name != _Y:
+            p = strict_transform(p, name)[0]
+    return p
 
 
 def _form_nth_root(f: FracPoly, n: int, state: _SearchState):
@@ -484,6 +445,14 @@ def _form_nth_root(f: FracPoly, n: int, state: _SearchState):
     None decides that f is no n-th power, except when the leading
     coefficient has no n-th root that cyclo_nth_root finds: then the
     search is marked unsupported as well.
+
+    The correction loop ends without a step cap.  Each correction c cancels
+    the lex-leading term of f - g^n, and every term of f - (g + c)^n lies
+    below that term (lex order is compatible with addition, and c lies
+    below the leading term of g), so the correction keys strictly decrease.
+    Each key is >= 0 in every entry, or divide_exact returns None, and each
+    has the root's fixed degree, or the loop returns None; so the keys come
+    from a finite set.
     """
     if f.is_zero():
         return f
@@ -499,7 +468,7 @@ def _form_nth_root(f: FracPoly, n: int, state: _SearchState):
     g0 = FracPoly._raw(f.space, {tuple(k // n for k in lead_key): c})
     g = g0
     denom = g0 ** (n - 1) * n
-    for _ in range(len(f.terms) * n + 8):
+    while True:
         r = f - g ** n
         if r.is_zero():
             return g
@@ -508,7 +477,6 @@ def _form_nth_root(f: FracPoly, n: int, state: _SearchState):
         if corr is None or corr.total_degree() != g0.total_degree():
             return None
         g = g + corr
-    return None
 
 
 def _deflate(g: FracPoly, b: FracPoly, state: _SearchState) -> FracPoly:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -86,8 +87,8 @@ _AB_ZERO, _AB_A, _AB_B, _AB_SUM = (
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
+    "argv, match",
+    [(argv, None) for argv in [
         ["gcirc", "det", "--group", "Z2xZ2", "--cpk"],
         ["ncquot", "normalize", "--action", '{"moduli":[2]}', "--factors", "[]"],
         ["gcirc", "validate", "--spec", "{}"],
@@ -122,6 +123,13 @@ _AB_ZERO, _AB_A, _AB_B, _AB_SUM = (
         ["gcirc", "clean", "--gamma", "[[1],[2]]", "--moduli", "2,2"],
         ["gcirc", "clean", "--gamma", "[[1,5,7]]", "--moduli", "2"],
         ["split", "newton", "--poly", _E3E4],
+    ]]
+    + [
+        (["abelian", "quotient", "--group", "2", "--sub", "(1);(1,2)"], "2 residues .* of rank 1"),
+        (
+            ["gcirc", "validate", "--spec", '{"moduli":[2],"k":2,"gamma":[["1/2"]],"quotient":{"moduli":[2]},"labels":[[0],[1,0]]}'],
+            "2 residues .* of rank 1",
+        ),
     ],
     ids=[
         "det-cpk-noncyclic",
@@ -158,14 +166,18 @@ _AB_ZERO, _AB_A, _AB_B, _AB_SUM = (
         "clean-row-short",
         "clean-row-long",
         "newton-undecided",
+        "quotient-element-rank",
+        "validate-label-rank",
     ],
 )
-def test_domain_error_exit_code(capsys, argv):
+def test_domain_error_exit_code(capsys, argv, match):
     code = run(argv)
     assert code == 1
     code = run(["--format", "json"] + argv)
     out = capsys.readouterr().out
     assert code == 1 and isinstance(json.loads(out)["error"], str)
+    if match is not None:
+        assert re.search(match, json.loads(out)["error"])
 
 
 def test_split_newton_undecided_json(capsys):

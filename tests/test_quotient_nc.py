@@ -74,6 +74,35 @@ def test_nc_ideal_reduction():
     assert not nc_ideal_reduction(u, factors).is_zero()
     assert not nc_ideal_reduction(x + u, factors).is_zero()
     assert not nc_ideal_reduction(FracPoly.constant(sp, 1) + x, factors).is_zero()
+    # no pivot occurs in the substitution x = y^7, so the image is exact;
+    # degree 6, the truncation degree of an f of degree 1, dropped y^7
+    assert nc_ideal_reduction(x, [x - y**7]) == y**7
+
+
+def _random_poly(rng, sp, names, min_degree, max_degree, max_terms):
+    """Up to max_terms random monomials in names with rational coefficients."""
+    f = FracPoly.zero(sp)
+    for _ in range(rng.randint(1, max_terms)):
+        exps = dict.fromkeys(names, 0)
+        for _ in range(rng.randint(min_degree, max_degree)):
+            exps[rng.choice(names)] += 1
+        f = f + FracPoly.monomial(sp, exps, Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3)))
+    return f
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_nc_ideal_reduction_of_solved_systems_is_exact(rng):
+    # in x_i - h_i(y) every x_i is a pivot and no pivot occurs in a
+    # substitution, so membership is decided exactly, past degree 6 too
+    xs = [f"x{i}" for i in range(rng.randint(1, 3))]
+    sp = VarSpace([], xs + ["y0", "y1"])
+    hs = [_random_poly(rng, sp, ["y0", "y1"], 1, 9, 3) for _ in xs]
+    factors = [FracPoly.variable(sp, x) - h for x, h in zip(xs, hs)]
+    combo = sum((_random_poly(rng, sp, sp.names, 0, 2, 2) * f for f in factors), FracPoly.zero(sp))
+    assert nc_ideal_reduction(combo, factors).is_zero()
+    for x, h in zip(xs, hs):
+        assert nc_ideal_reduction(FracPoly.variable(sp, x), factors) == h
 
 
 def test_adapted_coordinates_trivial_group():
@@ -136,6 +165,19 @@ def test_normal_form_splits(mu2):
     with pytest.raises(SplitsInvariantly) as err:
         invariant_nc_normal_form(InvariantNCInput(act, [y0, y1]))
     assert err.value.partition == ((0,), (1,))
+
+
+def test_normal_form_under_the_rank_zero_group():
+    # the trivial group (moduli []) has no generator map to read the number
+    # of factors from; it fixes every factor ideal
+    sp = VarSpace([], ["y0", "y1"])
+    y0, y1 = FracPoly.variable(sp, "y0"), FracPoly.variable(sp, "y1")
+    act = DiagonalAction(AbelianGroup(()), {"y0": (), "y1": ()})
+    with pytest.raises(SplitsInvariantly) as err:
+        invariant_nc_normal_form(InvariantNCInput(act, [y0, y1]))
+    assert err.value.partition == ((0,), (1,))
+    nf = invariant_nc_normal_form(InvariantNCInput(act, [y0 + y1 * y1]))
+    assert nf.chain == () and nf.factors == [y0 + y1 * y1] and nf.stabilizer.order == 1
 
 
 def test_normal_form_degenerate(mu2):
