@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 from .abelian import AbelianGroup
 from .gcirc import NormalFormSpec, ProductNormalFormSpec, eigen_factors, spec_values, validate_normal_form
@@ -411,11 +412,11 @@ def toric_relation_transform(rel: Relation, basis: HilbertBasis, w_index: int, s
     rhs_chunks = [f"{names[w_index]}^{nu-1}"] if nu > 1 else []
     rhs_chunks += [f"({n}/{names[w_index]})^{e}" if e > 1 else f"({n}/{names[w_index]})" for n, e in lam.items()]
     lhs = f"{names[s_index]}/{names[w_index]}"
-    # verify: original relation, with X = W X', S = W S', becomes the claim
-    # S' = W^(nu-1) prod X'^lambda; in exponent vectors over (W, X', S'):
-    # LHS' = (sum lambda) on W plus lambda on X'; RHS' = (sum lambda - nu) + 1
-    # on W plus S'; equality holds iff the original exponents matched.
-    verified = right[w_index] + 1 + (nu - 1) == lam_total
+    # With X = W X' and S = W S' the relation becomes the claim
+    # S' = W^(nu-1) prod X'^lambda exactly when it is an identity of
+    # monomials: sum_i left_i g_i = sum_i right_i g_i over the generators'
+    # exponent vectors g_i.
+    verified = all(sum(map(mul, left, col)) == sum(map(mul, right, col)) for col in zip(*basis.generators))
     return TransformedRelation(
         lhs=lhs,
         rhs=" * ".join(rhs_chunks) if rhs_chunks else "1",

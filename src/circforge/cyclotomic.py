@@ -15,8 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
-from .smith import solve
+from .smith import echelon, solve
 
 
 @lru_cache(maxsize=None)
@@ -110,14 +111,127 @@ def _scale(a: "Cyclo", n: int, d: int) -> "Cyclo":
     return _make(a.order, [x * n for x in a._num], a._den * d)
 
 
-def _embed(a: "Cyclo", k: int) -> "Cyclo":
+def _lift(a: "Cyclo", k: int) -> list[int]:
+    """The reduced numerators of a as an element of order k, a multiple of
+    a.order, over a's denominator."""
     if k == a.order:
-        return a
+        return list(a._num)
     step = k // a.order
     work = [0] * k
     for i, n in enumerate(a._num):
         work[i * step] = n
-    return _make(k, _reduce(work, k), a._den)
+    return _reduce(work, k)
+
+
+def _lift_common(coeffs, k: int) -> tuple[list[list[int]], int]:
+    """The elements coeffs, of orders dividing k, as reduced order-k
+    numerator vectors over one common denominator: (vectors, denominator)."""
+    den = lcm(*(c._den for c in coeffs))
+    return [[n * (den // c._den) for n in _lift(c, k)] for c in coeffs], den
+
+
+def _embed(a: "Cyclo", k: int) -> "Cyclo":
+    if k == a.order:
+        return a
+    return _make(k, _lift(a, k), a._den)
+
+
+@lru_cache(maxsize=None)
+def _subfield(k: int, m: int) -> tuple:
+    """(basis, rows, inv, d) for Q(e_m) inside Q(e_k), m | k: basis holds
+    e_m^0 .. e_m^(deg Phi_m - 1) as order-k vectors, and the coordinates of
+    an order-k vector v over it are inv . v[rows] / d whenever v lies in
+    Q(e_m)."""
+    basis = [_lift(_root(m, i), k) for i in range(_reducer(m)[0])]
+    rows = echelon(basis)[1]  # independent coordinates of the basis vectors
+    square = [[vec[r] for vec in basis] for r in rows]
+    cols = [solve(square, [int(t == u) for u in range(len(rows))]) for t in range(len(rows))]
+    d = lcm(*(Fraction(x).denominator for col in cols for x in col))
+    inv = tuple(tuple(int(col[i] * d) for col in cols) for i in range(len(rows)))
+    return basis, tuple(rows), inv, d
+
+
+def _descend_num(num, den: int, k: int, m: int):
+    """The element num / den of order k as a canonical Cyclo of order m, or
+    None when it does not lie in Q(e_m)."""
+    if m == k:
+        return _make(k, num, den)
+    if m == 1:
+        return None if any(num[1:]) else _make(1, [num[0]], den)
+    basis, rows, inv, d = _subfield(k, m)
+    picked = [num[r] for r in rows]
+    coords = [sum(map(mul, row, picked)) for row in inv]
+    # v = sum_i (coords_i / d) e_m^i holds exactly when v lies in Q(e_m)
+    if [sum(c * vec[j] for c, vec in zip(coords, basis)) for j in range(len(num))] != [d * n for n in num]:
+        return None
+    return _make(m, coords, den * d)
+
+
+def _pack(num, bits: int) -> int:
+    """The integer vector num evaluated at 2**bits: one signed slot of
+    `bits` bits per entry, low entry first."""
+    out = 0
+    for n in reversed(num):
+        out = (out << bits) + n
+    return out
+
+
+@lru_cache(maxsize=None)
+def _reduction_gain(k: int) -> int:
+    """A bound G on the growth of numerators under reduction modulo Phi_k:
+    an unreduced vector of length 2 deg Phi_k - 1 (a product of two reduced
+    vectors, or a sum of such) with entries below H in magnitude reduces to
+    entries below G * H."""
+    deg = _reducer(k)[0]
+    gain = [0] * deg
+    for j in range(2 * deg - 1):
+        for i, c in enumerate(_reduce([0] * j + [1], k)):
+            gain[i] += abs(c)
+    return max(gain)
+
+
+def _slot_bits(k: int, height: int) -> int:
+    """The slot width B for packed sums of products of order k whose
+    unreduced numerators stay below height in magnitude: their reduced
+    numerators stay below 2**(B - 3), so `_unpack` reads them exactly and a
+    sum is zero exactly when its packed value is divisible by
+    `_packed_modulus(k, B)`."""
+    return (_reduction_gain(k) * height).bit_length() + 3
+
+
+@lru_cache(maxsize=64)
+def _packed_modulus(k: int, bits: int) -> int:
+    """Phi_k(2**bits): a packed value and its reduction modulo Phi_k agree
+    modulo it."""
+    return _pack(cyclotomic_polynomial(k), bits)
+
+
+@lru_cache(maxsize=64)
+def _slot_bias(bits: int, size: int) -> int:
+    return _pack((1 << (bits - 1),) * size, bits)
+
+
+def _unpack(packed: int, bits: int, den: int, k: int, m: int):
+    """The element of order k whose numerators over den are packed with
+    `bits` (from `_slot_bits`), reduced or not, as a canonical Cyclo of
+    order m, or None when it is zero."""
+    modulus = _packed_modulus(k, bits)
+    # the balanced remainder is the packed reduced numerators, since
+    # they are small against Phi_k(2**bits)
+    packed %= modulus
+    if not packed:
+        return None
+    if packed > modulus >> 1:
+        packed -= modulus
+    deg = _reducer(k)[0]
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    # with half added to every slot, each slot is a plain bit field
+    packed += _slot_bias(bits, deg)
+    num = [((packed >> shift) & mask) - half for shift in range(0, deg * bits, bits)]
+    out = _descend_num(num, den, k, m)
+    if out is None:
+        raise ArithmeticError(f"packed product does not lie in Q(e_{m})")
+    return out
 
 
 def _common(a: "Cyclo", b: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
@@ -389,42 +503,15 @@ def minimal_order(a: Cyclo) -> int:
     Display utility only; arithmetic never descends automatically.
     """
     k = a.order
-    for m in sorted(d for d in range(1, k + 1) if k % d == 0):
-        if _lies_in_suborder(a, m):
-            return m
-    return k
-
-
-def _lies_in_suborder(a: Cyclo, m: int) -> bool:
-    k = a.order
-    if k == m:
-        return True
-    # a is in Q(e_m) iff it is fixed by every Galois automorphism
-    # e_k -> e_k^j with j = 1 mod m and gcd(j, k) = 1.
-    for j in range(1, k):
-        if gcd(j, k) != 1 or j % m != 1 % m:
-            continue
-        if _galois(a, j) != a:
-            return False
-    return True
-
-
-def _galois(a: Cyclo, j: int) -> Cyclo:
-    return _make(a.order, _conjugate(a._num, j, a.order), a._den)
+    return next(m for m in range(1, k + 1) if k % m == 0 and _descend_num(a._num, a._den, k, m) is not None)
 
 
 def descend(a: Cyclo, m: int) -> Cyclo:
     """Rewrite a as an element of order m; requires a to lie in Q(e_m)."""
-    if not (a.order % m == 0 and _lies_in_suborder(a, m)):
+    out = _descend_num(a._num, a._den, a.order, m) if a.order % m == 0 else None
+    if out is None:
         raise ValueError(f"{a!r} does not lie in Q(e_{m})")
-    k, step = a.order, a.order // m
-    phi_deg = len(cyclotomic_polynomial(m)) - 1
-    # Solve sum_i c_i e_k^(step*i) = a for rationals c_0..c_{phi_deg-1}.
-    cols = [root_of_unity(k, step * i).coeffs for i in range(phi_deg)]
-    sol = solve(list(zip(*cols)), a.coeffs)
-    if sol is None:
-        raise ValueError(f"{a!r} does not lie in Q(e_{m})")
-    return Cyclo(m, sol + [Fraction(0)] * (m - len(sol)))
+    return out
 
 
 def cyclo_nth_root(c: Cyclo, n: int):

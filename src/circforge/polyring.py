@@ -17,6 +17,31 @@ that return exponents or degrees.
 Total degree counts exponents at face value, matching the weighted-order
 bookkeeping used throughout.  Internally a term's degree is the integer
 sum of k_i * (L / b_i), L the lcm of the bounds: face degree times L.
+
+A product of two polynomials of two or more terms each runs on packed
+integers (Kronecker substitution per coefficient and per key).  Every
+coefficient is lifted to order K, the lcm of the coefficient orders, over
+one denominator per operand, and its deg Phi_K numerators become one int
+with signed slots of B bits, its value at 2^B; a key becomes one int with
+a bit field per position.  A term pair then costs one int addition for the
+key and one int product added into the key's running sum, kept modulo
+Phi_K(2^B).  For operands F and G with numerators f and g, the slots of an
+unreduced running sum stay below H = min(|F|, |G|) * deg Phi_K * max|f| *
+max|g|, and B is chosen so that G_K * H < 2^(B-3), G_K bounding the growth
+under reduction mod Phi_K.  Then the balanced remainder modulo Phi_K(2^B)
+is exactly the packed reduced sum, and a sum is zero exactly when that
+remainder is: the result is exact by this bound.  Each result key is
+unpacked and made canonical once.
+
+The result equals the schoolbook term loop's, byte for byte and in map
+order, because the loop's `Cyclo` orders are emulated.  The product of c1
+and c2 has the order of c1 if c2 is rational, else that of c2 if c1 is
+rational, else their lcm; a sum has the lcm of its terms' orders, and a
+running sum that reaches zero leaves the map and restarts at the key's
+next product.  A key keeps the lcm of its products' orders and the place
+of its first product, unless its running sum reached zero on the way: such
+a key is replayed with the pairwise `Cyclo` loop, which settles its order
+and its place.
 """
 
 from __future__ import annotations
@@ -24,11 +49,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 from operator import add, mod, mul
 
 from .abelian import AbelianGroup, GroupElement
-from .cyclotomic import Cyclo, _fmt_q, _join_signed, root_of_unity
+from .cyclotomic import Cyclo, _fmt_q, _join_signed, _lift_common, _pack, _packed_modulus, _slot_bits, _unpack, root_of_unity
 from .smith import rank
 
 
@@ -373,18 +399,13 @@ class FracPoly:
     def __mul__(self, other):
         other = self._coerce(other)
         a, b = FracPoly._aligned(self, other)
-        terms: dict = {}
-        for k1, c1 in a.terms.items():
-            for k2, c2 in b.terms.items():
-                key = tuple(map(add, k1, k2))
-                c = c1 * c2
-                cur = terms.get(key)
-                s = c if cur is None else cur + c
-                if s.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
-        return FracPoly._raw(a.space, terms)
+        if len(a.terms) > 1 and len(b.terms) > 1:
+            return FracPoly._raw(a.space, _packed_product(a.terms, b.terms))
+        # one side has at most one term: every key is hit once, by a nonzero product
+        return FracPoly._raw(
+            a.space,
+            {tuple(map(add, k1, k2)): c1 * c2 for k1, c1 in a.terms.items() for k2, c2 in b.terms.items()},
+        )
 
     __rmul__ = __mul__
 
@@ -450,17 +471,23 @@ class FracPoly:
             images[name] = val if isinstance(val, FracPoly) else FracPoly.constant(space, val)
         out = FracPoly.zero(space)
         names = self.space.names
+        powers = {}  # (position, key entry) -> the factor it contributes
         for key, coeff in self.terms.items():
             term = FracPoly.constant(space, coeff)
             for i, k in enumerate(key):
                 if k == 0:
                     continue
-                name = names[i]
-                e = _face(self.space, i, k)
-                if name in images:
-                    term = term * _poly_power(images[name].in_space(space), e)
-                else:
-                    term = term * FracPoly.monomial(space, {name: e})
+                factor = powers.get((i, k))
+                if factor is None:
+                    name = names[i]
+                    e = _face(self.space, i, k)
+                    if name in images:
+                        image = images[name] = images[name].in_space(space)  # lifted on first use
+                        factor = _poly_power(image, e)
+                    else:
+                        factor = FracPoly.monomial(space, {name: e})
+                    powers[i, k] = factor
+                term = term * factor
             out = out + term
         return out
 
@@ -496,6 +523,115 @@ class FracPoly:
                 c_s = f"({coeff})*{mono_s}" if mono_s else f"({coeff})"
             chunks.append(c_s)
         return _join_signed(chunks)
+
+
+def _replay(pairs):
+    """The sum of c1 * c2 over pairs, formed pair by pair as the term loop of
+    a product forms it: a running sum that reaches zero leaves the term map
+    and restarts from the next product.  Returns the sum (None when zero)
+    and the index of the pair it last restarted from."""
+    total, start = None, 0
+    for n, (c1, c2) in enumerate(pairs):
+        c = c1 * c2
+        if total is None:
+            total, start = c, n
+        else:
+            total = total + c
+            if total.is_zero():
+                total = None
+    return total, start
+
+
+def _contribution_order(kind1: tuple, kind2: tuple) -> int:
+    """The order of c1 * c2 from the (order, is rational) kinds of c1 and
+    c2: a rational factor keeps the other one's order."""
+    (o1, r1), (o2, r2) = kind1, kind2
+    return o1 if r2 else o2 if r1 else lcm(o1, o2)
+
+
+def _packed_product(at: dict, bt: dict) -> dict:
+    """The term map of the product of two term maps of two or more terms
+    each: the map the pairwise term loop builds, in its order (see the
+    module docstring)."""
+    akeys, acoeffs = list(at), list(at.values())
+    bkeys, bcoeffs = list(bt), list(bt.values())
+    k = lcm(*(c.order for c in acoeffs), *(c.order for c in bcoeffs))
+    anums, aden = _lift_common(acoeffs, k)
+    bnums, bden = _lift_common(bcoeffs, k)
+    # a slot of a key's unreduced running sum adds at most min(|A|, |B|)
+    # products, each a sum of at most deg Phi_k products of numerators
+    height = max(map(abs, chain.from_iterable(anums))) * max(map(abs, chain.from_iterable(bnums)))
+    bits = _slot_bits(k, min(len(akeys), len(bkeys)) * len(anums[0]) * height)
+    apacked = [_pack(num, bits) for num in anums]
+    bpacked = [_pack(num, bits) for num in bnums]
+    del anums, bnums
+    # key position t holds k1_t - lo1_t + k2_t - lo2_t >= 0 in its own bit field
+    akeyints = [0] * len(akeys)
+    bkeyints = [0] * len(bkeys)
+    fields, offset = [], 0
+    for col1, col2 in zip(zip(*akeys), zip(*bkeys)):
+        lo1, lo2 = min(col1), min(col2)
+        for keyints, col, lo in ((akeyints, col1, lo1), (bkeyints, col2, lo2)):
+            for t, e in enumerate(col):
+                keyints[t] += (e - lo) << offset
+        width = (max(col1) - lo1 + max(col2) - lo2).bit_length()
+        fields.append((offset, (1 << width) - 1, lo1 + lo2))
+        offset += width
+    # a pair's order depends only on the kinds of its coefficients; each
+    # order that occurs is one bit of a key's mask
+    bkind = [(c.order, c.is_rational()) for c in bcoeffs]
+    orders: dict = {}
+    rows: dict = {}
+    for c in acoeffs:
+        a = (c.order, c.is_rational())
+        if a not in rows:
+            rows[a] = [1 << orders.setdefault(_contribution_order(a, b), len(orders)) for b in bkind]
+    arows = [rows[c.order, c.is_rational()] for c in acoeffs]
+    b_items = list(zip(bkeyints, bpacked, range(len(bkeys))))
+    # running sums are kept modulo Phi_k(2**bits), where they are zero
+    # exactly when they are zero in Q(e_k)
+    modulus = _packed_modulus(k, bits)
+    sums: dict = {}  # packed key -> [running sum, order mask]
+    zero_sums = []
+    for ka, pa, row in zip(akeyints, apacked, arows):
+        for kb, pb, j in b_items:
+            key = ka + kb
+            entry = sums.get(key)
+            if entry is None:
+                sums[key] = [pa * pb, row[j]]
+            else:
+                s = (entry[0] + pa * pb) % modulus
+                entry[0] = s
+                entry[1] |= row[j]
+                if not s:
+                    zero_sums.append(key)
+    den = aden * bden
+    mask_order: dict = {}
+    out = {}
+    for key, (s, mask) in sums.items():
+        m = mask_order.get(mask)
+        if m is None:
+            m = mask_order[mask] = lcm(*(o for o, bit in orders.items() if mask >> bit & 1))
+        coeff = _unpack(s, bits, den, k, m)
+        if coeff is not None:
+            out[key] = coeff
+    del sums
+    # a nonzero sum that was zero on the way restarted: its order may be
+    # lower, and its key takes the place of the restart
+    bindex = {kb: j for j, kb in enumerate(bkeyints)}
+    restarts = {}
+    for key in out.keys() & set(zero_sums):
+        pairs = [(i, bindex[key - ka]) for i, ka in enumerate(akeyints) if key - ka in bindex]
+        out[key], start = _replay((acoeffs[i], bcoeffs[j]) for i, j in pairs)
+        restarts[key] = pairs[start]
+    if restarts:
+        place: dict = {}
+        for i, ka in enumerate(akeyints):
+            for j, kb in enumerate(bkeyints):
+                place.setdefault(ka + kb, (i, j))
+        place.update(restarts)
+        out = dict(sorted(out.items(), key=lambda kv: place[kv[0]]))
+    return {tuple([(key >> off & mask) + lo for off, mask, lo in fields]): coeff for key, coeff in out.items()}
 
 
 def _poly_power(p: FracPoly, e) -> FracPoly:

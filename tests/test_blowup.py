@@ -289,8 +289,10 @@ def test_toric_relation_transform():
     left[iX2] = 1
     right = [0] * len(hb2.generators)
     right[iS2] = 1
-    # t x = ? need W^0: sum lambda - nu = 0 -> nu = 1: t*x vs x^2: not an identity;
-    # use the genuine relation (t x)^2 = t^2 x^2 = W * S
+    # t x = x^2 has the shape W^0 * S with nu = 1 but is not an identity
+    bogus = toric_relation_transform(Relation(tuple(left), tuple(right)), hb2, w_index=iW2, s_index=iS2)
+    assert bogus.nu == 1 and not bogus.verified
+    # the genuine relation (t x)^2 = t^2 x^2 = W * S
     left2 = [0] * len(hb2.generators)
     left2[iX2] = 2
     right2 = [0] * len(hb2.generators)

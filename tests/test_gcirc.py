@@ -1,6 +1,9 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +125,24 @@ def test_leibniz_cross_check_small():
             continue
         vals = _symbol_values(g)
         assert gcirc_det(g, vals) == leibniz_det(circulant_matrix(g), vals)
+
+
+def test_leibniz_oracle_stays_off_the_packed_product(monkeypatch):
+    # the oracle multiplies by one-term values only, so it never runs the
+    # packed kernel that gcirc_det's eigen-factor products run on
+    from circforge import polyring
+
+    spec = cpk_spec(4)
+    space = spec_space(spec)
+    values = spec_values(spec, space)
+    want = gcirc_det(spec.quotient_group, values, ordering=spec.labels)
+
+    def refuse(*_args):
+        raise AssertionError("packed product in the Leibniz oracle")
+
+    monkeypatch.setattr(polyring, "_packed_product", refuse)
+    mat = circulant_matrix(spec.quotient_group, ordering=spec.labels)
+    assert leibniz_det(mat, values) == want
 
 
 def test_cpk_polynomials():
@@ -498,3 +519,51 @@ def test_validate_transitivity_matches_polynomial_orbits():
             assert oracle == rep.transitive, (spec.moduli, spec.gamma)
         checked += 1
     assert checked == len(cases)
+
+
+GOLDEN_PRODUCTS = Path(__file__).parent / "golden" / "circulant_products.json"
+
+
+def _circulant_payloads() -> dict:
+    """{name: JSON payload} of the large eigen-factor products: normal forms
+    as `gcirc normal-form` prints them, and the `gcirc merge` and
+    `gcirc codim1` payloads."""
+    from circforge import jsonio
+
+    specs = [(f"cpk:{k}", cpk_spec(k)) for k in range(2, 9)] + [("klein", klein_spec()), ("z2z4", z2z4_spec())]
+    out = {f"normal_form {name}": {"polynomial": jsonio.poly_to_json(normal_form_poly(spec))} for name, spec in specs}
+    for k, r in ((2, 4), (4, 2)):
+        rep = product_merge(k, r)
+        out[f"product_merge {k},{r}"] = {
+            "k": rep.k,
+            "r": rep.r,
+            "verified": rep.verified,
+            "transform": {
+                f"x_{i}_{j}": [jsonio.cyclo_to_json(c) for c in coeffs] for (i, j), coeffs in rep.transform.items()
+            },
+        }
+    rep = codim1_factor(cpk_spec(7), 0)
+    out["codim1 cpk:7 0"] = {
+        "verified": rep.verified,
+        "factors": [jsonio.poly_to_json(f) for f in rep.factor_polys],
+        "transform": {name: [[jsonio.cyclo_to_json(c), x] for c, x in rows] for name, rows in rep.transform.items()},
+    }
+    return out
+
+
+def _circulant_digests() -> dict:
+    return {
+        name: hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        for name, payload in _circulant_payloads().items()
+    }
+
+
+def test_circulant_products_golden():
+    # the printed bytes of every coefficient, including its `order`, which
+    # follows the arithmetic history of the products
+    assert _circulant_digests() == json.loads(GOLDEN_PRODUCTS.read_text())
+
+
+if __name__ == "__main__":
+    # python tests/test_gcirc.py > tests/golden/circulant_products.json
+    print(json.dumps(_circulant_digests(), indent=1))

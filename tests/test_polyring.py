@@ -498,3 +498,81 @@ def test_substitute_is_a_ring_homomorphism(a, b, g):
     assert sub(a + b) == sub(a) + sub(b)
     assert sub(a - b) == sub(a) - sub(b)
     assert sub(FracPoly.constant(a.space, 1)) == 1
+
+
+# -- the product against the pairwise term loop --------------------------------------
+
+_PRODUCT_SPACE = VarSpace([("w", 3)], ["x", "y"])
+_SMALL_SCALARS = [1, -1, Fraction(1, 4), Fraction(-2, 3)]
+
+
+@st.composite
+def _product_coeffs(draw):
+    """A nonzero coefficient of order 1, 2, 3, 4, 6 or 12, rational or not,
+    with denominators up to 5; small values often, so sums cancel."""
+    order = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    if draw(st.booleans()):
+        return Cyclo.rational(draw(st.sampled_from(_SMALL_SCALARS)), order) * root_of_unity(
+            draw(st.sampled_from([1, order])), draw(st.integers(0, 11))
+        )
+    coeffs = draw(st.lists(st.fractions(-3, 3, max_denominator=5), min_size=order, max_size=order))
+    c = Cyclo(order, coeffs)
+    return c if c else Cyclo.rational(-1, order)
+
+
+@st.composite
+def _product_polys(draw):
+    """1-6 terms over w (bound 3, exponents 0..4/3) and free x, y
+    (exponents -2..2)."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        key = (Fraction(draw(st.integers(0, 4)), 3), draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+        terms[key] = draw(_product_coeffs())
+    return FracPoly(_PRODUCT_SPACE, terms)
+
+
+def _pairwise_product(a, b):
+    """The product as the schoolbook term loop forms it, with public Cyclo
+    + and *: each running sum that reaches zero leaves the map."""
+    terms = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            key = tuple(x + y for x, y in zip(k1, k2))
+            s = c1 * c2 if key not in terms else terms[key] + c1 * c2
+            if s.is_zero():
+                del terms[key]
+            else:
+                terms[key] = s
+    return FracPoly(a.space, {a.space.face_key(k): c for k, c in terms.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_product_polys(), _product_polys())
+def test_product_matches_pairwise_loop(a, b):
+    from circforge import jsonio
+
+    # in (a + b) * (a - b) every cross product meets its negative
+    for lhs, rhs in ((a, b), (a + b, a - b)):
+        got, want = lhs * rhs, _pairwise_product(lhs, rhs)
+        assert jsonio.poly_to_json(got) == jsonio.poly_to_json(want)
+        # the map order too: the next product's term loop runs in it
+        assert list(got.terms) == list(want.terms)
+
+
+def test_product_order_follows_zero_reset():
+    # the xyz coefficient is e4 - e4 + 1: its running sum reaches zero after
+    # two products and restarts from the rational 1, so it prints as order 1;
+    # with a's terms in the other order the sum never restarts and keeps
+    # order 4 (until coefficients are printed in their minimal field)
+    from circforge import jsonio
+
+    sp = VarSpace([], ["x", "y", "z"])
+    x, y, z = (FracPoly.variable(sp, n) for n in "xyz")
+    e4 = root_of_unity(4)
+    b = y * z + x * z + x * y
+    first = (x.scale(e4) - y.scale(e4) + z) * b
+    assert jsonio.cyclo_to_json(first.terms[(1, 1, 1)]) == {"order": 1, "coeffs": ["1"]}
+    assert list(first.terms)[-1] == (1, 1, 1)  # re-entered the map last
+    second = (z - y.scale(e4) + x.scale(e4)) * b
+    assert jsonio.cyclo_to_json(second.terms[(1, 1, 1)]) == {"order": 4, "coeffs": ["1", "0", "0", "0"]}
+    assert list(second.terms)[2] == (1, 1, 1)
