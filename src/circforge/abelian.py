@@ -243,7 +243,8 @@ class CosetSystem:
 def quotient(group: AbelianGroup, h: Subgroup) -> CosetSystem:
     """Coset representatives, each the lexicographically least of its coset.
 
-    The identity's coset comes first; the rest follow in lexicographic order.
+    The identity's coset comes first, since the identity is the least
+    element of the group; the rest follow in lexicographic order.
     """
     if h.parent != group:
         raise ValueError("subgroup of a different group")
@@ -256,7 +257,6 @@ def quotient(group: AbelianGroup, h: Subgroup) -> CosetSystem:
         for x in h.elements:
             seen.add(g + x)
     reps.sort(key=lambda e: e.residues)
-    assert reps[0].is_identity()
     return CosetSystem(h, tuple(reps))
 
 

@@ -21,13 +21,13 @@ from .polyring import (
     DiagonalAction,
     FracPoly,
     VarSpace,
+    _compositions,
     apply_group,
     is_invariant,
     linear_part,
     linear_rank,
     strict_transform,
 )
-from .resinv import weights as resinv_weights
 from .smith import in_lattice, kernel_basis
 
 
@@ -269,18 +269,15 @@ def hilbert_basis(action: DiagonalAction, variables=None) -> HilbertBasis:
     return HilbertBasis(action, variables, tuple(gens), bound, space)
 
 
-def _compositions(total: int, n: int):
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, n - 1):
-            yield (first,) + rest
-
-
 def _reducible(vec, gens) -> bool:
     return any(all(g[t] <= vec[t] for t in range(len(vec))) for g in gens)
+
+
+def _monomial_identity(left, right, generators) -> bool:
+    """Whether prod g_i^left_i = prod g_i^right_i for the monomials g_i with
+    the given exponent vectors: two products of monomials are equal exactly
+    when their exponent vectors are, sum_i left_i g_i = sum_i right_i g_i."""
+    return all(sum(map(mul, left, col)) == sum(map(mul, right, col)) for col in zip(*generators))
 
 
 @dataclass(frozen=True)
@@ -299,21 +296,14 @@ class RelationSet:
     lattice_rank: int
 
     def ambient_identity_holds(self, rel: Relation) -> bool:
-        lhs = FracPoly.constant(self.basis.space, 1)
-        rhs = FracPoly.constant(self.basis.space, 1)
-        for idx, (el, er) in enumerate(zip(rel.left, rel.right)):
-            if el:
-                lhs = lhs * self.basis.monomial(idx) ** el
-            if er:
-                rhs = rhs * self.basis.monomial(idx) ** er
-        return lhs == rhs
+        return _monomial_identity(rel.left, rel.right, self.basis.generators)
 
     def contains(self, rel: Relation) -> bool:
         vectors = [r.vector() for r in self.relations]
         return in_lattice(vectors, rel.vector())
 
 
-def relations(basis: HilbertBasis, degree_bound: int | None = None) -> RelationSet:
+def relations(basis: HilbertBasis) -> RelationSet:
     """Binomial relation lattice of the generators (integer kernel of the
     exponent matrix); every basis relation is an exact monomial identity."""
     nvars = len(basis.variables)
@@ -414,9 +404,8 @@ def toric_relation_transform(rel: Relation, basis: HilbertBasis, w_index: int, s
     lhs = f"{names[s_index]}/{names[w_index]}"
     # With X = W X' and S = W S' the relation becomes the claim
     # S' = W^(nu-1) prod X'^lambda exactly when it is an identity of
-    # monomials: sum_i left_i g_i = sum_i right_i g_i over the generators'
-    # exponent vectors g_i.
-    verified = all(sum(map(mul, left, col)) == sum(map(mul, right, col)) for col in zip(*basis.generators))
+    # monomials.
+    verified = _monomial_identity(left, right, basis.generators)
     return TransformedRelation(
         lhs=lhs,
         rhs=" * ".join(rhs_chunks) if rhs_chunks else "1",
@@ -469,14 +458,9 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
     names = spec.x_names()
     w_names = spec.factors[0].w_names()
 
-    # per-variable exponent residues mu (per divisor) off the factor gammas
-    mu = {}
-    pos = 0
-    for fac in spec.factors:
-        exps = fac.exponent_elements()
-        for m in range(fac.k):
-            mu[names[pos + m]] = exps[m].residues
-        pos += fac.k
+    # per x, its exponent residues mu (one per divisor) off the factor
+    # gammas, in the order of current_names, which the charts rename
+    mu = [e.residues for fac in spec.factors for e in fac.exponent_elements()]
 
     space = VarSpace(list(zip(w_names, moduli)), list(names))
     factors = []
@@ -493,16 +477,9 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
     current_names = list(names)
     for i in range(r):
         p = moduli[i]
-        expected = resinv_weights([p] * (k // p))
-        expected_w = dict(zip(expected.parameters, expected.integer))
         wt_map = {w_names[i]: p}
-        for name in current_names:
-            m = mu[_root_name(name)][i]
-            wt_map[name] = p - m + 1
-        # cross-check against the closed-form weights for cp(p) x ... x cp(p)
-        for name, wv in wt_map.items():
-            if name == w_names[i]:
-                assert wv == expected_w["w"]
+        for name, m in zip(current_names, mu):
+            wt_map[name] = p - m[i] + 1
         params = [w_names[i]] + current_names
         atlas = charts(space, params, [wt_map[n] for n in params])
         cmap, action = atlas.charts[0]  # the divisor chart
@@ -550,10 +527,6 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
         normal_crossings=nc,
         product_verified=product_verified,
     )
-
-
-def _root_name(name: str) -> str:
-    return name.rstrip("'")
 
 
 def _independent_linear_parts(factors, var_names) -> bool:

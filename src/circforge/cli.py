@@ -75,22 +75,6 @@ def _parse_ints(text: str):
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _emit(args, payload: dict, text_lines):
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _fail(args, message: str) -> int:
-    if getattr(args, "format", "text") == "json":
-        print(json.dumps({"error": message}, sort_keys=True))
-    else:
-        print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
 # -- abelian ---------------------------------------------------------------------
 
 
@@ -123,8 +107,7 @@ def cmd_abelian_perp(args):
         "perp": jsonio.subgroup_to_json(comp),
     }
     lines = [f"group {g}, k = {ctx.k}", f"H = {h}  (order {h.order})", f"perp = {comp}  (order {comp.order})"]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def cmd_abelian_xi(args):
@@ -135,8 +118,7 @@ def cmd_abelian_xi(args):
     ctx = _pairing(args, g)
     (ell,) = _parse_elements(g, args.ell)
     val = xi(ctx, h, ell)
-    _emit(args, {"xi": jsonio.cyclo_to_json(val)}, [f"xi_{ell} = {val}"])
-    return 0
+    return {"xi": jsonio.cyclo_to_json(val)}, [f"xi_{ell} = {val}"]
 
 
 def cmd_abelian_quotient(args):
@@ -146,8 +128,7 @@ def cmd_abelian_quotient(args):
     g, h = _group_and_subgroup(args)
     cs = quotient(g, h)
     payload = {"representatives": [jsonio.element_to_json(r) for r in cs.representatives]}
-    _emit(args, payload, ["representatives: " + ", ".join(str(r) for r in cs.representatives)])
-    return 0
+    return payload, ["representatives: " + ", ".join(str(r) for r in cs.representatives)]
 
 
 def cmd_abelian_factors(args):
@@ -156,8 +137,7 @@ def cmd_abelian_factors(args):
     g, h = _group_and_subgroup(args)
     facs = quotient_invariant_factors(g, h) if args.quotient else invariant_factors(h)
     what = "G/H" if args.quotient else "H"
-    _emit(args, {"invariant_factors": facs}, [f"invariant factors of {what}: {facs or '[]'}"])
-    return 0
+    return {"invariant_factors": facs}, [f"invariant factors of {what}: {facs or '[]'}"]
 
 
 # -- gcirc -----------------------------------------------------------------------
@@ -171,8 +151,7 @@ def cmd_gcirc_matrix(args):
     mat = circulant_matrix(g)
     rows = mat.rows_as_symbols()
     payload = {"ordering": [jsonio.element_to_json(e) for e in mat.ordering], "rows": rows}
-    _emit(args, payload, ["[" + "  ".join(r) + "]" for r in rows])
-    return 0
+    return payload, ["[" + "  ".join(r) + "]" for r in rows]
 
 
 def cmd_gcirc_det(args):
@@ -192,8 +171,7 @@ def cmd_gcirc_det(args):
     else:
         g = _parse_group(args.group)
         poly = gcirc_det(g, _load(args.values, "--values", jsonio.poly_list_from_json))
-    _emit(args, {"polynomial": jsonio.poly_to_json(poly)}, [str(poly)])
-    return 0
+    return {"polynomial": jsonio.poly_to_json(poly)}, [str(poly)]
 
 
 def cmd_gcirc_normal_form(args):
@@ -203,8 +181,7 @@ def cmd_gcirc_normal_form(args):
     from .gcirc import normal_form_poly
 
     poly = normal_form_poly(spec)
-    _emit(args, {"polynomial": jsonio.poly_to_json(poly)}, [str(poly)])
-    return 0
+    return {"polynomial": jsonio.poly_to_json(poly)}, [str(poly)]
 
 
 def cmd_gcirc_validate(args):
@@ -230,8 +207,7 @@ def cmd_gcirc_validate(args):
         f"stabilizer H: {rep.stabilizer} (order {rep.stabilizer.order if rep.stabilizer else '?'})",
         f"G/H isomorphic to declared quotient: {rep.quotient_isomorphic}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def cmd_gcirc_codim1(args):
@@ -253,8 +229,7 @@ def cmd_gcirc_codim1(args):
         rows = rep.transform[name]
         lines.append(f"  {name} = " + " + ".join(f"({c})*{x}" for c, x in rows))
     lines += [f"  factor: {f}" for f in rep.factor_polys]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def cmd_gcirc_merge(args):
@@ -270,8 +245,7 @@ def cmd_gcirc_merge(args):
             f"x_{i}_{j}": [jsonio.cyclo_to_json(c) for c in coeffs] for (i, j), coeffs in rep.transform.items()
         },
     }
-    _emit(args, payload, [f"product merge ({args.k}, {args.r}) verified: {rep.verified}"])
-    return 0 if rep.verified else 1
+    return payload, [f"product merge ({args.k}, {args.r}) verified: {rep.verified}"], rep.verified
 
 
 def cmd_gcirc_clean(args):
@@ -289,8 +263,7 @@ def cmd_gcirc_clean(args):
     lines = [f"row order: {list(ladder.order)}"]
     for d, b in zip(ladder.delta, ladder.beta):
         lines.append("  delta " + ",".join(map(str, d)) + "  beta " + ",".join(map(str, b)))
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 # -- resinv ----------------------------------------------------------------------
@@ -307,8 +280,7 @@ def cmd_resinv_inv(args):
     from .resinv import inv_cpk, inv_recursion, product_ideal
 
     seq = inv_cpk(args.k) if args.k is not None else inv_recursion(product_ideal(_parts(args)))
-    _emit(args, jsonio.sequence_to_json(seq), [",".join(jsonio.frac_to_str(e) for e in seq.entries)])
-    return 0
+    return jsonio.sequence_to_json(seq), [",".join(jsonio.frac_to_str(e) for e in seq.entries)]
 
 
 def cmd_resinv_atw(args):
@@ -316,8 +288,7 @@ def cmd_resinv_atw(args):
     from .resinv import atwinv_cpk, atwinv_product
 
     seq = atwinv_cpk(args.k) if args.k is not None else atwinv_product(_parts(args))
-    _emit(args, jsonio.sequence_to_json(seq), [",".join(jsonio.frac_to_str(e) for e in seq.entries)])
-    return 0
+    return jsonio.sequence_to_json(seq), [",".join(jsonio.frac_to_str(e) for e in seq.entries)]
 
 
 def cmd_resinv_weights(args):
@@ -336,8 +307,7 @@ def cmd_resinv_weights(args):
         "integer weights: " + ",".join(map(str, wv.integer)),
         "rational weights: " + ",".join(jsonio.frac_to_str(q) for q in wv.rational),
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def cmd_resinv_recursion(args):
@@ -353,8 +323,7 @@ def cmd_resinv_recursion(args):
     else:
         raise DomainError("need --cpk, --parts, or --ideal")
     seq = inv_recursion(ideal)
-    _emit(args, jsonio.sequence_to_json(seq), [",".join(jsonio.frac_to_str(e) for e in seq.entries)])
-    return 0
+    return jsonio.sequence_to_json(seq), [",".join(jsonio.frac_to_str(e) for e in seq.entries)]
 
 
 # -- blowup ----------------------------------------------------------------------
@@ -391,8 +360,7 @@ def cmd_blowup_charts(args):
             }
         )
         lines.append(f"chart {cmap.index}: " + "; ".join(f"{k} = {v}" for k, v in subs.items()) + f"  [mu_{action.group.moduli[0]}]")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def cmd_blowup_transition(args):
@@ -414,8 +382,7 @@ def cmd_blowup_transition(args):
         "iso: " + "; ".join(f"{k} -> {v}" for k, v in tr.iso.items()),
         f"equivariant: {tr.equivariant}; commutes with projections: {tr.commutes_with_projection}",
     ]
-    _emit(args, payload, lines)
-    return 0 if tr.equivariant and tr.commutes_with_projection else 1
+    return payload, lines, tr.equivariant and tr.commutes_with_projection
 
 
 def cmd_blowup_pullback(args):
@@ -436,8 +403,7 @@ def cmd_blowup_pullback(args):
         "strict_transform": jsonio.poly_to_json(st),
         "multiplicity": jsonio.frac_to_str(mult),
     }
-    _emit(args, payload, [f"multiplicity: {mult}", f"strict transform: {st}"])
-    return 0
+    return payload, [f"multiplicity: {mult}", f"strict transform: {st}"]
 
 
 def _divisor_atlas(poly, k: int):
@@ -471,8 +437,7 @@ def cmd_blowup_hilbert(args):
     }
     lines = [f"{len(hb.generators)} generators (degree bound {hb.degree_bound}):"]
     lines += [f"  g{i} = {hb.monomial(i)}" for i in range(len(hb.generators))]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def cmd_blowup_relations(args):
@@ -488,8 +453,7 @@ def cmd_blowup_relations(args):
         lhs = "*".join(f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(r.left) if e) or "1"
         rhs = "*".join(f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(r.right) if e) or "1"
         lines.append(f"{lhs} = {rhs}")
-    _emit(args, payload, lines or ["no relations"])
-    return 0
+    return payload, lines or ["no relations"]
 
 
 def cmd_blowup_quotient(args):
@@ -505,8 +469,7 @@ def cmd_blowup_quotient(args):
     }
     lines = [f"strict transform: {st}", f"image: {img}"]
     lines += [f"  {hb.names()[i]} = {hb.monomial(i)}" for i in range(len(hb.generators))]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def cmd_blowup_pipeline(args):
@@ -542,8 +505,7 @@ def cmd_blowup_pipeline(args):
         f"normal crossings: {rep.normal_crossings}; product verified: {rep.product_verified}",
         f"strict transform: {rep.final_strict_transform}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 # -- split -----------------------------------------------------------------------
@@ -557,8 +519,7 @@ def cmd_split_newton(args):
 
     roots = split_newton(f, args.z, powers=args.powers, degree_bound=args.degree, branch_cap=args.cap)
     payload = {"roots": [jsonio.poly_to_json(r) for r in roots]}
-    _emit(args, payload, [f"root {i}: {r}" for i, r in enumerate(roots)])
-    return 0
+    return payload, [f"root {i}: {r}" for i, r in enumerate(roots)]
 
 
 def cmd_split_verify(args):
@@ -569,8 +530,7 @@ def cmd_split_verify(args):
     from .splitting import verify_split
 
     ok = verify_split(f, args.powers, roots, args.degree, z=args.z)
-    _emit(args, {"verified": ok}, [f"verified: {ok}"])
-    return 0 if ok else 1
+    return {"verified": ok}, [f"verified: {ok}"], ok
 
 
 def cmd_split_example_basic(args):
@@ -605,8 +565,7 @@ def cmd_split_example_basic(args):
         "roots": [jsonio.poly_to_json(r) for r in roots],
         "verified": ok,
     }
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return payload, lines, ok
 
 
 # -- ncquot ----------------------------------------------------------------------
@@ -621,8 +580,7 @@ def cmd_ncquot_semiinv(args):
 
     out = semi_invariant_generators(gens, action)
     payload = {"generators": [jsonio.poly_to_json(g) for g in out]}
-    _emit(args, payload, [str(g) for g in out])
-    return 0
+    return payload, [str(g) for g in out]
 
 
 def cmd_ncquot_adapt(args):
@@ -638,8 +596,8 @@ def cmd_ncquot_adapt(args):
         "coordinates": [{"name": n, "poly": jsonio.poly_to_json(p), "role": role} for n, p, role in ac.coordinates],
         "verified": ac.verified,
     }
-    _emit(args, payload, [f"{n} = {p}   [{role}]" for n, p, role in ac.coordinates] + [f"verified: {ac.verified}"])
-    return 0 if ac.verified else 1
+    lines = [f"{n} = {p}   [{role}]" for n, p, role in ac.coordinates] + [f"verified: {ac.verified}"]
+    return payload, lines, ac.verified
 
 
 def cmd_ncquot_normalize(args):
@@ -667,8 +625,7 @@ def cmd_ncquot_normalize(args):
     ]
     lines += [f"  h{''.join(map(str, kk))} = {v}" for kk, v in sorted(nf.parts.items())]
     lines += [f"matrix determinant: {nf.determinant}", f"product scalar: {nf.scalar}", "verified: True"]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 # -- parser ----------------------------------------------------------------------
@@ -752,12 +709,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command line, print its result or error, and return the exit
+    code.  A handler returns (payload, lines), or (payload, lines, ok) when
+    its result can fail a check; a false ok exits 1."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, *ok = args.func(args)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
     except (DomainError, ValueError, ZeroDivisionError) as exc:
-        return _fail(args, str(exc))
+        if args.format == "json":
+            print(json.dumps({"error": str(exc)}, sort_keys=True))
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0 if all(ok) else 1
 
 
 def main() -> None:

@@ -286,6 +286,16 @@ class Cyclo:
         den = self._den
         return tuple(Fraction(n, den) for n in self._num) + (_ZERO,) * (self.order - len(self._num))
 
+    @property
+    def coeff_strings(self) -> list[str]:
+        """`coeffs` as the strings "n" or "n/d" in lowest terms."""
+        den = self._den
+        out = []
+        for n in self._num:
+            g = gcd(n, den)
+            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return out + ["0"] * (self.order - len(self._num))
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -454,19 +464,19 @@ class Cyclo:
 
     def __str__(self):
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        for i, c in enumerate(self.coeff_strings):
+            if c == "0":
                 continue
             if i == 0:
-                parts.append(_fmt_q(c))
+                parts.append(c)
             else:
                 unit = f"E{self.order}" + (f"^{i}" if i > 1 else "")
-                if c == 1:
+                if c == "1":
                     parts.append(unit)
-                elif c == -1:
+                elif c == "-1":
                     parts.append(f"-{unit}")
                 else:
-                    parts.append(f"{_fmt_q(c)}*{unit}")
+                    parts.append(f"{c}*{unit}")
         return _join_signed(parts) if parts else "0"
 
 

@@ -96,7 +96,7 @@ def subgroup_from_json(g: AbelianGroup, obj, where: str = "subgroup") -> Subgrou
 
 
 def cyclo_to_json(c: Cyclo) -> dict:
-    return {"order": c.order, "coeffs": [frac_to_str(x) for x in c.coeffs]}
+    return {"order": c.order, "coeffs": c.coeff_strings}
 
 
 def cyclo_from_json(obj, where: str = "cyclo") -> Cyclo:

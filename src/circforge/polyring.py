@@ -186,6 +186,34 @@ def _face(space: VarSpace, pos: int, k: int):
     return Fraction(k, space.bounds[pos]) if pos < space.ndiv else k
 
 
+def _scaled_terms(space: VarSpace, terms: dict):
+    """The items of a face-value term map with scaled keys, coefficients
+    made Cyclo and the zero ones dropped."""
+    n = len(space.names)
+    for key, coeff in terms.items():
+        coeff = coeff if isinstance(coeff, Cyclo) else Cyclo.rational(coeff)
+        if coeff.is_zero():
+            continue
+        if len(key) != n:
+            raise ValueError(f"exponent tuple of length {len(key)} in a space of {n} variables")
+        yield tuple(_check_exponent(space, i, e) for i, e in enumerate(key)), coeff
+
+
+def _merge(terms: dict, items) -> dict:
+    """Add (scaled key, nonzero coefficient) items into terms in place and
+    return it.  A sum is cur + coeff, and a key whose sum is zero leaves the
+    map; `Cyclo` orders and the map order depend on both rules."""
+    for key, coeff in items:
+        cur = terms.get(key)
+        if cur is not None:
+            coeff = cur + coeff
+            if coeff.is_zero():
+                del terms[key]
+                continue
+        terms[key] = coeff
+    return terms
+
+
 class FracPoly:
     """Polynomial with canonical term map {scaled exponent key: nonzero Cyclo}."""
 
@@ -195,23 +223,7 @@ class FracPoly:
         """terms maps face-value exponent tuples (in the order of space.names)
         to coefficients; the keys are checked and scaled."""
         self.space = space
-        clean = {}
-        if terms:
-            n = len(space.names)
-            for key, coeff in terms.items():
-                coeff = coeff if isinstance(coeff, Cyclo) else Cyclo.rational(coeff)
-                if coeff.is_zero():
-                    continue
-                if len(key) != n:
-                    raise ValueError(f"exponent tuple of length {len(key)} in a space of {n} variables")
-                key = tuple(_check_exponent(space, i, e) for i, e in enumerate(key))
-                if key in clean:
-                    coeff = clean[key] + coeff
-                    if coeff.is_zero():
-                        del clean[key]
-                        continue
-                clean[key] = coeff
-        self.terms = clean
+        self.terms = _merge({}, _scaled_terms(space, terms)) if terms else {}
 
     # -- constructors -------------------------------------------------------
 
@@ -375,15 +387,7 @@ class FracPoly:
     def __add__(self, other):
         other = self._coerce(other)
         a, b = FracPoly._aligned(self, other)
-        terms = dict(a.terms)
-        for key, coeff in b.terms.items():
-            cur = terms.get(key)
-            s = coeff if cur is None else cur + coeff
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return FracPoly._raw(a.space, terms)
+        return FracPoly._raw(a.space, _merge(dict(a.terms), b.terms.items()))
 
     __radd__ = __add__
 
@@ -469,7 +473,7 @@ class FracPoly:
             if name not in self.space:
                 raise ValueError(f"substituted variable {name} not in the space")
             images[name] = val if isinstance(val, FracPoly) else FracPoly.constant(space, val)
-        out = FracPoly.zero(space)
+        out: dict = {}
         names = self.space.names
         powers = {}  # (position, key entry) -> the factor it contributes
         for key, coeff in self.terms.items():
@@ -488,8 +492,8 @@ class FracPoly:
                         factor = FracPoly.monomial(space, {name: e})
                     powers[i, k] = factor
                 term = term * factor
-            out = out + term
-        return out
+            _merge(out, term.terms.items())
+        return FracPoly._raw(space, out)
 
     def __repr__(self):
         return f"FracPoly({self})"
@@ -650,6 +654,17 @@ def _poly_power(p: FracPoly, e) -> FracPoly:
     new = tuple(_check_exponent(p.space, i, _face(p.space, i, k) * e) for i, k in enumerate(key))
     c = coeff ** int(e) if e.denominator == 1 else Cyclo.one()
     return FracPoly._raw(p.space, {new: c})
+
+
+def _compositions(total: int, n: int):
+    """The vectors of n nonnegative ints summing to total, lexicographically."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, n - 1):
+            yield (first,) + rest
 
 
 # -- named operations --------------------------------------------------------

@@ -14,7 +14,9 @@ from math import lcm
 
 
 @dataclass(frozen=True)
-class InvSequence:
+class _Sequence:
+    """Positive rational entries, each with one contact label."""
+
     entries: tuple[Fraction, ...]
     contacts: tuple[str, ...]
 
@@ -24,27 +26,22 @@ class InvSequence:
             raise ValueError("one contact label per entry")
         if any(e <= 0 for e in self.entries):
             raise ValueError("entries must be positive")
+
+    def __str__(self):
+        return "(" + ", ".join(str(e) for e in self.entries) + ")"
+
+
+class InvSequence(_Sequence):
+    """The invariant sequence; its leading entry is an integer order."""
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.entries and self.entries[0].denominator != 1:
             raise ValueError("leading entry must be an integer order")
 
-    def __str__(self):
-        return "(" + ", ".join(str(e) for e in self.entries) + ")"
 
-
-@dataclass(frozen=True)
-class ATWSequence:
-    entries: tuple[Fraction, ...]
-    contacts: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
-        if len(self.entries) != len(self.contacts):
-            raise ValueError("one contact label per entry")
-        if any(e <= 0 for e in self.entries):
-            raise ValueError("entries must be positive")
-
-    def __str__(self):
-        return "(" + ", ".join(str(e) for e in self.entries) + ")"
+class ATWSequence(_Sequence):
+    """The product-form sequence: partial products of an InvSequence."""
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import gt
 
 from .cyclotomic import Cyclo, cyclo_nth_root, root_of_unity
 from .errors import DomainError
-from .polyring import FracPoly, VarSpace, divide_exact, strict_transform, substitute_power, truncate
+from .polyring import FracPoly, VarSpace, _compositions, divide_exact, strict_transform, substitute_power, truncate
 
 DEFAULT_DEGREE_BOUND = 12
 DEFAULT_BRANCH_CAP = 64
@@ -331,7 +332,10 @@ def _monomial_root_candidates(terms: dict, delta: int, state: _SearchState):
     space = ratio.space
     tspace = space.union(VarSpace((), (_T,)))
     out = []
-    for key in _divisors_of_degree(space.face_key(rkey), delta):
+    bounds = [int(e) for e in space.face_key(rkey)]
+    for key in _compositions(delta, len(bounds)):
+        if any(map(gt, key, bounds)):  # not a divisor of the ratio
+            continue
         mono = FracPoly(space, {key: Cyclo.one()})
         cand = FracPoly.monomial(tspace, {_T: 1}) * mono.in_space(tspace)
         val = FracPoly.zero(tspace)
@@ -356,19 +360,6 @@ def _monomial_root_candidates(terms: dict, delta: int, state: _SearchState):
             if check.is_zero() and not any(h == o for o in out):
                 out.append(h)
     return out
-
-
-def _divisors_of_degree(key, delta: int):
-    ranges = [range(0, int(e) + 1) for e in key]
-    def rec(i, left, acc):
-        if i == len(ranges):
-            if left == 0:
-                yield tuple(acc)
-            return
-        for v in ranges[i]:
-            if v <= left:
-                yield from rec(i + 1, left - v, acc + [v])
-    yield from rec(0, delta, [])
 
 
 def _strip_repeated_factors(terms: dict):

@@ -8,6 +8,8 @@ from circforge import (
     Cyclo,
     DiagonalAction,
     FracPoly,
+    NormalFormSpec,
+    ProductNormalFormSpec,
     Relation,
     VarSpace,
     apply_group,
@@ -24,6 +26,7 @@ from circforge import (
     relations,
     toric_relation_transform,
     transition,
+    weights,
     z2z4_spec,
 )
 from circforge.gcirc import spec_space
@@ -199,6 +202,30 @@ def test_relations_cp2():
         assert rels.ambient_identity_holds(r)
 
 
+def test_ambient_identity_matches_expanded_products():
+    # the exponent-vector test against the products of the generator
+    # monomials multiplied out, on kernel relations and on random pairs
+    import random
+
+    _poly, atlas = _cpk_atlas(3)
+    hb = hilbert_basis(atlas.charts[0][1])
+    rels = relations(hb)
+    rng = random.Random(5)
+    pairs = [(r.left, r.right) for r in rels.relations]
+    pairs += [tuple(tuple(rng.randint(0, 2) for _ in hb.generators) for _side in "lr") for _ in range(40)]
+    pairs += [(r.left, r.right[:-1] + (r.right[-1] + 1,)) for r in rels.relations]
+    seen = set()
+    for left, right in pairs:
+        lhs = rhs = FracPoly.constant(hb.space, 1)
+        for idx, (el, er) in enumerate(zip(left, right)):
+            lhs = lhs * hb.monomial(idx) ** el
+            rhs = rhs * hb.monomial(idx) ** er
+        holds = rels.ambient_identity_holds(Relation(left, right))
+        assert holds == (lhs == rhs), (left, right)
+        seen.add(holds)
+    assert seen == {True, False}
+
+
 def test_relations_trivial_group_empty():
     act = DiagonalAction(AbelianGroup((1,)), {"a": (0,), "b": (0,)})
     hb = hilbert_basis(act)
@@ -330,6 +357,36 @@ def test_pipeline_z2z4():
     assert rep.normal_crossings and rep.product_verified and rep.cyclic_orders_bounded
     assert [s.expected_multiplicity for s in rep.steps] == [12, 20]
     assert [s.multiplicity for s in rep.steps] == [12, 20]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [cpk_spec(k) for k in range(2, 7)] + [klein_spec(), z2z4_spec()],
+    ids=[f"cpk:{k}" for k in range(2, 7)] + ["klein", "z2z4"],
+)
+def test_pipeline_weights_are_the_resinv_weights(spec):
+    # each step blows up with the weights of cp(p) x ... x cp(p), k/p factors
+    rep = gcirc_blowup_sequence(spec)
+    assert len(rep.steps) == len(spec.moduli)
+    for step in rep.steps:
+        p, w = step.group_order, spec.w_names()[step.divisor_index]
+        wv = weights([p] * (spec.k // p))
+        expected = dict(zip(wv.parameters, wv.integer))
+        assert step.weight_map[w] == expected.pop("w")
+        assert sorted(v for n, v in step.weight_map.items() if n != w) == sorted(expected.values())
+
+
+def test_pipeline_with_a_trivial_modulus():
+    # a product of two cp2 factors over Z2 x Z1 that omit the second divisor;
+    # the second step blows up with weight 1 on w2
+    z2 = AbelianGroup((2,))
+    fac = NormalFormSpec(
+        moduli=(2, 1), k=2, gamma=((Fraction(1, 2), 0),), quotient_group=z2, labels=(z2.element((0,)), z2.element((1,)))
+    )
+    rep = gcirc_blowup_sequence(ProductNormalFormSpec((fac, fac)))
+    assert [s.multiplicity for s in rep.steps] == [s.expected_multiplicity for s in rep.steps] == [12, 8]
+    assert rep.steps[1].weight_map["w2"] == 1
+    assert rep.normal_crossings and rep.product_verified and rep.cyclic_orders_bounded
 
 
 def test_final_factors_are_independent_linear_forms():

@@ -201,6 +201,8 @@ def test_coeffs_view(a):
     assert all(type(q) is Fraction for q in coeffs)
     assert all(q == 0 for q in coeffs[deg:])
     assert Cyclo(a.order, coeffs) == a and Cyclo(a.order, list(coeffs[:deg])) == a
+    # the strings that str() and the JSON encoder print
+    assert a.coeff_strings == [jsonio.frac_to_str(q) for q in coeffs]
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,8 @@
 """The package namespace: every public name resolves, lazily, to its module."""
 
+import ast
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,3 +67,16 @@ def test_every_domain_exception_is_a_domain_error():
         "DomainError", "NonPolynomial", "NoSplit", "Ambiguous", "Unsupported", "SplitsInvariantly", "DegenerateInput",
     }
     assert all(issubclass(e, circforge.DomainError) for e in exceptions | {cli.DomainError})
+
+
+def test_library_has_no_assert_statement():
+    # python -O strips assert statements, and every decision must stay exact
+    # under -O too: a check raises explicitly
+    src = Path(circforge.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -576,3 +576,106 @@ def test_product_order_follows_zero_reset():
     second = (z - y.scale(e4) + x.scale(e4)) * b
     assert jsonio.cyclo_to_json(second.terms[(1, 1, 1)]) == {"order": 4, "coeffs": ["1", "0", "0", "0"]}
     assert list(second.terms)[2] == (1, 1, 1)
+
+
+# -- term-map merges against a pairwise oracle -----------------------------------------
+
+_MERGE_KEYS = [(Fraction(n, 3), a, b) for n in range(5) for a in range(3) for b in range(-2, 3)]
+
+
+def _merge_oracle(terms, items):
+    """Add the items into terms pairwise, left to right, with public Cyclo +:
+    a key whose sum is zero is popped, and a later item appends it again."""
+    for key, c in items:
+        if key in terms:
+            c = terms[key] + c
+            if c.is_zero():
+                del terms[key]
+                continue
+        terms[key] = c
+    return terms
+
+
+def _face_items(f):
+    return [(f.space.face_key(k), c) for k, c in f.terms.items()]
+
+
+def _assert_merged(got, want: dict):
+    from circforge import jsonio
+
+    assert jsonio.poly_to_json(got) == jsonio.poly_to_json(FracPoly(got.space, want))
+    assert [k for k, _c in _face_items(got)] == list(want)  # the map order too
+
+
+@st.composite
+def _spelled(draw, key):
+    """key with each exponent as an int, a Fraction or a string, so that
+    distinct dict keys can name one term."""
+    out = []
+    for e in key:
+        forms = [Fraction(e), str(Fraction(e))] + ([int(e)] if Fraction(e).denominator == 1 else [])
+        out.append(draw(st.sampled_from(forms)))
+    return tuple(out)
+
+
+@st.composite
+def _merge_items(draw):
+    """(face key, coefficient) items over w (bound 3), x and y; a key often
+    repeats, some items cancel the running sum at their key, and the key
+    may then come back."""
+    items, sums = [], {}
+    for _ in range(draw(st.integers(1, 8))):
+        key = draw(st.sampled_from(_MERGE_KEYS[:6] if draw(st.booleans()) else _MERGE_KEYS))
+        c = draw(_product_coeffs())
+        if key in sums and draw(st.booleans()):
+            items.append((key, -sums.pop(key)))
+            if draw(st.booleans()):
+                continue
+        items.append((key, c))
+        _merge_oracle(sums, [(key, c)])
+    return items
+
+
+@settings(max_examples=80, deadline=None)
+@given(_merge_items(), st.data())
+def test_constructor_merges_like_the_pairwise_oracle(items, data):
+    terms = {}
+    for key, c in items:
+        terms[data.draw(_spelled(key))] = c  # a repeated spelling keeps its place
+    want = _merge_oracle({}, ((tuple(map(Fraction, k)), c) for k, c in terms.items()))
+    _assert_merged(FracPoly(_PRODUCT_SPACE, terms), want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_merge_items(), _merge_items(), st.data())
+def test_sum_merges_like_the_pairwise_oracle(items_a, items_b, data):
+    a = FracPoly(_PRODUCT_SPACE, dict(items_a))
+    # b also cancels some of a's terms outright
+    cancel = data.draw(st.lists(st.sampled_from(_face_items(a)), max_size=3, unique_by=lambda kc: kc[0])) if a else []
+    b = FracPoly(_PRODUCT_SPACE, {**dict(items_b), **{k: -c for k, c in cancel}})
+    _assert_merged(a + b, _merge_oracle(dict(_face_items(a)), _face_items(b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_merge_items(), _product_coeffs())
+def test_substitute_merges_like_the_pairwise_oracle(items, c):
+    # x -> x + c*y; each term w^n x^a y^b (a >= 1) comes with w^n y^(a+b),
+    # whose image cancels the y^(a+b) part of the first image
+    sp = VarSpace([], ["x", "y"])
+    g = FracPoly.variable(sp, "x") + FracPoly.variable(sp, "y").scale(c)
+    terms = {}
+    for (n, a, b), d in items:
+        terms[n, a, b] = d
+        if a:
+            terms[n, 0, a + b] = -d * c ** a
+    f = FracPoly(_PRODUCT_SPACE, terms)
+    got = f.substitute({"x": g})
+    tsp, gt = got.space, g.in_space(got.space)
+    want = {}
+    for key, d in _face_items(f):
+        term = FracPoly.constant(tsp, d)
+        for name, e in zip(f.space.names, key):
+            if e:
+                term = term * (gt ** int(e) if name == "x" else FracPoly.monomial(tsp, {name: e}))
+        _merge_oracle(want, _face_items(term))
+    _assert_merged(got, want)
