@@ -26,6 +26,7 @@ from .polyring import (
     is_invariant,
     linear_part,
     linear_rank,
+    product,
     strict_transform,
 )
 from .smith import in_lattice, kernel_basis
@@ -471,7 +472,7 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
         by_label = dict(zip(fac.labels, eigen_factors(fac.quotient_group, vals, ordering=fac.labels)))
         factors += [by_label[j] for j in fac.quotient_group.elements()]
         pos += fac.k
-    total_poly = prod(factors)
+    total_poly = product(factors)
 
     steps = []
     current_names = list(names)
@@ -509,7 +510,7 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
         current_names = [cmap.y_names[n] for n in current_names]  # renamed by the chart
         space = cmap.new_space
 
-    product_verified = prod(factors) == total_poly
+    product_verified = product(factors) == total_poly
 
     nc = _independent_linear_parts(factors, current_names)
     order_bound = sum(moduli) + 1

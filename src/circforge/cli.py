@@ -2,7 +2,9 @@
 
 Each subcommand prints a human-readable summary by default or structured
 JSON with --format json.  Inputs are inline JSON, @file, or - for stdin.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error or a result whose check failed
+(printed in full, such as {"verified": false} from split verify),
+2 usage error.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
+from .jsonio import frac_to_str
 from .smith import echelon, solve
 
 
@@ -211,18 +212,10 @@ def _slot_bias(bits: int, size: int) -> int:
     return _pack((1 << (bits - 1),) * size, bits)
 
 
-def _unpack(packed: int, bits: int, den: int, k: int, m: int):
-    """The element of order k whose numerators over den are packed with
-    `bits` (from `_slot_bits`), reduced or not, as a canonical Cyclo of
-    order m, or None when it is zero."""
-    modulus = _packed_modulus(k, bits)
-    # the balanced remainder is the packed reduced numerators, since
-    # they are small against Phi_k(2**bits)
-    packed %= modulus
-    if not packed:
-        return None
-    if packed > modulus >> 1:
-        packed -= modulus
+def _unpack(packed: int, bits: int, den: int, k: int, m: int) -> "Cyclo":
+    """The nonzero element of order k whose reduced numerators over den are
+    packed with `bits` (a balanced remainder), as a canonical Cyclo of
+    order m; an ArithmeticError when it does not lie in Q(e_m)."""
     deg = _reducer(k)[0]
     mask, half = (1 << bits) - 1, 1 << (bits - 1)
     # with half added to every slot, each slot is a plain bit field
@@ -290,11 +283,7 @@ class Cyclo:
     def coeff_strings(self) -> list[str]:
         """`coeffs` as the strings "n" or "n/d" in lowest terms."""
         den = self._den
-        out = []
-        for n in self._num:
-            g = gcd(n, den)
-            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
-        return out + ["0"] * (self.order - len(self._num))
+        return [frac_to_str(n, den) for n in self._num] + ["0"] * (self.order - len(self._num))
 
     # -- constructors ------------------------------------------------------
 
@@ -478,10 +467,6 @@ class Cyclo:
                 else:
                     parts.append(f"{c}*{unit}")
         return _join_signed(parts) if parts else "0"
-
-
-def _fmt_q(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _join_signed(terms) -> str:

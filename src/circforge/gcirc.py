@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
 
 from .abelian import (
     AbelianGroup,
@@ -37,7 +36,7 @@ from .abelian import (
 )
 from .cyclotomic import Cyclo, root_of_unity
 from .errors import DomainError
-from .polyring import DiagonalAction, FracPoly, VarSpace, apply_group, match_factors
+from .polyring import DiagonalAction, FracPoly, VarSpace, apply_group, match_factors, product
 
 
 class NonPolynomial(DomainError):
@@ -165,7 +164,7 @@ def eigen_factors(group: AbelianGroup, values: list[FracPoly], ordering=None) ->
 
 def gcirc_det(group: AbelianGroup, values: list[FracPoly], ordering=None) -> FracPoly:
     """Determinant of the circulant matrix with symbols replaced by values."""
-    return prod(eigen_factors(group, values, ordering))
+    return product(eigen_factors(group, values, ordering))
 
 
 def leibniz_det(mat: CirculantMatrix, values: list[FracPoly]) -> FracPoly:
@@ -376,7 +375,7 @@ def _product_poly(spec: ProductNormalFormSpec) -> FracPoly:
     for f in spec.factors:
         polys.append(normal_form_poly(f, x_names=names[pos : pos + f.k]))
         pos += f.k
-    return prod(polys)
+    return product(polys)
 
 
 # -- validation -----------------------------------------------------------------
@@ -755,7 +754,7 @@ def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
                 args.append(comb * FracPoly.monomial(factor_space, {w_names[i]: Fraction(mu, p)}))
         factors = eigen_factors(AbelianGroup((p,)), args)
         lhs += factors
-        factor_polys.append(prod(factors))
+        factor_polys.append(product(factors))
     return Codim1Report(
         index=i,
         factor_polys=factor_polys,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 RATIONAL = Fraction
 GROUP = {"moduli": [int]}
@@ -59,9 +60,14 @@ def check(obj, shape, where: str) -> None:
             check(obj[key], sub, f"{where}.{key}")
 
 
-def frac_to_str(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def frac_to_str(q, den: int = 1) -> str:
+    """The rational q / den as "n" or "n/d" in lowest terms: q an int or any
+    value `Fraction` takes, den a positive int."""
+    if type(q) is not int:
+        q = Fraction(q)
+        q, den = q.numerator, q.denominator * den
+    g = gcd(q, den)
+    return str(q // g) if g == den else f"{q // g}/{den // g}"
 
 
 def group_to_json(g: AbelianGroup) -> dict:
@@ -121,10 +127,12 @@ def space_from_json(obj, where: str = "space") -> VarSpace:
 
 
 def poly_to_json(f: FracPoly) -> dict:
-    nd = f.space.ndiv
+    # a scaled key holds k_i = e_i * b_i on divisorial position i
+    bounds = f.space.div_bounds
+    nd = len(bounds)
     terms = [
-        {"w": [frac_to_str(e) for e in key[:nd]], "free": [int(e) for e in key[nd:]], "coeff": cyclo_to_json(coeff)}
-        for key, coeff in f.sorted_terms()
+        {"w": list(map(frac_to_str, key[:nd], bounds)), "free": list(key[nd:]), "coeff": cyclo_to_json(coeff)}
+        for key, coeff in f.sorted_items()
     ]
     return {"space": space_to_json(f.space), "terms": terms}
 

@@ -18,30 +18,49 @@ Total degree counts exponents at face value, matching the weighted-order
 bookkeeping used throughout.  Internally a term's degree is the integer
 sum of k_i * (L / b_i), L the lcm of the bounds: face degree times L.
 
-A product of two polynomials of two or more terms each runs on packed
-integers (Kronecker substitution per coefficient and per key).  Every
-coefficient is lifted to order K, the lcm of the coefficient orders, over
-one denominator per operand, and its deg Phi_K numerators become one int
-with signed slots of B bits, its value at 2^B; a key becomes one int with
-a bit field per position.  A term pair then costs one int addition for the
-key and one int product added into the key's running sum, kept modulo
-Phi_K(2^B).  For operands F and G with numerators f and g, the slots of an
-unreduced running sum stay below H = min(|F|, |G|) * deg Phi_K * max|f| *
-max|g|, and B is chosen so that G_K * H < 2^(B-3), G_K bounding the growth
-under reduction mod Phi_K.  Then the balanced remainder modulo Phi_K(2^B)
-is exactly the packed reduced sum, and a sum is zero exactly when that
-remainder is: the result is exact by this bound.  Each result key is
-unpacked and made canonical once.
+A product of two polynomials of two or more terms each, and `product` of
+a list of polynomials, run on packed integers (Kronecker substitution per
+coefficient and per key).  Every coefficient is lifted to order K, the lcm
+of all the coefficient orders, over one denominator per factor, and its
+deg Phi_K numerators become one int with signed slots of B bits, its value
+at 2^B; a key becomes one int with a bit field per position, wide enough
+for the sum of the factors' spans in that position.  A term pair then
+costs one int addition for the key and one int product added into the
+key's running sum, kept modulo Phi_K(2^B).
 
-The result equals the schoolbook term loop's, byte for byte and in map
-order, because the loop's `Cyclo` orders are emulated.  The product of c1
-and c2 has the order of c1 if c2 is rational, else that of c2 if c1 is
-rational, else their lcm; a sum has the lcm of its terms' orders, and a
-running sum that reaches zero leaves the map and restarts at the key's
-next product.  A key keeps the lcm of its products' orders and the place
-of its first product, unless its running sum reached zero on the way: such
-a key is replayed with the pairwise `Cyclo` loop, which settles its order
-and its place.
+A list f_1, ..., f_n is multiplied left to right, and B is chosen once for
+the whole chain.  Let h_1 = max|f_1| over the numerators of f_1.  A slot
+of a running sum at level j adds at most min(|f_1| ... |f_(j-1)|, |f_j|)
+pair products, each a sum of at most deg Phi_K products of numerators, so
+it stays below raw_j = min(|f_1| ... |f_(j-1)|, |f_j|) * deg Phi_K *
+h_(j-1) * max|f_j|, and the reduced sums stay below h_j = G_K * raw_j, G_K
+bounding the growth under reduction mod Phi_K.  B is chosen so that
+G_K * raw_n < 2^(B-3).  Then at every level the balanced remainder modulo
+Phi_K(2^B) is exactly the packed reduced sum, and a sum is zero exactly
+when that remainder is: the result is exact by this bound.  Two operands
+are the case n = 2.
+
+Between levels a term of the product so far stays packed: its key int, its
+balanced remainder over the product of the denominators so far, and the
+(order, is rational) kind of its coefficient.  The value is rational
+exactly when the remainder is below 2^(B-1) in magnitude, since then only
+its lowest slot is nonzero.  Every key is checked to lie in Q(e_m), m its
+order, at every level (by that slot test when m = 1, by descent when
+1 < m < K), or the product raises an ArithmeticError.  Only the last level
+unpacks its keys into tuples and its values into canonical `Cyclo`s.
+
+The result equals the schoolbook term loop's, applied factor by factor,
+byte for byte and in map order, because the loop's `Cyclo` orders are
+emulated at every level.  The product of c1 and c2 has the order of c1 if
+c2 is rational, else that of c2 if c1 is rational, else their lcm; a sum
+has the lcm of its terms' orders, and a running sum that reaches zero
+leaves the map and restarts at the key's next product.  A key keeps the
+lcm of its products' orders and the place of its first product, unless its
+running sum reached zero on the way: such a key is replayed with the
+pairwise `Cyclo` loop, which settles its order and its place.  A replay at
+an intermediate level unpacks the coefficients of the product so far that
+it needs, and only those; the replayed order and place carry on to the
+next level.
 """
 
 from __future__ import annotations
@@ -54,7 +73,18 @@ from math import lcm
 from operator import add, mod, mul
 
 from .abelian import AbelianGroup, GroupElement
-from .cyclotomic import Cyclo, _fmt_q, _join_signed, _lift_common, _pack, _packed_modulus, _slot_bits, _unpack, root_of_unity
+from .cyclotomic import (
+    Cyclo,
+    _join_signed,
+    _lift_common,
+    _pack,
+    _packed_modulus,
+    _reduction_gain,
+    _slot_bits,
+    _unpack,
+    root_of_unity,
+)
+from .jsonio import frac_to_str
 from .smith import rank
 
 
@@ -298,12 +328,15 @@ class FracPoly:
         i = self.space._index[name]
         return _face(self.space, i, max(k[i] for k in self.terms))
 
+    def sorted_items(self):
+        """The (scaled key, coefficient) items in the deterministic term
+        order: ascending total degree, then exponents."""
+        return sorted(self.terms.items(), key=lambda kv: (self._term_degree(kv[0]), kv[0]))
+
     def sorted_terms(self):
-        """Deterministic term order: ascending total degree, then exponents.
-        The keys are face values (see VarSpace.face_key)."""
-        items = sorted(self.terms.items(), key=lambda kv: (self._term_degree(kv[0]), kv[0]))
+        """`sorted_items` with face-value keys (see VarSpace.face_key)."""
         face = self.space.face_key
-        return [(face(k), c) for k, c in items]
+        return [(face(k), c) for k, c in self.sorted_items()]
 
     def homogeneous_parts(self, exclude: frozenset | set = frozenset()) -> dict:
         """Split into {degree: part}, degree over variables not excluded."""
@@ -404,7 +437,7 @@ class FracPoly:
         other = self._coerce(other)
         a, b = FracPoly._aligned(self, other)
         if len(a.terms) > 1 and len(b.terms) > 1:
-            return FracPoly._raw(a.space, _packed_product(a.terms, b.terms))
+            return FracPoly._raw(a.space, _product_terms([a.terms, b.terms]))
         # one side has at most one term: every key is hit once, by a nonzero product
         return FracPoly._raw(
             a.space,
@@ -516,13 +549,13 @@ class FracPoly:
             if coeff.is_rational():
                 q = coeff.as_rational()
                 if not mono_s:
-                    c_s = _fmt_q(q)
+                    c_s = frac_to_str(q)
                 elif q == 1:
                     c_s = mono_s
                 elif q == -1:
                     c_s = f"-{mono_s}"
                 else:
-                    c_s = f"{_fmt_q(q)}*{mono_s}"
+                    c_s = f"{frac_to_str(q)}*{mono_s}"
             else:
                 c_s = f"({coeff})*{mono_s}" if mono_s else f"({coeff})"
             chunks.append(c_s)
@@ -553,89 +586,137 @@ def _contribution_order(kind1: tuple, kind2: tuple) -> int:
     return o1 if r2 else o2 if r1 else lcm(o1, o2)
 
 
-def _packed_product(at: dict, bt: dict) -> dict:
-    """The term map of the product of two term maps of two or more terms
-    each: the map the pairwise term loop builds, in its order (see the
-    module docstring)."""
-    akeys, acoeffs = list(at), list(at.values())
-    bkeys, bcoeffs = list(bt), list(bt.values())
-    k = lcm(*(c.order for c in acoeffs), *(c.order for c in bcoeffs))
-    anums, aden = _lift_common(acoeffs, k)
-    bnums, bden = _lift_common(bcoeffs, k)
-    # a slot of a key's unreduced running sum adds at most min(|A|, |B|)
-    # products, each a sum of at most deg Phi_k products of numerators
-    height = max(map(abs, chain.from_iterable(anums))) * max(map(abs, chain.from_iterable(bnums)))
-    bits = _slot_bits(k, min(len(akeys), len(bkeys)) * len(anums[0]) * height)
-    apacked = [_pack(num, bits) for num in anums]
-    bpacked = [_pack(num, bits) for num in bnums]
-    del anums, bnums
-    # key position t holds k1_t - lo1_t + k2_t - lo2_t >= 0 in its own bit field
-    akeyints = [0] * len(akeys)
-    bkeyints = [0] * len(bkeys)
+def _max_abs(nums) -> int:
+    return max(map(abs, chain.from_iterable(nums)))
+
+
+def _product_terms(maps: list) -> dict:
+    """The term map of the product of a list of term maps of one space,
+    formed left to right: at every level, the map the pairwise term loop
+    builds, in its order (see the module docstring)."""
+    if not all(maps):
+        return {}
+    if len(maps) == 1:
+        return dict(maps[0])
+    coeffs = [list(m.values()) for m in maps]
+    k = lcm(*(c.order for cs in coeffs for c in cs))
+    lifted = [_lift_common(cs, k) for cs in coeffs]
+    # height bounds the reduced numerators of the product so far and terms
+    # its number of terms; a slot of a key's unreduced running sum at the
+    # next level adds at most min(terms, |f|) products, each a sum of at
+    # most deg Phi_k products of numerators
+    deg = len(lifted[0][0][0])
+    height, terms = _max_abs(lifted[0][0]), len(maps[0])
+    for (nums, _den), m in zip(lifted[1:], maps[1:]):
+        raw = min(terms, len(m)) * deg * height * _max_abs(nums)
+        height, terms = _reduction_gain(k) * raw, terms * len(m)
+    bits = _slot_bits(k, raw)
+    half = 1 << (bits - 1)
+    # key position t holds the sum of k_t - lo_t over the factors, lo_t the
+    # factor's column minimum, in a bit field wide enough for every sum
+    keyints = [[0] * len(m) for m in maps]
     fields, offset = [], 0
-    for col1, col2 in zip(zip(*akeys), zip(*bkeys)):
-        lo1, lo2 = min(col1), min(col2)
-        for keyints, col, lo in ((akeyints, col1, lo1), (bkeyints, col2, lo2)):
-            for t, e in enumerate(col):
-                keyints[t] += (e - lo) << offset
-        width = (max(col1) - lo1 + max(col2) - lo2).bit_length()
-        fields.append((offset, (1 << width) - 1, lo1 + lo2))
+    for cols in zip(*(zip(*m) for m in maps)):
+        span = lows = 0
+        for ints, col in zip(keyints, cols):
+            lo = min(col)
+            for i, e in enumerate(col):
+                ints[i] += (e - lo) << offset
+            span += max(col) - lo
+            lows += lo
+        width = span.bit_length()
+        fields.append((offset, (1 << width) - 1, lows))
         offset += width
-    # a pair's order depends only on the kinds of its coefficients; each
-    # order that occurs is one bit of a key's mask
-    bkind = [(c.order, c.is_rational()) for c in bcoeffs]
-    orders: dict = {}
-    rows: dict = {}
-    for c in acoeffs:
-        a = (c.order, c.is_rational())
-        if a not in rows:
-            rows[a] = [1 << orders.setdefault(_contribution_order(a, b), len(orders)) for b in bkind]
-    arows = [rows[c.order, c.is_rational()] for c in acoeffs]
-    b_items = list(zip(bkeyints, bpacked, range(len(bkeys))))
+    # the product so far: packed keys in map order, balanced packed values
+    # over aden, (order, is rational) kinds, and the Cyclos known so far
+    akeys, aden = keyints[0], lifted[0][1]
+    avals = [_pack(num, bits) for num in lifted[0][0]]
+    akinds = [(c.order, c.is_rational()) for c in coeffs[0]]
+    acyc = dict(zip(akeys, coeffs[0]))
     # running sums are kept modulo Phi_k(2**bits), where they are zero
     # exactly when they are zero in Q(e_k)
     modulus = _packed_modulus(k, bits)
-    sums: dict = {}  # packed key -> [running sum, order mask]
-    zero_sums = []
-    for ka, pa, row in zip(akeyints, apacked, arows):
-        for kb, pb, j in b_items:
-            key = ka + kb
-            entry = sums.get(key)
-            if entry is None:
-                sums[key] = [pa * pb, row[j]]
-            else:
-                s = (entry[0] + pa * pb) % modulus
-                entry[0] = s
-                entry[1] |= row[j]
-                if not s:
-                    zero_sums.append(key)
-    den = aden * bden
-    mask_order: dict = {}
-    out = {}
-    for key, (s, mask) in sums.items():
-        m = mask_order.get(mask)
-        if m is None:
-            m = mask_order[mask] = lcm(*(o for o, bit in orders.items() if mask >> bit & 1))
-        coeff = _unpack(s, bits, den, k, m)
-        if coeff is not None:
-            out[key] = coeff
-    del sums
-    # a nonzero sum that was zero on the way restarted: its order may be
-    # lower, and its key takes the place of the restart
-    bindex = {kb: j for j, kb in enumerate(bkeyints)}
-    restarts = {}
-    for key in out.keys() & set(zero_sums):
-        pairs = [(i, bindex[key - ka]) for i, ka in enumerate(akeyints) if key - ka in bindex]
-        out[key], start = _replay((acoeffs[i], bcoeffs[j]) for i, j in pairs)
-        restarts[key] = pairs[start]
-    if restarts:
-        place: dict = {}
-        for i, ka in enumerate(akeyints):
-            for j, kb in enumerate(bkeyints):
-                place.setdefault(ka + kb, (i, j))
-        place.update(restarts)
-        out = dict(sorted(out.items(), key=lambda kv: place[kv[0]]))
-    return {tuple([(key >> off & mask) + lo for off, mask, lo in fields]): coeff for key, coeff in out.items()}
+    for level in range(1, len(maps)):
+        bkeyints, (bnums, bden), bcoeffs = keyints[level], lifted[level], coeffs[level]
+        # a pair's order depends only on the kinds of its coefficients;
+        # each order that occurs is one bit of a key's mask
+        bkind = [(c.order, c.is_rational()) for c in bcoeffs]
+        orders: dict = {}
+        rows: dict = {}
+        for a in akinds:
+            if a not in rows:
+                rows[a] = [1 << orders.setdefault(_contribution_order(a, b), len(orders)) for b in bkind]
+        arows = [rows[a] for a in akinds]
+        nb = len(bkeyints)
+        b_items = list(zip(bkeyints, [_pack(num, bits) for num in bnums], range(nb)))
+        sums: dict = {}  # packed key -> [running sum, order mask, place of the first pair]
+        zero_sums = []
+        for ka, pa, row, base in zip(akeys, avals, arows, range(0, len(akeys) * nb, nb)):
+            for kb, pb, j in b_items:
+                key = ka + kb
+                entry = sums.get(key)
+                if entry is None:
+                    sums[key] = [pa * pb, row[j], base + j]
+                else:
+                    s = (entry[0] + pa * pb) % modulus
+                    entry[0] = s
+                    entry[1] |= row[j]
+                    if not s:
+                        zero_sums.append(key)
+        den = aden * bden
+        final = level == len(maps) - 1
+        mask_order: dict = {}
+        out, kinds, cyc = {}, {}, {}
+        for key, (s, mask, _first) in sums.items():
+            # the balanced remainder is the packed reduced numerators
+            s %= modulus
+            if not s:
+                continue
+            if s > modulus >> 1:
+                s -= modulus
+            m = mask_order.get(mask)
+            if m is None:
+                m = mask_order[mask] = lcm(*(o for o, bit in orders.items() if mask >> bit & 1))
+            rational = -half < s < half
+            # every key lies in Q(e_m), checked at every level
+            if final or 1 < m < k:
+                cyc[key] = _unpack(s, bits, den, k, m)
+            elif m == 1 and not rational:
+                raise ArithmeticError("packed product does not lie in Q(e_1)")
+            out[key] = s
+            kinds[key] = (m, rational)
+        # a nonzero sum that was zero on the way restarted: its order may be
+        # lower, and its key takes the place of the restart
+        restarted = out.keys() & set(zero_sums)
+        if restarted:
+            bindex = {kb: j for j, kb in enumerate(bkeyints)}
+            restarts = {}
+            for key in restarted:
+                pairs = [(i, bindex[key - ka]) for i, ka in enumerate(akeys) if key - ka in bindex]
+                for i, _j in pairs:  # the coefficients of the product so far, unpacked on first use
+                    if akeys[i] not in acyc:
+                        acyc[akeys[i]] = _unpack(avals[i], bits, aden, k, akinds[i][0])
+                total, start = _replay((acyc[akeys[i]], bcoeffs[j]) for i, j in pairs)
+                cyc[key] = total
+                kinds[key] = (total.order, total.is_rational())
+                i, j = pairs[start]
+                restarts[key] = i * nb + j
+            place = {key: restarts.get(key, sums[key][2]) for key in out}
+            out = dict(sorted(out.items(), key=lambda kv: place[kv[0]]))
+        akeys, avals, aden, acyc = list(out), list(out.values()), den, cyc
+        akinds = [kinds[key] for key in akeys]
+    return {tuple([(key >> off & mask) + lo for off, mask, lo in fields]): acyc[key] for key in akeys}
+
+
+def product(polys) -> FracPoly:
+    """The product of a nonempty list of polynomials in one packed pass:
+    f_1 * f_2 * ... * f_n formed left to right, equal to it term by term,
+    in map order and in every coefficient's order."""
+    polys = list(polys)
+    if not polys:
+        raise ValueError("product of no polynomials")
+    space = VarSpace.union(*(p.space for p in polys))
+    return FracPoly._raw(space, _product_terms([p.in_space(space).terms for p in polys]))
 
 
 def _poly_power(p: FracPoly, e) -> FracPoly:

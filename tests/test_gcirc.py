@@ -140,7 +140,7 @@ def test_leibniz_oracle_stays_off_the_packed_product(monkeypatch):
     def refuse(*_args):
         raise AssertionError("packed product in the Leibniz oracle")
 
-    monkeypatch.setattr(polyring, "_packed_product", refuse)
+    monkeypatch.setattr(polyring, "_product_terms", refuse)
     mat = circulant_matrix(spec.quotient_group, ordering=spec.labels)
     assert leibniz_det(mat, values) == want
 
@@ -564,6 +564,36 @@ def test_circulant_products_golden():
     assert _circulant_digests() == json.loads(GOLDEN_PRODUCTS.read_text())
 
 
+GOLDEN_CHAINS = Path(__file__).parent / "golden" / "product_chains.json"
+
+
+def _chain_digests() -> dict:
+    """sha256 of the products of more than two factors outside the circulant
+    file: normal forms of product specs, and the final strict transform
+    of the blow-up pipeline with its product check."""
+    from circforge import gcirc_blowup_sequence, jsonio
+
+    out = {}
+    for name, ks in (("cp2xcp2", (2, 2)), ("cp4xcp4", (4, 4)), ("cp3xcp3xcp3", (3, 3, 3))):
+        poly = normal_form_poly(ProductNormalFormSpec(tuple(cpk_spec(k) for k in ks)))
+        out[f"normal_form {name}"] = {"polynomial": jsonio.poly_to_json(poly)}
+    specs = [(f"cpk:{k}", cpk_spec(k)) for k in range(2, 8)] + [("klein", klein_spec()), ("z2z4", z2z4_spec())]
+    for name, spec in specs:
+        rep = gcirc_blowup_sequence(spec)
+        out[f"pipeline {name}"] = {
+            "product_verified": rep.product_verified,
+            "strict_transform": jsonio.poly_to_json(rep.final_strict_transform),
+        }
+    return {name: hashlib.sha256(json.dumps(p, sort_keys=True).encode()).hexdigest() for name, p in out.items()}
+
+
+def test_product_chains_golden():
+    assert _chain_digests() == json.loads(GOLDEN_CHAINS.read_text())
+
+
 if __name__ == "__main__":
     # python tests/test_gcirc.py > tests/golden/circulant_products.json
-    print(json.dumps(_circulant_digests(), indent=1))
+    # python tests/test_gcirc.py chains > tests/golden/product_chains.json
+    import sys
+
+    print(json.dumps(_chain_digests() if sys.argv[1:] == ["chains"] else _circulant_digests(), indent=1))

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import json_nodes, json_replace
 
@@ -93,6 +95,14 @@ def test_rationals_accept_integers_and_p_over_q():
     seq = jsonio.atw_from_json({"entries": [3, "4/6", "07/02"], "contacts": ["a", "b", "c"]})
     assert seq.entries == (Fraction(3), Fraction(2, 3), Fraction(7, 2))
     assert jsonio.gamma_from_json([["-1/2", 0]]) == [[Fraction(-1, 2), Fraction(0)]]
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**4), st.integers(1, 50))
+def test_frac_to_str_prints_lowest_terms(n, d, m):
+    q = Fraction(n, d)
+    want = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    assert jsonio.frac_to_str(n, d) == jsonio.frac_to_str(q) == jsonio.frac_to_str(str(q)) == want
+    assert jsonio.frac_to_str(q, m) == jsonio.frac_to_str(q / m)
 
 
 def test_error_names_the_first_bad_path():

@@ -578,6 +578,106 @@ def test_product_order_follows_zero_reset():
     assert list(second.terms)[2] == (1, 1, 1)
 
 
+# -- a product of many factors against the left fold of the pairwise loop ------------
+
+_CHAIN_SPACES = [
+    _PRODUCT_SPACE,
+    VarSpace([("w", 2)], ["x"]),
+    VarSpace([], ["y", "z"]),
+    VarSpace([("w", 6)], ["z", "x"]),
+]
+
+
+@st.composite
+def _chain_factors(draw):
+    """1-4 terms in one of four spaces that share w (bounds 3, 2, 1 and 6)
+    and x, y, z: either any coefficient on small exponents, or a root of
+    unity (up to sign) on exponents 0 and 1, so that running sums cancel."""
+    space = draw(st.sampled_from(_CHAIN_SPACES))
+    units = draw(st.booleans())
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        key = tuple(
+            draw(st.integers(0, 1 if units else 2)) * Fraction(1, 1 if units else b)
+            if i < space.ndiv
+            else draw(st.integers(0 if units else -1, 1))
+            for i, b in enumerate(space.bounds)
+        )
+        if units:
+            terms[key] = root_of_unity(draw(st.sampled_from([1, 2, 3, 4])), draw(st.integers(0, 3)))
+        else:
+            terms[key] = draw(_product_coeffs())
+    return FracPoly(space, terms)
+
+
+@st.composite
+def _chains(draw):
+    """2-6 factors; often one of them twice, the second time with some
+    signs flipped, as in (a + b) * (a - b)."""
+    factors = draw(st.lists(_chain_factors(), min_size=2, max_size=5))
+    if draw(st.booleans()):
+        f = draw(st.sampled_from(factors))
+        flips = draw(st.lists(st.booleans(), min_size=len(f.terms), max_size=len(f.terms)))
+        g = FracPoly(f.space, {k: -c if flip else c for (k, c), flip in zip(_face_items(f), flips)})
+        factors.insert(draw(st.integers(0, len(factors))), g)
+    return factors
+
+
+def _fold_product(factors):
+    """f_1 * ... * f_n as the left fold of the pairwise term loop, each step
+    in the union of its two spaces, as `*` aligns them."""
+    acc = factors[0]
+    for f in factors[1:]:
+        space = acc.space.union(f.space)
+        acc = _pairwise_product(acc.in_space(space), f.in_space(space))
+    return acc
+
+
+def _assert_same_product(got, want):
+    from circforge import jsonio
+
+    assert got.space == want.space
+    assert jsonio.poly_to_json(got) == jsonio.poly_to_json(want)
+    # the map order and every coefficient's order, which the next product's
+    # term loop and the printed bytes depend on
+    assert [(k, c.order) for k, c in got.terms.items()] == [(k, c.order) for k, c in want.terms.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chains())
+def test_chain_product_matches_the_fold(factors):
+    from circforge.polyring import product
+
+    _assert_same_product(product(factors), _fold_product(factors))
+
+
+def test_chain_product_replays_at_an_intermediate_level():
+    # the xyz coefficient of the first two factors restarts from the rational
+    # 1 (see test_product_order_follows_zero_reset); the third factor's
+    # products then start from that order-1 coefficient and its new place
+    from circforge.polyring import product
+
+    sp = VarSpace([], ["x", "y", "z"])
+    x, y, z = (FracPoly.variable(sp, n) for n in "xyz")
+    e4 = root_of_unity(4)
+    factors = [x.scale(e4) - y.scale(e4) + z, y * z + x * z + x * y, x * x + z]
+    _assert_same_product(product(factors), _fold_product(factors))
+
+
+def test_chain_product_edge_cases():
+    from circforge.polyring import product
+
+    sp = VarSpace([("w", 2)], ["x"])
+    x, w = FracPoly.variable(sp, "x"), FracPoly.monomial(sp, {"w": Fraction(1, 2)})
+    f = x + w
+    _assert_same_product(product([f]), f)
+    assert product([f, FracPoly.zero(sp), f]).is_zero()
+    g = FracPoly.variable(VarSpace([], ["y"]), "y") - 1
+    _assert_same_product(product([f, g, f]), _fold_product([f, g, f]))
+    with pytest.raises(ValueError):
+        product([])
+
+
 # -- term-map merges against a pairwise oracle -----------------------------------------
 
 _MERGE_KEYS = [(Fraction(n, 3), a, b) for n in range(5) for a in range(3) for b in range(-2, 3)]
