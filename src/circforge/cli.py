@@ -118,7 +118,10 @@ def cmd_abelian_xi(args):
 
     g, h = _group_and_subgroup(args)
     ctx = _pairing(args, g)
-    (ell,) = _parse_elements(g, args.ell)
+    ells = _parse_elements(g, args.ell)
+    if len(ells) != 1:
+        raise ValueError(f"--ell: expected one element, got {len(ells)}")
+    (ell,) = ells
     val = xi(ctx, h, ell)
     return {"xi": jsonio.cyclo_to_json(val)}, [f"xi_{ell} = {val}"]
 
@@ -338,6 +341,8 @@ def _atlas_from_args(args):
     divisorial = []
     if args.divisorial:
         for chunk in args.divisorial.split(","):
+            if chunk.count(":") != 1:
+                raise ValueError(f"--divisorial: expected name:bound, got {chunk!r}")
             name, bound = chunk.split(":")
             divisorial.append((name, int(bound)))
     params = args.params.split(",")

@@ -780,10 +780,13 @@ def clean_exponents(gamma_raw, moduli) -> CleanedLadder:
     """Sort rows by successive termwise minima and split the increments into
     integer parts and fractional parts delta_{ji} in (1/p_i){0..p_i-1}.
 
-    Fails (ValueError) when a row's length differs from the number of
-    moduli, or when no termwise-minimal row exists at some stage.
+    Fails (ValueError) when a modulus is below 1, when a row's length
+    differs from the number of moduli, or when no termwise-minimal row
+    exists at some stage.
     """
     moduli = tuple(int(p) for p in moduli)
+    if any(p < 1 for p in moduli):
+        raise ValueError("moduli must be positive")
     rows = [tuple(Fraction(x) for x in row) for row in gamma_raw]
     for i, row in enumerate(rows):
         if len(row) != len(moduli):

@@ -109,7 +109,10 @@ def cyclo_from_json(obj, where: str = "cyclo") -> Cyclo:
     check(obj, CYCLO, where)
     from .cyclotomic import Cyclo
 
-    return Cyclo(obj["order"], obj["coeffs"])
+    order, coeffs = obj["order"], obj["coeffs"]
+    if order > 0 and len(coeffs) != order:
+        raise ValueError(f"{where}.coeffs: expected {order} entries, got {len(coeffs)}")
+    return Cyclo(order, coeffs)
 
 
 def space_to_json(sp: VarSpace) -> dict:
@@ -146,7 +149,10 @@ def poly_from_json(obj, where: str = "poly") -> FracPoly:
     for i, t in enumerate(obj["terms"]):
         if (len(t["w"]), len(t["free"])) != (sp.ndiv, len(sp.free_names)):
             raise ValueError(f"{where}.terms[{i}]: expected {sp.ndiv} 'w' and {len(sp.free_names)} 'free' exponents")
-        terms[tuple(Fraction(e) for e in t["w"]) + tuple(t["free"])] = cyclo_from_json(t["coeff"])
+        key = tuple(Fraction(e) for e in t["w"]) + tuple(t["free"])
+        if key in terms:
+            raise ValueError(f"{where}.terms[{i}]: repeats the exponents of an earlier term")
+        terms[key] = cyclo_from_json(t["coeff"], f"{where}.terms[{i}].coeff")
     return FracPoly(sp, terms)
 
 

@@ -50,17 +50,13 @@ order, at every level (by that slot test when m = 1, by descent when
 unpacks its keys into tuples and its values into canonical `Cyclo`s.
 
 The result equals the schoolbook term loop's, applied factor by factor,
-byte for byte and in map order, because the loop's `Cyclo` orders are
-emulated at every level.  The product of c1 and c2 has the order of c1 if
-c2 is rational, else that of c2 if c1 is rational, else their lcm; a sum
-has the lcm of its terms' orders, and a running sum that reaches zero
-leaves the map and restarts at the key's next product.  A key keeps the
-lcm of its products' orders and the place of its first product, unless its
-running sum reached zero on the way: such a key is replayed with the
-pairwise `Cyclo` loop, which settles its order and its place.  A replay at
-an intermediate level unpacks the coefficients of the product so far that
-it needs, and only those; the replayed order and place carry on to the
-next level.
+byte for byte and in map order, because the kernel keeps the loop's one
+rule at every level: a key enters the map with its first product, a
+running sum that reaches zero leaves the map, and the key's next product
+enters it again, at the end.  The `Cyclo` orders follow: the product of c1
+and c2 has the order of c1 if c2 is rational, else that of c2 if c1 is
+rational, else their lcm, and a running sum has the lcm of the orders of
+the products since its key last entered the map, tracked as a bit mask.
 """
 
 from __future__ import annotations
@@ -562,23 +558,6 @@ class FracPoly:
         return _join_signed(chunks)
 
 
-def _replay(pairs):
-    """The sum of c1 * c2 over pairs, formed pair by pair as the term loop of
-    a product forms it: a running sum that reaches zero leaves the term map
-    and restarts from the next product.  Returns the sum (None when zero)
-    and the index of the pair it last restarted from."""
-    total, start = None, 0
-    for n, (c1, c2) in enumerate(pairs):
-        c = c1 * c2
-        if total is None:
-            total, start = c, n
-        else:
-            total = total + c
-            if total.is_zero():
-                total = None
-    return total, start
-
-
 def _contribution_order(kind1: tuple, kind2: tuple) -> int:
     """The order of c1 * c2 from the (order, is rational) kinds of c1 and
     c2: a rational factor keeps the other one's order."""
@@ -593,7 +572,9 @@ def _max_abs(nums) -> int:
 def _product_terms(maps: list) -> dict:
     """The term map of the product of a list of term maps of one space,
     formed left to right: at every level, the map the pairwise term loop
-    builds, in its order (see the module docstring)."""
+    builds, in its order.  A running sum that reaches zero leaves the map,
+    and its key's next pair enters it again at the end (see the module
+    docstring)."""
     if not all(maps):
         return {}
     if len(maps) == 1:
@@ -628,50 +609,46 @@ def _product_terms(maps: list) -> dict:
         fields.append((offset, (1 << width) - 1, lows))
         offset += width
     # the product so far: packed keys in map order, balanced packed values
-    # over aden, (order, is rational) kinds, and the Cyclos known so far
+    # over aden, and the (order, is rational) kinds of its coefficients
     akeys, aden = keyints[0], lifted[0][1]
     avals = [_pack(num, bits) for num in lifted[0][0]]
     akinds = [(c.order, c.is_rational()) for c in coeffs[0]]
-    acyc = dict(zip(akeys, coeffs[0]))
     # running sums are kept modulo Phi_k(2**bits), where they are zero
     # exactly when they are zero in Q(e_k)
     modulus = _packed_modulus(k, bits)
     for level in range(1, len(maps)):
-        bkeyints, (bnums, bden), bcoeffs = keyints[level], lifted[level], coeffs[level]
+        bkeyints, (bnums, bden) = keyints[level], lifted[level]
         # a pair's order depends only on the kinds of its coefficients;
         # each order that occurs is one bit of a key's mask
-        bkind = [(c.order, c.is_rational()) for c in bcoeffs]
+        bkind = [(c.order, c.is_rational()) for c in coeffs[level]]
         orders: dict = {}
         rows: dict = {}
         for a in akinds:
             if a not in rows:
                 rows[a] = [1 << orders.setdefault(_contribution_order(a, b), len(orders)) for b in bkind]
-        arows = [rows[a] for a in akinds]
-        nb = len(bkeyints)
-        b_items = list(zip(bkeyints, [_pack(num, bits) for num in bnums], range(nb)))
-        sums: dict = {}  # packed key -> [running sum, order mask, place of the first pair]
-        zero_sums = []
-        for ka, pa, row, base in zip(akeys, avals, arows, range(0, len(akeys) * nb, nb)):
+        b_items = list(zip(bkeyints, [_pack(num, bits) for num in bnums], range(len(bkeyints))))
+        sums: dict = {}  # packed key -> [running sum, order mask], in map order
+        for ka, pa, a in zip(akeys, avals, akinds):
+            row = rows[a]
             for kb, pb, j in b_items:
                 key = ka + kb
                 entry = sums.get(key)
                 if entry is None:
-                    sums[key] = [pa * pb, row[j], base + j]
+                    sums[key] = [pa * pb, row[j]]
                 else:
                     s = (entry[0] + pa * pb) % modulus
-                    entry[0] = s
-                    entry[1] |= row[j]
-                    if not s:
-                        zero_sums.append(key)
-        den = aden * bden
+                    if s:
+                        entry[0] = s
+                        entry[1] |= row[j]
+                    else:  # the sum leaves the map; the key's next pair restarts it
+                        del sums[key]
+        aden *= bden
         final = level == len(maps) - 1
         mask_order: dict = {}
-        out, kinds, cyc = {}, {}, {}
-        for key, (s, mask, _first) in sums.items():
+        avals, akinds = [], []
+        for s, mask in sums.values():
             # the balanced remainder is the packed reduced numerators
             s %= modulus
-            if not s:
-                continue
             if s > modulus >> 1:
                 s -= modulus
             m = mask_order.get(mask)
@@ -680,32 +657,13 @@ def _product_terms(maps: list) -> dict:
             rational = -half < s < half
             # every key lies in Q(e_m), checked at every level
             if final or 1 < m < k:
-                cyc[key] = _unpack(s, bits, den, k, m)
+                c = _unpack(s, bits, aden, k, m)
             elif m == 1 and not rational:
                 raise ArithmeticError("packed product does not lie in Q(e_1)")
-            out[key] = s
-            kinds[key] = (m, rational)
-        # a nonzero sum that was zero on the way restarted: its order may be
-        # lower, and its key takes the place of the restart
-        restarted = out.keys() & set(zero_sums)
-        if restarted:
-            bindex = {kb: j for j, kb in enumerate(bkeyints)}
-            restarts = {}
-            for key in restarted:
-                pairs = [(i, bindex[key - ka]) for i, ka in enumerate(akeys) if key - ka in bindex]
-                for i, _j in pairs:  # the coefficients of the product so far, unpacked on first use
-                    if akeys[i] not in acyc:
-                        acyc[akeys[i]] = _unpack(avals[i], bits, aden, k, akinds[i][0])
-                total, start = _replay((acyc[akeys[i]], bcoeffs[j]) for i, j in pairs)
-                cyc[key] = total
-                kinds[key] = (total.order, total.is_rational())
-                i, j = pairs[start]
-                restarts[key] = i * nb + j
-            place = {key: restarts.get(key, sums[key][2]) for key in out}
-            out = dict(sorted(out.items(), key=lambda kv: place[kv[0]]))
-        akeys, avals, aden, acyc = list(out), list(out.values()), den, cyc
-        akinds = [kinds[key] for key in akeys]
-    return {tuple([(key >> off & mask) + lo for off, mask, lo in fields]): acyc[key] for key in akeys}
+            avals.append(c if final else s)
+            akinds.append((m, rational))
+        akeys = list(sums)
+    return {tuple([(key >> off & mask) + lo for off, mask, lo in fields]): c for key, c in zip(akeys, avals)}
 
 
 def product(polys) -> FracPoly:

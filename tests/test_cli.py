@@ -85,6 +85,15 @@ _AB_ZERO, _AB_A, _AB_B, _AB_SUM = (
     for terms in ("", _AB_TERM % "1,0", _AB_TERM % "0,1", _AB_TERM % "1,0" + "," + _AB_TERM % "0,1")
 )
 
+# polynomials in x: one with the term x twice, one whose coefficient vector is
+# too long, one whose vector is empty, and 0
+_X_POLY = '{"space":{"divisorial":[],"free":["x"]},"terms":[%s]}'
+_X_TERM = '{"w":[],"free":[1],"coeff":{"order":%d,"coeffs":[%s]}}'
+_X_TWICE = _X_POLY % (_X_TERM % (1, '"1"') + "," + _X_TERM % (1, '"2"'))
+_X_LONG_COEFF = _X_POLY % (_X_TERM % (2, '"1","1","1"'))
+_X_NO_COEFFS = _X_POLY % (_X_TERM % (3, ""))
+_X_ZERO = _X_POLY % ""
+
 
 @pytest.mark.parametrize(
     "argv, match",
@@ -130,6 +139,13 @@ _AB_ZERO, _AB_A, _AB_B, _AB_SUM = (
             ["gcirc", "validate", "--spec", '{"moduli":[2],"k":2,"gamma":[["1/2"]],"quotient":{"moduli":[2]},"labels":[[0],[1,0]]}'],
             "2 residues .* of rank 1",
         ),
+        (["gcirc", "det", "--group", "2", "--values", f"[{_X_TWICE},{_X_ZERO}]"], r"terms\[1\]: repeats the exponents"),
+        (["gcirc", "det", "--group", "2", "--values", f"[{_X_LONG_COEFF},{_X_ZERO}]"], r"coeff\.coeffs: expected 2 entries, got 3"),
+        (["gcirc", "det", "--group", "2", "--values", f"[{_X_NO_COEFFS},{_X_ZERO}]"], r"coeff\.coeffs: expected 3 entries, got 0"),
+        (["gcirc", "clean", "--gamma", '[["1/2"],["1/3"]]', "--moduli", "0"], "moduli must be positive"),
+        (["gcirc", "clean", "--gamma", '[["1/2"],["1/3"]]', "--moduli", "-6"], "moduli must be positive"),
+        (["abelian", "xi", "--group", "2,4", "--ell", "(1,1);(0,1)"], r"^--ell: expected one element, got 2"),
+        (["blowup", "charts", "--params", "w,x", "--weights", "1,2", "--divisorial", "w"], r"^--divisorial: expected name:bound"),
     ],
     ids=[
         "det-cpk-noncyclic",
@@ -168,6 +184,13 @@ _AB_ZERO, _AB_A, _AB_B, _AB_SUM = (
         "newton-undecided",
         "quotient-element-rank",
         "validate-label-rank",
+        "det-values-repeated-exponents",
+        "det-values-coeffs-too-long",
+        "det-values-coeffs-empty",
+        "clean-moduli-zero",
+        "clean-moduli-negative",
+        "xi-two-elements",
+        "charts-divisorial-no-bound",
     ],
 )
 def test_domain_error_exit_code(capsys, argv, match):

@@ -378,6 +378,9 @@ def test_clean_exponents():
     assert ladder.beta == ((0,), (0,))
     with pytest.raises(ValueError):
         clean_exponents([(Fraction(1, 2), 0), (0, Fraction(1, 2))], (2, 2))
+    for p in (0, -6):
+        with pytest.raises(ValueError, match="moduli must be positive"):
+            clean_exponents([(Fraction(1, 2),), (Fraction(1, 3),)], (p,))
 
 
 def test_clean_exponents_reconstruction():

@@ -114,6 +114,16 @@ def test_error_names_the_first_bad_path():
     obj["terms"][0]["free"] = [0]
     with pytest.raises(ValueError, match=r"^poly\.terms\[0\]: expected 2 'w' and 2 'free' exponents"):
         jsonio.poly_from_json(obj)
+    obj = jsonio.poly_to_json(_poly())
+    obj["terms"].append(dict(obj["terms"][1], coeff={"order": 1, "coeffs": ["2"]}))
+    with pytest.raises(ValueError, match=r"^poly\.terms\[3\]: repeats the exponents of an earlier term"):
+        jsonio.poly_from_json(obj)
+    obj = jsonio.poly_to_json(_poly())
+    obj["terms"][2]["coeff"] = {"order": 2, "coeffs": ["1", "1", "1"]}
+    with pytest.raises(ValueError, match=r"^poly\.terms\[2\]\.coeff\.coeffs: expected 2 entries, got 3"):
+        jsonio.poly_from_json(obj)
+    with pytest.raises(ValueError, match=r"^cyclo\.coeffs: expected 3 entries, got 0"):
+        jsonio.cyclo_from_json({"order": 3, "coeffs": []})
     with pytest.raises(ValueError, match=r"^--action\.weights\.x\[0\]: expected int"):
         jsonio.action_from_json({"moduli": [2], "weights": {"x": ["1"]}}, "--action")
     with pytest.raises(ValueError, match=r"^ideal\[0\]: missing key 'order'"):

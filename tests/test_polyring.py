@@ -651,10 +651,11 @@ def test_chain_product_matches_the_fold(factors):
     _assert_same_product(product(factors), _fold_product(factors))
 
 
-def test_chain_product_replays_at_an_intermediate_level():
-    # the xyz coefficient of the first two factors restarts from the rational
-    # 1 (see test_product_order_follows_zero_reset); the third factor's
-    # products then start from that order-1 coefficient and its new place
+def test_chain_product_restarts_at_an_intermediate_level():
+    # the xyz coefficient of the first two factors reaches zero, leaves the
+    # map and enters it again at the end with the rational 1 (see
+    # test_product_order_follows_zero_reset); the third factor's products
+    # then start from that order-1 coefficient at its new place
     from circforge.polyring import product
 
     sp = VarSpace([], ["x", "y", "z"])
