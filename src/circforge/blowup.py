@@ -26,6 +26,7 @@ from .polyring import (
     is_invariant,
     linear_part,
     linear_rank,
+    poly_sum,
     product,
     strict_transform,
 )
@@ -332,7 +333,7 @@ def quotient_image(f: FracPoly, basis: HilbertBasis) -> FracPoly:
     if not is_invariant(f, basis.action):
         raise ValueError("polynomial is not invariant under the basis action")
     gen_space = VarSpace((), tuple(basis.names()))
-    out = FracPoly.zero(gen_space)
+    monomials = []
     var_index = {v: i for i, v in enumerate(basis.variables)}
     gens_desc = sorted(range(len(basis.generators)), key=lambda i: (-sum(basis.generators[i]), basis.generators[i]))
     for key, coeff in f.terms.items():
@@ -347,8 +348,8 @@ def quotient_image(f: FracPoly, basis: HilbertBasis) -> FracPoly:
         exps = {}
         for idx in decomp:
             exps[basis.names()[idx]] = exps.get(basis.names()[idx], 0) + 1
-        out = out + FracPoly.monomial(gen_space, exps, coeff)
-    return out
+        monomials.append(FracPoly.monomial(gen_space, exps, coeff))
+    return poly_sum(gen_space, monomials)
 
 
 def _decompose(vec, gens_desc, basis: HilbertBasis, memo):

@@ -37,6 +37,13 @@ def _load(text: str, where: str, parse):
     return parse(obj, where)
 
 
+def _int(piece: str, flag: str) -> int:
+    try:
+        return int(piece)
+    except ValueError:
+        raise ValueError(f"{flag}: expected an integer, got {piece!r}") from None
+
+
 def _parse_group(text: str | None) -> AbelianGroup:
     from .abelian import AbelianGroup
 
@@ -45,17 +52,17 @@ def _parse_group(text: str | None) -> AbelianGroup:
     text = text.strip()
     if text.lower().startswith("z"):
         parts = [p for p in text.lower().replace("z", "").split("x") if p]
-        return AbelianGroup(tuple(int(p) for p in parts))
-    return AbelianGroup(tuple(int(p) for p in text.split(",")))
+        return AbelianGroup(tuple(_int(p, "--group") for p in parts))
+    return AbelianGroup(tuple(_int(p, "--group") for p in text.split(",")))
 
 
-def _parse_elements(group: AbelianGroup, text: str):
+def _parse_elements(group: AbelianGroup, text: str, flag: str):
     out = []
     for chunk in text.replace("(", " ").replace(")", " ").split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        out.append(group.element(tuple(int(x) for x in chunk.split(","))))
+        out.append(group.element(tuple(_int(x, flag) for x in chunk.split(","))))
     return out
 
 
@@ -73,8 +80,8 @@ def _parse_spec(text: str):
     return klein_spec() if name == "klein" else z2z4_spec()
 
 
-def _parse_ints(text: str):
-    return [int(x) for x in text.split(",") if x.strip()]
+def _parse_ints(text: str, flag: str):
+    return [_int(x, flag) for x in text.split(",") if x.strip()]
 
 
 # -- abelian ---------------------------------------------------------------------
@@ -86,7 +93,7 @@ def _group_and_subgroup(args):
     from .abelian import full_subgroup, subgroup_from_generators
 
     g = _parse_group(args.group)
-    return g, subgroup_from_generators(g, _parse_elements(g, args.sub)) if args.sub else full_subgroup(g)
+    return g, subgroup_from_generators(g, _parse_elements(g, args.sub, "--sub")) if args.sub else full_subgroup(g)
 
 
 def _pairing(args, g):
@@ -118,7 +125,7 @@ def cmd_abelian_xi(args):
 
     g, h = _group_and_subgroup(args)
     ctx = _pairing(args, g)
-    ells = _parse_elements(g, args.ell)
+    ells = _parse_elements(g, args.ell, "--ell")
     if len(ells) != 1:
         raise ValueError(f"--ell: expected one element, got {len(ells)}")
     (ell,) = ells
@@ -256,7 +263,7 @@ def cmd_gcirc_merge(args):
 def cmd_gcirc_clean(args):
     from . import jsonio
 
-    gamma, moduli = _load(args.gamma, "--gamma", jsonio.gamma_from_json), _parse_ints(args.moduli)
+    gamma, moduli = _load(args.gamma, "--gamma", jsonio.gamma_from_json), _parse_ints(args.moduli, "--moduli")
     from .gcirc import clean_exponents
 
     ladder = clean_exponents(gamma, moduli)
@@ -277,7 +284,7 @@ def cmd_gcirc_clean(args):
 def _parts(args):
     if args.parts is None:
         raise DomainError("need --k or --parts")
-    return _parse_ints(args.parts)
+    return _parse_ints(args.parts, "--parts")
 
 
 def cmd_resinv_inv(args):
@@ -300,7 +307,7 @@ def cmd_resinv_weights(args):
     from . import jsonio
     from .resinv import weights
 
-    wv = weights(_parse_ints(args.parts))
+    wv = weights(_parse_ints(args.parts, "--parts"))
     payload = {
         "parameters": list(wv.parameters),
         "rational": [jsonio.frac_to_str(q) for q in wv.rational],
@@ -322,7 +329,7 @@ def cmd_resinv_recursion(args):
     if args.cpk is not None:
         ideal = cpk_ideal(args.cpk)
     elif args.parts:
-        ideal = product_ideal(_parse_ints(args.parts))
+        ideal = product_ideal(_parse_ints(args.parts, "--parts"))
     elif args.ideal:
         ideal = _load(args.ideal, "--ideal", jsonio.ideal_from_json)
     else:
@@ -344,11 +351,11 @@ def _atlas_from_args(args):
             if chunk.count(":") != 1:
                 raise ValueError(f"--divisorial: expected name:bound, got {chunk!r}")
             name, bound = chunk.split(":")
-            divisorial.append((name, int(bound)))
+            divisorial.append((name, _int(bound, "--divisorial")))
     params = args.params.split(",")
     free = [p for p in params if p not in dict(divisorial)]
     ambient = VarSpace(divisorial, free)
-    return charts(ambient, params, _parse_ints(args.weights))
+    return charts(ambient, params, _parse_ints(args.weights, "--weights"))
 
 
 def cmd_blowup_charts(args):
@@ -737,6 +744,8 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python before 3.10.7 has no limit
+        sys.set_int_max_str_digits(0)  # print and parse exact results of any length
     try:
         code = run()
         sys.stdout.flush()

@@ -36,7 +36,7 @@ from .abelian import (
 )
 from .cyclotomic import Cyclo, root_of_unity
 from .errors import DomainError
-from .polyring import DiagonalAction, FracPoly, VarSpace, apply_group, match_factors, product
+from .polyring import DiagonalAction, FracPoly, VarSpace, apply_group, match_factors, poly_sum, product
 
 
 class NonPolynomial(DomainError):
@@ -153,13 +153,10 @@ def eigen_factors(group: AbelianGroup, values: list[FracPoly], ordering=None) ->
     ctx = PairingContext.natural(group)
     space = VarSpace.union(*(v.space for v in values))
     vals = [v.in_space(space) for v in values]
-    factors = []
-    for j in ordering:
-        factor = FracPoly.zero(space)
-        for l, v in zip(ordering, vals):
-            factor = factor + v.scale(root_of_unity(ctx.k, pairing(ctx, j, l)))
-        factors.append(factor)
-    return factors
+    return [
+        poly_sum(space, [v.scale(root_of_unity(ctx.k, pairing(ctx, j, l))) for l, v in zip(ordering, vals)])
+        for j in ordering
+    ]
 
 
 def gcirc_det(group: AbelianGroup, values: list[FracPoly], ordering=None) -> FracPoly:
@@ -172,14 +169,13 @@ def leibniz_det(mat: CirculantMatrix, values: list[FracPoly]) -> FracPoly:
     t = len(mat.ordering)
     space = VarSpace.union(*(v.space for v in values))
     vals = [v.in_space(space) for v in values]
-    total = FracPoly.zero(space)
+    terms = []
     for perm in itertools.permutations(range(t)):
-        sign = _perm_sign(perm)
-        term = FracPoly.constant(space, sign)
+        term = FracPoly.constant(space, _perm_sign(perm))
         for i in range(t):
             term = term * vals[mat.entries[i][perm[i]]]
-        total = total + term
-    return total
+        terms.append(term)
+    return poly_sum(space, terms)
 
 
 def _perm_sign(perm) -> int:
@@ -593,12 +589,8 @@ def product_merge(k: int, r: int) -> MergeReport:
     for i in range(r):
         vals = []
         for j in range(k):
-            comb = FracPoly.zero(space)
-            coeffs = []
-            for m in range(r):
-                c = root_of_unity(r * k, i * j) * root_of_unity(r, i * m)
-                comb = comb + xs[m * k + j].scale(c)
-                coeffs.append(c)
+            coeffs = [root_of_unity(r * k, i * j) * root_of_unity(r, i * m) for m in range(r)]
+            comb = poly_sum(space, [xs[m * k + j].scale(c) for m, c in enumerate(coeffs)])
             transform[(i, j)] = coeffs
             if j == 0:
                 vals.append(comb)
@@ -733,7 +725,6 @@ def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
     for b_idx, beta in enumerate(betas):
         args = []
         for mu in range(p):
-            comb = FracPoly.zero(factor_space)
             rows = []
             for m in range(k):
                 lm = exps[m]
@@ -744,10 +735,9 @@ def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
                     if h == i:
                         continue
                     phase += (ctx.k // spec.moduli[h]) * beta.residues[h] * lm.residues[h]
-                c = root_of_unity(ctx.k, phase)
-                comb = comb + FracPoly.variable(factor_space, x_names[m]).scale(c)
-                rows.append((c, x_names[m]))
+                rows.append((root_of_unity(ctx.k, phase), x_names[m]))
             y_defs[f"y{b_idx}_{mu}"] = rows
+            comb = poly_sum(factor_space, [FracPoly.variable(factor_space, x).scale(c) for c, x in rows])
             if mu == 0:
                 args.append(comb)
             else:

@@ -18,6 +18,9 @@ Total degree counts exponents at face value, matching the weighted-order
 bookkeeping used throughout.  Internally a term's degree is the integer
 sum of k_i * (L / b_i), L the lcm of the bounds: face degree times L.
 
+`poly_sum` adds a list of polynomials into one copy of the first addend's
+term map; `a + b` is its two-addend case.
+
 A product of two polynomials of two or more terms each, and `product` of
 a list of polynomials, run on packed integers (Kronecker substitution per
 coefficient and per key).  Every coefficient is lifted to order K, the lcm
@@ -414,9 +417,8 @@ class FracPoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b = FracPoly._aligned(self, other)
-        return FracPoly._raw(a.space, _merge(dict(a.terms), b.terms.items()))
+        a, b = FracPoly._aligned(self, self._coerce(other))
+        return poly_sum(a.space, (a, b))
 
     __radd__ = __add__
 
@@ -675,6 +677,22 @@ def product(polys) -> FracPoly:
         raise ValueError("product of no polynomials")
     space = VarSpace.union(*(p.space for p in polys))
     return FracPoly._raw(space, _product_terms([p.in_space(space).terms for p in polys]))
+
+
+def poly_sum(space: VarSpace, polys) -> FracPoly:
+    """The sum of polynomials in space, p_1 + p_2 + ... + p_n formed left
+    to right in one copy of p_1's term map: equal to it term by term, in
+    map order and in every coefficient's order.  Each addend is brought
+    into space with in_space, which refuses one with a variable that space
+    lacks; no addends sum to zero."""
+    polys = iter(polys)
+    first = next(polys, None)
+    if first is None:
+        return FracPoly.zero(space)
+    terms = dict(first.in_space(space).terms)
+    for p in polys:
+        _merge(terms, p.in_space(space).terms.items())
+    return FracPoly._raw(space, terms)
 
 
 def _poly_power(p: FracPoly, e) -> FracPoly:

@@ -28,6 +28,7 @@ from .polyring import (
     linear_part,
     linear_rank,
     match_scalar,
+    poly_sum,
     semi_invariant_parts,
     semi_invariant_split,
     semi_invariant_weight,
@@ -136,13 +137,7 @@ def _triangularize(factors, space: VarSpace):
             c = e[a][cols[r]]
             if c:
                 e[a] = [x - c * y for x, y in zip(e[a], e[r])]
-    rows = []
-    for row in e:
-        comb = FracPoly.zero(space)
-        for c, g in zip(row[n:], factors):
-            if c:
-                comb = comb + g.scale(c)
-        rows.append(comb)
+    rows = [poly_sum(space, [g.scale(c) for c, g in zip(row[n:], factors) if c]) for row in e]
     return rows, [names[c] for c in cols]
 
 
@@ -374,10 +369,7 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
                 entry = entry * root_of_unity(p, mvec[t] * g0) * root_of_unity(chain[t], mvec[t] * lvec[t])
             row.append(entry)
         matrix.append(row)
-        comb = FracPoly.zero(space)
-        for entry, lvec in zip(row, cols):
-            comb = comb + parts[lvec].in_space(space).scale(entry)
-        recombined.append(comb)
+        recombined.append(poly_sum(space, [parts[lvec].scale(entry) for entry, lvec in zip(row, cols)]))
 
     # each recombined factor must be the corresponding group translate of f1,
     # a scalar multiple of the factor the index maps send f1 to; meeting

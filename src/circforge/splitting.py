@@ -22,14 +22,18 @@ the same gcd.  The gcd works on plain FracPolys in Y with FracPoly
 arithmetic: pseudo-remainders, monomial content removed with
 `polyring.strict_transform`, and a monic result from one exact division.
 
-NoSplit is raised only when every edge equation met was decided.  The
-search raises Unsupported instead when no branch closes and an edge was
-beyond the solver: an edge of extent >= 3 with interior terms that no
-monomial candidate solves, or a radical whose coefficient root
-`cyclo_nth_root` did not find (it decides only some shapes).  An exponent
-not divisible by n under an n-th root, or a division that is not exact,
-stays a decided obstruction.  The procedure is a semi-decision by design,
-since no a-priori bound on the blow-ups needed is available.
+NoSplit is raised only when every edge equation met was decided.  It
+carries the highest residual order (the order of the coefficient of Y^0)
+at which no branch closed, with the reason "no branch closes at this
+degree", or "candidate factorization failed verification" when the roots
+found fail the final check.  The search raises Unsupported instead when
+no branch closes and an edge was beyond the solver: an edge of extent
+>= 3 with interior terms that no monomial candidate solves, or a radical
+whose coefficient root `cyclo_nth_root` did not find (it decides only
+some shapes).  An exponent not divisible by n under an n-th root, or a
+division that is not exact, stays a decided obstruction.  The procedure
+is a semi-decision by design, since no a-priori bound on the blow-ups
+needed is available.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from operator import gt
 
 from .cyclotomic import Cyclo, cyclo_nth_root, root_of_unity
 from .errors import DomainError
-from .polyring import FracPoly, VarSpace, _compositions, divide_exact, strict_transform, substitute_power, truncate
+from .polyring import FracPoly, VarSpace, _compositions, divide_exact, poly_sum, strict_transform, substitute_power, truncate
 
 DEFAULT_DEGREE_BOUND = 12
 DEFAULT_BRANCH_CAP = 64
@@ -52,7 +56,9 @@ _SCALARS = VarSpace((), (_Y,))  # constant forms, and polynomials in Y over them
 
 
 class NoSplit(DomainError):
-    """No branch of the search closes by the degree bound."""
+    """No branch of the search closes by the degree bound.  degree is the
+    highest residual order at which no branch closed; reason says that, or
+    that the roots found failed the final verification."""
 
     def __init__(self, degree, reason: str):
         self.degree = degree
@@ -83,14 +89,8 @@ class _SearchState:
     bound: int
     cap: int
     branches: int = 0
-    best_degree: Fraction = Fraction(0)
-    best_reason: str = "no admissible initial part"
+    failed_at: Fraction = Fraction(0)  # the highest residual order at which no branch closed
     unsupported: str | None = None  # the first edge equation the solver could not decide
-
-    def note_obstruction(self, degree, reason: str):
-        if degree >= self.best_degree:
-            self.best_degree = degree
-            self.best_reason = reason
 
     def charge_branch(self):
         self.branches += 1
@@ -135,9 +135,9 @@ def split_newton(
     if roots is None and state.unsupported:
         raise Unsupported(state.unsupported)
     if roots is None:
-        raise NoSplit(state.best_degree, state.best_reason)
+        raise NoSplit(state.failed_at, "no branch closes at this degree")
     if not verify_split(f, powers, roots, d, z=z):
-        raise NoSplit(state.best_degree, "candidate factorization failed verification")
+        raise NoSplit(state.failed_at, "candidate factorization failed verification")
     return roots
 
 
@@ -176,28 +176,21 @@ def _psi_coefficients(g: FracPoly, b: FracPoly, state: _SearchState) -> dict:
     multiplied by Y without a change of space."""
     space = g.space.union(VarSpace((), (_Y,)))
     shifted = g.substitute({state.z: -(b.in_space(space)) - FracPoly.variable(space, _Y)}, target_space=space)
-    return {m: truncate(c, state.bound) for m, c in shifted.coefficients_in(_Y).items() if not c.is_zero()}
+    truncated = {m: truncate(c, state.bound) for m, c in shifted.coefficients_in(_Y).items()}
+    return {m: c for m, c in truncated.items() if not c.is_zero()}
 
 
 def _root_candidates(g: FracPoly, b: FracPoly, delta_min, state: _SearchState):
     psi = _psi_coefficients(g, b, state)
     c0 = psi.get(0)
-    if c0 is None or c0.is_zero() or c0.order() > state.bound:
+    if c0 is None:
         yield b
         return
     points = sorted((m, c.order()) for m, c in psi.items())
     for a_pt, b_pt in _lower_hull_edges(points):
         (ma, oa), (mb, ob) = a_pt, b_pt
         slope = Fraction(oa - ob, mb - ma)
-        if slope <= 0:
-            continue
-        if slope.denominator != 1:
-            state.note_obstruction(b.total_degree() or 0, f"fractional degree {slope} forced for the next part")
-            continue
-        if slope < delta_min:
-            continue
-        if slope > state.bound:
-            state.note_obstruction(c0.order(), "residual order exceeds all admissible part degrees")
+        if slope.denominator != 1 or slope < delta_min:
             continue
         delta = int(slope)
         # the edge equation; its two ends (m = 0 and m = mb - ma) are nonzero
@@ -210,7 +203,7 @@ def _root_candidates(g: FracPoly, b: FracPoly, delta_min, state: _SearchState):
         for h in _solve_edge(terms, delta, state):
             state.charge_branch()
             yield from _root_candidates(g, b + h, delta + 1, state)
-    state.note_obstruction(c0.order(), "no branch closes at this degree")
+    state.failed_at = max(state.failed_at, c0.order())
 
 
 def _lower_hull_edges(points):
@@ -248,7 +241,7 @@ def _solve_edge(terms: dict, delta: int, state: _SearchState):
     edge that none of these solves marks the search unsupported.
     """
     n = max(terms)
-    roots = _radical_roots(terms, delta, state)
+    roots = _radical_roots(terms, state)
     if roots is not None:
         return roots
     d = gcd(*terms)
@@ -256,10 +249,8 @@ def _solve_edge(terms: dict, delta: int, state: _SearchState):
         out = []
         for w in _solve_edge({m // d: f for m, f in terms.items()}, delta * d, state):
             g = _form_nth_root(w, d, state)
-            if g is None:
-                state.note_obstruction(delta, f"edge sub-root is not an exact {d}-th power")
-                continue
-            out.extend(g.scale(root_of_unity(d, t)) for t in range(d))
+            if g is not None:
+                out.extend(g.scale(root_of_unity(d, t)) for t in range(d))
         return out
     reduced = _strip_repeated_factors(terms)
     if reduced is not None and max(reduced) < n:
@@ -270,7 +261,7 @@ def _solve_edge(terms: dict, delta: int, state: _SearchState):
     return mono
 
 
-def _radical_roots(terms: dict, delta: int, state: _SearchState):
+def _radical_roots(terms: dict, state: _SearchState):
     """Nonzero roots of sum_m terms[m] * Y^m when its degree is at most 2
     or it is a binomial (a constant has none); None for any other shape.
 
@@ -289,10 +280,7 @@ def _radical_roots(terms: dict, delta: int, state: _SearchState):
         if f is None:
             return []
         g = _form_nth_root(f, n, state)
-        if g is None:
-            state.note_obstruction(delta, f"initial form is not an exact {n}-th power")
-            return []
-        return [g.scale(root_of_unity(n, t)) for t in range(n)]
+        return [] if g is None else [g.scale(root_of_unity(n, t)) for t in range(n)]
     if n != 2:
         return None
     a0, a1, a2 = terms[0], terms[1], terms[2]
@@ -302,7 +290,6 @@ def _radical_roots(terms: dict, delta: int, state: _SearchState):
         return [h] if h is not None else []
     sq = _form_nth_root(disc, 2, state)
     if sq is None:
-        state.note_obstruction(delta, "quadratic edge discriminant is not a square")
         return []
     out = []
     for s in (sq, -sq):
@@ -338,9 +325,7 @@ def _monomial_root_candidates(terms: dict, delta: int, state: _SearchState):
             continue
         mono = FracPoly(space, {key: Cyclo.one()})
         cand = FracPoly.monomial(tspace, {_T: 1}) * mono.in_space(tspace)
-        val = FracPoly.zero(tspace)
-        for m, f in terms.items():
-            val = val + f.in_space(tspace) * cand ** m
+        val = poly_sum(tspace, [f.in_space(tspace) * cand ** m for m, f in terms.items()])
         # per residual monomial, a univariate condition on the scalar
         conditions: dict = {}
         for tdeg, coeffpoly in val.coefficients_in(_T).items():
@@ -352,11 +337,9 @@ def _monomial_root_candidates(terms: dict, delta: int, state: _SearchState):
             uni = cond if uni is None else _poly_gcd_y(uni, cond)
             if uni.degree_in(_Y) == 0:
                 break
-        for c in _radical_roots(uni.coefficients_in(_Y), delta, state) or ():
+        for c in _radical_roots(uni.coefficients_in(_Y), state) or ():
             h = mono.scale(c.constant_coefficient())
-            check = FracPoly.zero(space)
-            for m, f in terms.items():
-                check = check + f * h ** m
+            check = poly_sum(space, [f * h ** m for m, f in terms.items()])
             if check.is_zero() and not any(h == o for o in out):
                 out.append(h)
     return out
@@ -381,10 +364,7 @@ def _y_poly(terms: dict) -> FracPoly:
     """sum_m terms[m] * Y^m, in the space of the forms (which holds Y)."""
     space = next(iter(terms.values())).space
     y = FracPoly.variable(space, _Y)
-    out = FracPoly.zero(space)
-    for m, f in terms.items():
-        out = out + f * y ** m
-    return out
+    return poly_sum(space, [f * y ** m for m, f in terms.items()])
 
 
 def _lead_y(p: FracPoly) -> FracPoly:
@@ -479,7 +459,6 @@ def _deflate(g: FracPoly, b: FracPoly, state: _SearchState) -> FracPoly:
     for m in range(k - 1, 0, -1):
         q[m - 1] = truncate(coeffs.get(m, zero) - b * q[m], state.bound)
     zvar = FracPoly.variable(g.space, state.z)
-    out = FracPoly.zero(g.space)
-    for m, c in q.items():
-        out = out + c * zvar ** m
-    return out
+    # g's space, joined with b's once a coefficient holds b * q[m]
+    space = VarSpace.union(*(c.space for c in q.values()))
+    return poly_sum(space, [c * zvar ** m for m, c in q.items()])

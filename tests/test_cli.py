@@ -146,6 +146,15 @@ _X_ZERO = _X_POLY % ""
         (["gcirc", "clean", "--gamma", '[["1/2"],["1/3"]]', "--moduli", "-6"], "moduli must be positive"),
         (["abelian", "xi", "--group", "2,4", "--ell", "(1,1);(0,1)"], r"^--ell: expected one element, got 2"),
         (["blowup", "charts", "--params", "w,x", "--weights", "1,2", "--divisorial", "w"], r"^--divisorial: expected name:bound"),
+        # a piece that is not an integer names its flag
+        (["gcirc", "clean", "--gamma", '[["1/2"],["1/3"]]', "--moduli", "a"], "^--moduli: expected an integer, got 'a'$"),
+        (["blowup", "charts", "--params", "w,x", "--weights", "1,x"], "^--weights: expected an integer, got 'x'$"),
+        (
+            ["blowup", "charts", "--params", "w,x", "--weights", "1,2", "--divisorial", "w:x"],
+            "^--divisorial: expected an integer, got 'x'$",
+        ),
+        (["abelian", "xi", "--group", "2,4", "--ell", "(1,x)"], "^--ell: expected an integer, got 'x'$"),
+        (["abelian", "perp", "--group", "2,y"], "^--group: expected an integer, got 'y'$"),
     ],
     ids=[
         "det-cpk-noncyclic",
@@ -191,6 +200,11 @@ _X_ZERO = _X_POLY % ""
         "clean-moduli-negative",
         "xi-two-elements",
         "charts-divisorial-no-bound",
+        "clean-moduli-not-int",
+        "charts-weights-not-int",
+        "charts-divisorial-bound-not-int",
+        "xi-ell-not-int",
+        "perp-group-not-int",
     ],
 )
 def test_domain_error_exit_code(capsys, argv, match):
@@ -201,6 +215,47 @@ def test_domain_error_exit_code(capsys, argv, match):
     assert code == 1 and isinstance(json.loads(out)["error"], str)
     if match is not None:
         assert re.search(match, json.loads(out)["error"])
+
+
+def test_split_newton_coefficient_truncated_to_zero():
+    # z^2 + x^13 z + x^12 at the default bound 12: the coefficient x^13 of z
+    # lies wholly past the bound
+    sp = VarSpace([], ["x", "z"])
+    x, z = FracPoly.variable(sp, "x"), FracPoly.variable(sp, "z")
+    poly = json.dumps(jsonio.poly_to_json(z * z + x**13 * z + x**12))
+    proc = subprocess.run(
+        [sys.executable, "-m", "circforge.cli", "--format", "json", "split", "newton", "--poly", poly],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert len(json.loads(proc.stdout)["roots"]) == 2
+
+
+def test_det_prints_results_past_the_int_str_limit():
+    # Python 3.10.7+ refuses int <-> str conversions past 4300 digits; the CLI
+    # entry point lifts that limit, so a 5000-digit determinant prints
+    a, b = 4 * 10**2499 + 7, 10**2499 + 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    sp = VarSpace([], ["X"])
+    vals = json.dumps([jsonio.poly_to_json(FracPoly.constant(sp, c)) for c in (a, b)])
+    proc = subprocess.run(
+        [sys.executable, "-m", "circforge.cli", "--format", "json", "gcirc", "det", "--group", "2", "--values", vals],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    (term,) = json.loads(proc.stdout)["polynomial"]["terms"]
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert term["coeff"] == {"order": 1, "coeffs": [str(a * a - b * b)]}
+        assert len(term["coeff"]["coeffs"][0]) == 5000
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_split_newton_undecided_json(capsys):

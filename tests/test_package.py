@@ -80,3 +80,56 @@ def test_library_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _is_zero_poly(node) -> bool:
+    """Whether node is a call FracPoly.zero(...)."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "zero"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "FracPoly"
+    )
+
+
+def _adds_to_itself(node, names) -> bool:
+    """Whether node is `name = name + ...` or `name += ...` for a name in names."""
+    if isinstance(node, ast.AugAssign):
+        return isinstance(node.op, ast.Add) and isinstance(node.target, ast.Name) and node.target.id in names
+    return (
+        isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in names
+        and isinstance(node.value, ast.BinOp)
+        and isinstance(node.value.op, ast.Add)
+        and isinstance(node.value.left, ast.Name)
+        and node.value.left.id == node.targets[0].id
+    )
+
+
+def test_library_sums_polynomials_through_poly_sum():
+    # `acc = acc + p` copies the whole running term map at every step; a sum
+    # of many polynomials goes through polyring.poly_sum, one merge pass
+    src = Path(circforge.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            zeros = {
+                target.id
+                for node in ast.walk(func)
+                if isinstance(node, ast.Assign) and _is_zero_poly(node.value)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            found |= {
+                f"{path.name}:{node.lineno}"
+                for loop in ast.walk(func)
+                if isinstance(loop, (ast.For, ast.While))
+                for node in ast.walk(loop)
+                if _adds_to_itself(node, zeros)
+            }
+    assert sorted(found) == []

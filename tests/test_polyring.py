@@ -757,6 +757,48 @@ def test_sum_merges_like_the_pairwise_oracle(items_a, items_b, data):
     _assert_merged(a + b, _merge_oracle(dict(_face_items(a)), _face_items(b)))
 
 
+@st.composite
+def _addends(draw):
+    """0-5 polynomials with coefficients of mixed orders; often the negated
+    sum of a prefix follows it, so every running sum of the prefix reaches
+    zero, and later addends restart some of its keys."""
+    polys = draw(st.lists(_product_polys(), max_size=5))
+    if polys and draw(st.booleans()):
+        cut = draw(st.integers(1, len(polys)))
+        total = FracPoly.zero(_PRODUCT_SPACE)
+        for p in polys[:cut]:
+            total = total + p
+        polys.insert(cut, -total)
+    return polys
+
+
+@settings(max_examples=100, deadline=None)
+@given(_addends())
+def test_poly_sum_matches_left_to_right_addition(polys):
+    from circforge.polyring import poly_sum
+
+    got = poly_sum(_PRODUCT_SPACE, polys)
+    want = FracPoly.zero(_PRODUCT_SPACE)
+    for p in polys:
+        want = want + p
+    _assert_same_product(got, want)
+    _assert_merged(got, _merge_oracle({}, (kc for p in polys for kc in _face_items(p))))
+
+
+def test_poly_sum_spaces():
+    from circforge.polyring import poly_sum
+
+    sp = VarSpace([("w", 2)], ["x"])
+    assert poly_sum(sp, []).is_zero() and poly_sum(sp, []).space == sp
+    # an addend in a smaller space is brought in; one with a variable the
+    # space lacks is refused, never mixed in
+    y = FracPoly.variable(VarSpace([], ["y"]), "y")
+    with pytest.raises(ValueError, match="missing variable y"):
+        poly_sum(sp, [FracPoly.variable(sp, "x"), y])
+    got = poly_sum(sp.union(y.space), [FracPoly.variable(sp, "x"), y])
+    assert got == FracPoly.variable(sp, "x") + y and got.space == sp.union(y.space)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_merge_items(), _product_coeffs())
 def test_substitute_merges_like_the_pairwise_oracle(items, c):

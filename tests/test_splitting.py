@@ -76,6 +76,28 @@ def test_split_odd_order_obstruction():
     assert err.value.degree is not None
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x, z: z**2 + x**13 * z + x**12,
+        lambda x, z: z**2 + x**13 * z - x**12,
+        lambda x, z: z**3 + x**13 * z + x**6,
+    ],
+    ids=["z2+x13z+x12", "z2+x13z-x12", "z3+x13z+x6"],
+)
+def test_coefficient_truncated_to_zero_splits(build):
+    # the z-coefficient x^13 lies wholly past the bound 12; it is dropped,
+    # not kept as a coefficient without an order
+    sp = VarSpace([], ["x", "z"])
+    x, z = FracPoly.variable(sp, "x"), FracPoly.variable(sp, "z")
+    f = build(x, z)
+    roots = split_newton(f, "z", degree_bound=12)
+    assert verify_split(f, 1, roots, 12)
+    if f == z**2 + x**13 * z + x**12:
+        i = root_of_unity(4)
+        assert roots == [(x**6).scale(i), (x**6).scale(-i)]
+
+
 _I = root_of_unity(4)
 
 
