@@ -16,7 +16,14 @@ from math import prod
 from operator import mul
 
 from .abelian import AbelianGroup
-from .gcirc import NormalFormSpec, ProductNormalFormSpec, eigen_factors, spec_values, validate_normal_form
+from .gcirc import (
+    NormalFormSpec,
+    ProductNormalFormSpec,
+    _additive_gamma,
+    eigen_factors,
+    spec_values,
+    validate_normal_form,
+)
 from .polyring import (
     DiagonalAction,
     FracPoly,
@@ -473,7 +480,8 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
         by_label = dict(zip(fac.labels, eigen_factors(fac.quotient_group, vals, ordering=fac.labels)))
         factors += [by_label[j] for j in fac.quotient_group.elements()]
         pos += fac.k
-    total_poly = product(factors)
+    # integral w-exponents, as in normal_form_poly, when every factor's gamma is additive
+    total_poly = product(factors, integral=w_names if all(map(_additive_gamma, spec.factors)) else ())
 
     steps = []
     current_names = list(names)

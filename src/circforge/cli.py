@@ -52,6 +52,8 @@ def _parse_group(text: str | None) -> AbelianGroup:
     text = text.strip()
     if text.lower().startswith("z"):
         parts = [p for p in text.lower().replace("z", "").split("x") if p]
+        if not parts:
+            raise ValueError("--group: expected at least one factor")
         return AbelianGroup(tuple(_int(p, "--group") for p in parts))
     return AbelianGroup(tuple(_int(p, "--group") for p in text.split(",")))
 

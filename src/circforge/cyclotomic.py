@@ -178,26 +178,20 @@ def _pack(num, bits: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _reduction_gain(k: int) -> int:
-    """A bound G on the growth of numerators under reduction modulo Phi_k:
-    an unreduced vector of length 2 deg Phi_k - 1 (a product of two reduced
-    vectors, or a sum of such) with entries below H in magnitude reduces to
-    entries below G * H."""
-    deg = _reducer(k)[0]
-    gain = [0] * deg
-    for j in range(2 * deg - 1):
-        for i, c in enumerate(_reduce([0] * j + [1], k)):
-            gain[i] += abs(c)
-    return max(gain)
+def _fold_height(k: int) -> int:
+    """R_k, the largest |entry| of x^i mod Phi_k over i < k: a vector of
+    length k (a polynomial folded modulo x^k - 1) with entries of absolute
+    sum N reduces modulo Phi_k to entries of at most R_k * N."""
+    return max(abs(c) for i in range(k) for c in _reduce([0] * i + [1], k))
 
 
-def _slot_bits(k: int, height: int) -> int:
-    """The slot width B for packed sums of products of order k whose
-    unreduced numerators stay below height in magnitude: their reduced
-    numerators stay below 2**(B - 3), so `_unpack` reads them exactly and a
-    sum is zero exactly when its packed value is divisible by
+def _slot_bits(k: int, norm: int) -> int:
+    """The slot width B for packed sums of products of order k that fold
+    modulo x^k - 1 to vectors of absolute entry sum at most norm: their
+    reduced numerators stay below 2**(B - 3), so `_unpack` reads them
+    exactly and a sum is zero exactly when its packed value is divisible by
     `_packed_modulus(k, B)`."""
-    return (_reduction_gain(k) * height).bit_length() + 3
+    return (_fold_height(k) * norm).bit_length() + 3
 
 
 @lru_cache(maxsize=64)

@@ -18,6 +18,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import add, mod
 
 from .abelian import (
     AbelianGroup,
@@ -316,14 +318,47 @@ def spec_values(spec: NormalFormSpec, space: VarSpace, x_names=None) -> list[Fra
 
 
 def normal_form_poly(spec, x_names=None) -> FracPoly:
-    """The defining polynomial; raises NonPolynomial if w-exponents fail to cancel."""
+    """The defining polynomial; raises NonPolynomial if w-exponents fail to cancel.
+
+    The polynomial is the determinant of the circulant matrix (a_(g-h)) of
+    the quotient group, a_(labels[j]) the j-th value, which carries the
+    w-exponents gamma_j (gamma_0 = 0).  When labels[j] -> gamma_j mod Z is
+    additive on the quotient group (`_additive_gamma`), every Leibniz term
+    prod_g a_(g - sigma(g)) has w-exponents sum_g gamma(g - sigma(g)) =
+    gamma(sum_g (g - sigma(g))) = gamma(0) = 0 mod Z.  The determinant is
+    then the integral-exponent part of its eigen-factor product, and only
+    that part is formed (`product`'s integral).  Otherwise the whole product
+    is formed and its w-exponents are checked."""
     if isinstance(spec, ProductNormalFormSpec):
         return _product_poly(spec)
     space = spec_space(spec, x_names)
-    vals = spec_values(spec, space, x_names)
-    poly = gcirc_det(spec.quotient_group, vals, ordering=spec.labels)
+    factors = eigen_factors(spec.quotient_group, spec_values(spec, space, x_names), ordering=spec.labels)
+    if _additive_gamma(spec):
+        return product(factors, integral=spec.w_names())
+    poly = product(factors)
     _require_integer_w(poly, spec.w_names())
     return poly
+
+
+def _additive_gamma(spec: NormalFormSpec) -> bool:
+    """Whether the labels are the quotient group's elements, once each, and
+    labels[j] -> gamma_j mod Z (gamma_0 = 0) is additive on that group,
+    checked on all |G|^2 pairs (on residues, and on gammas times their
+    common denominator)."""
+    g = spec.quotient_group
+    rows = ((Fraction(0),) * spec.r,) + spec.gamma
+    if not len(spec.labels) == len(rows) == g.order or any(l.group != g for l in spec.labels):
+        return False
+    den = lcm(*(e.denominator for row in rows for e in row))
+    gamma = {l.residues: tuple(e.numerator * (den // e.denominator) % den for e in row) for l, row in zip(spec.labels, rows)}
+    if len(gamma) != g.order:
+        return False
+    dens = (den,) * spec.r
+    return all(
+        gamma[tuple(map(mod, map(add, a, b), g.moduli))] == tuple(map(mod, map(add, ga, gb), dens))
+        for a, ga in gamma.items()
+        for b, gb in gamma.items()
+    )
 
 
 def _require_integer_w(poly: FracPoly, w_names) -> None:
@@ -744,7 +779,9 @@ def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
                 args.append(comb * FracPoly.monomial(factor_space, {w_names[i]: Fraction(mu, p)}))
         factors = eigen_factors(AbelianGroup((p,)), args)
         lhs += factors
-        factor_polys.append(product(factors))
+        # mu -> mu/p is additive on Z_p, so the determinant has integral
+        # exponents on w_i (see normal_form_poly)
+        factor_polys.append(product(factors, integral=(w_names[i],)))
     return Codim1Report(
         index=i,
         factor_polys=factor_polys,

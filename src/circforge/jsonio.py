@@ -60,6 +60,36 @@ def check(obj, shape, where: str) -> None:
             check(obj[key], sub, f"{where}.{key}")
 
 
+# Python refuses int <-> str conversions past sys.get_int_max_str_digits()
+# digits, a limit no setting puts below 640; ints of at most this many bits
+# (fewer than 600 digits) or strings of at most this many digits convert
+# directly, and longer ones convert in halves
+_DIRECT_BITS = 1990
+_DIRECT_DIGITS = 600
+
+
+def _int_to_str(n: int) -> str:
+    """str(n) for an int of any length, under any int/str digit limit."""
+    if n.bit_length() <= _DIRECT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_to_str(-n)
+    d = n.bit_length() * 3 // 20  # about half of n's digits, log10(2) > 3/10
+    hi, lo = divmod(n, 10**d)
+    return _int_to_str(hi) + _int_to_str(lo).zfill(d)
+
+
+def _str_to_int(text: str) -> int:
+    """int(text) for a decimal string of any length, under any int/str
+    digit limit."""
+    if len(text) <= _DIRECT_DIGITS:
+        return int(text)
+    if text[0] == "-":
+        return -_str_to_int(text[1:])
+    d = len(text) // 2
+    return _str_to_int(text[:-d]) * 10**d + _str_to_int(text[-d:])
+
+
 def frac_to_str(q, den: int = 1) -> str:
     """The rational q / den as "n" or "n/d" in lowest terms: q an int or any
     value `Fraction` takes, den a positive int."""
@@ -67,7 +97,16 @@ def frac_to_str(q, den: int = 1) -> str:
         q = Fraction(q)
         q, den = q.numerator, q.denominator * den
     g = gcd(q, den)
-    return str(q // g) if g == den else f"{q // g}/{den // g}"
+    return _int_to_str(q // g) if g == den else f"{_int_to_str(q // g)}/{_int_to_str(den // g)}"
+
+
+def rational_from_json(obj) -> Fraction:
+    """The value of a RATIONAL payload (already `check`ed): a JSON integer
+    or a string "p" or "p/q" of any length."""
+    if type(obj) is int:
+        return Fraction(obj)
+    num, _, den = obj.partition("/")
+    return Fraction(_str_to_int(num), _str_to_int(den) if den else 1)
 
 
 def group_to_json(g: AbelianGroup) -> dict:
@@ -112,7 +151,7 @@ def cyclo_from_json(obj, where: str = "cyclo") -> Cyclo:
     order, coeffs = obj["order"], obj["coeffs"]
     if order > 0 and len(coeffs) != order:
         raise ValueError(f"{where}.coeffs: expected {order} entries, got {len(coeffs)}")
-    return Cyclo(order, coeffs)
+    return Cyclo(order, [rational_from_json(c) for c in coeffs])
 
 
 def space_to_json(sp: VarSpace) -> dict:
@@ -149,7 +188,7 @@ def poly_from_json(obj, where: str = "poly") -> FracPoly:
     for i, t in enumerate(obj["terms"]):
         if (len(t["w"]), len(t["free"])) != (sp.ndiv, len(sp.free_names)):
             raise ValueError(f"{where}.terms[{i}]: expected {sp.ndiv} 'w' and {len(sp.free_names)} 'free' exponents")
-        key = tuple(Fraction(e) for e in t["w"]) + tuple(t["free"])
+        key = tuple(map(rational_from_json, t["w"])) + tuple(t["free"])
         if key in terms:
             raise ValueError(f"{where}.terms[{i}]: repeats the exponents of an earlier term")
         terms[key] = cyclo_from_json(t["coeff"], f"{where}.terms[{i}].coeff")
@@ -163,7 +202,7 @@ def poly_list_from_json(obj, where: str = "polys") -> list[FracPoly]:
 
 def gamma_from_json(obj, where: str = "gamma") -> list[list[Fraction]]:
     check(obj, GAMMA, where)
-    return [[Fraction(e) for e in row] for row in obj]
+    return [list(map(rational_from_json, row)) for row in obj]
 
 
 def spec_to_json(spec) -> dict:
@@ -195,7 +234,7 @@ def _normal_form_spec(obj) -> NormalFormSpec:
     return NormalFormSpec(
         moduli=tuple(obj["moduli"]),
         k=obj["k"],
-        gamma=obj["gamma"],
+        gamma=gamma_from_json(obj["gamma"]),
         quotient_group=quotient,
         labels=tuple(quotient.element(l) for l in obj["labels"]),
     )
@@ -212,7 +251,9 @@ def ideal_from_json(obj, where: str = "ideal") -> MonomialMarkedIdeal:
     check(obj, IDEAL, where)
     from .resinv import MonomialMarkedIdeal
 
-    return MonomialMarkedIdeal([({v: Fraction(e) for v, e in p["monomial"].items()}, p["order"]) for p in obj])
+    return MonomialMarkedIdeal(
+        [({v: rational_from_json(e) for v, e in p["monomial"].items()}, rational_from_json(p["order"])) for p in obj]
+    )
 
 
 def sequence_to_json(seq) -> dict:
@@ -223,11 +264,11 @@ def inv_from_json(obj, where: str = "inv") -> InvSequence:
     check(obj, SEQUENCE, where)
     from .resinv import InvSequence
 
-    return InvSequence(tuple(obj["entries"]), tuple(obj["contacts"]))
+    return InvSequence(tuple(map(rational_from_json, obj["entries"])), tuple(obj["contacts"]))
 
 
 def atw_from_json(obj, where: str = "atw") -> ATWSequence:
     check(obj, SEQUENCE, where)
     from .resinv import ATWSequence
 
-    return ATWSequence(tuple(obj["entries"]), tuple(obj["contacts"]))
+    return ATWSequence(tuple(map(rational_from_json, obj["entries"])), tuple(obj["contacts"]))

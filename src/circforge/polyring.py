@@ -32,16 +32,37 @@ costs one int addition for the key and one int product added into the
 key's running sum, kept modulo Phi_K(2^B).
 
 A list f_1, ..., f_n is multiplied left to right, and B is chosen once for
-the whole chain.  Let h_1 = max|f_1| over the numerators of f_1.  A slot
-of a running sum at level j adds at most min(|f_1| ... |f_(j-1)|, |f_j|)
-pair products, each a sum of at most deg Phi_K products of numerators, so
-it stays below raw_j = min(|f_1| ... |f_(j-1)|, |f_j|) * deg Phi_K *
-h_(j-1) * max|f_j|, and the reduced sums stay below h_j = G_K * raw_j, G_K
-bounding the growth under reduction mod Phi_K.  B is chosen so that
-G_K * raw_n < 2^(B-3).  Then at every level the balanced remainder modulo
-Phi_K(2^B) is exactly the packed reduced sum, and a sum is zero exactly
-when that remainder is: the result is exact by this bound.  Two operands
-are the case n = 2.
+the whole chain from one l1 bound (von zur Gathen and Gerhard, Modern
+Computer Algebra, 6.6 and 8.4).  Write ||c|| for the sum of the absolute
+numerators of a coefficient c lifted to K over its factor's one
+denominator, ||f|| for the sum of ||c|| over the terms of f, and R_K for the
+largest |entry| of x^i mod Phi_K over i < K.  Every reduced running sum at
+every level has numerators of at most R_K * ||f_1|| ... ||f_n||, so B =
+bit_length(R_K * ||f_1|| ... ||f_n||) + 3.  Proof: a term of the product
+so far is the reduction of the sum of its tuple products c_1 ... c_j (one
+term per factor), reduction mod Phi_K commutes with products, and a running
+sum adds whole terms of the level before times terms of f_j, so it is the
+reduction of the sum of a subset of the tuple products of level j.  Fold
+that sum modulo x^K - 1 (Phi_K divides x^K - 1): a tuple product folds to a
+vector of absolute entry sum at most ||c_1|| ... ||c_j||, so the subset
+folds to one of at most ||f_1|| ... ||f_j|| <= ||f_1|| ... ||f_n|| (each
+||f_i|| >= 1).  Reducing a folded vector v gives sum_i v_i (x^i mod Phi_K),
+with entries of at most R_K times the absolute entry sum of v.  So at every
+level the balanced remainder modulo Phi_K(2^B) is exactly the packed
+reduced sum, and a sum is zero exactly when that remainder is: the result
+is exact by this bound.  Two operands are the case n = 2.
+
+`product(polys, integral=names)` forms only the terms whose exponents on
+the named divisorial variables are integers.  Whether a key ka + kb of the
+last level is kept depends only on the residues of ka and kb modulo the
+bounds, so the last factor's terms are grouped by their residues and each
+term of the product so far walks only the group with the opposite ones.
+The walks form exactly the pairs that land on kept keys, so every kept key
+receives the same pairs in the same order as in the full product, and the
+keys are independent of each other in the term loop, so the projection is
+exact for any input and keeps the values, the map order and every `Cyclo`
+order of the kept terms.  The l1 bound covers it, since its sums are
+subsets of the full product's.
 
 Between levels a term of the product so far stays packed: its key int, its
 balanced remainder over the product of the denominators so far, and the
@@ -67,8 +88,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from math import lcm
+from itertools import chain, repeat
+from math import lcm, prod
 from operator import add, mod, mul
 
 from .abelian import AbelianGroup, GroupElement
@@ -78,7 +99,6 @@ from .cyclotomic import (
     _lift_common,
     _pack,
     _packed_modulus,
-    _reduction_gain,
     _slot_bits,
     _unpack,
     root_of_unity,
@@ -567,33 +587,24 @@ def _contribution_order(kind1: tuple, kind2: tuple) -> int:
     return o1 if r2 else o2 if r1 else lcm(o1, o2)
 
 
-def _max_abs(nums) -> int:
-    return max(map(abs, chain.from_iterable(nums)))
-
-
-def _product_terms(maps: list) -> dict:
+def _product_terms(maps: list, integral: tuple = ()) -> dict:
     """The term map of the product of a list of term maps of one space,
     formed left to right: at every level, the map the pairwise term loop
     builds, in its order.  A running sum that reaches zero leaves the map,
     and its key's next pair enters it again at the end (see the module
-    docstring)."""
+    docstring).  With integral, (position, bound) pairs, only the keys whose
+    entries at those positions are multiples of the bound are formed at the
+    last level."""
     if not all(maps):
         return {}
     if len(maps) == 1:
-        return dict(maps[0])
+        return {key: c for key, c in maps[0].items() if all(key[p] % b == 0 for p, b in integral)}
     coeffs = [list(m.values()) for m in maps]
     k = lcm(*(c.order for cs in coeffs for c in cs))
     lifted = [_lift_common(cs, k) for cs in coeffs]
-    # height bounds the reduced numerators of the product so far and terms
-    # its number of terms; a slot of a key's unreduced running sum at the
-    # next level adds at most min(terms, |f|) products, each a sum of at
-    # most deg Phi_k products of numerators
-    deg = len(lifted[0][0][0])
-    height, terms = _max_abs(lifted[0][0]), len(maps[0])
-    for (nums, _den), m in zip(lifted[1:], maps[1:]):
-        raw = min(terms, len(m)) * deg * height * _max_abs(nums)
-        height, terms = _reduction_gain(k) * raw, terms * len(m)
-    bits = _slot_bits(k, raw)
+    # every reduced partial sum is bounded through the l1 norms of the
+    # factors' numerators (see the module docstring)
+    bits = _slot_bits(k, prod(sum(map(abs, chain.from_iterable(nums))) for nums, _den in lifted))
     half = 1 << (bits - 1)
     # key position t holds the sum of k_t - lo_t over the factors, lo_t the
     # factor's column minimum, in a bit field wide enough for every sum
@@ -620,6 +631,7 @@ def _product_terms(maps: list) -> dict:
     modulus = _packed_modulus(k, bits)
     for level in range(1, len(maps)):
         bkeyints, (bnums, bden) = keyints[level], lifted[level]
+        final = level == len(maps) - 1
         # a pair's order depends only on the kinds of its coefficients;
         # each order that occurs is one bit of a key's mask
         bkind = [(c.order, c.is_rational()) for c in coeffs[level]]
@@ -629,10 +641,20 @@ def _product_terms(maps: list) -> dict:
             if a not in rows:
                 rows[a] = [1 << orders.setdefault(_contribution_order(a, b), len(orders)) for b in bkind]
         b_items = list(zip(bkeyints, [_pack(num, bits) for num in bnums], range(len(bkeyints))))
+        if final and integral:
+            # a term of the product so far meets only the last factor's terms
+            # whose residues at the integral positions are opposite to its own
+            cols = [(*fields[p], b) for p, b in integral]  # (offset, mask, lows, bound)
+            groups: dict = {}
+            for item in b_items:
+                groups.setdefault(tuple(-(item[0] >> off & mask) % b for off, mask, _lo, b in cols), []).append(item)
+            walks = [groups.get(tuple(((ka >> off & mask) + lo) % b for off, mask, lo, b in cols), ()) for ka in akeys]
+        else:
+            walks = repeat(b_items)
         sums: dict = {}  # packed key -> [running sum, order mask], in map order
-        for ka, pa, a in zip(akeys, avals, akinds):
+        for ka, pa, a, walk in zip(akeys, avals, akinds, walks):
             row = rows[a]
-            for kb, pb, j in b_items:
+            for kb, pb, j in walk:
                 key = ka + kb
                 entry = sums.get(key)
                 if entry is None:
@@ -645,7 +667,6 @@ def _product_terms(maps: list) -> dict:
                     else:  # the sum leaves the map; the key's next pair restarts it
                         del sums[key]
         aden *= bden
-        final = level == len(maps) - 1
         mask_order: dict = {}
         avals, akinds = [], []
         for s, mask in sums.values():
@@ -668,15 +689,25 @@ def _product_terms(maps: list) -> dict:
     return {tuple([(key >> off & mask) + lo for off, mask, lo in fields]): c for key, c in zip(akeys, avals)}
 
 
-def product(polys) -> FracPoly:
+def product(polys, integral=()) -> FracPoly:
     """The product of a nonempty list of polynomials in one packed pass:
     f_1 * f_2 * ... * f_n formed left to right, equal to it term by term,
-    in map order and in every coefficient's order."""
+    in map order and in every coefficient's order.
+
+    integral names divisorial variables of the product's space whose
+    exponents must be integers; then only the terms with integer exponents
+    on all of them are formed and returned, each equal to its term of the
+    full product, in the same map order (see the module docstring)."""
     polys = list(polys)
     if not polys:
         raise ValueError("product of no polynomials")
     space = VarSpace.union(*(p.space for p in polys))
-    return FracPoly._raw(space, _product_terms([p.in_space(space).terms for p in polys]))
+    positions = []
+    for name in integral:
+        if not space.is_divisorial(name):
+            raise ValueError(f"{name} is not a divisorial variable of the product's space")
+        positions.append((space._index[name], space.bound(name)))
+    return FracPoly._raw(space, _product_terms([p.in_space(space).terms for p in polys], tuple(positions)))
 
 
 def poly_sum(space: VarSpace, polys) -> FracPoly:

@@ -155,6 +155,9 @@ _X_ZERO = _X_POLY % ""
         ),
         (["abelian", "xi", "--group", "2,4", "--ell", "(1,x)"], "^--ell: expected an integer, got 'x'$"),
         (["abelian", "perp", "--group", "2,y"], "^--group: expected an integer, got 'y'$"),
+        # a Z prefix with no factor after it names no group
+        (["abelian", "perp", "--group", "Z"], "^--group: expected at least one factor$"),
+        (["abelian", "perp", "--group", "zx"], "^--group: expected at least one factor$"),
     ],
     ids=[
         "det-cpk-noncyclic",
@@ -205,6 +208,8 @@ _X_ZERO = _X_POLY % ""
         "charts-divisorial-bound-not-int",
         "xi-ell-not-int",
         "perp-group-not-int",
+        "perp-group-z-no-factor",
+        "perp-group-zx-no-factor",
     ],
 )
 def test_domain_error_exit_code(capsys, argv, match):

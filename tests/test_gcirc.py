@@ -173,7 +173,18 @@ def test_klein_polynomial_matches_product_of_factors():
     assert poly == prod
 
 
+@pytest.mark.parametrize("spec", [klein_spec(), z2z4_spec()], ids=["klein", "z2z4"])
+def test_normal_form_matches_leibniz_det(spec):
+    # gamma is additive on a non-cyclic group (klein) and on the quotient of a
+    # non-smooth normalization (z2z4), so only the integral-exponent part of
+    # the eigen-factor product is formed; the permutation expansion forms all
+    vals = spec_values(spec, spec_space(spec))
+    assert normal_form_poly(spec) == leibniz_det(circulant_matrix(spec.quotient_group, ordering=spec.labels), vals)
+
+
 def test_normal_form_nonpolynomial():
+    # gamma is not additive here, so the whole product is formed and its
+    # residual fractional exponents are found
     z4 = AbelianGroup((4,))
     bad = NormalFormSpec(
         moduli=(4,),

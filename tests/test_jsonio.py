@@ -1,3 +1,5 @@
+import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -103,6 +105,28 @@ def test_frac_to_str_prints_lowest_terms(n, d, m):
     want = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
     assert jsonio.frac_to_str(n, d) == jsonio.frac_to_str(q) == jsonio.frac_to_str(str(q)) == want
     assert jsonio.frac_to_str(q, m) == jsonio.frac_to_str(q / m)
+
+
+def test_rationals_past_the_int_str_limit_round_trip():
+    # Python 3.10.7+ refuses int <-> str conversions past 4300 digits by
+    # default; jsonio converts longer numbers without lifting that limit
+    default = getattr(sys.int_info, "default_max_str_digits", 0)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if default:
+        sys.set_int_max_str_digits(default)
+    try:
+        num, den = 7 * 10**4999 + 3, 2**15000  # 5000 and 4516 digits, coprime
+        q = Fraction(-num, den)
+        text = jsonio.frac_to_str(q)
+        assert text.startswith("-7" + "0" * 4998 + "3/") and len(text) == 1 + 5000 + 1 + 4516
+        obj = json.loads(json.dumps(jsonio.poly_to_json(FracPoly.constant(_SPACE, q) + _poly())))
+        back = jsonio.poly_from_json(obj)
+        assert back.constant_coefficient().as_rational() == q
+        assert jsonio.poly_to_json(back) == obj
+        assert jsonio.inv_from_json({"entries": [num, text[1:]], "contacts": ["a", "b"]}).entries == (num, -q)
+    finally:
+        if limit or default:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_error_names_the_first_bad_path():

@@ -679,6 +679,122 @@ def test_chain_product_edge_cases():
         product([])
 
 
+# -- the integral-exponent projection against the filtered full product -------------
+
+_INTEGRAL_SPACES = [
+    VarSpace([("w", 2)], ["x"]),
+    VarSpace([("w", 3), ("u", 4)], ["x"]),
+    VarSpace([("w", 4), ("u", 2)], ["x", "y"]),
+]
+
+
+@st.composite
+def _integral_factors(draw, space):
+    """1-3 terms of space with divisorial exponents 0..(b+1)/b and free ones
+    0..1: any coefficient of order 1, 2, 3, 4, 6 or 12, or a root of unity
+    (up to sign), so that running sums cancel."""
+    units = draw(st.booleans())
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        key = tuple(
+            Fraction(draw(st.integers(0, b + 1)), b) if i < space.ndiv else draw(st.integers(0, 1))
+            for i, b in enumerate(space.bounds)
+        )
+        terms[key] = root_of_unity(draw(st.sampled_from([1, 2, 4, 6])), draw(st.integers(0, 5))) if units else draw(_product_coeffs())
+    return FracPoly(space, terms)
+
+
+@st.composite
+def _integral_chains(draw):
+    """2-7 factors of one space and a nonempty set of its divisorial names;
+    often the last factor is an earlier one with some signs flipped, so
+    that keys restart at the last level."""
+    space = draw(st.sampled_from(_INTEGRAL_SPACES))
+    factors = draw(st.lists(_integral_factors(space), min_size=2, max_size=6))
+    if draw(st.booleans()):
+        f = draw(st.sampled_from(factors))
+        flips = draw(st.lists(st.booleans(), min_size=len(f.terms), max_size=len(f.terms)))
+        factors.append(FracPoly(space, {k: -c if flip else c for (k, c), flip in zip(_face_items(f), flips)}))
+    names = draw(st.lists(st.sampled_from(space.div_names), min_size=1, unique=True))
+    return factors, names
+
+
+def _integral_part(f, names):
+    """The terms of f with integer exponents on names, in f's map order."""
+    face = f.space.face_key
+    pos = [f.space.names.index(n) for n in names]
+    return FracPoly(f.space, {face(k): c for k, c in f.terms.items() if all(face(k)[i].denominator == 1 for i in pos)})
+
+
+def _assert_integral_part(factors, names):
+    from circforge.polyring import product
+
+    got, full = product(factors, integral=names), product(factors)
+    want = _integral_part(full, names)
+    _assert_same_product(got, want)
+    return got, full
+
+
+@settings(max_examples=100, deadline=None)
+@given(_integral_chains())
+def test_integral_product_is_the_integral_part(chain):
+    _assert_integral_part(*chain)
+
+
+def test_integral_product_keeps_a_restart_at_the_last_level():
+    # the x*y*z coefficient (e4 - e4 + 1, see test_product_order_follows_zero_reset)
+    # restarts at the last level next to terms with w^(1/2), which are dropped
+    sp = VarSpace([("w", 2)], ["x", "y", "z"])
+    x, y, z = (FracPoly.variable(sp, n) for n in "xyz")
+    h = FracPoly.monomial(sp, {"w": Fraction(1, 2)})
+    e4 = root_of_unity(4)
+    factors = [x.scale(e4) - y.scale(e4) + z + h * x, y * z + x * z + x * y + h * y.scale(e4)]
+    got, full = _assert_integral_part(factors, ["w"])
+    assert got.terms[(0, 1, 1, 1)].order == 1
+    assert len(got.terms) < len(full.terms)
+    # three factors: the restart happens in the middle level, which is not projected
+    factors.append(h * x + z)
+    _assert_integral_part(factors, ["w"])
+
+
+def test_integral_product_edge_cases():
+    from circforge.polyring import product
+
+    sp = VarSpace([("w", 2)], ["x"])
+    x, h = FracPoly.variable(sp, "x"), FracPoly.monomial(sp, {"w": Fraction(1, 2)})
+    _assert_same_product(product([x + h], integral=["w"]), x)
+    assert product([h, h * x, h], integral=["w"]).is_zero()
+    with pytest.raises(ValueError, match="x is not a divisorial variable"):
+        product([x + h, x], integral=["x"])
+
+
+# -- the slot bound at equality ------------------------------------------------------
+
+
+def test_product_slot_bound_at_equality():
+    # R_K * ||f_1|| ... ||f_n|| bounds every numerator; for one-term factors
+    # c_i * x with ||c_i|| = |c_i| the product's largest numerator equals it.
+    # R_1 = 1, and R_105 = 2: e_105^48 reduces to entries of magnitude 2.
+    from circforge.polyring import product
+
+    sp = VarSpace([], ["x"])
+    x = FracPoly.variable(sp, "x")
+    e = root_of_unity(105, 16)
+    for factors, bound in (
+        ([x.scale(c) for c in (3, -5, 7, 2**20 - 1)], 3 * 5 * 7 * (2**20 - 1)),
+        ([x.scale(e * c) for c in (3, 5, 7)], 2 * 3 * 5 * 7),
+    ):
+        got = product(factors)
+        _assert_same_product(got, _fold_product(factors))
+        (coeff,) = got.terms.values()
+        assert max(abs(q) for q in coeff.coeffs) == bound
+    # a dense chain with all coefficients positive: nothing cancels
+    dense = [
+        FracPoly(sp, {(i,): Cyclo(12, [(i + j + m) % 5 + 1 for j in range(4)]) for i in range(4)}) for m in range(5)
+    ]
+    _assert_same_product(product(dense), _fold_product(dense))
+
+
 # -- term-map merges against a pairwise oracle -----------------------------------------
 
 _MERGE_KEYS = [(Fraction(n, 3), a, b) for n in range(5) for a in range(3) for b in range(-2, 3)]
