@@ -10,10 +10,11 @@ y_j -> s^{-w_j} y_j.  The action is free off the exceptional divisor t = 0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from operator import mul
+from operator import le, mul, sub
 
 from .abelian import AbelianGroup
 from .gcirc import (
@@ -28,7 +29,7 @@ from .polyring import (
     DiagonalAction,
     FracPoly,
     VarSpace,
-    _compositions,
+    _face,
     apply_group,
     is_invariant,
     linear_part,
@@ -241,45 +242,78 @@ class HilbertBasis:
         return FracPoly.monomial(self.space, dict(zip(self.variables, self.generators[idx])))
 
     def find(self, exps: dict) -> int | None:
-        vec = tuple(int(exps.get(v, 0)) for v in self.variables)
+        """Index of the generator with the exponents exps ({variable:
+        exponent}, absent ones 0), or None; a name that is not one of the
+        basis variables is a ValueError."""
+        for v in exps:
+            if v not in self.variables:
+                raise ValueError(f"variable {v} is not a variable of the basis")
+        vec = tuple(exps.get(v, 0) for v in self.variables)
+        for v, e in zip(self.variables, vec):
+            if isinstance(e, float):
+                raise ValueError(f"float exponent {e!r} on {v}: give an int or a Fraction")
         try:
-            return self.generators.index(vec)
+            return self.generators.index(vec)  # a fractional exponent equals no int
         except ValueError:
             return None
 
 
-def _invariant(action: DiagonalAction, variables, vec) -> bool:
-    for i, p in enumerate(action.group.moduli):
-        total = 0
-        for v, e in zip(variables, vec):
-            total += action.weights[v][i] * e
-        if total % p != 0:
-            return False
-    return True
-
-
 def hilbert_basis(action: DiagonalAction, variables=None) -> HilbertBasis:
-    """Minimal generating monomials of the invariant algebra, complete up to
-    the group-order degree bound."""
+    """Minimal generating monomials of the invariant algebra (its Hilbert
+    basis), over the listed variables (all the action's, sorted, when None),
+    in the order of degree, then exponents.
+
+    Write chi_j for the character of variable j in G and res(u) = sum_j u_j
+    chi_j for an exponent vector u, so x^u is invariant exactly when
+    res(u) = 0.  A nonzero invariant u is a generator exactly when no
+    nonzero proper sub-vector v < u is invariant: its characters, chi_j
+    repeated u_j times, form a minimal zero-sum sequence over G (Sturmfels,
+    Algorithms in Invariant Theory; Geroldinger and Halter-Koch,
+    Non-Unique Factorizations).  The search walks the vectors u with no
+    invariant nonzero sub-vector, adding unit vectors e_p in non-decreasing
+    position order and carrying the set of residues of u's nonzero
+    sub-vectors.  No sub-vector v < u has res(v) = res(u), or u - v would
+    be invariant, so u + e_p is a generator exactly when res(u) + chi_p =
+    0; any other zero among its new residues (chi_p, or s + chi_p for a
+    residue s of a sub-vector) is an invariant proper sub-vector of u + e_p
+    and of every vector above it, which ends the branch.  Every generator
+    is reached once, from itself minus the unit vector of its last
+    position.  Degree bound: among the |G| prefix sums of a sequence of
+    |G| characters, either one is zero or two of them are equal, and then
+    the block between them sums to zero (pigeonhole), so a walked vector
+    has degree below |G| and a generator has degree at most |G|
+    (`degree_bound`; the Davenport constant D(G) is at most |G|).
+    """
     if variables is None:
         variables = tuple(sorted(action.weights))
     variables = tuple(variables)
-    bound = action.group.order
-    space = VarSpace((), variables)
+    for v in variables:
+        if v not in action.weights:
+            raise ValueError(f"variable {v} is not covered by the action")
+    moduli = action.group.moduli
+    # group elements as ints, in the mixed radix of the moduli
+    elements = list(itertools.product(*(range(p) for p in moduli)))
+    index = {g: i for i, g in enumerate(elements)}
+    chars, shifts, negs = [], [], []
+    for v in variables:
+        chi = tuple(w % p for w, p in zip(action.weights[v], moduli))
+        chars.append(index[chi])
+        negs.append(index[tuple(-w % p for w, p in zip(chi, moduli))])
+        shifts.append([index[tuple((a + w) % p for a, w, p in zip(g, chi, moduli))] for g in elements])
     gens: list[tuple[int, ...]] = []
-    for total in range(1, bound + 1):
-        for vec in _compositions(total, len(variables)):
-            if not _invariant(action, variables, vec):
-                continue
-            if _reducible(vec, gens):
-                continue
-            gens.append(vec)
+    # (u, first position to add, res(u), residues of u's nonzero sub-vectors)
+    stack = [((0,) * len(variables), 0, 0, frozenset())]
+    while stack:
+        vec, start, res, subs = stack.pop()
+        for p in range(start, len(variables)):
+            up = vec[:p] + (vec[p] + 1,) + vec[p + 1 :]
+            if negs[p] == res:
+                gens.append(up)
+            elif negs[p] and negs[p] not in subs:
+                shift = shifts[p]
+                stack.append((up, p, shift[res], subs | {chars[p]} | {shift[s] for s in subs}))
     gens.sort(key=lambda v: (sum(v), v))
-    return HilbertBasis(action, variables, tuple(gens), bound, space)
-
-
-def _reducible(vec, gens) -> bool:
-    return any(all(g[t] <= vec[t] for t in range(len(vec))) for g in gens)
+    return HilbertBasis(action, variables, tuple(gens), action.group.order, VarSpace((), variables))
 
 
 def _monomial_identity(left, right, generators) -> bool:
@@ -339,35 +373,43 @@ def quotient_image(f: FracPoly, basis: HilbertBasis) -> FracPoly:
     """
     if not is_invariant(f, basis.action):
         raise ValueError("polynomial is not invariant under the basis action")
-    gen_space = VarSpace((), tuple(basis.names()))
-    monomials = []
+    names = basis.names()
+    gen_space = VarSpace((), tuple(names))
     var_index = {v: i for i, v in enumerate(basis.variables)}
+    src, src_names = f.space, f.space.names
     gens_desc = sorted(range(len(basis.generators)), key=lambda i: (-sum(basis.generators[i]), basis.generators[i]))
+    memo: dict = {}  # a decomposition depends only on the vector, so the terms share it
+    images = []
     for key, coeff in f.terms.items():
         vec = [0] * len(basis.variables)
-        for pos, e in enumerate(f.space.face_key(key)):
-            name = f.space.names[pos]
-            if e:
-                vec[var_index[name]] = int(e)
-        decomp = _decompose(tuple(vec), gens_desc, basis, {})
+        for pos, k in enumerate(key):
+            if k:
+                name = src_names[pos]
+                if name not in var_index:
+                    raise ValueError(f"variable {name} is not a variable of the basis")
+                e, r = divmod(k, src.bounds[pos])
+                if r:
+                    raise ValueError(f"exponent {_face(src, pos, k)} on {name} is not an integer")
+                vec[var_index[name]] = e
+        decomp = _decompose(tuple(vec), gens_desc, basis, memo)
         if decomp is None:
             raise ValueError(f"monomial {dict(zip(basis.variables, vec))} not expressible in the generators")
-        exps = {}
+        counts = [0] * len(names)
         for idx in decomp:
-            exps[basis.names()[idx]] = exps.get(basis.names()[idx], 0) + 1
-        monomials.append(FracPoly.monomial(gen_space, exps, coeff))
-    return poly_sum(gen_space, monomials)
+            counts[idx] += 1
+        images.append(FracPoly._raw(gen_space, {tuple(counts): coeff}))
+    return poly_sum(gen_space, images)
 
 
 def _decompose(vec, gens_desc, basis: HilbertBasis, memo):
-    if all(e == 0 for e in vec):
+    if not any(vec):
         return []
     if vec in memo:
         return memo[vec]
     for idx in gens_desc:
         g = basis.generators[idx]
-        if all(g[t] <= vec[t] for t in range(len(vec))):
-            rest = _decompose(tuple(v - gt for v, gt in zip(vec, g)), gens_desc, basis, memo)
+        if all(map(le, g, vec)):
+            rest = _decompose(tuple(map(sub, vec, g)), gens_desc, basis, memo)
             if rest is not None:
                 memo[vec] = [idx] + rest
                 return memo[vec]

@@ -235,6 +235,22 @@ def _face(space: VarSpace, pos: int, k: int):
     return Fraction(k, space.bounds[pos]) if pos < space.ndiv else k
 
 
+def _placed_entry(src: VarSpace, pos: int, k: int, space: VarSpace) -> tuple[int, int]:
+    """The position in space of src's variable at pos, and the key entry k
+    rescaled by integers to that position's bound; an exponent the target
+    cannot hold, or a variable it lacks, is a ValueError."""
+    name = src.names[pos]
+    if name not in space:
+        raise ValueError(f"target space is missing variable {name}")
+    p = space._index[name]
+    entry, r = divmod(k * space.bounds[p], src.bounds[pos])
+    if r:
+        raise ValueError(f"exponent {_face(src, pos, k)} on {name} is not legal in the target space")
+    if entry < 0 and p < space.ndiv:
+        raise ValueError(f"negative exponent on divisorial variable {name}")
+    return p, entry
+
+
 def _scaled_terms(space: VarSpace, terms: dict):
     """The items of a face-value term map with scaled keys, coefficients
     made Cyclo and the zero ones dropped."""
@@ -507,6 +523,14 @@ class FracPoly:
         whose exponents stay legal; coefficients are then raised through
         cyclotomic roots of unity only when the power is integral, so a
         fractional power additionally requires coefficient 1.
+
+        An unlisted variable is not multiplied in: its key entry is
+        rescaled by integers into its position in the target space, as in
+        `in_space`, and an exponent the target cannot hold, or a variable
+        it lacks, is a ValueError.  Each term's image is the term's
+        coefficient at those entries times the powers of the images, taken
+        in position order, so its `Cyclo` operations, its map order and
+        every coefficient's order are those of the term-by-term product.
         """
         space = target_space
         if space is None:
@@ -524,26 +548,36 @@ class FracPoly:
             if name not in self.space:
                 raise ValueError(f"substituted variable {name} not in the space")
             images[name] = val if isinstance(val, FracPoly) else FracPoly.constant(space, val)
+        src, names = self.space, self.space.names
         out: dict = {}
-        names = self.space.names
-        powers = {}  # (position, key entry) -> the factor it contributes
+        placed = {}  # (position, key entry) of an unlisted variable -> (target position, entry)
+        powers = {}  # (position, key entry) of a substituted variable -> term map of its power
         for key, coeff in self.terms.items():
-            term = FracPoly.constant(space, coeff)
+            base = list(space.zero_key)
+            factors = []
             for i, k in enumerate(key):
                 if k == 0:
                     continue
-                factor = powers.get((i, k))
-                if factor is None:
-                    name = names[i]
-                    e = _face(self.space, i, k)
-                    if name in images:
+                name = names[i]
+                if name in images:
+                    factor = powers.get((i, k))
+                    if factor is None:
                         image = images[name] = images[name].in_space(space)  # lifted on first use
-                        factor = _poly_power(image, e)
-                    else:
-                        factor = FracPoly.monomial(space, {name: e})
-                    powers[i, k] = factor
-                term = term * factor
-            _merge(out, term.terms.items())
+                        factor = powers[i, k] = _poly_power(image, _face(src, i, k)).terms
+                    factors.append(factor)
+                    continue
+                spot = placed.get((i, k))
+                if spot is None:
+                    spot = placed[i, k] = _placed_entry(src, i, k, space)
+                base[spot[0]] = spot[1]
+            items = [(tuple(base), coeff)]
+            for factor in factors:
+                if len(items) > 1 and len(factor) > 1:
+                    items = list(_product_terms([dict(items), factor]).items())
+                else:
+                    # one side has at most one term: every key is hit once
+                    items = [(tuple(map(add, ka, kb)), ca * cb) for ka, ca in items for kb, cb in factor.items()]
+            _merge(out, items)
         return FracPoly._raw(space, out)
 
     def __repr__(self):
@@ -728,20 +762,38 @@ def poly_sum(space: VarSpace, polys) -> FracPoly:
 
 def _poly_power(p: FracPoly, e) -> FracPoly:
     """p ** e for a face-value exponent e: any power of a polynomial when e
-    is a nonnegative integer, else a legal power of a one-term monomial."""
-    if type(e) is int and e >= 0:
-        return p ** e
-    e = Fraction(e)
-    if e.denominator == 1 and e >= 0:
-        return p ** int(e)
+    is a nonnegative integer, else a legal power of a one-term monomial.
+
+    A one-term p to a nonnegative integer power is its key times e and its
+    coefficient raised by the `Cyclo` steps `p ** e` takes from a rational 1."""
+    e = e if type(e) is int else Fraction(e)
     if len(p.terms) != 1:
+        if e.denominator == 1 and e >= 0:
+            return p ** int(e)
         raise ValueError(f"cannot raise a {len(p.terms)}-term polynomial to power {e}")
     (key, coeff), = p.terms.items()
-    if e.denominator != 1 and coeff != Cyclo.one():
-        raise ValueError(f"fractional power {e} of a monomial with coefficient {coeff}")
-    new = tuple(_check_exponent(p.space, i, _face(p.space, i, k) * e) for i, k in enumerate(key))
-    c = coeff ** int(e) if e.denominator == 1 else Cyclo.one()
-    return FracPoly._raw(p.space, {new: c})
+    if e.denominator != 1:
+        if coeff != Cyclo.one():
+            raise ValueError(f"fractional power {e} of a monomial with coefficient {coeff}")
+        c = Cyclo.one()
+    elif e < 0:
+        c = coeff ** int(e)
+    else:
+        c, n = Cyclo.one(), int(e)
+        while n:
+            if n & 1:
+                c = c * coeff
+            coeff = coeff * coeff if n > 1 else coeff
+            n >>= 1
+    # the scaled entry of the face exponent (k / b) * e is k * e, legal when
+    # it is an integer, and nonnegative on a divisorial position
+    new = []
+    for i, k in enumerate(key):
+        q, r = divmod(k * e.numerator, e.denominator)
+        if r or (q < 0 and i < p.space.ndiv):
+            _check_exponent(p.space, i, _face(p.space, i, k) * e)  # raises the error
+        new.append(q)
+    return FracPoly._raw(p.space, {tuple(new): c})
 
 
 def _compositions(total: int, n: int):

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circforge import (
     AbelianGroup,
@@ -30,8 +32,9 @@ from circforge import (
     z2z4_spec,
 )
 from circforge.gcirc import spec_space
+from circforge.polyring import poly_sum
 
-from conftest import invariant_exponent_vectors
+from conftest import groups_of_order_up_to, invariant_exponent_vectors
 
 
 def _cpk_atlas(k):
@@ -289,6 +292,99 @@ def test_quotient_image_requires_invariance():
     t = FracPoly.variable(hb.space, cmap.chart_var)
     with pytest.raises(ValueError):
         quotient_image(t, hb)
+
+
+def _compositions(total, n):
+    """The vectors of n nonnegative ints summing to total, lexicographically."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, n - 1):
+            yield (first,) + rest
+
+
+def _enumerated_generators(action, variables):
+    """The Hilbert basis by enumeration: every vector of degree 1..|G| in
+    order of degree, kept when invariant and above no vector kept before,
+    then sorted by (degree, vector)."""
+    gens = []
+    for total in range(1, action.group.order + 1):
+        for vec in _compositions(total, len(variables)):
+            invariant = all(
+                sum(action.weights[v][i] * e for v, e in zip(variables, vec)) % p == 0
+                for i, p in enumerate(action.group.moduli)
+            )
+            reducible = any(all(g[t] <= vec[t] for t in range(len(vec))) for g in gens)
+            if invariant and not reducible:
+                gens.append(vec)
+    gens.sort(key=lambda v: (sum(v), v))
+    return tuple(gens)
+
+
+@st.composite
+def _diagonal_actions(draw):
+    """A diagonal action of an abelian group of order <= 12 (or Z/1) on 0-5
+    variables, weights in -p..p per modulus p, zero often."""
+    group = draw(st.sampled_from(groups_of_order_up_to(12) + [AbelianGroup((1,))]))
+    weights = {
+        f"v{j}": tuple(draw(st.integers(-p, p) | st.just(0)) for p in group.moduli)
+        for j in range(draw(st.integers(0, 5)))
+    }
+    return DiagonalAction(group, weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_diagonal_actions())
+def test_hilbert_basis_equals_the_enumeration(action):
+    hb = hilbert_basis(action)
+    assert hb.variables == tuple(sorted(action.weights))
+    assert hb.generators == _enumerated_generators(action, hb.variables)
+    assert hb.degree_bound == action.group.order
+
+
+def test_quotient_image_is_the_sum_of_the_one_term_images():
+    def items(f):
+        return [(k, c.order, c.coeff_strings) for k, c in f.terms.items()]
+
+    for k in (2, 3, 4, 5, 6):
+        poly, atlas = _cpk_atlas(k)
+        _cmap, action = atlas.charts[0]
+        _total, st_, _mult = pullback(poly, atlas, 0)
+        hb = hilbert_basis(action)
+        img = quotient_image(st_, hb)
+        terms = [FracPoly(st_.space, {st_.space.face_key(key): c}) for key, c in st_.terms.items()]
+        assert items(img) == items(poly_sum(img.space, [quotient_image(t, hb) for t in terms]))
+
+
+def test_quotient_image_refuses_a_fractional_exponent():
+    # w has weight 0, so w^(1/2) x^2 is invariant, but no generator product
+    # has a fractional exponent (the integer part alone would give x^2)
+    hb = hilbert_basis(DiagonalAction(AbelianGroup((2,)), {"w": (0,), "x": (1,)}))
+    f = FracPoly.monomial(VarSpace([("w", 2)], ["x"]), {"w": Fraction(1, 2), "x": 2})
+    with pytest.raises(ValueError, match="exponent 1/2 on w is not an integer"):
+        quotient_image(f, hb)
+    # a variable the action covers but the basis leaves out
+    hb_x = hilbert_basis(DiagonalAction(AbelianGroup((2,)), {"x": (1,), "y": (0,)}), ["x"])
+    with pytest.raises(ValueError, match="variable y is not a variable of the basis"):
+        quotient_image(FracPoly.variable(VarSpace([], ["x", "y"]), "y"), hb_x)
+
+
+def test_find_refuses_a_fractional_exponent():
+    hb = hilbert_basis(DiagonalAction(AbelianGroup((4,)), {"t": (2,), "x": (1,)}))
+    assert hb.generators[hb.find({"t": 2})] == (2, 0)
+    assert hb.find({"t": Fraction(5, 2)}) is None  # not t^2
+    with pytest.raises(ValueError, match="float exponent 2.5 on t"):
+        hb.find({"t": 5 / 2})
+    with pytest.raises(ValueError, match="variable q is not a variable of the basis"):
+        hb.find({"q": 1})
+
+
+def test_hilbert_basis_refuses_an_uncovered_variable():
+    action = DiagonalAction(AbelianGroup((2,)), {"t": (1,)})
+    with pytest.raises(ValueError, match="variable q is not covered by the action"):
+        hilbert_basis(action, ["t", "q"])
 
 
 def test_toric_relation_transform():

@@ -938,3 +938,85 @@ def test_substitute_merges_like_the_pairwise_oracle(items, c):
                 term = term * (gt ** int(e) if name == "x" else FracPoly.monomial(tsp, {name: e}))
         _merge_oracle(want, _face_items(term))
     _assert_merged(got, want)
+
+
+# -- substitute against the term-by-term fold ------------------------------------------
+
+_SUB_SOURCE = VarSpace([("w", 2), ("s", 3)], ["x", "y", "z", "u"])
+# s is not substituted and its bound rises from 3 to 6; u is not substituted
+_SUB_TARGET = VarSpace([("s", 6)], ["t", "u", "y", "z"])
+
+
+def _fold_power(image, e):
+    """image ** e by public operations: any polynomial to a nonnegative
+    integer power, else a one-term image, its coefficient raised by Cyclo
+    ** when e is an integer and refused unless 1 when it is not."""
+    if e >= 0 and Fraction(e).denominator == 1:
+        return image ** int(e)
+    ((key, c),) = _face_items(image)
+    if Fraction(e).denominator != 1:
+        assert c == 1
+        c = Cyclo.one()
+    else:
+        c = c ** int(e)
+    return FracPoly.monomial(image.space, {n: k * e for n, k in zip(image.space.names, key) if k}, c)
+
+
+def _fold_substitute(f, mapping, space):
+    """The term-by-term FracPoly fold: each term's coefficient times, in
+    position order, the power of a substituted variable's image or the
+    monomial of an unsubstituted variable, merged pairwise."""
+    want = {}
+    for key, d in _face_items(f):
+        term = FracPoly.constant(space, d)
+        for name, e in zip(f.space.names, key):
+            if e:
+                term = term * (_fold_power(mapping[name], e) if name in mapping else FracPoly.monomial(space, {name: e}))
+        _merge_oracle(want, _face_items(term))
+    return want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_substitute_matches_the_term_by_term_fold(data):
+    draw = data.draw
+    terms = {}
+    for _ in range(draw(st.integers(1, 7))):
+        key = (
+            Fraction(draw(st.integers(0, 3)), 2),  # w: fractional powers of its image
+            Fraction(draw(st.integers(0, 3)), 3),  # s: rescaled into bound 6
+            draw(st.integers(-2, 2)),  # x: negative powers of a monomial image
+            draw(st.integers(0, 2)),
+            draw(st.integers(0, 2)),
+            draw(st.integers(-1, 1)),
+        )
+        terms[key] = draw(_product_coeffs())
+    f = FracPoly(_SUB_SOURCE, terms)
+    t, u, y, z = (FracPoly.variable(_SUB_TARGET, n) for n in ("t", "u", "y", "z"))
+    c = draw(st.sampled_from([Cyclo.rational(3, 4), root_of_unity(8, 3)]))
+    mapping = {
+        "w": FracPoly.monomial(_SUB_TARGET, {"t": 2 * draw(st.integers(0, 2)), "u": 2 * draw(st.integers(-1, 1))}),
+        "x": FracPoly.monomial(_SUB_TARGET, {"t": draw(st.integers(-1, 2)), "u": 1}, c),
+        "y": y + t.scale(draw(_product_coeffs())),
+        "z": z * z - t.scale(draw(_product_coeffs())) + draw(st.sampled_from([0, 1, Fraction(1, 3)])),
+    }
+    got = f.substitute(mapping, target_space=_SUB_TARGET)
+    assert got.space == _SUB_TARGET
+    _assert_merged(got, _fold_substitute(f, mapping, _SUB_TARGET))
+
+
+def test_substitute_refuses_what_the_target_cannot_hold():
+    x, u = (FracPoly.variable(_SUB_SOURCE, n) for n in ("x", "u"))
+    target = VarSpace([], ["t"])
+    # an unsubstituted variable the target lacks
+    with pytest.raises(ValueError, match="missing variable u"):
+        (x * u).substitute({"x": FracPoly.variable(target, "t")}, target_space=target)
+    # an unsubstituted exponent the target's bound cannot hold
+    s3 = FracPoly.monomial(_SUB_SOURCE, {"s": Fraction(1, 3)})
+    with pytest.raises(ValueError, match="1/3 on s is not legal"):
+        s3.substitute({}, target_space=VarSpace([("s", 2)], ["w", "x", "y", "z", "u"]))
+    # a negative free exponent made divisorial
+    with pytest.raises(ValueError, match="negative exponent on divisorial variable u"):
+        (x * FracPoly.monomial(_SUB_SOURCE, {"u": -1})).substitute(
+            {"x": FracPoly.variable(target, "t")}, target_space=VarSpace([("u", 1)], ["t", "w", "s", "y", "z"])
+        )
