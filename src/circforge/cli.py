@@ -82,6 +82,17 @@ def _parse_spec(text: str):
     return klein_spec() if name == "klein" else z2z4_spec()
 
 
+def _single_spec(text: str, command: str):
+    """The --spec of a command that takes a single normal form; a product
+    spec is a DomainError naming the command."""
+    spec = _parse_spec(text)
+    from .gcirc import ProductNormalFormSpec
+
+    if isinstance(spec, ProductNormalFormSpec):
+        raise DomainError(f"{command} expects a single normal form")
+    return spec
+
+
 def _parse_ints(text: str, flag: str):
     return [_int(x, flag) for x in text.split(",") if x.strip()]
 
@@ -201,7 +212,7 @@ def cmd_gcirc_normal_form(args):
 def cmd_gcirc_validate(args):
     from . import jsonio
 
-    spec = _parse_spec(args.spec)
+    spec = _single_spec(args.spec, "gcirc validate")
     from .gcirc import validate_normal_form
 
     rep = validate_normal_form(spec)
@@ -227,7 +238,7 @@ def cmd_gcirc_validate(args):
 def cmd_gcirc_codim1(args):
     from . import jsonio
 
-    spec = _parse_spec(args.spec)
+    spec = _single_spec(args.spec, "gcirc codim1")
     from .gcirc import codim1_factor
 
     rep = codim1_factor(spec, args.index)
@@ -404,12 +415,10 @@ def cmd_blowup_transition(args):
 def cmd_blowup_pullback(args):
     from . import jsonio
 
-    spec = _parse_spec(args.spec)
+    spec = _single_spec(args.spec, "blowup pullback")
     from .blowup import pullback
-    from .gcirc import ProductNormalFormSpec, normal_form_poly
+    from .gcirc import normal_form_poly
 
-    if isinstance(spec, ProductNormalFormSpec):
-        raise DomainError("pullback expects a single normal form")
     poly = normal_form_poly(spec)
     if spec.r != 1:
         raise DomainError("chart pullback via this command supports one divisor; use pipeline")

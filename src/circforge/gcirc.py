@@ -15,6 +15,7 @@ associated polynomial is the determinant evaluated at x_0, w^gamma_1 x_1,
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -462,17 +463,8 @@ def validate_normal_form(spec: NormalFormSpec, allow_omitted_divisors: bool = Fa
     multiset = []
     for i, p in enumerate(moduli):
         col = [Fraction(0)] + [row[i] for row in spec.gamma]
-        want_ok = spec.k % p == 0
-        if want_ok:
-            counts = {Fraction(q, p): 0 for q in range(p)}
-            for e in col:
-                if e in counts:
-                    counts[e] += 1
-                else:
-                    want_ok = False
-                    break
-            if want_ok:
-                want_ok = all(c == spec.k // p for c in counts.values())
+        # each q/p, 0 <= q < p, occurs k/p times (never when p does not divide k)
+        want_ok = Counter(col) == {Fraction(q, p): spec.k // p for q in range(p)}
         if allow_omitted_divisors and all(e == 0 for e in col):
             want_ok = True
         multiset.append(want_ok)
@@ -514,7 +506,9 @@ def validate_normal_form(spec: NormalFormSpec, allow_omitted_divisors: bool = Fa
 
 def _eigen_action_permutations(spec: NormalFormSpec):
     """For each generator of the acting group, the induced permutation of the
-    eigenvalue factors, or None if some factor is not mapped to a factor."""
+    eigenvalue factors, or None if some factor is not mapped to a factor or
+    the permutations are not an action of the group: a factor shifted p_i
+    times by column i comes back only when the column lies in (1/p_i)Z."""
     gamma_ctx = PairingContext.natural(spec.quotient_group)
     kq = gamma_ctx.k
     # factor j has coefficient phase <j, l_m>/kq on argument m; generator i
@@ -526,6 +520,8 @@ def _eigen_action_permutations(spec: NormalFormSpec):
     perms = []
     for i, p in enumerate(spec.moduli):
         shift = [Fraction(0)] + [row[i] for row in spec.gamma]
+        if any((p * e).denominator != 1 for e in shift):
+            return None
         perm = []
         for row in phases:
             target = tuple((a + b) % 1 for a, b in zip(row, shift))

@@ -9,10 +9,15 @@ Term keys are tuples of Python ints: position i holds e_i * b_i, the
 exponent e_i scaled by the variable's bound b_i (1 for a free variable), so
 sums and comparisons of exponents are integer operations.  Exponents are
 checked and scaled in at the boundary (`FracPoly(...)`, `monomial`,
-`constant`); `in_space` rescales keys when a union raises a bound.  Face
-values (a `Fraction` on a divisorial position, an `int` on a free one) come
-back out of `VarSpace.face_key`, `sorted_terms`, `str`, and the accessors
-that return exponents or degrees.
+`constant`).  Face values (a `Fraction` on a divisorial position, an `int`
+on a free one) come back out of `VarSpace.face_key`, `sorted_terms`, `str`,
+and the accessors that return exponents or degrees.
+
+One change-of-space rule, `_placed_entry`, moves a key entry into another
+space (`substitute`, and through it `in_space` and `poly_sum`): rescaled to
+the target position's bound it must be an integer, nonnegative on a
+divisorial position, and a variable the target lacks is refused when a term
+uses it.
 
 Total degree counts exponents at face value, matching the weighted-order
 bookkeeping used throughout.  Internally a term's degree is the integer
@@ -402,39 +407,9 @@ class FracPoly:
     # -- space handling -----------------------------------------------------
 
     def in_space(self, space: VarSpace) -> "FracPoly":
-        """Re-express in a larger (or reordered) space containing all variables.
-
-        A key entry moves to its variable's position in space and is rescaled
-        to that position's bound; an exponent the target bound cannot hold
-        is a ValueError.
-        """
-        if space == self.space:
-            return self
-        src = self.space
-        pos, mults, checks = [], [], []
-        for i, n in enumerate(src.names):
-            if n not in space:
-                raise ValueError(f"target space is missing variable {n}")
-            p = space._index[n]
-            nb, ob = space.bounds[p], src.bounds[i]
-            pos.append(p)
-            if nb % ob:  # a divisorial variable made free, or a bound not a multiple
-                mults.append(nb)
-                checks.append((p, ob, n))
-            else:
-                mults.append(nb // ob)
-        terms = {}
-        for key, coeff in self.terms.items():
-            new = list(space.zero_key)
-            for p, m, e in zip(pos, mults, key):
-                new[p] = e * m
-            for p, ob, n in checks:
-                q, r = divmod(new[p], ob)
-                if r:
-                    raise ValueError(f"exponent {Fraction(new[p], ob * space.bounds[p])} on {n} is not legal in the target space")
-                new[p] = q
-            terms[tuple(new)] = coeff
-        return FracPoly._raw(space, terms)
+        """Re-express in another space by the one change-of-space rule (see
+        the module docstring), keeping the coefficients and the map order."""
+        return self if space == self.space else self.substitute({}, target_space=space)
 
     @staticmethod
     def _aligned(a: "FracPoly", b: "FracPoly"):
@@ -468,29 +443,20 @@ class FracPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        a, b = FracPoly._aligned(self, other)
-        if len(a.terms) > 1 and len(b.terms) > 1:
-            return FracPoly._raw(a.space, _product_terms([a.terms, b.terms]))
-        # one side has at most one term: every key is hit once, by a nonzero product
-        return FracPoly._raw(
-            a.space,
-            {tuple(map(add, k1, k2)): c1 * c2 for k1, c1 in a.terms.items() for k2, c2 in b.terms.items()},
-        )
+        a, b = FracPoly._aligned(self, self._coerce(other))
+        return FracPoly._raw(a.space, _times(a.terms, b.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self ** n by square-and-multiply from 1; a one-term polynomial
+        takes those steps on its coefficient alone, from a rational 1."""
         if n < 0:
             raise ValueError("negative powers only via monomial division")
-        acc = FracPoly.constant(self.space, 1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return acc
+        if len(self.terms) == 1:
+            ((key, coeff),) = self.terms.items()
+            return FracPoly._raw(self.space, {tuple(k * n for k in key): _square_multiply(Cyclo.one(), coeff, n)})
+        return _square_multiply(FracPoly.constant(self.space, 1), self, n)
 
     def scale(self, c) -> "FracPoly":
         c = c if isinstance(c, Cyclo) else Cyclo.rational(c)
@@ -504,9 +470,7 @@ class FracPoly:
         if not isinstance(other, FracPoly):
             return NotImplemented
         a, b = FracPoly._aligned(self, other)
-        if set(a.terms) != set(b.terms):
-            return False
-        return all(a.terms[k] == b.terms[k] for k in a.terms)
+        return a.terms == b.terms
 
     __hash__ = None
 
@@ -524,13 +488,14 @@ class FracPoly:
         cyclotomic roots of unity only when the power is integral, so a
         fractional power additionally requires coefficient 1.
 
-        An unlisted variable is not multiplied in: its key entry is
-        rescaled by integers into its position in the target space, as in
-        `in_space`, and an exponent the target cannot hold, or a variable
-        it lacks, is a ValueError.  Each term's image is the term's
-        coefficient at those entries times the powers of the images, taken
-        in position order, so its `Cyclo` operations, its map order and
-        every coefficient's order are those of the term-by-term product.
+        An unlisted variable is not multiplied in: its key entry moves into
+        the target space by the one change-of-space rule (see the module
+        docstring), so an exponent the target cannot hold, a negative one on
+        a divisorial position, or a used variable the target lacks is a
+        ValueError.  Each term's image is the term's coefficient at those
+        entries times the powers of the images, taken in position order, so
+        its `Cyclo` operations, its map order and every coefficient's order
+        are those of the term-by-term product.
         """
         space = target_space
         if space is None:
@@ -570,14 +535,10 @@ class FracPoly:
                 if spot is None:
                     spot = placed[i, k] = _placed_entry(src, i, k, space)
                 base[spot[0]] = spot[1]
-            items = [(tuple(base), coeff)]
+            items = {tuple(base): coeff}
             for factor in factors:
-                if len(items) > 1 and len(factor) > 1:
-                    items = list(_product_terms([dict(items), factor]).items())
-                else:
-                    # one side has at most one term: every key is hit once
-                    items = [(tuple(map(add, ka, kb)), ca * cb) for ka, ca in items for kb, cb in factor.items()]
-            _merge(out, items)
+                items = _times(items, factor)
+            _merge(out, items.items())
         return FracPoly._raw(space, out)
 
     def __repr__(self):
@@ -723,6 +684,26 @@ def _product_terms(maps: list, integral: tuple = ()) -> dict:
     return {tuple([(key >> off & mask) + lo for off, mask, lo in fields]): c for key, c in zip(akeys, avals)}
 
 
+def _times(a: dict, b: dict) -> dict:
+    """The term map of the product of two term maps of one space: the
+    packed kernel when both have two or more terms, else the pairwise loop,
+    in which every key is hit once, by a nonzero product."""
+    if len(a) > 1 and len(b) > 1:
+        return _product_terms([a, b])
+    return {tuple(map(add, ka, kb)): ca * cb for ka, ca in a.items() for kb, cb in b.items()}
+
+
+def _square_multiply(acc, base, n: int):
+    """acc * base ** n for an int n >= 0, by square-and-multiply with acc
+    on the left of every product."""
+    while n:
+        if n & 1:
+            acc = acc * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return acc
+
+
 def product(polys, integral=()) -> FracPoly:
     """The product of a nonempty list of polynomials in one packed pass:
     f_1 * f_2 * ... * f_n formed left to right, equal to it term by term,
@@ -748,8 +729,9 @@ def poly_sum(space: VarSpace, polys) -> FracPoly:
     """The sum of polynomials in space, p_1 + p_2 + ... + p_n formed left
     to right in one copy of p_1's term map: equal to it term by term, in
     map order and in every coefficient's order.  Each addend is brought
-    into space with in_space, which refuses one with a variable that space
-    lacks; no addends sum to zero."""
+    into space with in_space, by the one change-of-space rule (see the
+    module docstring), so an addend whose terms use a variable that space
+    lacks, or that space cannot hold, is refused; no addends sum to zero."""
     polys = iter(polys)
     first = next(polys, None)
     if first is None:
@@ -761,30 +743,21 @@ def poly_sum(space: VarSpace, polys) -> FracPoly:
 
 
 def _poly_power(p: FracPoly, e) -> FracPoly:
-    """p ** e for a face-value exponent e: any power of a polynomial when e
-    is a nonnegative integer, else a legal power of a one-term monomial.
-
-    A one-term p to a nonnegative integer power is its key times e and its
-    coefficient raised by the `Cyclo` steps `p ** e` takes from a rational 1."""
+    """p ** e for a face-value exponent e: `p ** e` when e is a nonnegative
+    integer, else a legal negative or fractional power of a one-term
+    monomial."""
     e = e if type(e) is int else Fraction(e)
+    if e.denominator == 1 and e >= 0:
+        return p ** int(e)
     if len(p.terms) != 1:
-        if e.denominator == 1 and e >= 0:
-            return p ** int(e)
         raise ValueError(f"cannot raise a {len(p.terms)}-term polynomial to power {e}")
     (key, coeff), = p.terms.items()
     if e.denominator != 1:
         if coeff != Cyclo.one():
             raise ValueError(f"fractional power {e} of a monomial with coefficient {coeff}")
         c = Cyclo.one()
-    elif e < 0:
-        c = coeff ** int(e)
     else:
-        c, n = Cyclo.one(), int(e)
-        while n:
-            if n & 1:
-                c = c * coeff
-            coeff = coeff * coeff if n > 1 else coeff
-            n >>= 1
+        c = coeff ** int(e)
     # the scaled entry of the face exponent (k / b) * e is k * e, legal when
     # it is an integer, and nonnegative on a divisorial position
     new = []
@@ -907,12 +880,8 @@ def match_scalar(a: FracPoly, b: FracPoly):
     """Scalar c with a = c * b, or None."""
     if a.is_zero() or b.is_zero():
         return None
-    if len(a.terms) != len(b.terms) or a.space != b.space:
-        aa, bb = FracPoly._aligned(a, b)
-        if len(aa.terms) != len(bb.terms):
-            return None
-        a, b = aa, bb
-    if set(a.terms) != set(b.terms):
+    a, b = FracPoly._aligned(a, b)
+    if a.terms.keys() != b.terms.keys():
         return None
     key = next(iter(b.terms))
     c = a.terms[key] * b.terms[key].inverse()
@@ -1026,7 +995,8 @@ def apply_group(f: FracPoly, action: DiagonalAction, g: GroupElement) -> FracPol
 
 
 def is_invariant(f: FracPoly, action: DiagonalAction) -> bool:
-    return all(apply_group(f, action, action.group.generator(i)) == f for i in range(action.group.rank))
+    """Whether each generator i fixes f: every term's weight is 0 mod p_i."""
+    return semi_invariant_weight(f, action) == (0,) * action.group.rank
 
 
 def semi_invariant_split(f: FracPoly, action: DiagonalAction, i: int) -> list[FracPoly]:

@@ -85,6 +85,12 @@ _AB_ZERO, _AB_A, _AB_B, _AB_SUM = (
     for terms in ("", _AB_TERM % "1,0", _AB_TERM % "0,1", _AB_TERM % "1,0" + "," + _AB_TERM % "0,1")
 )
 
+# a one-factor product spec of cp2, and a spec whose exponent 1/2 lies outside
+# (1/3)Z, so that the generator of Z/3 swaps the two eigen factors
+_CP2 = {"moduli": [2], "k": 2, "gamma": [["1/2"]], "quotient": {"moduli": [2]}, "labels": [[0], [1]]}
+_SPEC_PRODUCT = json.dumps({"factors": [_CP2]})
+_SPEC_OUT_OF_RANGE = json.dumps({**_CP2, "moduli": [3]})
+
 # polynomials in x: one with the term x twice, one whose coefficient vector is
 # too long, one whose vector is empty, and 0
 _X_POLY = '{"space":{"divisorial":[],"free":["x"]},"terms":[%s]}'
@@ -158,6 +164,9 @@ _X_ZERO = _X_POLY % ""
         # a Z prefix with no factor after it names no group
         (["abelian", "perp", "--group", "Z"], "^--group: expected at least one factor$"),
         (["abelian", "perp", "--group", "zx"], "^--group: expected at least one factor$"),
+        # a product spec where a single normal form is needed
+        (["gcirc", "validate", "--spec", _SPEC_PRODUCT], "^gcirc validate expects a single normal form$"),
+        (["gcirc", "codim1", "--spec", _SPEC_PRODUCT], "^gcirc codim1 expects a single normal form$"),
     ],
     ids=[
         "det-cpk-noncyclic",
@@ -210,6 +219,8 @@ _X_ZERO = _X_POLY % ""
         "perp-group-not-int",
         "perp-group-z-no-factor",
         "perp-group-zx-no-factor",
+        "validate-product-spec",
+        "codim1-product-spec",
     ],
 )
 def test_domain_error_exit_code(capsys, argv, match):
@@ -294,7 +305,11 @@ def test_cli_loads_only_the_layers_a_subcommand_uses():
     for argv, used, absent in [
         (["abelian", "perp", "--group", "2,4", "--sub", "(1,2)"], "abelian", unused),
         (["resinv", "atw", "--parts", "2,2"], "resinv", unused),
-        (["gcirc", "validate", "--spec", "{}"], "jsonio", {"circforge.blowup"}),
+        # malformed input fails before a layer loads, also in the commands
+        # that refuse a product spec
+        (["gcirc", "validate", "--spec", "{}"], "jsonio", unused),
+        (["gcirc", "codim1", "--spec", "{}"], "jsonio", unused),
+        (["blowup", "pullback", "--spec", "{}"], "jsonio", unused),
     ]:
         loaded = _modules_loaded_by(f"import sys, circforge.cli\ncircforge.cli.run({argv!r})")
         assert f"circforge.{used}" in loaded and not loaded & absent, (argv, loaded)
@@ -597,3 +612,28 @@ def test_malformed_input_keeps_the_exit_contract(capsys, command, data):
     assert code in (0, 1) and isinstance(obj, dict), (argv, code)
     if must_fail:  # a result may also exit 1 (e.g. verified: false); a malformed payload may not
         assert code == 1 and isinstance(obj.get("error"), str), (argv, obj)
+
+
+SPEC_COMMANDS = [
+    (group, name)
+    for group, commands in COMMANDS.items()
+    for name, (_handler, *arguments) in commands.items()
+    if any(flag == "--spec" for flag, _kwargs in arguments)
+]
+
+
+@pytest.mark.parametrize("spec", [_SPEC_PRODUCT, _SPEC_OUT_OF_RANGE], ids=["product", "out-of-range"])
+@pytest.mark.parametrize("command", SPEC_COMMANDS, ids=" ".join)
+def test_every_spec_command_keeps_the_exit_contract(capsys, command, spec):
+    # a command that takes a single normal form refuses a product spec, and
+    # an exponent outside (1/p)Z is reported or refused, never a traceback
+    code = run(["--format", "json", *command, "--spec", spec])
+    obj = json.loads(capsys.readouterr().out)
+    assert code == 0 or (code == 1 and isinstance(obj.get("error"), str)), (code, obj)
+
+
+def test_validate_reports_an_exponent_outside_the_moduli(capsys):
+    code = run(["--format", "json", "gcirc", "validate", "--spec", _SPEC_OUT_OF_RANGE])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["valid"] is False and report["exponents_in_range"] is False
+    assert report["stabilizer"] is None and report["transitive"] is False

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circforge import (
     AbelianGroup,
@@ -26,6 +28,7 @@ from circforge import (
     klein_spec,
     leibniz_det,
     normal_form_poly,
+    pairing,
     permute_to_standard,
     perp,
     product_merge,
@@ -223,6 +226,37 @@ def test_validate_non_transitive():
     )
     rep = validate_normal_form(spec)
     assert not rep.valid
+
+
+@st.composite
+def _specs_with_stray_exponents(draw):
+    """A spec over a quotient group of order 2..6 whose exponent columns are
+    often outside (1/p_i)Z: each column is either a character of the
+    quotient at the labels, so the generator permutes the eigen factors,
+    or draws each entry with denominator p_i, 2 or 3."""
+    moduli = tuple(draw(st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=1, max_size=2)))
+    q = draw(st.sampled_from([g for g in groups_of_order_up_to(6) if g.order > 1]))
+    labels = (q.identity, *draw(st.permutations([e for e in q.elements() if not e.is_identity()])))
+    ctx = PairingContext.natural(q)
+    cols = []
+    for p in moduli:
+        if draw(st.booleans()):
+            j = draw(st.sampled_from(list(q.elements())))
+            cols.append([Fraction(pairing(ctx, j, l), ctx.k) for l in labels[1:]])
+        else:
+            dens = [draw(st.sampled_from([p, 2, 3])) for _ in labels[1:]]
+            cols.append([Fraction(draw(st.integers(0, d - 1)), d) for d in dens])
+    return NormalFormSpec(moduli, q.order, tuple(zip(*cols)), q, labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_specs_with_stray_exponents())
+def test_validate_reports_stray_exponents_instead_of_raising(spec):
+    # a character column whose order does not divide p_i permutes the
+    # factors, but not as an action of Z/p_i: that is a report, not an error
+    rep = validate_normal_form(spec)
+    if not rep.exponents_in_range:
+        assert not rep.valid
 
 
 def test_irreducible_exponents():

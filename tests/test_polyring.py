@@ -1020,3 +1020,95 @@ def test_substitute_refuses_what_the_target_cannot_hold():
         (x * FracPoly.monomial(_SUB_SOURCE, {"u": -1})).substitute(
             {"x": FracPoly.variable(target, "t")}, target_space=VarSpace([("u", 1)], ["t", "w", "s", "y", "z"])
         )
+
+
+# -- one change-of-space rule, one monomial power, one invariance test ------------------
+
+
+def test_in_space_refuses_a_negative_exponent_made_divisorial():
+    from circforge.polyring import poly_sum
+
+    src = VarSpace([], ["x", "y", "u"])
+    f = FracPoly.monomial(src, {"x": -1, "y": 1})
+    target = VarSpace([("x", 2)], ["y", "u"])
+    with pytest.raises(ValueError, match="negative exponent on divisorial variable x"):
+        f.in_space(target)
+    with pytest.raises(ValueError, match="negative exponent on divisorial variable x"):
+        poly_sum(target, [f])
+    # u is in f's space but in no term of it, so a space without u takes f
+    small = VarSpace([], ["y", "x"])
+    want = FracPoly.monomial(small, {"x": -1, "y": 1})
+    for got in (f.in_space(small), poly_sum(small, [f])):
+        assert got.space == small and got.terms == want.terms
+    # a variable that a term uses is still refused
+    with pytest.raises(ValueError, match="missing variable u"):
+        (f * FracPoly.variable(src, "u")).in_space(small)
+
+
+def _power_oracle(p, n):
+    """p ** n by square-and-multiply from 1 with public *, the accumulator
+    on the left of every product."""
+    acc, base = FracPoly.constant(p.space, 1), p
+    while n:
+        if n & 1:
+            acc = acc * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return acc
+
+
+_POWER_SPACE = VarSpace([("w", 3)], ["x", "y"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_power_matches_square_and_multiply(data):
+    draw = data.draw
+    # 3 stored at order 4, 3/4 at order 1, e_8^3, i, and -1 stored at order 2
+    coeffs = [Cyclo.rational(3, 4), Cyclo.rational(Fraction(3, 4)), root_of_unity(8, 3), root_of_unity(4, 1), root_of_unity(2, 1)]
+    c = draw(st.sampled_from(coeffs))
+    exps = {"w": Fraction(draw(st.integers(0, 4)), 3), "x": draw(st.integers(-2, 2)), "y": draw(st.integers(0, 2))}
+    p = FracPoly.monomial(_POWER_SPACE, exps, c)
+    if draw(st.booleans()):  # a two-term p takes the polynomial steps
+        p = p + FracPoly.monomial(_POWER_SPACE, {"x": draw(st.integers(0, 2)), "y": 1}, draw(_product_coeffs()))
+    n = draw(st.integers(0, 6))
+    _assert_same_product(p ** n, _power_oracle(p, n))
+
+
+def _fixed_by_every_generator(f, action):
+    return all(apply_group(f, action, action.group.generator(i)) == f for i in range(action.group.rank))
+
+
+_ACTED_SPACE = VarSpace([("w", 2), ("s", 3)], ["x", "y"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_is_invariant_is_fixed_by_every_generator(data):
+    from circforge import is_invariant
+
+    draw = data.draw
+    group = AbelianGroup(tuple(draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=2))))
+    # the action may leave a variable out; w and s take fractional weights
+    # on their fractional exponents
+    names = draw(st.lists(st.sampled_from(_ACTED_SPACE.names), unique=True, min_size=3))
+    action = DiagonalAction(group, {n: [draw(st.integers(0, p - 1)) for p in group.moduli] for n in names})
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        key = (
+            Fraction(draw(st.integers(0, 4)), 2),
+            Fraction(draw(st.integers(0, 6)), 3),
+            draw(st.integers(-2, 3)),
+            draw(st.integers(0, 3)),
+        )
+        # exponents times 12 give weights divisible by every modulus
+        scale = draw(st.sampled_from([1, 12]))
+        terms[tuple(e * scale for e in key)] = draw(_product_coeffs())
+    f = FracPoly(_ACTED_SPACE, terms)
+    try:
+        want = _fixed_by_every_generator(f, action)
+    except ValueError:
+        with pytest.raises(ValueError, match="not covered by the action"):
+            is_invariant(f, action)
+        return
+    assert is_invariant(f, action) == want
