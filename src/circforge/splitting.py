@@ -11,6 +11,20 @@ of the residual (with respect to z and the total degree of the remaining
 variables) dictates the admissible degrees for the next homogeneous part,
 and each admissible initial form yields one branch.
 
+A node of the search for a root b is the residual psi_b, the coefficients
+of Y in g(z = -b - Y), each truncated past the degree bound d.  At the
+root of the search b = 0, and g(z = -Y) only flips the sign of the odd
+powers of z.  A branch with the next homogeneous part h passes its child
+psi_{b+h}(Y) = psi_b(Y + h), by a Horner shift in Y that truncates every
+coefficient as it is formed; no node substitutes into g.  This is exact:
+every term of h has total degree delta >= 1 (the slope of its edge), so
+multiplying by h or shifting by h never lowers the degree of a term, and
+the terms past d that the parent dropped cannot reach degree <= d in the
+child.  So truncating before the shift gives the same coefficients as
+truncating after it (the Taylor shift of von zur Gathen and Gerhard,
+ISSAC 1997; carrying the transformed polynomial down the tree as in
+D. Duval, "Rational Puiseux expansions", Compositio Math. 70, 1989).
+
 An edge equation is a polynomial in Y whose coefficients are homogeneous
 forms; a scalar is a form of degree 0, so one solver serves both.
 `_radical_roots` solves linear, binomial and quadratic equations, for
@@ -99,7 +113,12 @@ class _SearchState:
 
 
 def clear_denominators(f: FracPoly, powers) -> FracPoly:
-    """Apply substitute_power to every divisorial variable of f."""
+    """Apply substitute_power to every divisorial variable of f.  powers is
+    one int or {name: int}, and every power given must be at least 1, also
+    when f has no divisorial variable."""
+    for p in powers.values() if isinstance(powers, dict) else (powers,):
+        if p < 1:
+            raise ValueError(f"powers must be at least 1, got {p}")
     g = f
     for name in list(f.space.div_names):
         p = powers if isinstance(powers, int) else powers[name]
@@ -122,6 +141,8 @@ def split_newton(
     """
     d = DEFAULT_DEGREE_BOUND if degree_bound is None else degree_bound
     cap = DEFAULT_BRANCH_CAP if branch_cap is None else branch_cap
+    if cap < 0:
+        raise ValueError(f"branch_cap must be at least 0, got {cap}")
     g = clear_denominators(f, powers)
     coeffs = g.coefficients_in(z)
     k = max(coeffs, default=0)
@@ -161,27 +182,24 @@ def verify_split(f: FracPoly, powers, roots, degree_bound: int | None = None, z:
 def _find_roots(g: FracPoly, k: int, state: _SearchState):
     if k == 0:
         return []
-    zero = FracPoly.zero(g.space)
-    for b in _root_candidates(g, zero, 1, state):
+    # psi at the root of the search, b = 0: g(z = -Y) flips the sign of the
+    # odd powers of z
+    space = g.space.union(_SCALARS)
+    psi = {}
+    for m, c in g.coefficients_in(state.z).items():
+        c = truncate(c.in_space(space), state.bound)
+        if not c.is_zero():
+            psi[m] = -c if m % 2 else c
+    for b in _root_candidates(psi, FracPoly.zero(g.space), 1, state):
         rest = _find_roots(_deflate(g, b, state), k - 1, state)
         if rest is not None:
             return [b] + rest
     return None
 
 
-def _psi_coefficients(g: FracPoly, b: FracPoly, state: _SearchState) -> dict:
-    """Coefficients of Y in g(z = -b - Y), truncated past the degree bound.
-
-    They live in g's space joined with Y, so every edge form can be
-    multiplied by Y without a change of space."""
-    space = g.space.union(VarSpace((), (_Y,)))
-    shifted = g.substitute({state.z: -(b.in_space(space)) - FracPoly.variable(space, _Y)}, target_space=space)
-    truncated = {m: truncate(c, state.bound) for m, c in shifted.coefficients_in(_Y).items()}
-    return {m: c for m, c in truncated.items() if not c.is_zero()}
-
-
-def _root_candidates(g: FracPoly, b: FracPoly, delta_min, state: _SearchState):
-    psi = _psi_coefficients(g, b, state)
+def _root_candidates(psi: dict, b: FracPoly, delta_min, state: _SearchState):
+    """The roots b + ... that close, given psi = {m: coefficient of Y^m in
+    g(z = -b - Y)}, truncated past the degree bound."""
     c0 = psi.get(0)
     if c0 is None:
         yield b
@@ -197,13 +215,35 @@ def _root_candidates(g: FracPoly, b: FracPoly, delta_min, state: _SearchState):
         terms = {}
         for m in range(ma, mb + 1):
             cm = psi.get(m)
-            part = cm.homogeneous_parts().get(Fraction(oa - delta * (m - ma))) if cm is not None else None
+            part = _degree_part(cm, oa - delta * (m - ma)) if cm is not None else None
             if part is not None:
                 terms[m - ma] = part
         for h in _solve_edge(terms, delta, state):
             state.charge_branch()
-            yield from _root_candidates(g, b + h, delta + 1, state)
+            yield from _root_candidates(_taylor_shift(psi, h, state.bound), b + h, delta + 1, state)
     state.failed_at = max(state.failed_at, c0.order())
+
+
+def _degree_part(f: FracPoly, degree: Fraction):
+    """The terms of f of total degree degree, in map order, or None."""
+    scaled = degree * f.space.lcm  # an int when some term can have this degree
+    if scaled.denominator != 1:
+        return None
+    scaled = int(scaled)
+    terms = {k: c for k, c in f.terms.items() if f._term_degree(k) == scaled}
+    return FracPoly._raw(f.space, terms) if terms else None
+
+
+def _taylor_shift(psi: dict, h: FracPoly, bound) -> dict:
+    """{m: coefficient of Y^m in psi(Y + h)}, zeros dropped, every
+    coefficient truncated past the bound as it is formed (exact, see the
+    module docstring)."""
+    n = max(psi)
+    a = [psi.get(m) or FracPoly.zero(h.space) for m in range(n + 1)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] = truncate(a[j] + h * a[j + 1], bound)
+    return {m: c for m, c in enumerate(a) if not c.is_zero()}
 
 
 def _lower_hull_edges(points):

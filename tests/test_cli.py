@@ -67,8 +67,9 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
-# z^2 over the free variables z, x
+# z^2 and 0 over the free variables z, x
 _Z2 = '{"space":{"divisorial":[],"free":["z","x"]},"terms":[{"w":[],"free":[2,0],"coeff":{"order":1,"coeffs":["1"]}}]}'
+_Z2_ZERO = '{"space":{"divisorial":[],"free":["z","x"]},"terms":[]}'
 # (z + e3 x)(z + e4 x): it splits, but the discriminant's square root is
 # beyond cyclo_nth_root, so the search is undecided
 _ZX = VarSpace([], ["z", "x"])
@@ -167,6 +168,14 @@ _X_ZERO = _X_POLY % ""
         # a product spec where a single normal form is needed
         (["gcirc", "validate", "--spec", _SPEC_PRODUCT], "^gcirc validate expects a single normal form$"),
         (["gcirc", "codim1", "--spec", _SPEC_PRODUCT], "^gcirc codim1 expects a single normal form$"),
+        # a power below 1 or a negative branch cap, refused also when the
+        # polynomial has no divisorial variable
+        (["split", "newton", "--poly", _Z2, "--powers", "0"], "^powers must be at least 1, got 0$"),
+        (["split", "newton", "--poly", _Z2, "--cap", "-1"], "^branch_cap must be at least 0, got -1$"),
+        (
+            ["split", "verify", "--poly", _Z2, "--roots", f"[{_Z2_ZERO},{_Z2_ZERO}]", "--powers", "0"],
+            "^powers must be at least 1, got 0$",
+        ),
     ],
     ids=[
         "det-cpk-noncyclic",
@@ -221,6 +230,9 @@ _X_ZERO = _X_POLY % ""
         "perp-group-zx-no-factor",
         "validate-product-spec",
         "codim1-product-spec",
+        "newton-powers-zero",
+        "newton-cap-negative",
+        "verify-powers-zero",
     ],
 )
 def test_domain_error_exit_code(capsys, argv, match):
@@ -321,6 +333,16 @@ def test_split_example_basic(capsys):
     assert "z^2 + w*x^3 + w^3*x^2" in out
     assert "z^2 + w^3*x^2 + w^3*x^3" in out
     assert "splits to degree 12: True" in out
+
+
+@pytest.mark.parametrize("degree", [12, 30])
+def test_split_example_basic_golden_bytes(capsys, degree):
+    # the whole JSON stdout, roots and their Cyclo orders included; the
+    # degree-30 run is the one the blowup_split benchmark op makes
+    argv = ["--format", "json", "split", "example-basic"] + (["--degree", "30"] if degree == 30 else [])
+    code, out = _capture(capsys, argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"split_example_basic_{degree}.json").read_bytes()
 
 
 def test_pipeline_command(capsys):

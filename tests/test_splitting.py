@@ -167,6 +167,48 @@ def test_monomial_root_products_never_nosplit(drawn):
     assert not found
 
 
+def _outcome(f, bound):
+    """The roots split_newton returns, or the class and message it raises."""
+    try:
+        return split_newton(f, "z", degree_bound=bound)
+    except (NoSplit, Unsupported, Ambiguous) as err:
+        return type(err), str(err)
+
+
+_PAST_BOUND_TERMS = st.lists(
+    st.tuples(
+        st.one_of(st.integers(-3, 3).filter(bool).map(Cyclo.rational), st.sampled_from([root_of_unity(3), root_of_unity(4)])),
+        st.integers(0, 3),
+        st.tuples(*(st.integers(0, 2) for _ in "vxy")),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MONOMIAL_ROOTS, _PAST_BOUND_TERMS)
+def test_terms_past_the_bound_do_not_move_the_outcome(drawn, extra):
+    # prod(z + c_i * m_i) plus terms c * v^(bound+1+a) x^b y^c * z^m with
+    # m < k: each added term lies past the degree bound, so the roots (as
+    # values, in order) or the exception and its message stay the same
+    sp = VarSpace([], ["v", "x", "y", "z"])
+    roots = [FracPoly.monomial(sp, dict(zip("vxy", exps)), c) for c, exps in drawn]
+    z = FracPoly.variable(sp, "z")
+    f = math.prod(z + b for b in roots)
+    bound = int(sum(b.total_degree() for b in roots)) + 1
+    tail = [
+        FracPoly.monomial(sp, {"v": bound + 1 + a, "x": b, "y": c, "z": m % len(roots)}, coeff)
+        for coeff, m, (a, b, c) in extra
+    ]
+    want, got = _outcome(f, bound), _outcome(sum(tail, f), bound)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, list) and len(got) == len(want)
+        assert all(r == s for r, s in zip(got, want))
+
+
 def test_split_cp3_exact():
     p3 = normal_form_poly(cpk_spec(3))
     roots = split_newton(p3, "z", powers=3, degree_bound=10)
@@ -200,6 +242,22 @@ def test_split_monic_validation():
         split_newton(x * z * z, "z", powers=1)
     with pytest.raises(ValueError):
         split_newton(z * z + 1, "z", powers=1)
+
+
+def test_split_refuses_powers_below_one_and_a_negative_cap():
+    sp = VarSpace([], ["x", "z"])
+    x, z = FracPoly.variable(sp, "x"), FracPoly.variable(sp, "z")
+    f = z * z - x * x
+    for powers in (0, -2, {"w": 0}):
+        with pytest.raises(ValueError, match="^powers must be at least 1"):
+            split_newton(f, "z", powers=powers)
+        with pytest.raises(ValueError, match="^powers must be at least 1"):
+            verify_split(f, powers, [x, -x])
+    with pytest.raises(ValueError, match="^branch_cap must be at least 0, got -1$"):
+        split_newton(f, "z", branch_cap=-1)
+    # a cap of 0 is a budget, not an error
+    with pytest.raises(Ambiguous):
+        split_newton(f, "z", branch_cap=0)
 
 
 def test_branch_cap_ambiguous():
