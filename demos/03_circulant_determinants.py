@@ -16,7 +16,8 @@ from circforge import (
     verify_eigen_system,
     z2z4_spec,
 )
-from circforge.gcirc import spec_space, spec_values
+from circforge.gcirc import spec_factors, spec_space, spec_values
+from circforge.polyring import product
 
 # The cyclic normal forms: cp(2) is the pinch point, cp(3) its order-3 cousin.
 print("cp(2):", normal_form_poly(cpk_spec(2)))
@@ -37,11 +38,11 @@ print("eigen identity holds:", verify_eigen_system(mat, eigen_system(klein)))
 # The determinant is the product of the character sums -- and agrees with a
 # signed permutation expansion of the explicit matrix.
 spec = klein_spec()
-sp = spec_space(spec)
-vals = spec_values(spec, sp)
+(factors,) = spec_factors(spec)
 poly = normal_form_poly(spec)
 print("Klein determinant has", len(poly.terms), "terms")
-print("Leibniz expansion agrees:", poly == leibniz_det(mat, vals))
+print(f"product of its {len(factors)} character sums agrees:", product(factors) == poly)
+print("Leibniz expansion agrees:", poly == leibniz_det(mat, spec_values(spec, spec_space(spec))))
 
 # A normal-form specification validates by computing the induced action on
 # the eigenvalue factors: transitivity is irreducibility, the stabilizer

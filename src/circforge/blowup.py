@@ -17,14 +17,7 @@ from math import prod
 from operator import le, mul, sub
 
 from .abelian import AbelianGroup
-from .gcirc import (
-    NormalFormSpec,
-    ProductNormalFormSpec,
-    _additive_gamma,
-    eigen_factors,
-    spec_values,
-    validate_normal_form,
-)
+from .gcirc import _parts, spec_factors, spec_space, validate_normal_form
 from .polyring import (
     DiagonalAction,
     FracPoly,
@@ -493,47 +486,39 @@ class PipelineReport:
     product_verified: bool
 
 
+def divisor_weights(spec, i: int) -> dict:
+    """Weights of the weighted blow-up along the i-th divisor of a (product)
+    spec, keyed by the names of spec_space(spec): p_i on w_i, and p_i - mu + 1
+    on each x, mu the residue p_i gamma_i of its exponent on w_i."""
+    w = spec.w_names()[i]
+    p = spec.moduli[i]
+    mus = [e.residues[i] for part in _parts(spec) for e in part.exponent_elements()]
+    return {w: p, **{x: p - mu + 1 for x, mu in zip(spec.x_names(), mus)}}
+
+
 def gcirc_blowup_sequence(spec) -> PipelineReport:
-    """One weighted blow-up per divisorial variable, following the w-charts;
-    the final strict transform is checked to be a product of linear factors
-    with independent linear parts."""
-    if isinstance(spec, NormalFormSpec):
-        spec = ProductNormalFormSpec((spec,))
-    for f in spec.factors:
-        rep = validate_normal_form(f, allow_omitted_divisors=len(spec.factors) > 1)
-        if not rep.valid:
-            raise ValueError("factor fails validation")
+    """One weighted blow-up per divisorial variable (`divisor_weights`),
+    following the w-charts; the final strict transform is checked to be a
+    product of linear factors with independent linear parts."""
+    parts = _parts(spec)
+    if not all(validate_normal_form(f, allow_omitted_divisors=len(parts) > 1).valid for f in parts):
+        raise ValueError("factor fails validation")
     moduli = spec.moduli
-    r = len(moduli)
-    k = spec.k
-    names = spec.x_names()
-    w_names = spec.factors[0].w_names()
-
-    # per x, its exponent residues mu (one per divisor) off the factor
-    # gammas, in the order of current_names, which the charts rename
-    mu = [e.residues for fac in spec.factors for e in fac.exponent_elements()]
-
-    space = VarSpace(list(zip(w_names, moduli)), list(names))
-    factors = []
-    pos = 0
-    for fac in spec.factors:
-        sub_names = names[pos : pos + fac.k]
-        vals = spec_values(fac, space, x_names=sub_names)
-        by_label = dict(zip(fac.labels, eigen_factors(fac.quotient_group, vals, ordering=fac.labels)))
-        factors += [by_label[j] for j in fac.quotient_group.elements()]
-        pos += fac.k
-    # integral w-exponents, as in normal_form_poly, when every factor's gamma is additive
-    total_poly = product(factors, integral=w_names if all(map(_additive_gamma, spec.factors)) else ())
+    factors = [f for part_factors in spec_factors(spec) for f in part_factors]
+    # A valid part has a non-None _eigen_action_permutations: adding column
+    # i of its gammas to the phases (<j, l_m>)_m of the factor at j gives
+    # the phases of a factor j', so gamma_(m, i) = <j' - j, l_m> mod Z, a
+    # character of the labels.  Every column is then additive on the
+    # quotient group, each part's determinant has integral w-exponents (see
+    # normal_form_poly), and so has their product.
+    total_poly = product(factors, integral=spec.w_names())
 
     steps = []
-    current_names = list(names)
-    for i in range(r):
-        p = moduli[i]
-        wt_map = {w_names[i]: p}
-        for name, m in zip(current_names, mu):
-            wt_map[name] = p - m[i] + 1
-        params = [w_names[i]] + current_names
-        atlas = charts(space, params, [wt_map[n] for n in params])
+    space = spec_space(spec)
+    current = {x: x for x in spec.x_names()}  # x name -> its name in the current chart
+    for i, p in enumerate(moduli):
+        wt_map = {current.get(n, n): wt for n, wt in divisor_weights(spec, i).items()}
+        atlas = charts(space, wt_map, wt_map.values())
         cmap, action = atlas.charts[0]  # the divisor chart
         new_factors = []
         mult_total = Fraction(0)
@@ -553,17 +538,17 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
                 chart_var=cmap.chart_var,
                 weight_map=dict(wt_map),
                 multiplicity=int(mult_total),
-                expected_multiplicity=k * (p + 1),
+                expected_multiplicity=spec.k * (p + 1),
                 group_order=p,
                 max_chart_cyclic_order=max(wt_map.values()),
             )
         )
-        current_names = [cmap.y_names[n] for n in current_names]  # renamed by the chart
+        current = {n: cmap.y_names[c] for n, c in current.items()}  # renamed by the chart
         space = cmap.new_space
 
     product_verified = product(factors) == total_poly
 
-    nc = _independent_linear_parts(factors, current_names)
+    nc = _independent_linear_parts(factors, list(current.values()))
     order_bound = sum(moduli) + 1
     cyclic_ok = all(s.max_chart_cyclic_order <= order_bound for s in steps) and all(
         p <= order_bound for p in moduli

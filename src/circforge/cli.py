@@ -416,13 +416,14 @@ def cmd_blowup_pullback(args):
     from . import jsonio
 
     spec = _single_spec(args.spec, "blowup pullback")
-    from .blowup import pullback
-    from .gcirc import normal_form_poly
-
-    poly = normal_form_poly(spec)
     if spec.r != 1:
         raise DomainError("chart pullback via this command supports one divisor; use pipeline")
-    total, st, mult = pullback(poly, _divisor_atlas(poly, spec.k), args.chart)
+    from .blowup import pullback
+    from .gcirc import normal_form_poly, validate_normal_form
+
+    if not validate_normal_form(spec).valid:
+        raise DomainError("blowup pullback: the spec fails validation (see gcirc validate)")
+    total, st, mult = pullback(normal_form_poly(spec), _divisor_atlas(spec), args.chart)
     payload = {
         "pullback": jsonio.poly_to_json(total),
         "strict_transform": jsonio.poly_to_json(st),
@@ -431,29 +432,21 @@ def cmd_blowup_pullback(args):
     return payload, [f"multiplicity: {mult}", f"strict transform: {st}"]
 
 
-def _divisor_atlas(poly, k: int):
-    """Weighted blow-up of (w, x_0, ..., x_{k-1}) with weights (k, k+1, k, ..., 2)."""
-    from .blowup import charts
+def _divisor_atlas(spec):
+    """Atlas of the first weighted blow-up of the pipeline on spec: the
+    divisor w and the x's with weights divisor_weights(spec, 0)."""
+    from .blowup import charts, divisor_weights
+    from .gcirc import spec_space
 
-    params = ["w"] + [n for n in poly.space.names if n != "w"]
-    return charts(poly.space, params, [k] + [k - j + 1 for j in range(k)])
-
-
-def _cpk_chart_action(k: int):
-    from .blowup import pullback
-    from .gcirc import cpk_spec, normal_form_poly
-
-    poly = normal_form_poly(cpk_spec(k))
-    atlas = _divisor_atlas(poly, k)
-    cmap, action = atlas.charts[0]
-    _total, st, _mult = pullback(poly, atlas, 0)
-    return atlas, cmap, action, st
+    wts = divisor_weights(spec, 0)
+    return charts(spec_space(spec), wts, wts.values())
 
 
 def cmd_blowup_hilbert(args):
     from .blowup import hilbert_basis
+    from .gcirc import cpk_spec
 
-    _atlas, cmap, action, _st = _cpk_chart_action(args.cpk)
+    _cmap, action = _divisor_atlas(cpk_spec(args.cpk)).charts[0]
     hb = hilbert_basis(action)
     payload = {
         "variables": list(hb.variables),
@@ -467,8 +460,9 @@ def cmd_blowup_hilbert(args):
 
 def cmd_blowup_relations(args):
     from .blowup import hilbert_basis, relations
+    from .gcirc import cpk_spec
 
-    _atlas, cmap, action, _st = _cpk_chart_action(args.cpk)
+    _cmap, action = _divisor_atlas(cpk_spec(args.cpk)).charts[0]
     hb = hilbert_basis(action)
     rels = relations(hb)
     payload = {"relations": [{"left": list(r.left), "right": list(r.right)} for r in rels.relations]}
@@ -483,10 +477,13 @@ def cmd_blowup_relations(args):
 
 def cmd_blowup_quotient(args):
     from . import jsonio
-    from .blowup import hilbert_basis, quotient_image
+    from .blowup import hilbert_basis, pullback, quotient_image
+    from .gcirc import cpk_spec, normal_form_poly
 
-    _atlas, cmap, action, st = _cpk_chart_action(args.cpk)
-    hb = hilbert_basis(action)
+    spec = cpk_spec(args.cpk)
+    atlas = _divisor_atlas(spec)
+    _total, st, _mult = pullback(normal_form_poly(spec), atlas, 0)
+    hb = hilbert_basis(atlas.charts[0][1])
     img = quotient_image(st, hb)
     payload = {
         "image": jsonio.poly_to_json(img),

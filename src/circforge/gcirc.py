@@ -298,11 +298,9 @@ def z2z4_spec() -> NormalFormSpec:
     )
 
 
-def spec_space(spec: NormalFormSpec, x_names=None) -> VarSpace:
-    return VarSpace(
-        list(zip(spec.w_names(), spec.moduli)),
-        list(x_names) if x_names is not None else list(spec.x_names()),
-    )
+def spec_space(spec) -> VarSpace:
+    """The space of a (product) spec's normal form: its w's and its x's."""
+    return VarSpace(list(zip(spec.w_names(), spec.moduli)), list(spec.x_names()))
 
 
 def spec_values(spec: NormalFormSpec, space: VarSpace, x_names=None) -> list[FracPoly]:
@@ -318,11 +316,28 @@ def spec_values(spec: NormalFormSpec, space: VarSpace, x_names=None) -> list[Fra
     return vals
 
 
-def normal_form_poly(spec, x_names=None) -> FracPoly:
-    """The defining polynomial; raises NonPolynomial if w-exponents fail to cancel.
+def spec_factors(spec) -> list[list[FracPoly]]:
+    """The eigen factors of each part of a (product) spec, one list per part
+    in its label order, all over spec_space(spec); the normal form is their
+    product."""
+    space = spec_space(spec)
+    names = iter(spec.x_names())
+    return [
+        eigen_factors(part.quotient_group, spec_values(part, space, [next(names) for _ in range(part.k)]), part.labels)
+        for part in _parts(spec)
+    ]
 
-    The polynomial is the determinant of the circulant matrix (a_(g-h)) of
-    the quotient group, a_(labels[j]) the j-th value, which carries the
+
+def _parts(spec) -> tuple[NormalFormSpec, ...]:
+    return spec.factors if isinstance(spec, ProductNormalFormSpec) else (spec,)
+
+
+def normal_form_poly(spec) -> FracPoly:
+    """The defining polynomial, the product of the parts' determinants;
+    raises NonPolynomial if w-exponents fail to cancel.
+
+    A part's determinant is that of the circulant matrix (a_(g-h)) of its
+    quotient group, a_(labels[j]) the j-th value, which carries the
     w-exponents gamma_j (gamma_0 = 0).  When labels[j] -> gamma_j mod Z is
     additive on the quotient group (`_additive_gamma`), every Leibniz term
     prod_g a_(g - sigma(g)) has w-exponents sum_g gamma(g - sigma(g)) =
@@ -330,15 +345,14 @@ def normal_form_poly(spec, x_names=None) -> FracPoly:
     then the integral-exponent part of its eigen-factor product, and only
     that part is formed (`product`'s integral).  Otherwise the whole product
     is formed and its w-exponents are checked."""
-    if isinstance(spec, ProductNormalFormSpec):
-        return _product_poly(spec)
-    space = spec_space(spec, x_names)
-    factors = eigen_factors(spec.quotient_group, spec_values(spec, space, x_names), ordering=spec.labels)
-    if _additive_gamma(spec):
-        return product(factors, integral=spec.w_names())
-    poly = product(factors)
-    _require_integer_w(poly, spec.w_names())
-    return poly
+    dets = []
+    for part, factors in zip(_parts(spec), spec_factors(spec)):
+        if _additive_gamma(part):
+            dets.append(product(factors, integral=part.w_names()))
+        else:
+            dets.append(product(factors))
+            _require_integer_w(dets[-1], part.w_names())
+    return dets[0] if len(dets) == 1 else product(dets)
 
 
 def _additive_gamma(spec: NormalFormSpec) -> bool:
@@ -391,6 +405,9 @@ class ProductNormalFormSpec:
     def k(self) -> int:
         return sum(f.k for f in self.factors)
 
+    def w_names(self) -> tuple[str, ...]:
+        return self.factors[0].w_names()
+
     def x_names(self) -> tuple[str, ...]:
         if len(self.factors) == 1:
             return self.factors[0].x_names()
@@ -398,16 +415,6 @@ class ProductNormalFormSpec:
         for h, f in enumerate(self.factors):
             out.extend(f"x{h+1}_{j}" for j in range(f.k))
         return tuple(out)
-
-
-def _product_poly(spec: ProductNormalFormSpec) -> FracPoly:
-    names = spec.x_names()
-    polys = []
-    pos = 0
-    for f in spec.factors:
-        polys.append(normal_form_poly(f, x_names=names[pos : pos + f.k]))
-        pos += f.k
-    return product(polys)
 
 
 # -- validation -----------------------------------------------------------------
@@ -743,7 +750,7 @@ def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
         betas.append(g.element(tuple(res)))
 
     subs = {w: 1 for h, w in enumerate(spec.w_names()) if h != i}
-    rhs = eigen_factors(spec.quotient_group, spec_values(spec, spec_space(spec)), ordering=spec.labels)
+    (rhs,) = spec_factors(spec)
     if subs:
         rhs = [f.substitute(subs) for f in rhs]
 

@@ -63,11 +63,8 @@ def inv_cpk(k: int) -> InvSequence:
     """(k, (k+1)/k, 1, k/(k-1), (k-1)/(k-2), ..., 3/2) with contacts x_0, w, x_1, ..."""
     if k < 2:
         raise ValueError("order must be >= 2")
-    entries = [Fraction(k), Fraction(k + 1, k), Fraction(1)]
-    contacts = ["x0", "w", "x1"]
-    for j in range(2, k):
-        entries.append(Fraction(k - j + 2, k - j + 1))
-        contacts.append(f"x{j}")
+    entries = [Fraction(k), Fraction(k + 1, k), Fraction(1)] + [Fraction(m, m - 1) for m in range(k, 2, -1)]
+    contacts = ["x0", "w", "x1"] + [f"x{j}" for j in range(2, k)]
     return InvSequence(tuple(entries), tuple(contacts))
 
 

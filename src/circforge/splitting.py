@@ -121,8 +121,9 @@ def clear_denominators(f: FracPoly, powers) -> FracPoly:
             raise ValueError(f"powers must be at least 1, got {p}")
     g = f
     for name in list(f.space.div_names):
-        p = powers if isinstance(powers, int) else powers[name]
-        g = substitute_power(g, name, p)
+        if not isinstance(powers, int) and name not in powers:
+            raise ValueError(f"powers gives no power for the divisorial variable {name}")
+        g = substitute_power(g, name, powers if isinstance(powers, int) else powers[name])
     return g
 
 

@@ -64,6 +64,7 @@ from circforge import (
     xi,
     z2z4_spec,
 )
+from circforge.blowup import divisor_weights
 from circforge.cli import run as cli_run
 from circforge.gcirc import eigen_factors, lex_ordering, spec_space, spec_values
 from circforge.polyring import linear_part, match_scalar
@@ -238,6 +239,11 @@ def test_criterion_09_invariant_sequences(capsys):
 
 
 def test_criterion_10_blowup_multiplicity(capsys):
+    # the weights of the pipeline's first blow-up of cp(k) are the closed
+    # form (k; k + 1, k, ..., 2) on (w; x_0, ..., x_(k-1))
+    for k in range(2, 9):
+        closed_form = [k] + [k - j + 1 for j in range(k)]
+        assert divisor_weights(cpk_spec(k), 0) == dict(zip(["w", *cpk_spec(k).x_names()], closed_form))
     for k in (2, 3, 4):
         poly = normal_form_poly(cpk_spec(k))
         names = list(poly.space.names)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -8,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from circforge import AbelianGroup, DiagonalAction, FracPoly, VarSpace, apply_group, jsonio, root_of_unity
@@ -91,6 +93,8 @@ _AB_ZERO, _AB_A, _AB_B, _AB_SUM = (
 _CP2 = {"moduli": [2], "k": 2, "gamma": [["1/2"]], "quotient": {"moduli": [2]}, "labels": [[0], [1]]}
 _SPEC_PRODUCT = json.dumps({"factors": [_CP2]})
 _SPEC_OUT_OF_RANGE = json.dumps({**_CP2, "moduli": [3]})
+# the ladder of cp2 with its exponent 1/2 replaced by 0
+_SPEC_UNREALIZED = json.dumps({**_CP2, "gamma": [["0"]]})
 
 # polynomials in x: one with the term x twice, one whose coefficient vector is
 # too long, one whose vector is empty, and 0
@@ -176,6 +180,12 @@ _X_ZERO = _X_POLY % ""
             ["split", "verify", "--poly", _Z2, "--roots", f"[{_Z2_ZERO},{_Z2_ZERO}]", "--powers", "0"],
             "^powers must be at least 1, got 0$",
         ),
+        # pullback takes one valid single-divisor normal form, refused before
+        # any weight is read off its exponents
+        (["blowup", "pullback", "--spec", _SPEC_OUT_OF_RANGE], "^blowup pullback: the spec fails validation"),
+        (["blowup", "pullback", "--spec", _SPEC_UNREALIZED], "^blowup pullback: the spec fails validation"),
+        (["blowup", "pullback", "--spec", "klein"], "supports one divisor"),
+        (["blowup", "pullback", "--spec", _SPEC_PRODUCT], "^blowup pullback expects a single normal form$"),
     ],
     ids=[
         "det-cpk-noncyclic",
@@ -233,6 +243,10 @@ _X_ZERO = _X_POLY % ""
         "newton-powers-zero",
         "newton-cap-negative",
         "verify-powers-zero",
+        "pullback-exponent-out-of-range",
+        "pullback-denominator-unrealized",
+        "pullback-two-divisors",
+        "pullback-product-spec",
     ],
 )
 def test_domain_error_exit_code(capsys, argv, match):
@@ -343,6 +357,74 @@ def test_split_example_basic_golden_bytes(capsys, degree):
     code, out = _capture(capsys, argv)
     assert code == 0
     assert out.encode() == (GOLDEN / f"split_example_basic_{degree}.json").read_bytes()
+
+
+# two product specs: cp2 x cp2, and cp2 along w1 times cp3 along w2 over the
+# moduli (2, 3), each factor omitting the other's divisor
+_CP2_W1 = {"moduli": [2, 3], "k": 2, "gamma": [["1/2", "0"]], "quotient": {"moduli": [2]}, "labels": [[0], [1]]}
+_CP3_W2 = {
+    "moduli": [2, 3], "k": 3, "gamma": [["0", "1/3"], ["0", "2/3"]], "quotient": {"moduli": [3]}, "labels": [[0], [1], [2]]
+}
+_PRODUCT_SPECS = {"cp2xcp2": {"factors": [_CP2, _CP2]}, "cp2w1xcp3w2": {"factors": [_CP2_W1, _CP3_W2]}}
+SPEC_COMMANDS_GOLDEN = GOLDEN / "spec_commands.json"
+
+
+def _spec_command_digests(capsys) -> dict:
+    """sha256 of the --format json stdout of the commands that build eigen
+    factors or blow-up weights from a spec, keyed by the command line (a
+    product spec by its name)."""
+    commands = {}
+    for sub in ("hilbert", "relations", "quotient"):
+        commands.update({f"blowup {sub} --cpk {k}": ["blowup", sub, "--cpk", str(k)] for k in range(2, 7)})
+    for k in range(2, 7):
+        for chart in (0, 1):
+            commands[f"blowup pullback --spec cp{k} --chart {chart}"] = [
+                "blowup", "pullback", "--spec", f"cp{k}", "--chart", str(chart)
+            ]
+    for name, spec in _PRODUCT_SPECS.items():
+        for command in (["gcirc", "normal-form"], ["blowup", "pipeline"]):
+            commands[" ".join(command) + f" --spec {name}"] = command + ["--spec", json.dumps(spec)]
+    commands["gcirc codim1 --spec z2z4 --index 1"] = ["gcirc", "codim1", "--spec", "z2z4", "--index", "1"]
+    out = {}
+    for name, argv in commands.items():
+        code, text = _capture(capsys, ["--format", "json", *argv])
+        assert code == 0, name
+        out[name] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def test_spec_commands_golden_bytes(capsys):
+    assert _spec_command_digests(capsys) == json.loads(SPEC_COMMANDS_GOLDEN.read_text())
+
+
+@st.composite
+def _character_ladders(draw):
+    """A single-divisor spec over Z_p, p = |Q| <= 6: the elements of Q as
+    labels, the identity first and the others shuffled, and as gamma column
+    the values in (1/p)Z/Z of a random character of Q at the labels."""
+    q = draw(st.sampled_from([(2,), (3,), (4,), (2, 2), (5,), (6,), (2, 3)]))
+    p = math.prod(q)
+    chi = [draw(st.sampled_from([a for a in range(p) if m * a % p == 0])) for m in q]
+    group = AbelianGroup(q)
+    rest = draw(st.permutations([g.residues for g in group.elements() if not g.is_identity()]))
+    gamma = [[str(Fraction(sum(map(operator.mul, chi, label)) % p, p))] for label in rest]
+    return {"moduli": [p], "k": p, "gamma": gamma, "quotient": {"moduli": list(q)}, "labels": [[0] * len(q), *rest]}
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_character_ladders())
+def test_pullback_multiplicity_is_the_pipelines(capsys, spec):
+    # the divisor chart of a valid ladder, in any label order, pulls the
+    # normal form back with multiplicity k(p + 1), as the pipeline's first step
+    code, out = _capture(capsys, ["--format", "json", "gcirc", "validate", "--spec", json.dumps(spec)])
+    assume(json.loads(out)["valid"])
+    code, out = _capture(capsys, ["--format", "json", "blowup", "pullback", "--spec", json.dumps(spec)])
+    assert code == 0
+    multiplicity = Fraction(json.loads(out)["multiplicity"])
+    code, out = _capture(capsys, ["--format", "json", "blowup", "pipeline", "--spec", json.dumps(spec)])
+    assert code == 0
+    p = spec["moduli"][0]
+    assert multiplicity == json.loads(out)["steps"][0]["multiplicity"] == p * (p + 1)
 
 
 def test_pipeline_command(capsys):

@@ -488,11 +488,9 @@ def _factor_orbit_transitive_oracle(spec):
     """Independent route: act on the factor polynomials themselves (after
     clearing denominators) and compute the orbit of the first factor."""
     from circforge import DiagonalAction, apply_group, substitute_power
-    from circforge.gcirc import eigen_factors, spec_space, spec_values
+    from circforge.gcirc import spec_factors
 
-    sp = spec_space(spec)
-    vals = spec_values(spec, sp)
-    factors = eigen_factors(spec.quotient_group, vals, ordering=spec.labels)
+    (factors,) = spec_factors(spec)
     cleared = []
     vnames = []
     for f in factors:

@@ -260,6 +260,17 @@ def test_split_refuses_powers_below_one_and_a_negative_cap():
         split_newton(f, "z", branch_cap=0)
 
 
+def test_split_refuses_powers_without_a_divisorial_variable():
+    sp = VarSpace([("w", 2)], ["x", "z"])
+    w, x, z = (FracPoly.variable(sp, n) for n in ("w", "x", "z"))
+    f = z * z - w * x * x
+    match = "^powers gives no power for the divisorial variable w$"
+    with pytest.raises(ValueError, match=match):
+        split_newton(f, "z", powers={"u": 2})
+    with pytest.raises(ValueError, match=match):
+        verify_split(f, {"u": 2}, [x, -x])
+
+
 def test_branch_cap_ambiguous():
     from circforge import Ambiguous
 
