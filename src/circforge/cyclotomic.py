@@ -274,6 +274,12 @@ class Cyclo:
         return tuple(Fraction(n, den) for n in self._num) + (_ZERO,) * (self.order - len(self._num))
 
     @property
+    def integer_data(self) -> tuple[tuple[int, ...], int]:
+        """The canonical (numerators, denominator): the deg Phi_k reduced
+        integer numerators and the positive common denominator D."""
+        return self._num, self._den
+
+    @property
     def coeff_strings(self) -> list[str]:
         """`coeffs` as the strings "n" or "n/d" in lowest terms."""
         den = self._den

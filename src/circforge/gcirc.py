@@ -236,6 +236,9 @@ class NormalFormSpec:
     def x_names(self) -> tuple[str, ...]:
         return default_x_names(self.k)
 
+    def part_x_names(self) -> tuple[tuple[str, ...], ...]:
+        return (self.x_names(),)
+
     def exponent_elements(self) -> tuple[GroupElement, ...]:
         """Element (p_i gamma_{ji})_i of the acting group, per label row."""
         g = self.group
@@ -303,16 +306,16 @@ def spec_space(spec) -> VarSpace:
     return VarSpace(list(zip(spec.w_names(), spec.moduli)), list(spec.x_names()))
 
 
-def spec_values(spec: NormalFormSpec, space: VarSpace, x_names=None) -> list[FracPoly]:
-    names = list(x_names) if x_names is not None else list(spec.x_names())
-    vals = [FracPoly.variable(space, names[0])]
-    for j in range(1, spec.k):
-        exps = {names[j]: 1}
-        for i, wname in enumerate(spec.w_names()):
-            e = spec.gamma[j - 1][i]
-            if e:
-                exps[wname] = e
-        vals.append(FracPoly.monomial(space, exps))
+def spec_values(spec, space: VarSpace) -> list[FracPoly]:
+    """The matrix values of a (product) spec over space, part by part: x_0,
+    then x_j * w^gamma_j for j = 1 .. k-1, in the part's x names."""
+    vals = []
+    for part, names in zip(_parts(spec), spec.part_x_names()):
+        vals.append(FracPoly.variable(space, names[0]))
+        for name, row in zip(names[1:], part.gamma):
+            exps = {name: 1}
+            exps.update((wname, e) for wname, e in zip(part.w_names(), row) if e)
+            vals.append(FracPoly.monomial(space, exps))
     return vals
 
 
@@ -320,11 +323,9 @@ def spec_factors(spec) -> list[list[FracPoly]]:
     """The eigen factors of each part of a (product) spec, one list per part
     in its label order, all over spec_space(spec); the normal form is their
     product."""
-    space = spec_space(spec)
-    names = iter(spec.x_names())
+    values = iter(spec_values(spec, spec_space(spec)))
     return [
-        eigen_factors(part.quotient_group, spec_values(part, space, [next(names) for _ in range(part.k)]), part.labels)
-        for part in _parts(spec)
+        eigen_factors(part.quotient_group, [next(values) for _ in range(part.k)], part.labels) for part in _parts(spec)
     ]
 
 
@@ -409,12 +410,14 @@ class ProductNormalFormSpec:
         return self.factors[0].w_names()
 
     def x_names(self) -> tuple[str, ...]:
+        return tuple(name for names in self.part_x_names() for name in names)
+
+    def part_x_names(self) -> tuple[tuple[str, ...], ...]:
+        """The x names of each part: a lone part keeps its own, and part h
+        of several names its x's x{h+1}_0, x{h+1}_1, ..."""
         if len(self.factors) == 1:
-            return self.factors[0].x_names()
-        out = []
-        for h, f in enumerate(self.factors):
-            out.extend(f"x{h+1}_{j}" for j in range(f.k))
-        return tuple(out)
+            return (self.factors[0].x_names(),)
+        return tuple(tuple(f"x{h + 1}_{j}" for j in range(f.k)) for h, f in enumerate(self.factors))
 
 
 # -- validation -----------------------------------------------------------------

@@ -109,6 +109,7 @@ from .cyclotomic import (
     root_of_unity,
 )
 from .jsonio import frac_to_str
+from .modular import rank_mod
 from .smith import rank
 
 
@@ -829,9 +830,15 @@ def linear_part(f: FracPoly) -> dict:
 
 def linear_rank(linear_parts, names) -> int:
     """Rank of linear parts ({name: coefficient}, as from linear_part) as
-    coefficient vectors over the listed variable names."""
+    coefficient vectors over the listed variable names.
+
+    Full rank is read off the image in a prime field (`modular.rank_mod`),
+    whose rank never exceeds the exact one; any other image is settled by
+    exact elimination (`smith.rank`)."""
     zero = Cyclo.zero()
-    return rank([[lin.get(n, zero) for n in names] for lin in linear_parts])
+    rows = [[lin.get(n, zero) for n in names] for lin in linear_parts]
+    full = min(len(rows), len(names))
+    return full if rank_mod(rows) == full else rank(rows)
 
 
 def truncate(f: FracPoly, d, exclude: frozenset | set = frozenset()) -> FracPoly:
@@ -938,7 +945,7 @@ class DiagonalAction:
         """For space: per generator i, the weight of each position times
         L / b (L = space.lcm), so that a scaled key's dot product with it is
         the term weight times L; the positions of variables the action does
-        not cover; and the moduli p_i * L."""
+        not cover; the moduli p_i * L; and the memo of `_numerators`."""
         data = self._by_space.get(space)
         if data is None:
             names, scales = space.names, space.scales
@@ -947,16 +954,19 @@ class DiagonalAction:
                 for i in range(self.group.rank)
             )
             uncovered = tuple(pos for pos, n in enumerate(names) if n not in self.weights)
-            data = self._by_space[space] = (cols, uncovered, tuple(p * space.lcm for p in self.group.moduli))
+            data = self._by_space[space] = (cols, uncovered, tuple(p * space.lcm for p in self.group.moduli), {})
         return data
 
-    def _numerators(self, space: VarSpace, key) -> list:
+    def _numerators(self, space: VarSpace, key) -> tuple:
         """Per generator, the term weight of key times space.lcm."""
-        cols, uncovered, _mods = self._space_data(space)
-        for pos in uncovered:
-            if key[pos]:
-                raise ValueError(f"variable {space.names[pos]} not covered by the action")
-        return [sum(map(mul, key, col)) for col in cols]
+        cols, uncovered, _mods, memo = self._space_data(space)
+        out = memo.get(key)
+        if out is None:
+            for pos in uncovered:
+                if key[pos]:
+                    raise ValueError(f"variable {space.names[pos]} not covered by the action")
+            out = memo[key] = tuple(sum(map(mul, key, col)) for col in cols)
+        return out
 
     def term_weight(self, space: VarSpace, key, i: int):
         """Phase exponent of a term (a scaled key of space) under generator

@@ -10,12 +10,19 @@ indexed by nested weights, and certifies an invertible coefficient matrix
 into the full factor system.  The action on the factors is composed from
 one factor permutation per generator (`abelian.element_index_maps`), and
 ideal membership row-reduces the linear parts with `smith.echelon`.
+
+Full rank of the factors' linear parts is decided by `linear_rank`: the
+image of the coefficient rows in a prime field F_l (`modular.rank_mod`)
+proves it when the image has full rank, and exact elimination decides
+every other case.  The coefficient matrix depends on integer data alone,
+so it and its determinant are formed once per signature.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .abelian import GroupElement, Subgroup, element_index_maps, index_orbits
 from .cyclotomic import Cyclo, root_of_unity
@@ -263,32 +270,64 @@ def _match_scalar(a: FracPoly, b: FracPoly):
 
 def _factor_permutation(factors, action: DiagonalAction, g: GroupElement):
     """The index map sigma with g . f_j proportional to f_{sigma(j)}, or None
-    when g does not permute the factor ideals."""
+    when g does not permute the factor ideals.
+
+    The factors must have independent linear parts, so no two of them are
+    proportional and a translate is proportional to at most one factor.
+    Each translate is therefore matched against the factors not matched yet:
+    a translate whose factor is taken matches none of them."""
+    free = list(range(len(factors)))
     out = []
     for f in factors:
         moved = apply_group(f, action, g)
-        idx = next((i for i, other in enumerate(factors) if _match_scalar(moved, other) is not None), None)
+        idx = next((i for i in free if _match_scalar(moved, factors[i]) is not None), None)
         if idx is None:
             return None
+        free.remove(idx)
         out.append(idx)
-    if sorted(out) != list(range(len(factors))):
-        return None
     return out
+
+
+@lru_cache(maxsize=256)
+def _coefficient_matrix(moduli, chain, chain_gens, cols, gamma_items):
+    """(rows, matrix, determinant) of the nested normal form's coefficient
+    matrix, which depends on the integer data alone: entry (m, l) is the
+    product over t of e_{p_i}^(m_t * gamma(i, l_1..l_{t-1})) * e_{q_t}^(m_t * l_t),
+    i = chain_gens[t].  Rows and matrix are tuples; callers copy them."""
+    gamma = dict(gamma_items)
+    rows = tuple(itertools.product(*(range(q) for q in chain)))
+    matrix = []
+    for mvec in rows:
+        row = []
+        for lvec in cols:
+            entry = Cyclo.one()
+            for t, (i, q) in enumerate(zip(chain_gens, chain)):
+                g0 = gamma[(i,) + lvec[:t]]
+                entry = entry * root_of_unity(moduli[i], mvec[t] * g0) * root_of_unity(q, mvec[t] * lvec[t])
+            row.append(entry)
+        matrix.append(tuple(row))
+    return rows, tuple(matrix), det(matrix)
 
 
 def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     """Nested circulant normal form of an invariant normal-crossings system.
 
     Certified:
+    - the input factors have independent linear parts: their rank is full
+      in the image in a prime field F_l (a nonzero minor of the image lifts
+      to a nonzero minor), or else by exact elimination (`linear_rank`);
     - each group generator permutes the factor ideals, by matching every
-      translate g_i . f_j against the factors up to a scalar (match_scalar);
-      the index maps of all other elements are compositions of these along
-      the element's residues, so G permutes the factor ideals;
+      translate g_i . f_j against the factors not matched yet, up to a
+      scalar (match_scalar); independence leaves at most one candidate per
+      translate, so this finds the permutation whenever there is one; the
+      index maps of all other elements are compositions of these along the
+      element's residues, so G permutes the factor ideals;
     - each recombined factor equals its group translate of f_1 exactly, and
       that translate is a scalar multiple of the factor the index maps send
       f_1 to; these rows meet every input factor once, which proves
       prod(factors) = scalar * prod(inputs);
-    - the coefficient matrix is invertible;
+    - the coefficient matrix is invertible: its determinant, computed
+      exactly once per integer signature, is nonzero;
     - hence the nested pieces have independent linear parts: the
       recombined factors are the matrix times the pieces, and they are
       nonzero multiples of the k inputs, whose linear parts were checked
@@ -354,22 +393,14 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
         raise DegenerateInput(f"nested pieces number {len(parts)}, expected {k}")
 
     s = len(chain)
-    rows = list(itertools.product(*(range(q) for q in chain)))
     cols = sorted(parts)
-    matrix = []
-    recombined = []
-    for mvec in rows:
-        row = []
-        for lvec in cols:
-            entry = Cyclo.one()
-            for t in range(s):
-                i = chain_gens[t]
-                p = group.moduli[i]
-                g0 = gamma[(i,) + lvec[:t]]
-                entry = entry * root_of_unity(p, mvec[t] * g0) * root_of_unity(chain[t], mvec[t] * lvec[t])
-            row.append(entry)
-        matrix.append(row)
-        recombined.append(poly_sum(space, [parts[lvec].scale(entry) for entry, lvec in zip(row, cols)]))
+    rows, matrix, determinant = _coefficient_matrix(
+        group.moduli, tuple(chain), tuple(chain_gens), tuple(cols), tuple(sorted(gamma.items()))
+    )
+    rows, matrix = list(rows), [list(row) for row in matrix]
+    recombined = [
+        poly_sum(space, [parts[lvec].scale(entry) for entry, lvec in zip(row, cols)]) for row in matrix
+    ]
 
     # each recombined factor must be the corresponding group translate of f1,
     # a scalar multiple of the factor the index maps send f1 to; meeting
@@ -393,7 +424,6 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     if sorted(hit) != list(range(k)):
         raise AssertionError("recombined factors do not match the input system bijectively")
 
-    determinant = det(matrix)
     if determinant.is_zero():
         raise AssertionError("coefficient matrix is singular")
 

@@ -327,7 +327,7 @@ def _modules_loaded_by(code: str) -> set[str]:
 
 def test_cli_loads_only_the_layers_a_subcommand_uses():
     assert _modules_loaded_by("import sys, circforge") == set()
-    unused = {f"circforge.{m}" for m in ("polyring", "gcirc", "blowup", "splitting", "quotient_nc")}
+    unused = {f"circforge.{m}" for m in ("polyring", "modular", "gcirc", "blowup", "splitting", "quotient_nc")}
     for argv, used, absent in [
         (["abelian", "perp", "--group", "2,4", "--sub", "(1,2)"], "abelian", unused),
         (["resinv", "atw", "--parts", "2,2"], "resinv", unused),

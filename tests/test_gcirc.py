@@ -484,6 +484,19 @@ def test_pipeline_product_spec():
     assert len(rep.final_factors) == 4
 
 
+def test_product_spec_values_are_its_parts_values_renamed():
+    parts = (cpk_spec(2), cpk_spec(2))
+    spec = ProductNormalFormSpec(parts)
+    assert spec.part_x_names() == (("x1_0", "x1_1"), ("x2_0", "x2_1"))
+    assert spec.x_names() == sum(spec.part_x_names(), ())
+    space = spec_space(spec)
+    values = spec_values(spec, space)
+    for part, names, start in zip(parts, spec.part_x_names(), (0, 2)):
+        renamed = {old: FracPoly.variable(space, new) for old, new in zip(part.x_names(), names)}
+        own = spec_values(part, spec_space(part))
+        assert values[start : start + part.k] == [v.substitute(renamed, target_space=space) for v in own]
+
+
 def _factor_orbit_transitive_oracle(spec):
     """Independent route: act on the factor polynomials themselves (after
     clearing denominators) and compute the orbit of the first factor."""

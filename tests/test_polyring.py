@@ -25,6 +25,8 @@ from circforge import (
     substitute_power,
     truncate,
 )
+from circforge.modular import prime_field, rank_mod
+from circforge.smith import rank
 
 
 @pytest.fixture
@@ -345,6 +347,58 @@ def test_linear_rank():
     lins = [linear_part(f) for f in (x + y * y + w * z, y + x * x, (x + y).scale(e3) + z * z)]
     assert linear_rank(lins, sp.names) == 2
     assert linear_rank(lins[:2], sp.names) == 2
+
+
+_ORDERS = (1, 2, 3, 4, 6, 8, 12)
+
+
+@st.composite
+def _cyclo(draw):
+    order = draw(st.sampled_from(_ORDERS))
+    numerators = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
+    return Cyclo(order, [Fraction(n, draw(st.integers(1, 3))) for n in numerators])
+
+
+@st.composite
+def _cyclo_rows(draw):
+    """Up to five rows of random Cyclo entries; each row after the first is,
+    half of the time, a combination of the rows before it."""
+    ncols = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        if rows and draw(st.booleans()):
+            scalars = [draw(_cyclo()) for _ in rows]
+            rows.append([sum((c * r[j] for c, r in zip(scalars, rows)), Cyclo.zero()) for j in range(ncols)])
+        else:
+            rows.append([draw(_cyclo()) for _ in range(ncols)])
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cyclo_rows())
+def test_linear_rank_is_the_exact_rank(rows):
+    names = [f"v{j}" for j in range(len(rows[0]))]
+    assert linear_rank([dict(zip(names, row)) for row in rows], names) == rank(rows)
+
+
+def test_linear_rank_settles_a_rank_deficient_image_exactly():
+    # rows of full rank whose image in F_l has lower rank, or none: an entry
+    # l, a denominator l, a minor l, and the same at order 12
+    zero, one = Cyclo.zero(), Cyclo.one()
+    ell, ell12 = prime_field(1)[0], prime_field(12)[0]
+    e12 = root_of_unity(12)
+    cases = [
+        [[Cyclo.rational(ell), zero], [zero, one]],
+        [[Cyclo.rational(Fraction(1, ell)), zero], [zero, one]],
+        [[one, one], [one, Cyclo.rational(1 + ell)]],
+        [[e12 * ell12, zero], [zero, e12]],
+        [[e12, one], [one, (e12 + ell12).inverse()]],
+    ]
+    names = ["x", "y"]
+    for rows in cases:
+        image = rank_mod(rows)
+        assert image is None or image < 2
+        assert linear_rank([dict(zip(names, row)) for row in rows], names) == rank(rows) == 2
 
 
 def test_linear_part():

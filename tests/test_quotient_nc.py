@@ -1,6 +1,10 @@
+import hashlib
+import json
 import math
 import random
+from argparse import Namespace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +27,8 @@ from circforge import (
     semi_invariant_generators,
     semi_invariant_weight,
 )
+from circforge import jsonio
+from circforge.cli import cmd_ncquot_normalize
 from circforge.polyring import linear_part, linear_rank, match_scalar
 from circforge.smith import rank
 
@@ -384,3 +390,80 @@ def test_a_non_translate_is_refused(rng):
     assert _brute_orbits(act, factors) is None
     with pytest.raises(ValueError, match="does not permute the factor ideals"):
         invariant_nc_normal_form(InvariantNCInput(act, factors))
+
+
+# -- byte-pinned outcomes of seeded random systems -----------------------------------
+
+NC_CORPUS = Path(__file__).parent / "golden" / "nc_corpus.json"
+_CORPUS_KINDS = ("orbit", "rescaled", "non_permuted", "split", "dependent", "small_space")
+
+
+def _corpus_system(seed: int):
+    """System `seed` of the corpus: (kind, action, factors).  The kinds are
+    plain orbits in enumeration order, rescaled and shuffled orbits, orbits
+    with one factor replaced, unions of two orbits, orbits with a rescaled
+    copy of one factor added, and orbits on two or three variables, whose
+    linear parts are often dependent."""
+    rng = random.Random(seed)
+    kind = _CORPUS_KINDS[seed % len(_CORPUS_KINDS)]
+    nvars = rng.randint(2, 3) if kind == "small_space" else rng.randint(4, 7)
+    while True:
+        act, orbit = _random_orbit_instance(rng, rng.choice(_ORACLE_POOL + [(8,), (2, 8)]), nvars)
+        if len(orbit) <= 6 and (kind == "small_space" or _independent(orbit)):
+            break
+    factors = orbit
+    if kind == "rescaled":
+        factors = _rescaled_and_shuffled(rng, orbit)
+    elif kind == "non_permuted":
+        factors = list(orbit)
+        factors[rng.randrange(len(factors))] = _random_form(rng, orbit[0].space)
+    elif kind == "split":
+        second = (_orbit(_random_form(rng, orbit[0].space), act) for _ in range(20))
+        factors = _rescaled_and_shuffled(rng, orbit + next((o for o in second if _independent(orbit + o)), orbit[:1]))
+    elif kind == "dependent":
+        factors = orbit + [rng.choice(orbit).scale(_random_scalar(rng))]
+    return kind, act, factors
+
+
+def _corpus_outcome(act, factors) -> str:
+    """The `ncquot normalize --format json` text of a system, or the class
+    and message of the exception it raises."""
+    args = Namespace(
+        action=json.dumps({"moduli": list(act.group.moduli), "weights": act.weights}),
+        factors=json.dumps([jsonio.poly_to_json(f) for f in factors]),
+    )
+    try:
+        payload, _lines = cmd_ncquot_normalize(args)
+    except Exception as exc:  # the outcome being pinned
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def corpus_record(seeds) -> list[dict]:
+    out = []
+    for seed in seeds:
+        kind, act, factors = _corpus_system(seed)
+        text = _corpus_outcome(act, factors)
+        if text.startswith("{"):
+            out.append({"seed": seed, "kind": kind, "sha256": hashlib.sha256(text.encode()).hexdigest()})
+        else:
+            out.append({"seed": seed, "kind": kind, "raises": text})
+    return out
+
+
+def test_nc_corpus_outcomes_are_byte_identical():
+    # recorded before the rank, matrix and matching shortcuts of the normal form
+    golden = json.loads(NC_CORPUS.read_text())
+    assert corpus_record([row["seed"] for row in golden]) == golden
+
+
+def test_a_changed_result_leaves_the_next_call_alone():
+    _kind, act, factors = _corpus_system(0)
+    before = _corpus_outcome(act, factors)
+    nf = invariant_nc_normal_form(InvariantNCInput(act, factors))
+    assert len(nf.matrix) > 1
+    nf.matrix[0][0] = Cyclo.rational(7)
+    nf.matrix[1] = []
+    nf.matrix.append([])
+    nf.row_index.append(())
+    assert _corpus_outcome(act, factors) == before
