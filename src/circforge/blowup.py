@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 from operator import le, mul, sub
 
 from .abelian import AbelianGroup
-from .gcirc import _parts, spec_factors, spec_space, validate_normal_form
+from .gcirc import _additive_gamma, _parts, spec_factors, spec_space, validate_normal_form
 from .polyring import (
     DiagonalAction,
     FracPoly,
@@ -498,46 +497,44 @@ def divisor_weights(spec, i: int) -> dict:
 
 def gcirc_blowup_sequence(spec) -> PipelineReport:
     """One weighted blow-up per divisorial variable (`divisor_weights`),
-    following the w-charts; the final strict transform is checked to be a
-    product of linear factors with independent linear parts."""
+    following the w-charts and pulling back only the eigen factors; the
+    final strict transform is their product, and normal crossings means
+    the final factors are linear forms with independent linear parts.
+
+    product_verified certifies that this product is the strict transform
+    of the normal form: every part passes `_additive_gamma`, an exact check
+    on integers (validation implies it, since each gamma column of a valid
+    part is a character of the labels).  Then the strict transform of the
+    normal form is the product of those of the factors, and each step's
+    multiplicity is the sum of theirs, because:
+    - a circulant determinant is the product of its eigen factors;
+    - labels -> gamma mod Z additive gives the determinant integral
+      w-exponents, so the normal form is exactly that product (see
+      `normal_form_poly`), and so is a product of parts;
+    - a chart is a monomial substitution, hence a ring map, so it pulls
+      the normal form back to the product of the pulled-back factors;
+    - ord_t is additive on products: each strict transform has a nonzero
+      t-free part, and those parts multiply to a nonzero polynomial, so
+      st(prod f_i) = prod st(f_i) and ord_t(prod f_i) = sum ord_t(f_i)."""
     parts = _parts(spec)
     if not all(validate_normal_form(f, allow_omitted_divisors=len(parts) > 1).valid for f in parts):
         raise ValueError("factor fails validation")
     moduli = spec.moduli
     factors = [f for part_factors in spec_factors(spec) for f in part_factors]
-    # A valid part has a non-None _eigen_action_permutations: adding column
-    # i of its gammas to the phases (<j, l_m>)_m of the factor at j gives
-    # the phases of a factor j', so gamma_(m, i) = <j' - j, l_m> mod Z, a
-    # character of the labels.  Every column is then additive on the
-    # quotient group, each part's determinant has integral w-exponents (see
-    # normal_form_poly), and so has their product.
-    total_poly = product(factors, integral=spec.w_names())
-
     steps = []
     space = spec_space(spec)
     current = {x: x for x in spec.x_names()}  # x name -> its name in the current chart
     for i, p in enumerate(moduli):
         wt_map = {current.get(n, n): wt for n, wt in divisor_weights(spec, i).items()}
-        atlas = charts(space, wt_map, wt_map.values())
-        cmap, action = atlas.charts[0]  # the divisor chart
-        new_factors = []
-        mult_total = Fraction(0)
-        for f in factors:
-            tot = cmap.apply(f)
-            st, mlt = strict_transform(tot, cmap.chart_var)
-            new_factors.append(st)
-            mult_total += mlt
-        factors = new_factors
-        total_poly = cmap.apply(total_poly)
-        total_poly, mult_check = strict_transform(total_poly, cmap.chart_var)
-        if mult_check != mult_total:
-            raise AssertionError("factor multiplicities do not add up")
+        cmap, _action = charts(space, wt_map, wt_map.values()).charts[0]  # the divisor chart
+        transforms = [strict_transform(cmap.apply(f), cmap.chart_var) for f in factors]
+        factors = [st for st, _ in transforms]
         steps.append(
             PipelineStep(
                 divisor_index=i,
                 chart_var=cmap.chart_var,
                 weight_map=dict(wt_map),
-                multiplicity=int(mult_total),
+                multiplicity=int(sum(m for _, m in transforms)),
                 expected_multiplicity=spec.k * (p + 1),
                 group_order=p,
                 max_chart_cyclic_order=max(wt_map.values()),
@@ -546,23 +543,18 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
         current = {n: cmap.y_names[c] for n, c in current.items()}  # renamed by the chart
         space = cmap.new_space
 
-    product_verified = product(factors) == total_poly
-
-    nc = _independent_linear_parts(factors, list(current.values()))
+    # step i gives w_i the weight p_i, so the bound on the steps bounds every p_i
     order_bound = sum(moduli) + 1
-    cyclic_ok = all(s.max_chart_cyclic_order <= order_bound for s in steps) and all(
-        p <= order_bound for p in moduli
-    )
     return PipelineReport(
         steps=tuple(steps),
         final_factors=tuple(factors),
-        final_strict_transform=total_poly,
+        final_strict_transform=product(factors),
         group_moduli=tuple(moduli),
         group_order=prod(moduli),
         order_bound=order_bound,
-        cyclic_orders_bounded=cyclic_ok,
-        normal_crossings=nc,
-        product_verified=product_verified,
+        cyclic_orders_bounded=all(s.max_chart_cyclic_order <= order_bound for s in steps),
+        normal_crossings=_independent_linear_parts(factors, list(current.values())),
+        product_verified=all(map(_additive_gamma, parts)),
     )
 
 

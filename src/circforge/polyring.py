@@ -958,27 +958,28 @@ class DiagonalAction:
         return data
 
     def _numerators(self, space: VarSpace, key) -> tuple:
-        """Per generator, the term weight of key times space.lcm."""
-        cols, uncovered, _mods, memo = self._space_data(space)
+        """Per generator, the term weight of key times L = space.lcm, and
+        the same reduced mod p_i * L."""
+        cols, uncovered, mods, memo = self._space_data(space)
         out = memo.get(key)
         if out is None:
             for pos in uncovered:
                 if key[pos]:
                     raise ValueError(f"variable {space.names[pos]} not covered by the action")
-            out = memo[key] = tuple(sum(map(mul, key, col)) for col in cols)
+            nums = tuple(sum(map(mul, key, col)) for col in cols)
+            out = memo[key] = (nums, tuple(map(mod, nums, mods)))
         return out
 
     def term_weight(self, space: VarSpace, key, i: int):
         """Phase exponent of a term (a scaled key of space) under generator
         i, in full turns over p_i: an int when integral, else a Fraction."""
-        t = self._numerators(space, key)[i]
+        t = self._numerators(space, key)[0][i]
         L = space.lcm
         return t // L if t % L == 0 else Fraction(t, L)
 
     def phase(self, space: VarSpace, key, g: GroupElement) -> Cyclo:
         """Character value at g of a term (a scaled key of space)."""
-        mods = self._space_data(space)[2]
-        return _phase(self.group.moduli, g.residues, tuple(map(mod, self._numerators(space, key), mods)), space.lcm)
+        return _phase(self.group.moduli, g.residues, self._numerators(space, key)[1], space.lcm)
 
 
 @lru_cache(maxsize=4096)
@@ -1016,7 +1017,7 @@ def semi_invariant_split(f: FracPoly, action: DiagonalAction, i: int) -> list[Fr
     L = f.space.lcm
     buckets: list[dict] = [dict() for _ in range(p)]
     for key, coeff in f.terms.items():
-        t = action._numerators(f.space, key)[i]
+        t = action._numerators(f.space, key)[0][i]
         if t % L:
             raise ValueError(f"term with fractional weight {Fraction(t, L)} cannot be bucketed mod {p}")
         buckets[t // L % p][key] = coeff
@@ -1038,7 +1039,7 @@ def semi_invariant_weight(f: FracPoly, action: DiagonalAction):
     if f.is_zero():
         return (0,) * action.group.rank
     L = f.space.lcm
-    nums = [action._numerators(f.space, key) for key in f.terms]
+    nums = [action._numerators(f.space, key)[0] for key in f.terms]
     out = []
     for i, p in enumerate(action.group.moduli):
         ws = set()

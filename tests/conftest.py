@@ -1,12 +1,23 @@
 import itertools
 import os
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import mpmath
+from hypothesis import assume
+from hypothesis import strategies as st
 
 import circforge
-from circforge import AbelianGroup, Cyclo
+from circforge import (
+    AbelianGroup,
+    Cyclo,
+    NormalFormSpec,
+    PairingContext,
+    ProductNormalFormSpec,
+    pairing,
+    validate_normal_form,
+)
 
 # Environment for child interpreters: they import the same circforge as this
 # process, also when pytest found it through its `pythonpath` setting rather
@@ -90,6 +101,49 @@ def _iso_key(g: AbelianGroup):
             o += 1
         counts[o] += 1
     return tuple(sorted(counts.items()))
+
+
+def trivial_modulus_product() -> ProductNormalFormSpec:
+    """Two cp2 parts over Z2 x Z1 that omit the second divisor, so the
+    pipeline's second step blows up with weight 1 on w2."""
+    z2 = AbelianGroup((2,))
+    part = NormalFormSpec(
+        moduli=(2, 1), k=2, gamma=((Fraction(1, 2), 0),), quotient_group=z2, labels=(z2.element((0,)), z2.element((1,)))
+    )
+    return ProductNormalFormSpec((part, part))
+
+
+def _characters_by_order(q: AbelianGroup, labels) -> dict:
+    """The characters l -> <j, l> of q at the labels, as fractions of a
+    full turn, keyed by their order."""
+    ctx = PairingContext.natural(q)
+    out = {}
+    for j in q.elements():
+        col = [Fraction(pairing(ctx, j, l), ctx.k) for l in labels]
+        out.setdefault(lcm(*(e.denominator for e in col)), []).append(col)
+    return out
+
+
+@st.composite
+def valid_specs(draw, moduli=None):
+    """A valid spec over a quotient group of order 2..6 whose exponent
+    column i is a character of order p_i at the labels.  Validation forces
+    such columns, so this draws the valid specs of test_gcirc's
+    stray-exponent strategy (and those with p_i = 5) without the rejections
+    that filtering it would take.  Given moduli, only groups with
+    characters of those orders are drawn (for a second part of a product)."""
+    groups = [g for g in groups_of_order_up_to(6) if g.order > 1]
+    if moduli is not None:
+        groups = [g for g in groups if set(moduli) <= set(_characters_by_order(g, tuple(g.elements())))]
+    q = draw(st.sampled_from(groups))
+    labels = (q.identity, *draw(st.permutations([e for e in q.elements() if not e.is_identity()])))
+    chars = _characters_by_order(q, labels)
+    if moduli is None:
+        moduli = draw(st.lists(st.sampled_from(sorted(set(chars) - {1})), min_size=1, max_size=2))
+    cols = [draw(st.sampled_from(chars[p])) for p in moduli]
+    spec = NormalFormSpec(tuple(moduli), q.order, tuple(zip(*(col[1:] for col in cols))), q, labels)
+    assume(validate_normal_form(spec).valid)
+    return spec
 
 
 def binomial_series(alpha: Fraction, n: int):

@@ -26,15 +26,17 @@ from circforge import (
     pullback,
     quotient_image,
     relations,
+    strict_transform,
     toric_relation_transform,
     transition,
     weights,
     z2z4_spec,
 )
+from circforge import blowup
 from circforge.gcirc import spec_space
 from circforge.polyring import poly_sum
 
-from conftest import groups_of_order_up_to, invariant_exponent_vectors
+from conftest import groups_of_order_up_to, invariant_exponent_vectors, trivial_modulus_product, valid_specs
 
 
 def _cpk_atlas(k):
@@ -473,16 +475,56 @@ def test_pipeline_weights_are_the_resinv_weights(spec):
 
 
 def test_pipeline_with_a_trivial_modulus():
-    # a product of two cp2 factors over Z2 x Z1 that omit the second divisor;
-    # the second step blows up with weight 1 on w2
-    z2 = AbelianGroup((2,))
-    fac = NormalFormSpec(
-        moduli=(2, 1), k=2, gamma=((Fraction(1, 2), 0),), quotient_group=z2, labels=(z2.element((0,)), z2.element((1,)))
-    )
-    rep = gcirc_blowup_sequence(ProductNormalFormSpec((fac, fac)))
+    rep = gcirc_blowup_sequence(trivial_modulus_product())
     assert [s.multiplicity for s in rep.steps] == [s.expected_multiplicity for s in rep.steps] == [12, 8]
     assert rep.steps[1].weight_map["w2"] == 1
     assert rep.normal_crossings and rep.product_verified and rep.cyclic_orders_bounded
+
+
+def _check_against_the_expanded_normal_form(spec, rep):
+    """The derivation the pipeline no longer runs: expand the normal form,
+    pull it back and strict-transform it at every step through the chart
+    rebuilt from the step's weight map; each multiplicity and the final
+    strict transform must be the report's."""
+    total = normal_form_poly(spec)
+    space = spec_space(spec)
+    for step in rep.steps:
+        cmap, _action = charts(space, step.weight_map, step.weight_map.values()).charts[0]
+        total, mult = strict_transform(cmap.apply(total), cmap.chart_var)
+        assert cmap.chart_var == step.chart_var and mult == step.multiplicity
+        space = cmap.new_space
+    assert total == rep.final_strict_transform
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [cpk_spec(k) for k in range(2, 9)]
+    + [klein_spec(), z2z4_spec(), trivial_modulus_product()]
+    + [ProductNormalFormSpec((cpk_spec(k), cpk_spec(k))) for k in (2, 3)],
+    ids=[f"cpk:{k}" for k in range(2, 9)] + ["klein", "z2z4", "z2xz1 cp2xcp2", "cp2xcp2", "cp3xcp3"],
+)
+def test_pipeline_is_the_strict_transform_of_the_normal_form(spec):
+    _check_against_the_expanded_normal_form(spec, gcirc_blowup_sequence(spec))
+
+
+_valid_products = valid_specs().flatmap(lambda a: valid_specs(a.moduli).map(lambda b: ProductNormalFormSpec((a, b))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(valid_specs(), _valid_products))
+def test_pipeline_on_valid_specs(spec):
+    rep = gcirc_blowup_sequence(spec)
+    assert [s.multiplicity for s in rep.steps] == [spec.k * (p + 1) for p in spec.moduli]
+    assert rep.normal_crossings and rep.product_verified
+    _check_against_the_expanded_normal_form(spec, rep)
+
+
+def test_product_verified_is_the_additivity_check(monkeypatch):
+    # validation already implies additive gammas, so only a failing check
+    # shows that product_verified reads it
+    monkeypatch.setattr(blowup, "_additive_gamma", lambda part: part.k != 3)
+    assert gcirc_blowup_sequence(cpk_spec(2)).product_verified
+    assert not gcirc_blowup_sequence(cpk_spec(3)).product_verified
 
 
 def test_final_factors_are_independent_linear_forms():

@@ -41,7 +41,7 @@ from circforge import (
 )
 from circforge.gcirc import lex_ordering, spec_space, spec_values
 
-from conftest import groups_of_order_up_to
+from conftest import groups_of_order_up_to, trivial_modulus_product
 
 
 def _symbol_values(group):
@@ -637,6 +637,8 @@ def _chain_digests() -> dict:
         poly = normal_form_poly(ProductNormalFormSpec(tuple(cpk_spec(k) for k in ks)))
         out[f"normal_form {name}"] = {"polynomial": jsonio.poly_to_json(poly)}
     specs = [(f"cpk:{k}", cpk_spec(k)) for k in range(2, 8)] + [("klein", klein_spec()), ("z2z4", z2z4_spec())]
+    specs += [(f"cp{k}xcp{k}", ProductNormalFormSpec((cpk_spec(k), cpk_spec(k)))) for k in (2, 3)]
+    specs += [("z2xz1 cp2xcp2", trivial_modulus_product())]
     for name, spec in specs:
         rep = gcirc_blowup_sequence(spec)
         out[f"pipeline {name}"] = {
