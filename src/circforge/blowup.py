@@ -71,6 +71,33 @@ class ChartAtlas:
         return self.charts[i]
 
 
+def _chart(ambient: VarSpace, params: tuple, wts: tuple, i: int) -> tuple[ChartMap, DiagonalAction]:
+    """Chart i of the weighted blow-up of the parameters (tuples of names in
+    ambient and positive int weights): its map and the cyclic action of
+    order w_i.  Its fresh names depend only on the ambient names."""
+    pi, wi = params[i], wts[i]
+    spectator_div = [(n, b) for n, b in zip(ambient.div_names, ambient.div_bounds) if n not in params]
+    spectator_free = [n for n in ambient.free_names if n not in params]
+    taken_base = set(ambient.names)
+    t = _fresh("t", taken_base)
+    ynames: dict = {pi: None}
+    for j, pj in enumerate(params):
+        if j != i:
+            ynames[pj] = _fresh(pj + "'", taken_base | {t} | {v for v in ynames.values() if v})
+    space = VarSpace(spectator_div, spectator_free + [t] + [ynames[p] for p in params if ynames[p]])
+    subs = {pi: FracPoly.monomial(space, {t: wi})}
+    for j, pj in enumerate(params):
+        if j != i:
+            subs[pj] = FracPoly.monomial(space, {t: wts[j], ynames[pj]: 1})
+    action_weights = {n: (0,) for n in space.names}
+    action_weights[t] = (1,)
+    for j, pj in enumerate(params):
+        if j != i:
+            action_weights[ynames[pj]] = ((-wts[j]) % wi,)
+    action = DiagonalAction(AbelianGroup((wi,)), action_weights)
+    return ChartMap(i, t, ynames, subs, space, dict(zip(params, wts))), action
+
+
 def charts(ambient: VarSpace, params, weight_vector) -> ChartAtlas:
     """Atlas of the weighted blow-up of the listed parameters; other
     variables of the ambient space ride along untouched."""
@@ -83,29 +110,7 @@ def charts(ambient: VarSpace, params, weight_vector) -> ChartAtlas:
     for p in params:
         if p not in ambient:
             raise ValueError(f"parameter {p} not in the ambient space")
-    out = []
-    spectator_div = [(n, b) for n, b in zip(ambient.div_names, ambient.div_bounds) if n not in params]
-    spectator_free = [n for n in ambient.free_names if n not in params]
-    taken_base = set(ambient.names)
-    for i, (pi, wi) in enumerate(zip(params, wts)):
-        t = _fresh("t", taken_base)
-        ynames: dict = {pi: None}
-        for j, pj in enumerate(params):
-            if j != i:
-                ynames[pj] = _fresh(pj + "'", taken_base | {t} | {v for v in ynames.values() if v})
-        space = VarSpace(spectator_div, spectator_free + [t] + [ynames[p] for p in params if ynames[p]])
-        subs = {pi: FracPoly.monomial(space, {t: wi})}
-        for j, pj in enumerate(params):
-            if j != i:
-                subs[pj] = FracPoly.monomial(space, {t: wts[j], ynames[pj]: 1})
-        action_weights = {n: (0,) for n in space.names}
-        action_weights[t] = (1,)
-        for j, pj in enumerate(params):
-            if j != i:
-                action_weights[ynames[pj]] = ((-wts[j]) % wi,)
-        action = DiagonalAction(AbelianGroup((wi,)), action_weights)
-        out.append((ChartMap(i, t, ynames, subs, space, dict(zip(params, wts))), action))
-    return ChartAtlas(params, wts, ambient, tuple(out))
+    return ChartAtlas(params, wts, ambient, tuple(_chart(ambient, params, wts, i) for i in range(len(params))))
 
 
 def pullback(f: FracPoly, atlas: ChartAtlas, i: int):
@@ -526,7 +531,7 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
     current = {x: x for x in spec.x_names()}  # x name -> its name in the current chart
     for i, p in enumerate(moduli):
         wt_map = {current.get(n, n): wt for n, wt in divisor_weights(spec, i).items()}
-        cmap, _action = charts(space, wt_map, wt_map.values()).charts[0]  # the divisor chart
+        cmap, _action = _chart(space, tuple(wt_map), tuple(wt_map.values()), 0)  # the divisor chart
         transforms = [strict_transform(cmap.apply(f), cmap.chart_var) for f in factors]
         factors = [st for st, _ in transforms]
         steps.append(

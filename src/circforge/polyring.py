@@ -970,6 +970,12 @@ class DiagonalAction:
             out = memo[key] = (nums, tuple(map(mod, nums, mods)))
         return out
 
+    def numerators(self, space: VarSpace, key) -> tuple:
+        """Per generator i, the term weight of key (a scaled key of space)
+        times L = space.lcm, an integer: the term's character at generator i
+        is e_{p_i * L} to this power."""
+        return self._numerators(space, key)[0]
+
     def term_weight(self, space: VarSpace, key, i: int):
         """Phase exponent of a term (a scaled key of space) under generator
         i, in full turns over p_i: an int when integral, else a Fraction."""

@@ -7,9 +7,15 @@ group generator at a time, the cyclic quotient order q acting effectively
 on the factor ideals, splits the first factor into semi-invariant pieces
 indexed by nested weights, and certifies an invertible coefficient matrix
 (nested blocks of diagonal times Vandermonde type) recombining the pieces
-into the full factor system.  The action on the factors is composed from
-one factor permutation per generator (`abelian.element_index_maps`), and
-ideal membership row-reduces the linear parts with `smith.echelon`.
+into the full factor system.  Ideal membership row-reduces the linear
+parts with `smith.echelon`.
+
+The factor ideals of an invariant system are the orbit of (f_1).  Its
+stabilizer is read off the integer characters of the terms of f_1, and
+the chain's k row translates of f_1 are each matched once against the
+factors; one exact match per factor proves the orbit.  Any other system
+goes to a search that composes one factor permutation per generator
+(`abelian.element_index_maps`), which decides its exception.
 
 Full rank of the factors' linear parts is decided by `linear_rank`: the
 image of the coefficient rows in a prime field F_l (`modular.rank_mod`)
@@ -23,6 +29,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm, prod
+from operator import mul
 
 from .abelian import GroupElement, Subgroup, element_index_maps, index_orbits
 from .cyclotomic import Cyclo, root_of_unity
@@ -268,23 +276,118 @@ def _match_scalar(a: FracPoly, b: FracPoly):
     return match_scalar(a, b)
 
 
-def _factor_permutation(factors, action: DiagonalAction, g: GroupElement):
-    """The index map sigma with g . f_j proportional to f_{sigma(j)}, or None
-    when g does not permute the factor ideals.
+def _match_rows(translates, factors):
+    """(index, scalar) of the factor that each translate is a multiple of,
+    or None when a translate matches no factor left.
 
     The factors must have independent linear parts, so no two of them are
     proportional and a translate is proportional to at most one factor.
     Each translate is therefore matched against the factors not matched yet:
-    a translate whose factor is taken matches none of them."""
+    a translate whose factor is taken matches none of them.  translates may
+    be a lazy iterable; matching stops at the first translate left over."""
     free = list(range(len(factors)))
     out = []
-    for f in factors:
-        moved = apply_group(f, action, g)
-        idx = next((i for i in free if _match_scalar(moved, factors[i]) is not None), None)
-        if idx is None:
+    for moved in translates:
+        for pos, idx in enumerate(free):
+            c = _match_scalar(moved, factors[idx])
+            if c is not None:
+                break
+        else:
             return None
-        free.remove(idx)
-        out.append(idx)
+        del free[pos]
+        out.append((idx, c))
+    return out
+
+
+def _factor_permutation(factors, action: DiagonalAction, g: GroupElement):
+    """The index map sigma with g . f_j proportional to f_{sigma(j)}, or None
+    when g does not permute the factor ideals.
+
+    It decides only the systems that are not certified as one orbit of f_1
+    on integer characters (see `invariant_nc_normal_form`): factors that are
+    no such orbit, or an f_1 with a term of fractional weight or a variable
+    the action does not cover.  Its outcome there is the normal form's."""
+    matched = _match_rows((apply_group(f, action, g) for f in factors), factors)
+    return None if matched is None else [idx for idx, _c in matched]
+
+
+def _search_index_maps(factors, action: DiagonalAction) -> dict:
+    """The index map of every group element, composed from one factor
+    permutation per generator (`abelian.element_index_maps`).
+
+    Raises ValueError when a generator does not permute the factor ideals
+    and SplitsInvariantly when G does not act transitively on them."""
+    group = action.group
+    k = len(factors)
+    sigmas = []
+    for i, p in enumerate(group.moduli):
+        sigma = _factor_permutation(factors, action, group.generator(i)) if p > 1 else range(k)
+        if sigma is None:
+            raise ValueError("the group does not permute the factor ideals; product is not invariant")
+        sigmas.append(sigma)
+    perms = element_index_maps(group, sigmas, k)
+    orbits = index_orbits(perms, k)
+    if len(orbits) > 1:
+        raise SplitsInvariantly(orbits)
+    return perms
+
+
+def _character_stabilizer(f: FracPoly, action: DiagonalAction):
+    """The residue tuples of the g with g . f proportional to f, read off
+    integer characters, or None when the space of f has a variable the
+    action does not cover or a term of f has a fractional weight.
+
+    Every coefficient of f is nonzero and character values are roots of
+    unity, e_N^a = e_N^b exactly when a = b mod N.  So g . f is proportional
+    to f exactly when every term t gets the phase of the first term t_0:
+    sum_i g_i (w_i(t) - w_i(t_0)) N / p_i = 0 mod N, with N = lcm(p_i) and
+    w_i the integer term weights."""
+    space = f.space
+    if any(name not in action.weights for name in space.names):
+        return None
+    L = space.lcm
+    moduli = action.group.moduli
+    n = lcm(*moduli)
+    weights = []
+    for key in f.terms:
+        nums = action.numerators(space, key)
+        if any(t % L for t in nums):
+            return None
+        weights.append(nums)
+    base = weights[0]
+    diffs = {tuple((t - t0) // L * (n // p) % n for t, t0, p in zip(w, base, moduli)) for w in weights}
+    diffs.discard((0,) * len(moduli))
+    return {
+        res
+        for res in itertools.product(*map(range, moduli))
+        if not any(sum(map(mul, res, d)) % n for d in diffs)
+    }
+
+
+def _quotient_chain(moduli, stab):
+    """The cyclic quotient orders q > 1 and the generators supplying them:
+    along generator i, q is the least q with q * g_i in the subgroup that
+    stab (residue tuples) and the generators before i generate."""
+    chain, chain_gens = [], []
+    h_cur = set(stab)
+    for i, p in enumerate(moduli):
+        q = next(qq for qq in range(1, p + 1) if tuple(qq % p if j == i else 0 for j in range(len(moduli))) in h_cur)
+        if q > 1:
+            chain.append(q)
+            chain_gens.append(i)
+            h_cur = {r[:i] + ((r[i] + j) % p,) + r[i + 1:] for r in h_cur for j in range(q)}
+    return chain, chain_gens
+
+
+def _row_elements(group, chain, chain_gens) -> list:
+    """The element sum_t m_t * g_{chain_gens[t]} of each row m, in the row
+    order of the coefficient matrix: one per coset of the stabilizer."""
+    out = []
+    for mvec in itertools.product(*(range(q) for q in chain)):
+        res = [0] * group.rank
+        for i, m in zip(chain_gens, mvec):
+            res[i] = m
+        out.append(GroupElement(group, tuple(res)))
     return out
 
 
@@ -316,16 +419,23 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     - the input factors have independent linear parts: their rank is full
       in the image in a prime field F_l (a nonzero minor of the image lifts
       to a nonzero minor), or else by exact elimination (`linear_rank`);
-    - each group generator permutes the factor ideals, by matching every
-      translate g_i . f_j against the factors not matched yet, up to a
-      scalar (match_scalar); independence leaves at most one candidate per
-      translate, so this finds the permutation whenever there is one; the
-      index maps of all other elements are compositions of these along the
-      element's residues, so G permutes the factor ideals;
-    - each recombined factor equals its group translate of f_1 exactly, and
-      that translate is a scalar multiple of the factor the index maps send
-      f_1 to; these rows meet every input factor once, which proves
-      prod(factors) = scalar * prod(inputs);
+    - the factor ideals are the G-orbit of (f_1), with stabilizer Stab:
+      Stab is read off integer characters (`_character_stabilizer`), the
+      k' = |G/Stab| row elements of the chain are one per coset of Stab,
+      and when k' = k their translates of f_1 match k distinct factors,
+      each up to a scalar (match_scalar, against the factors not matched
+      yet).  Then every factor ideal is one translate (g . f_1) and every
+      translate is one factor ideal, so G permutes the factor ideals
+      transitively and Stab is the stabilizer of (f_1);
+    - any other system (k' != k, a translate left unmatched, or a term of
+      f_1 with a fractional weight or an uncovered variable) goes to the
+      generator-by-generator search: each generator must permute the factor
+      ideals (`_factor_permutation`), the index maps of all other elements
+      are compositions of these along the element's residues, and G must act
+      transitively; the row translates are then matched along those maps;
+    - each recombined factor equals its row translate of f_1 exactly, and
+      that translate is a scalar multiple of a factor; these rows meet every
+      input factor once, which proves prod(factors) = scalar * prod(inputs);
     - the coefficient matrix is invertible: its determinant, computed
       exactly once per integer signature, is nonzero;
     - hence the nested pieces have independent linear parts: the
@@ -345,54 +455,47 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     if linear_rank([linear_part(f) for f in factors], space.names) != k:
         raise DegenerateInput("factor linear parts are not independent")
 
-    sigmas = []
-    for i, p in enumerate(group.moduli):
-        sigma = _factor_permutation(factors, action, group.generator(i)) if p > 1 else range(k)
-        if sigma is None:
-            raise ValueError("the group does not permute the factor ideals; product is not invariant")
-        sigmas.append(sigma)
-    perms = element_index_maps(group, sigmas, k)
-    orbits = index_orbits(perms, k)
-    if len(orbits) > 1:
-        raise SplitsInvariantly(orbits)
-    stab = Subgroup(group, [el for el, perm in perms.items() if perm[0] == 0])
-
     f1 = factors[0]
-    chain = []
-    chain_gens = []
+    f1_aligned = f1.in_space(space)
+    matches = perms = None
+    stab = _character_stabilizer(f1, action)
+    if stab is not None:
+        chain, chain_gens = _quotient_chain(group.moduli, stab)
+        if prod(chain) == k:  # |G/Stab| = k
+            elements = _row_elements(group, chain, chain_gens)
+            translates = [apply_group(f1_aligned, action, el) for el in elements]
+            matches = _match_rows(translates, factors)
+    if matches is None:
+        perms = _search_index_maps(factors, action)
+        stab = [el.residues for el, perm in perms.items() if perm[0] == 0]
+        chain, chain_gens = _quotient_chain(group.moduli, stab)
+        elements = _row_elements(group, chain, chain_gens)
+    stabilizer = Subgroup(group, [GroupElement(group, r) for r in stab])
+
     parts = {(): f1}
     gamma: dict = {}
-    h_cur = set(stab.elements)  # the subgroup generated by stab and the generators so far
-    for i in range(group.rank):
-        p = group.moduli[i]
-        gen = group.generator(i)
-        q = next(qq for qq in range(1, p + 1) if gen.scale(qq) in h_cur)
-        if q > 1:
-            step = p // q
-            new_parts = {}
-            for prefix, h in parts.items():
-                buckets = semi_invariant_split(h, action, i)
-                nonzero = [(m, b) for m, b in enumerate(buckets) if not b.is_zero()]
-                if len(nonzero) != q:
-                    raise DegenerateInput(
-                        f"expected {q} weight pieces along generator {i}, found {len(nonzero)}"
-                    )
-                g0 = min(m % step for m, _b in nonzero)
-                if any(m % step != g0 for m, _b in nonzero):
-                    raise DegenerateInput("weight pieces do not lie in one residue ladder")
-                gamma[(i,) + prefix] = g0
-                for m, b in nonzero:
-                    ell = (m - g0) // step % q
-                    new_parts[prefix + (ell,)] = b
-            parts = new_parts
-            chain.append(q)
-            chain_gens.append(i)
-        h_cur = {h + gen.scale(j) for h in h_cur for j in range(q)}
+    for i, q in zip(chain_gens, chain):
+        step = group.moduli[i] // q
+        new_parts = {}
+        for prefix, h in parts.items():
+            buckets = semi_invariant_split(h, action, i)
+            nonzero = [(m, b) for m, b in enumerate(buckets) if not b.is_zero()]
+            if len(nonzero) != q:
+                raise DegenerateInput(
+                    f"expected {q} weight pieces along generator {i}, found {len(nonzero)}"
+                )
+            g0 = min(m % step for m, _b in nonzero)
+            if any(m % step != g0 for m, _b in nonzero):
+                raise DegenerateInput("weight pieces do not lie in one residue ladder")
+            gamma[(i,) + prefix] = g0
+            for m, b in nonzero:
+                ell = (m - g0) // step % q
+                new_parts[prefix + (ell,)] = b
+        parts = new_parts
 
     if len(parts) != k:
         raise DegenerateInput(f"nested pieces number {len(parts)}, expected {k}")
 
-    s = len(chain)
     cols = sorted(parts)
     rows, matrix, determinant = _coefficient_matrix(
         group.moduli, tuple(chain), tuple(chain_gens), tuple(cols), tuple(sorted(gamma.items()))
@@ -402,21 +505,17 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
         poly_sum(space, [parts[lvec].scale(entry) for entry, lvec in zip(row, cols)]) for row in matrix
     ]
 
-    # each recombined factor must be the corresponding group translate of f1,
-    # a scalar multiple of the factor the index maps send f1 to; meeting
-    # every input factor once certifies prod(recombined) = scalar * prod(inputs)
-    f1_aligned = f1.in_space(space)
+    if perms is not None:  # the search path matches each row along its index map
+        translates = [apply_group(f1_aligned, action, el) for el in elements]
+        matches = [(perms[el][0], _match_scalar(t, factors[perms[el][0]])) for el, t in zip(elements, translates)]
+    # each recombined factor must be its row translate of f1, a scalar
+    # multiple of a factor; meeting every input factor once certifies
+    # prod(recombined) = scalar * prod(inputs)
     hit = []
     scalar = Cyclo.one()
-    for mvec, comb in zip(rows, recombined):
-        el = group.identity
-        for t in range(s):
-            el = el + group.generator(chain_gens[t]).scale(mvec[t])
-        translate = apply_group(f1_aligned, action, el)
+    for comb, translate, (idx, c) in zip(recombined, translates, matches):
         if comb != translate:
             raise AssertionError("recombined factor differs from the group translate")
-        idx = perms[el][0]
-        c = _match_scalar(translate, factors[idx])
         if c is None:
             raise AssertionError("group translate is not a multiple of its matched factor")
         hit.append(idx)
@@ -438,6 +537,6 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
         determinant=determinant,
         factors=recombined,
         scalar=scalar,
-        stabilizer=stab,
+        stabilizer=stabilizer,
     )
 

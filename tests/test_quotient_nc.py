@@ -313,6 +313,44 @@ def _draw_orbit(rng, min_factors=1, max_factors=6):
     return None
 
 
+def _draw_orbit_with_a_stabilizer(rng):
+    """A random action, a non-identity element s and an orbit with
+    independent linear parts whose first factor s rescales, or None.
+
+    Every term of the first factor has one character value c at s: its
+    linear terms are the variables of class c, and its quadratic terms are
+    products of two variables whose classes add up to c."""
+    moduli = rng.choice(_ORACLE_POOL)
+    group = AbelianGroup(moduli)
+    n = math.lcm(*moduli)
+    s = rng.choice([el for el in group.elements() if not el.is_identity()])
+    vectors = list(group.elements())
+
+    def cls(w):
+        return sum(r * x * (n // p) for r, x, p in zip(s.residues, w, moduli)) % n
+
+    for _ in range(40):
+        c = cls(rng.choice(vectors).residues)
+        in_class = [v.residues for v in vectors if cls(v.residues) == c]
+        names = [f"x{i}" for i in range(rng.randint(4, 7))]
+        weights = {m: rng.choice(in_class if rng.random() < 0.6 else [v.residues for v in vectors]) for m in names}
+        act = DiagonalAction(group, weights)
+        sp = VarSpace([], names)
+        f = FracPoly.zero(sp)
+        for m in names:
+            if cls(weights[m]) == c:
+                f = f + FracPoly.variable(sp, m).scale(rng.choice([-2, -1, 1, 2, 3]))
+        pairs = [(u, v) for u in names for v in names if u <= v and (cls(weights[u]) + cls(weights[v])) % n == c]
+        for u, v in rng.sample(pairs, min(2, len(pairs))):
+            f = f + FracPoly.variable(sp, u) * FracPoly.variable(sp, v).scale(rng.choice([-1, 1]))
+        if f.is_zero():
+            continue
+        orbit = _orbit(f, act)
+        if len(orbit) <= 6 and _independent(orbit):
+            return act, s, orbit
+    return None
+
+
 def _random_scalar(rng):
     if rng.random() < 0.5:
         return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
@@ -343,18 +381,26 @@ def _brute_orbits(act, factors):
     return tuple(orb for j, orb in enumerate(images) if orb[0] == j)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_normal_form_against_brute_force(rng):
-    drawn = _draw_orbit(rng)
-    assume(drawn is not None)
-    act, orbit = drawn
+    # orbits of rank 1-3 groups, rescaled and shuffled; half of them have
+    # a first factor that a non-identity element s rescales
+    if rng.random() < 0.5:
+        drawn = _draw_orbit_with_a_stabilizer(rng)
+        assume(drawn is not None)
+        act, s, orbit = drawn
+    else:
+        drawn = _draw_orbit(rng)
+        assume(drawn is not None)
+        (act, orbit), s = drawn, None
     factors = _rescaled_and_shuffled(rng, orbit)
     nf = invariant_nc_normal_form(InvariantNCInput(act, factors))
     f0 = factors[0]
-    assert nf.stabilizer.elements == {
-        el for el in act.group.elements() if match_scalar(apply_group(f0, act, el), f0) is not None
-    }
+    stab = {el for el in act.group.elements() if match_scalar(apply_group(f0, act, el), f0) is not None}
+    assert s is None or s in stab
+    assert nf.stabilizer.elements == stab
+    assert math.prod(nf.chain) * len(stab) == act.group.order
     assert math.prod(nf.factors) == math.prod(factors).scale(nf.scalar)
     space = VarSpace.union(*(f.space for f in factors))
     assert linear_rank([linear_part(h) for h in nf.parts.values()], space.names) == len(factors)
@@ -390,6 +436,39 @@ def test_a_non_translate_is_refused(rng):
     assert _brute_orbits(act, factors) is None
     with pytest.raises(ValueError, match="does not permute the factor ideals"):
         invariant_nc_normal_form(InvariantNCInput(act, factors))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_a_proper_part_of_an_orbit_is_refused(rng):
+    # no proper part of an orbit is invariant: it would hold the orbit of
+    # each of its members.  Half the draws take the translates of f_1 by the
+    # multiples of one generator, half a random part
+    drawn = _draw_orbit(rng, min_factors=2) if rng.random() < 0.5 else _draw_orbit_with_a_stabilizer(rng)
+    assume(drawn is not None)
+    act, orbit = drawn[0], drawn[-1]
+    assume(len(orbit) >= 2)
+    if rng.random() < 0.5:
+        i = rng.randrange(act.group.rank)
+        part = _orbit(orbit[0], DiagonalAction(AbelianGroup((act.group.moduli[i],)), {
+            m: (w[i],) for m, w in act.weights.items()
+        }))
+    else:
+        part = [orbit[0]] + rng.sample(orbit[1:], rng.randrange(len(orbit) - 1))
+    assume(len(part) < len(orbit))
+    with pytest.raises(ValueError, match="does not permute the factor ideals"):
+        invariant_nc_normal_form(InvariantNCInput(act, _rescaled_and_shuffled(rng, part)))
+
+
+def test_the_orbit_of_one_generator_is_refused():
+    # f_1 = a + b + c + d: the first two terms agree on the second
+    # generator, the last two do not, so its stabilizer is trivial and the
+    # two translates by the first generator are half of its orbit
+    sp = VarSpace([], ["a", "b", "c", "d"])
+    act = DiagonalAction(AbelianGroup((2, 2)), {"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (1, 1)})
+    a, b, c, d = (FracPoly.variable(sp, n) for n in sp.names)
+    with pytest.raises(ValueError, match="does not permute the factor ideals"):
+        invariant_nc_normal_form(InvariantNCInput(act, [a + b + c + d, a - b + c - d]))
 
 
 # -- byte-pinned outcomes of seeded random systems -----------------------------------
@@ -467,3 +546,96 @@ def test_a_changed_result_leaves_the_next_call_alone():
     nf.matrix.append([])
     nf.row_index.append(())
     assert _corpus_outcome(act, factors) == before
+
+
+# -- byte-pinned outcomes of systems off the single-orbit path ---------------------
+
+NC_EDGE_CASES = Path(__file__).parent / "golden" / "nc_edge_cases.json"
+
+
+def _edge_case_systems():
+    """(name, action, factors) of systems that are not one orbit of f_1 under
+    integer characters, or that sit at its edges: factors over different
+    variable spaces, divisorial variables with integral and fractional
+    term weights, uncovered variables, the rank-0 group and k = 1,
+    generators that fix or rescale the ideal of f_1, two orbits, and
+    factors that are no translates."""
+    out = []
+    sp = VarSpace([], ["y0", "y1"])
+    y0, y1 = FracPoly.variable(sp, "y0"), FracPoly.variable(sp, "y1")
+    mu2 = DiagonalAction(AbelianGroup((2,)), {"y0": (0,), "y1": (1,)})
+    reordered = VarSpace([], ["y1", "y0"])
+    out.append(("spaces_reordered", mu2, [y0 + y1, (y0 - y1).in_space(reordered)]))
+
+    klein = AbelianGroup((2, 2))
+    names = ["a", "b", "c", "d"]
+    kw = {"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (1, 1)}
+    ksp = VarSpace([], names)
+    f1 = sum((FracPoly.variable(ksp, n) for n in names[1:]), FracPoly.variable(ksp, "a"))
+    f1 = f1 + FracPoly.variable(ksp, "b") * FracPoly.variable(ksp, "c")
+    kact = DiagonalAction(klein, kw)
+    orbit = [apply_group(f1, kact, el) for el in klein.elements()]
+    spaces = [VarSpace([], names[j:] + names[:j] + ["u"] * (j % 2)) for j in range(4)]
+    out.append(("spaces_rotated_and_extended", DiagonalAction(klein, {**kw, "u": (0, 0)}),
+                [f.in_space(s) for f, s in zip(orbit, spaces)]))
+    out.append(("space_with_an_unused_uncovered_variable", kact,
+                [orbit[0].in_space(VarSpace([], names + ["u"]))] + orbit[1:]))
+    usp = VarSpace([], names + ["u"])
+    out.append(("uncovered_variable_in_a_term", kact,
+                [orbit[0].in_space(usp) + FracPoly.variable(usp, "u") * FracPoly.variable(usp, "a")] + orbit[1:]))
+    out.append(("uncovered_variable_in_a_later_factor", kact,
+                orbit[:2] + [orbit[2].in_space(usp) + FracPoly.variable(usp, "u") * FracPoly.variable(usp, "a")] + orbit[3:]))
+
+    dsp = VarSpace([("w", 2)], ["x0", "x1"])
+    x0, x1 = FracPoly.variable(dsp, "x0"), FracPoly.variable(dsp, "x1")
+    root_w = FracPoly.monomial(dsp, {"w": Fraction(1, 2)})
+    g = AbelianGroup((2,)).generator(0)
+    for label, w_weight in (("integral", 2), ("fractional", 1)):
+        act = DiagonalAction(AbelianGroup((2,)), {"w": (w_weight,), "x0": (0,), "x1": (1,)})
+        h = x0 + x1 + root_w * x0
+        out.append((f"divisorial_{label}_weights", act, [h, apply_group(h, act, g)]))
+    act = DiagonalAction(AbelianGroup((2,)), {"w": (1,), "x0": (0,), "x1": (1,)})
+    out.append(("divisorial_fractional_weights_k1", act, [x0 + root_w * x0]))
+
+    rank0 = DiagonalAction(AbelianGroup(()), {"y0": (), "y1": ()})
+    out.append(("rank0_k1", rank0, [y0 + y1 * y1]))
+    out.append(("rank0_k2", rank0, [y0, y1]))
+    out.append(("rank0_uncovered_variable", DiagonalAction(AbelianGroup(()), {"y0": ()}), [y0 + y1 * y1]))
+    out.append(("modulus_one_k1", DiagonalAction(AbelianGroup((1,)), {"y0": (0,), "y1": (0,)}), [y0 + y1]))
+    out.append(("invariant_k1", mu2, [y0 + y1 * y1]))
+
+    tsp = VarSpace([], ["a", "b", "c"])
+    a, b, c = (FracPoly.variable(tsp, n) for n in ("a", "b", "c"))
+    for label, weights in (
+        ("generator_fixing_the_ideal", {"a": (0, 0), "b": (1, 0), "c": (0, 0)}),
+        ("generator_rescaling_the_ideal", {"a": (0, 1), "b": (1, 1), "c": (0, 0)}),
+    ):
+        act = DiagonalAction(AbelianGroup((2, 3)), weights)
+        h = a + b + a * c
+        out.append((label, act, [h, apply_group(h, act, AbelianGroup((2, 3)).generator(0))]))
+    z4 = DiagonalAction(AbelianGroup((4,)), {"a": (0,), "b": (2,), "c": (1,)})
+    out.append(("stabilizer_of_order_two", z4, [a + b, a - b]))
+    diag = DiagonalAction(klein, {"a": (0, 0), "b": (1, 1), "c": (1, 0)})
+    out.append(("diagonal_stabilizer", diag, [a + b, (a - b).scale(3)]))
+    out.append(("orbit_larger_than_k", DiagonalAction(AbelianGroup((4,)), {"a": (0,), "b": (1,), "c": (0,)}),
+                [a + b, a - b]))
+
+    z2 = DiagonalAction(AbelianGroup((2,)), {"a": (0,), "b": (1,), "c": (0,)})
+    out.append(("orbit_smaller_than_k", z2, [a + b, a - b, c]))
+    out.append(("orbit_smaller_than_k_f1_last", z2, [c, a - b, a + b]))
+    fsp = VarSpace([], ["y0", "y1", "y2", "y3"])
+    v = [FracPoly.variable(fsp, n) for n in fsp.names]
+    two = DiagonalAction(AbelianGroup((2,)), {"y0": (0,), "y1": (1,), "y2": (0,), "y3": (1,)})
+    out.append(("two_orbits", two, [v[0] + v[1], v[2] - v[3], v[0] - v[1], v[2] + v[3]]))
+    out.append(("non_permuted_factor", mu2, [y0 + y1, y0 + y1.scale(2)]))
+    out.append(("non_permuted_f1", mu2, [y0 + y1.scale(2), y0 - y1]))
+    return out
+
+
+def edge_case_record() -> list[dict]:
+    return [{"name": name, "outcome": _corpus_outcome(act, factors)} for name, act, factors in _edge_case_systems()]
+
+
+def test_edge_case_outcomes_are_byte_identical():
+    # recorded before the normal form read its orbit off integer characters
+    assert edge_case_record() == json.loads(NC_EDGE_CASES.read_text())
