@@ -11,21 +11,34 @@ for exhaustive work.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import lcm, prod
 
 from .cyclotomic import Cyclo, root_of_unity
 from .smith import cokernel_invariant_factors, kernel_basis
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    moduli: tuple[int, ...]
+def _immutable(self, *_args):
+    """__setattr__ and __delattr__ of a class whose instances are values:
+    their fields are set once, in __init__, through object.__setattr__."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __post_init__(self):
-        if any(p < 1 for p in self.moduli):
+
+class AbelianGroup:
+    __slots__ = ("moduli",)
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, moduli: tuple[int, ...]):
+        if any(p < 1 for p in moduli):
             raise ValueError("moduli must be positive")
-        object.__setattr__(self, "moduli", tuple(int(p) for p in self.moduli))
+        object.__setattr__(self, "moduli", tuple(int(p) for p in moduli))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.moduli == other.moduli
+
+    def __hash__(self):
+        return hash((self.moduli,))
 
     @property
     def rank(self) -> int:
@@ -58,10 +71,21 @@ class AbelianGroup:
         return " x ".join(f"Z{p}" for p in self.moduli) if self.moduli else "Z1"
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    group: AbelianGroup
-    residues: tuple[int, ...]
+    __slots__ = ("group", "residues")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, group: AbelianGroup, residues: tuple[int, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "residues", residues)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.residues) == (other.group, other.residues)
+
+    def __hash__(self):
+        return hash((self.group, self.residues))
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         self._check(other)
@@ -187,16 +211,16 @@ def index_orbits(maps: dict, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(orbits)
 
 
-@dataclass(frozen=True)
 class PairingContext:
     """Carries the common multiple k defining the weighted scalar product."""
 
-    group: AbelianGroup
-    k: int
+    __slots__ = ("group", "k")
 
-    def __post_init__(self):
-        if self.k < 1 or any(self.k % p for p in self.group.moduli):
-            raise ValueError(f"k={self.k} is not a positive common multiple of the moduli")
+    def __init__(self, group: AbelianGroup, k: int):
+        if k < 1 or any(k % p for p in group.moduli):
+            raise ValueError(f"k={k} is not a positive common multiple of the moduli")
+        self.group = group
+        self.k = k
 
     @staticmethod
     def natural(group: AbelianGroup) -> "PairingContext":
@@ -230,14 +254,11 @@ def xi(ctx: PairingContext, h: Subgroup, l: GroupElement) -> Cyclo:
     return total
 
 
-@dataclass(frozen=True)
 class CosetSystem:
-    subgroup: Subgroup
-    representatives: tuple[GroupElement, ...]
+    __slots__ = ("representatives",)
 
-    @property
-    def size(self) -> int:
-        return len(self.representatives)
+    def __init__(self, representatives: tuple[GroupElement, ...]):
+        self.representatives = representatives
 
 
 def quotient(group: AbelianGroup, h: Subgroup) -> CosetSystem:
@@ -257,7 +278,7 @@ def quotient(group: AbelianGroup, h: Subgroup) -> CosetSystem:
         for x in h.elements:
             seen.add(g + x)
     reps.sort(key=lambda e: e.residues)
-    return CosetSystem(h, tuple(reps))
+    return CosetSystem(tuple(reps))
 
 
 def invariant_factors(h: Subgroup) -> list[int]:

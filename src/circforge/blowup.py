@@ -11,7 +11,6 @@ y_j -> s^{-w_j} y_j.  The action is free off the exceptional divisor t = 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import prod
 from operator import le, mul, sub
 
@@ -40,14 +39,18 @@ def _fresh(base: str, taken) -> str:
     return name
 
 
-@dataclass(frozen=True)
 class ChartMap:
-    index: int
-    chart_var: str
-    y_names: dict  # parameter -> fresh chart coordinate (None for the chart's own)
-    substitutions: dict  # original variable name -> FracPoly over new_space
-    new_space: VarSpace
-    weights_map: dict  # original variable name -> weight
+    __slots__ = ("index", "chart_var", "y_names", "substitutions", "new_space", "weights_map")
+
+    def __init__(
+        self, index: int, chart_var: str, y_names: dict, substitutions: dict, new_space: VarSpace, weights_map: dict
+    ):
+        self.index = index
+        self.chart_var = chart_var
+        self.y_names = y_names  # parameter -> fresh chart coordinate (None for the chart's own)
+        self.substitutions = substitutions  # original variable name -> FracPoly over new_space
+        self.new_space = new_space
+        self.weights_map = weights_map  # original variable name -> weight
 
     @property
     def exceptional(self) -> str:
@@ -58,12 +61,20 @@ class ChartMap:
         return f.substitute(mapping)
 
 
-@dataclass(frozen=True)
 class ChartAtlas:
-    params: tuple[str, ...]
-    weights: tuple[int, ...]
-    ambient: VarSpace
-    charts: tuple[tuple[ChartMap, DiagonalAction], ...]
+    __slots__ = ("params", "weights", "ambient", "charts")
+
+    def __init__(
+        self,
+        params: tuple[str, ...],
+        weights: tuple[int, ...],
+        ambient: VarSpace,
+        charts: tuple[tuple[ChartMap, DiagonalAction], ...],
+    ):
+        self.params = params
+        self.weights = weights
+        self.ambient = ambient
+        self.charts = charts
 
     def chart(self, i: int) -> tuple[ChartMap, DiagonalAction]:
         if not 0 <= i < len(self.charts):
@@ -124,18 +135,31 @@ def pullback(f: FracPoly, atlas: ChartAtlas, i: int):
 # -- transitions ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TransitionChart:
-    pair: tuple[int, int]
-    cover_i_vars: tuple[str, ...]  # variables of the auxiliary cover over chart i
-    cover_j_vars: tuple[str, ...]
-    relation_i: str  # "<var> = <root>^w" description of the added root variable
-    relation_j: str
-    iso: dict  # generator of cover-over-i -> Laurent monomial over cover-over-j
-    action_i: DiagonalAction
-    action_j: DiagonalAction
-    equivariant: bool
-    commutes_with_projection: bool
+    __slots__ = (
+        "pair", "cover_i_vars", "cover_j_vars", "relation_i", "relation_j", "iso", "equivariant",
+        "commutes_with_projection",
+    )
+
+    def __init__(
+        self,
+        pair: tuple[int, int],
+        cover_i_vars: tuple[str, ...],
+        cover_j_vars: tuple[str, ...],
+        relation_i: str,
+        relation_j: str,
+        iso: dict,
+        equivariant: bool,
+        commutes_with_projection: bool,
+    ):
+        self.pair = pair
+        self.cover_i_vars = cover_i_vars  # variables of the auxiliary cover over chart i
+        self.cover_j_vars = cover_j_vars
+        self.relation_i = relation_i  # "<var> = <root>^w" description of the added root variable
+        self.relation_j = relation_j
+        self.iso = iso  # generator of cover-over-i -> Laurent monomial over cover-over-j
+        self.equivariant = equivariant
+        self.commutes_with_projection = commutes_with_projection
 
 
 def transition(atlas: ChartAtlas, i: int, j: int) -> TransitionChart:
@@ -214,8 +238,6 @@ def transition(atlas: ChartAtlas, i: int, j: int) -> TransitionChart:
         relation_i=f"{yi[params[j]]} = {u_i}^{wj}",
         relation_j=f"{yj[params[i]]} = {u_j}^{wi}",
         iso={v: str(img) for v, img in iso.items()},
-        action_i=action_i,
-        action_j=action_j,
         equivariant=equivariant,
         commutes_with_projection=commutes,
     )
@@ -224,13 +246,22 @@ def transition(atlas: ChartAtlas, i: int, j: int) -> TransitionChart:
 # -- invariant Hilbert bases -----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HilbertBasis:
-    action: DiagonalAction
-    variables: tuple[str, ...]
-    generators: tuple[tuple[int, ...], ...]  # exponent vectors over variables
-    degree_bound: int
-    space: VarSpace
+    __slots__ = ("action", "variables", "generators", "degree_bound", "space")
+
+    def __init__(
+        self,
+        action: DiagonalAction,
+        variables: tuple[str, ...],
+        generators: tuple[tuple[int, ...], ...],
+        degree_bound: int,
+        space: VarSpace,
+    ):
+        self.action = action
+        self.variables = variables
+        self.generators = generators  # exponent vectors over variables
+        self.degree_bound = degree_bound
+        self.space = space
 
     def names(self) -> list[str]:
         return [f"g{i}" for i in range(len(self.generators))]
@@ -320,20 +351,24 @@ def _monomial_identity(left, right, generators) -> bool:
     return all(sum(map(mul, left, col)) == sum(map(mul, right, col)) for col in zip(*generators))
 
 
-@dataclass(frozen=True)
 class Relation:
-    left: tuple[int, ...]  # exponents over generators
-    right: tuple[int, ...]
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: tuple[int, ...], right: tuple[int, ...]):
+        self.left = left  # exponents over generators
+        self.right = right
 
     def vector(self):
         return tuple(l - r for l, r in zip(self.left, self.right))
 
 
-@dataclass(frozen=True)
 class RelationSet:
-    basis: HilbertBasis
-    relations: tuple[Relation, ...]
-    lattice_rank: int
+    __slots__ = ("basis", "relations", "lattice_rank")
+
+    def __init__(self, basis: HilbertBasis, relations: tuple[Relation, ...], lattice_rank: int):
+        self.basis = basis
+        self.relations = relations
+        self.lattice_rank = lattice_rank
 
     def ambient_identity_holds(self, rel: Relation) -> bool:
         return _monomial_identity(rel.left, rel.right, self.basis.generators)
@@ -423,13 +458,13 @@ def expand_quotient_image(img: FracPoly, basis: HilbertBasis) -> FracPoly:
 # -- toric transform of the relation family ----------------------------------------
 
 
-@dataclass(frozen=True)
 class TransformedRelation:
-    lhs: str
-    rhs: str
-    nu: int
-    trivialized: bool
-    verified: bool
+    __slots__ = ("nu", "trivialized", "verified")
+
+    def __init__(self, nu: int, trivialized: bool, verified: bool):
+        self.nu = nu
+        self.trivialized = trivialized
+        self.verified = verified
 
 
 def toric_relation_transform(rel: Relation, basis: HilbertBasis, w_index: int, s_index: int) -> TransformedRelation:
@@ -445,49 +480,71 @@ def toric_relation_transform(rel: Relation, basis: HilbertBasis, w_index: int, s
     nu = lam_total - right[w_index]
     if nu < 1:
         raise ValueError("relation has nonpositive residual order")
-    names = basis.names()
-    lam = {names[i]: e for i, e in enumerate(left) if e}
-    rhs_chunks = [f"{names[w_index]}^{nu-1}"] if nu > 1 else []
-    rhs_chunks += [f"({n}/{names[w_index]})^{e}" if e > 1 else f"({n}/{names[w_index]})" for n, e in lam.items()]
-    lhs = f"{names[s_index]}/{names[w_index]}"
     # With X = W X' and S = W S' the relation becomes the claim
     # S' = W^(nu-1) prod X'^lambda exactly when it is an identity of
     # monomials.
-    verified = _monomial_identity(left, right, basis.generators)
     return TransformedRelation(
-        lhs=lhs,
-        rhs=" * ".join(rhs_chunks) if rhs_chunks else "1",
         nu=nu,
         trivialized=(nu == 1 and lam_total == 1),
-        verified=verified,
+        verified=_monomial_identity(left, right, basis.generators),
     )
 
 
 # -- the staged blow-up of a (product) group-circulant normal form -------------------
 
 
-@dataclass(frozen=True)
 class PipelineStep:
-    divisor_index: int
-    chart_var: str
-    weight_map: dict
-    multiplicity: int
-    expected_multiplicity: int
-    group_order: int
-    max_chart_cyclic_order: int
+    __slots__ = (
+        "divisor_index", "chart_var", "weight_map", "multiplicity", "expected_multiplicity", "group_order",
+        "max_chart_cyclic_order",
+    )
+
+    def __init__(
+        self,
+        divisor_index: int,
+        chart_var: str,
+        weight_map: dict,
+        multiplicity: int,
+        expected_multiplicity: int,
+        group_order: int,
+        max_chart_cyclic_order: int,
+    ):
+        self.divisor_index = divisor_index
+        self.chart_var = chart_var
+        self.weight_map = weight_map
+        self.multiplicity = multiplicity
+        self.expected_multiplicity = expected_multiplicity
+        self.group_order = group_order
+        self.max_chart_cyclic_order = max_chart_cyclic_order
 
 
-@dataclass(frozen=True)
 class PipelineReport:
-    steps: tuple[PipelineStep, ...]
-    final_factors: tuple[FracPoly, ...]
-    final_strict_transform: FracPoly
-    group_moduli: tuple[int, ...]
-    group_order: int
-    order_bound: int
-    cyclic_orders_bounded: bool
-    normal_crossings: bool
-    product_verified: bool
+    __slots__ = (
+        "steps", "final_factors", "final_strict_transform", "group_moduli", "group_order", "order_bound",
+        "cyclic_orders_bounded", "normal_crossings", "product_verified",
+    )
+
+    def __init__(
+        self,
+        steps: tuple[PipelineStep, ...],
+        final_factors: tuple[FracPoly, ...],
+        final_strict_transform: FracPoly,
+        group_moduli: tuple[int, ...],
+        group_order: int,
+        order_bound: int,
+        cyclic_orders_bounded: bool,
+        normal_crossings: bool,
+        product_verified: bool,
+    ):
+        self.steps = steps
+        self.final_factors = final_factors
+        self.final_strict_transform = final_strict_transform
+        self.group_moduli = group_moduli
+        self.group_order = group_order
+        self.order_bound = order_bound
+        self.cyclic_orders_bounded = cyclic_orders_bounded
+        self.normal_crossings = normal_crossings
+        self.product_verified = product_verified
 
 
 def divisor_weights(spec, i: int) -> dict:

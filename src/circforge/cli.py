@@ -23,17 +23,20 @@ from .errors import DomainError
 
 
 def _load(text: str, where: str, parse):
-    """parse(payload, where) of a JSON payload given inline, as @file or as - (stdin)."""
-    if text == "-":
-        obj = json.load(sys.stdin)
-    elif text.startswith("@"):
-        try:
+    """parse(payload, where) of a JSON payload given inline, as @file or as - (stdin);
+    a payload that is not JSON is a ValueError naming the flag."""
+    try:
+        if text == "-":
+            obj = json.load(sys.stdin)
+        elif text.startswith("@"):
             with open(text[1:]) as fh:
                 obj = json.load(fh)
-        except OSError as exc:
-            raise DomainError(f"{where}: cannot read {text[1:]!r}: {exc.strerror}") from None
-    else:
-        obj = json.loads(text)
+        else:
+            obj = json.loads(text)
+    except OSError as exc:
+        raise DomainError(f"{where}: cannot read {text[1:]!r}: {exc.strerror}") from None
+    except ValueError as exc:  # json.JSONDecodeError, or a file that is not UTF-8 text
+        raise ValueError(f"{where}: {exc}") from None
     return parse(obj, where)
 
 
@@ -716,12 +719,21 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of the command line argv.  Every group gets a parser, so
+    the top-level help and usage list them all, but only the group that
+    argv runs gets its subcommands: the first token of argv that names a
+    group (the one top-level option, --format, takes only text or json).
+    When no token names a group, every group gets its subcommands."""
     ap = argparse.ArgumentParser(prog="circforge", description=__doc__)
     ap.add_argument("--format", choices=["text", "json"], default="text")
     groups = ap.add_subparsers(dest="command", required=True)
+    named = next((token for token in argv if token in COMMANDS), None)
     for group, commands in COMMANDS.items():
-        subs = groups.add_parser(group).add_subparsers(dest="sub", required=True)
+        group_parser = groups.add_parser(group)
+        if named not in (None, group):
+            continue
+        subs = group_parser.add_subparsers(dest="sub", required=True)
         for name, (handler, *arguments) in commands.items():
             p = subs.add_parser(name)
             for flag, kwargs in arguments:
@@ -734,7 +746,8 @@ def run(argv=None) -> int:
     """Run one command line, print its result or error, and return the exit
     code.  A handler returns (payload, lines), or (payload, lines, ok) when
     its result can fail a check; a false ok exits 1."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         payload, lines, *ok = args.func(args)
         if args.format == "json":

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -27,6 +26,7 @@ from .abelian import (
     GroupElement,
     PairingContext,
     Subgroup,
+    _immutable,
     element_index_maps,
     full_subgroup,
     index_orbits,
@@ -50,11 +50,12 @@ def lex_ordering(group: AbelianGroup) -> tuple[GroupElement, ...]:
     return tuple(sorted(group.elements(), key=lambda g: g.residues))
 
 
-@dataclass(frozen=True)
 class CirculantMatrix:
-    group: AbelianGroup
-    ordering: tuple[GroupElement, ...]
-    entries: tuple[tuple[int, ...], ...]  # symbol indices
+    __slots__ = ("ordering", "entries")
+
+    def __init__(self, ordering: tuple[GroupElement, ...], entries: tuple[tuple[int, ...], ...]):
+        self.ordering = ordering
+        self.entries = entries  # symbol indices
 
     def symbol(self, idx: int) -> str:
         return f"X{idx}"
@@ -69,7 +70,7 @@ def circulant_matrix(group: AbelianGroup, ordering=None) -> CirculantMatrix:
     ordering = tuple(ordering)
     if set(ordering) != set(group.elements()) or len(ordering) != group.order:
         raise ValueError("ordering must enumerate the group")
-    return CirculantMatrix(group, ordering, _difference_entries(ordering))
+    return CirculantMatrix(ordering, _difference_entries(ordering))
 
 
 def _difference_entries(ordering) -> tuple:
@@ -95,15 +96,16 @@ def subgroup_circulant_matrix(sub: Subgroup, ordering=None) -> CirculantMatrix:
     ordering = tuple(ordering)
     if set(ordering) != sub.elements:
         raise ValueError("ordering must enumerate the subgroup")
-    return CirculantMatrix(sub.parent, ordering, _difference_entries(ordering))
+    return CirculantMatrix(ordering, _difference_entries(ordering))
 
 
-@dataclass(frozen=True)
 class EigenPair:
-    label: GroupElement  # index j (or a coset representative)
-    vector: tuple[Cyclo, ...]
-    # eigenvalue as a linear form: coefficient of X_i at position i
-    value_coeffs: tuple[Cyclo, ...]
+    __slots__ = ("vector", "value_coeffs")
+
+    def __init__(self, vector: tuple[Cyclo, ...], value_coeffs: tuple[Cyclo, ...]):
+        self.vector = vector
+        # eigenvalue as a linear form: coefficient of X_i at position i
+        self.value_coeffs = value_coeffs
 
 
 def eigen_system(group: AbelianGroup, ordering=None, ctx: PairingContext | None = None, reps=None) -> list[EigenPair]:
@@ -124,7 +126,7 @@ def eigen_system(group: AbelianGroup, ordering=None, ctx: PairingContext | None 
     out = []
     for j in labels:
         vec = tuple(root_of_unity(ctx.k, pairing(ctx, j, l)) for l in ordering)
-        out.append(EigenPair(j, vec, vec))
+        out.append(EigenPair(vec, vec))
     return out
 
 
@@ -201,24 +203,38 @@ def _perm_sign(perm) -> int:
 # -- normal-form specifications ------------------------------------------------
 
 
-@dataclass(frozen=True)
 class NormalFormSpec:
-    moduli: tuple[int, ...]
-    k: int
-    gamma: tuple[tuple[Fraction, ...], ...]  # (k-1) rows, r columns
-    quotient_group: AbelianGroup
-    labels: tuple[GroupElement, ...]
+    __slots__ = ("moduli", "k", "gamma", "quotient_group", "labels")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(int(p) for p in self.moduli))
-        object.__setattr__(
-            self, "gamma", tuple(tuple(Fraction(x) for x in row) for row in self.gamma)
-        )
-        if len(self.gamma) != self.k - 1:
+    def __init__(
+        self,
+        moduli: tuple[int, ...],
+        k: int,
+        gamma: tuple[tuple[Fraction, ...], ...],  # (k-1) rows, r columns
+        quotient_group: AbelianGroup,
+        labels: tuple[GroupElement, ...],
+    ):
+        moduli = tuple(int(p) for p in moduli)
+        gamma = tuple(tuple(Fraction(x) for x in row) for row in gamma)
+        if len(gamma) != k - 1:
             raise ValueError("gamma must have k-1 rows")
-        for row in self.gamma:
-            if len(row) != len(self.moduli):
+        for row in gamma:
+            if len(row) != len(moduli):
                 raise ValueError("gamma rows must match the moduli")
+        for name, value in zip(self.__slots__, (moduli, k, gamma, quotient_group, labels)):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return (self.moduli, self.k, self.gamma, self.quotient_group, self.labels)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @property
     def r(self) -> int:
@@ -386,17 +402,26 @@ def _require_integer_w(poly: FracPoly, w_names) -> None:
                 raise NonPolynomial(f"residual fractional exponent {space.face_key(key)[i]} on {name}")
 
 
-@dataclass(frozen=True)
 class ProductNormalFormSpec:
-    factors: tuple[NormalFormSpec, ...]
+    __slots__ = ("factors",)
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple[NormalFormSpec, ...]):
+        if not factors:
             raise ValueError("need at least one factor")
-        moduli = self.factors[0].moduli
-        for f in self.factors:
+        moduli = factors[0].moduli
+        for f in factors:
             if f.moduli != moduli:
                 raise ValueError("factors must share moduli (omitted divisors use zero columns)")
+        object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.factors,))
 
     @property
     def moduli(self):
@@ -423,18 +448,33 @@ class ProductNormalFormSpec:
 # -- validation -----------------------------------------------------------------
 
 
-@dataclass
 class ValidationReport:
-    spec: NormalFormSpec
-    exponents_in_range: bool
-    denominators_realized: tuple[bool, ...]
-    labels_enumerate: bool
-    multiset_condition: tuple[bool, ...]
-    exponent_subgroup: Subgroup | None
-    action_permutations: list | None  # one permutation per generator of the acting group
-    transitive: bool
-    stabilizer: Subgroup | None
-    quotient_isomorphic: bool
+    __slots__ = (
+        "exponents_in_range", "denominators_realized", "labels_enumerate", "multiset_condition",
+        "exponent_subgroup", "action_permutations", "transitive", "stabilizer", "quotient_isomorphic",
+    )
+
+    def __init__(
+        self,
+        exponents_in_range: bool,
+        denominators_realized: tuple[bool, ...],
+        labels_enumerate: bool,
+        multiset_condition: tuple[bool, ...],
+        exponent_subgroup: Subgroup | None,
+        action_permutations: list | None,  # one permutation per generator of the acting group
+        transitive: bool,
+        stabilizer: Subgroup | None,
+        quotient_isomorphic: bool,
+    ):
+        self.exponents_in_range = exponents_in_range
+        self.denominators_realized = denominators_realized
+        self.labels_enumerate = labels_enumerate
+        self.multiset_condition = multiset_condition
+        self.exponent_subgroup = exponent_subgroup
+        self.action_permutations = action_permutations
+        self.transitive = transitive
+        self.stabilizer = stabilizer
+        self.quotient_isomorphic = quotient_isomorphic
 
     @property
     def valid(self) -> bool:
@@ -501,7 +541,6 @@ def validate_normal_form(spec: NormalFormSpec, allow_omitted_divisors: bool = Fa
     if stab is not None:
         quotient_iso = quotient_invariant_factors(g, stab) == invariant_factors(full_subgroup(spec.quotient_group))
     return ValidationReport(
-        spec=spec,
         exponents_in_range=in_range,
         denominators_realized=tuple(denom),
         labels_enumerate=labels_ok,
@@ -570,11 +609,11 @@ def cyclic_factor_orbit_transitive(k: int, h) -> bool | None:
     return len(index_orbits(element_index_maps(AbelianGroup((k,)), [perm], k), k)[0]) == k
 
 
-@dataclass
 class PermutationReport:
-    h: tuple[int, ...]
-    substitution: dict
-    verified: bool
+    __slots__ = ("verified",)
+
+    def __init__(self, verified: bool):
+        self.verified = verified
 
 
 def permute_to_standard(h, k: int | None = None) -> PermutationReport:
@@ -600,20 +639,20 @@ def permute_to_standard(h, k: int | None = None) -> PermutationReport:
         FracPoly.monomial(space, {f"y{j}": 1, "w": Fraction(j, k)}) for j in range(1, k)
     ]
     rhs = eigen_factors(zk, rhs_vals)
-    substitution = {f"x{j}": f"y{h[j-1]}" for j in range(1, k)}
-    return PermutationReport(h=h, substitution=substitution, verified=match_factors(lhs, rhs) == 1)
+    return PermutationReport(verified=match_factors(lhs, rhs) == 1)
 
 
 # -- product merge ----------------------------------------------------------------
 
 
-@dataclass
 class MergeReport:
-    k: int
-    r: int
-    # rows: x_{ij} = sum_m coeff * x_{mk+j}
-    transform: dict
-    verified: bool
+    __slots__ = ("k", "r", "transform", "verified")
+
+    def __init__(self, k: int, r: int, transform: dict, verified: bool):
+        self.k = k
+        self.r = r
+        self.transform = transform  # rows: x_{ij} = sum_m coeff * x_{mk+j}
+        self.verified = verified
 
 
 def product_merge(k: int, r: int) -> MergeReport:
@@ -653,13 +692,12 @@ def product_merge(k: int, r: int) -> MergeReport:
 # -- roots <-> coordinate forms ----------------------------------------------------
 
 
-@dataclass
 class CoordsReport:
-    coords: dict  # GroupElement -> FracPoly
-    stabilizer: Subgroup
-    support: Subgroup
-    action: DiagonalAction
-    z: str
+    __slots__ = ("coords", "stabilizer")
+
+    def __init__(self, coords: dict, stabilizer: Subgroup):
+        self.coords = coords  # GroupElement -> FracPoly
+        self.stabilizer = stabilizer
 
     def to_roots(self) -> dict:
         """Inverse transform: GroupElement j -> z + b_j reconstructed from coords."""
@@ -702,21 +740,21 @@ def roots_to_coords(roots, group: AbelianGroup, v_names, z: str = "z") -> Coords
     for l, x in coords.items():
         if l not in comp and not x.is_zero():
             raise AssertionError("coordinate form supported off the complement")
-    return CoordsReport(coords=coords, stabilizer=stab, support=comp, action=action, z=z)
+    return CoordsReport(coords=coords, stabilizer=stab)
 
 
 # -- codimension-one factorization ---------------------------------------------------
 
 
-@dataclass
 class Codim1Report:
-    index: int
-    factor_polys: list
-    factor_ladder: NormalFormSpec
-    y_names: list
-    transform: dict  # y name -> list of (coeff, x name)
-    verified: bool
-    spec: NormalFormSpec
+    # no __slots__: the cached_property below keeps its value in the instance __dict__
+
+    def __init__(self, index: int, factor_polys: list, transform: dict, verified: bool, spec: NormalFormSpec):
+        self.index = index
+        self.factor_polys = factor_polys
+        self.transform = transform  # y name -> list of (coeff, x name)
+        self.verified = verified
+        self.spec = spec
 
     @cached_property
     def specialized(self) -> FracPoly:
@@ -791,8 +829,6 @@ def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
     return Codim1Report(
         index=i,
         factor_polys=factor_polys,
-        factor_ladder=cpk_spec(p),
-        y_names=sorted(y_defs),
         transform=y_defs,
         verified=match_factors(lhs, rhs) == 1,
         spec=spec,
@@ -802,11 +838,15 @@ def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
 # -- exponent cleaning ------------------------------------------------------------
 
 
-@dataclass
 class CleanedLadder:
-    order: tuple[int, ...]  # input row indices, stage by stage
-    delta: tuple[tuple[Fraction, ...], ...]
-    beta: tuple[tuple[int, ...], ...]
+    __slots__ = ("order", "delta", "beta")
+
+    def __init__(
+        self, order: tuple[int, ...], delta: tuple[tuple[Fraction, ...], ...], beta: tuple[tuple[int, ...], ...]
+    ):
+        self.order = order  # input row indices, stage by stage
+        self.delta = delta
+        self.beta = beta
 
 
 def clean_exponents(gamma_raw, moduli) -> CleanedLadder:

@@ -90,14 +90,13 @@ the products since its key last entered the map, tracked as a bit mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
 from math import lcm, prod
 from operator import add, mod, mul
 
-from .abelian import AbelianGroup, GroupElement
+from .abelian import AbelianGroup, GroupElement, _immutable
 from .cyclotomic import (
     Cyclo,
     _join_signed,
@@ -926,20 +925,26 @@ def match_factors(lhs, rhs):
     return c
 
 
-@dataclass(frozen=True)
 class DiagonalAction:
     """Diagonal action of Z_{p_1} x ... x Z_{p_r}: generator i scales each
-    variable v by e_{p_i}^(weights[v][i])."""
+    variable v by e_{p_i}^(weights[v][i]).  Two actions are equal when
+    their groups and weights are; the per-space memo plays no part."""
 
-    group: AbelianGroup
-    weights: dict
-    _by_space: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("group", "weights", "_by_space")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        for name, w in self.weights.items():
-            if len(w) != self.group.rank:
+    def __init__(self, group: AbelianGroup, weights: dict):
+        for name, w in weights.items():
+            if len(w) != group.rank:
                 raise ValueError(f"weight vector for {name} has wrong length")
-        object.__setattr__(self, "weights", {n: tuple(int(x) for x in w) for n, w in self.weights.items()})
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "weights", {n: tuple(int(x) for x in w) for n, w in weights.items()})
+        object.__setattr__(self, "_by_space", {})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.weights) == (other.group, other.weights)
 
     def _space_data(self, space: VarSpace) -> tuple:
         """For space: per generator i, the weight of each position times

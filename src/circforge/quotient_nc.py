@@ -27,7 +27,6 @@ so it and its determinant are formed once per signature.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
 from operator import mul
@@ -159,11 +158,12 @@ def _triangularize(factors, space: VarSpace):
 # -- adapted coordinates ---------------------------------------------------------
 
 
-@dataclass
 class AdaptedCoordinates:
-    coordinates: list  # (name, FracPoly, role) with role in {divisor:j, stratum, complement}
-    weights: dict  # name -> weight tuple of the coordinate
-    verified: bool
+    __slots__ = ("coordinates", "verified")
+
+    def __init__(self, coordinates: list, verified: bool):
+        self.coordinates = coordinates  # (name, FracPoly, role) with role in {divisor:j, stratum, complement}
+        self.verified = verified
 
 
 def adapted_coordinates(action: DiagonalAction, divisor_gens, s_gens) -> AdaptedCoordinates:
@@ -233,42 +233,53 @@ def adapted_coordinates(action: DiagonalAction, divisor_gens, s_gens) -> Adapted
     for name in space.names:
         if try_add(f"c{c_count}", FracPoly.variable(space, name), "complement"):
             c_count += 1
-    weights = {}
-    ok = len(coords) == len(space.names)
-    for name, poly, _role in coords:
-        w = semi_invariant_weight(poly, action)
-        if w is None:
-            ok = False
-        weights[name] = w
-    return AdaptedCoordinates(coordinates=coords, weights=weights, verified=ok)
+    weights = [semi_invariant_weight(poly, action) for _name, poly, _role in coords]
+    ok = len(coords) == len(space.names) and all(w is not None for w in weights)
+    return AdaptedCoordinates(coordinates=coords, verified=ok)
 
 
 # -- the nested normal form --------------------------------------------------------
 
 
-@dataclass
 class InvariantNCInput:
-    action: DiagonalAction
-    factors: list
+    __slots__ = ("action", "factors")
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, action: DiagonalAction, factors: list):
+        if not factors:
             raise ValueError("need at least one factor")
+        self.action = action
+        self.factors = factors
 
 
-@dataclass
 class NestedNormalForm:
-    chain: tuple[int, ...]  # cyclic quotient orders q > 1, in generator order
-    chain_generators: tuple[int, ...]  # generator index supplying each q
-    parts: dict  # (l_1, ..., l_s) -> coordinate polynomial h
-    gamma: dict  # prefix tuple -> residual weight used in the matrix formula
-    matrix: list  # rows over m-tuples, columns over l-tuples (Cyclo entries)
-    row_index: list  # the m-tuples, parallel to matrix rows
-    col_index: list  # the l-tuples, parallel to matrix columns
-    determinant: Cyclo
-    factors: list  # recombined factors, one per m-tuple
-    scalar: Cyclo  # prod(factors) = scalar * prod(input factors)
-    stabilizer: Subgroup
+    __slots__ = (
+        "chain", "chain_generators", "parts", "gamma", "matrix", "row_index", "determinant", "factors", "scalar",
+        "stabilizer",
+    )
+
+    def __init__(
+        self,
+        chain: tuple[int, ...],
+        chain_generators: tuple[int, ...],
+        parts: dict,
+        gamma: dict,
+        matrix: list,
+        row_index: list,
+        determinant: Cyclo,
+        factors: list,
+        scalar: Cyclo,
+        stabilizer: Subgroup,
+    ):
+        self.chain = chain  # cyclic quotient orders q > 1, in generator order
+        self.chain_generators = chain_generators  # generator index supplying each q
+        self.parts = parts  # (l_1, ..., l_s) -> coordinate polynomial h
+        self.gamma = gamma  # prefix tuple -> residual weight used in the matrix formula
+        self.matrix = matrix  # rows over m-tuples, columns over l-tuples (Cyclo entries)
+        self.row_index = row_index  # the m-tuples, parallel to matrix rows
+        self.determinant = determinant
+        self.factors = factors  # recombined factors, one per m-tuple
+        self.scalar = scalar  # prod(factors) = scalar * prod(input factors)
+        self.stabilizer = stabilizer
 
 
 def _match_scalar(a: FracPoly, b: FracPoly):
@@ -533,8 +544,8 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
         gamma=gamma,
         matrix=matrix,
         row_index=rows,
-        col_index=cols,
         determinant=determinant,
+
         factors=recombined,
         scalar=scalar,
         stabilizer=stabilizer,

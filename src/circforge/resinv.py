@@ -8,24 +8,37 @@ to one global scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 
-@dataclass(frozen=True)
 class _Sequence:
-    """Positive rational entries, each with one contact label."""
+    """Positive rational entries, each with one contact label.  Sequences
+    are values: equal when of one class with equal fields, and immutable."""
 
-    entries: tuple[Fraction, ...]
-    contacts: tuple[str, ...]
+    __slots__ = ("entries", "contacts")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
-        if len(self.entries) != len(self.contacts):
+    def __init__(self, entries: tuple[Fraction, ...], contacts: tuple[str, ...]):
+        entries = tuple(Fraction(e) for e in entries)
+        if len(entries) != len(contacts):
             raise ValueError("one contact label per entry")
-        if any(e <= 0 for e in self.entries):
+        if any(e <= 0 for e in entries):
             raise ValueError("entries must be positive")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "contacts", contacts)
+
+    def __setattr__(self, *_args):  # abelian._immutable; this layer imports no other
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.contacts) == (other.entries, other.contacts)
+
+    def __hash__(self):
+        return hash((self.entries, self.contacts))
 
     def __str__(self):
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
@@ -34,8 +47,10 @@ class _Sequence:
 class InvSequence(_Sequence):
     """The invariant sequence; its leading entry is an integer order."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, entries: tuple[Fraction, ...], contacts: tuple[str, ...]):
+        super().__init__(entries, contacts)
         if self.entries and self.entries[0].denominator != 1:
             raise ValueError("leading entry must be an integer order")
 
@@ -43,20 +58,28 @@ class InvSequence(_Sequence):
 class ATWSequence(_Sequence):
     """The product-form sequence: partial products of an InvSequence."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class WeightVector:
-    parameters: tuple[str, ...]
-    rational: tuple[Fraction, ...]
-    integer: tuple[int, ...]
-    multiplier: Fraction  # integer = rational * multiplier
+    __slots__ = ("parameters", "rational", "integer", "multiplier")
 
-    def __post_init__(self):
-        for q, n in zip(self.rational, self.integer):
-            if q * self.multiplier != n:
+    def __init__(
+        self,
+        parameters: tuple[str, ...],
+        rational: tuple[Fraction, ...],
+        integer: tuple[int, ...],
+        multiplier: Fraction,
+    ):
+        for q, n in zip(rational, integer):
+            if q * multiplier != n:
                 raise ValueError("integer weights must be the rational ones rescaled")
-        if any(q <= 0 for q in self.rational):
+        if any(q <= 0 for q in rational):
             raise ValueError("weights must be positive")
+        self.parameters = parameters
+        self.rational = rational
+        self.integer = integer
+        self.multiplier = multiplier  # integer = rational * multiplier
 
 
 def inv_cpk(k: int) -> InvSequence:
@@ -154,12 +177,10 @@ def weights(parts) -> WeightVector:
     return wv
 
 
-@dataclass(frozen=True)
 class MonomialMarkedIdeal:
     """Pairs (monomial, marked order); monomials are dicts var -> exponent."""
 
-    pairs: tuple[tuple[dict, Fraction], ...]
-    divisor: str = "w"
+    __slots__ = ("pairs", "divisor")
 
     def __init__(self, pairs, divisor: str = "w"):
         norm = []
@@ -171,8 +192,8 @@ class MonomialMarkedIdeal:
             if any(e < 0 for e in mono.values()):
                 raise ValueError("exponents must be nonnegative")
             norm.append((mono, d))
-        object.__setattr__(self, "pairs", tuple(norm))
-        object.__setattr__(self, "divisor", divisor)
+        self.pairs = tuple(norm)
+        self.divisor = divisor
 
 
 def cpk_ideal(k: int) -> MonomialMarkedIdeal:

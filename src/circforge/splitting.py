@@ -52,7 +52,6 @@ needed is available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import gt
@@ -97,14 +96,16 @@ class Unsupported(DomainError):
         super().__init__(f"splitting undecided: {reason}")
 
 
-@dataclass
 class _SearchState:
-    z: str
-    bound: int
-    cap: int
-    branches: int = 0
-    failed_at: Fraction = Fraction(0)  # the highest residual order at which no branch closed
-    unsupported: str | None = None  # the first edge equation the solver could not decide
+    __slots__ = ("z", "bound", "cap", "branches", "failed_at", "unsupported")
+
+    def __init__(self, z: str, bound: int, cap: int):
+        self.z = z
+        self.bound = bound
+        self.cap = cap
+        self.branches = 0
+        self.failed_at = Fraction(0)  # the highest residual order at which no branch closed
+        self.unsupported: str | None = None  # the first edge equation the solver could not decide
 
     def charge_branch(self):
         self.branches += 1

@@ -186,6 +186,10 @@ _X_ZERO = _X_POLY % ""
         (["blowup", "pullback", "--spec", _SPEC_UNREALIZED], "^blowup pullback: the spec fails validation"),
         (["blowup", "pullback", "--spec", "klein"], "supports one divisor"),
         (["blowup", "pullback", "--spec", _SPEC_PRODUCT], "^blowup pullback expects a single normal form$"),
+        # a payload that is not JSON names its flag
+        (["gcirc", "clean", "--gamma", "x", "--moduli", "2"], r"^--gamma: Expecting value: line 1 column 1 \(char 0\)$"),
+        (["split", "newton", "--poly", "z^2-x"], r"^--poly: Expecting value: line 1 column 1 \(char 0\)$"),
+        (["ncquot", "normalize", "--action", "{", "--factors", "[]"], "^--action: Expecting property name"),
     ],
     ids=[
         "det-cpk-noncyclic",
@@ -247,6 +251,9 @@ _X_ZERO = _X_POLY % ""
         "pullback-denominator-unrealized",
         "pullback-two-divisors",
         "pullback-product-spec",
+        "clean-gamma-not-json",
+        "newton-poly-not-json",
+        "normalize-action-not-json",
     ],
 )
 def test_domain_error_exit_code(capsys, argv, match):
@@ -317,20 +324,26 @@ def test_cli_import_does_not_load_numpy():
 
 
 def _modules_loaded_by(code: str) -> set[str]:
-    """The circforge modules a child interpreter has loaded after running code."""
+    """The modules a child interpreter has loaded after running code."""
     proc = subprocess.run(
         [sys.executable, "-c", code + "\nprint()\nprint(*sys.modules)"], capture_output=True, text=True, env=CHILD_ENV
     )
     assert proc.returncode == 0, proc.stderr
-    return {m for m in proc.stdout.splitlines()[-1].split() if m.startswith("circforge.")}
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def test_cli_loads_only_the_layers_a_subcommand_uses():
-    assert _modules_loaded_by("import sys, circforge") == set()
+    assert {m for m in _modules_loaded_by("import sys, circforge") if m.startswith("circforge.")} == set()
     unused = {f"circforge.{m}" for m in ("polyring", "modular", "gcirc", "blowup", "splitting", "quotient_nc")}
+    # the library's value types are plain classes, so no command loads
+    # dataclasses, nor the inspect module that it imports
+    stdlib = {"dataclasses", "inspect"}
     for argv, used, absent in [
-        (["abelian", "perp", "--group", "2,4", "--sub", "(1,2)"], "abelian", unused),
-        (["resinv", "atw", "--parts", "2,2"], "resinv", unused),
+        (["abelian", "perp", "--group", "2,4", "--sub", "(1,2)"], "abelian", unused | stdlib),
+        (["resinv", "atw", "--parts", "2,2"], "resinv", unused | stdlib),
+        (["gcirc", "det", "--spec", "cpk:6"], "gcirc", stdlib),
+        (["blowup", "quotient", "--cpk", "6"], "blowup", stdlib),
+
         # malformed input fails before a layer loads, also in the commands
         # that refuse a product spec
         (["gcirc", "validate", "--spec", "{}"], "jsonio", unused),
@@ -523,7 +536,26 @@ def test_closed_stdout_exits_1_without_traceback():
     assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
+def test_payload_file_or_stdin_that_is_not_json_names_its_flag(capsys, monkeypatch, tmp_path):
+    import io
+
+    path = tmp_path / "poly.json"
+    path.write_text("{")
+    path_latin1 = tmp_path / "latin1.json"
+    path_latin1.write_bytes(b'"\xe9"')
+    for argv, stdin in [
+        (["--poly", f"@{path}"], ""),
+        (["--poly", f"@{path_latin1}"], ""),
+        (["--poly", "-"], "z^2 - x"),
+    ]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = run(["--format", "json", "split", "newton", *argv])
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 1 and error.startswith("--poly: "), (argv, error)
+
+
 def test_stdin_payload(capsys, monkeypatch):
+
     import io
 
     from circforge import FracPoly, VarSpace
@@ -718,7 +750,24 @@ def test_malformed_input_keeps_the_exit_contract(capsys, command, data):
         assert code == 1 and isinstance(obj.get("error"), str), (argv, obj)
 
 
+def test_help_and_usage_errors_keep_their_bytes(capsys, monkeypatch):
+    # the parser of a command line adds the subcommands of its group only;
+    # help and usage errors must not tell
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    cases = json.loads((GOLDEN / "cli_help.json").read_text())
+    helped = {tuple(case["argv"][:-1]) for case in cases if case["argv"][-1:] == ["--help"]}
+    assert helped == {()} | {(group,) for group in COMMANDS} | set(SUBCOMMANDS)
+    for case in cases:
+        try:
+            code = run(case["argv"])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (out, err, code) == (case["stdout"], case["stderr"], case["code"]), case["argv"]
+
+
 SPEC_COMMANDS = [
+
     (group, name)
     for group, commands in COMMANDS.items()
     for name, (_handler, *arguments) in commands.items()

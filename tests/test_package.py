@@ -82,7 +82,22 @@ def test_library_has_no_assert_statement():
     assert found == []
 
 
+def test_library_does_not_import_dataclasses():
+    # importing dataclasses also imports inspect, a start-up cost of every
+    # CLI process; the library's value types are plain classes
+    src = Path(circforge.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert found == []
+
+
 def _is_zero_poly(node) -> bool:
+
     """Whether node is a call FracPoly.zero(...)."""
     return (
         isinstance(node, ast.Call)
@@ -133,3 +148,84 @@ def test_library_sums_polynomials_through_poly_sum():
                 if _adds_to_itself(node, zeros)
             }
     assert sorted(found) == []
+
+
+def _value_types():
+    """(a factory, a factory of a value that differs in one field, a value
+    of another type, that field) for each value type that the library
+    compares or hashes."""
+    from fractions import Fraction
+
+    from circforge import (
+        ATWSequence,
+        AbelianGroup,
+        DiagonalAction,
+        InvSequence,
+        NormalFormSpec,
+        ProductNormalFormSpec,
+        cpk_spec,
+    )
+
+    z4 = AbelianGroup((4,))
+
+    def cp4_with_labels(residues):
+        return NormalFormSpec((4,), 4, tuple((Fraction(j, 4),) for j in range(1, 4)), z4, tuple(map(z4.element, residues)))
+
+    return {
+        "AbelianGroup": (lambda: AbelianGroup((2, 4)), lambda: AbelianGroup((4, 2)), (2, 4), "moduli"),
+        "GroupElement": (lambda: AbelianGroup((2, 4)).element((1, 3)), lambda: AbelianGroup((2, 8)).element((1, 3)), (1, 3), "residues"),
+        "NormalFormSpec": (
+            lambda: cp4_with_labels([(0,), (1,), (2,), (3,)]),
+            lambda: cp4_with_labels([(0,), (3,), (2,), (1,)]),
+            ProductNormalFormSpec((cpk_spec(4),)),
+            "labels",
+        ),
+        "ProductNormalFormSpec": (
+            lambda: ProductNormalFormSpec((cpk_spec(4), cpk_spec(4))),
+            lambda: ProductNormalFormSpec((cpk_spec(4), cp4_with_labels([(0,), (3,), (2,), (1,)]))),
+            cpk_spec(4),
+            "factors",
+        ),
+
+        "InvSequence": (
+            lambda: InvSequence((2, Fraction(3, 2)), ("x0", "w")),
+            lambda: InvSequence((2, Fraction(3, 2)), ("x0", "x1")),
+            ATWSequence((2, Fraction(3, 2)), ("x0", "w")),
+            "entries",
+        ),
+        "ATWSequence": (
+            lambda: ATWSequence((2, 3), ("x0", "w")),
+            lambda: ATWSequence((2, 4), ("x0", "w")),
+            InvSequence((2, 3), ("x0", "w")),
+            "contacts",
+        ),
+        "DiagonalAction": (
+            lambda: DiagonalAction(AbelianGroup((2,)), {"x": (1,), "y": (0,)}),
+            lambda: DiagonalAction(AbelianGroup((2,)), {"x": (1,), "y": (1,)}),
+            {"x": (1,), "y": (0,)},
+            "weights",
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_value_types()))
+def test_value_types_compare_and_hash_on_their_fields(name):
+    make, make_changed, foreign, field = _value_types()[name]
+    a, b, changed = make(), make(), make_changed()
+    if name == "DiagonalAction":  # the per-space memo is no field
+        from circforge import FracPoly, VarSpace
+
+        sp = VarSpace([], ["x", "y"])
+        a.numerators(sp, next(iter(FracPoly.variable(sp, "x").terms)))
+    assert a is not b and a == b and not a != b
+    if name == "DiagonalAction":  # its weights are a dict
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+    assert a != changed and changed != a
+    assert (a == foreign) is False and (foreign == a) is False
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(changed, field))
+    assert a == b
