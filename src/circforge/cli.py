@@ -171,11 +171,17 @@ def cmd_abelian_factors(args):
 # -- gcirc -----------------------------------------------------------------------
 
 
+# `gcirc matrix` builds and prints order^2 entries, so it refuses larger groups
+MATRIX_ORDER_LIMIT = 512
+
+
 def cmd_gcirc_matrix(args):
     from . import jsonio
     from .gcirc import circulant_matrix
 
     g = _parse_group(args.group)
+    if g.order > MATRIX_ORDER_LIMIT:
+        raise DomainError(f"gcirc matrix: group order {g.order} exceeds the limit {MATRIX_ORDER_LIMIT}")
     mat = circulant_matrix(g)
     rows = mat.rows_as_symbols()
     payload = {"ordering": [jsonio.element_to_json(e) for e in mat.ordering], "rows": rows}

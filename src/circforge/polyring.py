@@ -94,7 +94,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
 from math import lcm, prod
-from operator import add, mod, mul
+from operator import add, mul
 
 from .abelian import AbelianGroup, GroupElement, _immutable
 from .cyclotomic import (
@@ -950,7 +950,7 @@ class DiagonalAction:
         """For space: per generator i, the weight of each position times
         L / b (L = space.lcm), so that a scaled key's dot product with it is
         the term weight times L; the positions of variables the action does
-        not cover; the moduli p_i * L; and the memo of `_numerators`."""
+        not cover; and the memo of `_numerators`."""
         data = self._by_space.get(space)
         if data is None:
             names, scales = space.names, space.scales
@@ -959,27 +959,29 @@ class DiagonalAction:
                 for i in range(self.group.rank)
             )
             uncovered = tuple(pos for pos, n in enumerate(names) if n not in self.weights)
-            data = self._by_space[space] = (cols, uncovered, tuple(p * space.lcm for p in self.group.moduli), {})
+            data = self._by_space[space] = (cols, uncovered, {})
         return data
 
     def _numerators(self, space: VarSpace, key) -> tuple:
         """Per generator, the term weight of key times L = space.lcm, and
-        the same reduced mod p_i * L."""
-        cols, uncovered, mods, memo = self._space_data(space)
+        `characters`: the weights mod p_i, or None when one is fractional."""
+        cols, uncovered, memo = self._space_data(space)
         out = memo.get(key)
         if out is None:
             for pos in uncovered:
                 if key[pos]:
                     raise ValueError(f"variable {space.names[pos]} not covered by the action")
             nums = tuple(sum(map(mul, key, col)) for col in cols)
-            out = memo[key] = (nums, tuple(map(mod, nums, mods)))
+            L = space.lcm
+            chars = None if any(t % L for t in nums) else tuple(t // L % p for t, p in zip(nums, self.group.moduli))
+            out = memo[key] = (nums, chars)
         return out
 
-    def numerators(self, space: VarSpace, key) -> tuple:
-        """Per generator i, the term weight of key (a scaled key of space)
-        times L = space.lcm, an integer: the term's character at generator i
-        is e_{p_i * L} to this power."""
-        return self._numerators(space, key)[0]
+    def characters(self, space: VarSpace, key):
+        """Per generator i, the weight w_i mod p_i of a term (a scaled key of
+        space), so that its character at g is the product of e_{p_i}^(g_i w_i);
+        None when a weight is fractional, where no character is defined."""
+        return self._numerators(space, key)[1]
 
     def term_weight(self, space: VarSpace, key, i: int):
         """Phase exponent of a term (a scaled key of space) under generator
@@ -989,20 +991,21 @@ class DiagonalAction:
         return t // L if t % L == 0 else Fraction(t, L)
 
     def phase(self, space: VarSpace, key, g: GroupElement) -> Cyclo:
-        """Character value at g of a term (a scaled key of space)."""
-        return _phase(self.group.moduli, g.residues, self._numerators(space, key)[1], space.lcm)
+        """Character value at g of a term (a scaled key of space).  A term of
+        fractional weight has no character, and the action refuses it."""
+        chars = self._numerators(space, key)[1]
+        if chars is None:
+            raise ValueError(f"term {FracPoly._term(space, key, 1)} has fractional weight; the group does not act on it")
+        return _phase(self.group.moduli, g.residues, chars)
 
 
 @lru_cache(maxsize=4096)
-def _phase(moduli: tuple, residues: tuple, numerators: tuple, den: int) -> Cyclo:
-    """The product over generators of e_{p_i}^(g_i * t_i / den).  Reducing
-    t_i mod p_i * den leaves the value and the order of every factor."""
+def _phase(moduli: tuple, residues: tuple, chars: tuple) -> Cyclo:
+    """The product over generators of e_{p_i}^(g_i * w_i)."""
     out = Cyclo.one()
-    for gi, p, t in zip(residues, moduli, numerators):
-        if gi == 0:
-            continue
-        w = Fraction(t * gi, den)
-        out = out * root_of_unity(p * w.denominator, w.numerator)
+    for gi, p, w in zip(residues, moduli, chars):
+        if gi:
+            out = out * root_of_unity(p, gi * w)
     return out
 
 
@@ -1023,7 +1026,8 @@ def is_invariant(f: FracPoly, action: DiagonalAction) -> bool:
 
 def semi_invariant_split(f: FracPoly, action: DiagonalAction, i: int) -> list[FracPoly]:
     """Decompose f = sum of p_i parts, part m scaled by e_{p_i}^m under
-    generator i.  Terms with fractional phase are rejected."""
+    generator i.  A term of fractional weight under generator i is in no
+    part, and is refused."""
     p = action.group.moduli[i]
     L = f.space.lcm
     buckets: list[dict] = [dict() for _ in range(p)]
@@ -1049,17 +1053,5 @@ def semi_invariant_weight(f: FracPoly, action: DiagonalAction):
     """Weight vector (per generator) if f is semi-invariant, else None."""
     if f.is_zero():
         return (0,) * action.group.rank
-    L = f.space.lcm
-    nums = [action._numerators(f.space, key)[0] for key in f.terms]
-    out = []
-    for i, p in enumerate(action.group.moduli):
-        ws = set()
-        for t in nums:
-            w, r = divmod(t[i], L)
-            if r:
-                return None
-            ws.add(w % p)
-        if len(ws) > 1:
-            return None
-        out.append(ws.pop())
-    return tuple(out)
+    chars = {action.characters(f.space, key) for key in f.terms}
+    return chars.pop() if len(chars) == 1 else None

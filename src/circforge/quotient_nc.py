@@ -10,12 +10,12 @@ indexed by nested weights, and certifies an invertible coefficient matrix
 into the full factor system.  Ideal membership row-reduces the linear
 parts with `smith.echelon`.
 
-The factor ideals of an invariant system are the orbit of (f_1).  Its
-stabilizer is read off the integer characters of the terms of f_1, and
-the chain's k row translates of f_1 are each matched once against the
-factors; one exact match per factor proves the orbit.  Any other system
-goes to a search that composes one factor permutation per generator
-(`abelian.element_index_maps`), which decides its exception.
+The factor ideals are read as G-orbits, one at a time: the stabilizer of
+the least factor not yet placed is read off the integer characters of its
+terms, and its translates, one per coset, are each matched once against
+the factors not yet placed.  A translate that matches none of them proves
+that G does not permute the factor ideals; an invariant system is one
+orbit, and more than one is a split.
 
 Full rank of the factors' linear parts is decided by `linear_rank`: the
 image of the coefficient rows in a prime field F_l (`modular.rank_mod`)
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import lcm, prod
+from math import lcm
 from operator import mul
 
-from .abelian import GroupElement, Subgroup, element_index_maps, index_orbits
+from .abelian import GroupElement, Subgroup
 from .cyclotomic import Cyclo, root_of_unity
 from .errors import DomainError
 from .polyring import (
@@ -49,6 +49,9 @@ from .polyring import (
     truncate,
 )
 from .smith import det, echelon
+
+
+NOT_PERMUTED = "the group does not permute the factor ideals; product is not invariant"
 
 
 class SplitsInvariantly(DomainError):
@@ -287,16 +290,15 @@ def _match_scalar(a: FracPoly, b: FracPoly):
     return match_scalar(a, b)
 
 
-def _match_rows(translates, factors):
+def _match_rows(translates, factors, free):
     """(index, scalar) of the factor that each translate is a multiple of,
-    or None when a translate matches no factor left.
+    taken from the indices in free, which loses them.
 
     The factors must have independent linear parts, so no two of them are
     proportional and a translate is proportional to at most one factor.
-    Each translate is therefore matched against the factors not matched yet:
-    a translate whose factor is taken matches none of them.  translates may
-    be a lazy iterable; matching stops at the first translate left over."""
-    free = list(range(len(factors)))
+    Each translate is therefore matched against the factors not placed yet:
+    a translate that matches none of them matches no factor, and G does not
+    permute the factor ideals."""
     out = []
     for moved in translates:
         for pos, idx in enumerate(free):
@@ -304,69 +306,30 @@ def _match_rows(translates, factors):
             if c is not None:
                 break
         else:
-            return None
+            raise ValueError(NOT_PERMUTED)
         del free[pos]
         out.append((idx, c))
     return out
 
 
-def _factor_permutation(factors, action: DiagonalAction, g: GroupElement):
-    """The index map sigma with g . f_j proportional to f_{sigma(j)}, or None
-    when g does not permute the factor ideals.
-
-    It decides only the systems that are not certified as one orbit of f_1
-    on integer characters (see `invariant_nc_normal_form`): factors that are
-    no such orbit, or an f_1 with a term of fractional weight or a variable
-    the action does not cover.  Its outcome there is the normal form's."""
-    matched = _match_rows((apply_group(f, action, g) for f in factors), factors)
-    return None if matched is None else [idx for idx, _c in matched]
-
-
-def _search_index_maps(factors, action: DiagonalAction) -> dict:
-    """The index map of every group element, composed from one factor
-    permutation per generator (`abelian.element_index_maps`).
-
-    Raises ValueError when a generator does not permute the factor ideals
-    and SplitsInvariantly when G does not act transitively on them."""
-    group = action.group
-    k = len(factors)
-    sigmas = []
-    for i, p in enumerate(group.moduli):
-        sigma = _factor_permutation(factors, action, group.generator(i)) if p > 1 else range(k)
-        if sigma is None:
-            raise ValueError("the group does not permute the factor ideals; product is not invariant")
-        sigmas.append(sigma)
-    perms = element_index_maps(group, sigmas, k)
-    orbits = index_orbits(perms, k)
-    if len(orbits) > 1:
-        raise SplitsInvariantly(orbits)
-    return perms
-
-
 def _character_stabilizer(f: FracPoly, action: DiagonalAction):
     """The residue tuples of the g with g . f proportional to f, read off
-    integer characters, or None when the space of f has a variable the
-    action does not cover or a term of f has a fractional weight.
+    the integer characters that `DiagonalAction.characters` gives.
 
     Every coefficient of f is nonzero and character values are roots of
     unity, e_N^a = e_N^b exactly when a = b mod N.  So g . f is proportional
     to f exactly when every term t gets the phase of the first term t_0:
     sum_i g_i (w_i(t) - w_i(t_0)) N / p_i = 0 mod N, with N = lcm(p_i) and
-    w_i the integer term weights."""
-    space = f.space
-    if any(name not in action.weights for name in space.names):
-        return None
-    L = space.lcm
+    w_i the term weights mod p_i.  A term with a variable the action does
+    not cover raises its ValueError; G does not act on a term of fractional
+    weight, and so does not permute the factor ideals."""
     moduli = action.group.moduli
     n = lcm(*moduli)
-    weights = []
-    for key in f.terms:
-        nums = action.numerators(space, key)
-        if any(t % L for t in nums):
-            return None
-        weights.append(nums)
+    weights = [action.characters(f.space, key) for key in f.terms]
+    if None in weights:
+        raise ValueError(NOT_PERMUTED)
     base = weights[0]
-    diffs = {tuple((t - t0) // L * (n // p) % n for t, t0, p in zip(w, base, moduli)) for w in weights}
+    diffs = {tuple((t - t0) * (n // p) % n for t, t0, p in zip(w, base, moduli)) for w in weights}
     diffs.discard((0,) * len(moduli))
     return {
         res
@@ -432,18 +395,15 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
       to a nonzero minor), or else by exact elimination (`linear_rank`);
     - the factor ideals are the G-orbit of (f_1), with stabilizer Stab:
       Stab is read off integer characters (`_character_stabilizer`), the
-      k' = |G/Stab| row elements of the chain are one per coset of Stab,
-      and when k' = k their translates of f_1 match k distinct factors,
-      each up to a scalar (match_scalar, against the factors not matched
-      yet).  Then every factor ideal is one translate (g . f_1) and every
-      translate is one factor ideal, so G permutes the factor ideals
-      transitively and Stab is the stabilizer of (f_1);
-    - any other system (k' != k, a translate left unmatched, or a term of
-      f_1 with a fractional weight or an uncovered variable) goes to the
-      generator-by-generator search: each generator must permute the factor
-      ideals (`_factor_permutation`), the index maps of all other elements
-      are compositions of these along the element's residues, and G must act
-      transitively; the row translates are then matched along those maps;
+      row elements of the chain are one per coset of Stab, and their
+      translates of f_1 match distinct factors, each up to a scalar
+      (match_scalar, against the factors not placed yet), until every
+      factor is placed.  Then every factor ideal is one translate (g . f_1)
+      and every translate is one factor ideal, so G permutes the factor
+      ideals transitively and Stab is the stabilizer of (f_1).  Factors
+      left over are placed the same way, one orbit at a time from the
+      least of them: G permutes the factor ideals exactly when every
+      translate of every orbit's first factor matches a factor;
     - each recombined factor equals its row translate of f_1 exactly, and
       that translate is a scalar multiple of a factor; these rows meet every
       input factor once, which proves prod(factors) = scalar * prod(inputs);
@@ -455,7 +415,7 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
       independent on entry.
 
     Raises SplitsInvariantly when G does not act transitively on the factor
-    ideals, and ValueError when a generator does not permute them.
+    ideals, and ValueError when it does not permute them.
     """
     action = data.action
     group = action.group
@@ -466,24 +426,21 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     if linear_rank([linear_part(f) for f in factors], space.names) != k:
         raise DegenerateInput("factor linear parts are not independent")
 
-    f1 = factors[0]
-    f1_aligned = f1.in_space(space)
-    matches = perms = None
-    stab = _character_stabilizer(f1, action)
-    if stab is not None:
+    free = list(range(k))
+    orbits = []
+    while free:  # one orbit per pass, from its least factor
+        f = factors[free[0]]
+        stab = _character_stabilizer(f, action)
         chain, chain_gens = _quotient_chain(group.moduli, stab)
-        if prod(chain) == k:  # |G/Stab| = k
-            elements = _row_elements(group, chain, chain_gens)
-            translates = [apply_group(f1_aligned, action, el) for el in elements]
-            matches = _match_rows(translates, factors)
-    if matches is None:
-        perms = _search_index_maps(factors, action)
-        stab = [el.residues for el, perm in perms.items() if perm[0] == 0]
-        chain, chain_gens = _quotient_chain(group.moduli, stab)
-        elements = _row_elements(group, chain, chain_gens)
+        translates = [apply_group(f.in_space(space), action, el) for el in _row_elements(group, chain, chain_gens)]
+        matches = _match_rows(translates, factors, free)
+        orbits.append(tuple(sorted(idx for idx, _c in matches)))
+    if len(orbits) > 1:
+        raise SplitsInvariantly(tuple(orbits))
+    # one orbit: the loop ran once, on f = f_1
     stabilizer = Subgroup(group, [GroupElement(group, r) for r in stab])
 
-    parts = {(): f1}
+    parts = {(): f}
     gamma: dict = {}
     for i, q in zip(chain_gens, chain):
         step = group.moduli[i] // q
@@ -516,9 +473,6 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
         poly_sum(space, [parts[lvec].scale(entry) for entry, lvec in zip(row, cols)]) for row in matrix
     ]
 
-    if perms is not None:  # the search path matches each row along its index map
-        translates = [apply_group(f1_aligned, action, el) for el in elements]
-        matches = [(perms[el][0], _match_scalar(t, factors[perms[el][0]])) for el, t in zip(elements, translates)]
     # each recombined factor must be its row translate of f1, a scalar
     # multiple of a factor; meeting every input factor once certifies
     # prod(recombined) = scalar * prod(inputs)
@@ -527,8 +481,6 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     for comb, translate, (idx, c) in zip(recombined, translates, matches):
         if comb != translate:
             raise AssertionError("recombined factor differs from the group translate")
-        if c is None:
-            raise AssertionError("group translate is not a multiple of its matched factor")
         hit.append(idx)
         scalar = scalar * c
     if sorted(hit) != list(range(k)):
@@ -545,7 +497,6 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
         matrix=matrix,
         row_index=rows,
         determinant=determinant,
-
         factors=recombined,
         scalar=scalar,
         stabilizer=stabilizer,

@@ -190,6 +190,8 @@ _X_ZERO = _X_POLY % ""
         (["gcirc", "clean", "--gamma", "x", "--moduli", "2"], r"^--gamma: Expecting value: line 1 column 1 \(char 0\)$"),
         (["split", "newton", "--poly", "z^2-x"], r"^--poly: Expecting value: line 1 column 1 \(char 0\)$"),
         (["ncquot", "normalize", "--action", "{", "--factors", "[]"], "^--action: Expecting property name"),
+        # the circulant matrix has order^2 entries, so its order is bounded
+        (["gcirc", "matrix", "--group", "2,257"], "^gcirc matrix: group order 514 exceeds the limit 512$"),
     ],
     ids=[
         "det-cpk-noncyclic",
@@ -254,6 +256,7 @@ _X_ZERO = _X_POLY % ""
         "clean-gamma-not-json",
         "newton-poly-not-json",
         "normalize-action-not-json",
+        "matrix-group-too-large",
     ],
 )
 def test_domain_error_exit_code(capsys, argv, match):

@@ -166,6 +166,51 @@ def test_apply_group_is_action():
     assert apply_group(f * h, act, e) == apply_group(f, act, e) * apply_group(h, act, e)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_group_is_a_ring_action(data):
+    # g.(h.f) = (g+h).f, the identity fixes f, and each g is a ring
+    # automorphism, on polynomials whose terms have integral weights only
+    draw = data.draw
+    group = AbelianGroup(tuple(draw(st.lists(st.sampled_from([2, 3, 4, 6]), min_size=1, max_size=3))))
+    names = _ACTED_SPACE.names
+    weights = {n: [draw(st.integers(0, 2 * p)) for p in group.moduli] for n in names}
+    action = DiagonalAction(group, weights)
+
+    def integral_poly():
+        terms = {}
+        for _ in range(draw(st.integers(1, 6))):
+            key = (
+                Fraction(draw(st.integers(0, 4)), 2),
+                Fraction(draw(st.integers(0, 6)), 3),
+                draw(st.integers(-2, 3)),
+                draw(st.integers(0, 3)),
+            )
+            if all(sum(e * weights[n][i] for e, n in zip(key, names)).denominator == 1 for i in range(group.rank)):
+                terms[key] = draw(_product_coeffs())
+        return FracPoly(_ACTED_SPACE, terms)
+
+    f, h = integral_poly(), integral_poly()
+    elements = list(group.elements())
+    g1, g2 = draw(st.sampled_from(elements)), draw(st.sampled_from(elements))
+    assert apply_group(apply_group(f, action, g2), action, g1) == apply_group(f, action, g1 + g2)
+    assert apply_group(f, action, group.identity) == f
+    assert apply_group(f * h, action, g1) == apply_group(f, action, g1) * apply_group(h, action, g1)
+    assert apply_group(f + h, action, g1) == apply_group(f, action, g1) + apply_group(h, action, g1)
+
+
+def test_apply_group_refuses_a_term_of_fractional_weight():
+    # w^(1/2) has weight 1/2 under the generator of Z2, which no character
+    # of Z2 takes: a phase e_4 would make g.(g.f) = -w^(1/2) + x differ
+    # from (g+g).f = f
+    sp = VarSpace([("w", 2)], ["x"])
+    act = DiagonalAction(AbelianGroup((2,)), {"w": (1,), "x": (0,)})
+    f = FracPoly.monomial(sp, {"w": Fraction(1, 2)}) + FracPoly.variable(sp, "x")
+    for g in act.group.elements():
+        with pytest.raises(ValueError, match=r"^term w\^\(1/2\) has fractional weight"):
+            apply_group(f, act, g)
+
+
 def test_semi_invariant_split_examples():
     g2 = AbelianGroup((2,))
     sp2 = VarSpace([], ["x", "y"])
@@ -1130,7 +1175,19 @@ def test_power_matches_square_and_multiply(data):
 
 
 def _fixed_by_every_generator(f, action):
-    return all(apply_group(f, action, action.group.generator(i)) == f for i in range(action.group.rank))
+    """Whether every generator fixes every term of f.  apply_group refuses a
+    term of fractional weight, which no generator fixes; every term is
+    acted on, so a term with a variable the action does not cover raises."""
+    fixed = True
+    for key, coeff in f.sorted_terms():
+        term = FracPoly(f.space, {key: coeff})
+        try:
+            fixed &= all(apply_group(term, action, action.group.generator(i)) == term for i in range(action.group.rank))
+        except ValueError as exc:
+            if "fractional weight" not in str(exc):
+                raise
+            fixed = False
+    return fixed
 
 
 _ACTED_SPACE = VarSpace([("w", 2), ("s", 3)], ["x", "y"])

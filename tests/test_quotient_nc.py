@@ -320,35 +320,49 @@ def _draw_orbit_with_a_stabilizer(rng):
     Every term of the first factor has one character value c at s: its
     linear terms are the variables of class c, and its quadratic terms are
     products of two variables whose classes add up to c."""
-    moduli = rng.choice(_ORACLE_POOL)
-    group = AbelianGroup(moduli)
-    n = math.lcm(*moduli)
+    group = AbelianGroup(rng.choice(_ORACLE_POOL))
     s = rng.choice([el for el in group.elements() if not el.is_identity()])
     vectors = list(group.elements())
-
-    def cls(w):
-        return sum(r * x * (n // p) for r, x, p in zip(s.residues, w, moduli)) % n
-
+    cls = _character_class(s)
     for _ in range(40):
         c = cls(rng.choice(vectors).residues)
         in_class = [v.residues for v in vectors if cls(v.residues) == c]
         names = [f"x{i}" for i in range(rng.randint(4, 7))]
         weights = {m: rng.choice(in_class if rng.random() < 0.6 else [v.residues for v in vectors]) for m in names}
         act = DiagonalAction(group, weights)
-        sp = VarSpace([], names)
-        f = FracPoly.zero(sp)
-        for m in names:
-            if cls(weights[m]) == c:
-                f = f + FracPoly.variable(sp, m).scale(rng.choice([-2, -1, 1, 2, 3]))
-        pairs = [(u, v) for u in names for v in names if u <= v and (cls(weights[u]) + cls(weights[v])) % n == c]
-        for u, v in rng.sample(pairs, min(2, len(pairs))):
-            f = f + FracPoly.variable(sp, u) * FracPoly.variable(sp, v).scale(rng.choice([-1, 1]))
+        f = _form_of_class(rng, act, s, c)
         if f.is_zero():
             continue
         orbit = _orbit(f, act)
         if len(orbit) <= 6 and _independent(orbit):
             return act, s, orbit
     return None
+
+
+def _character_class(s):
+    """The exponent of the character value e_N^(.) at s of a weight vector,
+    N the lcm of the moduli."""
+    moduli = s.group.moduli
+    n = math.lcm(*moduli)
+    return lambda w: sum(r * x * (n // p) for r, x, p in zip(s.residues, w, moduli)) % n
+
+
+def _form_of_class(rng, act, s, c):
+    """A form over the variables of act whose terms all have the character
+    value e_N^c at s (see `_character_class`), so that s rescales it: the
+    variables of class c and at most two products of two variables whose
+    classes add up to c.  It is zero when no variable has class c."""
+    cls, names, weights = _character_class(s), list(act.weights), act.weights
+    n = math.lcm(*act.group.moduli)
+    sp = VarSpace([], names)
+    f = FracPoly.zero(sp)
+    for m in names:
+        if cls(weights[m]) == c:
+            f = f + FracPoly.variable(sp, m).scale(rng.choice([-2, -1, 1, 2, 3]))
+    pairs = [(u, v) for u in names for v in names if u <= v and (cls(weights[u]) + cls(weights[v])) % n == c]
+    for u, v in rng.sample(pairs, min(2, len(pairs))):
+        f = f + FracPoly.variable(sp, u) * FracPoly.variable(sp, v).scale(rng.choice([-1, 1]))
+    return f
 
 
 def _random_scalar(rng):
@@ -406,20 +420,34 @@ def test_normal_form_against_brute_force(rng):
     assert linear_rank([linear_part(h) for h in nf.parts.values()], space.names) == len(factors)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_split_partition_is_the_brute_force_orbits(rng):
-    drawn = _draw_orbit(rng, max_factors=4)
+    # unions of two or three orbits, rescaled and shuffled.  Half the draws
+    # start from an orbit whose first factor a non-identity element s
+    # rescales, and draw the other orbits from forms that s rescales too,
+    # so that every orbit has a nontrivial stabilizer
+    drawn = _draw_orbit(rng, max_factors=4) if rng.random() < 0.5 else _draw_orbit_with_a_stabilizer(rng)
     assume(drawn is not None)
-    act, orbit = drawn
+    act, s, orbit = drawn if len(drawn) == 3 else (drawn[0], None, drawn[1])
     sp = VarSpace([], list(act.weights))
-    second = next((o for o in (_orbit(_random_form(rng, sp), act) for _ in range(20)) if _independent(orbit + o)), None)
-    assume(second is not None)
-    factors = _rescaled_and_shuffled(rng, orbit + second)
+    orbits = [orbit]
+    for _ in range(rng.randint(1, 2)):
+        for _ in range(20):
+            if s is None:
+                f = _random_form(rng, sp)
+            else:
+                f = _form_of_class(rng, act, s, _character_class(s)(act.weights[rng.choice(sp.names)]))
+            new = _orbit(f, act)
+            if _independent(sum(orbits, []) + new):
+                orbits.append(new)
+                break
+    assume(len(orbits) > 1)
+    factors = _rescaled_and_shuffled(rng, sum(orbits, []))
     with pytest.raises(SplitsInvariantly) as err:
         invariant_nc_normal_form(InvariantNCInput(act, factors))
     assert err.value.partition == _brute_orbits(act, factors)
-    assert len(err.value.partition) == 2
+    assert len(err.value.partition) == len(orbits)
 
 
 @settings(max_examples=25, deadline=None)
@@ -589,12 +617,13 @@ def _edge_case_systems():
     dsp = VarSpace([("w", 2)], ["x0", "x1"])
     x0, x1 = FracPoly.variable(dsp, "x0"), FracPoly.variable(dsp, "x1")
     root_w = FracPoly.monomial(dsp, {"w": Fraction(1, 2)})
-    g = AbelianGroup((2,)).generator(0)
-    for label, w_weight in (("integral", 2), ("fractional", 1)):
-        act = DiagonalAction(AbelianGroup((2,)), {"w": (w_weight,), "x0": (0,), "x1": (1,)})
-        h = x0 + x1 + root_w * x0
-        out.append((f"divisorial_{label}_weights", act, [h, apply_group(h, act, g)]))
+    h = x0 + x1 + root_w * x0
+    act = DiagonalAction(AbelianGroup((2,)), {"w": (2,), "x0": (0,), "x1": (1,)})
+    out.append(("divisorial_integral_weights", act, [h, apply_group(h, act, act.group.generator(0))]))
+    # under weight 1 the term w^(1/2) * x0 has fractional weight, which
+    # apply_group refuses; the second factor gives that term the phase i
     act = DiagonalAction(AbelianGroup((2,)), {"w": (1,), "x0": (0,), "x1": (1,)})
+    out.append(("divisorial_fractional_weights", act, [h, x0 - x1 + (root_w * x0).scale(root_of_unity(4, 1))]))
     out.append(("divisorial_fractional_weights_k1", act, [x0 + root_w * x0]))
 
     rank0 = DiagonalAction(AbelianGroup(()), {"y0": (), "y1": ()})
