@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from .jsonio import frac_to_str
+from .jsonio import _int_to_str, frac_to_str
 from .smith import echelon, solve
 
 
@@ -283,7 +283,11 @@ class Cyclo:
     def coeff_strings(self) -> list[str]:
         """`coeffs` as the strings "n" or "n/d" in lowest terms."""
         den = self._den
-        return [frac_to_str(n, den) for n in self._num] + ["0"] * (self.order - len(self._num))
+        if den == 1:
+            out = [_int_to_str(n) for n in self._num]
+        else:
+            out = [frac_to_str(n, den) for n in self._num]
+        return out + ["0"] * (self.order - len(self._num))
 
     # -- constructors ------------------------------------------------------
 

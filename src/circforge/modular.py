@@ -60,19 +60,23 @@ def prime_field(n: int) -> tuple[int, tuple[int, ...]]:
 def rank_mod(rows):
     """Rank of the image in F_l of a matrix of Cyclo entries, l and w from
     `prime_field` at the lcm N of the entries' orders, or None when l
-    divides a denominator."""
+    divides a denominator.  A zero entry images to 0 without arithmetic,
+    and a denominator 1 takes no inverse in F_l."""
     n = lcm(*(c.order for row in rows for c in row))
     ell, powers = prime_field(n)
     image = []
     for row in rows:
         out = []
         for c in row:
+            if not c:
+                out.append(0)
+                continue
             num, den = c.integer_data
             if den % ell == 0:
                 return None
             step = n // c.order
             value = sum(a * powers[i * step] for i, a in enumerate(num) if a)
-            out.append(value * pow(den, -1, ell) % ell)
+            out.append(value % ell if den == 1 else value * pow(den, -1, ell) % ell)
         image.append(out)
     rank = 0
     for col in range(len(image[0]) if image else 0):

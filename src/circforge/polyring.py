@@ -120,7 +120,9 @@ class VarSpace:
     weights of a scaled key's degree) and `zero_key` the key of 1.
     """
 
-    __slots__ = ("div_names", "div_bounds", "free_names", "_index", "bounds", "lcm", "scales", "zero_key", "_hash")
+    __slots__ = (
+        "div_names", "div_bounds", "free_names", "_index", "bounds", "lcm", "scales", "zero_key", "_hash", "_units",
+    )
 
     def __init__(self, divisorial=(), free=()):
         names = []
@@ -147,6 +149,7 @@ class VarSpace:
         self.scales = tuple(self.lcm // b for b in self.bounds)
         self.zero_key = (0,) * len(all_names)
         self._hash = hash((self.div_names, self.div_bounds, self.free_names))
+        self._units = None
 
     @property
     def names(self):
@@ -158,6 +161,16 @@ class VarSpace:
 
     def bound(self, name: str) -> int:
         return self.div_bounds[self.div_names.index(name)]
+
+    def unit_keys(self) -> dict:
+        """{scaled key of the term v: v} for each variable v (the key holds
+        the bound of v at its position and 0 elsewhere), formed once."""
+        if self._units is None:
+            zero = self.zero_key
+            self._units = {
+                zero[:pos] + (b,) + zero[pos + 1:]: name for pos, (name, b) in enumerate(zip(self.names, self.bounds))
+            }
+        return self._units
 
     def is_divisorial(self, name: str) -> bool:
         return name in self.div_names
@@ -189,7 +202,10 @@ class VarSpace:
     def union(self, *others: "VarSpace") -> "VarSpace":
         """Merge spaces left to right: each name keeps its first position,
         shared divisorial names take the lcm bound, and a name divisorial in
-        one space and free in another is an error."""
+        one space and free in another is an error.  Equal spaces merge to
+        the first of them."""
+        if all(other == self for other in others):
+            return self
         div: dict = {}
         free: dict = {}
         for space in (self,) + others:
@@ -818,13 +834,8 @@ def linear_part(f: FracPoly) -> dict:
     """Coefficients of the terms of f that are one variable to the power
     one, keyed by variable name (a Laurent term such as x*y/z, of degree
     one by face value, is not linear)."""
-    out = {}
-    bounds = f.space.bounds
-    for key, c in f.terms.items():
-        hit = [pos for pos, e in enumerate(key) if e != 0]
-        if len(hit) == 1 and key[hit[0]] == bounds[hit[0]]:
-            out[f.space.names[hit[0]]] = c
-    return out
+    units = f.space.unit_keys()
+    return {units[key]: c for key, c in f.terms.items() if key in units}
 
 
 def linear_rank(linear_parts, names) -> int:
@@ -891,6 +902,8 @@ def match_scalar(a: FracPoly, b: FracPoly):
         return None
     key = next(iter(b.terms))
     c = a.terms[key] * b.terms[key].inverse()
+    if c == 1:  # then a = c * b exactly when a = b, and no product is formed
+        return c if a.terms == b.terms else None
     for k2, bc in b.terms.items():
         if a.terms[k2] != bc * c:
             return None

@@ -7,7 +7,8 @@ group generator at a time, the cyclic quotient order q acting effectively
 on the factor ideals, splits the first factor into semi-invariant pieces
 indexed by nested weights, and certifies an invertible coefficient matrix
 (nested blocks of diagonal times Vandermonde type) recombining the pieces
-into the full factor system.  Ideal membership row-reduces the linear
+into the translates of f_1, which it checks entry by entry against the
+characters of the terms of f_1.  Ideal membership row-reduces the linear
 parts with `smith.echelon`.
 
 The factor ideals are read as G-orbits, one at a time: the stabilizer of
@@ -27,7 +28,7 @@ so it and its determinant are formed once per signature.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
 from operator import mul
 
@@ -38,6 +39,7 @@ from .polyring import (
     DiagonalAction,
     FracPoly,
     VarSpace,
+    _phase,
     apply_group,
     linear_part,
     linear_rank,
@@ -52,6 +54,7 @@ from .smith import det, echelon
 
 
 NOT_PERMUTED = "the group does not permute the factor ideals; product is not invariant"
+NOT_RECOMBINED = "recombined factor differs from the group translate"
 
 
 class SplitsInvariantly(DomainError):
@@ -280,7 +283,7 @@ class NestedNormalForm:
         self.matrix = matrix  # rows over m-tuples, columns over l-tuples (Cyclo entries)
         self.row_index = row_index  # the m-tuples, parallel to matrix rows
         self.determinant = determinant
-        self.factors = factors  # recombined factors, one per m-tuple
+        self.factors = factors  # row translates g_m . f_1, equal to the recombined factors
         self.scalar = scalar  # prod(factors) = scalar * prod(input factors)
         self.stabilizer = stabilizer
 
@@ -404,9 +407,11 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
       left over are placed the same way, one orbit at a time from the
       least of them: G permutes the factor ideals exactly when every
       translate of every orbit's first factor matches a factor;
-    - each recombined factor equals its row translate of f_1 exactly, and
-      that translate is a scalar multiple of a factor; these rows meet every
-      input factor once, which proves prod(factors) = scalar * prod(inputs);
+    - each recombined factor equals its row translate of f_1, so `factors`
+      holds the translates: the pieces split the terms of f_1, and entry
+      (m, l) equals the character at g_m of every term in piece l; the
+      translates, one orbit, meet every input factor once, which proves
+      prod(factors) = scalar * prod(inputs);
     - the coefficient matrix is invertible: its determinant, computed
       exactly once per integer signature, is nonzero;
     - hence the nested pieces have independent linear parts: the
@@ -432,7 +437,9 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
         f = factors[free[0]]
         stab = _character_stabilizer(f, action)
         chain, chain_gens = _quotient_chain(group.moduli, stab)
-        translates = [apply_group(f.in_space(space), action, el) for el in _row_elements(group, chain, chain_gens)]
+        elements = _row_elements(group, chain, chain_gens)
+        f_space = f.in_space(space)
+        translates = [apply_group(f_space, action, el) for el in elements]
         matches = _match_rows(translates, factors, free)
         orbits.append(tuple(sorted(idx for idx, _c in matches)))
     if len(orbits) > 1:
@@ -468,23 +475,15 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     rows, matrix, determinant = _coefficient_matrix(
         group.moduli, tuple(chain), tuple(chain_gens), tuple(cols), tuple(sorted(gamma.items()))
     )
-    rows, matrix = list(rows), [list(row) for row in matrix]
-    recombined = [
-        poly_sum(space, [parts[lvec].scale(entry) for entry, lvec in zip(row, cols)]) for row in matrix
-    ]
 
-    # each recombined factor must be its row translate of f1, a scalar
-    # multiple of a factor; meeting every input factor once certifies
-    # prod(recombined) = scalar * prod(inputs)
-    hit = []
-    scalar = Cyclo.one()
-    for comb, translate, (idx, c) in zip(recombined, translates, matches):
-        if comb != translate:
-            raise AssertionError("recombined factor differs from the group translate")
-        hit.append(idx)
-        scalar = scalar * c
-    if sorted(hit) != list(range(k)):
-        raise AssertionError("recombined factors do not match the input system bijectively")
+    # row m gives each term t of f, in piece l, the coefficient M[m][l] c_t,
+    # and the translate g_m . f gives it c_t times the character of t at g_m
+    checks = {(j, action.characters(f.space, key)) for j, lvec in enumerate(cols) for key in parts[lvec].terms}
+    for el, row in zip(elements, matrix):
+        if any(row[j] != _phase(group.moduli, el.residues, chars) for j, chars in checks):
+            raise AssertionError(NOT_RECOMBINED)
+    rows, matrix = list(rows), [list(row) for row in matrix]
+    scalar = reduce(mul, (c for _idx, c in matches), Cyclo.one())
 
     if determinant.is_zero():
         raise AssertionError("coefficient matrix is singular")
@@ -497,7 +496,7 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
         matrix=matrix,
         row_index=rows,
         determinant=determinant,
-        factors=recombined,
+        factors=translates,
         scalar=scalar,
         stabilizer=stabilizer,
     )

@@ -10,6 +10,7 @@ from conftest import json_nodes, json_replace
 
 from circforge import (
     AbelianGroup,
+    Cyclo,
     FracPoly,
     ProductNormalFormSpec,
     VarSpace,
@@ -126,6 +127,28 @@ def test_rationals_past_the_int_str_limit_round_trip():
         assert jsonio.inv_from_json({"entries": [num, text[1:]], "contacts": ["a", "b"]}).entries == (num, -q)
     finally:
         if limit or default:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_integral_coefficients_past_the_digit_limit_print_like_fractions():
+    # a Cyclo with denominator 1 prints its numerators without frac_to_str,
+    # and one past the least int/str digit limit still converts in halves
+    digits = "8" * 699 + "1"
+    n = int(digits)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(640)
+    try:
+        c = Cyclo(4, [n, -n])
+        assert jsonio.cyclo_to_json(c) == {"order": 4, "coeffs": [digits, "-" + digits, "0", "0"]}
+        assert c.coeff_strings == [jsonio.frac_to_str(q) for q in c.coeffs]
+        assert jsonio.cyclo_to_json(c * Fraction(1, 2))["coeffs"][:2] == [digits + "/2", "-" + digits + "/2"]
+        poly = FracPoly.constant(_SPACE, n) + FracPoly.variable(_SPACE, "x").scale(c)
+        obj = jsonio.poly_to_json(poly)
+        assert [t["coeff"]["coeffs"] for t in obj["terms"]] == [[digits], [digits, "-" + digits, "0", "0"]]
+        assert jsonio.poly_to_json(jsonio.poly_from_json(json.loads(json.dumps(obj)))) == obj
+    finally:
+        if limit:
             sys.set_int_max_str_digits(limit)
 
 

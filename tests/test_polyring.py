@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -424,6 +425,42 @@ def _cyclo_rows(draw):
 def test_linear_rank_is_the_exact_rank(rows):
     names = [f"v{j}" for j in range(len(rows[0]))]
     assert linear_rank([dict(zip(names, row)) for row in rows], names) == rank(rows)
+
+
+@st.composite
+def _sparse_linear_parts(draw):
+    """(names, linear parts): up to six rows over v0.. and two names that are
+    not listed, each row empty or holding up to three entries of order at
+    most 12.  Some entries are zero, and some have a denominator or
+    numerators divisible by the prime l of the image of the listed entries;
+    some rows are multiples of an earlier one."""
+    names = [f"v{j}" for j in range(draw(st.integers(1, 5)))]
+    shape = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = draw(st.lists(st.sampled_from(names + ["u", "t"]), max_size=3, unique=True))
+        kinds = st.sampled_from(("1", "1", "2", "l/", "l*"))
+        shape.append([(name, draw(st.integers(1, 12)), draw(kinds)) for name in row])
+    ell = prime_field(lcm(*(order for row in shape for name, order, _kind in row if name in names)))[0]
+    scale = {"1": Fraction(1), "2": Fraction(1, 2), "l/": Fraction(1, ell), "l*": Fraction(ell)}
+    parts = []
+    for row in shape:
+        if parts and draw(st.integers(0, 3)) == 0:
+            parts.append({n: c * draw(st.integers(-2, 2)) for n, c in draw(st.sampled_from(parts)).items()})
+            continue
+        lin = {}
+        for name, order, kind in row:
+            numerators = draw(st.lists(st.integers(-2, 2), min_size=order, max_size=order))
+            lin[name] = Cyclo(order, [a * scale[kind] for a in numerators])
+        parts.append(lin)
+    return names, parts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_linear_parts())
+def test_linear_rank_is_the_exact_rank_of_sparse_rows(drawn):
+    names, parts = drawn
+    zero = Cyclo.zero()
+    assert linear_rank(parts, names) == rank([[lin.get(n, zero) for n in names] for lin in parts])
 
 
 def test_linear_rank_settles_a_rank_deficient_image_exactly():

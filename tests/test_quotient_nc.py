@@ -16,6 +16,7 @@ from circforge import (
     DegenerateInput,
     DiagonalAction,
     FracPoly,
+    GroupElement,
     InvariantNCInput,
     SplitsInvariantly,
     VarSpace,
@@ -27,7 +28,7 @@ from circforge import (
     semi_invariant_generators,
     semi_invariant_weight,
 )
-from circforge import jsonio
+from circforge import jsonio, quotient_nc
 from circforge.cli import cmd_ncquot_normalize
 from circforge.polyring import linear_part, linear_rank, match_scalar
 from circforge.smith import rank
@@ -574,6 +575,65 @@ def test_a_changed_result_leaves_the_next_call_alone():
     nf.matrix.append([])
     nf.row_index.append(())
     assert _corpus_outcome(act, factors) == before
+
+
+def _row_translates(act, factors, nf):
+    """g_m . f_1 for each row m of nf, g_m = sum_t m_t * (generator chain_generators[t])."""
+    f1 = factors[0].in_space(VarSpace.union(*(f.space for f in factors)))
+    out = []
+    for mvec in nf.row_index:
+        residues = [0] * act.group.rank
+        for i, m in zip(nf.chain_generators, mvec):
+            residues[i] = m
+        out.append(apply_group(f1, act, GroupElement(act.group, tuple(residues))))
+    return out
+
+
+def test_nc_corpus_factors_are_the_row_translates_of_f1():
+    normal_forms = 0
+    for row in json.loads(NC_CORPUS.read_text()):
+        if "sha256" not in row:
+            continue
+        _kind, act, factors = _corpus_system(row["seed"])
+        nf = invariant_nc_normal_form(InvariantNCInput(act, factors))
+        assert len(nf.factors) == len(nf.row_index) == len(factors)
+        assert nf.factors == _row_translates(act, factors, nf)
+        assert math.prod(nf.factors) == math.prod(factors).scale(nf.scalar)
+        normal_forms += 1
+    assert normal_forms == 114
+
+
+def test_a_corrupted_matrix_entry_fails_the_recombination_check(monkeypatch):
+    # the last entry of one signature's matrix off by a root of unity: the
+    # recombined row would differ from its translate in every term of that piece
+    _kind, act, factors = _corpus_system(0)
+    exact = quotient_nc._coefficient_matrix.__wrapped__
+
+    def corrupted(*signature):
+        rows, matrix, determinant = exact(*signature)
+        last = matrix[-1][:-1] + (matrix[-1][-1] * root_of_unity(2),)
+        return rows, matrix[:-1] + (last,), determinant
+
+    monkeypatch.setattr(quotient_nc, "_coefficient_matrix", corrupted)
+    with pytest.raises(AssertionError, match="^recombined factor differs from the group translate$"):
+        invariant_nc_normal_form(InvariantNCInput(act, factors))
+
+
+def test_a_corrupted_entry_fails_the_recombination_check(monkeypatch):
+    # the first root of unity the matrix is built from is off by one step,
+    # so entry (0, 0) is no longer the character value 1 of the identity
+    _kind, act, factors = _corpus_system(0)
+    calls = []
+
+    def first_root_off_by_one(k, e=1):
+        calls.append((k, e))
+        return root_of_unity(k, e + (len(calls) == 1))
+
+    quotient_nc._coefficient_matrix.cache_clear()
+    monkeypatch.setattr(quotient_nc, "root_of_unity", first_root_off_by_one)
+    with pytest.raises(AssertionError, match="^recombined factor differs from the group translate$"):
+        invariant_nc_normal_form(InvariantNCInput(act, factors))
+    assert len(calls) > 1
 
 
 # -- byte-pinned outcomes of systems off the single-orbit path ---------------------
