@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from math import lcm, prod
+from operator import mul
 
 from .cyclotomic import Cyclo, root_of_unity
 from .smith import cokernel_invariant_factors, kernel_basis
@@ -173,44 +174,6 @@ def full_subgroup(group: AbelianGroup) -> Subgroup:
     return Subgroup(group, group.elements())
 
 
-def element_index_maps(group: AbelianGroup, generator_maps, n: int) -> dict:
-    """The index map of every element of group acting on n items.
-
-    generator_maps[i] is the map of generator i, a sequence sending item j
-    to item generator_maps[i][j].  The element with residues (r_1, ..., r_s)
-    maps j to sigma_s^(r_s)(... sigma_1^(r_1)(j)).  A group of rank 0 acts
-    trivially on its n items.
-    """
-    identity = tuple(range(n))
-    powers = []
-    for sigma, p in zip(generator_maps, group.moduli, strict=True):
-        table = [identity]
-        for _ in range(p - 1):
-            table.append(tuple(sigma[j] for j in table[-1]))
-        powers.append(table)
-    maps = {}
-    for el in group.elements():
-        perm = identity
-        for table, r in zip(powers, el.residues):
-            if r:
-                perm = tuple(table[r][j] for j in perm)
-        maps[el] = perm
-    return maps
-
-
-def index_orbits(maps: dict, n: int) -> tuple[tuple[int, ...], ...]:
-    """The orbits of the items 0..n-1 under the index maps (as from
-    element_index_maps), each a sorted tuple, ordered by least item."""
-    orbits = []
-    seen: set = set()
-    for j in range(n):
-        if j not in seen:
-            orbit = tuple(sorted({perm[j] for perm in maps.values()}))
-            seen.update(orbit)
-            orbits.append(orbit)
-    return tuple(orbits)
-
-
 class PairingContext:
     """Carries the common multiple k defining the weighted scalar product."""
 
@@ -238,12 +201,28 @@ def pairing(ctx: PairingContext, j: GroupElement, l: GroupElement) -> int:
     return total % k
 
 
-def perp(ctx: PairingContext, h: Subgroup) -> Subgroup:
-    """Orthogonal complement {l : <l, h> = 0 mod k for all h in H}."""
-    if h.parent != ctx.group:
-        raise ValueError("subgroup of a different group")
-    elems = [l for l in ctx.group.elements() if all(pairing(ctx, l, x) == 0 for x in h.elements)]
-    return Subgroup(ctx.group, elems)
+def perp(ctx: PairingContext, h) -> Subgroup:
+    """Orthogonal complement {l : <l, x> = 0 mod k for all x in h}, of a
+    Subgroup or of any iterable of elements (the complement of a set is that
+    of the subgroup it generates).  Each x becomes the integer vector
+    ((k/p_i) x_i mod k)_i, so <l, x> is its dot product with the residues
+    of l; zero vectors pair to 0 with everything and are dropped."""
+    g = ctx.group
+    k = ctx.k
+    vecs = set()
+    for x in h.elements if isinstance(h, Subgroup) else h:
+        if x.group != g:
+            raise ValueError("element of a different group")
+        vecs.add(tuple((k // p) * a % k for p, a in zip(g.moduli, x.residues)))
+    vecs.discard((0,) * g.rank)
+    return Subgroup(
+        g,
+        [
+            GroupElement(g, res)
+            for res in itertools.product(*map(range, g.moduli))
+            if not any(sum(map(mul, res, v)) % k for v in vecs)
+        ],
+    )
 
 
 def xi(ctx: PairingContext, h: Subgroup, l: GroupElement) -> Cyclo:

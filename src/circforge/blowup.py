@@ -565,10 +565,9 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
 
     product_verified certifies that this product is the strict transform
     of the normal form: every part passes `_additive_gamma`, an exact check
-    on integers (validation implies it, since each gamma column of a valid
-    part is a character of the labels).  Then the strict transform of the
-    normal form is the product of those of the factors, and each step's
-    multiplicity is the sum of theirs, because:
+    on integers (validation itself runs it, so a valid part passes).  Then
+    the strict transform of the normal form is the product of those of the
+    factors, and each step's multiplicity is the sum of theirs, because:
     - a circulant determinant is the product of its eigen factors;
     - labels -> gamma mod Z additive gives the determinant integral
       w-exponents, so the normal form is exactly that product (see

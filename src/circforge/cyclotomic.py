@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .jsonio import _int_to_str, frac_to_str
@@ -25,38 +25,31 @@ from .smith import echelon, solve
 def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     """Coefficients (low degree first, monic) of the k-th cyclotomic polynomial.
 
-    Computed from x^k - 1 = prod_{d | k} Phi_d by exact integer division.
+    Phi_k(x) = Phi_r(x^(k/r)), r the product of the primes dividing k, and
+    Phi_r is the product of (x^d - 1)^mu(r/d) over the divisors d of r: the
+    binomials with mu = +1 are multiplied in first, then those with mu = -1
+    are divided out exactly.
     """
     if k < 1:
         raise ValueError("order must be >= 1")
-    if k == 1:
-        return (-1, 1)
-    # Divide x^k - 1 by the product of Phi_d over proper divisors d of k.
-    num = [0] * (k + 1)
-    num[0], num[k] = -1, 1
-    for d in range(1, k):
-        if k % d == 0:
-            num = _polydiv_exact(num, list(cyclotomic_polynomial(d)))
-    return tuple(num)
-
-
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials, low degree first; den is monic
-    # here up to sign of its leading coefficient (always +1 for Phi_d).
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q = c // den[dn]
-        out[i - dn] = q
-        for j, dj in enumerate(den):
-            num[i - dn + j] -= q * dj
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+    primes = _prime_factors(k)
+    divisors = [(1, len(primes) % 2)]  # (d, 1 when mu(r/d) = -1)
+    for p in primes:
+        divisors += [(d * p, 1 - odd) for d, odd in divisors]
+    poly = [1]
+    for d, odd in divisors:
+        if not odd:  # times x^d - 1
+            poly = [(poly[i - d] if i >= d else 0) - (poly[i] if i < len(poly) else 0) for i in range(len(poly) + d)]
+    for d, odd in divisors:
+        if odd:  # q (x^d - 1) = poly, solved for q from the lowest degree up
+            q = []
+            for i in range(len(poly) - d):
+                q.append((q[i - d] if i >= d else 0) - poly[i])
+            poly = q
+    stretch = k // prod(primes)
+    out = [0] * ((len(poly) - 1) * stretch + 1)
+    out[::stretch] = poly
+    return tuple(out)
 
 
 _ZERO = Fraction(0)

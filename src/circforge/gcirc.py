@@ -27,9 +27,7 @@ from .abelian import (
     PairingContext,
     Subgroup,
     _immutable,
-    element_index_maps,
     full_subgroup,
-    index_orbits,
     invariant_factors,
     pairing,
     perp,
@@ -451,7 +449,7 @@ class ProductNormalFormSpec:
 class ValidationReport:
     __slots__ = (
         "exponents_in_range", "denominators_realized", "labels_enumerate", "multiset_condition",
-        "exponent_subgroup", "action_permutations", "transitive", "stabilizer", "quotient_isomorphic",
+        "exponent_subgroup", "transitive", "stabilizer", "quotient_isomorphic",
     )
 
     def __init__(
@@ -461,9 +459,8 @@ class ValidationReport:
         labels_enumerate: bool,
         multiset_condition: tuple[bool, ...],
         exponent_subgroup: Subgroup | None,
-        action_permutations: list | None,  # one permutation per generator of the acting group
         transitive: bool,
-        stabilizer: Subgroup | None,
+        stabilizer: Subgroup | None,  # None when G does not permute the eigen factors
         quotient_isomorphic: bool,
     ):
         self.exponents_in_range = exponents_in_range
@@ -471,7 +468,6 @@ class ValidationReport:
         self.labels_enumerate = labels_enumerate
         self.multiset_condition = multiset_condition
         self.exponent_subgroup = exponent_subgroup
-        self.action_permutations = action_permutations
         self.transitive = transitive
         self.stabilizer = stabilizer
         self.quotient_isomorphic = quotient_isomorphic
@@ -484,7 +480,6 @@ class ValidationReport:
             and self.labels_enumerate
             and all(self.multiset_condition)
             and self.exponent_subgroup is not None
-            and self.action_permutations is not None
             and self.transitive
             and self.quotient_isomorphic
         )
@@ -530,13 +525,15 @@ def validate_normal_form(spec: NormalFormSpec, allow_omitted_divisors: bool = Fa
         except ValueError:
             ksub = None
 
-    perms = _eigen_action_permutations(spec)
-    transitive = False
+    # Element g of G multiplies argument m by the phase <g, e_m>/N, e_m the
+    # m-th exponent element and N = lcm(p_i).  When labels[m] -> gamma_m mod Z
+    # is additive, that phase is a character of the quotient at labels[m], so
+    # g translates the eigen factors' characters; it fixes a factor exactly
+    # when every phase is 0, that is when g lies in the complement of the e_m.
     stab = None
-    if perms is not None:
-        maps = element_index_maps(g, perms, spec.quotient_group.order)
-        transitive = len(index_orbits(maps, spec.quotient_group.order)[0]) == spec.k
-        stab = Subgroup(g, [el for el, perm in maps.items() if perm[0] == 0])
+    if all((p * e).denominator == 1 for row in spec.gamma for e, p in zip(row, moduli)) and _additive_gamma(spec):
+        stab = perp(PairingContext.natural(g), exps)
+    transitive = stab is not None and g.order == spec.k * stab.order
     quotient_iso = False
     if stab is not None:
         quotient_iso = quotient_invariant_factors(g, stab) == invariant_factors(full_subgroup(spec.quotient_group))
@@ -546,39 +543,10 @@ def validate_normal_form(spec: NormalFormSpec, allow_omitted_divisors: bool = Fa
         labels_enumerate=labels_ok,
         multiset_condition=tuple(multiset),
         exponent_subgroup=ksub,
-        action_permutations=perms,
         transitive=transitive,
         stabilizer=stab,
         quotient_isomorphic=quotient_iso,
     )
-
-
-def _eigen_action_permutations(spec: NormalFormSpec):
-    """For each generator of the acting group, the induced permutation of the
-    eigenvalue factors, or None if some factor is not mapped to a factor or
-    the permutations are not an action of the group: a factor shifted p_i
-    times by column i comes back only when the column lies in (1/p_i)Z."""
-    gamma_ctx = PairingContext.natural(spec.quotient_group)
-    kq = gamma_ctx.k
-    # factor j has coefficient phase <j, l_m>/kq on argument m; generator i
-    # multiplies argument m by a phase gamma_{mi} (fraction of a full turn).
-    phases = [
-        [Fraction(pairing(gamma_ctx, j, l), kq) for l in spec.labels] for j in spec.quotient_group.elements()
-    ]
-    order = {tuple(row): idx for idx, row in enumerate(phases)}
-    perms = []
-    for i, p in enumerate(spec.moduli):
-        shift = [Fraction(0)] + [row[i] for row in spec.gamma]
-        if any((p * e).denominator != 1 for e in shift):
-            return None
-        perm = []
-        for row in phases:
-            target = tuple((a + b) % 1 for a, b in zip(row, shift))
-            if target not in order:
-                return None
-            perm.append(order[target])
-        perms.append(tuple(perm))
-    return perms
 
 
 # -- irreducibility and permutation lemmas ---------------------------------------
@@ -606,7 +574,12 @@ def cyclic_factor_orbit_transitive(k: int, h) -> bool | None:
         if target not in index:
             return None
         perm.append(index[target])
-    return len(index_orbits(element_index_maps(AbelianGroup((k,)), [perm], k), k)[0]) == k
+    # the rotations form a cyclic group: the orbit of factor 0 is its cycle
+    orbit, j = {0}, perm[0]
+    while j not in orbit:
+        orbit.add(j)
+        j = perm[j]
+    return len(orbit) == k
 
 
 class PermutationReport:
@@ -779,8 +752,7 @@ def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
     k = spec.k
     ctx = PairingContext.natural(g)
     exps = spec.exponent_elements()
-    ksub = report.exponent_subgroup
-    stab = perp(ctx, ksub)
+    stab = report.stabilizer
     gi = subgroup_from_generators(g, [g.generator(i)])
     big = subgroup_from_generators(g, list(stab.elements) + list(gi.elements))
     cosets = quotient(g, big)

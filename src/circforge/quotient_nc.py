@@ -12,11 +12,12 @@ characters of the terms of f_1.  Ideal membership row-reduces the linear
 parts with `smith.echelon`.
 
 The factor ideals are read as G-orbits, one at a time: the stabilizer of
-the least factor not yet placed is read off the integer characters of its
-terms, and its translates, one per coset, are each matched once against
-the factors not yet placed.  A translate that matches none of them proves
-that G does not permute the factor ideals; an invariant system is one
-orbit, and more than one is a split.
+the least factor not yet placed is the complement (`abelian.perp`) of the
+differences of the integer characters of its terms, and its translates,
+one per coset, are each matched once against the factors not yet placed.
+A translate that matches none of them proves that G does not permute the
+factor ideals; an invariant system is one orbit, and more than one is a
+split.
 
 Full rank of the factors' linear parts is decided by `linear_rank`: the
 image of the coefficient rows in a prime field F_l (`modular.rank_mod`)
@@ -29,10 +30,9 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, reduce
-from math import lcm
-from operator import mul
+from operator import mul, sub
 
-from .abelian import GroupElement, Subgroup
+from .abelian import GroupElement, PairingContext, Subgroup, perp
 from .cyclotomic import Cyclo, root_of_unity
 from .errors import DomainError
 from .polyring import (
@@ -315,30 +315,23 @@ def _match_rows(translates, factors, free):
     return out
 
 
-def _character_stabilizer(f: FracPoly, action: DiagonalAction):
-    """The residue tuples of the g with g . f proportional to f, read off
-    the integer characters that `DiagonalAction.characters` gives.
+def _character_stabilizer(f: FracPoly, action: DiagonalAction) -> Subgroup:
+    """The subgroup of the g with g . f proportional to f, read off the
+    integer characters that `DiagonalAction.characters` gives.
 
     Every coefficient of f is nonzero and character values are roots of
-    unity, e_N^a = e_N^b exactly when a = b mod N.  So g . f is proportional
-    to f exactly when every term t gets the phase of the first term t_0:
-    sum_i g_i (w_i(t) - w_i(t_0)) N / p_i = 0 mod N, with N = lcm(p_i) and
-    w_i the term weights mod p_i.  A term with a variable the action does
-    not cover raises its ValueError; G does not act on a term of fractional
-    weight, and so does not permute the factor ideals."""
-    moduli = action.group.moduli
-    n = lcm(*moduli)
+    unity, so g . f is proportional to f exactly when every term t gets the
+    phase of the first term t_0: g pairs to 0 with the element w(t) - w(t_0),
+    w the term weights mod p_i.  So the stabilizer is the complement (`perp`)
+    of those differences.  A term with a variable the action does not cover
+    raises its ValueError; G does not act on a term of fractional weight,
+    and so does not permute the factor ideals."""
+    group = action.group
     weights = [action.characters(f.space, key) for key in f.terms]
     if None in weights:
         raise ValueError(NOT_PERMUTED)
     base = weights[0]
-    diffs = {tuple((t - t0) * (n // p) % n for t, t0, p in zip(w, base, moduli)) for w in weights}
-    diffs.discard((0,) * len(moduli))
-    return {
-        res
-        for res in itertools.product(*map(range, moduli))
-        if not any(sum(map(mul, res, d)) % n for d in diffs)
-    }
+    return perp(PairingContext.natural(group), [group.element(map(sub, w, base)) for w in set(weights)])
 
 
 def _quotient_chain(moduli, stab):
@@ -397,11 +390,11 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
       in the image in a prime field F_l (a nonzero minor of the image lifts
       to a nonzero minor), or else by exact elimination (`linear_rank`);
     - the factor ideals are the G-orbit of (f_1), with stabilizer Stab:
-      Stab is read off integer characters (`_character_stabilizer`), the
-      row elements of the chain are one per coset of Stab, and their
-      translates of f_1 match distinct factors, each up to a scalar
-      (match_scalar, against the factors not placed yet), until every
-      factor is placed.  Then every factor ideal is one translate (g . f_1)
+      Stab is `perp` of the differences of integer characters
+      (`_character_stabilizer`), the row elements of the chain are one per
+      coset of Stab, and their translates of f_1 match distinct factors,
+      each up to a scalar (match_scalar, against the factors not placed
+      yet), until every factor is placed.  Then every factor ideal is one translate (g . f_1)
       and every translate is one factor ideal, so G permutes the factor
       ideals transitively and Stab is the stabilizer of (f_1).  Factors
       left over are placed the same way, one orbit at a time from the
@@ -436,7 +429,7 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     while free:  # one orbit per pass, from its least factor
         f = factors[free[0]]
         stab = _character_stabilizer(f, action)
-        chain, chain_gens = _quotient_chain(group.moduli, stab)
+        chain, chain_gens = _quotient_chain(group.moduli, {e.residues for e in stab.elements})
         elements = _row_elements(group, chain, chain_gens)
         f_space = f.in_space(space)
         translates = [apply_group(f_space, action, el) for el in elements]
@@ -445,7 +438,6 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     if len(orbits) > 1:
         raise SplitsInvariantly(tuple(orbits))
     # one orbit: the loop ran once, on f = f_1
-    stabilizer = Subgroup(group, [GroupElement(group, r) for r in stab])
 
     parts = {(): f}
     gamma: dict = {}
@@ -498,6 +490,6 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
         determinant=determinant,
         factors=translates,
         scalar=scalar,
-        stabilizer=stabilizer,
+        stabilizer=stab,
     )
 

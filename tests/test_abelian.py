@@ -1,3 +1,4 @@
+import random
 from math import lcm
 
 import pytest
@@ -54,6 +55,23 @@ def test_perp_examples():
     assert perp(PairingContext.natural(g), trivial_subgroup(g)) == full_subgroup(g)
     diag = subgroup_from_generators(g, [g.element((1, 1))])
     assert perp(PairingContext(g, 2), diag) == diag
+
+
+def test_perp_of_an_element_set_is_that_of_its_subgroup():
+    # perp of any set of elements equals perp of the subgroup the set
+    # generates, and the brute-force complement of the set
+    rng = random.Random(28)
+    for g in groups_of_order_up_to(12) + [AbelianGroup((2, 6)), AbelianGroup((4, 6))]:
+        elements = list(g.elements())
+        for ctx in (PairingContext.natural(g), PairingContext(g, 2 * lcm(1, *g.moduli))):
+            for _ in range(8):
+                xs = rng.sample(elements, rng.randint(0, min(3, len(elements))))
+                comp = perp(ctx, iter(xs))
+                assert comp == perp(ctx, subgroup_from_generators(g, xs))
+                assert comp.elements == {l for l in elements if all(pairing(ctx, l, x) == 0 for x in xs)}
+    z4 = AbelianGroup((4,))
+    with pytest.raises(ValueError):
+        perp(PairingContext.natural(z4), [z4.identity, AbelianGroup((2,)).identity])
 
 
 def test_quotient_representatives():

@@ -793,3 +793,21 @@ def test_validate_reports_an_exponent_outside_the_moduli(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["valid"] is False and report["exponents_in_range"] is False
     assert report["stabilizer"] is None and report["transitive"] is False
+
+
+def test_validate_reports_no_action_on_labels_that_repeat(capsys):
+    # labels [0, 0] do not enumerate Z/2, so labels -> gamma is no map on the
+    # quotient group: no action on the eigen factors, hence no stabilizer
+    spec = json.dumps({**_CP2, "gamma": [["0"]], "labels": [[0], [0]]})
+    code = run(["--format", "json", "gcirc", "validate", "--spec", spec])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "valid": False,
+        "transitive": False,
+        "stabilizer": None,
+        "stabilizer_order": None,
+        "quotient_isomorphic": False,
+        "exponents_in_range": True,
+        "denominators_realized": [False],
+        "multiset_condition": [False],
+    }

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -19,6 +20,37 @@ def test_phi_small_orders():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def _polymul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def test_phi_divisor_products_are_the_binomials():
+    # x^n - 1 = prod_{d | n} Phi_d determines every Phi_n as a monic integer
+    # polynomial, by induction on n
+    for n in range(1, 301):
+        total = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                total = _polymul(total, cyclotomic_polynomial(d))
+        assert total == [-1] + [0] * (n - 1) + [1], n
+
+
+def test_phi_of_a_highly_composite_order_is_fast():
+    # 27720 = 2^3 3^2 5 7 11 is an order prime_field(lcm(orders)) reaches
+    # from orders <= 12; it is timed on the uncached function
+    start = time.perf_counter()
+    phi = cyclotomic_polynomial.__wrapped__(27720)
+    assert time.perf_counter() - start < 1
+    # degree Euler's phi(27720), monic, and Phi_n(1) = 1 when n is no prime power
+    assert len(phi) - 1 == 27720 // 2 // 3 * 2 // 5 * 4 // 7 * 6 // 11 * 10 == 5760
+    assert phi[-1] == sum(phi) == 1
 
 
 def test_root_of_unity_basics():

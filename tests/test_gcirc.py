@@ -497,15 +497,16 @@ def test_product_spec_values_are_its_parts_values_renamed():
         assert values[start : start + part.k] == [v.substitute(renamed, target_space=space) for v in own]
 
 
-def _factor_orbit_transitive_oracle(spec):
+def _factor_action_oracle(spec):
     """Independent route: act on the factor polynomials themselves (after
-    clearing denominators) and compute the orbit of the first factor."""
+    clearing denominators).  None when the rotations do not permute the
+    factors; otherwise whether the orbit of the first factor f_0 has k
+    elements, and the residues of the g with g . f_0 = f_0."""
     from circforge import DiagonalAction, apply_group, substitute_power
     from circforge.gcirc import spec_factors
 
     (factors,) = spec_factors(spec)
     cleared = []
-    vnames = []
     for f in factors:
         g = f
         for i, wname in enumerate(spec.w_names()):
@@ -537,47 +538,53 @@ def _factor_orbit_transitive_oracle(spec):
             if nxt not in orbit:
                 orbit.add(nxt)
                 frontier.append(nxt)
-    return len(orbit) == spec.k
+    stab = {g.residues for g in spec.group.elements() if apply_group(cleared[0], act, g) == cleared[0]}
+    return len(orbit) == spec.k, stab
+
+
+# (moduli, quotient moduli): cyclic and Klein quotients over cyclic and
+# non-cyclic acting groups
+_SWEEP_GROUPS = (
+    ((2,), (2,)), ((3,), (3,)), ((4,), (4,)), ((2, 2), (2,)), ((2, 2), (4,)), ((2, 4), (4,)),
+    ((2, 2), (2, 2)), ((4,), (2, 2)), ((2, 4), (2, 2)), ((6,), (6,)), ((2, 3), (6,)), ((2, 3), (2, 3)),
+    ((6,), (3,)), ((2, 4), (2,)),
+)
 
 
 def test_validate_transitivity_matches_polynomial_orbits():
-    # sweep small specifications: the combinatorial transitivity flag must
-    # agree with the orbit computed on the factor polynomials themselves
-    import itertools as it
-
-    from circforge import AbelianGroup
-
-    random.seed(99)
+    # sweep small specifications, labels in lex order and shuffled with the
+    # identity first: the combinatorial transitivity flag and stabilizer must
+    # agree with those computed on the factor polynomials themselves
+    rng = random.Random(99)
     cases = []
-    for moduli, k in (((2,), 2), ((3,), 3), ((4,), 4), ((2, 2), 2), ((2, 2), 4), ((2, 4), 4)):
-        choices = []
-        for p in moduli:
-            choices.append([Fraction(q, p) for q in range(p)])
-        rows = list(it.product(*choices))
-        all_specs = list(it.product(rows, repeat=k - 1))
+    for moduli, qmoduli in _SWEEP_GROUPS:
+        quotient_group = AbelianGroup(qmoduli)
+        k = quotient_group.order
+        rows = list(itertools.product(*([Fraction(q, p) for q in range(p)] for p in moduli)))
+        all_specs = list(itertools.product(rows, repeat=k - 1))
         if len(all_specs) > 200:
-            all_specs = random.sample(all_specs, 200)
-        zk = AbelianGroup((k,))
+            all_specs = rng.sample(all_specs, 200)
+        lex = lex_ordering(quotient_group)
         for gamma in all_specs:
-            cases.append(
-                NormalFormSpec(
-                    moduli=moduli,
-                    k=k,
-                    gamma=gamma,
-                    quotient_group=zk,
-                    labels=tuple(zk.element((j,)) for j in range(k)),
-                )
-            )
-    checked = 0
+            shuffled = list(lex[1:])
+            rng.shuffle(shuffled)
+            for labels in (lex, (lex[0], *shuffled)):
+                cases.append(NormalFormSpec(moduli, k, gamma, quotient_group, labels))
+    outcomes = {True: 0, False: 0, None: 0}
     for spec in cases:
         rep = validate_normal_form(spec)
-        oracle = _factor_orbit_transitive_oracle(spec)
-        if rep.action_permutations is None:
-            assert oracle is None  # the rotations fail to permute the factors on both routes
+        oracle = _factor_action_oracle(spec)
+        if rep.stabilizer is None:
+            # the rotations fail to permute the factors on both routes
+            assert oracle is None, (spec.moduli, spec.gamma, spec.labels)
+            assert not rep.transitive
+            outcomes[None] += 1
         else:
-            assert oracle == rep.transitive, (spec.moduli, spec.gamma)
-        checked += 1
-    assert checked == len(cases)
+            stab = {e.residues for e in rep.stabilizer.elements}
+            assert oracle == (rep.transitive, stab), (spec.moduli, spec.gamma, spec.labels)
+            outcomes[rep.transitive] += 1
+    assert all(outcomes.values()), outcomes  # every branch is reached
+    assert len(cases) > 2000
 
 
 GOLDEN_PRODUCTS = Path(__file__).parent / "golden" / "circulant_products.json"

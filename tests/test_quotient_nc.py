@@ -619,7 +619,7 @@ def test_a_corrupted_matrix_entry_fails_the_recombination_check(monkeypatch):
         invariant_nc_normal_form(InvariantNCInput(act, factors))
 
 
-def test_a_corrupted_entry_fails_the_recombination_check(monkeypatch):
+def test_a_corrupted_entry_fails_the_recombination_check(monkeypatch, request):
     # the first root of unity the matrix is built from is off by one step,
     # so entry (0, 0) is no longer the character value 1 of the identity
     _kind, act, factors = _corpus_system(0)
@@ -629,7 +629,9 @@ def test_a_corrupted_entry_fails_the_recombination_check(monkeypatch):
         calls.append((k, e))
         return root_of_unity(k, e + (len(calls) == 1))
 
+    # the corrupted matrix must not outlive the test in the signature cache
     quotient_nc._coefficient_matrix.cache_clear()
+    request.addfinalizer(quotient_nc._coefficient_matrix.cache_clear)
     monkeypatch.setattr(quotient_nc, "root_of_unity", first_root_off_by_one)
     with pytest.raises(AssertionError, match="^recombined factor differs from the group translate$"):
         invariant_nc_normal_form(InvariantNCInput(act, factors))
