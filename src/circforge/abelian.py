@@ -206,7 +206,10 @@ def perp(ctx: PairingContext, h) -> Subgroup:
     Subgroup or of any iterable of elements (the complement of a set is that
     of the subgroup it generates).  Each x becomes the integer vector
     ((k/p_i) x_i mod k)_i, so <l, x> is its dot product with the residues
-    of l; zero vectors pair to 0 with everything and are dropped."""
+    of l; zero vectors pair to 0 with everything and are dropped.
+
+    The result is the kernel of a homomorphism, so it is a subgroup by
+    construction and is built without `Subgroup`'s closure check."""
     g = ctx.group
     k = ctx.k
     vecs = set()
@@ -215,14 +218,14 @@ def perp(ctx: PairingContext, h) -> Subgroup:
             raise ValueError("element of a different group")
         vecs.add(tuple((k // p) * a % k for p, a in zip(g.moduli, x.residues)))
     vecs.discard((0,) * g.rank)
-    return Subgroup(
-        g,
-        [
-            GroupElement(g, res)
-            for res in itertools.product(*map(range, g.moduli))
-            if not any(sum(map(mul, res, v)) % k for v in vecs)
-        ],
+    kernel = object.__new__(Subgroup)
+    kernel.parent = g
+    kernel.elements = frozenset(
+        GroupElement(g, res)
+        for res in itertools.product(*map(range, g.moduli))
+        if not any(sum(map(mul, res, v)) % k for v in vecs)
     )
+    return kernel
 
 
 def xi(ctx: PairingContext, h: Subgroup, l: GroupElement) -> Cyclo:

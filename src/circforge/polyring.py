@@ -1003,14 +1003,6 @@ class DiagonalAction:
         L = space.lcm
         return t // L if t % L == 0 else Fraction(t, L)
 
-    def phase(self, space: VarSpace, key, g: GroupElement) -> Cyclo:
-        """Character value at g of a term (a scaled key of space).  A term of
-        fractional weight has no character, and the action refuses it."""
-        chars = self._numerators(space, key)[1]
-        if chars is None:
-            raise ValueError(f"term {FracPoly._term(space, key, 1)} has fractional weight; the group does not act on it")
-        return _phase(self.group.moduli, g.residues, chars)
-
 
 @lru_cache(maxsize=4096)
 def _phase(moduli: tuple, residues: tuple, chars: tuple) -> Cyclo:
@@ -1023,13 +1015,21 @@ def _phase(moduli: tuple, residues: tuple, chars: tuple) -> Cyclo:
 
 
 def apply_group(f: FracPoly, action: DiagonalAction, g: GroupElement) -> FracPoly:
-    """Ring automorphism scaling each term by its character value at g."""
+    """Ring automorphism scaling each term by its character value at g.
+    Each term's characters are read once, from the memo that `_numerators`
+    fills, and the value is the cached `_phase`.  A term of fractional
+    weight has no character, and the action refuses it."""
     if g.group != action.group:
         raise ValueError("element of a different group")
+    space, moduli, residues = f.space, action.group.moduli, g.residues
+    memo = action._space_data(space)[2]
     terms = {}
     for key, coeff in f.terms.items():
-        terms[key] = coeff * action.phase(f.space, key, g)
-    return FracPoly._raw(f.space, terms)
+        chars = (memo.get(key) or action._numerators(space, key))[1]
+        if chars is None:
+            raise ValueError(f"term {FracPoly._term(space, key, 1)} has fractional weight; the group does not act on it")
+        terms[key] = coeff * _phase(moduli, residues, chars)
+    return FracPoly._raw(space, terms)
 
 
 def is_invariant(f: FracPoly, action: DiagonalAction) -> bool:

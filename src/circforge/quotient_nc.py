@@ -19,11 +19,14 @@ A translate that matches none of them proves that G does not permute the
 factor ideals; an invariant system is one orbit, and more than one is a
 split.
 
-Full rank of the factors' linear parts is decided by `linear_rank`: the
-image of the coefficient rows in a prime field F_l (`modular.rank_mod`)
-proves it when the image has full rank, and exact elimination decides
-every other case.  The coefficient matrix depends on integer data alone,
-so it and its determinant are formed once per signature.
+Independence of the factors' linear parts is read off the pieces, not
+computed: the pieces split the terms of f_1, so their linear parts have
+disjoint supports, and once each is nonzero and the matrix is invertible,
+the translates, and so the factors, have independent linear parts.  Only
+when the normal form fails is the rank computed (`linear_rank`), so that
+a dependent input is reported as such whatever step it failed at.  The
+coefficient matrix depends on integer data alone, so it and its
+determinant are formed once per signature.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .smith import det, echelon
 
 NOT_PERMUTED = "the group does not permute the factor ideals; product is not invariant"
 NOT_RECOMBINED = "recombined factor differs from the group translate"
+NOT_INDEPENDENT = "factor linear parts are not independent"
 
 
 class SplitsInvariantly(DomainError):
@@ -149,7 +153,7 @@ def _triangularize(factors, space: VarSpace):
          for j, lin in enumerate(map(linear_part, factors))]
     )
     if cols and cols[-1] >= n:
-        raise DegenerateInput("factor linear parts are not independent")
+        raise DegenerateInput(NOT_INDEPENDENT)
     for r in reversed(range(k)):
         inv = e[r][cols[r]].inverse()
         e[r] = [x * inv for x in e[r]]
@@ -297,11 +301,14 @@ def _match_rows(translates, factors, free):
     """(index, scalar) of the factor that each translate is a multiple of,
     taken from the indices in free, which loses them.
 
-    The factors must have independent linear parts, so no two of them are
+    When the factors have independent linear parts, no two of them are
     proportional and a translate is proportional to at most one factor.
     Each translate is therefore matched against the factors not placed yet:
     a translate that matches none of them matches no factor, and G does not
-    permute the factor ideals."""
+    permute the factor ideals.  Matching runs before independence is known:
+    on a dependent input it may pair a translate with the wrong factor or
+    raise, and either way the normal form fails (success proves
+    independence), and `invariant_nc_normal_form` reports the dependence."""
     out = []
     for moved in translates:
         for pos, idx in enumerate(free):
@@ -386,43 +393,57 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     """Nested circulant normal form of an invariant normal-crossings system.
 
     Certified:
-    - the input factors have independent linear parts: their rank is full
-      in the image in a prime field F_l (a nonzero minor of the image lifts
-      to a nonzero minor), or else by exact elimination (`linear_rank`);
     - the factor ideals are the G-orbit of (f_1), with stabilizer Stab:
       Stab is `perp` of the differences of integer characters
       (`_character_stabilizer`), the row elements of the chain are one per
       coset of Stab, and their translates of f_1 match distinct factors,
       each up to a scalar (match_scalar, against the factors not placed
-      yet), until every factor is placed.  Then every factor ideal is one translate (g . f_1)
-      and every translate is one factor ideal, so G permutes the factor
-      ideals transitively and Stab is the stabilizer of (f_1).  Factors
-      left over are placed the same way, one orbit at a time from the
-      least of them: G permutes the factor ideals exactly when every
-      translate of every orbit's first factor matches a factor;
+      yet), until every factor is placed.  Then every factor ideal is one
+      translate (g . f_1) and every translate is one factor ideal, so G
+      permutes the factor ideals transitively and Stab is the stabilizer
+      of (f_1).  Factors left over are placed the same way, one orbit at a
+      time from the least of them: G permutes the factor ideals exactly
+      when every translate of every orbit's first factor matches a factor;
     - each recombined factor equals its row translate of f_1, so `factors`
       holds the translates: the pieces split the terms of f_1, and entry
-      (m, l) equals the character at g_m of every term in piece l; the
-      translates, one orbit, meet every input factor once, which proves
-      prod(factors) = scalar * prod(inputs);
+      (m, l) equals the character value at g_m of every term in piece l;
+      the translates, one orbit, meet every input factor once, which
+      proves prod(factors) = scalar * prod(inputs);
     - the coefficient matrix is invertible: its determinant, computed
       exactly once per integer signature, is nonzero;
-    - hence the nested pieces have independent linear parts: the
-      recombined factors are the matrix times the pieces, and they are
-      nonzero multiples of the k inputs, whose linear parts were checked
-      independent on entry.
+    - the input factors have independent linear parts, read off the
+      pieces: each term of f_1 lies in one piece, so the pieces' linear
+      parts have disjoint supports, and each is checked nonzero, so they
+      are independent.  The translates are the invertible matrix times the
+      pieces, and the inputs are nonzero multiples of the translates, one
+      each, so their linear parts are independent too.  No rank is
+      computed on this path.
+
+    Matching runs before independence is known, so a dependent input can
+    fail anywhere on the way (a zero factor, proportional factors, a split
+    or a translate that matches nothing).  Every failure is therefore
+    checked against the rank of the inputs' linear parts first
+    (`linear_rank`), so that a dependent input raises DegenerateInput
+    whatever step it failed at.
 
     Raises SplitsInvariantly when G does not act transitively on the factor
     ideals, and ValueError when it does not permute them.
     """
-    action = data.action
-    group = action.group
     factors = list(data.factors)
-    k = len(factors)
-
     space = VarSpace.union(*(f.space for f in factors))
-    if linear_rank([linear_part(f) for f in factors], space.names) != k:
-        raise DegenerateInput("factor linear parts are not independent")
+    try:
+        return _orbit_normal_form(data.action, factors, space)
+    except Exception:
+        if linear_rank([linear_part(f) for f in factors], space.names) != len(factors):
+            raise DegenerateInput(NOT_INDEPENDENT) from None
+        raise
+
+
+def _orbit_normal_form(action: DiagonalAction, factors: list, space: VarSpace) -> NestedNormalForm:
+    """The body of `invariant_nc_normal_form`, which decides the rank of
+    the factors' linear parts only when this raises."""
+    group = action.group
+    k = len(factors)
 
     free = list(range(k))
     orbits = []
@@ -479,6 +500,8 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
 
     if determinant.is_zero():
         raise AssertionError("coefficient matrix is singular")
+    if not all(map(linear_part, parts.values())):
+        raise DegenerateInput(NOT_INDEPENDENT)
 
     return NestedNormalForm(
         chain=tuple(chain),

@@ -28,7 +28,7 @@ from circforge import (
     semi_invariant_generators,
     semi_invariant_weight,
 )
-from circforge import jsonio, quotient_nc
+from circforge import jsonio, polyring, quotient_nc
 from circforge.cli import cmd_ncquot_normalize
 from circforge.polyring import linear_part, linear_rank, match_scalar
 from circforge.smith import rank
@@ -188,9 +188,11 @@ def test_normal_form_under_the_rank_zero_group():
 
 
 def test_normal_form_degenerate(mu2):
+    # dependent factors that the group does not permute: the sign maps
+    # y0 + y1 to y0 - y1, which matches no factor, and the rank decides
     sp, act = mu2
     y0, y1 = FracPoly.variable(sp, "y0"), FracPoly.variable(sp, "y1")
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DegenerateInput, match="^factor linear parts are not independent$"):
         invariant_nc_normal_form(InvariantNCInput(act, [y0 + y1, (y0 + y1).scale(2)]))
 
 
@@ -636,6 +638,91 @@ def test_a_corrupted_entry_fails_the_recombination_check(monkeypatch, request):
     with pytest.raises(AssertionError, match="^recombined factor differs from the group translate$"):
         invariant_nc_normal_form(InvariantNCInput(act, factors))
     assert len(calls) > 1
+
+
+# -- independence read off the pieces, and the rank only on failure ----------------
+
+_NOT_INDEPENDENT = "^factor linear parts are not independent$"
+
+
+def test_a_piece_without_a_linear_part_is_caught_by_the_pieces_check():
+    # the sign y0 -> -y0 maps y0 + y1^2 onto -y0 + y1^2: the factors are one
+    # orbit, the entry check holds and det M = -2, but the piece y1^2 has no
+    # linear part, so the linear parts y0 and -y0 are dependent
+    sp = VarSpace([], ["y0", "y1"])
+    y0, y1 = FracPoly.variable(sp, "y0"), FracPoly.variable(sp, "y1")
+    act = DiagonalAction(AbelianGroup((2,)), {"y0": (1,), "y1": (0,)})
+    with pytest.raises(DegenerateInput, match=_NOT_INDEPENDENT):
+        invariant_nc_normal_form(InvariantNCInput(act, [y0 + y1 * y1, -y0 + y1 * y1]))
+
+
+@pytest.mark.parametrize("system", ["zero_first", "zero_last", "proportional_split"])
+def test_a_dependent_system_is_reported_whatever_step_fails(mu2, system):
+    # a zero f_1 has no term to read a stabilizer off (an IndexError), a
+    # zero last factor is matched by no translate, and the group fixes the
+    # ideal of y0, so (y0) and (2 y0) would be two orbits
+    sp, act = mu2
+    y0, y1 = FracPoly.variable(sp, "y0"), FracPoly.variable(sp, "y1")
+    factors = {
+        "zero_first": [FracPoly.zero(sp), y0 + y1],
+        "zero_last": [y0 + y1, FracPoly.zero(sp)],
+        "proportional_split": [y0, y0.scale(2)],
+    }[system]
+    with pytest.raises(DegenerateInput, match=_NOT_INDEPENDENT):
+        invariant_nc_normal_form(InvariantNCInput(act, factors))
+
+
+def test_the_corpus_normalizes_without_a_rank(monkeypatch):
+    def refused(*_args):
+        raise AssertionError("a rank was computed on the success path")
+
+    monkeypatch.setattr(quotient_nc, "linear_rank", refused)
+    monkeypatch.setattr(polyring, "rank_mod", refused)
+    golden = [row for row in json.loads(NC_CORPUS.read_text()) if "sha256" in row]
+    assert len(golden) == 114
+    assert corpus_record([row["seed"] for row in golden]) == golden
+
+
+def _draw_system(rng):
+    """An unfiltered system shaped like the benchmark's draws: a random
+    diagonal action on two to six variables, a random form f_1 and up to
+    four factors, the first translates of f_1 (one per ideal) or random
+    ones, each kept, perturbed by a term, rescaled or replaced by a copy of
+    an earlier factor."""
+    group = AbelianGroup(rng.choice(_ORACLE_POOL))
+    names = [f"x{i}" for i in range(rng.randint(2, 6))]
+    act = DiagonalAction(group, {n: tuple(rng.randrange(p) for p in group.moduli) for n in names})
+    sp = VarSpace([], names)
+    f1 = _random_form(rng, sp)
+    if rng.random() < 0.5:
+        translates = _orbit(f1, act)[:4]
+    else:
+        translates = [apply_group(f1, act, el) for el in rng.choices(list(group.elements()), k=rng.randint(1, 4))]
+    factors = []
+    for f in translates:
+        how = rng.choice(["keep"] * 5 + ["perturb", "scale", "copy"])
+        if how == "perturb":
+            f = f + FracPoly.monomial(sp, {rng.choice(names): rng.randint(1, 2)}, rng.choice([-1, 1]))
+        elif how == "scale":
+            f = f.scale(_random_scalar(rng))
+        elif how == "copy" and factors:
+            f = rng.choice(factors).scale(_random_scalar(rng))
+        factors.append(f)
+    return act, factors
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_not_independent_is_raised_exactly_when_the_rank_is_short(rng):
+    act, factors = _draw_system(rng)
+    try:
+        invariant_nc_normal_form(InvariantNCInput(act, factors))
+        refused = False
+    except DegenerateInput as exc:
+        refused = str(exc) == "factor linear parts are not independent"
+    except (SplitsInvariantly, ValueError):
+        refused = False
+    assert refused == (not _independent(factors))
 
 
 # -- byte-pinned outcomes of systems off the single-orbit path ---------------------
