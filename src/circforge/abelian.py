@@ -15,7 +15,7 @@ from math import lcm, prod
 from operator import mul
 
 from .cyclotomic import Cyclo, root_of_unity
-from .smith import cokernel_invariant_factors, kernel_basis
+from .smith import cokernel_invariant_factors
 
 
 def _immutable(self, *_args):
@@ -113,10 +113,17 @@ class GroupElement:
 
 
 class Subgroup:
-    """A subgroup given by its explicit element set."""
+    """A subgroup given by its explicit element set.
+
+    The constructor checks that the set is closed, since the set may come
+    from outside (a JSON payload).  The sets that are subgroups by
+    construction (a closure, a kernel, the whole group, the identity) are
+    built by `_closed`, without that |S|^2 check."""
+
+    __slots__ = ("parent", "elements")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, parent: AbelianGroup, elements):
-        self.parent = parent
         elems = frozenset(elements)
         for g in elems:
             if g.group != parent:
@@ -129,7 +136,17 @@ class Subgroup:
             for b in elems:
                 if a + b not in elems:
                     raise ValueError("subgroup not closed under addition")
-        self.elements = elems
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "elements", elems)
+
+    @classmethod
+    def _closed(cls, parent: AbelianGroup, elements) -> "Subgroup":
+        """The subgroup of a set of elements of parent that is one by
+        construction."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "parent", parent)
+        object.__setattr__(out, "elements", frozenset(elements))
+        return out
 
     @property
     def order(self) -> int:
@@ -142,7 +159,9 @@ class Subgroup:
         return sorted(self.elements, key=lambda g: g.residues)
 
     def __eq__(self, other):
-        return isinstance(other, Subgroup) and self.parent == other.parent and self.elements == other.elements
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.elements) == (other.parent, other.elements)
 
     def __hash__(self):
         return hash((self.parent, self.elements))
@@ -163,15 +182,15 @@ def subgroup_from_generators(group: AbelianGroup, gens) -> Subgroup:
             if nxt not in elems:
                 elems.add(nxt)
                 frontier.append(nxt)
-    return Subgroup(group, elems)
+    return Subgroup._closed(group, elems)
 
 
 def trivial_subgroup(group: AbelianGroup) -> Subgroup:
-    return Subgroup(group, [group.identity])
+    return Subgroup._closed(group, [group.identity])
 
 
 def full_subgroup(group: AbelianGroup) -> Subgroup:
-    return Subgroup(group, group.elements())
+    return Subgroup._closed(group, group.elements())
 
 
 class PairingContext:
@@ -208,8 +227,10 @@ def perp(ctx: PairingContext, h) -> Subgroup:
     ((k/p_i) x_i mod k)_i, so <l, x> is its dot product with the residues
     of l; zero vectors pair to 0 with everything and are dropped.
 
-    The result is the kernel of a homomorphism, so it is a subgroup by
-    construction and is built without `Subgroup`'s closure check."""
+    The result is the kernel of a homomorphism, so a subgroup by
+    construction.  The pairing is perfect when k is the exponent of the
+    group (`PairingContext.natural`): then |perp(H)| = |G| / |H| and
+    G / perp(H) is isomorphic to H."""
     g = ctx.group
     k = ctx.k
     vecs = set()
@@ -218,14 +239,14 @@ def perp(ctx: PairingContext, h) -> Subgroup:
             raise ValueError("element of a different group")
         vecs.add(tuple((k // p) * a % k for p, a in zip(g.moduli, x.residues)))
     vecs.discard((0,) * g.rank)
-    kernel = object.__new__(Subgroup)
-    kernel.parent = g
-    kernel.elements = frozenset(
-        GroupElement(g, res)
-        for res in itertools.product(*map(range, g.moduli))
-        if not any(sum(map(mul, res, v)) % k for v in vecs)
+    return Subgroup._closed(
+        g,
+        (
+            GroupElement(g, res)
+            for res in itertools.product(*map(range, g.moduli))
+            if not any(sum(map(mul, res, v)) % k for v in vecs)
+        ),
     )
-    return kernel
 
 
 def xi(ctx: PairingContext, h: Subgroup, l: GroupElement) -> Cyclo:
@@ -264,21 +285,9 @@ def quotient(group: AbelianGroup, h: Subgroup) -> CosetSystem:
 
 
 def invariant_factors(h: Subgroup) -> list[int]:
-    """Invariant factor decomposition d_1 | d_2 | ... of H, via Smith form.
-
-    Presents H as Z^t / K, where t is the number of nontrivial elements
-    taken as generators and K is the lattice of relations among them.
-    """
-    gens = [e for e in h.sorted_elements() if not e.is_identity()]
-    if not gens:
-        return []
-    g = h.parent
-    t, r = len(gens), g.rank
-    # Relations: integer vectors a with sum_i a_i gens_i = 0 in G, i.e. the
-    # projection to the first t coordinates of ker [gens | diag(moduli)].
-    a = [[gens[j].residues[i] for j in range(t)] + [g.moduli[i] if j == i else 0 for j in range(r)] for i in range(r)]
-    rows = kernel_basis(a)
-    return cokernel_invariant_factors([[row[i] for row in rows] for i in range(t)])
+    """Invariant factor decomposition d_1 | d_2 | ... of H, via Smith form:
+    the natural pairing is perfect, so H is isomorphic to G / perp(H)."""
+    return quotient_invariant_factors(h.parent, perp(PairingContext.natural(h.parent), h))
 
 
 def quotient_invariant_factors(group: AbelianGroup, h: Subgroup) -> list[int]:

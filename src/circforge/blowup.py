@@ -21,7 +21,6 @@ from .polyring import (
     FracPoly,
     VarSpace,
     _face,
-    apply_group,
     is_invariant,
     linear_part,
     linear_rank,
@@ -162,9 +161,22 @@ class TransitionChart:
         self.commutes_with_projection = commutes_with_projection
 
 
+def intertwines(iso: dict, action_i: DiagonalAction, action_j: DiagonalAction) -> bool:
+    """Whether the monomial map iso (variable name -> one-term FracPoly)
+    commutes with two diagonal actions of one group: whether each variable
+    and its image carry the same integer characters (weights mod p_i)."""
+    moduli = action_i.group.moduli
+    for v, image in iso.items():
+        (key,) = image.terms
+        if tuple(w % p for w, p in zip(action_i.weights[v], moduli)) != action_j.characters(image.space, key):
+            return False
+    return True
+
+
 def transition(atlas: ChartAtlas, i: int, j: int) -> TransitionChart:
     """Auxiliary presentations gluing charts i and j, with the equivariance
-    and projection checks performed symbolically on Laurent monomials.
+    check on integer characters (`intertwines`) and the projection check
+    performed symbolically on Laurent monomials.
 
     The cover over chart i adds a w_j-th root u of the chart-i coordinate of
     parameter j (and symmetrically); the glueing sends the chart-i variable
@@ -210,15 +222,7 @@ def transition(atlas: ChartAtlas, i: int, j: int) -> TransitionChart:
         if m != i and m != j:
             iso[yi[p]] = FracPoly.monomial(cover_j_space, {u_j: -wts[m], yj[p]: 1})
 
-    equivariant = True
-    for v, image in iso.items():
-        vpoly = FracPoly.variable(cover_i_space, v)
-        for gi in range(group.rank):
-            g = group.generator(gi)
-            lhs = apply_group(vpoly, action_i, g)
-            (_, lc), = lhs.terms.items()
-            if image.scale(lc) != apply_group(image, action_j, g):
-                equivariant = False
+    equivariant = intertwines(iso, action_i, action_j)
 
     # both projections to the ambient coordinates agree after gluing
     commutes = True

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 
-from .jsonio import _int_to_str, frac_to_str
+from .jsonio import frac_to_str
 from .smith import echelon, solve
 
 
@@ -275,12 +275,7 @@ class Cyclo:
     @property
     def coeff_strings(self) -> list[str]:
         """`coeffs` as the strings "n" or "n/d" in lowest terms."""
-        den = self._den
-        if den == 1:
-            out = [_int_to_str(n) for n in self._num]
-        else:
-            out = [frac_to_str(n, den) for n in self._num]
-        return out + ["0"] * (self.order - len(self._num))
+        return [frac_to_str(n, self._den) for n in self._num] + ["0"] * (self.order - len(self._num))
 
     # -- constructors ------------------------------------------------------
 

@@ -448,26 +448,22 @@ class ProductNormalFormSpec:
 
 class ValidationReport:
     __slots__ = (
-        "exponents_in_range", "denominators_realized", "labels_enumerate", "multiset_condition",
-        "exponent_subgroup", "transitive", "stabilizer", "quotient_isomorphic",
+        "exponents_in_range", "denominators_realized", "multiset_condition", "transitive", "stabilizer",
+        "quotient_isomorphic",
     )
 
     def __init__(
         self,
         exponents_in_range: bool,
         denominators_realized: tuple[bool, ...],
-        labels_enumerate: bool,
         multiset_condition: tuple[bool, ...],
-        exponent_subgroup: Subgroup | None,
         transitive: bool,
         stabilizer: Subgroup | None,  # None when G does not permute the eigen factors
         quotient_isomorphic: bool,
     ):
         self.exponents_in_range = exponents_in_range
         self.denominators_realized = denominators_realized
-        self.labels_enumerate = labels_enumerate
         self.multiset_condition = multiset_condition
-        self.exponent_subgroup = exponent_subgroup
         self.transitive = transitive
         self.stabilizer = stabilizer
         self.quotient_isomorphic = quotient_isomorphic
@@ -477,15 +473,30 @@ class ValidationReport:
         return (
             self.exponents_in_range
             and all(self.denominators_realized)
-            and self.labels_enumerate
             and all(self.multiset_condition)
-            and self.exponent_subgroup is not None
             and self.transitive
             and self.quotient_isomorphic
         )
 
 
 def validate_normal_form(spec: NormalFormSpec, allow_omitted_divisors: bool = False) -> ValidationReport:
+    """Check that spec is a normal form: exponents in (1/p_i){0, ..., p_i - 1},
+    each denominator p_i realized, each column taking every q/p_i equally
+    often (with allow_omitted_divisors a zero column passes these two), G
+    transitive on the eigen factors, and G/Stab isomorphic to the quotient
+    group Q.
+
+    G permutes the factors when every p_i gamma_ji is an integer and
+    labels[j] -> gamma_j mod Z (gamma_0 = 0) is additive on Q, the labels
+    enumerating Q (`_additive_gamma`).  Then phi: labels[j] -> e_j =
+    (p_i gamma_ji)_i is a homomorphism from Q into G; g multiplies argument
+    j by the phase <g, e_j>/N, N = lcm(p_i), a character of Q at labels[j],
+    so g translates the factors and fixes one exactly when g lies in
+    Stab = perp(phi(Q)).  The natural pairing is perfect, so |Stab| =
+    |G| / |phi(Q)|, and G is transitive, |G| = k |Stab|, exactly when phi
+    is injective.  So a transitive spec has labels[0] the identity and k
+    distinct exponent elements forming the subgroup phi(Q); neither is
+    checked apart."""
     moduli = spec.moduli
     in_range = all(
         0 <= e < 1 and p % e.denominator == 0
@@ -499,12 +510,6 @@ def validate_normal_form(spec: NormalFormSpec, allow_omitted_divisors: bool = Fa
         if allow_omitted_divisors and all(e == 0 for e in col):
             realized = True
         denom.append(realized)
-    labels_ok = (
-        len(spec.labels) == spec.k
-        and spec.labels[0].is_identity()
-        and set(spec.labels) == set(spec.quotient_group.elements())
-        and spec.quotient_group.order == spec.k
-    )
     multiset = []
     for i, p in enumerate(moduli):
         col = [Fraction(0)] + [row[i] for row in spec.gamma]
@@ -515,24 +520,9 @@ def validate_normal_form(spec: NormalFormSpec, allow_omitted_divisors: bool = Fa
         multiset.append(want_ok)
 
     g = spec.group
-    exps = spec.exponent_elements()
-    ksub = None
-    if len(set(exps)) == spec.k:
-        try:
-            cand = subgroup_from_generators(g, exps)
-            if cand.elements == frozenset(exps):
-                ksub = cand
-        except ValueError:
-            ksub = None
-
-    # Element g of G multiplies argument m by the phase <g, e_m>/N, e_m the
-    # m-th exponent element and N = lcm(p_i).  When labels[m] -> gamma_m mod Z
-    # is additive, that phase is a character of the quotient at labels[m], so
-    # g translates the eigen factors' characters; it fixes a factor exactly
-    # when every phase is 0, that is when g lies in the complement of the e_m.
     stab = None
     if all((p * e).denominator == 1 for row in spec.gamma for e, p in zip(row, moduli)) and _additive_gamma(spec):
-        stab = perp(PairingContext.natural(g), exps)
+        stab = perp(PairingContext.natural(g), spec.exponent_elements())
     transitive = stab is not None and g.order == spec.k * stab.order
     quotient_iso = False
     if stab is not None:
@@ -540,9 +530,7 @@ def validate_normal_form(spec: NormalFormSpec, allow_omitted_divisors: bool = Fa
     return ValidationReport(
         exponents_in_range=in_range,
         denominators_realized=tuple(denom),
-        labels_enumerate=labels_ok,
         multiset_condition=tuple(multiset),
-        exponent_subgroup=ksub,
         transitive=transitive,
         stabilizer=stab,
         quotient_isomorphic=quotient_iso,
@@ -707,8 +695,10 @@ def roots_to_coords(roots, group: AbelianGroup, v_names, z: str = "z") -> Coords
     zvar = FracPoly.variable(space, z)
     sums = dict(zip(translates, eigen_factors(group, [zvar + t for t in translates.values()], ordering=translates)))
     coords = {l: sums[-l].scale(Fraction(1, group.order)) for l in group.elements()}
+    # translates[h] == base exactly when every term of base has character
+    # value 1 at h, that is when h pairs to 0 with each term's characters
     ctx = PairingContext.natural(group)
-    stab = Subgroup(group, [h for h in group.elements() if translates[h] == base])
+    stab = perp(ctx, [group.element(action.characters(space, key)) for key in base.terms])
     comp = perp(ctx, stab)
     for l, x in coords.items():
         if l not in comp and not x.is_zero():
@@ -749,13 +739,9 @@ def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
         raise ValueError("specification fails validation")
     g = spec.group
     p = spec.moduli[i]
-    k = spec.k
     ctx = PairingContext.natural(g)
     exps = spec.exponent_elements()
-    stab = report.stabilizer
-    gi = subgroup_from_generators(g, [g.generator(i)])
-    big = subgroup_from_generators(g, list(stab.elements) + list(gi.elements))
-    cosets = quotient(g, big)
+    cosets = quotient(g, subgroup_from_generators(g, [*report.stabilizer.elements, g.generator(i)]))
     betas = []
     for rep in cosets.representatives:
         res = list(rep.residues)
@@ -776,17 +762,10 @@ def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
     for b_idx, beta in enumerate(betas):
         args = []
         for mu in range(p):
-            rows = []
-            for m in range(k):
-                lm = exps[m]
-                if lm.residues[i] != mu:
-                    continue
-                phase = 0
-                for h in range(spec.r):
-                    if h == i:
-                        continue
-                    phase += (ctx.k // spec.moduli[h]) * beta.residues[h] * lm.residues[h]
-                rows.append((root_of_unity(ctx.k, phase), x_names[m]))
+            # beta_i = 0, so the pairing leaves out the i-th generator
+            rows = [
+                (root_of_unity(ctx.k, pairing(ctx, beta, lm)), x) for lm, x in zip(exps, x_names) if lm.residues[i] == mu
+            ]
             y_defs[f"y{b_idx}_{mu}"] = rows
             comb = poly_sum(factor_space, [FracPoly.variable(factor_space, x).scale(c) for c, x in rows])
             if mu == 0:

@@ -96,6 +96,8 @@ def frac_to_str(q, den: int = 1) -> str:
     if type(q) is not int:
         q = Fraction(q)
         q, den = q.numerator, q.denominator * den
+    if den == 1:
+        return _int_to_str(q)
     g = gcd(q, den)
     return _int_to_str(q // g) if g == den else f"{_int_to_str(q // g)}/{_int_to_str(den // g)}"
 

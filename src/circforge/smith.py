@@ -3,8 +3,9 @@
 Over the integers: Smith normal form, kernel lattices, integer solves,
 cokernel invariant factors and lattice membership.  Over an exact field
 (entries ``Fraction``, ``Cyclo``, or either mixed with ``int``): one forward
-elimination, ``echelon``, and the ``rank``, ``det`` and ``solve`` built on
-it.  Every entry stays an exact Python number; no float is ever formed.
+elimination, ``echelon``, and the ``det`` and ``solve`` built on it, and a
+fraction-free ``rank``.  Every entry stays an exact Python number; no float
+is ever formed.
 """
 
 from __future__ import annotations
@@ -165,8 +166,27 @@ def echelon(rows):
 
 
 def rank(rows) -> int:
-    """Rank of a matrix over an exact field."""
-    return len(echelon(rows)[1])
+    """Rank of a matrix over an exact field, by fraction-free elimination:
+    each row below the pivot row becomes p * row - c * (pivot row), p the
+    pivot and c the row's entry in the pivot column.  No entry is inverted:
+    the inverse of a cyclotomic entry is a norm, which at the lcm of mixed
+    orders costs far more than the products."""
+    e = _matrix(rows)
+    r = 0
+    for col in range(len(e[0]) if e else 0):
+        if r == len(e):
+            break
+        piv = next((i for i in range(r, len(e)) if e[i][col]), None)
+        if piv is None:
+            continue
+        e[r], e[piv] = e[piv], e[r]
+        p = e[r][col]
+        for i in range(r + 1, len(e)):
+            c = e[i][col]
+            if c:
+                e[i] = [p * x - c * y for x, y in zip(e[i], e[r])]
+        r += 1
+    return r
 
 
 def det(rows):

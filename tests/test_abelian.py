@@ -161,3 +161,28 @@ def test_subgroup_validation():
         Subgroup(g, [g.element((1,))])  # not closed
     with pytest.raises(ValueError):
         Subgroup(g, [g.element((2,))])  # no identity
+    with pytest.raises(ValueError, match="negation"):
+        Subgroup(g, [g.identity, g.element((1,))])
+    z6 = AbelianGroup((6,))
+    with pytest.raises(ValueError, match="addition"):
+        Subgroup(z6, [z6.element((r,)) for r in (0, 1, 5)])
+    with pytest.raises(ValueError, match="outside"):
+        Subgroup(g, [g.identity, z6.identity])
+
+
+def test_subgroup_is_an_immutable_value():
+    # the subgroups built without the closure check (closures, kernels, the
+    # whole group, the identity) are the same values as checked ones
+    g = AbelianGroup((2, 4))
+    h = subgroup_from_generators(g, [g.element((1, 2))])
+    ctx = PairingContext.natural(g)
+    for built in (h, perp(ctx, perp(ctx, h)), full_subgroup(g), trivial_subgroup(g)):
+        checked = Subgroup(g, built.elements)
+        assert checked == built and hash(checked) == hash(built)
+        with pytest.raises(AttributeError, match="immutable"):
+            built.elements = frozenset()
+        with pytest.raises(AttributeError, match="immutable"):
+            del built.parent
+        with pytest.raises(AttributeError):
+            built.extra = 1
+    assert h.order == 2 and h != full_subgroup(g) and h != "h"

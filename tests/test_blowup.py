@@ -103,6 +103,65 @@ def test_transitions_verified():
     assert tr.equivariant and tr.commutes_with_projection
 
 
+def _intertwines_by_apply_group(iso, space, action_i, action_j):
+    """Oracle: each generator scales every variable and its image by the
+    same factor, compared on the polynomials (`apply_group`)."""
+    for v, image in iso.items():
+        for gi in range(action_i.group.rank):
+            g = action_i.group.generator(gi)
+            ((_, lc),) = apply_group(FracPoly.variable(space, v), action_i, g).terms.items()
+            if image.scale(lc) != apply_group(image, action_j, g):
+                return False
+    return True
+
+
+@st.composite
+def _monomial_maps(draw):
+    """(source space, iso, source action, target action) over one group of
+    rank 1 or 2: iso sends each source variable to a Laurent monomial in
+    the target variables; each source weight is, half of the time, the
+    weight of its image (so that it is equivariant) and otherwise random."""
+    group = AbelianGroup(tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=2))))
+    weight = st.tuples(*(st.integers(-7, 7) for _ in group.moduli))
+    source, target = VarSpace([], ["a", "b", "c"]), VarSpace([], ["s", "t", "u"])
+    target_weights = {n: draw(weight) for n in target.names}
+    iso, source_weights = {}, {}
+    for v in source.names:
+        exps = {n: draw(st.integers(-3, 3)) for n in target.names}
+        iso[v] = FracPoly.monomial(target, exps)
+        own = tuple(sum(e * target_weights[n][i] for n, e in exps.items()) for i in range(group.rank))
+        source_weights[v] = own if draw(st.booleans()) else draw(weight)
+    return source, iso, DiagonalAction(group, source_weights), DiagonalAction(group, target_weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_monomial_maps())
+def test_intertwines_is_the_apply_group_check(drawn):
+    source, iso, action_i, action_j = drawn
+    assert blowup.intertwines(iso, action_i, action_j) == _intertwines_by_apply_group(iso, source, action_i, action_j)
+
+
+def test_transition_equivariance_and_a_wrong_image():
+    # a glueing of the shape transition builds between charts 0 and 1 of
+    # weights (2, 3, 5): s -> t u, v -> 1/u, y1 -> u^-3, y2 -> u^-5 y2';
+    # then one image exponent off by one
+    group = AbelianGroup((2, 3))
+    cover_i, cover_j = VarSpace([], ["s", "y1", "y2", "v"]), VarSpace([], ["t", "x0", "y2'", "u"])
+    action_i = DiagonalAction(group, {"s": (1, 0), "v": (-1, 1), "y1": (-3, 0), "y2": (-5, 0)})
+    action_j = DiagonalAction(group, {"t": (0, 1), "u": (1, -1), "x0": (0, -2), "y2'": (0, -5)})
+    iso = {
+        "s": FracPoly.monomial(cover_j, {"t": 1, "u": 1}),
+        "v": FracPoly.monomial(cover_j, {"u": -1}),
+        "y1": FracPoly.monomial(cover_j, {"u": -3}),
+        "y2": FracPoly.monomial(cover_j, {"u": -5, "y2'": 1}),
+    }
+    assert blowup.intertwines(iso, action_i, action_j)
+    assert _intertwines_by_apply_group(iso, cover_i, action_i, action_j)
+    iso["y2"] = FracPoly.monomial(cover_j, {"u": -4, "y2'": 1})
+    assert not blowup.intertwines(iso, action_i, action_j)
+    assert not _intertwines_by_apply_group(iso, cover_i, action_i, action_j)
+
+
 def test_chart_action_free_off_exceptional():
     # off the divisor the chart variable is invertible and carries weight 1,
     # so every nonzero group element moves the point: the weight lattice of

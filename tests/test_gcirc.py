@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from circforge import (
     AbelianGroup,
+    DiagonalAction,
     FracPoly,
     NonPolynomial,
     NormalFormSpec,
     PairingContext,
     ProductNormalFormSpec,
     VarSpace,
+    apply_group,
     circulant_matrix,
     clean_exponents,
     codim1_factor,
@@ -35,6 +37,7 @@ from circforge import (
     quotient_invariant_factors,
     roots_to_coords,
     split_newton,
+    subgroup_from_generators,
     validate_normal_form,
     verify_eigen_system,
     z2z4_spec,
@@ -365,6 +368,37 @@ def test_roots_to_coords_constant_roots():
     assert rep.coords[g2.element((1,))].is_zero()
 
 
+def _brute_force_stabilizer(base, group, v_names):
+    """The g with g . b = b, found by comparing translates as polynomials."""
+    weights = {n: (0,) * group.rank for n in base.space.names}
+    weights.update({v: tuple(int(t == i) for t in range(group.rank)) for i, v in enumerate(v_names)})
+    action = DiagonalAction(group, weights)
+    return action, {g for g in group.elements() if apply_group(base, action, g) == base}
+
+
+def test_roots_to_coords_stabilizer_is_the_brute_force_one():
+    # the stabilizer read off the base root's integer characters (perp)
+    # equals the one found by comparing its |G| translates
+    sp = VarSpace([], ["v", "v1", "v2", "u", "t"])
+    v, v1, v2, u, t = (FracPoly.variable(sp, n) for n in sp.names)
+    cases = [
+        (AbelianGroup((4,)), ["v"], v * v * u + v ** 4 * t),
+        (AbelianGroup((4,)), ["v"], v * u + v * v * t),
+        (AbelianGroup((2, 2)), ["v1", "v2"], v1 * v2 * u + v1 * v1 * t),
+        (AbelianGroup((2, 4)), ["v1", "v2"], v1 * v2 * v2 * u),
+        (AbelianGroup((3,)), ["v"], u + t),
+        (AbelianGroup((2,)), ["v"], FracPoly.zero(sp)),
+    ]
+    orders = []
+    for group, v_names, base in cases:
+        action, stab = _brute_force_stabilizer(base, group, v_names)
+        roots = [apply_group(base, action, g) for g in group.elements()]
+        rep = roots_to_coords(roots, group, v_names=v_names)
+        assert rep.stabilizer.elements == stab
+        orders.append(len(stab))
+    assert orders == [2, 1, 2, 4, 3, 2]
+
+
 def test_codim1_z2z4():
     rep = codim1_factor(z2z4_spec(), 0)
     assert rep.verified
@@ -552,9 +586,13 @@ _SWEEP_GROUPS = (
 
 
 def test_validate_transitivity_matches_polynomial_orbits():
-    # sweep small specifications, labels in lex order and shuffled with the
-    # identity first: the combinatorial transitivity flag and stabilizer must
-    # agree with those computed on the factor polynomials themselves
+    # sweep small specifications, labels in lex order, shuffled with the
+    # identity first and shuffled with the identity second: the
+    # combinatorial transitivity flag and stabilizer must agree with those
+    # computed on the factor polynomials themselves.  Transitive implies
+    # that labels -> exponent elements is injective, so the labels
+    # enumerate the quotient with the identity first and the exponent
+    # elements form a subgroup of order k; validation checks neither apart
     rng = random.Random(99)
     cases = []
     for moduli, qmoduli in _SWEEP_GROUPS:
@@ -568,7 +606,7 @@ def test_validate_transitivity_matches_polynomial_orbits():
         for gamma in all_specs:
             shuffled = list(lex[1:])
             rng.shuffle(shuffled)
-            for labels in (lex, (lex[0], *shuffled)):
+            for labels in (lex, (lex[0], *shuffled), (shuffled[0], lex[0], *shuffled[1:])):
                 cases.append(NormalFormSpec(moduli, k, gamma, quotient_group, labels))
     outcomes = {True: 0, False: 0, None: 0}
     for spec in cases:
@@ -583,6 +621,10 @@ def test_validate_transitivity_matches_polynomial_orbits():
             stab = {e.residues for e in rep.stabilizer.elements}
             assert oracle == (rep.transitive, stab), (spec.moduli, spec.gamma, spec.labels)
             outcomes[rep.transitive] += 1
+        if rep.transitive:
+            exps = frozenset(spec.exponent_elements())
+            assert spec.labels[0].is_identity() and set(spec.labels) == set(spec.quotient_group.elements())
+            assert len(exps) == spec.k and subgroup_from_generators(spec.group, exps).elements == exps
     assert all(outcomes.values()), outcomes  # every branch is reached
     assert len(cases) > 2000
 

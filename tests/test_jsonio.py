@@ -131,8 +131,9 @@ def test_rationals_past_the_int_str_limit_round_trip():
 
 
 def test_integral_coefficients_past_the_digit_limit_print_like_fractions():
-    # a Cyclo with denominator 1 prints its numerators without frac_to_str,
-    # and one past the least int/str digit limit still converts in halves
+    # a Cyclo with denominator 1 prints its numerators through frac_to_str's
+    # integer shortcut, and one past the least int/str digit limit still
+    # converts in halves
     digits = "8" * 699 + "1"
     n = int(digits)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 from math import lcm
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from circforge import (
 )
 from circforge.modular import prime_field, rank_mod
 from circforge.smith import rank
+from conftest import cyclo_numeric
 
 
 @pytest.fixture
@@ -455,12 +457,28 @@ def _sparse_linear_parts(draw):
     return names, parts
 
 
+def _numerical_rank(rows, dps: int = 50) -> int:
+    """Rank of a matrix of Cyclo entries read off its singular values at dps
+    digits, an oracle that runs no exact elimination.  Each nonzero row is
+    first scaled to largest entry 1, and a singular value below
+    10^-(dps/2) counts as zero."""
+    with mpmath.workdps(dps):
+        numeric = [[cyclo_numeric(c, dps) for c in row] for row in rows]
+        scaled = [[z / max(map(abs, row)) for z in row] for row in numeric if any(row)]
+        if not scaled:
+            return 0
+        singular = mpmath.svd_c(mpmath.matrix(scaled), compute_uv=False)
+        return sum(1 for s in singular if s > mpmath.mpf(10) ** -(dps // 2))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_sparse_linear_parts())
 def test_linear_rank_is_the_exact_rank_of_sparse_rows(drawn):
+    # entries of mixed orders up to 12 put the elimination at their lcm
     names, parts = drawn
     zero = Cyclo.zero()
-    assert linear_rank(parts, names) == rank([[lin.get(n, zero) for n in names] for lin in parts])
+    rows = [[lin.get(n, zero) for n in names] for lin in parts]
+    assert linear_rank(parts, names) == rank(rows) == _numerical_rank(rows)
 
 
 def test_linear_rank_settles_a_rank_deficient_image_exactly():
