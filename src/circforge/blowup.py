@@ -15,7 +15,7 @@ from math import prod
 from operator import le, mul, sub
 
 from .abelian import AbelianGroup
-from .gcirc import _additive_gamma, _parts, spec_factors, spec_space, validate_normal_form
+from .gcirc import _parts, spec_factors, spec_space, validate_normal_form
 from .polyring import (
     DiagonalAction,
     FracPoly,
@@ -50,10 +50,6 @@ class ChartMap:
         self.substitutions = substitutions  # original variable name -> FracPoly over new_space
         self.new_space = new_space
         self.weights_map = weights_map  # original variable name -> weight
-
-    @property
-    def exceptional(self) -> str:
-        return self.chart_var
 
     def apply(self, f: FracPoly) -> FracPoly:
         mapping = {n: v for n, v in self.substitutions.items() if n in f.space}
@@ -568,9 +564,10 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
     the final factors are linear forms with independent linear parts.
 
     product_verified certifies that this product is the strict transform
-    of the normal form: every part passes `_additive_gamma`, an exact check
-    on integers (validation itself runs it, so a valid part passes).  Then
-    the strict transform of the normal form is the product of those of the
+    of the normal form: validation found every part transitive, and a
+    transitive part passes `_additive_gamma`, an exact check on integers
+    that validation runs, so the pipeline does not run it again.  Then the
+    strict transform of the normal form is the product of those of the
     factors, and each step's multiplicity is the sum of theirs, because:
     - a circulant determinant is the product of its eigen factors;
     - labels -> gamma mod Z additive gives the determinant integral
@@ -582,7 +579,8 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
       t-free part, and those parts multiply to a nonzero polynomial, so
       st(prod f_i) = prod st(f_i) and ord_t(prod f_i) = sum ord_t(f_i)."""
     parts = _parts(spec)
-    if not all(validate_normal_form(f, allow_omitted_divisors=len(parts) > 1).valid for f in parts):
+    reports = [validate_normal_form(f, allow_omitted_divisors=len(parts) > 1) for f in parts]
+    if not all(rep.valid for rep in reports):
         raise ValueError("factor fails validation")
     moduli = spec.moduli
     factors = [f for part_factors in spec_factors(spec) for f in part_factors]
@@ -619,7 +617,7 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
         order_bound=order_bound,
         cyclic_orders_bounded=all(s.max_chart_cyclic_order <= order_bound for s in steps),
         normal_crossings=_independent_linear_parts(factors, list(current.values())),
-        product_verified=all(map(_additive_gamma, parts)),
+        product_verified=all(rep.transitive for rep in reports),
     )
 
 

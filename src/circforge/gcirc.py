@@ -27,12 +27,9 @@ from .abelian import (
     PairingContext,
     Subgroup,
     _immutable,
-    full_subgroup,
-    invariant_factors,
     pairing,
     perp,
     quotient,
-    quotient_invariant_factors,
     subgroup_from_generators,
 )
 from .cyclotomic import Cyclo, root_of_unity
@@ -447,10 +444,7 @@ class ProductNormalFormSpec:
 
 
 class ValidationReport:
-    __slots__ = (
-        "exponents_in_range", "denominators_realized", "multiset_condition", "transitive", "stabilizer",
-        "quotient_isomorphic",
-    )
+    __slots__ = ("exponents_in_range", "denominators_realized", "multiset_condition", "transitive", "stabilizer")
 
     def __init__(
         self,
@@ -459,32 +453,33 @@ class ValidationReport:
         multiset_condition: tuple[bool, ...],
         transitive: bool,
         stabilizer: Subgroup | None,  # None when G does not permute the eigen factors
-        quotient_isomorphic: bool,
     ):
         self.exponents_in_range = exponents_in_range
         self.denominators_realized = denominators_realized
         self.multiset_condition = multiset_condition
         self.transitive = transitive
         self.stabilizer = stabilizer
-        self.quotient_isomorphic = quotient_isomorphic
+
+    @property
+    def quotient_isomorphic(self) -> bool:
+        """Whether G/Stab is isomorphic to the quotient group: exactly when
+        G is transitive (see `validate_normal_form`)."""
+        return self.transitive
 
     @property
     def valid(self) -> bool:
-        return (
-            self.exponents_in_range
-            and all(self.denominators_realized)
-            and all(self.multiset_condition)
-            and self.transitive
-            and self.quotient_isomorphic
-        )
+        """In range, every denominator realized, and transitive; the
+        multiset condition then holds (see `validate_normal_form`)."""
+        return self.exponents_in_range and all(self.denominators_realized) and self.transitive
 
 
 def validate_normal_form(spec: NormalFormSpec, allow_omitted_divisors: bool = False) -> ValidationReport:
     """Check that spec is a normal form: exponents in (1/p_i){0, ..., p_i - 1},
-    each denominator p_i realized, each column taking every q/p_i equally
-    often (with allow_omitted_divisors a zero column passes these two), G
-    transitive on the eigen factors, and G/Stab isomorphic to the quotient
-    group Q.
+    each denominator p_i realized (with allow_omitted_divisors a zero column
+    passes), and G transitive on the eigen factors.  The report also gives
+    whether each column takes every q/p_i equally often (a zero column
+    passes likewise) and whether G/Stab is isomorphic to the quotient group
+    Q; transitivity decides both, as shown below.
 
     G permutes the factors when every p_i gamma_ji is an integer and
     labels[j] -> gamma_j mod Z (gamma_0 = 0) is additive on Q, the labels
@@ -496,7 +491,18 @@ def validate_normal_form(spec: NormalFormSpec, allow_omitted_divisors: bool = Fa
     |G| / |phi(Q)|, and G is transitive, |G| = k |Stab|, exactly when phi
     is injective.  So a transitive spec has labels[0] the identity and k
     distinct exponent elements forming the subgroup phi(Q); neither is
-    checked apart."""
+    checked apart.
+
+    G/Stab is isomorphic to phi(Q), by the perfect pairing, and phi(Q) is a
+    quotient of Q, so G/Stab is isomorphic to Q exactly when |phi(Q)| = k,
+    that is, when G is transitive; without Stab both are false.  Given phi
+    and exponents in range, column i is the homomorphism pi_i phi from Q to
+    Z/p_i, so each value it takes occurs |kernel| times: every q/p_i occurs
+    k/p_i times exactly when the column is onto, that is, when some entry
+    has denominator p_i.  When p_i = 1 no entry does, and the denominator
+    counts as realized only for an omitted divisor, whose zero column
+    passes both conditions.  So `valid` reads neither report: adding them
+    would not change it."""
     moduli = spec.moduli
     in_range = all(
         0 <= e < 1 and p % e.denominator == 0
@@ -523,17 +529,12 @@ def validate_normal_form(spec: NormalFormSpec, allow_omitted_divisors: bool = Fa
     stab = None
     if all((p * e).denominator == 1 for row in spec.gamma for e, p in zip(row, moduli)) and _additive_gamma(spec):
         stab = perp(PairingContext.natural(g), spec.exponent_elements())
-    transitive = stab is not None and g.order == spec.k * stab.order
-    quotient_iso = False
-    if stab is not None:
-        quotient_iso = quotient_invariant_factors(g, stab) == invariant_factors(full_subgroup(spec.quotient_group))
     return ValidationReport(
         exponents_in_range=in_range,
         denominators_realized=tuple(denom),
         multiset_condition=tuple(multiset),
-        transitive=transitive,
+        transitive=stab is not None and g.order == spec.k * stab.order,
         stabilizer=stab,
-        quotient_isomorphic=quotient_iso,
     )
 
 

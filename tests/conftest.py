@@ -46,6 +46,32 @@ def numerically_zero(c: Cyclo, dps: int = 30) -> bool:
         return abs(cyclo_numeric(c, dps)) < mpmath.mpf(10) ** (-(dps - 5))
 
 
+def permutation_det(mat):
+    """Determinant as the signed sum over permutations (an oracle that runs
+    no elimination)."""
+    n = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term = term * mat[i][perm[i]]
+        total = total + term
+    return total
+
+
+def largest_nonzero_minor(a) -> int:
+    """The size of a largest nonzero minor of a: its rank, by an exact
+    route that runs no elimination."""
+    m, n = len(a), len(a[0]) if a else 0
+    for size in range(min(m, n), 0, -1):
+        for rows in itertools.combinations(range(m), size):
+            for cols in itertools.combinations(range(n), size):
+                if permutation_det([[a[i][j] for j in cols] for i in rows]) != 0:
+                    return size
+    return 0
+
+
 def invariant_exponent_vectors(action, variables, bound: int):
     """Brute force: exponent vectors over variables, of total degree 1..bound,
     whose monomial has weighted degree 0 modulo every modulus of the action."""

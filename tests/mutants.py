@@ -1,0 +1,210 @@
+"""Named mutants of the certificates: each row breaks one exact check of
+the library, and lists the tests that must fail without it.
+
+Run every row with
+
+    python tests/mutants.py
+
+For each row the runner copies src/ to a temporary directory, replaces the
+row's snippet in its module, and runs each listed test in its own pytest
+process, one at a time, with -x and a timeout of TIMEOUT_S seconds,
+importing circforge from the copy.  A row is killed when every listed test
+fails.  Rows list only tests whose outcome does not depend on drawn
+examples, so that a verdict repeats.  Before any mutant, the listed tests
+run once on an unchanged copy, since a test that fails there kills
+nothing.  The runner prints one line per row and exits with status 1 if
+a row survives (2 if a listed test fails unchanged).  It needs only the
+standard library and pytest.
+
+tests/test_mutants.py checks in tier-1 that each snippet occurs exactly
+once in its module, so that the table cannot rot silently.  A change that
+adds a certificate adds its row.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file name under src/circforge
+    snippet: str  # occurs exactly once in the module
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "valid-transitive",
+        "gcirc.py",
+        "all(self.denominators_realized) and self.transitive",
+        "all(self.denominators_realized)",
+        ("tests/test_gcirc.py::test_validate_non_transitive",),
+    ),
+    Mutant(
+        "additive-gamma-pairs",
+        "gcirc.py",
+        "gamma[tuple(map(mod, map(add, a, b), g.moduli))] == tuple(map(mod, map(add, ga, gb), dens))",
+        "True",
+        ("tests/test_gcirc.py::test_validate_transitivity_matches_polynomial_orbits",),
+    ),
+    Mutant(
+        "rank-row-swap",
+        "smith.py",
+        "        e[r], e[piv] = e[piv], e[r]\n        p = e[r][col]\n",
+        "        p = e[r][col]\n",
+        ("tests/test_smith.py::test_rank_swaps_a_pivot_row_up",),
+    ),
+    Mutant(
+        "perp-vector-test",
+        "abelian.py",
+        "if not any(sum(map(mul, res, v)) % k for v in vecs)",
+        "if not any(sum(map(mul, res, v)) for v in vecs)",
+        ("tests/test_abelian.py::test_perp_examples",),
+    ),
+    Mutant(
+        "subgroup-closure",
+        "abelian.py",
+        '                if a + b not in elems:\n                    raise ValueError("subgroup not closed under addition")\n',
+        "                pass\n",
+        ("tests/test_abelian.py::test_subgroup_validation",),
+    ),
+    Mutant(
+        "intertwines",
+        "blowup.py",
+        "        if tuple(w % p for w, p in zip(action_i.weights[v], moduli)) != action_j.characters(image.space, key):\n"
+        "            return False\n",
+        "",
+        ("tests/test_blowup.py::test_transition_equivariance_and_a_wrong_image",),
+    ),
+    Mutant(
+        "codim1-match",
+        "gcirc.py",
+        "        verified=match_factors(lhs, rhs) == 1,\n",
+        "        verified=True,\n",
+        ("tests/test_gcirc.py::test_codim1_certificate_fails_on_wrong_cosets",),
+    ),
+    Mutant(
+        "merge-match",
+        "gcirc.py",
+        "transform=transform, verified=match_factors(lhs, rhs) == 1)",
+        "transform=transform, verified=True)",
+        ("tests/test_gcirc.py::test_product_merge_certificate_fails_on_a_wrong_transform",),
+    ),
+    Mutant(
+        "verify-split",
+        "splitting.py",
+        "    if not verify_split(f, powers, roots, d, z=z):\n",
+        "    if False:\n",
+        ("tests/test_splitting.py::test_split_newton_checks_the_candidate_of_the_search",),
+    ),
+    Mutant(
+        "prime-field-phi",
+        "modular.py",
+        "        if phi_at_w == 0:\n",
+        "        if True:\n",
+        ("tests/test_modular.py::test_prime_field_root_is_a_root_of_phi",),
+    ),
+    Mutant(
+        "nc-entries",
+        "quotient_nc.py",
+        "        if any(row[j] != _phase(group.moduli, el.residues, chars) for j, chars in checks):\n",
+        "        if False:\n",
+        (
+            "tests/test_quotient_nc.py::test_a_corrupted_entry_fails_the_recombination_check",
+            "tests/test_quotient_nc.py::test_a_corrupted_matrix_entry_fails_the_recombination_check",
+        ),
+    ),
+    Mutant(
+        "nc-pieces",
+        "quotient_nc.py",
+        "    if not all(map(linear_part, parts.values())):\n",
+        "    if False:\n",
+        ("tests/test_quotient_nc.py::test_a_piece_without_a_linear_part_is_caught_by_the_pieces_check",),
+    ),
+    Mutant(
+        "nc-rank-fallback",
+        "quotient_nc.py",
+        "        if linear_rank([linear_part(f) for f in factors], space.names) != len(factors):\n"
+        "            raise DegenerateInput(NOT_INDEPENDENT) from None\n",
+        "",
+        (
+            "tests/test_quotient_nc.py::test_a_dependent_system_is_reported_whatever_step_fails",
+            "tests/test_quotient_nc.py::test_normal_form_degenerate",
+        ),
+    ),
+)
+
+
+def apply(mutant: Mutant, src: Path) -> None:
+    """Replace the mutant's snippet in the copy of the package under src."""
+    path = src / "circforge" / mutant.module
+    text = path.read_text()
+    if text.count(mutant.snippet) != 1:
+        raise ValueError(f"{mutant.name}: the snippet does not occur exactly once in {mutant.module}")
+    path.write_text(text.replace(mutant.snippet, mutant.replacement))
+
+
+def run_test(node: str, src: Path, cwd: Path) -> str:
+    """'passed', 'failed', 'timeout' or 'error' (the test could not run)
+    for one test against the package copy under src."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    cmd = [
+        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        "-o", f"pythonpath={src}", "--rootdir", str(ROOT), str(ROOT / node),
+    ]
+    try:
+        # cwd is the scratch directory, so that Hypothesis keeps no examples of a mutant
+        proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return {0: "passed", 1: "failed"}.get(proc.returncode, "error")
+
+
+def _copy(dest: Path) -> Path:
+    src = dest / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def main() -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="circforge-mutants-") as tmp:
+        base = Path(tmp) / "base"
+        src = _copy(base)
+        for node in dict.fromkeys(n for m in MUTANTS for n in m.tests):
+            outcome = run_test(node, src, base)
+            if outcome != "passed":
+                print(f"{node} is {outcome} on the unchanged source; no mutant can be judged by it")
+                return 2
+        survivors = []
+        for m in MUTANTS:
+            work = Path(tmp) / m.name
+            src = _copy(work)
+            apply(m, src)
+            outcomes = [run_test(node, src, work) for node in m.tests]
+            killed = all(o == "failed" for o in outcomes)
+            if not killed:
+                survivors.append(m.name)
+            detail = ", ".join(f"{node.rsplit('::', 1)[-1]} {o}" for node, o in zip(m.tests, outcomes))
+            print(f"{'killed' if killed else 'SURVIVED'}  {m.name}  ({detail})", flush=True)
+            shutil.rmtree(work)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} rows killed in {time.perf_counter() - start:.0f} s")
+    if survivors:
+        print("survivors: " + ", ".join(survivors))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

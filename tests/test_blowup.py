@@ -32,7 +32,7 @@ from circforge import (
     weights,
     z2z4_spec,
 )
-from circforge import blowup
+from circforge import blowup, gcirc
 from circforge.gcirc import spec_space
 from circforge.polyring import poly_sum
 
@@ -579,11 +579,13 @@ def test_pipeline_on_valid_specs(spec):
 
 
 def test_product_verified_is_the_additivity_check(monkeypatch):
-    # validation already implies additive gammas, so only a failing check
-    # shows that product_verified reads it
-    monkeypatch.setattr(blowup, "_additive_gamma", lambda part: part.k != 3)
+    # the additivity check runs once per part, inside validation: a part
+    # that fails it is not transitive, so the pipeline refuses it instead
+    # of reporting an unverified product
+    monkeypatch.setattr(gcirc, "_additive_gamma", lambda part: part.k != 3)
     assert gcirc_blowup_sequence(cpk_spec(2)).product_verified
-    assert not gcirc_blowup_sequence(cpk_spec(3)).product_verified
+    with pytest.raises(ValueError, match="factor fails validation"):
+        gcirc_blowup_sequence(cpk_spec(3))
 
 
 def test_final_factors_are_independent_linear_forms():

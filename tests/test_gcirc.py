@@ -26,6 +26,7 @@ from circforge import (
     cyclic_factor_orbit_transitive,
     eigen_system,
     gcirc_det,
+    invariant_factors,
     irreducible_exponents,
     klein_spec,
     leibniz_det,
@@ -34,6 +35,7 @@ from circforge import (
     permute_to_standard,
     perp,
     product_merge,
+    quotient,
     quotient_invariant_factors,
     roots_to_coords,
     split_newton,
@@ -42,6 +44,7 @@ from circforge import (
     verify_eigen_system,
     z2z4_spec,
 )
+from circforge import gcirc
 from circforge.gcirc import lex_ordering, spec_space, spec_values
 
 from conftest import groups_of_order_up_to, trivial_modulus_product
@@ -287,6 +290,15 @@ def test_product_merge():
         assert product_merge(k, r).verified
 
 
+def test_product_merge_certificate_fails_on_a_wrong_transform(monkeypatch):
+    # at (k, r) = (3, 2) only the transform takes square roots of unity;
+    # with each of them 1, both copies are combinations of x_j + x_(3+j),
+    # and their factors match none of the order-6 ladder's
+    real = gcirc.root_of_unity
+    monkeypatch.setattr(gcirc, "root_of_unity", lambda n, e=1: real(n, 0 if n == 2 else e))
+    assert not product_merge(3, 2).verified
+
+
 def _expanded_merge(rep):
     """Both sides of the product-merge identity, expanded from the report's
     transform (the oracle for the factor-matching certificate)."""
@@ -443,6 +455,13 @@ def test_codim1_product_is_specialized(spec, i):
     assert rep.verified and total == rep.specialized
 
 
+def test_codim1_certificate_fails_on_wrong_cosets(monkeypatch):
+    # over the cosets of the trivial subgroup the betas repeat, so there are
+    # more standard factors than eigen factors of the normal form
+    monkeypatch.setattr(gcirc, "quotient", lambda g, h: quotient(g, subgroup_from_generators(g, [])))
+    assert not codim1_factor(z2z4_spec(), 0).verified
+
+
 def test_codim1_index_out_of_range():
     for i in (-1, 1):
         with pytest.raises(ValueError, match="outside"):
@@ -535,17 +554,17 @@ def _factor_action_oracle(spec):
     """Independent route: act on the factor polynomials themselves (after
     clearing denominators).  None when the rotations do not permute the
     factors; otherwise whether the orbit of the first factor f_0 has k
-    elements, and the residues of the g with g . f_0 = f_0."""
+    elements, and the residues of the g with g . f_0 = f_0.  Clearing is a
+    ring map, so it clears the matrix values before the factors are formed."""
     from circforge import DiagonalAction, apply_group, substitute_power
-    from circforge.gcirc import spec_factors
+    from circforge.gcirc import eigen_factors, spec_space, spec_values
 
-    (factors,) = spec_factors(spec)
-    cleared = []
-    for f in factors:
-        g = f
+    values = []
+    for f in spec_values(spec, spec_space(spec)):
         for i, wname in enumerate(spec.w_names()):
-            g = substitute_power(g, wname, spec.moduli[i], new_name=f"v{i}")
-        cleared.append(g)
+            f = substitute_power(f, wname, spec.moduli[i], new_name=f"v{i}")
+        values.append(f)
+    cleared = eigen_factors(spec.quotient_group, values, spec.labels)
     vnames = [f"v{i}" for i in range(spec.r)]
     space = cleared[0].space
     weights = {n: tuple(0 for _ in spec.moduli) for n in space.names}
@@ -581,7 +600,7 @@ def _factor_action_oracle(spec):
 _SWEEP_GROUPS = (
     ((2,), (2,)), ((3,), (3,)), ((4,), (4,)), ((2, 2), (2,)), ((2, 2), (4,)), ((2, 4), (4,)),
     ((2, 2), (2, 2)), ((4,), (2, 2)), ((2, 4), (2, 2)), ((6,), (6,)), ((2, 3), (6,)), ((2, 3), (2, 3)),
-    ((6,), (3,)), ((2, 4), (2,)),
+    ((6,), (3,)), ((2, 4), (2,)), ((1, 2), (2,)), ((2, 1), (2,)),
 )
 
 
@@ -592,7 +611,11 @@ def test_validate_transitivity_matches_polynomial_orbits():
     # computed on the factor polynomials themselves.  Transitive implies
     # that labels -> exponent elements is injective, so the labels
     # enumerate the quotient with the identity first and the exponent
-    # elements form a subgroup of order k; validation checks neither apart
+    # elements form a subgroup of order k; validation checks neither apart.
+    # Validation reads the quotient isomorphism and the multiset condition
+    # off transitivity: under both allow_omitted_divisors values, the report
+    # must equal the isomorphism of invariant factors and the validity with
+    # all five conditions
     rng = random.Random(99)
     cases = []
     for moduli, qmoduli in _SWEEP_GROUPS:
@@ -608,24 +631,46 @@ def test_validate_transitivity_matches_polynomial_orbits():
             rng.shuffle(shuffled)
             for labels in (lex, (lex[0], *shuffled), (shuffled[0], lex[0], *shuffled[1:])):
                 cases.append(NormalFormSpec(moduli, k, gamma, quotient_group, labels))
+    factors = {}  # invariant factors of each quotient group and each G/Stab
     outcomes = {True: 0, False: 0, None: 0}
+    valid_by_flag = {False: 0, True: 0}
     for spec in cases:
-        rep = validate_normal_form(spec)
         oracle = _factor_action_oracle(spec)
-        if rep.stabilizer is None:
-            # the rotations fail to permute the factors on both routes
-            assert oracle is None, (spec.moduli, spec.gamma, spec.labels)
-            assert not rep.transitive
-            outcomes[None] += 1
-        else:
-            stab = {e.residues for e in rep.stabilizer.elements}
-            assert oracle == (rep.transitive, stab), (spec.moduli, spec.gamma, spec.labels)
-            outcomes[rep.transitive] += 1
+        q = spec.quotient_group
+        if q not in factors:
+            factors[q] = invariant_factors(subgroup_from_generators(q, q.elements()))
+        for allow in (False, True):
+            rep = validate_normal_form(spec, allow_omitted_divisors=allow)
+            if rep.stabilizer is None:
+                # the rotations fail to permute the factors on both routes
+                assert oracle is None, (spec.moduli, spec.gamma, spec.labels)
+                assert not rep.transitive
+                iso = False
+            else:
+                stab = {e.residues for e in rep.stabilizer.elements}
+                assert oracle == (rep.transitive, stab), (spec.moduli, spec.gamma, spec.labels)
+                key = (spec.group, rep.stabilizer)
+                if key not in factors:
+                    factors[key] = quotient_invariant_factors(*key)
+                iso = factors[key] == factors[q]
+            assert rep.quotient_isomorphic == iso, (spec.moduli, spec.gamma, spec.labels)
+            valid = (
+                rep.exponents_in_range
+                and all(rep.denominators_realized)
+                and all(rep.multiset_condition)
+                and rep.transitive
+                and iso
+            )
+            assert rep.valid == valid, (spec.moduli, spec.gamma, spec.labels, allow)
+            valid_by_flag[allow] += valid
+        outcomes[None if rep.stabilizer is None else rep.transitive] += 1
         if rep.transitive:
             exps = frozenset(spec.exponent_elements())
             assert spec.labels[0].is_identity() and set(spec.labels) == set(spec.quotient_group.elements())
             assert len(exps) == spec.k and subgroup_from_generators(spec.group, exps).elements == exps
     assert all(outcomes.values()), outcomes  # every branch is reached
+    # the omitted divisors of the (1, 2) and (2, 1) sweeps are valid only when allowed
+    assert 0 < valid_by_flag[False] < valid_by_flag[True], valid_by_flag
     assert len(cases) > 2000
 
 

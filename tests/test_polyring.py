@@ -2,9 +2,8 @@ import json
 from fractions import Fraction
 from math import lcm
 
-import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circforge import (
@@ -29,7 +28,7 @@ from circforge import (
 )
 from circforge.modular import prime_field, rank_mod
 from circforge.smith import rank
-from conftest import cyclo_numeric
+from conftest import largest_nonzero_minor
 
 
 @pytest.fixture
@@ -457,28 +456,26 @@ def _sparse_linear_parts(draw):
     return names, parts
 
 
-def _numerical_rank(rows, dps: int = 50) -> int:
-    """Rank of a matrix of Cyclo entries read off its singular values at dps
-    digits, an oracle that runs no exact elimination.  Each nonzero row is
-    first scaled to largest entry 1, and a singular value below
-    10^-(dps/2) counts as zero."""
-    with mpmath.workdps(dps):
-        numeric = [[cyclo_numeric(c, dps) for c in row] for row in rows]
-        scaled = [[z / max(map(abs, row)) for z in row] for row in numeric if any(row)]
-        if not scaled:
-            return 0
-        singular = mpmath.svd_c(mpmath.matrix(scaled), compute_uv=False)
-        return sum(1 for s in singular if s > mpmath.mpf(10) ** -(dps // 2))
-
-
 @settings(max_examples=150, deadline=None)
 @given(_sparse_linear_parts())
+@example(
+    # rank 3, read as 2 from singular values at 50 digits
+    (
+        ["v0", "v1", "v2"],
+        [
+            {},
+            {"u": Cyclo(1, [0]), "v1": Cyclo(1, [1]), "v2": Cyclo(1, [Fraction(1, 2147483659)])},
+            {"v1": Cyclo(1, [1])},
+            {"v2": Cyclo(1, [2147483659]), "v0": Cyclo(1, [Fraction(1, 2147483659)]), "v1": Cyclo(1, [0])},
+        ],
+    )
+)
 def test_linear_rank_is_the_exact_rank_of_sparse_rows(drawn):
     # entries of mixed orders up to 12 put the elimination at their lcm
     names, parts = drawn
     zero = Cyclo.zero()
     rows = [[lin.get(n, zero) for n in names] for lin in parts]
-    assert linear_rank(parts, names) == rank(rows) == _numerical_rank(rows)
+    assert linear_rank(parts, names) == rank(rows) == largest_nonzero_minor(rows)
 
 
 def test_linear_rank_settles_a_rank_deficient_image_exactly():

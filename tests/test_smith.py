@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,22 +15,11 @@ from circforge.smith import (
     solve,
 )
 
+from conftest import largest_nonzero_minor, permutation_det
+
 
 def _matmul(a, b):
     return [[sum((x * y for x, y in zip(row, col)), 0) for col in zip(*b)] for row in a]
-
-
-def _leibniz(mat):
-    """Determinant as the signed sum over permutations (independent oracle)."""
-    n = len(mat)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = -1 if inversions % 2 else 1
-        for i in range(n):
-            term = term * mat[i][perm[i]]
-        total = total + term
-    return total
 
 
 @settings(max_examples=60, deadline=None)
@@ -51,7 +39,7 @@ def test_smith_factorization(m, n, data):
         for j in range(n):
             if i != j:
                 assert d[i][j] == 0
-    assert abs(_leibniz(u)) == 1 and abs(_leibniz(v)) == 1
+    assert abs(permutation_det(u)) == 1 and abs(permutation_det(v)) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,7 +84,7 @@ def _cyclo_matrix(data, m, n):
 @given(st.integers(0, 4), st.data())
 def test_det_matches_leibniz(n, data):
     a = _cyclo_matrix(data, n, n)
-    assert det(a) == _leibniz(a)
+    assert det(a) == permutation_det(a)
 
 
 def test_elimination_on_rationals():
@@ -115,13 +103,25 @@ def test_elimination_on_rationals():
 def test_rank_is_largest_nonzero_minor(m, n, r, data):
     # a product through an m x r by r x n factorization has rank <= r
     a = _matmul(_cyclo_matrix(data, m, r), _cyclo_matrix(data, r, n)) if r else [[0] * n for _ in range(m)]
-    largest = 0
-    for s in range(1, min(m, n) + 1):
-        for rows in itertools.combinations(range(m), s):
-            for cols in itertools.combinations(range(n), s):
-                if _leibniz([[a[i][j] for j in cols] for i in rows]) != 0:
-                    largest = s
-    assert rank(a) == largest
+    assert rank(a) == largest_nonzero_minor(a)
+
+
+def test_rank_swaps_a_pivot_row_up():
+    # the pivot of column 0 lies below a zero row: without moving it up, the
+    # elimination leaves the pivot row in place and counts one pivot
+    assert rank([[0, 0], [1, 0], [1, 1]]) == 2
+    assert rank([[0, 1], [1, 0]]) == 2
+    assert rank([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.data())
+def test_rank_of_sparse_sign_matrices(m, n, data):
+    # mostly zero entries put zeros at the leading positions, so most
+    # columns take their pivot from a lower row
+    entries = st.sampled_from((0, 0, 0, 1, -1))
+    a = [[data.draw(entries) for _ in range(n)] for _ in range(m)]
+    assert rank(a) == largest_nonzero_minor(a)
 
 
 @settings(max_examples=40, deadline=None)

@@ -67,6 +67,19 @@ def test_split_exact_difference_of_squares():
     assert not verify_split(f, 1, [roots[0], roots[0]], 12)
 
 
+def test_split_newton_checks_the_candidate_of_the_search(monkeypatch):
+    # a search that returns a wrong candidate ends in NoSplit, never in a
+    # returned factorization
+    from circforge import splitting
+
+    sp = VarSpace([], ["v", "x", "z"])
+    v, x, z = (FracPoly.variable(sp, n) for n in ("v", "x", "z"))
+    find = splitting._find_roots
+    monkeypatch.setattr(splitting, "_find_roots", lambda g, k, state: find(g, k, state)[:1] * k)
+    with pytest.raises(NoSplit, match="failed verification"):
+        split_newton(z * z - v * v * x * x, "z", powers=1, degree_bound=12)
+
+
 def test_split_odd_order_obstruction():
     sp = VarSpace([("w", 2)], ["x", "z"])
     w, x, z = (FracPoly.variable(sp, n) for n in ("w", "x", "z"))
