@@ -10,7 +10,7 @@ Modules:
 - resinv: resolution invariant sequences and blow-up weights
 - blowup: weighted blow-up chart atlases, Hilbert bases, the blow-up pipeline
 - quotient_nc: normalization of group-invariant normal-crossings ideals
-- smith: exact matrices: integer Smith form and lattices; rank, det, solve over a field
+- smith: exact matrices: integer Smith form and lattices; echelon, reduced echelon, rank, det, solve over a field
 - errors: DomainError, the base class of every domain error
 - jsonio: JSON encoding of the public value types
 - cli: command-line front end

@@ -39,17 +39,14 @@ def _fresh(base: str, taken) -> str:
 
 
 class ChartMap:
-    __slots__ = ("index", "chart_var", "y_names", "substitutions", "new_space", "weights_map")
+    __slots__ = ("index", "chart_var", "y_names", "substitutions", "new_space")
 
-    def __init__(
-        self, index: int, chart_var: str, y_names: dict, substitutions: dict, new_space: VarSpace, weights_map: dict
-    ):
+    def __init__(self, index: int, chart_var: str, y_names: dict, substitutions: dict, new_space: VarSpace):
         self.index = index
         self.chart_var = chart_var
         self.y_names = y_names  # parameter -> fresh chart coordinate (None for the chart's own)
         self.substitutions = substitutions  # original variable name -> FracPoly over new_space
         self.new_space = new_space
-        self.weights_map = weights_map  # original variable name -> weight
 
     def apply(self, f: FracPoly) -> FracPoly:
         mapping = {n: v for n, v in self.substitutions.items() if n in f.space}
@@ -101,7 +98,7 @@ def _chart(ambient: VarSpace, params: tuple, wts: tuple, i: int) -> tuple[ChartM
         if j != i:
             action_weights[ynames[pj]] = ((-wts[j]) % wi,)
     action = DiagonalAction(AbelianGroup((wi,)), action_weights)
-    return ChartMap(i, t, ynames, subs, space, dict(zip(params, wts))), action
+    return ChartMap(i, t, ynames, subs, space), action
 
 
 def charts(ambient: VarSpace, params, weight_vector) -> ChartAtlas:
@@ -195,17 +192,17 @@ def transition(atlas: ChartAtlas, i: int, j: int) -> TransitionChart:
     ai_weights = {n: (0, 0) for n in cover_i_space.names}
     ai_weights[s] = (1, 0)
     ai_weights[u_i] = (-1, 1)
-    for p in params:
+    for p, w in zip(params, wts):
         if yi[p] is not None:
-            ai_weights[yi[p]] = (-cmi.weights_map[p], 0)
+            ai_weights[yi[p]] = (-w, 0)
     action_i = DiagonalAction(group, ai_weights)
 
     aj_weights = {n: (0, 0) for n in cover_j_space.names}
     aj_weights[t] = (0, 1)
     aj_weights[u_j] = (1, -1)
-    for p in params:
+    for p, w in zip(params, wts):
         if yj[p] is not None:
-            aj_weights[yj[p]] = (0, -cmj.weights_map[p])
+            aj_weights[yj[p]] = (0, -w)
     action_j = DiagonalAction(group, aj_weights)
 
     # isomorphism: cover-over-i generators expressed over the cover-over-j
@@ -496,7 +493,6 @@ def toric_relation_transform(rel: Relation, basis: HilbertBasis, w_index: int, s
 class PipelineStep:
     __slots__ = (
         "divisor_index", "chart_var", "weight_map", "multiplicity", "expected_multiplicity", "group_order",
-        "max_chart_cyclic_order",
     )
 
     def __init__(
@@ -507,7 +503,6 @@ class PipelineStep:
         multiplicity: int,
         expected_multiplicity: int,
         group_order: int,
-        max_chart_cyclic_order: int,
     ):
         self.divisor_index = divisor_index
         self.chart_var = chart_var
@@ -515,14 +510,17 @@ class PipelineStep:
         self.multiplicity = multiplicity
         self.expected_multiplicity = expected_multiplicity
         self.group_order = group_order
-        self.max_chart_cyclic_order = max_chart_cyclic_order
 
 
 class PipelineReport:
     __slots__ = (
         "steps", "final_factors", "final_strict_transform", "group_moduli", "group_order", "order_bound",
-        "cyclic_orders_bounded", "normal_crossings", "product_verified",
+        "cyclic_orders_bounded", "normal_crossings",
     )
+    # gcirc_blowup_sequence raises on a part that fails validation, and
+    # validation implies that the product of the eigen factors is the
+    # strict transform (see its docstring): no report can be unverified
+    product_verified = True
 
     def __init__(
         self,
@@ -534,7 +532,6 @@ class PipelineReport:
         order_bound: int,
         cyclic_orders_bounded: bool,
         normal_crossings: bool,
-        product_verified: bool,
     ):
         self.steps = steps
         self.final_factors = final_factors
@@ -544,7 +541,6 @@ class PipelineReport:
         self.order_bound = order_bound
         self.cyclic_orders_bounded = cyclic_orders_bounded
         self.normal_crossings = normal_crossings
-        self.product_verified = product_verified
 
 
 def divisor_weights(spec, i: int) -> dict:
@@ -563,12 +559,14 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
     final strict transform is their product, and normal crossings means
     the final factors are linear forms with independent linear parts.
 
-    product_verified certifies that this product is the strict transform
-    of the normal form: validation found every part transitive, and a
-    transitive part passes `_additive_gamma`, an exact check on integers
-    that validation runs, so the pipeline does not run it again.  Then the
-    strict transform of the normal form is the product of those of the
-    factors, and each step's multiplicity is the sum of theirs, because:
+    The report's product_verified, that this product is the strict
+    transform of the normal form, holds by construction and is the class
+    constant True: the pipeline raises on a part that fails validation, a
+    valid part is transitive, and a transitive part passes
+    `_additive_gamma`, an exact check on integers that validation runs, so
+    the pipeline does not run it again.  Then the strict transform of the
+    normal form is the product of those of the factors, and each step's
+    multiplicity is the sum of theirs, because:
     - a circulant determinant is the product of its eigen factors;
     - labels -> gamma mod Z additive gives the determinant integral
       w-exponents, so the normal form is exactly that product (see
@@ -600,7 +598,6 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
                 multiplicity=int(sum(m for _, m in transforms)),
                 expected_multiplicity=spec.k * (p + 1),
                 group_order=p,
-                max_chart_cyclic_order=max(wt_map.values()),
             )
         )
         current = {n: cmap.y_names[c] for n, c in current.items()}  # renamed by the chart
@@ -615,9 +612,8 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
         group_moduli=tuple(moduli),
         group_order=prod(moduli),
         order_bound=order_bound,
-        cyclic_orders_bounded=all(s.max_chart_cyclic_order <= order_bound for s in steps),
+        cyclic_orders_bounded=all(max(s.weight_map.values()) <= order_bound for s in steps),
         normal_crossings=_independent_linear_parts(factors, list(current.values())),
-        product_verified=all(rep.transitive for rep in reports),
     )
 
 

@@ -18,7 +18,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .jsonio import frac_to_str
-from .smith import echelon, solve
+from .smith import echelon, reduced_echelon
 
 
 @lru_cache(maxsize=None)
@@ -139,9 +139,11 @@ def _subfield(k: int, m: int) -> tuple:
     basis = [_lift(_root(m, i), k) for i in range(_reducer(m)[0])]
     rows = echelon(basis)[1]  # independent coordinates of the basis vectors
     square = [[vec[r] for vec in basis] for r in rows]
-    cols = [solve(square, [int(t == u) for u in range(len(rows))]) for t in range(len(rows))]
-    d = lcm(*(Fraction(x).denominator for col in cols for x in col))
-    inv = tuple(tuple(int(col[i] * d) for col in cols) for i in range(len(rows)))
+    n = len(square)
+    # [square | I] reduces to [I | square^-1]
+    e, _pivots = reduced_echelon([row + [int(t == u) for u in range(n)] for t, row in enumerate(square)])
+    d = lcm(*(Fraction(x).denominator for row in e for x in row[n:]))
+    inv = tuple(tuple(int(x * d) for x in row[n:]) for row in e)
     return basis, tuple(rows), inv, d
 
 
@@ -414,14 +416,7 @@ class Cyclo:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        acc = Cyclo.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return _square_multiply(Cyclo.one(self.order), self, n)
 
     # -- comparison ---------------------------------------------------------
 
@@ -459,6 +454,18 @@ class Cyclo:
                 else:
                     parts.append(f"{c}*{unit}")
         return _join_signed(parts) if parts else "0"
+
+
+def _square_multiply(acc, base, n: int):
+    """acc * base ** n for an int n >= 0, by square-and-multiply with acc
+    on the left of every product; the one copy of powering, for `Cyclo`
+    and `FracPoly` alike."""
+    while n:
+        if n & 1:
+            acc = acc * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return acc
 
 
 def _join_signed(terms) -> str:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import add, mod
 
@@ -94,17 +93,10 @@ def subgroup_circulant_matrix(sub: Subgroup, ordering=None) -> CirculantMatrix:
     return CirculantMatrix(ordering, _difference_entries(ordering))
 
 
-class EigenPair:
-    __slots__ = ("vector", "value_coeffs")
-
-    def __init__(self, vector: tuple[Cyclo, ...], value_coeffs: tuple[Cyclo, ...]):
-        self.vector = vector
-        # eigenvalue as a linear form: coefficient of X_i at position i
-        self.value_coeffs = value_coeffs
-
-
-def eigen_system(group: AbelianGroup, ordering=None, ctx: PairingContext | None = None, reps=None) -> list[EigenPair]:
-    """Eigenvectors (chi(l_0), ..., chi(l_{t-1})) and eigenvalue linear forms.
+def eigen_system(group: AbelianGroup, ordering=None, ctx: PairingContext | None = None, reps=None) -> list[tuple]:
+    """The eigenvectors (chi(l_0), ..., chi(l_{t-1})), one tuple per
+    character chi.  Each is also the coefficient vector of its eigenvalue
+    sum_i chi(l_i) X_{l_i}, the character sum.
 
     Standalone use: characters of the group via its natural pairing.
     Embedded use: `ordering` lists a subgroup K of ctx.group, `reps` indexes
@@ -118,24 +110,21 @@ def eigen_system(group: AbelianGroup, ordering=None, ctx: PairingContext | None 
         labels = list(ordering)
     else:
         labels = list(reps) if reps is not None else list(lex_ordering(ctx.group))
-    out = []
-    for j in labels:
-        vec = tuple(root_of_unity(ctx.k, pairing(ctx, j, l)) for l in ordering)
-        out.append(EigenPair(vec, vec))
-    return out
+    return [tuple(root_of_unity(ctx.k, pairing(ctx, j, l)) for l in ordering) for j in labels]
 
 
-def verify_eigen_system(mat: CirculantMatrix, pairs: list[EigenPair]) -> bool:
-    """Symbolic check of C * psi = Y * psi for every eigenpair."""
+def verify_eigen_system(mat: CirculantMatrix, vectors: list[tuple]) -> bool:
+    """Symbolic check of C * psi = Y * psi for every eigenvector psi, with
+    Y = sum_m psi_m X_m its eigenvalue."""
     t = len(mat.ordering)
-    for pair in pairs:
+    for vec in vectors:
         for i in range(t):
             lhs: dict[int, Cyclo] = {}
             for jcol in range(t):
                 idx = mat.entries[i][jcol]
-                lhs[idx] = lhs.get(idx, Cyclo.zero()) + pair.vector[jcol]
+                lhs[idx] = lhs.get(idx, Cyclo.zero()) + vec[jcol]
             # rhs: (sum_m Y_m X_m) * psi_i
-            rhs = {m: pair.value_coeffs[m] * pair.vector[i] for m in range(t)}
+            rhs = {m: vec[m] * vec[i] for m in range(t)}
             for m in range(t):
                 if lhs.get(m, Cyclo.zero()) != rhs.get(m, Cyclo.zero()):
                     return False
@@ -554,6 +543,8 @@ def cyclic_factor_orbit_transitive(k: int, h) -> bool | None:
     the determinant with exponents h; None when the action does not permute
     the factors (the product is not invariant)."""
     h = tuple(int(x) % k for x in h)
+    if len(h) != k:
+        raise ValueError("need k residues")
     factors = [tuple((j * l + h[j]) % k for j in range(k)) for l in range(k)]
     index = {f: i for i, f in enumerate(factors)}
     perm = []
@@ -661,11 +652,6 @@ class CoordsReport:
         self.coords = coords  # GroupElement -> FracPoly
         self.stabilizer = stabilizer
 
-    def to_roots(self) -> dict:
-        """Inverse transform: GroupElement j -> z + b_j reconstructed from coords."""
-        g = self.stabilizer.parent
-        return dict(zip(self.coords, eigen_factors(g, list(self.coords.values()), ordering=self.coords)))
-
 
 def roots_to_coords(roots, group: AbelianGroup, v_names, z: str = "z") -> CoordsReport:
     """Averaged coordinate forms of a root system closed under the rotation
@@ -711,21 +697,13 @@ def roots_to_coords(roots, group: AbelianGroup, v_names, z: str = "z") -> Coords
 
 
 class Codim1Report:
-    # no __slots__: the cached_property below keeps its value in the instance __dict__
+    __slots__ = ("index", "factor_polys", "transform", "verified")
 
-    def __init__(self, index: int, factor_polys: list, transform: dict, verified: bool, spec: NormalFormSpec):
+    def __init__(self, index: int, factor_polys: list, transform: dict, verified: bool):
         self.index = index
         self.factor_polys = factor_polys
         self.transform = transform  # y name -> list of (coeff, x name)
         self.verified = verified
-        self.spec = spec
-
-    @cached_property
-    def specialized(self) -> FracPoly:
-        """The normal form with w_h = 1 for h != index, expanded on first access."""
-        poly = normal_form_poly(self.spec)
-        subs = {w: 1 for h, w in enumerate(self.spec.w_names()) if h != self.index}
-        return poly.substitute(subs) if subs else poly
 
 
 def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
@@ -783,7 +761,6 @@ def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
         factor_polys=factor_polys,
         transform=y_defs,
         verified=match_factors(lhs, rhs) == 1,
-        spec=spec,
     )
 
 

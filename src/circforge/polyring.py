@@ -104,6 +104,7 @@ from .cyclotomic import (
     _pack,
     _packed_modulus,
     _slot_bits,
+    _square_multiply,
     _unpack,
     root_of_unity,
 )
@@ -707,17 +708,6 @@ def _times(a: dict, b: dict) -> dict:
     if len(a) > 1 and len(b) > 1:
         return _product_terms([a, b])
     return {tuple(map(add, ka, kb)): ca * cb for ka, ca in a.items() for kb, cb in b.items()}
-
-
-def _square_multiply(acc, base, n: int):
-    """acc * base ** n for an int n >= 0, by square-and-multiply with acc
-    on the left of every product."""
-    while n:
-        if n & 1:
-            acc = acc * base
-        base = base * base if n > 1 else base
-        n >>= 1
-    return acc
 
 
 def product(polys, integral=()) -> FracPoly:

@@ -9,7 +9,8 @@ indexed by nested weights, and certifies an invertible coefficient matrix
 (nested blocks of diagonal times Vandermonde type) recombining the pieces
 into the translates of f_1, which it checks entry by entry against the
 characters of the terms of f_1.  Ideal membership row-reduces the linear
-parts with `smith.echelon`.
+parts to unit pivots with `smith.reduced_echelon`, the library's one
+back-substitution.
 
 The factor ideals are read as G-orbits, one at a time: the stabilizer of
 the least factor not yet placed is the complement (`abelian.perp`) of the
@@ -53,7 +54,7 @@ from .polyring import (
     semi_invariant_weight,
     truncate,
 )
-from .smith import det, echelon
+from .smith import det, reduced_echelon
 
 
 NOT_PERMUTED = "the group does not permute the factor ideals; product is not invariant"
@@ -140,27 +141,21 @@ def _triangularize(factors, space: VarSpace):
     with unit coefficient in its linear part, and no other row has that
     variable in its linear part.
 
-    echelon runs on the rows [linear-part coefficients | identity row]; the
-    identity block records the matrix M with reduced rows M * factors.  Its
-    column-by-column search picks the lexicographically first basis of
-    variables, and back-substitution to unit pivots makes M unique.
+    reduced_echelon runs on the rows [linear-part coefficients | identity
+    row]; the identity block records the matrix M with reduced rows
+    M * factors.  Its column-by-column search picks the lexicographically
+    first basis of variables, and the reduction to unit pivots makes M
+    unique.
     """
     names = space.names
     n, k = len(names), len(factors)
     zero = Cyclo.zero()
-    e, cols, _sign = echelon(
+    e, cols = reduced_echelon(
         [[lin.get(name, zero) for name in names] + [int(i == j) for i in range(k)]
          for j, lin in enumerate(map(linear_part, factors))]
     )
     if cols and cols[-1] >= n:
         raise DegenerateInput(NOT_INDEPENDENT)
-    for r in reversed(range(k)):
-        inv = e[r][cols[r]].inverse()
-        e[r] = [x * inv for x in e[r]]
-        for a in range(r):
-            c = e[a][cols[r]]
-            if c:
-                e[a] = [x - c * y for x, y in zip(e[a], e[r])]
     rows = [poly_sum(space, [g.scale(c) for c, g in zip(row[n:], factors) if c]) for row in e]
     return rows, [names[c] for c in cols]
 

@@ -3,9 +3,10 @@
 Over the integers: Smith normal form, kernel lattices, integer solves,
 cokernel invariant factors and lattice membership.  Over an exact field
 (entries ``Fraction``, ``Cyclo``, or either mixed with ``int``): one forward
-elimination, ``echelon``, and the ``det`` and ``solve`` built on it, and a
-fraction-free ``rank``.  Every entry stays an exact Python number; no float
-is ever formed.
+elimination, ``echelon``, and one back-substitution on top of it,
+``reduced_echelon``; ``det`` reads the forward pass and ``solve`` the
+reduced form, and a fraction-free ``rank`` inverts no entry.  Every entry
+stays an exact Python number; no float is ever formed.
 """
 
 from __future__ import annotations
@@ -165,6 +166,24 @@ def echelon(rows):
     return e, pivots, sign
 
 
+def reduced_echelon(rows):
+    """Reduced row echelon form over an exact field: (e, pivots) with e and
+    pivots as from `echelon`, and then, from the last pivot row up, each
+    pivot row scaled by the inverse of its pivot and that pivot cleared
+    from the rows above it.  So every pivot is 1 and the only nonzero entry
+    of its column."""
+    e, pivots, _sign = echelon(rows)
+    for r in reversed(range(len(pivots))):
+        col = pivots[r]
+        inv = _ONE / e[r][col]
+        e[r] = [x * inv for x in e[r]]
+        for a in range(r):
+            c = e[a][col]
+            if c:
+                e[a] = [x - c * y for x, y in zip(e[a], e[r])]
+    return e, pivots
+
+
 def rank(rows) -> int:
     """Rank of a matrix over an exact field, by fraction-free elimination:
     each row below the pivot row becomes p * row - c * (pivot row), p the
@@ -206,17 +225,14 @@ def det(rows):
 def solve(a, b):
     """One solution x of a x = b over an exact field, or None if none exists.
 
-    Free variables are set to 0, so the solution is the unique one whenever
-    a has full column rank.
+    x is read off the reduced augmented matrix.  Free variables are set to
+    0, so the solution is the unique one whenever a has full column rank.
     """
-    e, pivots, _sign = echelon([list(row) + [bi] for row, bi in zip(a, b, strict=True)])
+    e, pivots = reduced_echelon([list(row) + [bi] for row, bi in zip(a, b, strict=True)])
     n = len(e[0]) - 1 if e else 0
     if pivots and pivots[-1] == n:
         return None
     x = [0] * n
-    for r in reversed(range(len(pivots))):
-        s = e[r][n]
-        for col in pivots[r + 1 :]:
-            s = s - e[r][col] * x[col]
-        x[pivots[r]] = s * (_ONE / e[r][pivots[r]])
+    for row, col in zip(e, pivots):
+        x[col] = row[n]
     return x

@@ -15,6 +15,7 @@ from circforge import (
     NormalFormSpec,
     PairingContext,
     ProductNormalFormSpec,
+    normal_form_poly,
     pairing,
     validate_normal_form,
 )
@@ -70,6 +71,14 @@ def largest_nonzero_minor(a) -> int:
                 if permutation_det([[a[i][j] for j in cols] for i in rows]) != 0:
                     return size
     return 0
+
+
+def specialized(spec: NormalFormSpec, i: int):
+    """The normal form with w_h = 1 for h != i, expanded: the polynomial
+    whose factors `codim1_factor(spec, i)` certifies by matching."""
+    poly = normal_form_poly(spec)
+    subs = {w: 1 for h, w in enumerate(spec.w_names()) if h != i}
+    return poly.substitute(subs) if subs else poly
 
 
 def invariant_exponent_vectors(action, variables, bound: int):

@@ -67,6 +67,31 @@ MUTANTS = (
         ("tests/test_smith.py::test_rank_swaps_a_pivot_row_up",),
     ),
     Mutant(
+        "reduced-echelon-clears-above",
+        "smith.py",
+        "        for a in range(r):\n"
+        "            c = e[a][col]\n"
+        "            if c:\n"
+        "                e[a] = [x - c * y for x, y in zip(e[a], e[r])]\n",
+        "",
+        (
+            "tests/test_smith.py::test_reduced_echelon_clears_above_each_pivot",
+            "tests/test_smith.py::test_elimination_on_rationals",
+            "tests/test_cyclotomic.py::test_descend_inverts_embed",
+        ),
+    ),
+    Mutant(
+        "square-multiply-squares",
+        "cyclotomic.py",
+        "        base = base * base if n > 1 else base\n",
+        "",
+        (
+            "tests/test_cyclotomic.py::test_power_is_the_left_fold_of_products",
+            "tests/test_cyclotomic.py::test_embed_examples",
+            "tests/test_polyring.py::test_ring_identities",
+        ),
+    ),
+    Mutant(
         "perp-vector-test",
         "abelian.py",
         "if not any(sum(map(mul, res, v)) % k for v in vecs)",

@@ -70,7 +70,7 @@ from circforge.gcirc import eigen_factors, lex_ordering, spec_space, spec_values
 from circforge.polyring import linear_part, match_scalar
 from circforge.smith import rank
 
-from conftest import groups_of_order_up_to, invariant_exponent_vectors
+from conftest import groups_of_order_up_to, invariant_exponent_vectors, specialized
 
 
 def _report(n: int, description: str):
@@ -195,7 +195,8 @@ def test_criterion_06_z2z4_example(capsys):
     assert any(f == plus for f in c.factor_polys)
     assert any(f == minus for f in c.factor_polys)
     total = c.factor_polys[0] * c.factor_polys[1]
-    assert total == c.specialized.in_space(total.space.union(c.specialized.space))
+    spec_poly = specialized(spec, 0)
+    assert total == spec_poly.in_space(total.space.union(spec_poly.space))
     with capsys.disabled():
         _report(6, "order-4 quotient of Z2 x Z4 validates; codimension-one stratum factors as two pinch points")
 

@@ -578,10 +578,13 @@ def test_pipeline_on_valid_specs(spec):
     _check_against_the_expanded_normal_form(spec, rep)
 
 
-def test_product_verified_is_the_additivity_check(monkeypatch):
+def test_product_verified_holds_by_construction(monkeypatch):
     # the additivity check runs once per part, inside validation: a part
     # that fails it is not transitive, so the pipeline refuses it instead
-    # of reporting an unverified product
+    # of reporting an unverified product, and a report that exists has a
+    # verified product
+    assert blowup.PipelineReport.product_verified is True
+    assert "product_verified" not in blowup.PipelineReport.__slots__
     monkeypatch.setattr(gcirc, "_additive_gamma", lambda part: part.k != 3)
     assert gcirc_blowup_sequence(cpk_spec(2)).product_verified
     with pytest.raises(ValueError, match="factor fails validation"):

@@ -1,6 +1,8 @@
 import time
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import mul
 
 import mpmath
 import pytest
@@ -112,6 +114,43 @@ def test_minimal_order():
     assert minimal_order(root_of_unity(6, 2)) == 3
     assert minimal_order(root_of_unity(8)) == 8
     assert descend(root_of_unity(6, 2), 3) == root_of_unity(3)
+
+
+def test_descend_inverts_embed():
+    # descend reads coordinates through the inverse of a square block of the
+    # subfield basis, one table per pair m | k
+    for k in range(1, 31):
+        for m in (m for m in range(1, k + 1) if k % m == 0):
+            x = Cyclo(m, [Fraction(i + 1, i + 2) for i in range(m)])
+            down = descend(x.embed(k), m)
+            assert down.order == m and down.coeffs == x.coeffs
+            assert minimal_order(x.embed(k)) == minimal_order(x)
+            # e_m lies in Q(e_d) exactly when m | d, or m | 2d for odd d
+            assert minimal_order(root_of_unity(m).embed(k)) == (m // 2 if m % 4 == 2 else m)
+
+
+# the same power at orders 4, 1 and 6, -1 stored at order 2, and
+# non-rational bases of orders 8, 3, 12 and a sum promoted to 12
+_POWER_BASES = [
+    Cyclo.rational(3, 4),
+    Cyclo.rational(Fraction(-2, 3)),
+    Cyclo.one(6),
+    root_of_unity(2, 1),
+    root_of_unity(8, 3),
+    root_of_unity(3) + 2,
+    Cyclo(12, [Fraction(1, 3), 0, -7, 2]),
+    root_of_unity(4) + root_of_unity(6),
+]
+
+
+def test_power_is_the_left_fold_of_products():
+    for b in _POWER_BASES:
+        for n in range(10):
+            for base, e in ((b, n), (b.inverse(), -n)):
+                fold = reduce(mul, [base] * n, Cyclo.one(b.order))
+                got = b**e
+                assert got == fold and got.order == fold.order, (b, e)
+        assert b**-3 * b**3 == 1
 
 
 def test_rational_sqrt_gauss_sums():

@@ -45,9 +45,9 @@ from circforge import (
     z2z4_spec,
 )
 from circforge import gcirc
-from circforge.gcirc import lex_ordering, spec_space, spec_values
+from circforge.gcirc import eigen_factors, lex_ordering, spec_space, spec_values
 
-from conftest import groups_of_order_up_to, trivial_modulus_product
+from conftest import groups_of_order_up_to, specialized, trivial_modulus_product
 
 
 def _symbol_values(group):
@@ -78,19 +78,17 @@ def test_circulant_matrix_shapes():
 def test_eigen_identity_small_groups():
     for g in groups_of_order_up_to(8):
         mat = circulant_matrix(g)
-        pairs = eigen_system(g)
-        assert verify_eigen_system(mat, pairs)
+        assert verify_eigen_system(mat, eigen_system(g))
 
 
 def test_eigen_standard_cyclic_form():
     z3 = AbelianGroup((3,))
-    pairs = eigen_system(z3)
-    ctx = PairingContext.natural(z3)
     from circforge import root_of_unity
 
-    for ell, pair in enumerate(pairs):
+    # each eigenvector is also its eigenvalue's coefficient vector
+    for ell, vec in enumerate(eigen_system(z3)):
         for i in range(3):
-            assert pair.value_coeffs[i] == root_of_unity(3, i * ell)
+            assert vec[i] == root_of_unity(3, i * ell)
 
 
 def _multiset_equal(a, b):
@@ -104,8 +102,6 @@ def _multiset_equal(a, b):
 
 
 def test_det_ordering_independence():
-    from circforge.gcirc import eigen_factors
-
     random.seed(5)
     for g in groups_of_order_up_to(8):
         if g.order not in (2, 3, 4, 6, 8):
@@ -275,6 +271,14 @@ def test_irreducible_exponents():
             assert irreducible_exponents(k, h) == cyclic_factor_orbit_transitive(k, h)
 
 
+@pytest.mark.parametrize("h", [(0, 1), (0, 1, 2, 5, 7)], ids=["short", "long"])
+def test_orbit_transitivity_needs_k_residues(h):
+    # a residue list of the wrong length is refused, not read past its end or in part
+    for check in (irreducible_exponents, cyclic_factor_orbit_transitive):
+        with pytest.raises(ValueError, match="need k residues"):
+            check(3, h)
+
+
 def test_permute_to_standard():
     assert permute_to_standard((1, 2), 3).verified
     assert permute_to_standard((2, 1), 3).verified
@@ -361,10 +365,11 @@ def test_roots_to_coords_recovers_ladder():
                 assert got == FracPoly.variable(sp, "z")
             else:
                 assert got == FracPoly.monomial(sp, {"v": j, names[j]: 1})
-        back = rep.to_roots()
+        # the inverse transform: the eigen factors of the coordinate forms
+        back = eigen_factors(g, list(rep.coords.values()), ordering=rep.coords)
         zv = FracPoly.variable(sp, "z")
         expected = [zv + r.in_space(sp) for r in roots]
-        for val in back.values():
+        for val in back:
             assert any(val == e for e in expected)
 
 
@@ -424,7 +429,8 @@ def test_codim1_z2z4():
     assert any(f == minus for f in rep.factor_polys)
     # the product is exactly the w2 = 1 specialization
     total = rep.factor_polys[0] * rep.factor_polys[1]
-    assert total == rep.specialized.in_space(total.space.union(rep.specialized.space))
+    spec_poly = specialized(z2z4_spec(), 0)
+    assert total == spec_poly.in_space(total.space.union(spec_poly.space))
 
 
 def test_codim1_klein():
@@ -452,7 +458,7 @@ def test_codim1_product_is_specialized(spec, i):
     total = FracPoly.constant(rep.factor_polys[0].space, 1)
     for f in rep.factor_polys:
         total = total * f
-    assert rep.verified and total == rep.specialized
+    assert rep.verified and total == specialized(spec, i)
 
 
 def test_codim1_certificate_fails_on_wrong_cosets(monkeypatch):
@@ -521,9 +527,9 @@ def test_eigen_system_embedded_in_ambient():
     k = perp(ctx, h)
     reps = quotient(g, h).representatives
     mat = subgroup_circulant_matrix(k)
-    pairs = eigen_system(g, ordering=mat.ordering, ctx=ctx, reps=reps)
-    assert len(pairs) == k.order == 4
-    assert verify_eigen_system(mat, pairs)
+    vectors = eigen_system(g, ordering=mat.ordering, ctx=ctx, reps=reps)
+    assert len(vectors) == k.order == 4
+    assert verify_eigen_system(mat, vectors)
 
 
 def test_pipeline_product_spec():

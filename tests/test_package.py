@@ -1,6 +1,7 @@
 """The package namespace: every public name resolves, lazily, to its module."""
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -92,6 +93,38 @@ def test_library_does_not_import_dataclasses():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
         or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert found == []
+
+
+def test_every_class_but_an_exception_declares_slots():
+    # the library's value types are plain slotted classes: an instance has
+    # no __dict__, so a misspelt attribute raises instead of adding a field
+    src = Path(circforge.__file__).parent
+    classes = [
+        (path.name, node)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    ]
+    by_name = {node.name: node for _, node in classes}
+
+    def is_exception(name):
+        if name in by_name:
+            return any(isinstance(b, ast.Name) and is_exception(b.id) for b in by_name[name].bases)
+        builtin = getattr(builtins, name, None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    def declares_slots(node):
+        targets = [t for stmt in node.body if isinstance(stmt, ast.Assign) for t in stmt.targets]
+        targets += [stmt.target for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+        return any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets)
+
+    assert len(by_name) == len(classes)  # names are unique, so bases resolve
+    found = [
+        f"{file}:{node.lineno} {node.name}"
+        for file, node in classes
+        if not (is_exception(node.name) or declares_slots(node))
     ]
     assert found == []
 

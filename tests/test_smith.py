@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circforge import Cyclo, root_of_unity
@@ -11,6 +11,7 @@ from circforge.smith import (
     in_lattice,
     kernel_basis,
     rank,
+    reduced_echelon,
     smith_normal_form,
     solve,
 )
@@ -137,3 +138,49 @@ def test_solve_substitutes_back(m, n, data):
         assert solve(a + [[p + q for p, q in zip(a[0], a[1])]], b + [b[0] + b[1] + 1]) is None
     assert solve([[0] * n], [1]) is None
 
+
+# -- back-substitution against oracles that run no elimination -----------------
+
+# mostly zero, so that leading entries are zero and pivots come from lower rows
+_sparse_entries = st.one_of(st.just(0), st.just(0), _entries)
+_sparse_fractions = st.one_of(st.just(0), st.just(0), st.fractions(-3, 3, max_denominator=4))
+
+
+def _assert_reduced(e, pivots):
+    """Unit pivots in increasing columns, zero before each pivot of its row,
+    zero above and below each pivot, and zero rows after the pivot rows."""
+    assert pivots == sorted(set(pivots))
+    for r, col in enumerate(pivots):
+        assert e[r][col] == 1
+        assert all(x == 0 for x in e[r][:col])
+        assert all(e[i][col] == 0 for i in range(len(e)) if i != r)
+    assert all(x == 0 for row in e[len(pivots) :] for x in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([_sparse_entries, _sparse_fractions]), st.data())
+def test_reduced_echelon_is_reduced_and_keeps_the_row_space(m, n, entries, data):
+    a = [[data.draw(entries) for _ in range(n)] for _ in range(m)]
+    e, pivots = reduced_echelon(a)
+    _assert_reduced(e, pivots)
+    # the rows of e lie in the row space of a and span a space of its rank
+    r = largest_nonzero_minor(a)
+    assert len(pivots) == largest_nonzero_minor(e) == largest_nonzero_minor(a + e) == r
+
+
+def test_reduced_echelon_clears_above_each_pivot():
+    e, pivots = reduced_echelon([[0, 2, 4, 2], [1, 1, 1, 1], [0, 0, 3, 0]])
+    assert pivots == [0, 1, 2]
+    assert e == [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
+    assert all(type(x) is Fraction for row in e for x in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([_sparse_entries, _sparse_fractions]), st.data())
+def test_solve_is_cramers_rule(n, entries, data):
+    a = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+    d = permutation_det(a)
+    assume(d != 0)
+    b = [data.draw(entries) for _ in range(n)]
+    cramer = [permutation_det([row[:i] + [bi] + row[i + 1 :] for row, bi in zip(a, b)]) / d for i in range(n)]
+    assert solve(a, b) == cramer
