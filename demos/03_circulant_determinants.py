@@ -8,7 +8,6 @@ from circforge import (
     circulant_matrix,
     cpk_spec,
     eigen_system,
-    gcirc_det,
     klein_spec,
     leibniz_det,
     normal_form_poly,

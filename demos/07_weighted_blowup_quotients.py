@@ -4,8 +4,6 @@ Run:  python demos/07_weighted_blowup_quotients.py
 """
 
 from circforge import (
-    AbelianGroup,
-    FracPoly,
     charts,
     cpk_spec,
     expand_quotient_image,

@@ -12,6 +12,7 @@ Modules:
 - quotient_nc: normalization of group-invariant normal-crossings ideals
 - smith: exact matrices: integer Smith form and lattices; echelon, reduced echelon, rank, det, solve over a field
 - errors: DomainError, the base class of every domain error
+- record: Record, the base of the report classes (one constructor, immutable fields, a repr)
 - jsonio: JSON encoding of the public value types
 - cli: command-line front end
 

@@ -15,13 +15,8 @@ from math import lcm, prod
 from operator import mul
 
 from .cyclotomic import Cyclo, root_of_unity
+from .record import Record, _immutable
 from .smith import cokernel_invariant_factors
-
-
-def _immutable(self, *_args):
-    """__setattr__ and __delattr__ of a class whose instances are values:
-    their fields are set once, in __init__, through object.__setattr__."""
-    raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class AbelianGroup:
@@ -257,11 +252,8 @@ def xi(ctx: PairingContext, h: Subgroup, l: GroupElement) -> Cyclo:
     return total
 
 
-class CosetSystem:
+class CosetSystem(Record):
     __slots__ = ("representatives",)
-
-    def __init__(self, representatives: tuple[GroupElement, ...]):
-        self.representatives = representatives
 
 
 def quotient(group: AbelianGroup, h: Subgroup) -> CosetSystem:

@@ -28,6 +28,7 @@ from .polyring import (
     product,
     strict_transform,
 )
+from .record import Record
 from .smith import in_lattice, kernel_basis
 
 
@@ -38,35 +39,19 @@ def _fresh(base: str, taken) -> str:
     return name
 
 
-class ChartMap:
+class ChartMap(Record):
+    # y_names: parameter -> fresh chart coordinate (None for the chart's own)
+    # substitutions: original variable name -> FracPoly over new_space
     __slots__ = ("index", "chart_var", "y_names", "substitutions", "new_space")
-
-    def __init__(self, index: int, chart_var: str, y_names: dict, substitutions: dict, new_space: VarSpace):
-        self.index = index
-        self.chart_var = chart_var
-        self.y_names = y_names  # parameter -> fresh chart coordinate (None for the chart's own)
-        self.substitutions = substitutions  # original variable name -> FracPoly over new_space
-        self.new_space = new_space
 
     def apply(self, f: FracPoly) -> FracPoly:
         mapping = {n: v for n, v in self.substitutions.items() if n in f.space}
         return f.substitute(mapping)
 
 
-class ChartAtlas:
+class ChartAtlas(Record):
+    # charts: (ChartMap, DiagonalAction) pairs
     __slots__ = ("params", "weights", "ambient", "charts")
-
-    def __init__(
-        self,
-        params: tuple[str, ...],
-        weights: tuple[int, ...],
-        ambient: VarSpace,
-        charts: tuple[tuple[ChartMap, DiagonalAction], ...],
-    ):
-        self.params = params
-        self.weights = weights
-        self.ambient = ambient
-        self.charts = charts
 
     def chart(self, i: int) -> tuple[ChartMap, DiagonalAction]:
         if not 0 <= i < len(self.charts):
@@ -127,31 +112,14 @@ def pullback(f: FracPoly, atlas: ChartAtlas, i: int):
 # -- transitions ---------------------------------------------------------------
 
 
-class TransitionChart:
+class TransitionChart(Record):
+    # cover_i_vars, cover_j_vars: variables of the auxiliary covers over charts i and j
+    # relation_i, relation_j: "<var> = <root>^w" descriptions of the added root variables
+    # iso: generator of cover-over-i -> Laurent monomial over cover-over-j
     __slots__ = (
         "pair", "cover_i_vars", "cover_j_vars", "relation_i", "relation_j", "iso", "equivariant",
         "commutes_with_projection",
     )
-
-    def __init__(
-        self,
-        pair: tuple[int, int],
-        cover_i_vars: tuple[str, ...],
-        cover_j_vars: tuple[str, ...],
-        relation_i: str,
-        relation_j: str,
-        iso: dict,
-        equivariant: bool,
-        commutes_with_projection: bool,
-    ):
-        self.pair = pair
-        self.cover_i_vars = cover_i_vars  # variables of the auxiliary cover over chart i
-        self.cover_j_vars = cover_j_vars
-        self.relation_i = relation_i  # "<var> = <root>^w" description of the added root variable
-        self.relation_j = relation_j
-        self.iso = iso  # generator of cover-over-i -> Laurent monomial over cover-over-j
-        self.equivariant = equivariant
-        self.commutes_with_projection = commutes_with_projection
 
 
 def intertwines(iso: dict, action_i: DiagonalAction, action_j: DiagonalAction) -> bool:
@@ -243,22 +211,9 @@ def transition(atlas: ChartAtlas, i: int, j: int) -> TransitionChart:
 # -- invariant Hilbert bases -----------------------------------------------------
 
 
-class HilbertBasis:
+class HilbertBasis(Record):
+    # generators: exponent vectors over variables
     __slots__ = ("action", "variables", "generators", "degree_bound", "space")
-
-    def __init__(
-        self,
-        action: DiagonalAction,
-        variables: tuple[str, ...],
-        generators: tuple[tuple[int, ...], ...],
-        degree_bound: int,
-        space: VarSpace,
-    ):
-        self.action = action
-        self.variables = variables
-        self.generators = generators  # exponent vectors over variables
-        self.degree_bound = degree_bound
-        self.space = space
 
     def names(self) -> list[str]:
         return [f"g{i}" for i in range(len(self.generators))]
@@ -348,24 +303,16 @@ def _monomial_identity(left, right, generators) -> bool:
     return all(sum(map(mul, left, col)) == sum(map(mul, right, col)) for col in zip(*generators))
 
 
-class Relation:
+class Relation(Record):
+    # left, right: exponents over generators
     __slots__ = ("left", "right")
-
-    def __init__(self, left: tuple[int, ...], right: tuple[int, ...]):
-        self.left = left  # exponents over generators
-        self.right = right
 
     def vector(self):
         return tuple(l - r for l, r in zip(self.left, self.right))
 
 
-class RelationSet:
+class RelationSet(Record):
     __slots__ = ("basis", "relations", "lattice_rank")
-
-    def __init__(self, basis: HilbertBasis, relations: tuple[Relation, ...], lattice_rank: int):
-        self.basis = basis
-        self.relations = relations
-        self.lattice_rank = lattice_rank
 
     def ambient_identity_holds(self, rel: Relation) -> bool:
         return _monomial_identity(rel.left, rel.right, self.basis.generators)
@@ -455,13 +402,8 @@ def expand_quotient_image(img: FracPoly, basis: HilbertBasis) -> FracPoly:
 # -- toric transform of the relation family ----------------------------------------
 
 
-class TransformedRelation:
+class TransformedRelation(Record):
     __slots__ = ("nu", "trivialized", "verified")
-
-    def __init__(self, nu: int, trivialized: bool, verified: bool):
-        self.nu = nu
-        self.trivialized = trivialized
-        self.verified = verified
 
 
 def toric_relation_transform(rel: Relation, basis: HilbertBasis, w_index: int, s_index: int) -> TransformedRelation:
@@ -490,29 +432,13 @@ def toric_relation_transform(rel: Relation, basis: HilbertBasis, w_index: int, s
 # -- the staged blow-up of a (product) group-circulant normal form -------------------
 
 
-class PipelineStep:
+class PipelineStep(Record):
     __slots__ = (
         "divisor_index", "chart_var", "weight_map", "multiplicity", "expected_multiplicity", "group_order",
     )
 
-    def __init__(
-        self,
-        divisor_index: int,
-        chart_var: str,
-        weight_map: dict,
-        multiplicity: int,
-        expected_multiplicity: int,
-        group_order: int,
-    ):
-        self.divisor_index = divisor_index
-        self.chart_var = chart_var
-        self.weight_map = weight_map
-        self.multiplicity = multiplicity
-        self.expected_multiplicity = expected_multiplicity
-        self.group_order = group_order
 
-
-class PipelineReport:
+class PipelineReport(Record):
     __slots__ = (
         "steps", "final_factors", "final_strict_transform", "group_moduli", "group_order", "order_bound",
         "cyclic_orders_bounded", "normal_crossings",
@@ -521,26 +447,6 @@ class PipelineReport:
     # validation implies that the product of the eigen factors is the
     # strict transform (see its docstring): no report can be unverified
     product_verified = True
-
-    def __init__(
-        self,
-        steps: tuple[PipelineStep, ...],
-        final_factors: tuple[FracPoly, ...],
-        final_strict_transform: FracPoly,
-        group_moduli: tuple[int, ...],
-        group_order: int,
-        order_bound: int,
-        cyclic_orders_bounded: bool,
-        normal_crossings: bool,
-    ):
-        self.steps = steps
-        self.final_factors = final_factors
-        self.final_strict_transform = final_strict_transform
-        self.group_moduli = group_moduli
-        self.group_order = group_order
-        self.order_bound = order_bound
-        self.cyclic_orders_bounded = cyclic_orders_bounded
-        self.normal_crossings = normal_crossings
 
 
 def divisor_weights(spec, i: int) -> dict:

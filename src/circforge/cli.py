@@ -309,20 +309,23 @@ def _parts(args):
     return _parse_ints(args.parts, "--parts")
 
 
-def cmd_resinv_inv(args):
+def _sequence_output(seq):
+    """The payload and the one text line of a resolution invariant sequence."""
     from . import jsonio
+
+    return jsonio.sequence_to_json(seq), [",".join(jsonio.frac_to_str(e) for e in seq.entries)]
+
+
+def cmd_resinv_inv(args):
     from .resinv import inv_cpk, inv_recursion, product_ideal
 
-    seq = inv_cpk(args.k) if args.k is not None else inv_recursion(product_ideal(_parts(args)))
-    return jsonio.sequence_to_json(seq), [",".join(jsonio.frac_to_str(e) for e in seq.entries)]
+    return _sequence_output(inv_cpk(args.k) if args.k is not None else inv_recursion(product_ideal(_parts(args))))
 
 
 def cmd_resinv_atw(args):
-    from . import jsonio
     from .resinv import atwinv_cpk, atwinv_product
 
-    seq = atwinv_cpk(args.k) if args.k is not None else atwinv_product(_parts(args))
-    return jsonio.sequence_to_json(seq), [",".join(jsonio.frac_to_str(e) for e in seq.entries)]
+    return _sequence_output(atwinv_cpk(args.k) if args.k is not None else atwinv_product(_parts(args)))
 
 
 def cmd_resinv_weights(args):
@@ -356,8 +359,7 @@ def cmd_resinv_recursion(args):
         ideal = _load(args.ideal, "--ideal", jsonio.ideal_from_json)
     else:
         raise DomainError("need --cpk, --parts, or --ideal")
-    seq = inv_recursion(ideal)
-    return jsonio.sequence_to_json(seq), [",".join(jsonio.frac_to_str(e) for e in seq.entries)]
+    return _sequence_output(inv_recursion(ideal))
 
 
 # -- blowup ----------------------------------------------------------------------

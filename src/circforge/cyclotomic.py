@@ -411,7 +411,9 @@ class Cyclo:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return Cyclo._coerce(other) * self.inverse()
+        # inverse first: a rational factor takes the other operand's order,
+        # so other / self has the order of self.inverse()
+        return self.inverse() * Cyclo._coerce(other)
 
     def __pow__(self, n: int):
         if n < 0:

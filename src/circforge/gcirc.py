@@ -25,7 +25,6 @@ from .abelian import (
     GroupElement,
     PairingContext,
     Subgroup,
-    _immutable,
     pairing,
     perp,
     quotient,
@@ -34,6 +33,7 @@ from .abelian import (
 from .cyclotomic import Cyclo, root_of_unity
 from .errors import DomainError
 from .polyring import DiagonalAction, FracPoly, VarSpace, apply_group, match_factors, poly_sum, product
+from .record import Record, _immutable
 
 
 class NonPolynomial(DomainError):
@@ -44,12 +44,9 @@ def lex_ordering(group: AbelianGroup) -> tuple[GroupElement, ...]:
     return tuple(sorted(group.elements(), key=lambda g: g.residues))
 
 
-class CirculantMatrix:
+class CirculantMatrix(Record):
+    # entries: symbol indices
     __slots__ = ("ordering", "entries")
-
-    def __init__(self, ordering: tuple[GroupElement, ...], entries: tuple[tuple[int, ...], ...]):
-        self.ordering = ordering
-        self.entries = entries  # symbol indices
 
     def symbol(self, idx: int) -> str:
         return f"X{idx}"
@@ -432,22 +429,9 @@ class ProductNormalFormSpec:
 # -- validation -----------------------------------------------------------------
 
 
-class ValidationReport:
+class ValidationReport(Record):
+    # stabilizer: None when G does not permute the eigen factors
     __slots__ = ("exponents_in_range", "denominators_realized", "multiset_condition", "transitive", "stabilizer")
-
-    def __init__(
-        self,
-        exponents_in_range: bool,
-        denominators_realized: tuple[bool, ...],
-        multiset_condition: tuple[bool, ...],
-        transitive: bool,
-        stabilizer: Subgroup | None,  # None when G does not permute the eigen factors
-    ):
-        self.exponents_in_range = exponents_in_range
-        self.denominators_realized = denominators_realized
-        self.multiset_condition = multiset_condition
-        self.transitive = transitive
-        self.stabilizer = stabilizer
 
     @property
     def quotient_isomorphic(self) -> bool:
@@ -562,11 +546,8 @@ def cyclic_factor_orbit_transitive(k: int, h) -> bool | None:
     return len(orbit) == k
 
 
-class PermutationReport:
+class PermutationReport(Record):
     __slots__ = ("verified",)
-
-    def __init__(self, verified: bool):
-        self.verified = verified
 
 
 def permute_to_standard(h, k: int | None = None) -> PermutationReport:
@@ -598,14 +579,9 @@ def permute_to_standard(h, k: int | None = None) -> PermutationReport:
 # -- product merge ----------------------------------------------------------------
 
 
-class MergeReport:
+class MergeReport(Record):
+    # transform rows: x_{ij} = sum_m coeff * x_{mk+j}
     __slots__ = ("k", "r", "transform", "verified")
-
-    def __init__(self, k: int, r: int, transform: dict, verified: bool):
-        self.k = k
-        self.r = r
-        self.transform = transform  # rows: x_{ij} = sum_m coeff * x_{mk+j}
-        self.verified = verified
 
 
 def product_merge(k: int, r: int) -> MergeReport:
@@ -645,12 +621,9 @@ def product_merge(k: int, r: int) -> MergeReport:
 # -- roots <-> coordinate forms ----------------------------------------------------
 
 
-class CoordsReport:
+class CoordsReport(Record):
+    # coords: GroupElement -> FracPoly
     __slots__ = ("coords", "stabilizer")
-
-    def __init__(self, coords: dict, stabilizer: Subgroup):
-        self.coords = coords  # GroupElement -> FracPoly
-        self.stabilizer = stabilizer
 
 
 def roots_to_coords(roots, group: AbelianGroup, v_names, z: str = "z") -> CoordsReport:
@@ -696,14 +669,9 @@ def roots_to_coords(roots, group: AbelianGroup, v_names, z: str = "z") -> Coords
 # -- codimension-one factorization ---------------------------------------------------
 
 
-class Codim1Report:
+class Codim1Report(Record):
+    # transform: y name -> list of (coeff, x name)
     __slots__ = ("index", "factor_polys", "transform", "verified")
-
-    def __init__(self, index: int, factor_polys: list, transform: dict, verified: bool):
-        self.index = index
-        self.factor_polys = factor_polys
-        self.transform = transform  # y name -> list of (coeff, x name)
-        self.verified = verified
 
 
 def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
@@ -767,15 +735,9 @@ def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
 # -- exponent cleaning ------------------------------------------------------------
 
 
-class CleanedLadder:
+class CleanedLadder(Record):
+    # order: input row indices, stage by stage
     __slots__ = ("order", "delta", "beta")
-
-    def __init__(
-        self, order: tuple[int, ...], delta: tuple[tuple[Fraction, ...], ...], beta: tuple[tuple[int, ...], ...]
-    ):
-        self.order = order  # input row indices, stage by stage
-        self.delta = delta
-        self.beta = beta
 
 
 def clean_exponents(gamma_raw, moduli) -> CleanedLadder:

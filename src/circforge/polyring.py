@@ -96,7 +96,7 @@ from itertools import chain, repeat
 from math import lcm, prod
 from operator import add, mul
 
-from .abelian import AbelianGroup, GroupElement, _immutable
+from .abelian import AbelianGroup, GroupElement
 from .cyclotomic import (
     Cyclo,
     _join_signed,
@@ -110,6 +110,7 @@ from .cyclotomic import (
 )
 from .jsonio import frac_to_str
 from .modular import rank_mod
+from .record import _immutable
 from .smith import rank
 
 

@@ -54,6 +54,7 @@ from .polyring import (
     semi_invariant_weight,
     truncate,
 )
+from .record import Record
 from .smith import det, reduced_echelon
 
 
@@ -163,12 +164,9 @@ def _triangularize(factors, space: VarSpace):
 # -- adapted coordinates ---------------------------------------------------------
 
 
-class AdaptedCoordinates:
+class AdaptedCoordinates(Record):
+    # coordinates: (name, FracPoly, role) with role in {divisor:j, stratum, complement}
     __slots__ = ("coordinates", "verified")
-
-    def __init__(self, coordinates: list, verified: bool):
-        self.coordinates = coordinates  # (name, FracPoly, role) with role in {divisor:j, stratum, complement}
-        self.verified = verified
 
 
 def adapted_coordinates(action: DiagonalAction, divisor_gens, s_gens) -> AdaptedCoordinates:
@@ -256,35 +254,20 @@ class InvariantNCInput:
         self.factors = factors
 
 
-class NestedNormalForm:
+class NestedNormalForm(Record):
+    # chain: cyclic quotient orders q > 1, in generator order
+    # chain_generators: generator index supplying each q
+    # parts: (l_1, ..., l_s) -> coordinate polynomial h
+    # gamma: prefix tuple -> residual weight used in the matrix formula
+    # matrix: rows over m-tuples, columns over l-tuples (Cyclo entries)
+    # row_index: the m-tuples, parallel to matrix rows
+    # factors: row translates g_m . f_1, equal to the recombined factors
+    # scalar: prod(factors) = scalar * prod(input factors)
     __slots__ = (
         "chain", "chain_generators", "parts", "gamma", "matrix", "row_index", "determinant", "factors", "scalar",
         "stabilizer",
     )
 
-    def __init__(
-        self,
-        chain: tuple[int, ...],
-        chain_generators: tuple[int, ...],
-        parts: dict,
-        gamma: dict,
-        matrix: list,
-        row_index: list,
-        determinant: Cyclo,
-        factors: list,
-        scalar: Cyclo,
-        stabilizer: Subgroup,
-    ):
-        self.chain = chain  # cyclic quotient orders q > 1, in generator order
-        self.chain_generators = chain_generators  # generator index supplying each q
-        self.parts = parts  # (l_1, ..., l_s) -> coordinate polynomial h
-        self.gamma = gamma  # prefix tuple -> residual weight used in the matrix formula
-        self.matrix = matrix  # rows over m-tuples, columns over l-tuples (Cyclo entries)
-        self.row_index = row_index  # the m-tuples, parallel to matrix rows
-        self.determinant = determinant
-        self.factors = factors  # row translates g_m . f_1, equal to the recombined factors
-        self.scalar = scalar  # prod(factors) = scalar * prod(input factors)
-        self.stabilizer = stabilizer
 
 
 def _match_scalar(a: FracPoly, b: FracPoly):

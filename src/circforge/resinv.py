@@ -11,12 +11,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .record import _immutable
+
 
 class _Sequence:
     """Positive rational entries, each with one contact label.  Sequences
     are values: equal when of one class with equal fields, and immutable."""
 
     __slots__ = ("entries", "contacts")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, entries: tuple[Fraction, ...], contacts: tuple[str, ...]):
         entries = tuple(Fraction(e) for e in entries)
@@ -26,11 +29,6 @@ class _Sequence:
             raise ValueError("entries must be positive")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "contacts", contacts)
-
-    def __setattr__(self, *_args):  # abelian._immutable; this layer imports no other
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

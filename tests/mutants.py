@@ -169,6 +169,13 @@ MUTANTS = (
             "tests/test_quotient_nc.py::test_normal_form_degenerate",
         ),
     ),
+    Mutant(
+        "record-checks-fields",
+        "record.py",
+        "        if len(args) != len(fields):\n",
+        "        if False:\n",
+        ("tests/test_record.py::test_a_missing_field_or_an_extra_argument_is_a_type_error",),
+    ),
 )
 
 

@@ -2,8 +2,6 @@ import random
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from circforge import (
     AbelianGroup,

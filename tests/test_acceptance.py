@@ -7,13 +7,10 @@ criterion.
 import itertools
 import random
 from fractions import Fraction
-from math import lcm, prod
-
-import pytest
+from math import prod
 
 from circforge import (
     AbelianGroup,
-    Cyclo,
     DegenerateInput,
     DiagonalAction,
     FracPoly,
@@ -56,7 +53,6 @@ from circforge import (
     relations,
     split_newton,
     strict_transform,
-    substitute_power,
     validate_normal_form,
     verify_eigen_system,
     verify_split,

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from circforge import (
     AbelianGroup,
-    Cyclo,
     DiagonalAction,
     FracPoly,
-    NormalFormSpec,
     ProductNormalFormSpec,
     Relation,
     VarSpace,
@@ -20,7 +18,6 @@ from circforge import (
     expand_quotient_image,
     gcirc_blowup_sequence,
     hilbert_basis,
-    is_invariant,
     klein_spec,
     normal_form_poly,
     pullback,

@@ -1,7 +1,7 @@
 import time
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 import mpmath
@@ -151,6 +151,17 @@ def test_power_is_the_left_fold_of_products():
                 got = b**e
                 assert got == fold and got.order == fold.order, (b, e)
         assert b**-3 * b**3 == 1
+
+
+def test_a_number_over_c_keeps_the_order_of_c_inverse():
+    # the quotient's order is part of its JSON, so q / c must match c.inverse() in it too
+    for k in range(1, 13):
+        for c in (Cyclo.rational(Fraction(2, 3), k), Cyclo.rational(-5, k), root_of_unity(k, 1) + 2):
+            inv = c.inverse()
+            for q, expected in ((Fraction(1), inv), (2, inv * 2), (Fraction(-3, 4), inv * Fraction(-3, 4))):
+                got = q / c
+                assert got == expected and got.order == expected.order == k, (q, c)
+    assert (Fraction(1) / Cyclo.rational(2, 3)).order == 3
 
 
 def test_rational_sqrt_gauss_sums():

@@ -262,3 +262,52 @@ def test_value_types_compare_and_hash_on_their_fields(name):
     with pytest.raises(AttributeError):
         setattr(a, field, getattr(changed, field))
     assert a == b
+
+
+def _copies_its_parameters(init) -> bool:
+    """Whether the body of init only sets each of its parameters, by name,
+    on self: `self.x = x` or `object.__setattr__(self, "x", x)`."""
+    params = {a.arg for a in init.args.args[1:] + init.args.kwonlyargs}
+    copies = {f"self.{p} = {p}": p for p in params} | {f"object.__setattr__(self, '{p}', {p})": p for p in params}
+    body = init.body[1:] if ast.get_docstring(init) else init.body
+    copied = [copies.get(ast.unparse(stmt)) for stmt in body]
+    return bool(params) and None not in copied and set(copied) == params
+
+
+def test_no_report_writes_its_own_constructor():
+    # a report (a class with identity equality) whose constructor only
+    # copies its arguments derives from record.Record instead
+    src = Path(circforge.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+            if "__eq__" not in methods and "__init__" in methods and _copies_its_parameters(methods["__init__"]):
+                found.append(f"{path.name}:{cls.lineno} {cls.name}")
+    assert found == []
+
+
+def _unused_imports(path) -> list[str]:
+    """The names that the module at path imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({alias.asname or alias.name.split(".")[0]: node.lineno for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({alias.asname or alias.name: node.lineno for alias in node.names if alias.name != "*"})
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    root = Path(__file__).resolve().parents[1]
+    found = [
+        entry
+        for folder in ("src/circforge", "tests", "demos")
+        for path in sorted((root / folder).glob("*.py"))
+        for entry in _unused_imports(path)
+    ]
+    assert found == []

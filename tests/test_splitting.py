@@ -23,7 +23,6 @@ from circforge import (
     normal_form_poly,
     root_of_unity,
     split_newton,
-    substitute_power,
     truncate,
     verify_split,
 )
