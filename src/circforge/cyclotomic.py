@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 
-from .jsonio import frac_to_str
+from .jsonio import _int_to_str, frac_to_str
 from .smith import echelon, reduced_echelon
 
 
@@ -204,9 +204,15 @@ def _slot_bias(bits: int, size: int) -> int:
 def _unpack(packed: int, bits: int, den: int, k: int, m: int) -> "Cyclo":
     """The nonzero element of order k whose reduced numerators over den are
     packed with `bits` (a balanced remainder), as a canonical Cyclo of
-    order m; an ArithmeticError when it does not lie in Q(e_m)."""
-    deg = _reducer(k)[0]
+    order m; an ArithmeticError when it does not lie in Q(e_m).
+
+    A remainder below 2**(bits - 1) in magnitude is its lowest slot, a
+    rational value, which lies in every Q(e_m): it is read as [packed, 0,
+    ...] of order m with no slot extraction and no descent."""
     mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    if -half < packed < half:
+        return _make(m, [packed] + [0] * (_reducer(m)[0] - 1), den)
+    deg = _reducer(k)[0]
     # with half added to every slot, each slot is a plain bit field
     packed += _slot_bias(bits, deg)
     num = [((packed >> shift) & mask) - half for shift in range(0, deg * bits, bits)]
@@ -277,7 +283,9 @@ class Cyclo:
     @property
     def coeff_strings(self) -> list[str]:
         """`coeffs` as the strings "n" or "n/d" in lowest terms."""
-        return [frac_to_str(n, self._den) for n in self._num] + ["0"] * (self.order - len(self._num))
+        den, num = self._den, self._num
+        strings = list(map(_int_to_str, num)) if den == 1 else [frac_to_str(n, den) for n in num]
+        return strings + ["0"] * (self.order - len(num))
 
     # -- constructors ------------------------------------------------------
 

@@ -658,7 +658,7 @@ def roots_to_coords(roots, group: AbelianGroup, v_names, z: str = "z") -> Coords
     # translates[h] == base exactly when every term of base has character
     # value 1 at h, that is when h pairs to 0 with each term's characters
     ctx = PairingContext.natural(group)
-    stab = perp(ctx, [group.element(action.characters(space, key)) for key in base.terms])
+    stab = perp(ctx, [group.element(chars) for chars in action.term_characters(space, base.terms)])
     comp = perp(ctx, stab)
     for l, x in coords.items():
         if l not in comp and not x.is_zero():

@@ -171,13 +171,19 @@ def space_from_json(obj, where: str = "space") -> VarSpace:
 
 
 def poly_to_json(f: FracPoly) -> dict:
-    # a scaled key holds k_i = e_i * b_i on divisorial position i
+    # a scaled key holds k_i = e_i * b_i on divisorial position i; each
+    # distinct divisorial part is rendered once, and every term gets its
+    # own copy, so that no two payload lists are shared
     bounds = f.space.div_bounds
     nd = len(bounds)
-    terms = [
-        {"w": list(map(frac_to_str, key[:nd], bounds)), "free": list(key[nd:]), "coeff": cyclo_to_json(coeff)}
-        for key, coeff in f.sorted_items()
-    ]
+    rendered: dict = {}
+    terms = []
+    for key, coeff in f.sorted_items():
+        div = key[:nd]
+        w = rendered.get(div)
+        if w is None:
+            w = rendered[div] = list(map(frac_to_str, div, bounds))
+        terms.append({"w": w.copy(), "free": list(key[nd:]), "coeff": cyclo_to_json(coeff)})
     return {"space": space_to_json(f.space), "terms": terms}
 
 

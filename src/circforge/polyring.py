@@ -60,8 +60,10 @@ is exact by this bound.  Two operands are the case n = 2.
 `product(polys, integral=names)` forms only the terms whose exponents on
 the named divisorial variables are integers.  Whether a key ka + kb of the
 last level is kept depends only on the residues of ka and kb modulo the
-bounds, so the last factor's terms are grouped by their residues and each
-term of the product so far walks only the group with the opposite ones.
+bounds.  The residues are read one column (integral position) at a time,
+for all keys at once, and the last factor's terms are grouped per kind of
+the product so far (below) and per residue tuple: each term of the product
+so far walks only the group of its own kind with the opposite residues.
 The walks form exactly the pairs that land on kept keys, so every kept key
 receives the same pairs in the same order as in the full product, and the
 keys are independent of each other in the term loop, so the projection is
@@ -75,8 +77,11 @@ balanced remainder over the product of the denominators so far, and the
 exactly when the remainder is below 2^(B-1) in magnitude, since then only
 its lowest slot is nonzero.  Every key is checked to lie in Q(e_m), m its
 order, at every level (by that slot test when m = 1, by descent when
-1 < m < K), or the product raises an ArithmeticError.  Only the last level
-unpacks its keys into tuples and its values into canonical `Cyclo`s.
+1 < m < K and the value is not rational; a rational value lies in every
+Q(e_m)), or the product raises an ArithmeticError.  Only the last level
+unpacks: its keys into tuples, one position at a time for all keys, and
+its values into canonical `Cyclo`s, a rational one read from its lowest
+slot alone.
 
 The result equals the schoolbook term loop's, applied factor by factor,
 byte for byte and in map order, because the kernel keeps the loop's one
@@ -389,7 +394,9 @@ class FracPoly:
     def sorted_items(self):
         """The (scaled key, coefficient) items in the deterministic term
         order: ascending total degree, then exponents."""
-        return sorted(self.terms.items(), key=lambda kv: (self._term_degree(kv[0]), kv[0]))
+        # the keys are distinct, so no two (degree, key) pairs tie
+        terms, scales = self.terms, self.space.scales
+        return [(key, terms[key]) for _d, key in sorted([(sum(map(mul, key, scales)), key) for key in terms])]
 
     def sorted_terms(self):
         """`sorted_items` with face-value keys (see VarSpace.face_key)."""
@@ -646,38 +653,45 @@ def _product_terms(maps: list, integral: tuple = ()) -> dict:
         bkeyints, (bnums, bden) = keyints[level], lifted[level]
         final = level == len(maps) - 1
         # a pair's order depends only on the kinds of its coefficients;
-        # each order that occurs is one bit of a key's mask
+        # each order that occurs is one bit of a key's mask, and the
+        # factor's terms are listed once per kind as (key, value, bit)
         bkind = [(c.order, c.is_rational()) for c in coeffs[level]]
+        bvals = [_pack(num, bits) for num in bnums]
         orders: dict = {}
-        rows: dict = {}
+        by_kind: dict = {}
         for a in akinds:
-            if a not in rows:
-                rows[a] = [1 << orders.setdefault(_contribution_order(a, b), len(orders)) for b in bkind]
-        b_items = list(zip(bkeyints, [_pack(num, bits) for num in bnums], range(len(bkeyints))))
+            if a not in by_kind:
+                by_kind[a] = list(
+                    zip(bkeyints, bvals, [1 << orders.setdefault(_contribution_order(a, b), len(orders)) for b in bkind])
+                )
         if final and integral:
             # a term of the product so far meets only the last factor's terms
-            # whose residues at the integral positions are opposite to its own
+            # of its kind whose residues at the integral positions are
+            # opposite to its own; residues are read one column at a time
             cols = [(*fields[p], b) for p, b in integral]  # (offset, mask, lows, bound)
+            bres = list(zip(*[[-(kb >> off & mask) % b for kb in bkeyints] for off, mask, _lo, b in cols]))
             groups: dict = {}
-            for item in b_items:
-                groups.setdefault(tuple(-(item[0] >> off & mask) % b for off, mask, _lo, b in cols), []).append(item)
-            walks = [groups.get(tuple(((ka >> off & mask) + lo) % b for off, mask, lo, b in cols), ()) for ka in akeys]
+            for a, items in by_kind.items():
+                for item, r in zip(items, bres):
+                    groups.setdefault((a, *r), []).append(item)
+            ares = [[((ka >> off & mask) + lo) % b for ka in akeys] for off, mask, lo, b in cols]
+            walks = [groups.get(ar, ()) for ar in zip(akinds, *ares)]
         else:
-            walks = repeat(b_items)
+            walks = map(by_kind.__getitem__, akinds)
         sums: dict = {}  # packed key -> [running sum, order mask], in map order
-        for ka, pa, a, walk in zip(akeys, avals, akinds, walks):
-            row = rows[a]
-            for kb, pb, j in walk:
+        get = sums.get
+        for ka, pa, walk in zip(akeys, avals, walks):
+            for kb, pb, bit in walk:
                 key = ka + kb
-                entry = sums.get(key)
+                entry = get(key)
                 if entry is None:
-                    sums[key] = [pa * pb, row[j]]
+                    sums[key] = [pa * pb, bit]
                 else:
                     s = (entry[0] + pa * pb) % modulus
                     if s:
                         entry[0] = s
-                        entry[1] |= row[j]
-                    else:  # the sum leaves the map; the key's next pair restarts it
+                        entry[1] |= bit
+                    else:  # the sum leaves the map; the key's next product restarts it
                         del sums[key]
         aden *= bden
         mask_order: dict = {}
@@ -699,7 +713,9 @@ def _product_terms(maps: list, integral: tuple = ()) -> dict:
             avals.append(c if final else s)
             akinds.append((m, rational))
         akeys = list(sums)
-    return {tuple([(key >> off & mask) + lo for off, mask, lo in fields]): c for key, c in zip(akeys, avals)}
+    # a space without variables has the one key ()
+    cols = [[(key >> off & mask) + lo for key in akeys] for off, mask, lo in fields]
+    return dict(zip(zip(*cols) if cols else repeat(()), avals))
 
 
 def _times(a: dict, b: dict) -> dict:
@@ -987,6 +1003,12 @@ class DiagonalAction:
         None when a weight is fractional, where no character is defined."""
         return self._numerators(space, key)[1]
 
+    def term_characters(self, space: VarSpace, keys) -> list:
+        """`characters` of each of the keys (scaled keys of space), in
+        order, read with one lookup of space's memo."""
+        memo = self._space_data(space)[2]
+        return [(memo.get(key) or self._numerators(space, key))[1] for key in keys]
+
     def term_weight(self, space: VarSpace, key, i: int):
         """Phase exponent of a term (a scaled key of space) under generator
         i, in full turns over p_i: an int when integral, else a Fraction."""
@@ -1007,16 +1029,14 @@ def _phase(moduli: tuple, residues: tuple, chars: tuple) -> Cyclo:
 
 def apply_group(f: FracPoly, action: DiagonalAction, g: GroupElement) -> FracPoly:
     """Ring automorphism scaling each term by its character value at g.
-    Each term's characters are read once, from the memo that `_numerators`
-    fills, and the value is the cached `_phase`.  A term of fractional
-    weight has no character, and the action refuses it."""
+    The terms' characters are read once, by `term_characters`, and each
+    value is the cached `_phase`.  A term of fractional weight has no
+    character, and the action refuses it."""
     if g.group != action.group:
         raise ValueError("element of a different group")
     space, moduli, residues = f.space, action.group.moduli, g.residues
-    memo = action._space_data(space)[2]
     terms = {}
-    for key, coeff in f.terms.items():
-        chars = (memo.get(key) or action._numerators(space, key))[1]
+    for (key, coeff), chars in zip(f.terms.items(), action.term_characters(space, f.terms)):
         if chars is None:
             raise ValueError(f"term {FracPoly._term(space, key, 1)} has fractional weight; the group does not act on it")
         terms[key] = coeff * _phase(moduli, residues, chars)
@@ -1057,5 +1077,5 @@ def semi_invariant_weight(f: FracPoly, action: DiagonalAction):
     """Weight vector (per generator) if f is semi-invariant, else None."""
     if f.is_zero():
         return (0,) * action.group.rank
-    chars = {action.characters(f.space, key) for key in f.terms}
+    chars = set(action.term_characters(f.space, f.terms))
     return chars.pop() if len(chars) == 1 else None

@@ -302,7 +302,7 @@ def _match_rows(translates, factors, free):
 
 def _character_stabilizer(f: FracPoly, action: DiagonalAction) -> Subgroup:
     """The subgroup of the g with g . f proportional to f, read off the
-    integer characters that `DiagonalAction.characters` gives.
+    integer characters that `DiagonalAction.term_characters` gives.
 
     Every coefficient of f is nonzero and character values are roots of
     unity, so g . f is proportional to f exactly when every term t gets the
@@ -312,7 +312,7 @@ def _character_stabilizer(f: FracPoly, action: DiagonalAction) -> Subgroup:
     raises its ValueError; G does not act on a term of fractional weight,
     and so does not permute the factor ideals."""
     group = action.group
-    weights = [action.characters(f.space, key) for key in f.terms]
+    weights = action.term_characters(f.space, f.terms)
     if None in weights:
         raise ValueError(NOT_PERMUTED)
     base = weights[0]
@@ -469,7 +469,9 @@ def _orbit_normal_form(action: DiagonalAction, factors: list, space: VarSpace) -
 
     # row m gives each term t of f, in piece l, the coefficient M[m][l] c_t,
     # and the translate g_m . f gives it c_t times the character of t at g_m
-    checks = {(j, action.characters(f.space, key)) for j, lvec in enumerate(cols) for key in parts[lvec].terms}
+    checks = {
+        (j, chars) for j, lvec in enumerate(cols) for chars in action.term_characters(f.space, parts[lvec].terms)
+    }
     for el, row in zip(elements, matrix):
         if any(row[j] != _phase(group.moduli, el.residues, chars) for j, chars in checks):
             raise AssertionError(NOT_RECOMBINED)

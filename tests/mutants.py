@@ -170,6 +170,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "product-zero-restart",
+        "polyring.py",
+        "                    if s:\n                        entry[0] = s\n",
+        "                    if True:\n                        entry[0] = s\n",
+        (
+            "tests/test_polyring.py::test_product_order_follows_zero_reset",
+            "tests/test_polyring.py::test_chain_product_restarts_at_an_intermediate_level",
+            "tests/test_polyring.py::test_integral_product_keeps_a_restart_at_the_last_level",
+        ),
+    ),
+    Mutant(
+        "product-rational-order",
+        "cyclotomic.py",
+        "        return _make(m, [packed] + [0] * (_reducer(m)[0] - 1), den)\n",
+        "        return _make(k, [packed] + [0] * (_reducer(k)[0] - 1), den)\n",
+        ("tests/test_polyring.py::test_last_level_rational_sum_keeps_its_order",),
+    ),
+    Mutant(
         "record-checks-fields",
         "record.py",
         "        if len(args) != len(fields):\n",

@@ -826,6 +826,9 @@ def test_chain_product_edge_cases():
     assert product([f, FracPoly.zero(sp), f]).is_zero()
     g = FracPoly.variable(VarSpace([], ["y"]), "y") - 1
     _assert_same_product(product([f, g, f]), _fold_product([f, g, f]))
+    # a space without variables has the one key ()
+    consts = [FracPoly.constant(VarSpace(), c) for c in (2, root_of_unity(3), Fraction(1, 5))]
+    _assert_same_product(product(consts), _fold_product(consts))
     with pytest.raises(ValueError):
         product([])
 
@@ -878,11 +881,11 @@ def _integral_part(f, names):
 
 
 def _assert_integral_part(factors, names):
+    # the oracle is the pairwise term loop's fold, which never runs the kernel
     from circforge.polyring import product
 
-    got, full = product(factors, integral=names), product(factors)
-    want = _integral_part(full, names)
-    _assert_same_product(got, want)
+    got, full = product(factors, integral=names), _fold_product(factors)
+    _assert_same_product(got, _integral_part(full, names))
     return got, full
 
 
@@ -906,6 +909,21 @@ def test_integral_product_keeps_a_restart_at_the_last_level():
     # three factors: the restart happens in the middle level, which is not projected
     factors.append(h * x + z)
     _assert_integral_part(factors, ["w"])
+
+
+def test_last_level_rational_sum_keeps_its_order():
+    # the x^2 coefficient e4 * e4 = -1 is rational and has order 4, while
+    # K = lcm(4, 3) = 12: the last level reads it from its lowest slot and
+    # keeps the order of its products, not K
+    from circforge import jsonio
+
+    sp = VarSpace([("w", 2)], ["x", "y", "z"])
+    x, y, z = (FracPoly.variable(sp, n) for n in "xyz")
+    e4, e3 = root_of_unity(4), root_of_unity(3)
+    factors = [x.scale(e4) + y.scale(e3), x.scale(e4) + z]
+    for names in ([], ["w"]):
+        got, _full = _assert_integral_part(factors, names)
+        assert jsonio.cyclo_to_json(got.terms[(0, 2, 0, 0)]) == {"order": 4, "coeffs": ["-1", "0", "0", "0"]}
 
 
 def test_integral_product_edge_cases():
