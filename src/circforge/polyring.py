@@ -71,6 +71,22 @@ exact for any input and keeps the values, the map order and every `Cyclo`
 order of the kept terms.  The l1 bound covers it, since its sums are
 subsets of the full product's.
 
+`product(polys, degree=d, exclude=names)` truncates every product it
+forms at total degree d, the named variables not counted: it equals the
+fold acc = f_1, acc = truncate(acc * f_i, d, exclude), and the first
+factor is not truncated.  A term's degree is a linear function of its key,
+so each key carries it in one more bit field, above the others, less the
+factor's least degree; the degree of a pair is then read off the sum of
+the two keys.  At every level each term of the product so far walks only
+the factor terms (of its own kind, and of its residues with integral=)
+whose degree keeps the pair at or below d, and these walks are cut once
+per kind and per room left under d, outside the pair loop.  This is exact
+for the reason the integral projection is: whether a key is kept depends
+only on the key, so every kept key receives the same pairs in the same
+order as in the full product, and the dropped keys never meet the kept
+ones.  A product of two polynomials one of which has one term runs the
+pairwise loop, which skips the pairs past d.
+
 Between levels a term of the product so far stays packed: its key int, its
 balanced remainder over the product of the denominators so far, and the
 (order, is rational) kind of its coefficient.  The value is rational
@@ -99,7 +115,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
 from math import lcm, prod
-from operator import add, mul
+from operator import add, mul, sub
 
 from .abelian import AbelianGroup, GroupElement
 from .cyclotomic import (
@@ -607,14 +623,15 @@ def _contribution_order(kind1: tuple, kind2: tuple) -> int:
     return o1 if r2 else o2 if r1 else lcm(o1, o2)
 
 
-def _product_terms(maps: list, integral: tuple = ()) -> dict:
+def _product_terms(maps: list, integral: tuple = (), bound=None) -> dict:
     """The term map of the product of a list of term maps of one space,
     formed left to right: at every level, the map the pairwise term loop
     builds, in its order.  A running sum that reaches zero leaves the map,
     and its key's next pair enters it again at the end (see the module
     docstring).  With integral, (position, bound) pairs, only the keys whose
     entries at those positions are multiples of the bound are formed at the
-    last level."""
+    last level.  With bound, (limit, degree weights), only the pairs whose
+    degree is at most limit are formed, at every level after the first."""
     if not all(maps):
         return {}
     if len(maps) == 1:
@@ -641,6 +658,18 @@ def _product_terms(maps: list, integral: tuple = ()) -> dict:
         width = span.bit_length()
         fields.append((offset, (1 << width) - 1, lows))
         offset += width
+    if bound is not None:
+        # the top field holds a term's degree less its factor's least one;
+        # rooms[j] is what the fields' sum may reach at level j
+        limit, weights = bound
+        rooms = []
+        for ints, m in zip(keyints, maps):
+            degrees = [sum(map(mul, key, weights)) for key in m]
+            lo = min(degrees)
+            for i, d in enumerate(degrees):
+                ints[i] += (d - lo) << offset
+            limit -= lo
+            rooms.append(limit)
     # the product so far: packed keys in map order, balanced packed values
     # over aden, and the (order, is rational) kinds of its coefficients
     akeys, aden = keyints[0], lifted[0][1]
@@ -678,6 +707,18 @@ def _product_terms(maps: list, integral: tuple = ()) -> dict:
             walks = [groups.get(ar, ()) for ar in zip(akinds, *ares)]
         else:
             walks = map(by_kind.__getitem__, akinds)
+        if bound is not None:
+            # each walk cut to the pairs of degree at most the bound, once
+            # per walk (a live list, so its id is fixed) and per room left
+            cut: dict = {}
+            cuts = []
+            for walk, ka in zip(walks, akeys):
+                room = rooms[level] - (ka >> offset)
+                kept = cut.get((id(walk), room))
+                if kept is None:
+                    kept = cut[id(walk), room] = [item for item in walk if item[0] >> offset <= room]
+                cuts.append(kept)
+            walks = cuts
         sums: dict = {}  # packed key -> [running sum, order mask], in map order
         get = sums.get
         for ka, pa, walk in zip(akeys, avals, walks):
@@ -718,24 +759,36 @@ def _product_terms(maps: list, integral: tuple = ()) -> dict:
     return dict(zip(zip(*cols) if cols else repeat(()), avals))
 
 
-def _times(a: dict, b: dict) -> dict:
+def _times(a: dict, b: dict, bound=None) -> dict:
     """The term map of the product of two term maps of one space: the
     packed kernel when both have two or more terms, else the pairwise loop,
-    in which every key is hit once, by a nonzero product."""
+    in which every key is hit once, by a nonzero product.  With bound,
+    (limit, degree weights), only the pairs of degree at most limit."""
     if len(a) > 1 and len(b) > 1:
-        return _product_terms([a, b])
-    return {tuple(map(add, ka, kb)): ca * cb for ka, ca in a.items() for kb, cb in b.items()}
+        return _product_terms([a, b], (), bound)
+    if bound is None:
+        return {tuple(map(add, ka, kb)): ca * cb for ka, ca in a.items() for kb, cb in b.items()}
+    limit, weights = bound
+    rooms = [(ka, ca, limit - sum(map(mul, ka, weights))) for ka, ca in a.items()]
+    degrees = [(kb, cb, sum(map(mul, kb, weights))) for kb, cb in b.items()]
+    return {tuple(map(add, ka, kb)): ca * cb for ka, ca, room in rooms for kb, cb, d in degrees if d <= room}
 
 
-def product(polys, integral=()) -> FracPoly:
+def product(polys, integral=(), degree=None, exclude: frozenset | set = frozenset()) -> FracPoly:
     """The product of a nonempty list of polynomials in one packed pass:
     f_1 * f_2 * ... * f_n formed left to right, equal to it term by term,
-    in map order and in every coefficient's order.
+    in map order and in every coefficient's order.  Two polynomials one of
+    which has one term are multiplied by the pairwise loop.
 
     integral names divisorial variables of the product's space whose
     exponents must be integers; then only the terms with integer exponents
     on all of them are formed and returned, each equal to its term of the
-    full product, in the same map order (see the module docstring)."""
+    full product, in the same map order (see the module docstring).
+
+    degree bounds every product formed: the result equals the fold
+    acc = f_1, acc = truncate(acc * f_i, degree, exclude) term by term, in
+    map order and in every coefficient's order, and the pairs past the
+    bound are never formed (see the module docstring)."""
     polys = list(polys)
     if not polys:
         raise ValueError("product of no polynomials")
@@ -745,7 +798,11 @@ def product(polys, integral=()) -> FracPoly:
         if not space.is_divisorial(name):
             raise ValueError(f"{name} is not a divisorial variable of the product's space")
         positions.append((space._index[name], space.bound(name)))
-    return FracPoly._raw(space, _product_terms([p.in_space(space).terms for p in polys], tuple(positions)))
+    maps = [p.in_space(space).terms for p in polys]
+    bound = None if degree is None else (_degree_limit(space, degree), space._degree_weights(exclude))
+    if len(maps) == 2 and not positions:
+        return FracPoly._raw(space, _times(*maps, bound))
+    return FracPoly._raw(space, _product_terms(maps, tuple(positions), bound))
 
 
 def poly_sum(space: VarSpace, polys) -> FracPoly:
@@ -858,12 +915,17 @@ def linear_rank(linear_parts, names) -> int:
     return full if rank_mod(rows) == full else rank(rows)
 
 
-def truncate(f: FracPoly, d, exclude: frozenset | set = frozenset()) -> FracPoly:
-    """Drop terms of total degree > d (face-value degrees; exclude is ignored in the count)."""
+def _degree_limit(space: VarSpace, d) -> int:
+    """The largest scaled degree of space at face-value degree d >= 0."""
     d = Fraction(d)
     if d < 0:
         raise ValueError("degree bound must be >= 0")
-    limit = d.numerator * f.space.lcm // d.denominator  # scaled degrees are integers
+    return d.numerator * space.lcm // d.denominator  # scaled degrees are integers
+
+
+def truncate(f: FracPoly, d, exclude: frozenset | set = frozenset()) -> FracPoly:
+    """Drop terms of total degree > d (face-value degrees; exclude is ignored in the count)."""
+    limit = _degree_limit(f.space, d)
     w = f.space._degree_weights(exclude)
     terms = {k: c for k, c in f.terms.items() if sum(map(mul, k, w)) <= limit}
     return FracPoly._raw(f.space, terms)
@@ -874,7 +936,11 @@ def divide_exact(f: FracPoly, g: FracPoly):
 
     Plain long division against the single divisor g using the
     deterministic term order; sufficient for the homogeneous and monomial
-    divisions needed here.
+    divisions needed here.  A one-term divisor is divided term by term:
+    each step of the long division cancels one term of f, the largest
+    left, so the quotient's terms are formed in descending term order,
+    as the long division forms them, and None comes at the first key the
+    divisor's key does not divide.
 
     The loop ends without a step cap.  The term order (total degree, then
     exponents) is invariant under translation, so each step cancels the
@@ -888,8 +954,15 @@ def divide_exact(f: FracPoly, g: FracPoly):
     f, g = FracPoly._aligned(f, g)
     lead_key, lead_coeff = max(g.terms.items(), key=lambda kv: (g._term_degree(kv[0]), kv[0]))
     quot = {}
-    rem = f
     lead_inv = lead_coeff.inverse()
+    if len(g.terms) == 1:
+        for rkey, rcoeff in reversed(f.sorted_items()):
+            diff = tuple(map(sub, rkey, lead_key))
+            if min(diff, default=0) < 0:
+                return None
+            quot[diff] = rcoeff * lead_inv
+        return FracPoly._raw(f.space, quot)
+    rem = f
     while not rem.is_zero():
         rkey, rcoeff = max(rem.terms.items(), key=lambda kv: (rem._term_degree(kv[0]), kv[0]))
         diff = tuple(a - b for a, b in zip(rkey, lead_key))
@@ -1055,8 +1128,9 @@ def semi_invariant_split(f: FracPoly, action: DiagonalAction, i: int) -> list[Fr
     p = action.group.moduli[i]
     L = f.space.lcm
     buckets: list[dict] = [dict() for _ in range(p)]
+    memo = action._space_data(f.space)[2]  # read once, as term_characters does
     for key, coeff in f.terms.items():
-        t = action._numerators(f.space, key)[0][i]
+        t = (memo.get(key) or action._numerators(f.space, key))[0][i]
         if t % L:
             raise ValueError(f"term with fractional weight {Fraction(t, L)} cannot be bucketed mod {p}")
         buckets[t // L % p][key] = coeff

@@ -15,15 +15,29 @@ A node of the search for a root b is the residual psi_b, the coefficients
 of Y in g(z = -b - Y), each truncated past the degree bound d.  At the
 root of the search b = 0, and g(z = -Y) only flips the sign of the odd
 powers of z.  A branch with the next homogeneous part h passes its child
-psi_{b+h}(Y) = psi_b(Y + h), by a Horner shift in Y that truncates every
-coefficient as it is formed; no node substitutes into g.  This is exact:
-every term of h has total degree delta >= 1 (the slope of its edge), so
-multiplying by h or shifting by h never lowers the degree of a term, and
-the terms past d that the parent dropped cannot reach degree <= d in the
-child.  So truncating before the shift gives the same coefficients as
-truncating after it (the Taylor shift of von zur Gathen and Gerhard,
-ISSAC 1997; carrying the transformed polynomial down the tree as in
-D. Duval, "Rational Puiseux expansions", Compositio Math. 70, 1989).
+psi_{b+h}(Y) = psi_b(Y + h), by a Horner shift in Y whose products are
+formed truncated by `polyring.product(..., degree=d)`, which never forms
+a pair past d; no node substitutes into g.  This is exact: every term of
+h has total degree delta >= 1 (the slope of its edge), so multiplying by
+h or shifting by h never lowers the degree of a term, and the terms past
+d that the parent dropped cannot reach degree <= d in the child.  So
+truncating before the shift gives the same coefficients as truncating
+after it (the Taylor shift of von zur Gathen and Gerhard, ISSAC 1997;
+carrying the transformed polynomial down the tree as in D. Duval,
+"Rational Puiseux expansions", Compositio Math. 70, 1989).
+
+The last root is not searched for.  After k - 1 deflations g = z + c_0,
+and the search would lift its one root b = c_0, truncated at d, one
+degree part per node, each node a linear edge whose slope is the part's
+degree.  `_last_root` forms that root in closed form, the sum of the
+parts in ascending degree, and keeps what the search records: one
+branch charge per part, so Ambiguous comes at the same count; a part of
+degree below 1, or with a negative exponent (the linear edge's exact
+division fails), closes no branch and records its degree as the failure;
+and the zero of g's space when c_0 truncates to zero.  So NoSplit,
+Ambiguous and Unsupported are raised by the same rules, below, as when
+the last root was searched for, and every root is the same polynomial,
+term for term and in map order.
 
 An edge equation is a polynomial in Y whose coefficients are homogeneous
 forms; a scalar is a form of degree 0, so one solver serves both.
@@ -58,7 +72,7 @@ from operator import gt
 
 from .cyclotomic import Cyclo, cyclo_nth_root, root_of_unity
 from .errors import DomainError
-from .polyring import FracPoly, VarSpace, _compositions, divide_exact, poly_sum, strict_transform, substitute_power, truncate
+from .polyring import FracPoly, VarSpace, _compositions, divide_exact, poly_sum, product, strict_transform, substitute_power, truncate
 
 DEFAULT_DEGREE_BOUND = 12
 DEFAULT_BRANCH_CAP = 64
@@ -171,10 +185,9 @@ def verify_split(f: FracPoly, powers, roots, degree_bound: int | None = None, z:
     coeffs = g.coefficients_in(z)
     if len(roots) != max(coeffs, default=0):
         return False
-    prod = FracPoly.constant(g.space, 1)
     zvar = FracPoly.variable(g.space, z)
-    for b in roots:
-        prod = truncate(prod * (zvar + b), d, exclude={z})
+    # from 1, so that the first factor is truncated as the others are
+    prod = product([FracPoly.constant(g.space, 1)] + [zvar + b for b in roots], degree=d, exclude={z})
     return truncate(g - prod, d, exclude={z}).is_zero()
 
 
@@ -182,21 +195,38 @@ def verify_split(f: FracPoly, powers, roots, degree_bound: int | None = None, z:
 
 
 def _find_roots(g: FracPoly, k: int, state: _SearchState):
-    if k == 0:
-        return []
+    space = g.space.union(_SCALARS)
+    coeffs = {m: truncate(c.in_space(space), state.bound) for m, c in g.coefficients_in(state.z).items()}
+    if k == 1:
+        root = _last_root(coeffs.get(0, FracPoly.zero(space)), g.space, state)
+        return None if root is None else [root]
     # psi at the root of the search, b = 0: g(z = -Y) flips the sign of the
     # odd powers of z
-    space = g.space.union(_SCALARS)
-    psi = {}
-    for m, c in g.coefficients_in(state.z).items():
-        c = truncate(c.in_space(space), state.bound)
-        if not c.is_zero():
-            psi[m] = -c if m % 2 else c
+    psi = {m: -c if m % 2 else c for m, c in coeffs.items() if not c.is_zero()}
     for b in _root_candidates(psi, FracPoly.zero(g.space), 1, state):
         rest = _find_roots(_deflate(g, b, state), k - 1, state)
         if rest is not None:
             return [b] + rest
     return None
+
+
+def _last_root(c0: FracPoly, space: VarSpace, state: _SearchState):
+    """The root of z + c0, c0 truncated, as the search would lift it: one
+    degree part h of c0 per node, in ascending degree, each charged as a
+    branch and formed by the linear edge's division -h / -1, so with its
+    terms in descending term order.  A part of degree below 1 (the edge's
+    slope is below the least one allowed), or one with a negative exponent
+    (no polynomial quotient), closes no branch; it is recorded at its
+    degree, the order of the node's residual.  A c0 truncated to zero
+    gives the search's first candidate, the zero of space."""
+    parts = []
+    for degree, part in c0.homogeneous_parts().items():
+        if degree < 1 or min(map(min, part.terms)) < 0:
+            state.failed_at = max(state.failed_at, degree)
+            return None
+        state.charge_branch()
+        parts.append(FracPoly._raw(c0.space, dict(sorted(part.terms.items(), reverse=True))))
+    return poly_sum(c0.space, parts) if parts else FracPoly.zero(space)
 
 
 def _root_candidates(psi: dict, b: FracPoly, delta_min, state: _SearchState):
@@ -244,7 +274,7 @@ def _taylor_shift(psi: dict, h: FracPoly, bound) -> dict:
     a = [psi.get(m) or FracPoly.zero(h.space) for m in range(n + 1)]
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
-            a[j] = truncate(a[j] + h * a[j + 1], bound)
+            a[j] = a[j] + product([h, a[j + 1]], degree=bound)
     return {m: c for m, c in enumerate(a) if not c.is_zero()}
 
 
@@ -499,7 +529,7 @@ def _deflate(g: FracPoly, b: FracPoly, state: _SearchState) -> FracPoly:
     zero = FracPoly.zero(g.space)
     q = {k - 1: coeffs.get(k, zero)}
     for m in range(k - 1, 0, -1):
-        q[m - 1] = truncate(coeffs.get(m, zero) - b * q[m], state.bound)
+        q[m - 1] = truncate(coeffs.get(m, zero) - product([b, q[m]], degree=state.bound), state.bound)
     zvar = FracPoly.variable(g.space, state.z)
     # g's space, joined with b's once a coefficient holds b * q[m]
     space = VarSpace.union(*(c.space for c in q.values()))

@@ -188,6 +188,23 @@ MUTANTS = (
         ("tests/test_polyring.py::test_last_level_rational_sum_keeps_its_order",),
     ),
     Mutant(
+        "product-degree-bound",
+        "polyring.py",
+        "[item for item in walk if item[0] >> offset <= room]",
+        "[item for item in walk if item[0] >> offset < room]",
+        ("tests/test_polyring.py::test_bounded_product_keeps_the_pairs_at_the_bound",),
+    ),
+    Mutant(
+        "last-root-branch-charge",
+        "splitting.py",
+        "        state.charge_branch()\n        parts.append(",
+        "        parts.append(",
+        (
+            "tests/test_splitting.py::test_a_linear_root_charges_a_branch_per_degree_part",
+            "tests/test_cli.py::test_split_example_basic_exceeds_the_branch_cap",
+        ),
+    ),
+    Mutant(
         "record-checks-fields",
         "record.py",
         "        if len(args) != len(fields):\n",

@@ -375,6 +375,13 @@ def test_split_example_basic_golden_bytes(capsys, degree):
     assert out.encode() == (GOLDEN / f"split_example_basic_{degree}.json").read_bytes()
 
 
+@pytest.mark.parametrize("degree", ["40", "48"])
+def test_split_example_basic_exceeds_the_branch_cap(capsys, degree):
+    # the search runs out of its budget of 64 branches, and says so
+    code, out = _capture(capsys, ["--format", "json", "split", "example-basic", "--degree", degree])
+    assert code == 1 and json.loads(out) == {"error": "branch cap 64 exceeded"}
+
+
 # two product specs: cp2 x cp2, and cp2 along w1 times cp3 along w2 over the
 # moduli (2, 3), each factor omitting the other's divisor
 _CP2_W1 = {"moduli": [2, 3], "k": 2, "gamma": [["1/2", "0"]], "quotient": {"moduli": [2]}, "labels": [[0], [1]]}

@@ -183,6 +183,23 @@ def test_library_sums_polynomials_through_poly_sum():
     assert sorted(found) == []
 
 
+def test_library_truncates_products_through_product_degree():
+    # truncate(a * b, d) forms every pair and then drops those past d; a
+    # truncated product goes through polyring.product(..., degree=d), which
+    # never forms them
+    src = Path(circforge.__file__).parent
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == "truncate"
+        and node.args
+        and any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult) for sub in ast.walk(node.args[0]))
+    )
+    assert found == []
+
+
 def _value_types():
     """(a factory, a factory of a value that differs in one field, a value
     of another type, that field) for each value type that the library

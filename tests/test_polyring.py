@@ -937,6 +937,85 @@ def test_integral_product_edge_cases():
         product([x + h, x], integral=["x"])
 
 
+# -- the degree-bounded product against the truncated fold ------------------------
+
+
+def _truncated_fold(factors, d, exclude):
+    """acc = f_1, acc = truncate(acc * f_i, d, exclude): the pairwise term
+    loop's fold, each product truncated as it is formed."""
+    acc = factors[0]
+    for f in factors[1:]:
+        space = acc.space.union(f.space)
+        acc = truncate(_pairwise_product(acc.in_space(space), f.in_space(space)), d, exclude)
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chains(), st.sampled_from([0, 1, Fraction(3, 2), 2, 3, 4]), st.data())
+def test_bounded_product_is_the_truncated_fold(factors, d, data):
+    # _chains draws negative free exponents, one-term factors, and a copy of
+    # a factor with signs flipped, whose running sums reach zero mid-level
+    from circforge.polyring import product
+
+    names = VarSpace.union(*(f.space for f in factors)).names
+    exclude = set(data.draw(st.lists(st.sampled_from(names), unique=True, max_size=2)))
+    _assert_same_product(product(factors, degree=d, exclude=exclude), _truncated_fold(factors, d, exclude))
+    for a, b in zip(factors, factors[1:]):  # two operands: the pairwise loop or the kernel
+        _assert_same_product(product([a, b], degree=d, exclude=exclude), _truncated_fold([a, b], d, exclude))
+
+
+def test_bounded_product_keeps_the_pairs_at_the_bound():
+    from circforge.polyring import product
+
+    sp = VarSpace([("w", 2)], ["x", "y", "z"])
+    w, x, y, z = (FracPoly.monomial(sp, {n: Fraction(1, 2) if n == "w" else 1}) for n in "wxyz")
+    f, g = x + y, x * x + y.scale(root_of_unity(3)) + w
+    for factors, d in (([f, g, f], 3), ([f, g, f], Fraction(5, 2)), ([g, f + w, g], 4), ([x, g], 3), ([g, y], 2)):
+        got = product(factors, degree=d)
+        _assert_same_product(got, _truncated_fold(factors, d, set()))
+        assert got.total_degree() == d  # the pairs at the bound are kept
+    # z is not counted: (z + x)(z + y) keeps z^2, z*x and z*y at degree 1
+    got = product([z + x, z + y], degree=1, exclude={"z"})
+    assert got == z * z + z * x + z * y
+    # a factor wholly past the bound, and one factor alone, which is not truncated
+    assert product([f, x * x * x, f], degree=4).is_zero()
+    _assert_same_product(product([g], degree=1), g)
+    # with integral=, both projections hold at the last level
+    got = product([g, f + w, g], integral=["w"], degree=4)
+    _assert_same_product(got, _integral_part(_truncated_fold([g, f + w, g], 4, set()), ["w"]))
+    with pytest.raises(ValueError, match="degree bound must be >= 0"):
+        product([f, g], degree=-1)
+
+
+def _long_division(f, g):
+    """The quotient by the long division against g, with public operations:
+    each step cancels the remainder's largest term in the term order."""
+    quot, rem = {}, f
+    lead_key, lead = g.sorted_items()[-1]
+    while not rem.is_zero():
+        key, c = rem.sorted_items()[-1]
+        diff = tuple(a - b for a, b in zip(key, lead_key))
+        if min(diff) < 0:
+            return None
+        quot[diff] = c * lead.inverse()
+        rem = rem - FracPoly(f.space, {f.space.face_key(diff): quot[diff]}) * g
+    return FracPoly(f.space, {f.space.face_key(k): c for k, c in quot.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_product_polys(), _product_polys())
+def test_division_by_one_term_is_the_long_division(f, g):
+    # a one-term divisor is divided term by term, in the long division's order
+    (key, c), = g.sorted_items()[:1]
+    mono = FracPoly(g.space, {g.space.face_key(key): c})
+    for num in (f, f * mono):
+        got, want = divide_exact(num, mono), _long_division(num, mono)
+        if want is None:
+            assert got is None
+        else:
+            _assert_same_product(got, want)
+
+
 # -- the slot bound at equality ------------------------------------------------------
 
 

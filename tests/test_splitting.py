@@ -221,6 +221,58 @@ def test_terms_past_the_bound_do_not_move_the_outcome(drawn, extra):
         assert all(r == s for r, s in zip(got, want))
 
 
+_LINEAR_TERMS = st.lists(
+    st.tuples(
+        st.one_of(st.integers(-3, 3).filter(bool).map(Cyclo.rational), st.sampled_from([root_of_unity(3), root_of_unity(4)])),
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_LINEAR_TERMS, st.integers(1, 8), st.integers(0, 6))
+def test_a_linear_root_is_its_coefficient_truncated(drawn, d, cap):
+    # z + c has the one root truncate(c, d), in the search's space (which
+    # holds the edge unknown $Y) or, when c truncates to zero, in f's; each
+    # degree part of it is one branch of the search
+    sp = VarSpace([], ["x", "y", "z"])
+    c = FracPoly.zero(sp)
+    for coeff, (i, j) in drawn:
+        c = c + FracPoly.monomial(sp, {"x": i, "y": j}, coeff)
+    want = truncate(c, d)
+    try:
+        (root,) = split_newton(FracPoly.variable(sp, "z") + c, "z", degree_bound=d, branch_cap=cap)
+    except Ambiguous:
+        assert len(want.homogeneous_parts()) > cap
+        return
+    assert len(want.homogeneous_parts()) <= cap
+    assert root.space == (sp if want.is_zero() else VarSpace([], ["x", "y", "z", "$Y"]))
+    assert jsonio.poly_to_json(root) == jsonio.poly_to_json(want.in_space(root.space))
+
+
+def test_a_linear_root_charges_a_branch_per_degree_part():
+    sp = VarSpace([], ["x", "y", "z"])
+    x, y, z = (FracPoly.variable(sp, n) for n in "xyz")
+    f = z + x + x * y + y ** 3 + x ** 9
+    with pytest.raises(Ambiguous, match="branch cap 2 exceeded"):
+        split_newton(f, "z", degree_bound=8, branch_cap=2)
+    assert split_newton(f, "z", degree_bound=8, branch_cap=3) == [x + x * y + y ** 3]
+    # a Laurent part closes no branch: at degree 0 before any charge, at
+    # degree 2 (x^3/y has no polynomial quotient) after the part x
+    inv = FracPoly.monomial(sp, {"y": -1})
+    with pytest.raises(NoSplit, match="obstruction at degree 0"):
+        split_newton(z + x * inv + x, "z", branch_cap=0)
+    with pytest.raises(NoSplit, match="obstruction at degree 2"):
+        split_newton(z + x + x ** 3 * inv, "z", branch_cap=1)
+    with pytest.raises(Ambiguous):
+        split_newton(z + x + x ** 3 * inv, "z", branch_cap=0)
+    # the last of two roots: z^2 - x^2 charges one branch per root
+    with pytest.raises(Ambiguous):
+        split_newton(z * z - x * x, "z", branch_cap=1)
+    assert len(split_newton(z * z - x * x, "z", branch_cap=2)) == 2
+
+
 def test_split_cp3_exact():
     p3 = normal_form_poly(cpk_spec(3))
     roots = split_newton(p3, "z", powers=3, degree_bound=10)
