@@ -569,9 +569,9 @@ def cmd_split_verify(args):
 def cmd_split_example_basic(args):
     from . import jsonio
     from .polyring import FracPoly, VarSpace, strict_transform, substitute_power, truncate
-    from .splitting import split_newton, verify_split
+    from .splitting import DEFAULT_DEGREE_BOUND, split_newton, verify_split
 
-    degree = args.degree or 12
+    degree = DEFAULT_DEGREE_BOUND if args.degree is None else args.degree
     sp = VarSpace([("w", 2)], ["x", "z"])
     w = FracPoly.variable(sp, "w")
     x = FracPoly.variable(sp, "x")

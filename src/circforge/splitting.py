@@ -15,9 +15,9 @@ A node of the search for a root b is the residual psi_b, the coefficients
 of Y in g(z = -b - Y), each truncated past the degree bound d.  At the
 root of the search b = 0, and g(z = -Y) only flips the sign of the odd
 powers of z.  A branch with the next homogeneous part h passes its child
-psi_{b+h}(Y) = psi_b(Y + h), by a Horner shift in Y whose products are
-formed truncated by `polyring.product(..., degree=d)`, which never forms
-a pair past d; no node substitutes into g.  This is exact: every term of
+psi_{b+h}(Y) = psi_b(Y + h), by a Horner shift in Y on the coefficients'
+term maps whose products are formed as `polyring.product(..., degree=d)`
+forms them, never a pair past d; no node substitutes into g.  This is exact: every term of
 h has total degree delta >= 1 (the slope of its edge), so multiplying by
 h or shifting by h never lowers the degree of a term, and the terms past
 d that the parent dropped cannot reach degree <= d in the child.  So
@@ -38,6 +38,27 @@ and the zero of g's space when c_0 truncates to zero.  So NoSplit,
 Ambiguous and Unsupported are raised by the same rules, below, as when
 the last root was searched for, and every root is the same polynomial,
 term for term and in map order.
+
+Below a linear first edge, from (0, o_0) to (1, o_1), whose Y^1 part is
+one term c*m, the search has no alternatives, and `_linear_chain` walks
+it in one loop on psi's term maps (the carried-down lift of Duval, cited
+above).  Each point (m, o_m), m >= 2, lies strictly above the edge's line,
+else the edge would be longer, and the part h has degree delta = o_0 -
+o_1.  In the child, a term c_j h^(j-m) of the coefficient of Y^m has
+order o_j + delta(j - m) or more, so for m >= 2 the points stay strictly
+above that line; the Y^1 part stays c*m, since every term added to it
+has order above o_1; and c_0 loses its lowest part to c_1 h, the rest
+having order above o_0.  So the child's first edge is again linear, to
+the same (1, o_1), with an integer slope (every variable is free once
+the denominators are cleared) above delta, the least slope allowed, and
+its other edges have slopes below delta, which the search skips.
+Truncation drops only points above order d >= o_0, above every such
+line.  The chain therefore never needs the search again: it ends at a
+c_0 truncated to zero, whose root it yields, or at a part with a
+negative exponent, a decided obstruction.  It charges one branch per
+part and records the largest c_0 order met below its first node, as the
+search's nodes do, so roots, NoSplit, Ambiguous and Unsupported are
+those of the search.  The first node's other edges are searched after it.
 
 An edge equation is a polynomial in Y whose coefficients are homogeneous
 forms; a scalar is a form of degree 0, so one solver serves both.
@@ -68,11 +89,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import gt
+from operator import gt, mul, sub
 
 from .cyclotomic import Cyclo, cyclo_nth_root, root_of_unity
 from .errors import DomainError
-from .polyring import FracPoly, VarSpace, _compositions, divide_exact, poly_sum, product, strict_transform, substitute_power, truncate
+from .polyring import FracPoly, VarSpace, _compositions, _degree_limit, _merge, _times, divide_exact, poly_sum, product, strict_transform, substitute_power, truncate
 
 DEFAULT_DEGREE_BOUND = 12
 DEFAULT_BRANCH_CAP = 64
@@ -111,7 +132,7 @@ class Unsupported(DomainError):
 
 
 class _SearchState:
-    __slots__ = ("z", "bound", "cap", "branches", "failed_at", "unsupported")
+    __slots__ = ("z", "bound", "cap", "branches", "failed_at", "unsupported", "shift_bound")
 
     def __init__(self, z: str, bound: int, cap: int):
         self.z = z
@@ -120,6 +141,7 @@ class _SearchState:
         self.branches = 0
         self.failed_at = Fraction(0)  # the highest residual order at which no branch closed
         self.unsupported: str | None = None  # the first edge equation the solver could not decide
+        self.shift_bound = None  # (limit, degree weights) of the residuals' space, set by _find_roots
 
     def charge_branch(self):
         self.branches += 1
@@ -197,6 +219,7 @@ def verify_split(f: FracPoly, powers, roots, degree_bound: int | None = None, z:
 def _find_roots(g: FracPoly, k: int, state: _SearchState):
     space = g.space.union(_SCALARS)
     coeffs = {m: truncate(c.in_space(space), state.bound) for m, c in g.coefficients_in(state.z).items()}
+    state.shift_bound = (_degree_limit(space, state.bound), space.scales)
     if k == 1:
         root = _last_root(coeffs.get(0, FracPoly.zero(space)), g.space, state)
         return None if root is None else [root]
@@ -250,10 +273,50 @@ def _root_candidates(psi: dict, b: FracPoly, delta_min, state: _SearchState):
             part = _degree_part(cm, oa - delta * (m - ma)) if cm is not None else None
             if part is not None:
                 terms[m - ma] = part
+        if mb == 1 and len(terms[1].terms) == 1:
+            yield from _linear_chain(psi, b, terms, state)
+            continue
         for h in _solve_edge(terms, delta, state):
             state.charge_branch()
-            yield from _root_candidates(_taylor_shift(psi, h, state.bound), b + h, delta + 1, state)
+            shifted = _taylor_shift({m: c.terms for m, c in psi.items()}, h.terms, state.shift_bound)
+            yield from _root_candidates({m: FracPoly._raw(h.space, t) for m, t in shifted.items()}, b + h, delta + 1, state)
     state.failed_at = max(state.failed_at, c0.order())
+
+
+def _linear_chain(psi: dict, b: FracPoly, edge: dict, state: _SearchState):
+    """The roots below the first edge of psi when it is linear and its Y^1
+    part edge[1] is one term c*m: the determined chain (see the module
+    docstring), walked on psi's term maps.  Each part is -edge[0] / (c*m),
+    edge[0] the lowest part of the node's c_0, formed term by term in
+    descending key order with one inverse of c, as the edge's exact
+    division forms it, and charged as one branch; a part with a negative
+    exponent has no polynomial quotient and ends the chain.  The nodes
+    below the first record, once exhausted, the largest c_0 order they
+    met, as the search's nodes do."""
+    space = edge[1].space
+    ((mkey, c),) = edge[1].terms.items()
+    inv = c.inverse()
+    bound = state.shift_bound
+    maps = {m: f.terms for m, f in psi.items()}
+    low = edge[0].terms
+    top = None  # the c_0 order of the last node below the first
+    while True:
+        diffs = [(tuple(map(sub, key, mkey)), key) for key in sorted(low, reverse=True)]
+        if any(min(diff) < 0 for diff, _key in diffs):
+            break
+        h = {diff: -low[key] * inv for diff, key in diffs}
+        state.charge_branch()
+        maps = _taylor_shift(maps, h, bound)
+        b = b + FracPoly._raw(space, h)
+        c0 = maps.get(0)
+        if c0 is None:
+            yield b
+            break
+        degrees = {key: sum(map(mul, key, bound[1])) for key in c0}
+        top = min(degrees.values())
+        low = {key: coeff for key, coeff in c0.items() if degrees[key] == top}
+    if top is not None:
+        state.failed_at = max(state.failed_at, Fraction(top, space.lcm))
 
 
 def _degree_part(f: FracPoly, degree: Fraction):
@@ -266,16 +329,18 @@ def _degree_part(f: FracPoly, degree: Fraction):
     return FracPoly._raw(f.space, terms) if terms else None
 
 
-def _taylor_shift(psi: dict, h: FracPoly, bound) -> dict:
-    """{m: coefficient of Y^m in psi(Y + h)}, zeros dropped, every
-    coefficient truncated past the bound as it is formed (exact, see the
-    module docstring)."""
+def _taylor_shift(psi: dict, h: dict, bound) -> dict:
+    """{m: term map of the coefficient of Y^m in psi(Y + h)}, for psi
+    {m: term map} and the term map h of one space, zeros dropped.  Every
+    product is formed truncated at bound, (limit, degree weights), and
+    added as `polyring.product(..., degree=d)` and `+` would form and add
+    it (exact, see the module docstring)."""
     n = max(psi)
-    a = [psi.get(m) or FracPoly.zero(h.space) for m in range(n + 1)]
+    a = [dict(psi.get(m, ())) for m in range(n + 1)]
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
-            a[j] = a[j] + product([h, a[j + 1]], degree=bound)
-    return {m: c for m, c in enumerate(a) if not c.is_zero()}
+            _merge(a[j], _times(h, a[j + 1], bound).items())
+    return {m: t for m, t in enumerate(a) if t}
 
 
 def _lower_hull_edges(points):

@@ -205,6 +205,30 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "chain-branch-charge",
+        "splitting.py",
+        "        state.charge_branch()\n        maps = _taylor_shift(maps, h, bound)\n",
+        "        maps = _taylor_shift(maps, h, bound)\n",
+        (
+            "tests/test_splitting.py::test_a_linear_root_charges_a_branch_per_degree_part",
+            "tests/test_cli.py::test_split_example_basic_exceeds_the_branch_cap",
+        ),
+    ),
+    Mutant(
+        "chain-failed-at",
+        "splitting.py",
+        "    if top is not None:\n        state.failed_at = max(state.failed_at, Fraction(top, space.lcm))\n",
+        "",
+        ("tests/test_splitting.py::test_the_linear_chain_ends_as_the_recursive_search_does",),
+    ),
+    Mutant(
+        "chain-exact-division",
+        "splitting.py",
+        "        if any(min(diff) < 0 for diff, _key in diffs):\n            break\n",
+        "",
+        ("tests/test_splitting.py::test_the_linear_chain_ends_as_the_recursive_search_does",),
+    ),
+    Mutant(
         "record-checks-fields",
         "record.py",
         "        if len(args) != len(fields):\n",

@@ -365,6 +365,16 @@ def test_split_example_basic(capsys):
     assert "splits to degree 12: True" in out
 
 
+def test_split_example_basic_runs_at_degree_zero(capsys):
+    # --degree 0 is a degree, not a missing option: both roots truncate to zero
+    code, out = _capture(capsys, ["--format", "json", "split", "example-basic", "--degree", "0"])
+    payload = json.loads(out)
+    assert code == 0 and payload["verified"] is True
+    assert [root["terms"] for root in payload["roots"]] == [[], []]
+    code, out = _capture(capsys, ["split", "example-basic", "--degree", "0"])
+    assert code == 0 and out.splitlines()[-1] == "splits to degree 0: True"
+
+
 @pytest.mark.parametrize("degree", [12, 30])
 def test_split_example_basic_golden_bytes(capsys, degree):
     # the whole JSON stdout, roots and their Cyclo orders included; the

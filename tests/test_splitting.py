@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -23,9 +24,12 @@ from circforge import (
     normal_form_poly,
     root_of_unity,
     split_newton,
+    splitting,
     truncate,
     verify_split,
 )
+from circforge.polyring import poly_sum, product
+from circforge.splitting import DEFAULT_BRANCH_CAP
 
 from conftest import binomial_series
 
@@ -271,6 +275,143 @@ def test_a_linear_root_charges_a_branch_per_degree_part():
     with pytest.raises(Ambiguous):
         split_newton(z * z - x * x, "z", branch_cap=1)
     assert len(split_newton(z * z - x * x, "z", branch_cap=2)) == 2
+    # a first root lifted along a linear edge whose Y^1 part is one term (x):
+    # three parts, three branches, and one for the last root x
+    g = (z + y * y + x * y * y + y ** 4) * (z + x)
+    with pytest.raises(Ambiguous, match="branch cap 3 exceeded"):
+        split_newton(g, "z", degree_bound=8, branch_cap=3)
+    assert split_newton(g, "z", degree_bound=8, branch_cap=4) == [y * y + x * y * y + y ** 4, x]
+
+
+def _reference_root_candidates(psi, b, delta_min, state):
+    """The search without the linear chain: every node, a linear one too,
+    is a generic node, with the Horner shift on FracPolys."""
+    c0 = psi.get(0)
+    if c0 is None:
+        yield b
+        return
+    points = sorted((m, c.order()) for m, c in psi.items())
+    for (ma, oa), (mb, ob) in splitting._lower_hull_edges(points):
+        slope = Fraction(oa - ob, mb - ma)
+        if slope.denominator != 1 or slope < delta_min:
+            continue
+        delta = int(slope)
+        terms = {}
+        for m in range(ma, mb + 1):
+            cm = psi.get(m)
+            part = splitting._degree_part(cm, oa - delta * (m - ma)) if cm is not None else None
+            if part is not None:
+                terms[m - ma] = part
+        for h in splitting._solve_edge(terms, delta, state):
+            state.charge_branch()
+            yield from _reference_root_candidates(_reference_taylor_shift(psi, h, state.bound), b + h, delta + 1, state)
+    state.failed_at = max(state.failed_at, c0.order())
+
+
+def _reference_taylor_shift(psi, h, bound):
+    n = max(psi)
+    a = [psi.get(m) or FracPoly.zero(h.space) for m in range(n + 1)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] = a[j] + product([h, a[j + 1]], degree=bound)
+    return {m: c for m, c in enumerate(a) if not c.is_zero()}
+
+
+def _search_record(f, bound, powers=1):
+    """The outcome at the default branch cap (the roots as JSON, map order
+    and Cyclo orders included, or the exception's class and message), and
+    the least branch cap at which the search ends without Ambiguous."""
+
+    def outcome(cap):
+        try:
+            roots = split_newton(f, "z", powers=powers, degree_bound=bound, branch_cap=cap)
+        except (NoSplit, Unsupported, Ambiguous) as err:
+            return type(err), str(err)
+        return [jsonio.poly_to_json(r) for r in roots]
+
+    # a search capped below its branch count is the same search up to the
+    # charge past the cap, so the outcome is Ambiguous exactly below the count
+    lo, hi = 0, DEFAULT_BRANCH_CAP
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if outcome(mid) == (Ambiguous, f"branch cap {mid} exceeded"):
+            lo = mid + 1
+        else:
+            hi = mid
+    return outcome(None), lo
+
+
+def _against_the_reference(f, bound, powers=1):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitting, "_root_candidates", _reference_root_candidates)
+        want = _search_record(f, bound, powers)
+    assert _search_record(f, bound, powers) == want
+
+
+def _chain_cases():
+    sp = VarSpace([], ["x", "y", "z"])
+    x, y, z = (FracPoly.variable(sp, n) for n in "xyz")
+    inv = FracPoly.monomial(sp, {"y": -1})
+    return [
+        # the chain lifts y^2 + x y^2 + x^2 y + y^4 whole, then x is the last root
+        ("whole", (z + y * y + x * y * y + x * x * y + y ** 4) * (z + x), 8),
+        # y^2 + x^4/y: below the first part, x^4/y has no polynomial quotient
+        ("laurent-below", (z + y * y + x ** 4 * inv) * (z + x), 8),
+        # x^3/y ends the chain at its first node; the edge of y^2 follows
+        ("laurent-first", (z + x ** 3 * inv + x ** 4) * (z + y * y) * (z + x), 8),
+        # the chain's root is found, z^2 - x^3 has none, and the search
+        # resumes the chain, which then records its nodes' orders
+        ("resumed", (z + y * y + x ** 3) * (z * z - x ** 3), 8),
+        ("resumed-at-a-leaf", (z + x + x * x) * (z * z - y ** 3), 6),
+    ]
+
+
+@pytest.mark.parametrize(("f", "bound"), [c[1:] for c in _chain_cases()], ids=[c[0] for c in _chain_cases()])
+def test_the_linear_chain_ends_as_the_recursive_search_does(f, bound):
+    # each way the chain ends: its root found, a Laurent part below or at
+    # its first node, and a root found and then given up
+    _against_the_reference(f, bound)
+
+
+def test_the_linear_chain_runs_on_example_basic():
+    sp = VarSpace([("w", 2)], ["x", "z"])
+    w, x, z = (FracPoly.variable(sp, n) for n in "wxz")
+    f = z * z + w ** 3 * (1 + x) * x * x
+    for bound in (12, 30):
+        _against_the_reference(f, bound, powers=2)
+
+
+_CHAIN_COEFFS = st.one_of(
+    st.integers(-3, 3).filter(bool).map(Cyclo.rational), st.sampled_from([root_of_unity(3), root_of_unity(4)])
+)
+# (twice the exponent of w, exponent of x, exponent of y): w^(1/2) is a
+# fractional part, y^-1 a Laurent one
+_CHAIN_MONOMIALS = st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(-1, 2))
+_CHAIN_ROOTS = st.lists(
+    st.tuples(_CHAIN_COEFFS, _CHAIN_MONOMIALS.filter(any), st.lists(st.tuples(_CHAIN_COEFFS, _CHAIN_MONOMIALS), max_size=5)),
+    min_size=2,
+    max_size=3,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_CHAIN_ROOTS, st.integers(2, 8))
+def test_the_linear_chain_matches_the_recursive_search(drawn, bound):
+    # prod(z + b_i), each b_i a one-term lowest part c*m plus terms c'*m*m'
+    # of higher degree, some past the bound: the roots, NoSplit's degree
+    # and message, and the least branch cap are those of the search
+    # without the chain
+    sp = VarSpace([("w", 2)], ["x", "y", "z"])
+
+    def term(coeff, exps):
+        return FracPoly.monomial(sp, {"w": Fraction(exps[0], 2), "x": exps[1], "y": exps[2]}, coeff)
+
+    roots = []
+    for coeff, lowest, rest in drawn:
+        low = term(coeff, lowest)
+        higher = (term(c, tuple(map(add, lowest, exps))) for c, exps in rest)
+        roots.append(poly_sum(sp, [low] + [t for t in higher if t.order() > low.order()]))
+    _against_the_reference(math.prod(FracPoly.variable(sp, "z") + b for b in roots), bound, powers=2)
 
 
 def test_split_cp3_exact():
