@@ -26,19 +26,6 @@ after it (the Taylor shift of von zur Gathen and Gerhard, ISSAC 1997;
 carrying the transformed polynomial down the tree as in D. Duval,
 "Rational Puiseux expansions", Compositio Math. 70, 1989).
 
-The last root is not searched for.  After k - 1 deflations g = z + c_0,
-and the search would lift its one root b = c_0, truncated at d, one
-degree part per node, each node a linear edge whose slope is the part's
-degree.  `_last_root` forms that root in closed form, the sum of the
-parts in ascending degree, and keeps what the search records: one
-branch charge per part, so Ambiguous comes at the same count; a part of
-degree below 1, or with a negative exponent (the linear edge's exact
-division fails), closes no branch and records its degree as the failure;
-and the zero of g's space when c_0 truncates to zero.  So NoSplit,
-Ambiguous and Unsupported are raised by the same rules, below, as when
-the last root was searched for, and every root is the same polynomial,
-term for term and in map order.
-
 Below a linear first edge, from (0, o_0) to (1, o_1), whose Y^1 part is
 one term c*m, the search has no alternatives, and `_linear_chain` walks
 it in one loop on psi's term maps (the carried-down lift of Duval, cited
@@ -59,6 +46,8 @@ negative exponent, a decided obstruction.  It charges one branch per
 part and records the largest c_0 order met below its first node, as the
 search's nodes do, so roots, NoSplit, Ambiguous and Unsupported are
 those of the search.  The first node's other edges are searched after it.
+The last root enters the chain at the root node: after k - 1 deflations
+g = z + c_0, and psi = c_0 - Y is such an edge, with c*m = -1.
 
 An edge equation is a polynomial in Y whose coefficients are homogeneous
 forms; a scalar is a form of degree 0, so one solver serves both.
@@ -132,16 +121,15 @@ class Unsupported(DomainError):
 
 
 class _SearchState:
-    __slots__ = ("z", "bound", "cap", "branches", "failed_at", "unsupported", "shift_bound")
+    __slots__ = ("bound", "cap", "branches", "failed_at", "unsupported", "shift_bound")
 
-    def __init__(self, z: str, bound: int, cap: int):
-        self.z = z
+    def __init__(self, space: VarSpace, bound: int, cap: int):
         self.bound = bound
         self.cap = cap
         self.branches = 0
         self.failed_at = Fraction(0)  # the highest residual order at which no branch closed
         self.unsupported: str | None = None  # the first edge equation the solver could not decide
-        self.shift_bound = None  # (limit, degree weights) of the residuals' space, set by _find_roots
+        self.shift_bound = (_degree_limit(space, bound), space.scales)  # of the residuals' space
 
     def charge_branch(self):
         self.branches += 1
@@ -189,8 +177,9 @@ def split_newton(
     for m, c in coeffs.items():
         if m < k and not c.constant_coefficient().is_zero():
             raise ValueError("non-leading coefficients must vanish at the origin")
-    state = _SearchState(z=z, bound=d, cap=cap)
-    roots = _find_roots(g, k, state)
+    space = g.space.union(_SCALARS)
+    state = _SearchState(space, d, cap)
+    roots = _find_roots({m: truncate(c.in_space(space), d) for m, c in coeffs.items()}, g.space, state)
     if roots is None and state.unsupported:
         raise Unsupported(state.unsupported)
     if roots is None:
@@ -203,6 +192,8 @@ def split_newton(
 def verify_split(f: FracPoly, powers, roots, degree_bound: int | None = None, z: str = "z") -> bool:
     """Whether f (after clearing denominators) equals prod(z + b_i) mod the bound."""
     d = DEFAULT_DEGREE_BOUND if degree_bound is None else degree_bound
+    if d < 0:  # refused before the roots are counted, never read as a "no"
+        raise ValueError("degree bound must be >= 0")
     g = clear_denominators(f, powers)
     coeffs = g.coefficients_in(z)
     if len(roots) != max(coeffs, default=0):
@@ -216,40 +207,21 @@ def verify_split(f: FracPoly, powers, roots, degree_bound: int | None = None, z:
 # -- the search ---------------------------------------------------------------
 
 
-def _find_roots(g: FracPoly, k: int, state: _SearchState):
-    space = g.space.union(_SCALARS)
-    coeffs = {m: truncate(c.in_space(space), state.bound) for m, c in g.coefficients_in(state.z).items()}
-    state.shift_bound = (_degree_limit(space, state.bound), space.scales)
-    if k == 1:
-        root = _last_root(coeffs.get(0, FracPoly.zero(space)), g.space, state)
-        return None if root is None else [root]
+def _find_roots(coeffs: dict, space: VarSpace, state: _SearchState):
+    """The roots of the monic sum_m coeffs[m] z^m, whose coefficients are
+    truncated in the search's space, or None.  A zero root lies in space:
+    that of the root found before it, or f's for the first."""
+    k = max(coeffs)
+    if k == 0:
+        return []
     # psi at the root of the search, b = 0: g(z = -Y) flips the sign of the
     # odd powers of z
     psi = {m: -c if m % 2 else c for m, c in coeffs.items() if not c.is_zero()}
-    for b in _root_candidates(psi, FracPoly.zero(g.space), 1, state):
-        rest = _find_roots(_deflate(g, b, state), k - 1, state)
+    for b in _root_candidates(psi, FracPoly.zero(space), 1, state):
+        rest = _find_roots(_deflate(coeffs, b, state), b.space, state)
         if rest is not None:
             return [b] + rest
     return None
-
-
-def _last_root(c0: FracPoly, space: VarSpace, state: _SearchState):
-    """The root of z + c0, c0 truncated, as the search would lift it: one
-    degree part h of c0 per node, in ascending degree, each charged as a
-    branch and formed by the linear edge's division -h / -1, so with its
-    terms in descending term order.  A part of degree below 1 (the edge's
-    slope is below the least one allowed), or one with a negative exponent
-    (no polynomial quotient), closes no branch; it is recorded at its
-    degree, the order of the node's residual.  A c0 truncated to zero
-    gives the search's first candidate, the zero of space."""
-    parts = []
-    for degree, part in c0.homogeneous_parts().items():
-        if degree < 1 or min(map(min, part.terms)) < 0:
-            state.failed_at = max(state.failed_at, degree)
-            return None
-        state.charge_branch()
-        parts.append(FracPoly._raw(c0.space, dict(sorted(part.terms.items(), reverse=True))))
-    return poly_sum(c0.space, parts) if parts else FracPoly.zero(space)
 
 
 def _root_candidates(psi: dict, b: FracPoly, delta_min, state: _SearchState):
@@ -278,8 +250,9 @@ def _root_candidates(psi: dict, b: FracPoly, delta_min, state: _SearchState):
             continue
         for h in _solve_edge(terms, delta, state):
             state.charge_branch()
-            shifted = _taylor_shift({m: c.terms for m, c in psi.items()}, h.terms, state.shift_bound)
-            yield from _root_candidates({m: FracPoly._raw(h.space, t) for m, t in shifted.items()}, b + h, delta + 1, state)
+            a = _term_maps(psi)
+            _taylor_shift(a, h.terms, state.shift_bound)
+            yield from _root_candidates({m: FracPoly._raw(h.space, t) for m, t in enumerate(a) if t}, b + h, delta + 1, state)
     state.failed_at = max(state.failed_at, c0.order())
 
 
@@ -292,29 +265,33 @@ def _linear_chain(psi: dict, b: FracPoly, edge: dict, state: _SearchState):
     division forms it, and charged as one branch; a part with a negative
     exponent has no polynomial quotient and ends the chain.  The nodes
     below the first record, once exhausted, the largest c_0 order they
-    met, as the search's nodes do."""
+    met, as the search's nodes do.  The root is one term map, its parts
+    added in order, and each key of c_0 has its degree computed once."""
     space = edge[1].space
     ((mkey, c),) = edge[1].terms.items()
-    inv = c.inverse()
+    ninv = -c.inverse()
     bound = state.shift_bound
-    maps = {m: f.terms for m, f in psi.items()}
+    a = _term_maps(psi)
+    root = dict(b.terms)  # parts of distinct degrees never share a key
+    degree = {}  # the scaled degree of each key of c_0 met
     low = edge[0].terms
     top = None  # the c_0 order of the last node below the first
     while True:
         diffs = [(tuple(map(sub, key, mkey)), key) for key in sorted(low, reverse=True)]
         if any(min(diff) < 0 for diff, _key in diffs):
             break
-        h = {diff: -low[key] * inv for diff, key in diffs}
+        h = {diff: low[key] * ninv for diff, key in diffs}
         state.charge_branch()
-        maps = _taylor_shift(maps, h, bound)
-        b = b + FracPoly._raw(space, h)
-        c0 = maps.get(0)
-        if c0 is None:
-            yield b
+        _taylor_shift(a, h, bound)
+        root.update(h)
+        c0 = a[0]
+        if not c0:
+            yield FracPoly._raw(space, root)
             break
-        degrees = {key: sum(map(mul, key, bound[1])) for key in c0}
-        top = min(degrees.values())
-        low = {key: coeff for key, coeff in c0.items() if degrees[key] == top}
+        for key in c0.keys() - degree.keys():
+            degree[key] = sum(map(mul, key, bound[1]))
+        top = min(map(degree.__getitem__, c0))
+        low = {key: coeff for key, coeff in c0.items() if degree[key] == top}
     if top is not None:
         state.failed_at = max(state.failed_at, Fraction(top, space.lcm))
 
@@ -329,18 +306,21 @@ def _degree_part(f: FracPoly, degree: Fraction):
     return FracPoly._raw(f.space, terms) if terms else None
 
 
-def _taylor_shift(psi: dict, h: dict, bound) -> dict:
-    """{m: term map of the coefficient of Y^m in psi(Y + h)}, for psi
-    {m: term map} and the term map h of one space, zeros dropped.  Every
-    product is formed truncated at bound, (limit, degree weights), and
-    added as `polyring.product(..., degree=d)` and `+` would form and add
-    it (exact, see the module docstring)."""
-    n = max(psi)
-    a = [dict(psi.get(m, ())) for m in range(n + 1)]
+def _term_maps(psi: dict) -> list:
+    """Copies of the term maps of psi's coefficients, by the power of Y."""
+    return [dict(psi[m].terms) if m in psi else {} for m in range(max(psi) + 1)]
+
+
+def _taylor_shift(a: list, h: dict, bound):
+    """Shift a, the term maps of the coefficients of psi by the power of
+    Y, in place to those of psi(Y + h), for the term map h of their space.
+    Every product is formed truncated at bound, (limit, degree weights),
+    and added as `polyring.product(..., degree=d)` and `+` would form and
+    add it (exact, see the module docstring)."""
+    n = len(a) - 1
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             _merge(a[j], _times(h, a[j + 1], bound).items())
-    return {m: t for m, t in enumerate(a) if t}
 
 
 def _lower_hull_edges(points):
@@ -587,15 +567,13 @@ def _form_nth_root(f: FracPoly, n: int, state: _SearchState):
         g = g + corr
 
 
-def _deflate(g: FracPoly, b: FracPoly, state: _SearchState) -> FracPoly:
-    """Quotient of g by (z + b), coefficients truncated at the degree bound."""
-    coeffs = g.coefficients_in(state.z)
+def _deflate(coeffs: dict, b: FracPoly, state: _SearchState) -> dict:
+    """The coefficient map {m: coefficient of z^m} of the quotient of
+    sum_m coeffs[m] z^m by z + b, coefficients truncated at the degree
+    bound."""
     k = max(coeffs)
-    zero = FracPoly.zero(g.space)
-    q = {k - 1: coeffs.get(k, zero)}
+    zero = FracPoly.zero(b.space)
+    q = {k - 1: coeffs[k]}
     for m in range(k - 1, 0, -1):
         q[m - 1] = truncate(coeffs.get(m, zero) - product([b, q[m]], degree=state.bound), state.bound)
-    zvar = FracPoly.variable(g.space, state.z)
-    # g's space, joined with b's once a coefficient holds b * q[m]
-    space = VarSpace.union(*(c.space for c in q.values()))
-    return poly_sum(space, [c * zvar ** m for m, c in q.items()])
+    return q

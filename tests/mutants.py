@@ -195,20 +195,10 @@ MUTANTS = (
         ("tests/test_polyring.py::test_bounded_product_keeps_the_pairs_at_the_bound",),
     ),
     Mutant(
-        "last-root-branch-charge",
-        "splitting.py",
-        "        state.charge_branch()\n        parts.append(",
-        "        parts.append(",
-        (
-            "tests/test_splitting.py::test_a_linear_root_charges_a_branch_per_degree_part",
-            "tests/test_cli.py::test_split_example_basic_exceeds_the_branch_cap",
-        ),
-    ),
-    Mutant(
         "chain-branch-charge",
         "splitting.py",
-        "        state.charge_branch()\n        maps = _taylor_shift(maps, h, bound)\n",
-        "        maps = _taylor_shift(maps, h, bound)\n",
+        "        state.charge_branch()\n        _taylor_shift(a, h, bound)\n",
+        "        _taylor_shift(a, h, bound)\n",
         (
             "tests/test_splitting.py::test_a_linear_root_charges_a_branch_per_degree_part",
             "tests/test_cli.py::test_split_example_basic_exceeds_the_branch_cap",

@@ -180,6 +180,8 @@ _X_ZERO = _X_POLY % ""
             ["split", "verify", "--poly", _Z2, "--roots", f"[{_Z2_ZERO},{_Z2_ZERO}]", "--powers", "0"],
             "^powers must be at least 1, got 0$",
         ),
+        # a negative degree bound, refused also when the root count is wrong
+        (["split", "verify", "--poly", _Z2, "--roots", "[]", "--degree", "-3"], "^degree bound must be >= 0$"),
         # pullback takes one valid single-divisor normal form, refused before
         # any weight is read off its exponents
         (["blowup", "pullback", "--spec", _SPEC_OUT_OF_RANGE], "^blowup pullback: the spec fails validation"),
@@ -249,6 +251,7 @@ _X_ZERO = _X_POLY % ""
         "newton-powers-zero",
         "newton-cap-negative",
         "verify-powers-zero",
+        "verify-degree-negative",
         "pullback-exponent-out-of-range",
         "pullback-denominator-unrealized",
         "pullback-two-divisors",

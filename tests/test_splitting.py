@@ -6,7 +6,7 @@ from operator import add
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circforge import (
@@ -78,7 +78,7 @@ def test_split_newton_checks_the_candidate_of_the_search(monkeypatch):
     sp = VarSpace([], ["v", "x", "z"])
     v, x, z = (FracPoly.variable(sp, n) for n in ("v", "x", "z"))
     find = splitting._find_roots
-    monkeypatch.setattr(splitting, "_find_roots", lambda g, k, state: find(g, k, state)[:1] * k)
+    monkeypatch.setattr(splitting, "_find_roots", lambda coeffs, space, state: find(coeffs, space, state)[:1] * max(coeffs))
     with pytest.raises(NoSplit, match="failed verification"):
         split_newton(z * z - v * v * x * x, "z", powers=1, degree_bound=12)
 
@@ -363,13 +363,21 @@ def _chain_cases():
         # resumes the chain, which then records its nodes' orders
         ("resumed", (z + y * y + x ** 3) * (z * z - x ** 3), 8),
         ("resumed-at-a-leaf", (z + x + x * x) * (z * z - y ** 3), 6),
+        # one root, which the chain lifts from the root node: x/y ends it
+        # there, x^3/y below the part x; x^9 lies past the bound, and x^13
+        # leaves c_0 truncated to zero, the zero root
+        ("last-laurent-first", z + x * inv + x, 8),
+        ("last-laurent-below", z + x + x ** 3 * inv, 8),
+        ("last-past-the-bound", z + x + x * y + y ** 3 + x ** 9, 8),
+        ("last-truncated-to-zero", z + x ** 13, 12),
     ]
 
 
 @pytest.mark.parametrize(("f", "bound"), [c[1:] for c in _chain_cases()], ids=[c[0] for c in _chain_cases()])
 def test_the_linear_chain_ends_as_the_recursive_search_does(f, bound):
     # each way the chain ends: its root found, a Laurent part below or at
-    # its first node, and a root found and then given up
+    # its first node, and a root found and then given up; for the last
+    # root too
     _against_the_reference(f, bound)
 
 
@@ -411,7 +419,11 @@ def test_the_linear_chain_matches_the_recursive_search(drawn, bound):
         low = term(coeff, lowest)
         higher = (term(c, tuple(map(add, lowest, exps))) for c, exps in rest)
         roots.append(poly_sum(sp, [low] + [t for t in higher if t.order() > low.order()]))
-    _against_the_reference(math.prod(FracPoly.variable(sp, "z") + b for b in roots), bound, powers=2)
+    f = math.prod(FracPoly.variable(sp, "z") + b for b in roots)
+    # split_newton refuses a product whose roots y and 1/y leave a constant
+    # in a non-leading coefficient
+    assume(all(c.constant_coefficient().is_zero() for m, c in f.coefficients_in("z").items() if m < len(roots)))
+    _against_the_reference(f, bound, powers=2)
 
 
 def test_split_cp3_exact():
