@@ -12,19 +12,24 @@ variables) dictates the admissible degrees for the next homogeneous part,
 and each admissible initial form yields one branch.
 
 A node of the search for a root b is the residual psi_b, the coefficients
-of Y in g(z = -b - Y), each truncated past the degree bound d.  At the
-root of the search b = 0, and g(z = -Y) only flips the sign of the odd
-powers of z.  A branch with the next homogeneous part h passes its child
-psi_{b+h}(Y) = psi_b(Y + h), by a Horner shift in Y on the coefficients'
-term maps whose products are formed as `polyring.product(..., degree=d)`
-forms them, never a pair past d; no node substitutes into g.  This is exact: every term of
-h has total degree delta >= 1 (the slope of its edge), so multiplying by
-h or shifting by h never lowers the degree of a term, and the terms past
-d that the parent dropped cannot reach degree <= d in the child.  So
-truncating before the shift gives the same coefficients as truncating
-after it (the Taylor shift of von zur Gathen and Gerhard, ISSAC 1997;
-carrying the transformed polynomial down the tree as in D. Duval,
-"Rational Puiseux expansions", Compositio Math. 70, 1989).
+of Y in g(z = -b - Y), each truncated past the degree bound d.  The search
+holds psi_b, b and the coefficients of each deflated g as term maps of one
+space (scaled keys, see polyring), with orders as scaled integer degrees;
+FracPoly appears only in the edge equations handed to the edge solver and
+in the roots returned.  At the root of the search b = 0, and g(z = -Y)
+only flips the sign of the odd powers of z.  A branch with the next
+homogeneous part h passes its child psi_{b+h}(Y) = psi_b(Y + h), by a
+Horner shift in Y on the term maps whose products are formed truncated at
+d, never a pair past d, and the root map b with the terms of h added
+(parts of distinct degrees share no key); no node substitutes into g.
+This is exact: every term of h has total degree delta >= 1 (the slope of
+its edge), so multiplying by h or shifting by h never lowers the degree
+of a term, and the terms past d that the parent dropped cannot reach
+degree <= d in the child.  So truncating before the shift gives the same
+coefficients as truncating after it (the Taylor shift of von zur Gathen
+and Gerhard, ISSAC 1997; carrying the transformed polynomial down the
+tree as in D. Duval, "Rational Puiseux expansions", Compositio Math. 70,
+1989).
 
 Below a linear first edge, from (0, o_0) to (1, o_1), whose Y^1 part is
 one term c*m, the search has no alternatives, and `_linear_chain` walks
@@ -47,7 +52,11 @@ part and records the largest c_0 order met below its first node, as the
 search's nodes do, so roots, NoSplit, Ambiguous and Unsupported are
 those of the search.  The first node's other edges are searched after it.
 The last root enters the chain at the root node: after k - 1 deflations
-g = z + c_0, and psi = c_0 - Y is such an edge, with c*m = -1.
+g = z + c_0, and psi = c_0 - Y is such an edge, with c*m = -1.  The shift
+reads c*m only to add c*m h, minus the lowest part of c_0, to c_0; all
+else it adds to c_0 has order above o_0.  So the chain drops c*m once and
+deletes that part itself, one product and one sum fewer per root term;
+the parts read c_0's keys sorted, so its map order never reaches a root.
 
 An edge equation is a polynomial in Y whose coefficients are homogeneous
 forms; a scalar is a form of degree 0, so one solver serves both.
@@ -121,15 +130,15 @@ class Unsupported(DomainError):
 
 
 class _SearchState:
-    __slots__ = ("bound", "cap", "branches", "failed_at", "unsupported", "shift_bound")
+    __slots__ = ("space", "bound", "cap", "branches", "failed_at", "unsupported")
 
     def __init__(self, space: VarSpace, bound: int, cap: int):
-        self.bound = bound
+        self.space = space  # of the residuals and the roots
+        self.bound = (_degree_limit(space, bound), space.scales)  # (limit, weights) of the scaled degrees
         self.cap = cap
         self.branches = 0
         self.failed_at = Fraction(0)  # the highest residual order at which no branch closed
         self.unsupported: str | None = None  # the first edge equation the solver could not decide
-        self.shift_bound = (_degree_limit(space, bound), space.scales)  # of the residuals' space
 
     def charge_branch(self):
         self.branches += 1
@@ -137,13 +146,16 @@ class _SearchState:
             raise Ambiguous(self.cap)
 
 
-def clear_denominators(f: FracPoly, powers) -> FracPoly:
+def clear_denominators(f: FracPoly, powers, z: str) -> FracPoly:
     """Apply substitute_power to every divisorial variable of f.  powers is
     one int or {name: int}, and every power given must be at least 1, also
-    when f has no divisorial variable."""
+    when f has no divisorial variable.  The split variable z must not be
+    divisorial, since substitute_power would rename it."""
     for p in powers.values() if isinstance(powers, dict) else (powers,):
         if p < 1:
             raise ValueError(f"powers must be at least 1, got {p}")
+    if f.space.is_divisorial(z):
+        raise ValueError(f"the split variable {z} must be a free variable, not divisorial")
     g = f
     for name in list(f.space.div_names):
         if not isinstance(powers, int) and name not in powers:
@@ -169,7 +181,7 @@ def split_newton(
     cap = DEFAULT_BRANCH_CAP if branch_cap is None else branch_cap
     if cap < 0:
         raise ValueError(f"branch_cap must be at least 0, got {cap}")
-    g = clear_denominators(f, powers)
+    g = clear_denominators(f, powers, z)
     coeffs = g.coefficients_in(z)
     k = max(coeffs, default=0)
     if k < 1 or not coeffs[k].is_constant() or coeffs[k].constant_coefficient() != 1:
@@ -179,7 +191,7 @@ def split_newton(
             raise ValueError("non-leading coefficients must vanish at the origin")
     space = g.space.union(_SCALARS)
     state = _SearchState(space, d, cap)
-    roots = _find_roots({m: truncate(c.in_space(space), d) for m, c in coeffs.items()}, g.space, state)
+    roots = _find_roots({m: truncate(c.in_space(space), d).terms for m, c in coeffs.items()}, g.space, state)
     if roots is None and state.unsupported:
         raise Unsupported(state.unsupported)
     if roots is None:
@@ -194,7 +206,7 @@ def verify_split(f: FracPoly, powers, roots, degree_bound: int | None = None, z:
     d = DEFAULT_DEGREE_BOUND if degree_bound is None else degree_bound
     if d < 0:  # refused before the roots are counted, never read as a "no"
         raise ValueError("degree bound must be >= 0")
-    g = clear_denominators(f, powers)
+    g = clear_denominators(f, powers, z)
     coeffs = g.coefficients_in(z)
     if len(roots) != max(coeffs, default=0):
         return False
@@ -209,70 +221,72 @@ def verify_split(f: FracPoly, powers, roots, degree_bound: int | None = None, z:
 
 def _find_roots(coeffs: dict, space: VarSpace, state: _SearchState):
     """The roots of the monic sum_m coeffs[m] z^m, whose coefficients are
-    truncated in the search's space, or None.  A zero root lies in space:
-    that of the root found before it, or f's for the first."""
+    term maps truncated in the search's space, or None.  A zero root lies
+    in space: that of the root found before it, or f's for the first."""
     k = max(coeffs)
     if k == 0:
         return []
     # psi at the root of the search, b = 0: g(z = -Y) flips the sign of the
     # odd powers of z
-    psi = {m: -c if m % 2 else c for m, c in coeffs.items() if not c.is_zero()}
-    for b in _root_candidates(psi, FracPoly.zero(space), 1, state):
+    a = [coeffs.get(m, {}) for m in range(k + 1)]
+    a[1::2] = [{key: -c for key, c in t.items()} for t in a[1::2]]
+    # an empty c_0 has the zero root, in space
+    for b in _root_candidates(a, {}, 1, state) if a[0] else [FracPoly.zero(space)]:
         rest = _find_roots(_deflate(coeffs, b, state), b.space, state)
         if rest is not None:
             return [b] + rest
     return None
 
 
-def _root_candidates(psi: dict, b: FracPoly, delta_min, state: _SearchState):
-    """The roots b + ... that close, given psi = {m: coefficient of Y^m in
-    g(z = -b - Y)}, truncated past the degree bound."""
-    c0 = psi.get(0)
-    if c0 is None:
-        yield b
+def _root_candidates(a: list, root: dict, delta_min, state: _SearchState):
+    """The roots that close below a node: root is the term map of its b,
+    and a lists the term maps of the coefficients of Y^m in
+    g(z = -b - Y), by m, truncated past the degree bound."""
+    if not a[0]:
+        yield FracPoly._raw(state.space, root)
         return
-    points = sorted((m, c.order()) for m, c in psi.items())
-    for a_pt, b_pt in _lower_hull_edges(points):
-        (ma, oa), (mb, ob) = a_pt, b_pt
-        slope = Fraction(oa - ob, mb - ma)
-        if slope.denominator != 1 or slope < delta_min:
+    weights = state.bound[1]
+    scale = state.space.lcm  # of the scaled degrees
+    points = [(m, min(sum(map(mul, key, weights)) for key in t)) for m, t in enumerate(a) if t]
+    for (ma, oa), (mb, ob) in _lower_hull_edges(points):
+        delta, rem = divmod(oa - ob, (mb - ma) * scale)
+        if rem or delta < delta_min:
             continue
-        delta = int(slope)
         # the edge equation; its two ends (m = 0 and m = mb - ma) are nonzero
-        terms = {}
-        for m in range(ma, mb + 1):
-            cm = psi.get(m)
-            part = _degree_part(cm, oa - delta * (m - ma)) if cm is not None else None
-            if part is not None:
-                terms[m - ma] = part
+        parts = (
+            {key: c for key, c in a[ma + i].items() if sum(map(mul, key, weights)) == oa - delta * scale * i}
+            for i in range(mb - ma + 1)
+        )
+        terms = {i: FracPoly._raw(state.space, part) for i, part in enumerate(parts) if part}
         if mb == 1 and len(terms[1].terms) == 1:
-            yield from _linear_chain(psi, b, terms, state)
+            yield from _linear_chain(a, root, terms, state)
             continue
         for h in _solve_edge(terms, delta, state):
             state.charge_branch()
-            a = _term_maps(psi)
-            _taylor_shift(a, h.terms, state.shift_bound)
-            yield from _root_candidates({m: FracPoly._raw(h.space, t) for m, t in enumerate(a) if t}, b + h, delta + 1, state)
-    state.failed_at = max(state.failed_at, c0.order())
+            child = [dict(t) for t in a]
+            _taylor_shift(child, h.terms, state.bound)
+            yield from _root_candidates(child, {**root, **h.terms}, delta + 1, state)
+    state.failed_at = max(state.failed_at, Fraction(points[0][1], scale))
 
 
-def _linear_chain(psi: dict, b: FracPoly, edge: dict, state: _SearchState):
-    """The roots below the first edge of psi when it is linear and its Y^1
-    part edge[1] is one term c*m: the determined chain (see the module
-    docstring), walked on psi's term maps.  Each part is -edge[0] / (c*m),
-    edge[0] the lowest part of the node's c_0, formed term by term in
-    descending key order with one inverse of c, as the edge's exact
-    division forms it, and charged as one branch; a part with a negative
-    exponent has no polynomial quotient and ends the chain.  The nodes
-    below the first record, once exhausted, the largest c_0 order they
-    met, as the search's nodes do.  The root is one term map, its parts
-    added in order, and each key of c_0 has its degree computed once."""
-    space = edge[1].space
+def _linear_chain(a: list, root: dict, edge: dict, state: _SearchState):
+    """The roots below the first edge of the node (a, root) when it is
+    linear and its Y^1 part edge[1] is one term c*m: the determined chain
+    (see the module docstring), walked on copies of a and root.  Each part
+    is -edge[0] / (c*m), edge[0] the lowest part of the node's c_0, formed
+    term by term in descending key order with one inverse of c, as the
+    edge's exact division forms it, and charged as one branch; a part with
+    a negative exponent has no polynomial quotient and ends the chain.
+    The nodes below the first record, once exhausted, the largest c_0
+    order they met, as the search's nodes do.  Each key of c_0 has its
+    degree computed once."""
     ((mkey, c),) = edge[1].terms.items()
     ninv = -c.inverse()
-    bound = state.shift_bound
-    a = _term_maps(psi)
-    root = dict(b.terms)  # parts of distinct degrees never share a key
+    bound = state.bound
+    a = [dict(t) for t in a]
+    del a[1][mkey]  # read only to cancel the lowest part of c_0, which each node deletes
+    c0 = a[0]
+    root = dict(root)  # parts of distinct degrees never share a key
     degree = {}  # the scaled degree of each key of c_0 met
     low = edge[0].terms
     top = None  # the c_0 order of the last node below the first
@@ -282,41 +296,26 @@ def _linear_chain(psi: dict, b: FracPoly, edge: dict, state: _SearchState):
             break
         h = {diff: low[key] * ninv for diff, key in diffs}
         state.charge_branch()
+        for key in low:
+            del c0[key]
         _taylor_shift(a, h, bound)
         root.update(h)
-        c0 = a[0]
         if not c0:
-            yield FracPoly._raw(space, root)
+            yield FracPoly._raw(state.space, root)
             break
         for key in c0.keys() - degree.keys():
             degree[key] = sum(map(mul, key, bound[1]))
         top = min(map(degree.__getitem__, c0))
         low = {key: coeff for key, coeff in c0.items() if degree[key] == top}
     if top is not None:
-        state.failed_at = max(state.failed_at, Fraction(top, space.lcm))
-
-
-def _degree_part(f: FracPoly, degree: Fraction):
-    """The terms of f of total degree degree, in map order, or None."""
-    scaled = degree * f.space.lcm  # an int when some term can have this degree
-    if scaled.denominator != 1:
-        return None
-    scaled = int(scaled)
-    terms = {k: c for k, c in f.terms.items() if f._term_degree(k) == scaled}
-    return FracPoly._raw(f.space, terms) if terms else None
-
-
-def _term_maps(psi: dict) -> list:
-    """Copies of the term maps of psi's coefficients, by the power of Y."""
-    return [dict(psi[m].terms) if m in psi else {} for m in range(max(psi) + 1)]
+        state.failed_at = max(state.failed_at, Fraction(top, state.space.lcm))
 
 
 def _taylor_shift(a: list, h: dict, bound):
     """Shift a, the term maps of the coefficients of psi by the power of
     Y, in place to those of psi(Y + h), for the term map h of their space.
     Every product is formed truncated at bound, (limit, degree weights),
-    and added as `polyring.product(..., degree=d)` and `+` would form and
-    add it (exact, see the module docstring)."""
+    which is exact (see the module docstring)."""
     n = len(a) - 1
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
@@ -568,12 +567,12 @@ def _form_nth_root(f: FracPoly, n: int, state: _SearchState):
 
 
 def _deflate(coeffs: dict, b: FracPoly, state: _SearchState) -> dict:
-    """The coefficient map {m: coefficient of z^m} of the quotient of
-    sum_m coeffs[m] z^m by z + b, coefficients truncated at the degree
-    bound."""
+    """The coefficient term maps {m: coefficient of z^m} of the quotient of
+    sum_m coeffs[m] z^m by z + b.  Both are truncated at the degree bound,
+    so each product is formed truncated and no sum needs truncating."""
     k = max(coeffs)
-    zero = FracPoly.zero(b.space)
     q = {k - 1: coeffs[k]}
     for m in range(k - 1, 0, -1):
-        q[m - 1] = truncate(coeffs.get(m, zero) - product([b, q[m]], degree=state.bound), state.bound)
+        bq = _times(b.terms, q[m], state.bound)
+        q[m - 1] = _merge(dict(coeffs.get(m, {})), [(key, -c) for key, c in bq.items()])
     return q

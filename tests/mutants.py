@@ -197,8 +197,8 @@ MUTANTS = (
     Mutant(
         "chain-branch-charge",
         "splitting.py",
-        "        state.charge_branch()\n        _taylor_shift(a, h, bound)\n",
-        "        _taylor_shift(a, h, bound)\n",
+        "        state.charge_branch()\n        for key in low:\n",
+        "        for key in low:\n",
         (
             "tests/test_splitting.py::test_a_linear_root_charges_a_branch_per_degree_part",
             "tests/test_cli.py::test_split_example_basic_exceeds_the_branch_cap",
@@ -207,7 +207,7 @@ MUTANTS = (
     Mutant(
         "chain-failed-at",
         "splitting.py",
-        "    if top is not None:\n        state.failed_at = max(state.failed_at, Fraction(top, space.lcm))\n",
+        "    if top is not None:\n        state.failed_at = max(state.failed_at, Fraction(top, state.space.lcm))\n",
         "",
         ("tests/test_splitting.py::test_the_linear_chain_ends_as_the_recursive_search_does",),
     ),

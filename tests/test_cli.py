@@ -72,6 +72,11 @@ def test_usage_error_exit_code():
 # z^2 and 0 over the free variables z, x
 _Z2 = '{"space":{"divisorial":[],"free":["z","x"]},"terms":[{"w":[],"free":[2,0],"coeff":{"order":1,"coeffs":["1"]}}]}'
 _Z2_ZERO = '{"space":{"divisorial":[],"free":["z","x"]},"terms":[]}'
+# z^2 - x^2 with z divisorial
+_Z2_DIV = (
+    '{"space":{"divisorial":[{"name":"z","bound":1}],"free":["x"]},"terms":['
+    '{"w":["0"],"free":[2],"coeff":{"order":1,"coeffs":["-1"]}},{"w":["2"],"free":[0],"coeff":{"order":1,"coeffs":["1"]}}]}'
+)
 # (z + e3 x)(z + e4 x): it splits, but the discriminant's square root is
 # beyond cyclo_nth_root, so the search is undecided
 _ZX = VarSpace([], ["z", "x"])
@@ -182,6 +187,9 @@ _X_ZERO = _X_POLY % ""
         ),
         # a negative degree bound, refused also when the root count is wrong
         (["split", "verify", "--poly", _Z2, "--roots", "[]", "--degree", "-3"], "^degree bound must be >= 0$"),
+        # clearing denominators would rename a divisorial split variable
+        (["split", "newton", "--poly", _Z2_DIV], "^the split variable z must be a free variable, not divisorial$"),
+        (["split", "verify", "--poly", _Z2_DIV, "--roots", "[]"], "^the split variable z must be a free variable, not divisorial$"),
         # pullback takes one valid single-divisor normal form, refused before
         # any weight is read off its exponents
         (["blowup", "pullback", "--spec", _SPEC_OUT_OF_RANGE], "^blowup pullback: the spec fails validation"),
@@ -252,6 +260,8 @@ _X_ZERO = _X_POLY % ""
         "newton-cap-negative",
         "verify-powers-zero",
         "verify-degree-negative",
+        "newton-z-divisorial",
+        "verify-z-divisorial",
         "pullback-exponent-out-of-range",
         "pullback-denominator-unrealized",
         "pullback-two-divisors",

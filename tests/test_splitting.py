@@ -283,9 +283,16 @@ def test_a_linear_root_charges_a_branch_per_degree_part():
     assert split_newton(g, "z", degree_bound=8, branch_cap=4) == [y * y + x * y * y + y ** 4, x]
 
 
-def _reference_root_candidates(psi, b, delta_min, state):
-    """The search without the linear chain: every node, a linear one too,
-    is a generic node, with the Horner shift on FracPolys."""
+def _reference_root_candidates(a, root, delta_min, state):
+    """The search without the linear chain, on FracPolys: the node's term
+    maps a, by the power of Y, become {m: FracPoly} and its root map b."""
+    psi = {m: FracPoly._raw(state.space, dict(t)) for m, t in enumerate(a) if t}
+    yield from _reference_search(psi, FracPoly._raw(state.space, dict(root)), delta_min, state)
+
+
+def _reference_search(psi, b, delta_min, state):
+    """Every node, a linear one too, is a generic node, with the Horner
+    shift on FracPolys."""
     c0 = psi.get(0)
     if c0 is None:
         yield b
@@ -299,13 +306,19 @@ def _reference_root_candidates(psi, b, delta_min, state):
         terms = {}
         for m in range(ma, mb + 1):
             cm = psi.get(m)
-            part = splitting._degree_part(cm, oa - delta * (m - ma)) if cm is not None else None
+            # the terms of cm of this degree, in map order
+            part = cm.homogeneous_parts().get(oa - delta * (m - ma)) if cm is not None else None
             if part is not None:
                 terms[m - ma] = part
         for h in splitting._solve_edge(terms, delta, state):
             state.charge_branch()
-            yield from _reference_root_candidates(_reference_taylor_shift(psi, h, state.bound), b + h, delta + 1, state)
+            yield from _reference_search(_reference_taylor_shift(psi, h, _reference_bound(state)), b + h, delta + 1, state)
     state.failed_at = max(state.failed_at, c0.order())
+
+
+def _reference_bound(state):
+    """The face-value degree bound of the search."""
+    return Fraction(state.bound[0], state.space.lcm)
 
 
 def _reference_taylor_shift(psi, h, bound):
@@ -315,6 +328,19 @@ def _reference_taylor_shift(psi, h, bound):
         for j in range(n - 1, i - 1, -1):
             a[j] = a[j] + product([h, a[j + 1]], degree=bound)
     return {m: c for m, c in enumerate(a) if not c.is_zero()}
+
+
+def _reference_deflate(coeffs, b, state):
+    """The quotient's coefficient term maps, formed on FracPolys with a
+    truncated product and a truncation."""
+    d = _reference_bound(state)
+    polys = {m: FracPoly._raw(state.space, t) for m, t in coeffs.items()}
+    k = max(polys)
+    zero = FracPoly.zero(b.space)
+    q = {k - 1: polys[k]}
+    for m in range(k - 1, 0, -1):
+        q[m - 1] = truncate(polys.get(m, zero) - product([b, q[m]], degree=d), d)
+    return {m: c.terms for m, c in q.items()}
 
 
 def _search_record(f, bound, powers=1):
@@ -344,6 +370,7 @@ def _search_record(f, bound, powers=1):
 def _against_the_reference(f, bound, powers=1):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(splitting, "_root_candidates", _reference_root_candidates)
+        mp.setattr(splitting, "_deflate", _reference_deflate)
         want = _search_record(f, bound, powers)
     assert _search_record(f, bound, powers) == want
 
