@@ -27,6 +27,7 @@ from .polyring import (
     poly_sum,
     product,
     strict_transform,
+    substitute_all,
 )
 from .record import Record
 from .smith import in_lattice, kernel_basis
@@ -88,11 +89,16 @@ def _chart(ambient: VarSpace, params: tuple, wts: tuple, i: int) -> tuple[ChartM
 
 def charts(ambient: VarSpace, params, weight_vector) -> ChartAtlas:
     """Atlas of the weighted blow-up of the listed parameters; other
-    variables of the ambient space ride along untouched."""
+    variables of the ambient space ride along untouched.  A weight must
+    be an int: a float (even 2.0), a Fraction or a bool is refused, never
+    truncated."""
     params = tuple(params)
-    wts = tuple(int(w) for w in weight_vector)
+    wts = tuple(weight_vector)
     if len(params) != len(wts):
         raise ValueError("one weight per parameter")
+    for p, w in zip(params, wts):
+        if type(w) is not int:
+            raise ValueError(f"weight {w!r} on {p} is not an int")
     if any(w < 1 for w in wts):
         raise ValueError("weights must be positive integers")
     for p in params:
@@ -453,6 +459,8 @@ def divisor_weights(spec, i: int) -> dict:
     """Weights of the weighted blow-up along the i-th divisor of a (product)
     spec, keyed by the names of spec_space(spec): p_i on w_i, and p_i - mu + 1
     on each x, mu the residue p_i gamma_i of its exponent on w_i."""
+    if not 0 <= i < len(spec.moduli):
+        raise ValueError(f"divisor index {i} is outside 0..{len(spec.moduli) - 1}")
     w = spec.w_names()[i]
     p = spec.moduli[i]
     mus = [e.residues[i] for part in _parts(spec) for e in part.exponent_elements()]
@@ -494,7 +502,8 @@ def gcirc_blowup_sequence(spec) -> PipelineReport:
     for i, p in enumerate(moduli):
         wt_map = {current.get(n, n): wt for n, wt in divisor_weights(spec, i).items()}
         cmap, _action = _chart(space, tuple(wt_map), tuple(wt_map.values()), 0)  # the divisor chart
-        transforms = [strict_transform(cmap.apply(f), cmap.chart_var) for f in factors]
+        pulled = substitute_all(factors, cmap.substitutions, cmap.new_space)
+        transforms = [strict_transform(f, cmap.chart_var) for f in pulled]
         factors = [st for st, _ in transforms]
         steps.append(
             PipelineStep(

@@ -32,7 +32,7 @@ from .abelian import (
 )
 from .cyclotomic import Cyclo, root_of_unity
 from .errors import DomainError
-from .polyring import DiagonalAction, FracPoly, VarSpace, apply_group, match_factors, poly_sum, product
+from .polyring import DiagonalAction, FracPoly, VarSpace, apply_group, match_factors, poly_sum, product, substitute_all
 from .record import Record, _immutable
 
 
@@ -568,7 +568,7 @@ def permute_to_standard(h, k: int | None = None) -> PermutationReport:
     ]
     zk = AbelianGroup((k,))
     renaming = {f"x{j}": FracPoly.variable(space, f"y{h[j-1]}") for j in range(1, k)}
-    lhs = [f.substitute(renaming, target_space=space) for f in eigen_factors(zk, lhs_vals)]
+    lhs = substitute_all(eigen_factors(zk, lhs_vals), renaming, target_space=space)
     rhs_vals = [FracPoly.variable(space, "z")] + [
         FracPoly.monomial(space, {f"y{j}": 1, "w": Fraction(j, k)}) for j in range(1, k)
     ]
@@ -698,7 +698,7 @@ def codim1_factor(spec: NormalFormSpec, i: int) -> Codim1Report:
     subs = {w: 1 for h, w in enumerate(spec.w_names()) if h != i}
     (rhs,) = spec_factors(spec)
     if subs:
-        rhs = [f.substitute(subs) for f in rhs]
+        rhs = substitute_all(rhs, subs)
 
     w_names = spec.w_names()
     x_names = spec.x_names()

@@ -19,6 +19,23 @@ the target position's bound it must be an integer, nonnegative on a
 divisorial position, and a variable the target lacks is refused when a term
 uses it.
 
+Substitution (`substitute_all`, and `substitute`, its one-polynomial case)
+resolves each (source position, key entry) it meets once per call, and the
+polynomials of one call share these resolutions and the target space.  An
+entry k at a position of bound b resolves to integer key increments when
+its variable is unsubstituted (the change-of-space rule) or its image is
+one term with coefficient the rational 1: the power k / b of that term
+adds k * kappa / b at each target position where the term's key holds
+kappa, checked to be an integer, nonnegative on a divisorial position (a
+failed check goes to `_poly_power`, which raises its error).  Any other
+entry resolves to the term map of its image's power (`_poly_power`).  A
+term whose entries are all increments is one key and one merge; otherwise
+its coefficient, at the key of its increments, is multiplied by the term
+maps in position order (`_times`).  This is the term-by-term product:
+multiplying by a rational 1 returns the coefficient itself, and adding the
+increments first translates every key of the products, which changes no
+sum, no map order and no `Cyclo` order.
+
 Total degree counts exponents at face value, matching the weighted-order
 bookkeeping used throughout.  Internally a term's degree is the integer
 sum of k_i * (L / b_i), L the lcm of the bounds: face degree times L.
@@ -181,6 +198,12 @@ class VarSpace:
     @property
     def ndiv(self):
         return len(self.div_names)
+
+    def position(self, name: str) -> int:
+        """The position of name; a name not in the space is a ValueError."""
+        if name not in self._index:
+            raise ValueError(f"variable {name} not in the space")
+        return self._index[name]
 
     def bound(self, name: str) -> int:
         return self.div_bounds[self.div_names.index(name)]
@@ -402,9 +425,9 @@ class FracPoly:
         return Fraction(min(sum(map(mul, k, w)) for k in self.terms), self.space.lcm)
 
     def degree_in(self, name: str):
+        i = self.space.position(name)
         if not self.terms:
             return None
-        i = self.space._index[name]
         return _face(self.space, i, max(k[i] for k in self.terms))
 
     def sorted_items(self):
@@ -433,9 +456,7 @@ class FracPoly:
 
         Requires integer exponents on name (it may be divisorial).
         """
-        if name not in self.space:
-            raise ValueError(f"variable {name} not in the space")
-        i = self.space._index[name]
+        i = self.space.position(name)
         b = self.space.bounds[i]
         out: dict = {}
         for key, coeff in self.terms.items():
@@ -521,66 +542,16 @@ class FracPoly:
     # -- substitution ---------------------------------------------------------
 
     def substitute(self, mapping: dict, target_space: VarSpace | None = None) -> "FracPoly":
-        """Simultaneous substitution name -> polynomial (or scalar).
+        """Simultaneous substitution name -> polynomial (or scalar): the
+        one-polynomial case of `substitute_all`, which says what it keeps.
 
         Unlisted variables persist.  Fractional or negative powers of a
         substituted variable require the image to be a one-term monomial
         whose exponents stay legal; coefficients are then raised through
         cyclotomic roots of unity only when the power is integral, so a
         fractional power additionally requires coefficient 1.
-
-        An unlisted variable is not multiplied in: its key entry moves into
-        the target space by the one change-of-space rule (see the module
-        docstring), so an exponent the target cannot hold, a negative one on
-        a divisorial position, or a used variable the target lacks is a
-        ValueError.  Each term's image is the term's coefficient at those
-        entries times the powers of the images, taken in position order, so
-        its `Cyclo` operations, its map order and every coefficient's order
-        are those of the term-by-term product.
         """
-        space = target_space
-        if space is None:
-            keep_div = [
-                (n, b)
-                for n, b in zip(self.space.div_names, self.space.div_bounds)
-                if n not in mapping
-            ]
-            keep_free = [n for n in self.space.free_names if n not in mapping]
-            space = VarSpace(keep_div, keep_free).union(
-                *(val.space for val in mapping.values() if isinstance(val, FracPoly))
-            )
-        images = {}
-        for name, val in mapping.items():
-            if name not in self.space:
-                raise ValueError(f"substituted variable {name} not in the space")
-            images[name] = val if isinstance(val, FracPoly) else FracPoly.constant(space, val)
-        src, names = self.space, self.space.names
-        out: dict = {}
-        placed = {}  # (position, key entry) of an unlisted variable -> (target position, entry)
-        powers = {}  # (position, key entry) of a substituted variable -> term map of its power
-        for key, coeff in self.terms.items():
-            base = list(space.zero_key)
-            factors = []
-            for i, k in enumerate(key):
-                if k == 0:
-                    continue
-                name = names[i]
-                if name in images:
-                    factor = powers.get((i, k))
-                    if factor is None:
-                        image = images[name] = images[name].in_space(space)  # lifted on first use
-                        factor = powers[i, k] = _poly_power(image, _face(src, i, k)).terms
-                    factors.append(factor)
-                    continue
-                spot = placed.get((i, k))
-                if spot is None:
-                    spot = placed[i, k] = _placed_entry(src, i, k, space)
-                base[spot[0]] = spot[1]
-            items = {tuple(base): coeff}
-            for factor in factors:
-                items = _times(items, factor)
-            _merge(out, items.items())
-        return FracPoly._raw(space, out)
+        return substitute_all((self,), mapping, target_space)[0]
 
     def __repr__(self):
         return f"FracPoly({self})"
@@ -849,6 +820,85 @@ def _poly_power(p: FracPoly, e) -> FracPoly:
     return FracPoly._raw(p.space, {tuple(new): c})
 
 
+def substitute_all(polys, mapping: dict, target_space: VarSpace | None = None) -> list[FracPoly]:
+    """[f.substitute(mapping, target_space) for f in polys] for polynomials
+    of one space, in one term loop that shares the target space and the
+    resolution of each (position, key entry) it meets (see the module
+    docstring); equal to it term by term, in map order and in every
+    coefficient's order, and raising the first failing polynomial's error.
+
+    An unlisted variable is not multiplied in: its key entry moves into
+    the target space by the one change-of-space rule, so an exponent the
+    target cannot hold, a negative one on a divisorial position, or a used
+    variable the target lacks is a ValueError.  Each term's image is the
+    term's coefficient at those entries times the powers of the images,
+    taken in position order, so its `Cyclo` operations, its map order and
+    every coefficient's order are those of the term-by-term product."""
+    polys = list(polys)
+    if not polys:
+        return []
+    src = polys[0].space
+    if any(f.space != src for f in polys):
+        raise ValueError("substitute_all takes polynomials of one space")
+    space = target_space
+    if space is None:
+        keep_div = [(n, b) for n, b in zip(src.div_names, src.div_bounds) if n not in mapping]
+        keep_free = [n for n in src.free_names if n not in mapping]
+        space = VarSpace(keep_div, keep_free).union(*(v.space for v in mapping.values() if isinstance(v, FracPoly)))
+    images = {}
+    for name, val in mapping.items():
+        if name not in src:
+            raise ValueError(f"substituted variable {name} not in the space")
+        images[name] = val if isinstance(val, FracPoly) else FracPoly.constant(space, val)
+    memo = [{} for _ in src.names]  # per position: key entry -> increments or a term map
+    out = []
+    for f in polys:
+        terms: dict = {}
+        for key, coeff in f.terms.items():
+            base = list(space.zero_key)
+            factors = []
+            for i, k in enumerate(key):
+                if k:
+                    step = memo[i].get(k)
+                    if step is None:
+                        step = memo[i][k] = _resolve(src, i, k, images, space)
+                    if type(step) is dict:
+                        factors.append(step)
+                    else:
+                        for p, e in step:
+                            base[p] += e
+            if not factors:
+                _merge(terms, ((tuple(base), coeff),))
+                continue
+            items = {tuple(base): coeff}
+            for factor in factors:
+                items = _times(items, factor)
+            _merge(terms, items.items())
+        out.append(FracPoly._raw(space, terms))
+    return out
+
+
+def _resolve(src: VarSpace, i: int, k: int, images: dict, space: VarSpace):
+    """What the key entry k at src's position i contributes in space: the
+    increments ((target position, entry), ...) of an unlisted variable or
+    of the power of a one-term image with coefficient 1, else the term map
+    of the power of its image, lifted into space on first use."""
+    name = src.names[i]
+    if name not in images:
+        return (_placed_entry(src, i, k, space),)
+    image = images[name] = images[name].in_space(space)
+    if len(image.terms) == 1:
+        ((key, c),) = image.terms.items()
+        if c == 1:
+            # the entry of (kappa / b') * (k / b) at a target position of
+            # bound b' is kappa * k / b; a check that fails falls through
+            # to _poly_power, which raises its error
+            incs = [(p, *divmod(kappa * k, src.bounds[i])) for p, kappa in enumerate(key) if kappa]
+            if not any(r or (e < 0 and p < space.ndiv) for p, e, r in incs):
+                return tuple((p, e) for p, e, _r in incs)
+    return _poly_power(image, _face(src, i, k)).terms
+
+
 def _compositions(total: int, n: int):
     """The vectors of n nonnegative ints summing to total, lexicographically."""
     if n == 0:
@@ -886,7 +936,7 @@ def strict_transform(f: FracPoly, name: str) -> tuple[FracPoly, Fraction]:
     """Divide out the largest power of name; returns (quotient, multiplicity)."""
     if f.is_zero():
         raise ValueError("strict transform of the zero polynomial")
-    i = f.space._index[name]
+    i = f.space.position(name)
     m = min(key[i] for key in f.terms)
     if m == 0:
         return f, Fraction(0)

@@ -195,6 +195,15 @@ MUTANTS = (
         ("tests/test_polyring.py::test_bounded_product_keeps_the_pairs_at_the_bound",),
     ),
     Mutant(
+        # increments taken for a one-term image whatever its coefficient;
+        # every draw of the fold test has a term with a non-unit image
+        "substitute-unit-image",
+        "polyring.py",
+        "        if c == 1:\n            # the entry",
+        "        if True:\n            # the entry",
+        ("tests/test_polyring.py::test_substitute_matches_the_term_by_term_fold",),
+    ),
+    Mutant(
         "chain-branch-charge",
         "splitting.py",
         "        state.charge_branch()\n        for key in low:\n",

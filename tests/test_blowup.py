@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,24 @@ def test_standard_blowup_trivial_groups():
     f = FracPoly.variable(sp, "a") ** 2 + FracPoly.variable(sp, "b") ** 2
     total, st, mult = pullback(f, atlas, 0)
     assert mult == 2
+
+
+def test_charts_refuse_a_weight_that_is_not_an_int():
+    # int() would truncate 1.5 and Fraction(3, 2) to the weight-1 chart
+    sp = VarSpace([], ["x", "y"])
+    for bad in (1.5, 2.0, Fraction(3, 2), Fraction(2), True):
+        with pytest.raises(ValueError, match=f"weight {re.escape(repr(bad))} on x is not an int"):
+            charts(sp, ["x", "y"], [bad, 1])
+    assert charts(sp, ["x", "y"], [2, 1]).weights == (2, 1)
+
+
+def test_divisor_weights_refuses_an_index_outside_the_divisors():
+    for spec in (cpk_spec(3), klein_spec()):
+        r = len(spec.moduli)
+        assert blowup.divisor_weights(spec, r - 1)
+        for i in (r, -1):
+            with pytest.raises(ValueError, match=rf"divisor index {i} is outside 0\.\.{r - 1}"):
+                blowup.divisor_weights(spec, i)
 
 
 def test_cp2_chart_action():

@@ -95,6 +95,15 @@ def test_strict_transform(sp):
         strict_transform(FracPoly.zero(sp), "w")
 
 
+def test_a_name_outside_the_space_is_a_value_error(sp):
+    w = FracPoly.variable(sp, "w")
+    for f in (w, FracPoly.zero(sp)):
+        with pytest.raises(ValueError, match="variable q not in the space"):
+            f.degree_in("q")
+    with pytest.raises(ValueError, match="variable q not in the space"):
+        strict_transform(w, "q")
+
+
 def test_strict_transform_additivity(sp):
     x0 = FracPoly.variable(sp, "x0")
     w = FracPoly.variable(sp, "w")
@@ -1190,7 +1199,7 @@ def test_substitute_merges_like_the_pairwise_oracle(items, c):
 
 # -- substitute against the term-by-term fold ------------------------------------------
 
-_SUB_SOURCE = VarSpace([("w", 2), ("s", 3)], ["x", "y", "z", "u"])
+_SUB_SOURCE = VarSpace([("w", 2), ("s", 3)], ["x", "y", "z", "u", "v"])
 # s is not substituted and its bound rises from 3 to 6; u is not substituted
 _SUB_TARGET = VarSpace([("s", 6)], ["t", "u", "y", "z"])
 
@@ -1224,33 +1233,100 @@ def _fold_substitute(f, mapping, space):
     return want
 
 
+@st.composite
+def _sub_keys(draw, y_low=0):
+    """A face key of _SUB_SOURCE."""
+    return (
+        Fraction(draw(st.integers(0, 3)), 2),  # w: integral and fractional powers of a unit image
+        Fraction(draw(st.integers(0, 3)), 3),  # s: rescaled into bound 6
+        draw(st.integers(-2, 2)),  # x: negative powers of a non-unit image
+        draw(st.integers(y_low, 2)),  # y: a negative power of a two-term image is refused
+        draw(st.integers(0, 2)),
+        draw(st.integers(-1, 1)),
+        draw(st.integers(-2, 2)),  # v: negative powers of a unit image
+    )
+
+
+def _sub_mapping(draw):
+    """Images of every kind over _SUB_TARGET: one-term images of w and v
+    with coefficient a rational 1 (of order 1 or more), a one-term image of
+    x with another coefficient, and multi-term images of y and z."""
+    t, y, z = (FracPoly.variable(_SUB_TARGET, n) for n in ("t", "y", "z"))
+    one = draw(st.sampled_from([Cyclo.one(), Cyclo.one(4), Cyclo.one(6)]))
+    c = draw(st.sampled_from([Cyclo.rational(3, 4), root_of_unity(8, 3)]))
+    return {
+        "w": FracPoly.monomial(_SUB_TARGET, {"t": 2 * draw(st.integers(0, 2)), "u": 2 * draw(st.integers(-1, 1))}, one),
+        "x": FracPoly.monomial(_SUB_TARGET, {"t": draw(st.integers(-1, 2)), "u": 1}, c),
+        "y": y + t.scale(draw(_product_coeffs())),
+        "z": z * z - t.scale(draw(_product_coeffs())) + draw(st.sampled_from([0, 1, Fraction(1, 3)])),
+        "v": FracPoly.monomial(_SUB_TARGET, {"t": draw(st.integers(-1, 1)), "y": 1}, one),
+    }
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_substitute_matches_the_term_by_term_fold(data):
     draw = data.draw
-    terms = {}
-    for _ in range(draw(st.integers(1, 7))):
-        key = (
-            Fraction(draw(st.integers(0, 3)), 2),  # w: fractional powers of its image
-            Fraction(draw(st.integers(0, 3)), 3),  # s: rescaled into bound 6
-            draw(st.integers(-2, 2)),  # x: negative powers of a monomial image
-            draw(st.integers(0, 2)),
-            draw(st.integers(0, 2)),
-            draw(st.integers(-1, 1)),
-        )
-        terms[key] = draw(_product_coeffs())
+    # one term mixes every kind of image: a unit one at a fractional or
+    # integral power (w) and at a negative one (v), a non-unit one-term
+    # image (x) and a multi-term one (z)
+    mixed = draw(_sub_keys())
+    mixed = (
+        Fraction(draw(st.integers(1, 3)), 2), mixed[1], draw(st.sampled_from([-2, -1, 1, 2])), mixed[3],
+        draw(st.integers(1, 2)), mixed[5], draw(st.sampled_from([-2, -1, 1, 2])),
+    )
+    terms = {mixed: draw(_product_coeffs())}
+    for _ in range(draw(st.integers(0, 6))):
+        terms[draw(_sub_keys())] = draw(_product_coeffs())
     f = FracPoly(_SUB_SOURCE, terms)
-    t, u, y, z = (FracPoly.variable(_SUB_TARGET, n) for n in ("t", "u", "y", "z"))
-    c = draw(st.sampled_from([Cyclo.rational(3, 4), root_of_unity(8, 3)]))
-    mapping = {
-        "w": FracPoly.monomial(_SUB_TARGET, {"t": 2 * draw(st.integers(0, 2)), "u": 2 * draw(st.integers(-1, 1))}),
-        "x": FracPoly.monomial(_SUB_TARGET, {"t": draw(st.integers(-1, 2)), "u": 1}, c),
-        "y": y + t.scale(draw(_product_coeffs())),
-        "z": z * z - t.scale(draw(_product_coeffs())) + draw(st.sampled_from([0, 1, Fraction(1, 3)])),
-    }
+    mapping = _sub_mapping(draw)
     got = f.substitute(mapping, target_space=_SUB_TARGET)
     assert got.space == _SUB_TARGET
     _assert_merged(got, _fold_substitute(f, mapping, _SUB_TARGET))
+
+
+def _substituted(run):
+    """The spaces and the (key, order, integer data) items of the
+    polynomials run() returns, in map order, or the message of the
+    ValueError it raises."""
+    try:
+        return [(g.space, [(k, c.order, c.integer_data) for k, c in g.terms.items()]) for g in run()]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_substitute_all_is_substitute_polynomial_by_polynomial(data):
+    from circforge.polyring import substitute_all
+
+    draw = data.draw
+    # the polynomials draw their keys from one pool, so they meet the same
+    # (position, entry) pairs; a negative y entry fails its polynomial
+    pool = draw(st.lists(_sub_keys(y_low=draw(st.sampled_from([0, -2]))), min_size=1, max_size=5))
+    polys = [
+        FracPoly(_SUB_SOURCE, {key: draw(_product_coeffs()) for key in draw(st.lists(st.sampled_from(pool), max_size=4))})
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    mapping = _sub_mapping(draw)
+    target = draw(st.sampled_from([_SUB_TARGET, None]))
+    want = _substituted(lambda: [f.substitute(mapping, target) for f in polys])
+    assert _substituted(lambda: substitute_all(polys, mapping, target)) == want
+
+
+def test_substitute_all_edge_cases():
+    from circforge.polyring import substitute_all
+
+    t = FracPoly.variable(_SUB_TARGET, "t")
+    assert substitute_all([], {"x": t}) == []
+    # the error of the first polynomial that fails (z's image has three
+    # terms), not that of a later one
+    y, z = (FracPoly.variable(_SUB_SOURCE, n) for n in ("y", "z"))
+    bad = [y, FracPoly.monomial(_SUB_SOURCE, {"z": -1}), FracPoly.monomial(_SUB_SOURCE, {"y": -1})]
+    with pytest.raises(ValueError, match="cannot raise a 3-term polynomial to power -1"):
+        substitute_all(bad, {"y": t + 1, "z": t * t + t + 1})
+    with pytest.raises(ValueError, match="polynomials of one space"):
+        substitute_all([y, FracPoly.variable(_SUB_TARGET, "y")], {"y": t})
 
 
 def test_substitute_refuses_what_the_target_cannot_hold():
@@ -1268,6 +1344,13 @@ def test_substitute_refuses_what_the_target_cannot_hold():
         (x * FracPoly.monomial(_SUB_SOURCE, {"u": -1})).substitute(
             {"x": FracPoly.variable(target, "t")}, target_space=VarSpace([("u", 1)], ["t", "w", "s", "y", "z"])
         )
+    # a unit one-term image whose power the target cannot hold
+    w, v = (FracPoly.monomial(_SUB_SOURCE, {n: e}) for n, e in (("w", Fraction(1, 2)), ("v", -1)))
+    with pytest.raises(ValueError, match="fractional exponent 1/2 on free variable t"):
+        w.substitute({"w": FracPoly.variable(target, "t")}, target_space=target)
+    s = VarSpace([("s", 2)], [])
+    with pytest.raises(ValueError, match="negative exponent on divisorial variable s"):
+        v.substitute({"v": FracPoly.variable(s, "s")}, target_space=s)
 
 
 # -- one change-of-space rule, one monomial power, one invariance test ------------------
