@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import operator
@@ -443,6 +445,32 @@ def test_spec_commands_golden_bytes(capsys):
     assert _spec_command_digests(capsys) == json.loads(SPEC_COMMANDS_GOLDEN.read_text())
 
 
+BLOWUP_CPK_GOLDEN = GOLDEN / "blowup_cpk_outputs.json"
+
+
+def _blowup_cpk_outputs() -> dict:
+    """The text stdout, and the sha256 of the --format json stdout, of
+    blowup quotient, hilbert and relations --cpk 2..7, keyed by the command
+    line: the text prints every strict transform, quotient image and
+    generator monomial through str."""
+    out = {}
+    for sub in ("quotient", "hilbert", "relations"):
+        for k in range(2, 8):
+            argv = ["blowup", sub, "--cpk", str(k)]
+            stdout = {}
+            for fmt in ("text", "json"):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    assert run(["--format", fmt, *argv]) == 0
+                stdout[fmt] = buf.getvalue()
+            out[" ".join(argv)] = {"text": stdout["text"], "json_sha256": hashlib.sha256(stdout["json"].encode()).hexdigest()}
+    return out
+
+
+def test_blowup_cpk_outputs_golden_bytes():
+    assert _blowup_cpk_outputs() == json.loads(BLOWUP_CPK_GOLDEN.read_text())
+
+
 @st.composite
 def _character_ladders(draw):
     """A single-divisor spec over Z_p, p = |Q| <= 6: the elements of Q as
@@ -841,3 +869,8 @@ def test_validate_reports_no_action_on_labels_that_repeat(capsys):
         "denominators_realized": [False],
         "multiset_condition": [False],
     }
+
+
+if __name__ == "__main__":
+    # python tests/test_cli.py > tests/golden/blowup_cpk_outputs.json
+    print(json.dumps(_blowup_cpk_outputs(), indent=1))
