@@ -12,19 +12,20 @@ from __future__ import annotations
 
 import itertools
 from math import prod
-from operator import le, mul, sub
+from operator import lshift, mul
 
 from .abelian import AbelianGroup
+from .cyclotomic import Cyclo
 from .gcirc import _parts, spec_factors, spec_space, validate_normal_form
 from .polyring import (
     DiagonalAction,
     FracPoly,
     VarSpace,
     _face,
+    _merge,
     is_invariant,
     linear_part,
     linear_rank,
-    poly_sum,
     product,
     strict_transform,
     substitute_all,
@@ -74,10 +75,12 @@ def _chart(ambient: VarSpace, params: tuple, wts: tuple, i: int) -> tuple[ChartM
         if j != i:
             ynames[pj] = _fresh(pj + "'", taken_base | {t} | {v for v in ynames.values() if v})
     space = VarSpace(spectator_div, spectator_free + [t] + [ynames[p] for p in params if ynames[p]])
-    subs = {pi: FracPoly.monomial(space, {t: wi})}
-    for j, pj in enumerate(params):
-        if j != i:
-            subs[pj] = FracPoly.monomial(space, {t: wts[j], ynames[pj]: 1})
+    # t and the y's are free, so an exponent vector over them is its scaled key
+    zero, tpos, one = space.zero_key, len(spectator_div) + len(spectator_free), Cyclo.one()
+    subs = {pi: FracPoly._raw(space, {zero[:tpos] + (wi,) + zero[tpos + 1 :]: one})}
+    for ypos, j in enumerate((j for j in range(len(params)) if j != i), tpos + 1):
+        key = zero[:tpos] + (wts[j],) + zero[tpos + 1 : ypos] + (1,) + zero[ypos + 1 :]
+        subs[params[j]] = FracPoly._raw(space, {key: one})
     action_weights = {n: (0,) for n in space.names}
     action_weights[t] = (1,)
     for j, pj in enumerate(params):
@@ -219,13 +222,15 @@ def transition(atlas: ChartAtlas, i: int, j: int) -> TransitionChart:
 
 class HilbertBasis(Record):
     # generators: exponent vectors over variables
-    __slots__ = ("action", "variables", "generators", "degree_bound", "space")
+    # space: the free space of the variables, where a generator's vector is its key
+    # gen_space: the free space of the generator names g0, g1, ..., where images live
+    __slots__ = ("action", "variables", "generators", "degree_bound", "space", "gen_space")
 
     def names(self) -> list[str]:
-        return [f"g{i}" for i in range(len(self.generators))]
+        return list(self.gen_space.free_names)
 
     def monomial(self, idx: int) -> FracPoly:
-        return FracPoly.monomial(self.space, dict(zip(self.variables, self.generators[idx])))
+        return FracPoly._raw(self.space, {self.generators[idx]: Cyclo.one()})
 
     def find(self, exps: dict) -> int | None:
         """Index of the generator with the exponents exps ({variable:
@@ -299,7 +304,8 @@ def hilbert_basis(action: DiagonalAction, variables=None) -> HilbertBasis:
                 shift = shifts[p]
                 stack.append((up, p, shift[res], subs | {chars[p]} | {shift[s] for s in subs}))
     gens.sort(key=lambda v: (sum(v), v))
-    return HilbertBasis(action, variables, tuple(gens), action.group.order, VarSpace((), variables))
+    gen_space = VarSpace((), [f"g{i}" for i in range(len(gens))])
+    return HilbertBasis(action, variables, tuple(gens), action.group.order, VarSpace((), variables), gen_space)
 
 
 def _monomial_identity(left, right, generators) -> bool:
@@ -349,49 +355,75 @@ def relations(basis: HilbertBasis) -> RelationSet:
 def quotient_image(f: FracPoly, basis: HilbertBasis) -> FracPoly:
     """Rewrite the invariant polynomial f in the basis generators.
 
-    Greedy division with backtracking per monomial; representations are not
-    unique (the relations identify them) so correctness is certified by
-    re-expansion, see expand_quotient_image.
+    Greedy division with backtracking per monomial (`_decompose`, on packed
+    exponent vectors); representations are not unique (the relations
+    identify them) so correctness is certified by re-expansion, see
+    expand_quotient_image.  The one-term images are merged in term order
+    into one map, as `poly_sum` of them would be.
     """
     if not is_invariant(f, basis.action):
         raise ValueError("polynomial is not invariant under the basis action")
-    names = basis.names()
-    gen_space = VarSpace((), tuple(names))
-    var_index = {v: i for i, v in enumerate(basis.variables)}
+    gens, variables = basis.generators, basis.variables
+    var_index = {v: i for i, v in enumerate(variables)}
     src, src_names = f.space, f.space.names
-    gens_desc = sorted(range(len(basis.generators)), key=lambda i: (-sum(basis.generators[i]), basis.generators[i]))
+    # a key entry bounds its exponent, so this bounds every entry of a vector met
+    top = max(itertools.chain.from_iterable(f.terms), default=0)
+    width = max(top, max(itertools.chain.from_iterable(gens), default=0)).bit_length() + 1
+    shifts = [width * i for i in range(len(variables))]
+    guards = sum(1 << (s + width - 1) for s in shifts)
+    order = sorted(range(len(gens)), key=lambda i: (-sum(gens[i]), gens[i]))
+    gens_desc = [(i, sum(map(lshift, gens[i], shifts))) for i in order]
     memo: dict = {}  # a decomposition depends only on the vector, so the terms share it
-    images = []
-    for key, coeff in f.terms.items():
-        vec = [0] * len(basis.variables)
-        for pos, k in enumerate(key):
-            if k:
-                name = src_names[pos]
-                if name not in var_index:
-                    raise ValueError(f"variable {name} is not a variable of the basis")
-                e, r = divmod(k, src.bounds[pos])
-                if r:
-                    raise ValueError(f"exponent {_face(src, pos, k)} on {name} is not an integer")
-                vec[var_index[name]] = e
-        decomp = _decompose(tuple(vec), gens_desc, basis, memo)
-        if decomp is None:
-            raise ValueError(f"monomial {dict(zip(basis.variables, vec))} not expressible in the generators")
-        counts = [0] * len(names)
-        for idx in decomp:
-            counts[idx] += 1
-        images.append(FracPoly._raw(gen_space, {tuple(counts): coeff}))
-    return poly_sum(gen_space, images)
+
+    def images():
+        for key, coeff in f.terms.items():
+            vec = [0] * len(variables)
+            for pos, k in enumerate(key):
+                if k:
+                    name = src_names[pos]
+                    if name not in var_index:
+                        raise ValueError(f"variable {name} is not a variable of the basis")
+                    e, r = divmod(k, src.bounds[pos])
+                    if r:
+                        raise ValueError(f"exponent {_face(src, pos, k)} on {name} is not an integer")
+                    vec[var_index[name]] = e
+            decomp = None  # no generator lies below a vector with a negative entry
+            if min(vec, default=0) >= 0:
+                decomp = _decompose(sum(map(lshift, vec, shifts)), gens_desc, guards, memo)
+            if decomp is None:
+                raise ValueError(f"monomial {dict(zip(variables, vec))} not expressible in the generators")
+            counts = [0] * len(gens)
+            for idx in decomp:
+                counts[idx] += 1
+            yield tuple(counts), coeff
+
+    return FracPoly._raw(basis.gen_space, _merge({}, images()))
 
 
-def _decompose(vec, gens_desc, basis: HilbertBasis, memo):
-    if not any(vec):
+def _decompose(vec: int, gens_desc, guards: int, memo):
+    """The generator indices, with repeats, of a decomposition of the packed
+    exponent vector vec, or None: the first generator of gens_desc ((index,
+    packed vector) pairs) that lies below vec, then a decomposition of the
+    rest, and on failure the next generator (backtracking).
+
+    Each variable has a field of W bits, W = bit_length(M) + 1 for M at
+    least every entry of the vectors packed, so an entry stays below the
+    field's top bit, its guard, and so does every entry of a difference
+    taken below.  With the guards set, field j of (vec | guards) - g holds
+    2^(W-1) + v_j - g_j, which lies in [1, 2^W) as 0 <= v_j, g_j < 2^(W-1):
+    no field borrows from the next, and the guard survives exactly when
+    g_j <= v_j.  So g <= vec in every position exactly when every guard
+    survives, and vec - g is then the packed difference.  Packing is one
+    to one, so the search tries the generators of the tuple search in its
+    order and its memo holds the same decompositions."""
+    if not vec:
         return []
     if vec in memo:
         return memo[vec]
-    for idx in gens_desc:
-        g = basis.generators[idx]
-        if all(map(le, g, vec)):
-            rest = _decompose(tuple(map(sub, vec, g)), gens_desc, basis, memo)
+    raised = vec | guards
+    for idx, g in gens_desc:
+        if (raised - g) & guards == guards:
+            rest = _decompose(vec - g, gens_desc, guards, memo)
             if rest is not None:
                 memo[vec] = [idx] + rest
                 return memo[vec]

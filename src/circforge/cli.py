@@ -496,12 +496,10 @@ def cmd_blowup_quotient(args):
     _total, st, _mult = pullback(normal_form_poly(spec), atlas, 0)
     hb = hilbert_basis(atlas.charts[0][1])
     img = quotient_image(st, hb)
-    payload = {
-        "image": jsonio.poly_to_json(img),
-        "generators": {hb.names()[i]: str(hb.monomial(i)) for i in range(len(hb.generators))},
-    }
+    generators = {name: str(hb.monomial(i)) for i, name in enumerate(hb.names())}
+    payload = {"image": jsonio.poly_to_json(img), "generators": generators}
     lines = [f"strict transform: {st}", f"image: {img}"]
-    lines += [f"  {hb.names()[i]} = {hb.monomial(i)}" for i in range(len(hb.generators))]
+    lines += [f"  {name} = {mono}" for name, mono in generators.items()]
     return payload, lines
 
 

@@ -569,7 +569,7 @@ class FracPoly:
                 if e == 1:
                     mono.append(name)
                 else:
-                    mono.append(f"{name}^{e}" if Fraction(e).denominator == 1 else f"{name}^({e})")
+                    mono.append(f"{name}^{e}" if e.denominator == 1 else f"{name}^({e})")
             mono_s = "*".join(mono)
             if coeff.is_rational():
                 q = coeff.as_rational()
@@ -1070,8 +1070,10 @@ def match_factors(lhs, rhs):
 
 class DiagonalAction:
     """Diagonal action of Z_{p_1} x ... x Z_{p_r}: generator i scales each
-    variable v by e_{p_i}^(weights[v][i]).  Two actions are equal when
-    their groups and weights are; the per-space memo plays no part."""
+    variable v by e_{p_i}^(weights[v][i]).  A weight must be an int: a
+    float, a string, a Fraction or a bool is refused, never truncated.  Two
+    actions are equal when their groups and weights are; the per-space memo
+    plays no part."""
 
     __slots__ = ("group", "weights", "_by_space")
     __setattr__ = __delattr__ = _immutable
@@ -1080,8 +1082,11 @@ class DiagonalAction:
         for name, w in weights.items():
             if len(w) != group.rank:
                 raise ValueError(f"weight vector for {name} has wrong length")
+            for x in w:
+                if type(x) is not int:
+                    raise ValueError(f"weight {x!r} on {name} is not an int")
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "weights", {n: tuple(int(x) for x in w) for n, w in weights.items()})
+        object.__setattr__(self, "weights", {n: tuple(w) for n, w in weights.items()})
         object.__setattr__(self, "_by_space", {})
 
     def __eq__(self, other):

@@ -204,6 +204,15 @@ MUTANTS = (
         ("tests/test_polyring.py::test_substitute_matches_the_term_by_term_fold",),
     ),
     Mutant(
+        # the packed field one bit short, so an entry's top bit is its guard;
+        # the oracle's explicit example v0^300 needs the full ten bits
+        "quotient-packed-guard",
+        "blowup.py",
+        ".bit_length() + 1\n",
+        ".bit_length()\n",
+        ("tests/test_blowup.py::test_quotient_image_matches_the_reference_search",),
+    ),
+    Mutant(
         "chain-branch-charge",
         "splitting.py",
         "        state.charge_branch()\n        for key in low:\n",

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circforge import (
@@ -19,11 +19,13 @@ from circforge import (
     expand_quotient_image,
     gcirc_blowup_sequence,
     hilbert_basis,
+    is_invariant,
     klein_spec,
     normal_form_poly,
     pullback,
     quotient_image,
     relations,
+    root_of_unity,
     strict_transform,
     toric_relation_transform,
     transition,
@@ -433,6 +435,119 @@ def test_quotient_image_is_the_sum_of_the_one_term_images():
         img = quotient_image(st_, hb)
         terms = [FracPoly(st_.space, {st_.space.face_key(key): c}) for key, c in st_.terms.items()]
         assert items(img) == items(poly_sum(img.space, [quotient_image(t, hb) for t in terms]))
+
+
+def _reference_quotient_image(f, basis):
+    """quotient_image by the tuple search: each term's exponent vector,
+    compared and reduced entry by entry, decomposed greedily with
+    backtracking, and the one-term images added by poly_sum."""
+    if not is_invariant(f, basis.action):
+        raise ValueError("polynomial is not invariant under the basis action")
+    gens, variables = basis.generators, basis.variables
+    gen_space = VarSpace((), [f"g{i}" for i in range(len(gens))])
+    var_index = {v: i for i, v in enumerate(variables)}
+    src = f.space
+    gens_desc = sorted(range(len(gens)), key=lambda i: (-sum(gens[i]), gens[i]))
+    memo = {}
+
+    def decompose(vec):
+        if not any(vec):
+            return []
+        if vec in memo:
+            return memo[vec]
+        for idx in gens_desc:
+            if all(a <= b for a, b in zip(gens[idx], vec)):
+                rest = decompose(tuple(b - a for a, b in zip(gens[idx], vec)))
+                if rest is not None:
+                    memo[vec] = [idx] + rest
+                    return memo[vec]
+        memo[vec] = None
+        return None
+
+    images = []
+    for key, coeff in f.terms.items():
+        vec = [0] * len(variables)
+        for pos, k in enumerate(key):
+            if k:
+                name = src.names[pos]
+                if name not in var_index:
+                    raise ValueError(f"variable {name} is not a variable of the basis")
+                e, r = divmod(k, src.bounds[pos])
+                if r:
+                    face = Fraction(k, src.bounds[pos]) if pos < src.ndiv else k
+                    raise ValueError(f"exponent {face} on {name} is not an integer")
+                vec[var_index[name]] = e
+        decomp = decompose(tuple(vec))
+        if decomp is None:
+            raise ValueError(f"monomial {dict(zip(variables, vec))} not expressible in the generators")
+        images.append(FracPoly(gen_space, {tuple(decomp.count(i) for i in range(len(gens))): coeff}))
+    return poly_sum(gen_space, images)
+
+
+_COEFFS = (1, -1, Fraction(-2, 3), root_of_unity(3, 1), root_of_unity(4, 1) * 5, root_of_unity(12, 7))
+
+
+@st.composite
+def _invariant_polynomials(draw):
+    """A basis over `_diagonal_actions`, sometimes with an added divisorial
+    w of weight 0, and a polynomial of up to six terms (zero when none),
+    each a sum of generators, one maybe raised past degree 50 (an exponent
+    far above any generator's); at most one term is made Laurent (a pure
+    power of a free variable taken past its exponent) or fractional (w to
+    a non-integer power)."""
+    action = draw(_diagonal_actions())
+    divisorial = []
+    if draw(st.booleans()):
+        divisorial = [("w", draw(st.sampled_from([2, 3])))]
+        action = DiagonalAction(action.group, {**action.weights, "w": (0,) * action.group.rank})
+    basis = hilbert_basis(action)
+    variables = basis.variables
+    space = VarSpace(divisorial, [v for v in variables if v != "w"])
+    gens = basis.generators
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        vec = [0] * len(variables)
+        if gens:
+            for idx in draw(st.lists(st.integers(0, len(gens) - 1), max_size=3)):
+                vec = [a + b for a, b in zip(vec, gens[idx])]
+            if draw(st.booleans()):
+                g = gens[draw(st.integers(0, len(gens) - 1))]
+                m = draw(st.integers(50, 400)) // sum(g)
+                vec = [a + b * m for a, b in zip(vec, g)]
+        exps = {v: e for v, e in zip(variables, vec) if e}
+        terms[tuple(exps.get(n, 0) for n in space.names)] = draw(st.sampled_from(_COEFFS))
+    bad = draw(st.sampled_from(["none", "laurent", "fractional"]))
+    pure = [g for g in gens if sum(1 for e in g if e) == 1 and variables[next(i for i, e in enumerate(g) if e)] != "w"]
+    if terms and bad == "laurent" and pure:
+        g = draw(st.sampled_from(pure))
+        key = list(draw(st.sampled_from(sorted(terms))))
+        j = next(i for i, e in enumerate(g) if e)
+        key[space.names.index(variables[j])] -= g[j] * draw(st.integers(1, 60))
+        terms[tuple(key)] = -1
+    if terms and bad == "fractional" and divisorial:
+        key = list(draw(st.sampled_from(sorted(terms))))
+        key[0] += Fraction(draw(st.integers(1, divisorial[0][1] - 1)), divisorial[0][1])
+        terms[tuple(key)] = 2
+    return FracPoly(space, terms), basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(_invariant_polynomials())
+@example((FracPoly.monomial(VarSpace((), ["v0"]), {"v0": 300}), hilbert_basis(DiagonalAction(AbelianGroup((2,)), {"v0": (1,)}))))
+def test_quotient_image_matches_the_reference_search(drawn):
+    # the packed search against the tuple search it replaced: the same keys
+    # in the same map order, every Cyclo order and coefficient, or the same
+    # error; v0^300 needs a field of ten bits, the guard included
+    f, basis = drawn
+
+    def outcome(image):
+        try:
+            img = image(f, basis)
+        except ValueError as exc:
+            return str(exc)
+        return img.space, [(k, c.order, c.coeff_strings) for k, c in img.terms.items()]
+
+    assert outcome(quotient_image) == outcome(_reference_quotient_image)
 
 
 def test_quotient_image_refuses_a_fractional_exponent():

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -144,6 +145,15 @@ def test_blowup_substitution_is_homomorphism(sp):
             g = g + FracPoly.monomial(sp, {random.choice(names): random.randint(0, 2)}, random.randint(-2, 2))
         sub = {"x0": FracPoly.variable(sp, "w") * FracPoly.variable(sp, "x0")}
         assert (f * g).substitute(sub) == f.substitute(sub) * g.substitute(sub)
+
+
+def test_diagonal_action_refuses_a_weight_that_is_not_an_int():
+    # int() would truncate 2.5 to the weight 2, and read "2" and True as ints
+    g4 = AbelianGroup((4,))
+    for bad in (2.5, 2.0, "2", True, Fraction(5, 2)):
+        with pytest.raises(ValueError, match=f"weight {re.escape(repr(bad))} on t is not an int"):
+            DiagonalAction(g4, {"x": (1,), "t": (bad,)})
+    assert DiagonalAction(g4, {"x": (1,), "t": (-2,)}).weights == {"x": (1,), "t": (-2,)}
 
 
 def test_apply_group_examples():
