@@ -491,10 +491,10 @@ _COEFFS = (1, -1, Fraction(-2, 3), root_of_unity(3, 1), root_of_unity(4, 1) * 5,
 def _invariant_polynomials(draw):
     """A basis over `_diagonal_actions`, sometimes with an added divisorial
     w of weight 0, and a polynomial of up to six terms (zero when none),
-    each a sum of generators, one maybe raised past degree 50 (an exponent
-    far above any generator's); at most one term is made Laurent (a pure
-    power of a free variable taken past its exponent) or fractional (w to
-    a non-integer power)."""
+    each a sum of generators, one maybe raised to degree 50-400 (exponents
+    far above any generator's); then maybe one more term, Laurent (a term
+    less enough copies of a generator free of w) or fractional (a term
+    times w to a non-integer power)."""
     action = draw(_diagonal_actions())
     divisorial = []
     if draw(st.booleans()):
@@ -517,13 +517,13 @@ def _invariant_polynomials(draw):
         exps = {v: e for v, e in zip(variables, vec) if e}
         terms[tuple(exps.get(n, 0) for n in space.names)] = draw(st.sampled_from(_COEFFS))
     bad = draw(st.sampled_from(["none", "laurent", "fractional"]))
-    pure = [g for g in gens if sum(1 for e in g if e) == 1 and variables[next(i for i, e in enumerate(g) if e)] != "w"]
-    if terms and bad == "laurent" and pure:
-        g = draw(st.sampled_from(pure))
-        key = list(draw(st.sampled_from(sorted(terms))))
-        j = next(i for i, e in enumerate(g) if e)
-        key[space.names.index(variables[j])] -= g[j] * draw(st.integers(1, 60))
-        terms[tuple(key)] = -1
+    free_gens = [g for g in gens if not dict(zip(variables, g)).get("w")]
+    if terms and bad == "laurent" and free_gens:
+        # a term less m times a generator, m past the term's own multiple of it
+        g = draw(st.sampled_from(free_gens))
+        exps = dict(zip(space.names, draw(st.sampled_from(sorted(terms)))))
+        m = max(exps[v] // e for v, e in zip(variables, g) if e) + draw(st.integers(1, 60))
+        terms[tuple(exps[n] - m * dict(zip(variables, g))[n] for n in space.names)] = -1
     if terms and bad == "fractional" and divisorial:
         key = list(draw(st.sampled_from(sorted(terms))))
         key[0] += Fraction(draw(st.integers(1, divisorial[0][1] - 1)), divisorial[0][1])
@@ -533,7 +533,9 @@ def _invariant_polynomials(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_invariant_polynomials())
-@example((FracPoly.monomial(VarSpace((), ["v0"]), {"v0": 300}), hilbert_basis(DiagonalAction(AbelianGroup((2,)), {"v0": (1,)}))))
+@example(
+    (FracPoly.monomial(VarSpace((), ["v0"]), {"v0": 300}), hilbert_basis(DiagonalAction(AbelianGroup((2,)), {"v0": (1,)})))
+)
 def test_quotient_image_matches_the_reference_search(drawn):
     # the packed search against the tuple search it replaced: the same keys
     # in the same map order, every Cyclo order and coefficient, or the same
