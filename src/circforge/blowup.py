@@ -355,10 +355,10 @@ def relations(basis: HilbertBasis) -> RelationSet:
 def quotient_image(f: FracPoly, basis: HilbertBasis) -> FracPoly:
     """Rewrite the invariant polynomial f in the basis generators.
 
-    Greedy division with backtracking per monomial (`_decompose`, on packed
-    exponent vectors); representations are not unique (the relations
-    identify them) so correctness is certified by re-expansion, see
-    expand_quotient_image.  The one-term images are merged in term order
+    Greedy division per monomial, one generator at a time and never taken
+    back (`_decompose`, on packed exponent vectors); representations are
+    not unique (the relations identify them) so correctness is certified
+    by re-expansion, see expand_quotient_image.  The one-term images are merged in term order
     into one map, as `poly_sum` of them would be.
     """
     if not is_invariant(f, basis.action):
@@ -402,9 +402,16 @@ def quotient_image(f: FracPoly, basis: HilbertBasis) -> FracPoly:
 
 def _decompose(vec: int, gens_desc, guards: int, memo):
     """The generator indices, with repeats, of a decomposition of the packed
-    exponent vector vec, or None: the first generator of gens_desc ((index,
-    packed vector) pairs) that lies below vec, then a decomposition of the
-    rest, and on failure the next generator (backtracking).
+    exponent vector vec, or None: step by step, the first generator of
+    gens_desc ((index, packed vector) pairs) that lies below the vector
+    left, subtracted from it.  memo maps a vector to its step (index, rest),
+    so terms that meet a vector share its search.
+
+    No step is undone.  The vectors decomposed are invariant and
+    nonnegative, and so is what is left after an invariant generator below
+    is subtracted, so the rest is again a sum of generators: the first
+    generator below never needs to be taken back, and the steps are the
+    choices a search with backtracking would make.
 
     Each variable has a field of W bits, W = bit_length(M) + 1 for M at
     least every entry of the vectors packed, so an entry stays below the
@@ -414,21 +421,20 @@ def _decompose(vec: int, gens_desc, guards: int, memo):
     no field borrows from the next, and the guard survives exactly when
     g_j <= v_j.  So g <= vec in every position exactly when every guard
     survives, and vec - g is then the packed difference.  Packing is one
-    to one, so the search tries the generators of the tuple search in its
-    order and its memo holds the same decompositions."""
-    if not vec:
-        return []
-    if vec in memo:
-        return memo[vec]
-    raised = vec | guards
-    for idx, g in gens_desc:
-        if (raised - g) & guards == guards:
-            rest = _decompose(vec - g, gens_desc, guards, memo)
-            if rest is not None:
-                memo[vec] = [idx] + rest
-                return memo[vec]
-    memo[vec] = None
-    return None
+    to one, so the steps take the generators of the tuple search in its
+    order."""
+    out = []
+    while vec:
+        step = memo.get(vec)
+        if step is None:
+            raised = vec | guards
+            step = next(((idx, vec - g) for idx, g in gens_desc if (raised - g) & guards == guards), None)
+            if step is None:
+                return None
+            memo[vec] = step
+        out.append(step[0])
+        vec = step[1]
+    return out
 
 
 def expand_quotient_image(img: FracPoly, basis: HilbertBasis) -> FracPoly:

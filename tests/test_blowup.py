@@ -552,6 +552,16 @@ def test_quotient_image_matches_the_reference_search(drawn):
     assert outcome(quotient_image) == outcome(_reference_quotient_image)
 
 
+def test_quotient_image_takes_a_long_decomposition_without_recursion():
+    # 1500 steps of one generator: a decomposition that recursed once per
+    # step ran out of stack here
+    hb = hilbert_basis(DiagonalAction(AbelianGroup((2,)), {"x": (0,)}))
+    assert hb.generators == ((1,),)
+    img = quotient_image(FracPoly.monomial(VarSpace((), ["x"]), {"x": 1500}), hb)
+    assert img == FracPoly.monomial(hb.gen_space, {hb.names()[0]: 1500})
+    assert expand_quotient_image(img, hb) == FracPoly.monomial(hb.space, {"x": 1500})
+
+
 def test_quotient_image_refuses_a_fractional_exponent():
     # w has weight 0, so w^(1/2) x^2 is invariant, but no generator product
     # has a fractional exponent (the integer part alone would give x^2)
