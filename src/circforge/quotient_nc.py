@@ -25,18 +25,27 @@ computed: the pieces split the terms of f_1, so their linear parts have
 disjoint supports, and once each is nonzero and the matrix is invertible,
 the translates, and so the factors, have independent linear parts.  Only
 when the normal form fails is the rank computed (`linear_rank`), so that
-a dependent input is reported as such whatever step it failed at.  The
-coefficient matrix depends on integer data alone, so it and its
-determinant are formed once per signature.
+a dependent input is reported as such whatever step it failed at.
+
+Everything integer is formed once per signature, the group moduli and the
+set of integer characters of the terms of an orbit's first factor
+(`_skeleton`, one cache): the stabilizer, the quotient chain and its row
+elements, the nested pieces as sets of characters (so the piece of each
+character), gamma, the coefficient matrix and its determinant, and the
+outcomes of the entry check and of the determinant check, recorded and
+raised in their place.  Each call still reads its terms' characters,
+translates its first factor and matches the translates against its
+factors, groups the terms of f_1 into the pieces, checks that the pieces
+number k, and checks each piece's linear part.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import mul, sub
 
-from .abelian import GroupElement, PairingContext, Subgroup, perp
+from .abelian import AbelianGroup, GroupElement, PairingContext, perp
 from .cyclotomic import Cyclo, root_of_unity
 from .errors import DomainError
 from .polyring import (
@@ -50,7 +59,6 @@ from .polyring import (
     match_scalar,
     poly_sum,
     semi_invariant_parts,
-    semi_invariant_split,
     semi_invariant_weight,
     truncate,
 )
@@ -300,25 +308,6 @@ def _match_rows(translates, factors, free):
     return out
 
 
-def _character_stabilizer(f: FracPoly, action: DiagonalAction) -> Subgroup:
-    """The subgroup of the g with g . f proportional to f, read off the
-    integer characters that `DiagonalAction.term_characters` gives.
-
-    Every coefficient of f is nonzero and character values are roots of
-    unity, so g . f is proportional to f exactly when every term t gets the
-    phase of the first term t_0: g pairs to 0 with the element w(t) - w(t_0),
-    w the term weights mod p_i.  So the stabilizer is the complement (`perp`)
-    of those differences.  A term with a variable the action does not cover
-    raises its ValueError; G does not act on a term of fractional weight,
-    and so does not permute the factor ideals."""
-    group = action.group
-    weights = action.term_characters(f.space, f.terms)
-    if None in weights:
-        raise ValueError(NOT_PERMUTED)
-    base = weights[0]
-    return perp(PairingContext.natural(group), [group.element(map(sub, w, base)) for w in set(weights)])
-
-
 def _quotient_chain(moduli, stab):
     """The cyclic quotient orders q > 1 and the generators supplying them:
     along generator i, q is the least q with q * g_i in the subgroup that
@@ -331,29 +320,13 @@ def _quotient_chain(moduli, stab):
             chain.append(q)
             chain_gens.append(i)
             h_cur = {r[:i] + ((r[i] + j) % p,) + r[i + 1:] for r in h_cur for j in range(q)}
-    return chain, chain_gens
+    return tuple(chain), tuple(chain_gens)
 
 
-def _row_elements(group, chain, chain_gens) -> list:
-    """The element sum_t m_t * g_{chain_gens[t]} of each row m, in the row
-    order of the coefficient matrix: one per coset of the stabilizer."""
-    out = []
-    for mvec in itertools.product(*(range(q) for q in chain)):
-        res = [0] * group.rank
-        for i, m in zip(chain_gens, mvec):
-            res[i] = m
-        out.append(GroupElement(group, tuple(res)))
-    return out
-
-
-@lru_cache(maxsize=256)
-def _coefficient_matrix(moduli, chain, chain_gens, cols, gamma_items):
-    """(rows, matrix, determinant) of the nested normal form's coefficient
-    matrix, which depends on the integer data alone: entry (m, l) is the
-    product over t of e_{p_i}^(m_t * gamma(i, l_1..l_{t-1})) * e_{q_t}^(m_t * l_t),
-    i = chain_gens[t].  Rows and matrix are tuples; callers copy them."""
-    gamma = dict(gamma_items)
-    rows = tuple(itertools.product(*(range(q) for q in chain)))
+def _coefficient_matrix(moduli, chain, chain_gens, rows, cols, gamma):
+    """(matrix, determinant) of the nested normal form's coefficient matrix:
+    entry (m, l) is the product over t of e_{p_i}^(m_t * gamma(i, l_1..l_{t-1})) * e_{q_t}^(m_t * l_t),
+    i = chain_gens[t].  The matrix is a tuple of row tuples."""
     matrix = []
     for mvec in rows:
         row = []
@@ -364,7 +337,88 @@ def _coefficient_matrix(moduli, chain, chain_gens, cols, gamma_items):
                 entry = entry * root_of_unity(moduli[i], mvec[t] * g0) * root_of_unity(q, mvec[t] * lvec[t])
             row.append(entry)
         matrix.append(tuple(row))
-    return rows, tuple(matrix), det(matrix)
+    return tuple(matrix), det(matrix)
+
+
+class _Skeleton(Record):
+    # stabilizer, chain and chain_generators as in NestedNormalForm; rows:
+    # the m-tuples, and elements: sum_t m_t * g_{chain_generators[t]} of each;
+    # failure: builds the exception a call raises, or None; pieces: the
+    # l-tuples in order, None when the split fails; piece_of: term character
+    # -> index of its piece; matrix: columns in the order of pieces
+    __slots__ = (
+        "stabilizer", "chain", "chain_generators", "rows", "elements", "failure", "pieces", "piece_of", "gamma",
+        "matrix", "determinant",
+    )
+
+
+@lru_cache(maxsize=256)
+def _skeleton(moduli: tuple, chars: frozenset) -> _Skeleton:
+    """The part of the normal form of f_1 that depends only on the group
+    moduli and on the set chars of the integer characters of the terms of
+    f_1, formed once per such signature.
+
+    - The stabilizer: g . f_1 is proportional to f_1 exactly when every
+      term of f_1 gets one phase (its coefficients are nonzero and
+      character values are roots of unity), so the stabilizer is the
+      complement (`perp`) of the differences w - w_0 of the characters,
+      whichever w_0.  Then the quotient chain, and the row elements, one
+      per coset.
+    - The nested split: along chain generator i, with quotient order q,
+      the characters of each piece fall into one bucket per weight w_i mod
+      p_i.  There must be q buckets, on one residue ladder gamma + step * l
+      (step = p_i / q), and bucket gamma + step * l becomes the piece of
+      the prefix extended by l.  So a term's piece is a function of its
+      character, and pieces come out in lexicographic order, the order of
+      the matrix columns.
+    - The coefficient matrix and its determinant, and the entry check:
+      entry (m, l) must equal the character value at g_m of each character
+      in piece l.
+
+    A failed check is recorded, not raised, so that each call raises it in
+    its place: a failed split after the orbits are placed, and a failed
+    entry check or a zero determinant after the piece count is checked
+    against the number of factors."""
+    group = AbelianGroup(moduli)
+    base = min(chars)
+    stab = perp(PairingContext.natural(group), [group.element(map(sub, w, base)) for w in chars])
+    chain, chain_gens = _quotient_chain(moduli, {e.residues for e in stab.elements})
+    rows = tuple(itertools.product(*(range(q) for q in chain)))
+    elements = tuple(
+        GroupElement(group, tuple(dict(zip(chain_gens, mvec)).get(i, 0) for i in range(len(moduli)))) for mvec in rows
+    )
+    pieces, gamma = {(): chars}, {}
+    for i, q in zip(chain_gens, chain):
+        step = moduli[i] // q
+        split = {}
+        for prefix, piece in pieces.items():
+            weights = sorted({w[i] for w in piece})
+            g0, failed = weights[0] % step, None
+            if len(weights) != q:
+                failed = f"expected {q} weight pieces along generator {i}, found {len(weights)}"
+            elif any(m % step != g0 for m in weights):
+                failed = "weight pieces do not lie in one residue ladder"
+            if failed:
+                return _Skeleton(
+                    stab, chain, chain_gens, rows, elements, partial(DegenerateInput, failed),
+                    pieces=None, piece_of=None, gamma=None, matrix=None, determinant=None,
+                )
+            gamma[(i,) + prefix] = g0
+            for m in weights:
+                split[prefix + ((m - g0) // step,)] = [w for w in piece if w[i] == m]
+        pieces = split
+
+    matrix, determinant = _coefficient_matrix(moduli, chain, chain_gens, rows, tuple(pieces), gamma)
+    # row m gives each term t of f_1, in piece l, the coefficient M[m][l] c_t,
+    # and the translate g_m . f_1 gives it c_t times the character of t at g_m
+    checks = [(j, w) for j, piece in enumerate(pieces.values()) for w in piece]
+    failure = None
+    if any(row[j] != _phase(moduli, el.residues, w) for el, row in zip(elements, matrix) for j, w in checks):
+        failure = partial(AssertionError, NOT_RECOMBINED)
+    elif determinant.is_zero():
+        failure = partial(AssertionError, "coefficient matrix is singular")
+    piece_of = {w: j for j, piece in enumerate(pieces.values()) for w in piece}
+    return _Skeleton(stab, chain, chain_gens, rows, elements, failure, tuple(pieces), piece_of, gamma, matrix, determinant)
 
 
 def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
@@ -373,7 +427,7 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
     Certified:
     - the factor ideals are the G-orbit of (f_1), with stabilizer Stab:
       Stab is `perp` of the differences of integer characters
-      (`_character_stabilizer`), the row elements of the chain are one per
+      (`_skeleton`), the row elements of the chain are one per
       coset of Stab, and their translates of f_1 match distinct factors,
       each up to a scalar (match_scalar, against the factors not placed
       yet), until every factor is placed.  Then every factor ideal is one
@@ -387,8 +441,11 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
       (m, l) equals the character value at g_m of every term in piece l;
       the translates, one orbit, meet every input factor once, which
       proves prod(factors) = scalar * prod(inputs);
-    - the coefficient matrix is invertible: its determinant, computed
-      exactly once per integer signature, is nonzero;
+    - the coefficient matrix is invertible: its determinant is nonzero.
+      The matrix, its determinant and the entry check above depend on the
+      signature alone (group moduli, set of characters of the terms of
+      f_1), so they are computed exactly once per signature, and each call
+      raises their recorded outcome;
     - the input factors have independent linear parts, read off the
       pieces: each term of f_1 lies in one piece, so the pieces' linear
       parts have disjoint supports, and each is checked nonzero, so they
@@ -419,80 +476,45 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
 
 def _orbit_normal_form(action: DiagonalAction, factors: list, space: VarSpace) -> NestedNormalForm:
     """The body of `invariant_nc_normal_form`, which decides the rank of
-    the factors' linear parts only when this raises."""
-    group = action.group
+    the factors' linear parts only when this raises.  What depends on the
+    signature alone comes from `_skeleton`; each call translates and
+    matches its factors, groups the terms of f_1 into the pieces, and
+    checks the piece count and the pieces' linear parts."""
     k = len(factors)
 
     free = list(range(k))
     orbits = []
     while free:  # one orbit per pass, from its least factor
         f = factors[free[0]]
-        stab = _character_stabilizer(f, action)
-        chain, chain_gens = _quotient_chain(group.moduli, {e.residues for e in stab.elements})
-        elements = _row_elements(group, chain, chain_gens)
+        # a term of fractional weight has no character, and G does not act on it
+        chars = action.term_characters(f.space, f.terms)
+        if None in chars:
+            raise ValueError(NOT_PERMUTED)
+        skeleton = _skeleton(action.group.moduli, frozenset(chars))
         f_space = f.in_space(space)
-        translates = [apply_group(f_space, action, el) for el in elements]
+        translates = [apply_group(f_space, action, el) for el in skeleton.elements]
         matches = _match_rows(translates, factors, free)
         orbits.append(tuple(sorted(idx for idx, _c in matches)))
     if len(orbits) > 1:
         raise SplitsInvariantly(tuple(orbits))
     # one orbit: the loop ran once, on f = f_1
 
-    parts = {(): f}
-    gamma: dict = {}
-    for i, q in zip(chain_gens, chain):
-        step = group.moduli[i] // q
-        new_parts = {}
-        for prefix, h in parts.items():
-            buckets = semi_invariant_split(h, action, i)
-            nonzero = [(m, b) for m, b in enumerate(buckets) if not b.is_zero()]
-            if len(nonzero) != q:
-                raise DegenerateInput(
-                    f"expected {q} weight pieces along generator {i}, found {len(nonzero)}"
-                )
-            g0 = min(m % step for m, _b in nonzero)
-            if any(m % step != g0 for m, _b in nonzero):
-                raise DegenerateInput("weight pieces do not lie in one residue ladder")
-            gamma[(i,) + prefix] = g0
-            for m, b in nonzero:
-                ell = (m - g0) // step % q
-                new_parts[prefix + (ell,)] = b
-        parts = new_parts
-
-    if len(parts) != k:
-        raise DegenerateInput(f"nested pieces number {len(parts)}, expected {k}")
-
-    cols = sorted(parts)
-    rows, matrix, determinant = _coefficient_matrix(
-        group.moduli, tuple(chain), tuple(chain_gens), tuple(cols), tuple(sorted(gamma.items()))
-    )
-
-    # row m gives each term t of f, in piece l, the coefficient M[m][l] c_t,
-    # and the translate g_m . f gives it c_t times the character of t at g_m
-    checks = {
-        (j, chars) for j, lvec in enumerate(cols) for chars in action.term_characters(f.space, parts[lvec].terms)
-    }
-    for el, row in zip(elements, matrix):
-        if any(row[j] != _phase(group.moduli, el.residues, chars) for j, chars in checks):
-            raise AssertionError(NOT_RECOMBINED)
-    rows, matrix = list(rows), [list(row) for row in matrix]
-    scalar = reduce(mul, (c for _idx, c in matches), Cyclo.one())
-
-    if determinant.is_zero():
-        raise AssertionError("coefficient matrix is singular")
+    pieces = skeleton.pieces
+    if pieces is None:
+        raise skeleton.failure()
+    if len(pieces) != k:
+        raise DegenerateInput(f"nested pieces number {len(pieces)}, expected {k}")
+    if skeleton.failure:
+        raise skeleton.failure()
+    terms = [{} for _l in pieces]
+    for (key, coeff), w in zip(f.terms.items(), chars):
+        terms[skeleton.piece_of[w]][key] = coeff
+    parts = {lvec: FracPoly._raw(f.space, t) for lvec, t in zip(pieces, terms)}
     if not all(map(linear_part, parts.values())):
         raise DegenerateInput(NOT_INDEPENDENT)
 
     return NestedNormalForm(
-        chain=tuple(chain),
-        chain_generators=tuple(chain_gens),
-        parts=parts,
-        gamma=gamma,
-        matrix=matrix,
-        row_index=rows,
-        determinant=determinant,
-        factors=translates,
-        scalar=scalar,
-        stabilizer=stab,
+        chain=skeleton.chain, chain_generators=skeleton.chain_generators, parts=parts, gamma=dict(skeleton.gamma),
+        matrix=[list(row) for row in skeleton.matrix], row_index=list(skeleton.rows), determinant=skeleton.determinant,
+        factors=translates, scalar=reduce(mul, (c for _idx, c in matches), Cyclo.one()), stabilizer=skeleton.stabilizer,
     )
-

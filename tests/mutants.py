@@ -144,12 +144,21 @@ MUTANTS = (
     Mutant(
         "nc-entries",
         "quotient_nc.py",
-        "        if any(row[j] != _phase(group.moduli, el.residues, chars) for j, chars in checks):\n",
-        "        if False:\n",
+        "    if any(row[j] != _phase(moduli, el.residues, w) for el, row in zip(elements, matrix) for j, w in checks):\n",
+        "    if False:\n",
         (
             "tests/test_quotient_nc.py::test_a_corrupted_entry_fails_the_recombination_check",
             "tests/test_quotient_nc.py::test_a_corrupted_matrix_entry_fails_the_recombination_check",
         ),
+    ),
+    Mutant(
+        # the cache keyed by the character set alone: a set seen first under
+        # one group keeps that group's skeleton under every other
+        "nc-skeleton-key",
+        "quotient_nc.py",
+        "_skeleton(action.group.moduli, frozenset(chars))",
+        "_skeleton(_skeleton.__dict__.setdefault(frozenset(chars), action.group.moduli), frozenset(chars))",
+        ("tests/test_quotient_nc.py::test_one_character_set_under_two_moduli_has_two_skeletons",),
     ),
     Mutant(
         "nc-pieces",

@@ -1,9 +1,13 @@
 import hashlib
+import importlib
+import itertools
 import json
 import math
 import random
+import sys
 from argparse import Namespace
 from fractions import Fraction
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -18,20 +22,23 @@ from circforge import (
     FracPoly,
     GroupElement,
     InvariantNCInput,
+    PairingContext,
     SplitsInvariantly,
+    Subgroup,
     VarSpace,
     adapted_coordinates,
     apply_group,
     invariant_nc_normal_form,
     nc_ideal_reduction,
+    perp,
     root_of_unity,
     semi_invariant_generators,
     semi_invariant_weight,
 )
 from circforge import jsonio, polyring, quotient_nc
 from circforge.cli import cmd_ncquot_normalize
-from circforge.polyring import linear_part, linear_rank, match_scalar
-from circforge.smith import rank
+from circforge.polyring import linear_part, linear_rank, match_scalar, semi_invariant_split
+from circforge.smith import det, rank
 
 
 @pytest.fixture
@@ -605,17 +612,21 @@ def test_nc_corpus_factors_are_the_row_translates_of_f1():
     assert normal_forms == 114
 
 
-def test_a_corrupted_matrix_entry_fails_the_recombination_check(monkeypatch):
+def test_a_corrupted_matrix_entry_fails_the_recombination_check(monkeypatch, request):
     # the last entry of one signature's matrix off by a root of unity: the
     # recombined row would differ from its translate in every term of that piece
     _kind, act, factors = _corpus_system(0)
-    exact = quotient_nc._coefficient_matrix.__wrapped__
+    exact = quotient_nc._coefficient_matrix
 
     def corrupted(*signature):
-        rows, matrix, determinant = exact(*signature)
+        matrix, determinant = exact(*signature)
         last = matrix[-1][:-1] + (matrix[-1][-1] * root_of_unity(2),)
-        return rows, matrix[:-1] + (last,), determinant
+        return matrix[:-1] + (last,), determinant
 
+    # a cached skeleton would skip the corrupted matrix, and the skeleton
+    # built on it must not outlive the test
+    quotient_nc._skeleton.cache_clear()
+    request.addfinalizer(quotient_nc._skeleton.cache_clear)
     monkeypatch.setattr(quotient_nc, "_coefficient_matrix", corrupted)
     with pytest.raises(AssertionError, match="^recombined factor differs from the group translate$"):
         invariant_nc_normal_form(InvariantNCInput(act, factors))
@@ -632,8 +643,8 @@ def test_a_corrupted_entry_fails_the_recombination_check(monkeypatch, request):
         return root_of_unity(k, e + (len(calls) == 1))
 
     # the corrupted matrix must not outlive the test in the signature cache
-    quotient_nc._coefficient_matrix.cache_clear()
-    request.addfinalizer(quotient_nc._coefficient_matrix.cache_clear)
+    quotient_nc._skeleton.cache_clear()
+    request.addfinalizer(quotient_nc._skeleton.cache_clear)
     monkeypatch.setattr(quotient_nc, "root_of_unity", first_root_off_by_one)
     with pytest.raises(AssertionError, match="^recombined factor differs from the group translate$"):
         invariant_nc_normal_form(InvariantNCInput(act, factors))
@@ -817,3 +828,188 @@ def edge_case_record() -> list[dict]:
 def test_edge_case_outcomes_are_byte_identical():
     # recorded before the normal form read its orbit off integer characters
     assert edge_case_record() == json.loads(NC_EDGE_CASES.read_text())
+
+
+# -- the integer skeleton, formed once per signature --------------------------------
+
+
+def _reference_normal_form(act, factors):
+    """The normal form with every step formed per call, from public names:
+    the stabilizer as `perp` of the character differences from the first
+    term's, the chain and its row elements, the translates matched with
+    `match_scalar` against the factors not yet placed, the nested split by
+    `semi_invariant_split`, the matrix from roots of unity and its
+    determinant by `smith.det`, then the same checks in the same order, and
+    the rank on failure."""
+    factors = list(factors)
+    space = VarSpace.union(*(f.space for f in factors))
+    try:
+        return _reference_orbit_normal_form(act, factors, space)
+    except Exception:
+        if linear_rank([linear_part(f) for f in factors], space.names) != len(factors):
+            raise DegenerateInput("factor linear parts are not independent") from None
+        raise
+
+
+def _reference_orbit_normal_form(act, factors, space):
+    group, k = act.group, len(factors)
+    free, orbits = list(range(k)), []
+    while free:
+        f = factors[free[0]]
+        weights = act.term_characters(f.space, f.terms)
+        if None in weights:
+            raise ValueError(quotient_nc.NOT_PERMUTED)
+        stab = perp(PairingContext.natural(group), [group.element(map(sub, w, weights[0])) for w in set(weights)])
+        chain, chain_gens, h_cur = [], [], {e.residues for e in stab.elements}
+        for i, p in enumerate(group.moduli):
+            q = next(q for q in range(1, p + 1) if tuple(q % p if j == i else 0 for j in range(group.rank)) in h_cur)
+            if q > 1:
+                chain.append(q)
+                chain_gens.append(i)
+                h_cur = {r[:i] + ((r[i] + j) % p,) + r[i + 1:] for r in h_cur for j in range(q)}
+        rows = list(itertools.product(*(range(q) for q in chain)))
+        elements = []
+        for mvec in rows:
+            residues = [0] * group.rank
+            for i, m in zip(chain_gens, mvec):
+                residues[i] = m
+            elements.append(GroupElement(group, tuple(residues)))
+        translates = [apply_group(f.in_space(space), act, el) for el in elements]
+        matches = []
+        for moved in translates:
+            for pos, idx in enumerate(free):
+                c = match_scalar(moved, factors[idx])
+                if c is not None:
+                    break
+            else:
+                raise ValueError(quotient_nc.NOT_PERMUTED)
+            del free[pos]
+            matches.append((idx, c))
+        orbits.append(tuple(sorted(idx for idx, _c in matches)))
+    if len(orbits) > 1:
+        raise SplitsInvariantly(tuple(orbits))
+
+    parts, gamma = {(): f}, {}
+    for i, q in zip(chain_gens, chain):
+        step = group.moduli[i] // q
+        new_parts = {}
+        for prefix, h in parts.items():
+            nonzero = [(m, b) for m, b in enumerate(semi_invariant_split(h, act, i)) if not b.is_zero()]
+            if len(nonzero) != q:
+                raise DegenerateInput(f"expected {q} weight pieces along generator {i}, found {len(nonzero)}")
+            g0 = min(m % step for m, _b in nonzero)
+            if any(m % step != g0 for m, _b in nonzero):
+                raise DegenerateInput("weight pieces do not lie in one residue ladder")
+            gamma[(i,) + prefix] = g0
+            for m, b in nonzero:
+                new_parts[prefix + ((m - g0) // step % q,)] = b
+        parts = new_parts
+    if len(parts) != k:
+        raise DegenerateInput(f"nested pieces number {len(parts)}, expected {k}")
+
+    cols = sorted(parts)
+    matrix = []
+    for mvec in rows:
+        row = []
+        for lvec in cols:
+            entry = Cyclo.one()
+            for t, (i, q) in enumerate(zip(chain_gens, chain)):
+                g0 = gamma[(i,) + lvec[:t]]
+                entry = entry * root_of_unity(group.moduli[i], mvec[t] * g0) * root_of_unity(q, mvec[t] * lvec[t])
+            row.append(entry)
+        matrix.append(row)
+    for el, row in zip(elements, matrix):
+        for j, lvec in enumerate(cols):
+            for chars in act.term_characters(f.space, parts[lvec].terms):
+                value = math.prod(
+                    (root_of_unity(p, g * w) for g, p, w in zip(el.residues, group.moduli, chars)), start=Cyclo.one()
+                )
+                if row[j] != value:
+                    raise AssertionError(quotient_nc.NOT_RECOMBINED)
+    determinant = det(matrix)
+    if determinant.is_zero():
+        raise AssertionError("coefficient matrix is singular")
+    if not all(map(linear_part, parts.values())):
+        raise DegenerateInput("factor linear parts are not independent")
+    return {
+        "chain": tuple(chain), "chain_generators": tuple(chain_gens), "parts": parts, "gamma": gamma,
+        "matrix": matrix, "row_index": rows, "determinant": determinant, "factors": translates,
+        "scalar": math.prod((c for _idx, c in matches), start=Cyclo.one()), "stabilizer": stab,
+    }
+
+
+def _exact(value):
+    """A value with every map in its order, every polynomial's space and
+    terms, and every Cyclo's order and coefficients spelled out."""
+    if isinstance(value, Cyclo):
+        return ("Cyclo", value.order, tuple(value.coeff_strings))
+    if isinstance(value, FracPoly):
+        return ("FracPoly", value.space.names, value.space.scales, _exact(value.terms))
+    if isinstance(value, dict):
+        return ("dict", tuple((_exact(key), _exact(item)) for key, item in value.items()))
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, tuple(map(_exact, value)))
+    if isinstance(value, Subgroup):
+        return ("Subgroup", value.parent.moduli, tuple(e.residues for e in value.elements))
+    assert isinstance(value, (int, str)), value
+    return value
+
+
+def _skeleton_outcome(normal_form, act, factors):
+    try:
+        nf = normal_form(act, factors)
+    except Exception as exc:  # the outcome being compared
+        return type(exc).__name__, str(exc)
+    if isinstance(nf, quotient_nc.NestedNormalForm):
+        nf = {name: getattr(nf, name) for name in nf.__slots__}
+    return _exact(nf)
+
+
+def _library_normal_form(act, factors):
+    return invariant_nc_normal_form(InvariantNCInput(act, factors))
+
+
+def _benchmark_instances(count):
+    sys.dont_write_bytecode, before = True, sys.dont_write_bytecode
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.pop(0)
+        sys.dont_write_bytecode = before
+    return [workloads.nc_instance(index)[:2] for index in range(count)]
+
+
+def test_the_cached_skeleton_matches_the_reference_copy():
+    # every corpus row, every edge case and the benchmark's first 200
+    # instances, twice each, so that the second call reads the cache
+    systems = [_corpus_system(row["seed"])[1:] for row in json.loads(NC_CORPUS.read_text())]
+    systems += [(act, factors) for _name, act, factors in _edge_case_systems()]
+    systems += _benchmark_instances(200)
+    quotient_nc._skeleton.cache_clear()
+    outcomes = {"normal form": 0, "raises": 0}
+    for act, factors in systems + systems:
+        expected = _skeleton_outcome(_reference_normal_form, act, factors)
+        assert _skeleton_outcome(_library_normal_form, act, factors) == expected
+        outcomes["normal form" if expected[0] == "dict" else "raises"] += 1
+    assert outcomes == {"normal form": 2 * 325, "raises": 2 * 198}
+    assert quotient_nc._skeleton.cache_info().hits > 0
+
+
+@pytest.mark.parametrize("z4_first", [False, True])
+def test_one_character_set_under_two_moduli_has_two_skeletons(z4_first):
+    # the characters {(0,), (1,)} under Z/2 give the normal form of x + y,
+    # x - y; under Z/4 the stabilizer is trivial, so x + iy matches no factor
+    sp = VarSpace([], ["x", "y"])
+    x, y = FracPoly.variable(sp, "x"), FracPoly.variable(sp, "y")
+    z2 = DiagonalAction(AbelianGroup((2,)), {"x": (0,), "y": (1,)})
+    z4 = DiagonalAction(AbelianGroup((4,)), {"x": (0,), "y": (1,)})
+    quotient_nc._skeleton.cache_clear()
+    for act in (z4, z2) if z4_first else (z2, z4):
+        outcome = _skeleton_outcome(_library_normal_form, act, [x + y, x - y])
+        assert outcome == _skeleton_outcome(_reference_normal_form, act, [x + y, x - y])
+        if act is z2:
+            nf = invariant_nc_normal_form(InvariantNCInput(act, [x + y, x - y]))
+            assert nf.chain == (2,) and nf.factors == [x + y, x - y] and nf.determinant == -2
+        else:
+            assert outcome == ("ValueError", quotient_nc.NOT_PERMUTED)

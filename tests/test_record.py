@@ -18,7 +18,7 @@ REPORTS = {
         "CirculantMatrix", "ValidationReport", "PermutationReport", "MergeReport", "CoordsReport",
         "Codim1Report", "CleanedLadder",
     ),
-    "quotient_nc": ("AdaptedCoordinates", "NestedNormalForm"),
+    "quotient_nc": ("AdaptedCoordinates", "NestedNormalForm", "_Skeleton"),
 }
 
 
