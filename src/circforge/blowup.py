@@ -409,9 +409,10 @@ def _decompose(vec: int, gens_desc, guards: int, memo):
 
     No step is undone.  The vectors decomposed are invariant and
     nonnegative, and so is what is left after an invariant generator below
-    is subtracted, so the rest is again a sum of generators: the first
-    generator below never needs to be taken back, and the steps are the
-    choices a search with backtracking would make.
+    is subtracted, so the rest is again a sum of generators, which are the
+    whole Hilbert basis: the first generator below never needs to be taken
+    back, and the steps are the choices a search with backtracking would
+    make.
 
     Each variable has a field of W bits, W = bit_length(M) + 1 for M at
     least every entry of the vectors packed, so an entry stays below the

@@ -27,16 +27,17 @@ the translates, and so the factors, have independent linear parts.  Only
 when the normal form fails is the rank computed (`linear_rank`), so that
 a dependent input is reported as such whatever step it failed at.
 
-Everything integer is formed once per signature, the group moduli and the
-set of integer characters of the terms of an orbit's first factor
-(`_skeleton`, one cache): the stabilizer, the quotient chain and its row
-elements, the nested pieces as sets of characters (so the piece of each
-character), gamma, the coefficient matrix and its determinant, and the
-outcomes of the entry check and of the determinant check, recorded and
-raised in their place.  Each call still reads its terms' characters,
-translates its first factor and matches the translates against its
-factors, groups the terms of f_1 into the pieces, checks that the pieces
-number k, and checks each piece's linear part.
+What depends on integer data alone is formed once per signature, the
+group moduli and the set of integer characters of the terms of an
+orbit's first factor (`_skeleton`, one cache): the stabilizer, the
+quotient chain and its row elements, the nested pieces as sets of
+characters (so the piece of each character), gamma, the coefficient
+matrix and its determinant, and the outcomes of the entry check and of
+the determinant check, recorded and raised in their place.  Each call
+still reads its terms' characters, translates its first factor and
+matches the translates against its factors, groups the terms of f_1 into
+the pieces, checks that the pieces number k, and checks each piece's
+linear part.
 """
 
 from __future__ import annotations
@@ -409,15 +410,14 @@ def _skeleton(moduli: tuple, chars: frozenset) -> _Skeleton:
         pieces = split
 
     matrix, determinant = _coefficient_matrix(moduli, chain, chain_gens, rows, tuple(pieces), gamma)
+    piece_of = {w: j for j, piece in enumerate(pieces.values()) for w in piece}
     # row m gives each term t of f_1, in piece l, the coefficient M[m][l] c_t,
     # and the translate g_m . f_1 gives it c_t times the character of t at g_m
-    checks = [(j, w) for j, piece in enumerate(pieces.values()) for w in piece]
     failure = None
-    if any(row[j] != _phase(moduli, el.residues, w) for el, row in zip(elements, matrix) for j, w in checks):
+    if any(row[j] != _phase(moduli, el.residues, w) for el, row in zip(elements, matrix) for w, j in piece_of.items()):
         failure = partial(AssertionError, NOT_RECOMBINED)
     elif determinant.is_zero():
         failure = partial(AssertionError, "coefficient matrix is singular")
-    piece_of = {w: j for j, piece in enumerate(pieces.values()) for w in piece}
     return _Skeleton(stab, chain, chain_gens, rows, elements, failure, tuple(pieces), piece_of, gamma, matrix, determinant)
 
 

@@ -144,7 +144,7 @@ MUTANTS = (
     Mutant(
         "nc-entries",
         "quotient_nc.py",
-        "    if any(row[j] != _phase(moduli, el.residues, w) for el, row in zip(elements, matrix) for j, w in checks):\n",
+        "    if any(row[j] != _phase(moduli, el.residues, w) for el, row in zip(elements, matrix) for w, j in piece_of.items()):\n",
         "    if False:\n",
         (
             "tests/test_quotient_nc.py::test_a_corrupted_entry_fails_the_recombination_check",
