@@ -79,6 +79,16 @@ def _reduce(work: list[int], k: int) -> list[int]:
     return work
 
 
+def _num_den(q) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction, the rationals a
+    Cyclo is built from; anything else, a float among them, is a TypeError."""
+    if type(q) is int:
+        return q, 1
+    if isinstance(q, (int, Fraction)):
+        return q.numerator, q.denominator
+    raise TypeError(f"cannot coerce {type(q).__name__} to Cyclo")
+
+
 def _new(order: int, num: tuple, den: int) -> "Cyclo":
     # canonical data, bypassing the reduction
     out = object.__new__(Cyclo)
@@ -261,9 +271,9 @@ class Cyclo:
     def __init__(self, order: int, coeffs):
         if order < 1:
             raise ValueError("order must be >= 1")
-        fracs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        den = lcm(*(q.denominator for q in fracs))
-        canon = _make(order, _reduce([q.numerator * (den // q.denominator) for q in fracs], order), den)
+        pairs = list(map(_num_den, coeffs))
+        den = lcm(*(d for _n, d in pairs))
+        canon = _make(order, _reduce([n * (den // d) for n, d in pairs], order), den)
         self.order = order
         self._num = canon._num
         self._den = canon._den
@@ -291,10 +301,11 @@ class Cyclo:
 
     @staticmethod
     def rational(q, order: int = 1) -> "Cyclo":
+        """The int or Fraction q as an element of order `order`."""
         if order < 1:
             raise ValueError("order must be >= 1")
-        q = Fraction(q)
-        return _new(order, (q.numerator,) + (0,) * (_reducer(order)[0] - 1), q.denominator)
+        n, d = _num_den(q)
+        return _new(order, (n,) + (0,) * (_reducer(order)[0] - 1), d)
 
     @staticmethod
     def zero(order: int = 1) -> "Cyclo":
@@ -329,11 +340,8 @@ class Cyclo:
     def _coerce(x) -> "Cyclo":
         if isinstance(x, Cyclo):
             return x
-        if isinstance(x, int):
-            return _new(1, (x,), 1)
-        if isinstance(x, Fraction):
-            return _new(1, (x.numerator,), x.denominator)
-        raise TypeError(f"cannot coerce {type(x).__name__} to Cyclo")
+        n, d = _num_den(x)
+        return _new(1, (n,), d)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -431,6 +439,8 @@ class Cyclo:
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other):
+        if type(other) is Cyclo and other.order == self.order:
+            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
             other = Cyclo._coerce(other)
         if not isinstance(other, Cyclo):

@@ -1024,16 +1024,24 @@ def divide_exact(f: FracPoly, g: FracPoly):
 
 
 def match_scalar(a: FracPoly, b: FracPoly):
-    """Scalar c with a = c * b, or None."""
+    """Scalar c with a = c * b, or None.
+
+    c is a[key] / b[key] at b's first key, in the order of that product.
+    Equality is tried first: when a = b and a[key] and b[key] have one
+    order k, c is 1 of order k, found with no inverse and no product.
+    Otherwise every term is checked against c."""
     if a.is_zero() or b.is_zero():
         return None
     a, b = FracPoly._aligned(a, b)
-    if a.terms.keys() != b.terms.keys():
-        return None
     key = next(iter(b.terms))
+    equal = a.terms == b.terms
+    if equal and a.terms[key].order == b.terms[key].order:
+        return Cyclo.one(a.terms[key].order)
+    if not equal and a.terms.keys() != b.terms.keys():
+        return None
     c = a.terms[key] * b.terms[key].inverse()
     if c == 1:  # then a = c * b exactly when a = b, and no product is formed
-        return c if a.terms == b.terms else None
+        return c if equal else None
     for k2, bc in b.terms.items():
         if a.terms[k2] != bc * c:
             return None

@@ -30,13 +30,18 @@ a dependent input is reported as such whatever step it failed at.
 What depends on integer data alone is formed once per signature, the
 group moduli and the set of integer characters of the terms of an
 orbit's first factor (`_skeleton`, one cache): the stabilizer, the
-quotient chain and its row elements, the nested pieces as sets of
+quotient chain and its row elements, the phase table of each row element
+(the value there of each character), the nested pieces as sets of
 characters (so the piece of each character), gamma, the coefficient
 matrix and its determinant, and the outcomes of the entry check and of
 the determinant check, recorded and raised in their place.  Each call
-still reads its terms' characters, translates its first factor and
-matches the translates against its factors, groups the terms of f_1 into
-the pieces, checks that the pieces number k, and checks each piece's
+still reads its terms' characters; forms each translate of its first
+factor as one product per term, coefficient times the phase of the
+term's character in the row's table (the identity row's translate is the
+factor itself); matches the translates against its factors
+(`match_scalar`, which tries equality first, so that a translate equal to
+a factor costs no inverse and no product); groups the terms of f_1 into
+the pieces; checks that the pieces number k; and checks each piece's
 linear part.
 """
 
@@ -46,7 +51,7 @@ import itertools
 from functools import lru_cache, partial, reduce
 from operator import mul, sub
 
-from .abelian import AbelianGroup, GroupElement, PairingContext, perp
+from .abelian import AbelianGroup, PairingContext, perp
 from .cyclotomic import Cyclo, root_of_unity
 from .errors import DomainError
 from .polyring import (
@@ -54,7 +59,6 @@ from .polyring import (
     FracPoly,
     VarSpace,
     _phase,
-    apply_group,
     linear_part,
     linear_rank,
     match_scalar,
@@ -343,12 +347,13 @@ def _coefficient_matrix(moduli, chain, chain_gens, rows, cols, gamma):
 
 class _Skeleton(Record):
     # stabilizer, chain and chain_generators as in NestedNormalForm; rows:
-    # the m-tuples, and elements: sum_t m_t * g_{chain_generators[t]} of each;
-    # failure: builds the exception a call raises, or None; pieces: the
-    # l-tuples in order, None when the split fails; piece_of: term character
-    # -> index of its piece; matrix: columns in the order of pieces
+    # the m-tuples; phases: per row m, term character -> its value (`_phase`)
+    # at the row element g_m = sum_t m_t * g_{chain_generators[t]}; failure:
+    # builds the exception a call raises, or None; pieces: the l-tuples in
+    # order, None when the split fails; piece_of: term character -> index of
+    # its piece; matrix: columns in the order of pieces
     __slots__ = (
-        "stabilizer", "chain", "chain_generators", "rows", "elements", "failure", "pieces", "piece_of", "gamma",
+        "stabilizer", "chain", "chain_generators", "rows", "phases", "failure", "pieces", "piece_of", "gamma",
         "matrix", "determinant",
     )
 
@@ -364,7 +369,8 @@ def _skeleton(moduli: tuple, chars: frozenset) -> _Skeleton:
       character values are roots of unity), so the stabilizer is the
       complement (`perp`) of the differences w - w_0 of the characters,
       whichever w_0.  Then the quotient chain, and the row elements, one
-      per coset.
+      per coset, and the phase table of each: the value (`_phase`) of
+      each character at that element, by which a call translates f_1.
     - The nested split: along chain generator i, with quotient order q,
       the characters of each piece fall into one bucket per weight w_i mod
       p_i.  There must be q buckets, on one residue ladder gamma + step * l
@@ -373,8 +379,8 @@ def _skeleton(moduli: tuple, chars: frozenset) -> _Skeleton:
       character, and pieces come out in lexicographic order, the order of
       the matrix columns.
     - The coefficient matrix and its determinant, and the entry check:
-      entry (m, l) must equal the character value at g_m of each character
-      in piece l.
+      entry (m, l) must equal the phase of each character in piece l in
+      row m's table.
 
     A failed check is recorded, not raised, so that each call raises it in
     its place: a failed split after the orbits are placed, and a failed
@@ -385,9 +391,8 @@ def _skeleton(moduli: tuple, chars: frozenset) -> _Skeleton:
     stab = perp(PairingContext.natural(group), [group.element(map(sub, w, base)) for w in chars])
     chain, chain_gens = _quotient_chain(moduli, {e.residues for e in stab.elements})
     rows = tuple(itertools.product(*(range(q) for q in chain)))
-    elements = tuple(
-        GroupElement(group, tuple(dict(zip(chain_gens, mvec)).get(i, 0) for i in range(len(moduli)))) for mvec in rows
-    )
+    elements = (tuple(dict(zip(chain_gens, mvec)).get(i, 0) for i in range(len(moduli))) for mvec in rows)
+    phases = tuple({w: _phase(moduli, residues, w) for w in chars} for residues in elements)
     pieces, gamma = {(): chars}, {}
     for i, q in zip(chain_gens, chain):
         step = moduli[i] // q
@@ -401,7 +406,7 @@ def _skeleton(moduli: tuple, chars: frozenset) -> _Skeleton:
                 failed = "weight pieces do not lie in one residue ladder"
             if failed:
                 return _Skeleton(
-                    stab, chain, chain_gens, rows, elements, partial(DegenerateInput, failed),
+                    stab, chain, chain_gens, rows, phases, partial(DegenerateInput, failed),
                     pieces=None, piece_of=None, gamma=None, matrix=None, determinant=None,
                 )
             gamma[(i,) + prefix] = g0
@@ -414,11 +419,11 @@ def _skeleton(moduli: tuple, chars: frozenset) -> _Skeleton:
     # row m gives each term t of f_1, in piece l, the coefficient M[m][l] c_t,
     # and the translate g_m . f_1 gives it c_t times the character of t at g_m
     failure = None
-    if any(row[j] != _phase(moduli, el.residues, w) for el, row in zip(elements, matrix) for w, j in piece_of.items()):
+    if any(row[j] != table[w] for table, row in zip(phases, matrix) for w, j in piece_of.items()):
         failure = partial(AssertionError, NOT_RECOMBINED)
     elif determinant.is_zero():
         failure = partial(AssertionError, "coefficient matrix is singular")
-    return _Skeleton(stab, chain, chain_gens, rows, elements, failure, tuple(pieces), piece_of, gamma, matrix, determinant)
+    return _Skeleton(stab, chain, chain_gens, rows, phases, failure, tuple(pieces), piece_of, gamma, matrix, determinant)
 
 
 def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
@@ -430,7 +435,12 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
       (`_skeleton`), the row elements of the chain are one per
       coset of Stab, and their translates of f_1 match distinct factors,
       each up to a scalar (match_scalar, against the factors not placed
-      yet), until every factor is placed.  Then every factor ideal is one
+      yet), until every factor is placed.  A translate is f_1 with each
+      coefficient times the phase of its term's character at the row
+      element, read from the signature's phase table, and f_1 itself for
+      the identity row; a translate equal to a factor whose first
+      coefficient has the same order matches with the scalar 1, found by
+      comparison alone.  Then every factor ideal is one
       translate (g . f_1) and every translate is one factor ideal, so G
       permutes the factor ideals transitively and Stab is the stabilizer
       of (f_1).  Factors left over are placed the same way, one orbit at a
@@ -477,9 +487,10 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
 def _orbit_normal_form(action: DiagonalAction, factors: list, space: VarSpace) -> NestedNormalForm:
     """The body of `invariant_nc_normal_form`, which decides the rank of
     the factors' linear parts only when this raises.  What depends on the
-    signature alone comes from `_skeleton`; each call translates and
-    matches its factors, groups the terms of f_1 into the pieces, and
-    checks the piece count and the pieces' linear parts."""
+    signature alone comes from `_skeleton`; each call translates f_1 by
+    the skeleton's phase tables and matches the translates against its
+    factors, groups the terms of f_1 into the pieces, and checks the piece
+    count and the pieces' linear parts."""
     k = len(factors)
 
     free = list(range(k))
@@ -492,7 +503,12 @@ def _orbit_normal_form(action: DiagonalAction, factors: list, space: VarSpace) -
             raise ValueError(NOT_PERMUTED)
         skeleton = _skeleton(action.group.moduli, frozenset(chars))
         f_space = f.in_space(space)
-        translates = [apply_group(f_space, action, el) for el in skeleton.elements]
+        space_chars = chars if f_space is f else action.term_characters(space, f_space.terms)
+        items = list(zip(f_space.terms.items(), space_chars))
+        # the identity row comes first, and its phases are all 1
+        translates = [f_space] + [
+            FracPoly._raw(space, {key: coeff * table[w] for (key, coeff), w in items}) for table in skeleton.phases[1:]
+        ]
         matches = _match_rows(translates, factors, free)
         orbits.append(tuple(sorted(idx for idx, _c in matches)))
     if len(orbits) > 1:

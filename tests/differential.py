@@ -14,10 +14,17 @@ message of the exception it raised.  The cases:
 - `invariant_nc_normal_form` on the benchmark's `nc_instance(i)` (the
   tree's own perfbench/workloads.py), for i in [seed * count, (seed + 1) *
   count): every field of the normal form, with maps in their order and
-  every Cyclo's order and coefficients;
+  every Cyclo's order and coefficients; and on the same orbit with one
+  factor moved into a larger space;
 - `quotient_image` on count polynomials drawn from random.Random(seed):
   products of Hilbert basis generators under small diagonal actions, some
   with a non-invariant or a Laurent term added, printed the same way;
+- `match_scalar` and `apply_group` on count draws each, with coefficients
+  of mixed `Cyclo` orders (a value stored at several orders among them),
+  some with a polynomial in a larger space;
+- every `VALID` example of tests/test_cli.py (this tree's), in both
+  formats, and the `ncquot normalize` golden instances, run in process:
+  the exit code and stdout;
 - the stdout of each demo under demos/.
 
 The runner prints the number of cases and of mismatches, and the first
@@ -29,19 +36,24 @@ outside the tier-1 suite, like tests/mutants.py.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_COUNT = 300
 
-# groups and weights of the quotient_image draws
+# groups and weights of the quotient_image and apply_group draws
 _QUOTIENT_POOL = ((2,), (3,), (4,), (5,), (2, 2), (2, 3), (3, 3))
 _QUOTIENT_VARS = ("x0", "x1", "x2")
+# orders of the drawn Cyclo coefficients
+_ORDERS = (1, 2, 3, 4, 6, 8, 12)
 
 
 def canon(value):
@@ -100,9 +112,124 @@ def _draw_quotient_case(rng: random.Random):
     return f, basis
 
 
+def _respaced(orbit: list, index: int) -> list:
+    """The orbit with factor index % len(orbit) moved into a larger space:
+    a divisorial t of bound 2 in front (even index), or the same names in
+    reverse order (odd index)."""
+    from circforge import VarSpace
+
+    j = index % len(orbit)
+    names = orbit[j].space.names
+    space = VarSpace([("t", 2)], names) if index % 2 == 0 else VarSpace([], names[::-1])
+    return orbit[:j] + [orbit[j].in_space(space)] + orbit[j + 1:]
+
+
+def _draw_cyclo(rng: random.Random):
+    """A nonzero Cyclo of an order drawn from _ORDERS: a rational (so a
+    rational stored above order 1 too), a rational times a root of unity,
+    or that plus a root of unity."""
+    from circforge import Cyclo, root_of_unity
+
+    k = rng.choice(_ORDERS)
+    q = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+    kind = rng.randrange(3)
+    c = Cyclo.rational(q, k) if kind == 0 else root_of_unity(k, rng.randrange(k)) * q
+    if kind == 2:
+        c = c + root_of_unity(k, rng.randrange(k))
+    return Cyclo.rational(q, k) if c.is_zero() else c
+
+
+def _restored(rng: random.Random, c):
+    """c, or c stored at twice or three times its order."""
+    return c.embed(c.order * rng.choice((1, 1, 2, 3)))
+
+
+def _draw_poly(rng: random.Random, w_exponents):
+    """Up to four terms in w (divisorial, bound 2, exponents drawn from
+    w_exponents) and the free x0, x1, x2, as (face-value key, coefficient)
+    pairs."""
+    keys = {(rng.choice(w_exponents), *(rng.randrange(3) for _ in _QUOTIENT_VARS)) for _ in range(rng.randint(1, 4))}
+    return [(key, _draw_cyclo(rng)) for key in sorted(keys)]
+
+
+def _larger(rng: random.Random, f):
+    """f itself, or one time in four f in a space with one more variable
+    and with w of bound 4."""
+    from circforge import VarSpace
+
+    if rng.random() < 0.75:
+        return f
+    return f.in_space(VarSpace([("w", 4)], _QUOTIENT_VARS + ("y",)))
+
+
+def _draw_match_case(rng: random.Random):
+    """(a, b) for match_scalar: coefficients c drawn by _draw_poly, b with
+    each c and a with each s * c for a scalar s (one time in four 1 of a
+    drawn order), each coefficient of either maybe stored at a multiple of
+    its order; one draw in five changes a coefficient of a, one in ten
+    drops a term of a, and either may be moved into a larger space."""
+    from circforge import Cyclo, FracPoly, VarSpace, root_of_unity
+
+    space = VarSpace([("w", 2)], _QUOTIENT_VARS)
+    terms = _draw_poly(rng, (0, Fraction(1, 2), 1))
+    scalar = Cyclo.one(rng.choice(_ORDERS)) if rng.random() < 0.25 else _draw_cyclo(rng)
+    scaled = [[key, _restored(rng, c * scalar)] for key, c in terms]
+    terms = [(key, _restored(rng, c)) for key, c in terms]
+    change = rng.random()
+    if change < 0.2:
+        scaled[rng.randrange(len(scaled))][1] *= root_of_unity(rng.choice(_ORDERS[1:]), 1)
+    elif change < 0.3 and len(scaled) > 1:
+        del scaled[rng.randrange(len(scaled))]
+    a, b = FracPoly(space, dict(map(tuple, scaled))), FracPoly(space, dict(terms))
+    return _larger(rng, a), _larger(rng, b)
+
+
+def _draw_group_case(rng: random.Random):
+    """(f, action, g) for apply_group: f drawn by _draw_poly (a term w^(1/2)
+    has fractional weight when w's weight is odd), a diagonal action on w
+    and the x's, and an element of its group, one time in sixteen of
+    another group; f may be moved into a larger space."""
+    from circforge import AbelianGroup, DiagonalAction, FracPoly, VarSpace
+
+    moduli = rng.choice(_QUOTIENT_POOL)
+    group = AbelianGroup(moduli)
+    action = DiagonalAction(group, {n: tuple(rng.randrange(p) for p in moduli) for n in ("w",) + _QUOTIENT_VARS})
+    # w^(1/2) in one term in 25
+    terms = _draw_poly(rng, (0, 1) * 12 + (Fraction(1, 2),))
+    f = FracPoly(VarSpace([("w", 2)], _QUOTIENT_VARS), {key: _restored(rng, c) for key, c in terms})
+    if rng.random() < 1 / 16:
+        group = AbelianGroup(rng.choice([m for m in _QUOTIENT_POOL if m != moduli]))
+    return _larger(rng, f), action, group.element(rng.randrange(p) for p in group.moduli)
+
+
+def _cli_examples():
+    """(argv, name) of every VALID example of this tree's tests/test_cli.py
+    and of the `ncquot normalize` golden instances, without --format."""
+    sys.path[:0] = [str(ROOT / "tests")]
+    from circforge import jsonio
+
+    import test_cli
+
+    for command, argv in test_cli.VALID.items():
+        yield [*command, *argv], " ".join(command)
+    for name in ("klein", "z2z4_rescaled"):
+        action, factors = getattr(test_cli, f"_{name}_orbit")()
+        factors = json.dumps([jsonio.poly_to_json(f) for f in factors])
+        yield ["ncquot", "normalize", "--action", json.dumps(action), "--factors", factors], f"ncquot normalize {name}"
+
+
+def _run_cli(argv):
+    from circforge import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return {"argv": argv, "returncode": code, "stdout": out.getvalue()}
+
+
 def _cases(tree: Path, seed: int, count: int):
     """(name, thunk) of every case, in order."""
-    from circforge import blowup, quotient_nc
+    from circforge import blowup, polyring, quotient_nc
 
     sys.path.insert(0, str(tree / "perfbench"))
     import workloads
@@ -112,11 +239,25 @@ def _cases(tree: Path, seed: int, count: int):
             action, orbit, _rejected = workloads.nc_instance(index)
             return quotient_nc.invariant_nc_normal_form(quotient_nc.InvariantNCInput(action, orbit))
 
+        def nc_respaced(index=index):
+            action, orbit, _rejected = workloads.nc_instance(index)
+            return quotient_nc.invariant_nc_normal_form(quotient_nc.InvariantNCInput(action, _respaced(orbit, index)))
+
         yield f"nc_instance {index}", nc
+        yield f"nc_instance {index} respaced", nc_respaced
     rng = random.Random(seed)
     for draw in range(count):
         f, basis = _draw_quotient_case(rng)
         yield f"quotient_image {seed}/{draw}", lambda f=f, basis=basis: blowup.quotient_image(f, basis)
+    for draw in range(count):
+        a, b = _draw_match_case(rng)
+        yield f"match_scalar {seed}/{draw}", lambda a=a, b=b: [a, b, polyring.match_scalar(a, b)]
+    for draw in range(count):
+        f, action, g = _draw_group_case(rng)
+        yield f"apply_group {seed}/{draw}", lambda f=f, action=action, g=g: [f, polyring.apply_group(f, action, g)]
+    for argv, name in _cli_examples():
+        for fmt in ("text", "json"):
+            yield f"cli {fmt} {name}", lambda argv=["--format", fmt, *argv]: _run_cli(argv)
     for demo in sorted((tree / "demos").glob("*.py")):
         def run(demo=demo):
             proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=os.environ)
@@ -127,6 +268,8 @@ def _cases(tree: Path, seed: int, count: int):
 
 def child(tree: Path, seed: int, count: int) -> int:
     import circforge
+
+    sys.set_int_max_str_digits(0)  # as the circforge command does
 
     if not Path(circforge.__file__).resolve().is_relative_to(tree.resolve()):
         raise SystemExit(f"circforge came from {circforge.__file__}, not from {tree}")

@@ -144,7 +144,7 @@ MUTANTS = (
     Mutant(
         "nc-entries",
         "quotient_nc.py",
-        "    if any(row[j] != _phase(moduli, el.residues, w) for el, row in zip(elements, matrix) for w, j in piece_of.items()):\n",
+        "    if any(row[j] != table[w] for table, row in zip(phases, matrix) for w, j in piece_of.items()):\n",
         "    if False:\n",
         (
             "tests/test_quotient_nc.py::test_a_corrupted_entry_fails_the_recombination_check",
@@ -159,6 +159,15 @@ MUTANTS = (
         "_skeleton(action.group.moduli, frozenset(chars))",
         "_skeleton(_skeleton.__dict__.setdefault(frozenset(chars), action.group.moduli), frozenset(chars))",
         ("tests/test_quotient_nc.py::test_one_character_set_under_two_moduli_has_two_skeletons",),
+    ),
+    Mutant(
+        # row m translated by the phase table of row m - 1 (the identity's
+        # for the first row after it)
+        "nc-phase-table-row",
+        "quotient_nc.py",
+        "for table in skeleton.phases[1:]",
+        "for table in skeleton.phases[:-1]",
+        ("tests/test_quotient_nc.py::test_the_cached_skeleton_matches_the_reference_copy",),
     ),
     Mutant(
         "nc-pieces",
@@ -177,6 +186,15 @@ MUTANTS = (
             "tests/test_quotient_nc.py::test_a_dependent_system_is_reported_whatever_step_fails",
             "tests/test_quotient_nc.py::test_normal_form_degenerate",
         ),
+    ),
+    Mutant(
+        # 1 of the order of a's first coefficient whenever a = b, also when
+        # the two first coefficients differ in order (e_4 against e_8^2)
+        "match-same-order",
+        "polyring.py",
+        "    if equal and a.terms[key].order == b.terms[key].order:\n",
+        "    if equal:\n",
+        ("tests/test_polyring.py::test_match_scalar_keeps_the_order_of_the_quotient",),
     ),
     Mutant(
         "product-zero-restart",

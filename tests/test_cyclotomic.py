@@ -1,4 +1,5 @@
 import time
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circforge import Cyclo, cyclo_nth_root, cyclotomic_polynomial, jsonio, minimal_order, rational_sqrt, root_of_unity
+from circforge import Cyclo, FracPoly, VarSpace, cyclo_nth_root, cyclotomic_polynomial, jsonio, minimal_order, rational_sqrt, root_of_unity
 from circforge.cyclotomic import descend
 
 from conftest import cyclo_numeric, numerically_zero
@@ -317,3 +318,32 @@ def test_result_order_follows_rational_fast_paths():
     for c in [Cyclo.one(6) * e4, Cyclo.rational(2, 6) + e4, Cyclo(12, [Fraction(1, 3), 0, -7, 2, Fraction(5, 9)])]:
         back = jsonio.cyclo_from_json(jsonio.cyclo_to_json(c))
         assert back.order == c.order and back.coeffs == c.coeffs
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 2.0, "1/2", Decimal("0.1"), None], ids=repr)
+def test_a_float_or_a_string_never_becomes_a_coefficient(value):
+    # every way to make a coefficient refuses what arithmetic refuses: 0.1
+    # was read as the binary fraction 3602879701896397/36028797018963968
+    sp = VarSpace([], ["x"])
+    x = FracPoly.variable(sp, "x")
+    builds = [
+        lambda: Cyclo.one() * value,
+        lambda: x * value,
+        lambda: Cyclo.rational(value),
+        lambda: Cyclo.rational(value, 4),
+        lambda: Cyclo(3, [Fraction(1, 2), value, 0]),
+        lambda: x.scale(value),
+        lambda: FracPoly.constant(sp, value),
+    ]
+    for build in builds:
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_an_int_or_a_fraction_is_a_coefficient_at_any_order():
+    for q in (0, -7, True, 10**30, Fraction(-3, 4)):
+        for k in (1, 4, 6):
+            c = Cyclo.rational(q, k)
+            assert c.order == k and c.coeffs == (Fraction(q),) + (0,) * (k - 1)
+            assert Cyclo(k, [q]) == c == Cyclo.one() * q
+    assert Cyclo.zero(5).coeff_strings == ["0"] * 5 and Cyclo.one(5).coeff_strings == ["1"] + ["0"] * 4

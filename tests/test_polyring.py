@@ -315,6 +315,47 @@ def test_match_scalar(sp):
     assert match_scalar(FracPoly.zero(sp), f) is None
 
 
+
+def _quotient_scalar(a, b):
+    # the formula match_scalar computed before it tried equality first:
+    # c = a[key] * b[key]^-1 at b's first key, kept when every term agrees
+    key = next(iter(b.terms))
+    c = a.terms[key] * b.terms[key].inverse()
+    return c if all(a.terms[k] == bc * c for k, bc in b.terms.items()) else None
+
+
+def test_match_scalar_keeps_the_order_of_the_quotient():
+    # the scalar's order reaches the JSON of a normal form, so it is pinned
+    # on maps whose coefficients mix orders: e_4 against e_8^2 (equal,
+    # of orders 4 and 8), and rationals stored at order 1 and at order 4
+    sp = VarSpace([], ["x", "y", "z"])
+
+    def poly(*coeffs):
+        f = sum((FracPoly.monomial(sp, {n: 1}, c) for n, c in zip("xyz", coeffs)), FracPoly.zero(sp))
+        assert [c.order for c in f.terms.values()] == [c.order for c in coeffs]
+        return f
+
+    e4, e8_2 = root_of_unity(4), root_of_unity(8, 2)
+    r = Cyclo.rational  # r(q, k): the rational q stored at order k
+    maps = [
+        poly(e4, r(2), r(3, 4)), poly(e8_2, r(2), r(3, 4)), poly(e8_2, r(2, 4), r(3)),
+        poly(r(2), e4, r(3, 4)), poly(r(2, 4), e8_2, r(3)), poly(r(4), e4 * 2, r(6)),
+        poly(e4, r(2), r(-3)), poly(r(2, 4), e4, r(3, 4)), poly(r(2), e8_2, r(3, 4)),
+    ]
+    outcomes = set()
+    for a in maps:
+        for b in maps:
+            c, expected = match_scalar(a, b), _quotient_scalar(a, b)
+            if expected is None:
+                assert c is None
+            else:
+                assert (c.order, c.coeff_strings) == (expected.order, expected.coeff_strings)
+                outcomes.add((expected.order, tuple(expected.coeff_strings[:2])))
+    # 1 at orders 1, 4 and 8 (e_4 against e_8^2 gives order 8 either way
+    # round), and a rational ratio at order 1 or 4
+    assert outcomes == {(1, ("1",)), (4, ("1", "0")), (8, ("1", "0")), (1, ("2",)), (1, ("1/2",)), (4, ("1/2", "0"))}
+
+
 def test_match_factors(sp):
     z, x0, x1 = _vars(sp, "z", "x0", "x1")
     e3 = root_of_unity(3)
