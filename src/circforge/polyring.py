@@ -1024,12 +1024,9 @@ def divide_exact(f: FracPoly, g: FracPoly):
 
 
 def match_scalar(a: FracPoly, b: FracPoly):
-    """Scalar c with a = c * b, or None.
-
-    c is a[key] / b[key] at b's first key, in the order of that product.
-    Equality is tried first: when a = b and a[key] and b[key] have one
-    order k, c is 1 of order k, found with no inverse and no product.
-    Otherwise every term is checked against c."""
+    """Scalar c with a = c * b, or None.  Equality is tried first: a = b
+    with first coefficients of one order k gives 1 of order k, with no
+    inverse and no product."""
     if a.is_zero() or b.is_zero():
         return None
     a, b = FracPoly._aligned(a, b)

@@ -35,13 +35,11 @@ quotient chain and its row elements, the phase table of each row element
 characters (so the piece of each character), gamma, the coefficient
 matrix and its determinant, and the outcomes of the entry check and of
 the determinant check, recorded and raised in their place.  Each call
-still reads its terms' characters; forms each translate of its first
-factor as one product per term, coefficient times the phase of the
-term's character in the row's table (the identity row's translate is the
-factor itself); matches the translates against its factors
-(`match_scalar`, which tries equality first, so that a translate equal to
-a factor costs no inverse and no product); groups the terms of f_1 into
-the pieces; checks that the pieces number k; and checks each piece's
+still reads its terms' characters, translates its first factor by the
+phase tables (coefficient times phase, term by term; the identity's
+translate is the factor itself), matches the translates against its
+factors (`match_scalar`, equality first), groups the terms of f_1 into
+the pieces, checks that the pieces number k, and checks each piece's
 linear part.
 """
 
@@ -435,12 +433,9 @@ def invariant_nc_normal_form(data: InvariantNCInput) -> NestedNormalForm:
       (`_skeleton`), the row elements of the chain are one per
       coset of Stab, and their translates of f_1 match distinct factors,
       each up to a scalar (match_scalar, against the factors not placed
-      yet), until every factor is placed.  A translate is f_1 with each
-      coefficient times the phase of its term's character at the row
-      element, read from the signature's phase table, and f_1 itself for
-      the identity row; a translate equal to a factor whose first
-      coefficient has the same order matches with the scalar 1, found by
-      comparison alone.  Then every factor ideal is one
+      yet), until every factor is placed.  A translate multiplies each
+      coefficient of f_1 by its term's phase at the row element, read
+      from the signature's phase table.  Then every factor ideal is one
       translate (g . f_1) and every translate is one factor ideal, so G
       permutes the factor ideals transitively and Stab is the stabilizer
       of (f_1).  Factors left over are placed the same way, one orbit at a

@@ -24,7 +24,7 @@ message of the exception it raised.  The cases:
   some with a polynomial in a larger space;
 - every `VALID` example of tests/test_cli.py (this tree's), in both
   formats, and the `ncquot normalize` golden instances, run in process:
-  the exit code and stdout;
+  the exit code, stdout and stderr;
 - the stdout of each demo under demos/.
 
 The runner prints the number of cases and of mismatches, and the first
@@ -224,7 +224,7 @@ def _run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
-    return {"argv": argv, "returncode": code, "stdout": out.getvalue()}
+    return {"argv": argv, "returncode": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def _cases(tree: Path, seed: int, count: int):
