@@ -3,6 +3,8 @@
 Run:  python demos/06_resolution_invariants.py
 """
 
+from fractions import Fraction
+
 from circforge import (
     atwinv_cpk,
     atwinv_product,
@@ -14,16 +16,17 @@ from circforge import (
     weights,
 )
 
-# Closed forms for the cyclic case: the sequence starts with the order k,
-# continues with (k+1)/k at the divisor, and steps down the ladder.
+# The cyclic case.  Every sequence here comes out of the coefficient-ideal
+# recursion, on the monomial data (x_0^k, w x_1^k, ..., w^{k-1} x_{k-1}^k)
+# for cp_k; the product form is its partial products.
 for k in (2, 3, 4):
     print(f"k={k}: inv = {inv_cpk(k)},  product form = {atwinv_cpk(k)}")
 
-# The same sequences come out of the coefficient-ideal recursion on the
-# monomial data (x_0^k, w x_1^k, ..., w^{k-1} x_{k-1}^k).
+# The recursion meets the closed form: the order k, then (k+1)/k at the
+# divisor, then down the ladder 1, k/(k-1), ..., 3/2.
 for k in (2, 3, 4, 5):
     rec = inv_recursion(cpk_ideal(k))
-    assert rec.entries == inv_cpk(k).entries
+    assert rec.entries == (k, Fraction(k + 1, k), 1, *(Fraction(m, m - 1) for m in range(k, 2, -1)))
 print("\nrecursion reproduces every closed form up to k = 5")
 
 # Products with a shared divisor: parts [3,2] interleave two ladders.

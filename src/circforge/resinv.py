@@ -1,9 +1,11 @@
 """Resolution invariant sequences and blow-up weights for circulant data.
 
-Everything here is exact rational arithmetic.  The two sequence flavours are
-related by partial products: seq2[j] = seq1[1] * ... * seq1[j], and the
-weight vectors are elementwise reciprocals of the product-form sequence up
-to one global scalar.
+Everything here is exact rational arithmetic, and every sequence and weight
+comes from one computation: the coefficient-ideal recursion `inv_recursion`
+on diagonal monomial data (`cpk_ideal`, `product_ideal`).  The two sequence
+flavours are related by partial products: seq2[j] = seq1[1] * ... * seq1[j],
+and the weight vectors are elementwise reciprocals of the product-form
+sequence, rescaled to integers by the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -81,12 +83,11 @@ class WeightVector:
 
 
 def inv_cpk(k: int) -> InvSequence:
-    """(k, (k+1)/k, 1, k/(k-1), (k-1)/(k-2), ..., 3/2) with contacts x_0, w, x_1, ..."""
+    """The invariant of cp_k, inv_recursion(cpk_ideal(k)), with contacts
+    x0, w, x1, ..., x(k-1)."""
     if k < 2:
         raise ValueError("order must be >= 2")
-    entries = [Fraction(k), Fraction(k + 1, k), Fraction(1)] + [Fraction(m, m - 1) for m in range(k, 2, -1)]
-    contacts = ["x0", "w", "x1"] + [f"x{j}" for j in range(2, k)]
-    return InvSequence(tuple(entries), tuple(contacts))
+    return inv_recursion(cpk_ideal(k))
 
 
 def atwinv_cpk(k: int) -> ATWSequence:
@@ -112,67 +113,26 @@ def atw_to_inv(seq: ATWSequence) -> InvSequence:
 
 
 def atwinv_product(parts) -> ATWSequence:
-    """Product-form sequence for factors of orders parts (single divisor).
-
-    With k = sum(parts) and k1 = max(parts): s copies of k, then
-    k(k1+1)/k1 for the divisor, then the ascending set of
-    k*k_i*(k1+1)/(k1(k_i-j)+k_i) for j = 1..k_i-1 over all factors i.
-    """
+    """Product-form sequence for factors of orders parts (single divisor):
+    the partial products of inv_recursion(product_ideal(parts))."""
     parts = [int(p) for p in parts]
     if not parts or any(p < 2 for p in parts):
         raise ValueError("need a nonempty list of parts >= 2")
-    k = sum(parts)
-    k1 = max(parts)
-    entries = [Fraction(k)] * len(parts)
-    contacts = [f"x{i+1}_0" for i in range(len(parts))]
-    entries.append(Fraction(k * (k1 + 1), k1))
-    contacts.append("w")
-    tail = []
-    for i, ki in enumerate(parts):
-        for j in range(1, ki):
-            val = Fraction(k * ki * (k1 + 1), k1 * (ki - j) + ki)
-            tail.append((val, f"x{i+1}_{j}"))
-    tail.sort(key=lambda t: (t[0], t[1]))
-    for val, name in tail:
-        entries.append(val)
-        contacts.append(name)
     if len(parts) == 1:
-        single = atwinv_cpk(parts[0])
-        return ATWSequence(tuple(entries), single.contacts)
-    return ATWSequence(tuple(entries), tuple(contacts))
+        return atwinv_cpk(parts[0])
+    return inv_to_atw(inv_recursion(product_ideal(parts)))
 
 
 def weights(parts) -> WeightVector:
-    """Blow-up weights for the product data: rationals are reciprocals of the
-    product-form sequence; integers are l and l - (j l/k_i - l/k1) with
-    l = lcm(parts), listed for (w, x_{ij})."""
-    parts = [int(p) for p in parts]
-    if not parts or any(p < 2 for p in parts):
-        raise ValueError("need a nonempty list of parts >= 2")
+    """Blow-up weights for the product data, listed for the contacts of
+    atwinv_product(parts): the rationals are the reciprocals of its
+    entries, and the multiplier is the lcm of their denominators.  The
+    integers are least: the first rational is 1/k, so only an integer
+    multiplier makes them all integral."""
     atw = atwinv_product(parts)
-    k = sum(parts)
-    k1 = max(parts)
-    ell = lcm(*parts)
-    rational = tuple(Fraction(1) / e for e in atw.entries)
-    multiplier = Fraction(k * (k1 + 1) * ell, k1)
-    integer = []
-    for name, q in zip(atw.contacts, rational):
-        integer.append(int(q * multiplier))
-    wv = WeightVector(atw.contacts, rational, tuple(integer), multiplier)
-    # cross-check the displayed closed form for the integer weights
-    for name, n in zip(wv.parameters, wv.integer):
-        if name == "w":
-            expect = ell
-        else:
-            if "_" in name:
-                i_s, j_s = name[1:].split("_")
-                ki, j = parts[int(i_s) - 1], int(j_s)
-            else:
-                ki, j = parts[0], int(name[1:])
-            expect = ell - (j * ell // ki - ell // k1)
-        if n != expect:
-            raise AssertionError(f"integer weight mismatch at {name}: {n} != {expect}")
-    return wv
+    rational = tuple(1 / e for e in atw.entries)
+    multiplier = Fraction(lcm(*(q.denominator for q in rational)))
+    return WeightVector(atw.contacts, rational, tuple(int(q * multiplier) for q in rational), multiplier)
 
 
 class MonomialMarkedIdeal:

@@ -22,6 +22,12 @@ message of the exception it raised.  The cases:
 - `match_scalar` and `apply_group` on count draws each, with coefficients
   of mixed `Cyclo` orders (a value stored at several orders among them),
   some with a polynomial in a larger space;
+- `inv_cpk` and `atwinv_cpk` of the first part, and `atwinv_product`,
+  `weights` and `inv_recursion(product_ideal(...))`, on count part tuples
+  (1-4 parts, some of them below 2), and `inv_recursion` on count
+  `MonomialMarkedIdeal`s of its supported shape (some without a
+  divisor-free pair); and, for the same draws, `resinv inv|atw|weights|
+  recursion` in both formats, run in process;
 - every `VALID` example of tests/test_cli.py (this tree's), in both
   formats, and the `ncquot normalize` golden instances, run in process:
   the exit code, stdout and stderr;
@@ -64,6 +70,7 @@ def canon(value):
     from circforge.cyclotomic import Cyclo
     from circforge.polyring import FracPoly
     from circforge.record import Record
+    from circforge.resinv import ATWSequence, InvSequence, WeightVector
 
     if isinstance(value, Cyclo):
         return {"cyclo": value.order, "coeffs": list(value.coeff_strings)}
@@ -75,6 +82,12 @@ def canon(value):
         return list(value.residues)
     if isinstance(value, Record):
         return {type(value).__name__: [[name, canon(getattr(value, name))] for name in type(value).__slots__]}
+    if isinstance(value, (InvSequence, ATWSequence)):
+        return {type(value).__name__: [canon(value.entries), list(value.contacts)]}
+    if isinstance(value, WeightVector):
+        return {"WeightVector": [canon(getattr(value, name)) for name in WeightVector.__slots__]}
+    if isinstance(value, Fraction):
+        return str(value)
     if isinstance(value, dict):
         return [[canon(k), canon(v)] for k, v in value.items()]
     if isinstance(value, (list, tuple)):
@@ -202,6 +215,55 @@ def _draw_group_case(rng: random.Random):
     return _larger(rng, f), action, group.element(rng.randrange(p) for p in group.moduli)
 
 
+def _draw_parts(rng: random.Random) -> list:
+    """1-4 parts in 2..9, one time in ten with one of them in -1..1."""
+    parts = [rng.randint(2, 9) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.1:
+        parts[rng.randrange(len(parts))] = rng.randint(-1, 1)
+    return parts
+
+
+def _draw_ideal(rng: random.Random) -> list:
+    """1-5 pairs (w^e x_i^d, d) on distinct x_i, with d in 1..6 or 1/2..5/2
+    and e in 0..2 or a half, so that normalized exponents tie; one draw in
+    ten has no divisor-free pair, which the recursion refuses."""
+    pairs = []
+    for i in range(rng.randint(1, 5)):
+        d = rng.choice((1, 2, 3, 4, 6, Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)))
+        e = 0 if i == 0 and rng.random() >= 0.1 else rng.choice((0, 1, 2, Fraction(1, 2)))
+        pairs.append(({f"x{i}": d, "w": e}, d))
+    rng.shuffle(pairs)
+    return pairs
+
+
+def _resinv_cases(rng: random.Random, seed: int, count: int):
+    """(name, thunk) of the resinv draws, each API case then its CLI commands."""
+    from circforge import resinv
+
+    for draw in range(count):
+        parts = _draw_parts(rng)
+        k, text = parts[0], ",".join(map(str, parts))
+        yield f"inv_cpk {seed}/{draw}", lambda k=k: resinv.inv_cpk(k)
+        yield f"atwinv_cpk {seed}/{draw}", lambda k=k: resinv.atwinv_cpk(k)
+        yield f"atwinv_product {seed}/{draw}", lambda p=parts: [p, resinv.atwinv_product(p)]
+        yield f"weights {seed}/{draw}", lambda p=parts: [p, resinv.weights(p)]
+        yield f"inv_recursion parts {seed}/{draw}", lambda p=parts: [p, resinv.inv_recursion(resinv.product_ideal(p))]
+        for command, flag, value in (
+            ("inv", "--k", k), ("inv", "--parts", text), ("atw", "--k", k), ("atw", "--parts", text),
+            ("weights", "--parts", text), ("recursion", "--cpk", k), ("recursion", "--parts", text),
+        ):
+            for fmt in ("text", "json"):
+                argv = ["--format", fmt, "resinv", command, f"{flag}={value}"]
+                yield f"cli {fmt} resinv {command} {flag} {seed}/{draw}", lambda argv=argv: _run_cli(argv)
+    for draw in range(count):
+        pairs = _draw_ideal(rng)
+        ideal = json.dumps([{"monomial": {v: str(e) for v, e in m.items()}, "order": str(d)} for m, d in pairs])
+        yield f"inv_recursion ideal {seed}/{draw}", lambda p=pairs: [p, resinv.inv_recursion(resinv.MonomialMarkedIdeal(p))]
+        for fmt in ("text", "json"):
+            argv = ["--format", fmt, "resinv", "recursion", "--ideal", ideal]
+            yield f"cli {fmt} resinv recursion --ideal {seed}/{draw}", lambda argv=argv: _run_cli(argv)
+
+
 def _cli_examples():
     """(argv, name) of every VALID example of this tree's tests/test_cli.py
     and of the `ncquot normalize` golden instances, without --format."""
@@ -255,6 +317,7 @@ def _cases(tree: Path, seed: int, count: int):
     for draw in range(count):
         f, action, g = _draw_group_case(rng)
         yield f"apply_group {seed}/{draw}", lambda f=f, action=action, g=g: [f, polyring.apply_group(f, action, g)]
+    yield from _resinv_cases(rng, seed, count)
     for argv, name in _cli_examples():
         for fmt in ("text", "json"):
             yield f"cli {fmt} {name}", lambda argv=["--format", fmt, *argv]: _run_cli(argv)

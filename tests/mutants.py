@@ -264,6 +264,15 @@ MUTANTS = (
         ("tests/test_splitting.py::test_the_linear_chain_ends_as_the_recursive_search_does",),
     ),
     Mutant(
+        # the product of the denominators for their lcm: still integers,
+        # but not the least ones
+        "weights-least-integers",
+        "resinv.py",
+        "Fraction(lcm(*(q.denominator for q in rational)))",
+        "Fraction(__import__('math').prod(q.denominator for q in rational))",
+        ("tests/test_resinv.py::test_weights_match_the_closed_forms",),
+    ),
+    Mutant(
         "record-checks-fields",
         "record.py",
         "        if len(args) != len(fields):\n",
