@@ -118,8 +118,6 @@ def atwinv_product(parts) -> ATWSequence:
     parts = [int(p) for p in parts]
     if not parts or any(p < 2 for p in parts):
         raise ValueError("need a nonempty list of parts >= 2")
-    if len(parts) == 1:
-        return atwinv_cpk(parts[0])
     return inv_to_atw(inv_recursion(product_ideal(parts)))
 
 
@@ -161,7 +159,11 @@ def cpk_ideal(k: int) -> MonomialMarkedIdeal:
 
 
 def product_ideal(parts) -> MonomialMarkedIdeal:
-    """sum over factors i of (w^j x_{ij}^{k_i}, k_i)."""
+    """sum over factors i of (w^j x_{ij}^{k_i}, k_i); one part k gives
+    cpk_ideal(k), with its names."""
+    parts = list(parts)
+    if len(parts) == 1:
+        return cpk_ideal(parts[0])
     pairs = []
     for i, ki in enumerate(parts):
         for j in range(ki):

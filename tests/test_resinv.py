@@ -138,6 +138,13 @@ def test_weights_match_the_closed_forms():
         assert wv.multiplier == multiplier and gcd(*wv.integer) == 1, parts
 
 
+def test_one_part_has_the_names_of_cp_k():
+    # a single part k is cp_k: every route names its contacts x0, w, x1, ...
+    for k in range(2, 7):
+        assert product_ideal([k]).pairs == cpk_ideal(k).pairs
+        assert atw_to_inv(atwinv_product([k])) == inv_recursion(product_ideal([k])) == inv_cpk(k)
+
+
 def test_many_parts_keep_the_factor_order():
     # with ten or more factors, ties stay in factor order, not in the
     # string order of the names (x10_1 before x1_1)
