@@ -564,12 +564,13 @@ def cyclo_nth_root(c: Cyclo, n: int):
 
 
 def rational_sqrt(q: Fraction) -> Cyclo:
-    """A square root of the rational q, as an exact cyclotomic number.
+    """A square root of the rational q (an int or a Fraction; anything else
+    is a TypeError), as an exact cyclotomic number.
 
     sqrt(2) = e_8 + e_8^7 and, for an odd prime p, the quadratic Gauss sum
     sum_a (a|p) e_p^a equals sqrt(p) or i*sqrt(p) according to p mod 4.
     """
-    q = Fraction(q)
+    q = Fraction(*_num_den(q))
     if q == 0:
         return Cyclo.zero()
     neg = q < 0

@@ -171,6 +171,13 @@ def test_rational_sqrt_gauss_sums():
         assert r * r == Fraction(q)
 
 
+def test_rational_sqrt_refuses_a_float_or_a_string():
+    # Fraction(q) read 0.5 as 1/2 and "2" as 2, and 0.1 as its binary fraction
+    for value in (0.5, "2"):
+        with pytest.raises(TypeError):
+            rational_sqrt(value)
+
+
 def test_nth_roots():
     assert cyclo_nth_root(Cyclo.rational(-1), 2) ** 2 == -1
     assert cyclo_nth_root(Cyclo.rational(8), 3) == 2
