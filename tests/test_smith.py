@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circforge import Cyclo, root_of_unity
@@ -178,9 +178,17 @@ def test_reduced_echelon_clears_above_each_pivot():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.sampled_from([_sparse_entries, _sparse_fractions]), st.data())
 def test_solve_is_cramers_rule(n, entries, data):
-    a = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+    # invertible by construction: rows of L U permuted, L unit lower and U
+    # upper triangular with a nonzero diagonal (a zero drawn there becomes 1)
+    lower = [[data.draw(entries) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[data.draw(entries) if j > i else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        diagonal = data.draw(entries)
+        upper[i][i] = 1 if diagonal == 0 else diagonal
+    lu = _matmul(lower, upper)
+    a = [lu[i] for i in data.draw(st.permutations(range(n)))]
     d = permutation_det(a)
-    assume(d != 0)
+    assert d != 0
     b = [data.draw(entries) for _ in range(n)]
     cramer = [permutation_det([row[:i] + [bi] + row[i + 1 :] for row, bi in zip(a, b)]) / d for i in range(n)]
     assert solve(a, b) == cramer
