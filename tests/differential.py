@@ -224,9 +224,10 @@ def _draw_parts(rng: random.Random) -> list:
 
 
 def _draw_ideal(rng: random.Random) -> list:
-    """1-5 pairs (w^e x_i^d, d) on distinct x_i, with d in 1..6 or 1/2..5/2
-    and e in 0..2 or a half, so that normalized exponents tie; one draw in
-    ten has no divisor-free pair, which the recursion refuses."""
+    """1-5 pairs (w^e x_i^d, d) on distinct x_i, shuffled, with d one of
+    1, 2, 3, 4, 6, 1/2, 3/2, 5/2 and e one of 0, 1, 2, 1/2, so that
+    normalized exponents e/d tie; x_0 has e = 0, except in one draw in ten,
+    where every pair may carry w, which the recursion refuses."""
     pairs = []
     for i in range(rng.randint(1, 5)):
         d = rng.choice((1, 2, 3, 4, 6, Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)))
